@@ -2,7 +2,6 @@ package coverage
 
 import (
 	"container/list"
-	"hash/fnv"
 	"strconv"
 	"sync"
 
@@ -94,12 +93,31 @@ func (ca *Cache) Len() int {
 // correctness risk, and the 64-bit space over at most a few thousand
 // distinct sets makes that negligible — and an uncovered-set slice that
 // shrinks each covering iteration always changes length, which is hashed
-// too.
+// too. The hash runs FNV-1a over each example's Atom.Key bytes and a NUL
+// (the predicate, then every argument behind a NUL separator), fed
+// straight from the atom's strings: no key is built per example.
 func SetKey(examples []logic.Atom) string {
-	h := fnv.New64a()
+	h := uint64(fnvOffset)
 	for _, e := range examples {
-		h.Write([]byte(e.Key()))
-		h.Write([]byte{0})
+		h = fnvString(h, e.Pred)
+		for _, t := range e.Args {
+			h *= fnvPrime // a NUL byte: h ^ 0 == h
+			h = fnvString(h, t.Name)
+		}
+		h *= fnvPrime
 	}
-	return strconv.Itoa(len(examples)) + ":" + strconv.FormatUint(h.Sum64(), 16)
+	return strconv.Itoa(len(examples)) + ":" + strconv.FormatUint(h, 16)
+}
+
+// 64-bit FNV-1a parameters, as in hash/fnv.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
 }

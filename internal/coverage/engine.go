@@ -9,17 +9,19 @@ import (
 	"repro/internal/obs"
 )
 
-// CoverFunc decides whether one clause covers one example. ilp.Tester
-// supplies it, closing over the coverage mode (direct evaluation or
-// θ-subsumption) and its own instrumentation; implementations must be safe
-// for concurrent use.
-type CoverFunc func(c *logic.Clause, e logic.Atom) bool
+// CoverFunc prepares one clause for coverage testing and returns its
+// per-example test. The engine calls it once per candidate per round, on
+// the submitting goroutine, then fans the examples out over the pool, so
+// per-clause work (compiling a store query, say) is paid once per round
+// rather than once per example. ilp.Tester supplies it, closing over the
+// coverage mode (direct evaluation or θ-subsumption) and its own
+// instrumentation; the returned tests must be safe for concurrent use.
+type CoverFunc func(c *logic.Clause) func(e logic.Atom) bool
 
 // CostFunc estimates the relative cost of testing one example: for
-// subsumption-mode coverage the compiled bottom-clause size, for direct
-// evaluation a store-statistics-derived scan estimate. The estimate only
-// steers shard boundaries — results never depend on it — so it is free to
-// be rough, but it must be safe for concurrent use.
+// subsumption-mode coverage the compiled bottom-clause size. The estimate
+// only steers shard boundaries — results never depend on it — so it is
+// free to be rough, but it must be safe for concurrent use.
 type CostFunc func(e logic.Atom) int64
 
 // NoBound disables the early-termination bound of ScoreBatch.
@@ -171,6 +173,7 @@ func (en *Engine) evaluate(c *logic.Clause, examples []logic.Atom, known *Bitset
 		}
 		en.run.Add(obs.CCoverageSkipped, skipped)
 	}
+	test := en.cover(c)
 	ownPool := false
 	if pl == nil && en.workers > 1 && n >= 2 {
 		pl = newPool(en.workers, "coverage_testing", en.util)
@@ -180,7 +183,7 @@ func (en *Engine) evaluate(c *logic.Clause, examples []logic.Atom, known *Bitset
 		out := New(n)
 		for i, e := range examples {
 			en.run.Heartbeat()
-			if known.Get(i) || en.cover(c, e) {
+			if known.Get(i) || test(e) {
 				out.Set(i)
 			}
 		}
@@ -198,7 +201,7 @@ func (en *Engine) evaluate(c *logic.Clause, examples []logic.Atom, known *Bitset
 	runShards(en.run, pl, "coverage_testing", shards, func(sh shard) {
 		for i := sh.lo; i < sh.hi; i++ {
 			en.run.Heartbeat()
-			buf[i] = known.Get(i) || en.cover(c, examples[i])
+			buf[i] = known.Get(i) || test(examples[i])
 		}
 	})
 	if ownPool {
@@ -325,15 +328,16 @@ func (en *Engine) ScoreBatch(cands []Candidate, pos, neg []logic.Atom, floor, ke
 	// Phase A: every candidate's positive cover, exact, one flattened
 	// round. Positive counts are needed in full for any score, so there
 	// is nothing to prune yet and no ordering constraint.
-	posSets := en.batchCovered(pl, cands, pos, true)
+	posSets := en.batchCovered(pl, cands, pos, en.setKey(pos), true)
 	for i := range cands {
 		en.run.Inc(obs.CCandidatesScored)
 		out[i] = Score{Clause: cands[i].Clause, Pos: posSets[i], P: posSets[i].Count()}
 	}
 
+	negKey := en.setKey(neg)
 	if floor == NoBound && keep <= 0 {
 		// Unbounded batch: the negative side flattens into one round too.
-		negSets := en.batchCovered(pl, cands, neg, false)
+		negSets := en.batchCovered(pl, cands, neg, negKey, false)
 		for i := range cands {
 			out[i].Neg = negSets[i]
 			out[i].N = negSets[i].Count()
@@ -346,20 +350,29 @@ func (en *Engine) ScoreBatch(cands []Candidate, pos, neg []logic.Atom, floor, ke
 	// bound tightens as candidates complete.
 	bb := newBestBound(keep)
 	for i := range cands {
-		en.scoreNeg(pl, &out[i], cands[i], neg, floor, bb)
+		en.scoreNeg(pl, &out[i], cands[i], neg, negKey, floor, bb)
 	}
 	return out
+}
+
+// setKey digests an example list for the memo cache, or returns "" when
+// memoization is off.
+func (en *Engine) setKey(examples []logic.Atom) string {
+	if en.cache == nil {
+		return ""
+	}
+	return SetKey(examples)
 }
 
 // batchCovered computes each candidate's covered set over one example
 // list in a single flattened cost-sharded round: cache lookups first,
 // then every remaining (candidate, example) pair as one work item.
-// pos selects which known-covered set applies.
-func (en *Engine) batchCovered(pl *pool, cands []Candidate, examples []logic.Atom, pos bool) []*Bitset {
+// setKey is the list's SetKey (unused without a cache); pos selects which
+// known-covered set applies.
+func (en *Engine) batchCovered(pl *pool, cands []Candidate, examples []logic.Atom, setKey string, pos bool) []*Bitset {
 	sets := make([]*Bitset, len(cands))
 	var keys []string
 	if en.cache != nil {
-		setKey := SetKey(examples)
 		keys = make([]string, len(cands))
 		for i := range cands {
 			keys[i] = en.cache.Key(cands[i].Clause, setKey)
@@ -380,6 +393,7 @@ func (en *Engine) batchCovered(pl *pool, cands []Candidate, examples []logic.Ato
 		return cands[i].KnownNeg
 	}
 	bufs := make([][]bool, len(cands))
+	tests := make([]func(logic.Atom) bool, len(cands))
 	var itemCand, itemEx []int32
 	skipped := int64(0)
 	for i := range cands {
@@ -387,6 +401,7 @@ func (en *Engine) batchCovered(pl *pool, cands []Candidate, examples []logic.Ato
 			continue
 		}
 		bufs[i] = make([]bool, len(examples))
+		items := len(itemCand)
 		for j := range examples {
 			if known(i).Get(j) {
 				bufs[i][j] = true
@@ -395,6 +410,9 @@ func (en *Engine) batchCovered(pl *pool, cands []Candidate, examples []logic.Ato
 			}
 			itemCand = append(itemCand, int32(i))
 			itemEx = append(itemEx, int32(j))
+		}
+		if len(itemCand) > items {
+			tests[i] = en.cover(cands[i].Clause)
 		}
 	}
 	en.run.Add(obs.CCoverageSkipped, skipped)
@@ -409,7 +427,7 @@ func (en *Engine) batchCovered(pl *pool, cands []Candidate, examples []logic.Ato
 			for k := sh.lo; k < sh.hi; k++ {
 				en.run.Heartbeat()
 				ci, ej := itemCand[k], itemEx[k]
-				if en.cover(cands[ci].Clause, examples[ej]) {
+				if tests[ci](examples[ej]) {
 					bufs[ci][ej] = true
 				}
 			}
@@ -432,8 +450,9 @@ func (en *Engine) batchCovered(pl *pool, cands []Candidate, examples []logic.Ato
 // pool and aborts cooperatively once the score provably cannot beat the
 // effective bound (the floor or the shared keep-th best). The abort fires
 // exactly when the candidate's full score crosses the bound — covered
-// negatives only accumulate — so prunedness is timing-independent.
-func (en *Engine) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.Atom, floor int, bb *bestBound) {
+// negatives only accumulate — so prunedness is timing-independent. negKey
+// is SetKey(neg), computed once per batch.
+func (en *Engine) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.Atom, negKey string, floor int, bb *bestBound) {
 	p := s.P
 	// limit is the strongest applicable bound: pruned ⇔ p−n ≤ limit.
 	// Beating the floor requires s > floor; surviving the shared bound
@@ -470,10 +489,10 @@ func (en *Engine) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.Atom,
 		prune()
 		return
 	}
-	var negKey string
+	var key string
 	if en.cache != nil {
-		negKey = en.cache.Key(cand.Clause, SetKey(neg))
-		if hit, ok := en.cache.Get(negKey); ok && hit.Len() == len(neg) {
+		key = en.cache.Key(cand.Clause, negKey)
+		if hit, ok := en.cache.Get(key); ok && hit.Len() == len(neg) {
 			en.run.Inc(obs.CCoverageCacheHits)
 			complete(hit, hit.Count())
 			return
@@ -503,6 +522,7 @@ func (en *Engine) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.Atom,
 	}
 	var covered, scanned atomic.Int64
 	var aborted atomic.Bool
+	var test func(logic.Atom) bool
 	scan := func(sh shard) {
 		local := int64(0)
 		defer func() { scanned.Add(local) }()
@@ -513,7 +533,7 @@ func (en *Engine) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.Atom,
 			en.run.Heartbeat()
 			local++
 			j := items[k]
-			if en.cover(cand.Clause, neg[j]) {
+			if test(neg[j]) {
 				buf[j] = true
 				n := baseN + int(covered.Add(1))
 				if limit != NoBound && p-n <= limit {
@@ -527,6 +547,7 @@ func (en *Engine) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.Atom,
 		}
 	}
 	if len(items) > 0 {
+		test = en.cover(cand.Clause)
 		costs := en.exampleCosts(neg)
 		var costAt func(int) int64
 		if costs != nil {
@@ -545,7 +566,7 @@ func (en *Engine) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.Atom,
 	}
 	set := FromBools(buf)
 	if en.cache != nil {
-		en.cache.Put(negKey, set)
+		en.cache.Put(key, set)
 	}
 	complete(set, baseN+int(covered.Load()))
 	if s.Pruned {

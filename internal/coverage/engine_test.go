@@ -21,6 +21,14 @@ func (f *fakeCover) fn(c *logic.Clause, e logic.Atom) bool {
 	return i%2 == len(c.Body)%2
 }
 
+// perPair adapts a (clause, example) oracle to the engine's per-clause
+// CoverFunc.
+func perPair(f func(c *logic.Clause, e logic.Atom) bool) CoverFunc {
+	return func(c *logic.Clause) func(logic.Atom) bool {
+		return func(e logic.Atom) bool { return f(c, e) }
+	}
+}
+
 func exampleAtoms(n int) []logic.Atom {
 	out := make([]logic.Atom, n)
 	for i := range out {
@@ -33,8 +41,8 @@ func TestEngineCoveredSetParallelMatchesSequential(t *testing.T) {
 	exs := exampleAtoms(97)
 	c := logic.MustParseClause("h(X) :- p(X), q(X).")
 	var f fakeCover
-	seq := NewEngine(f.fn, 1, nil, nil).CoveredSet(c, exs, nil)
-	par := NewEngine(f.fn, 8, nil, nil).CoveredSet(c, exs, nil)
+	seq := NewEngine(perPair(f.fn), 1, nil, nil).CoveredSet(c, exs, nil)
+	par := NewEngine(perPair(f.fn), 8, nil, nil).CoveredSet(c, exs, nil)
 	if !seq.Equal(par) {
 		t.Fatal("parallel and sequential CoveredSet disagree")
 	}
@@ -49,7 +57,7 @@ func TestEngineMemoCache(t *testing.T) {
 	exs := exampleAtoms(40)
 	var f fakeCover
 	reg := obs.NewRegistry()
-	en := NewEngine(f.fn, 2, NewCache(0), obs.NewRun(nil, reg))
+	en := NewEngine(perPair(f.fn), 2, NewCache(0), obs.NewRun(nil, reg))
 
 	c1 := logic.MustParseClause("h(X) :- p(X).")
 	first := en.CoveredSet(c1, exs, nil)
@@ -93,7 +101,7 @@ func TestEngineKnownShortcut(t *testing.T) {
 	}
 	var f fakeCover
 	reg := obs.NewRegistry()
-	en := NewEngine(f.fn, 1, nil, obs.NewRun(nil, reg))
+	en := NewEngine(perPair(f.fn), 1, nil, obs.NewRun(nil, reg))
 	out := en.CoveredSet(c, exs, known)
 	if f.calls.Load() != 15 {
 		t.Fatalf("ran %d tests, want 15 (skipping knowns)", f.calls.Load())
@@ -110,7 +118,7 @@ func TestEngineKnownShortcut(t *testing.T) {
 	// panic (the seed implementation crashed in the worker goroutine here).
 	shortKnown := New(5)
 	shortKnown.Set(0)
-	if got := NewEngine(f.fn, 4, nil, nil).CoveredSet(c, exs, shortKnown); got.Len() != 30 {
+	if got := NewEngine(perPair(f.fn), 4, nil, nil).CoveredSet(c, exs, shortKnown); got.Len() != 30 {
 		t.Fatalf("short-known result len = %d", got.Len())
 	}
 }
@@ -124,7 +132,7 @@ func TestEngineScoreBatch(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		var f fakeCover
-		scores := NewEngine(f.fn, workers, nil, nil).ScoreBatch(cands, pos, neg, NoBound, 0)
+		scores := NewEngine(perPair(f.fn), workers, nil, nil).ScoreBatch(cands, pos, neg, NoBound, 0)
 		if len(scores) != 2 {
 			t.Fatalf("workers=%d: %d scores", workers, len(scores))
 		}
@@ -144,7 +152,7 @@ func TestEngineScoreBatchPrunes(t *testing.T) {
 	neg := exampleAtoms(40)
 	var f fakeCover
 	reg := obs.NewRegistry()
-	en := NewEngine(f.fn, 1, nil, obs.NewRun(nil, reg))
+	en := NewEngine(perPair(f.fn), 1, nil, obs.NewRun(nil, reg))
 	// The candidate scores p−n = 10−20 = −10; a floor of 5 means the scan
 	// may stop as soon as p−n ≤ 5, and the pruned payload is canonical:
 	// an empty negative side, regardless of how far the scan got.
@@ -218,7 +226,7 @@ func TestEngineScoreBatchKeepBound(t *testing.T) {
 	var want []Score
 	for _, workers := range []int{1, 2, 8} {
 		reg := obs.NewRegistry()
-		got := NewEngine(cover, workers, nil, obs.NewRun(nil, reg)).ScoreBatch(cands, pos, neg, NoBound, 1)
+		got := NewEngine(perPair(cover), workers, nil, obs.NewRun(nil, reg)).ScoreBatch(cands, pos, neg, NoBound, 1)
 		if got[0].Pruned || got[0].P != 20 || got[0].N != 0 {
 			t.Fatalf("workers=%d: candidate 0 = %+v, want complete 20/0", workers, got[0])
 		}
@@ -285,7 +293,7 @@ func TestEngineScoreBatchFullUtilization(t *testing.T) {
 		}
 		return false
 	}
-	NewEngine(cover, workers, nil, nil).ScoreBatch(cands, pos, nil, NoBound, 0)
+	NewEngine(perPair(cover), workers, nil, nil).ScoreBatch(cands, pos, nil, NoBound, 0)
 	if timedOut.Load() {
 		t.Fatalf("pool never reached %d concurrent coverage tests (peak %d)", workers, peak.Load())
 	}
@@ -298,7 +306,7 @@ func TestEngineScoreBatchDoesNotCachePartialNeg(t *testing.T) {
 	pos := exampleAtoms(20)
 	neg := exampleAtoms(40)
 	var f fakeCover
-	en := NewEngine(f.fn, 1, NewCache(0), nil)
+	en := NewEngine(perPair(f.fn), 1, NewCache(0), nil)
 	c := logic.MustParseClause("h(X) :- p(X).")
 	pruned := en.ScoreBatch([]Candidate{{Clause: c}}, pos, neg, 5, 0)[0]
 	if !pruned.Pruned {
@@ -339,5 +347,53 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	if ca.Len() != 2 {
 		t.Errorf("Len = %d", ca.Len())
+	}
+}
+
+// TestEnginePreparesEachClauseOncePerRound: the CoverFunc factory runs
+// once per candidate per round — never once per example — and not at all
+// for a candidate whose examples are all known covered.
+func TestEnginePreparesEachClauseOncePerRound(t *testing.T) {
+	var prepared, tests atomic.Int64
+	cover := func(c *logic.Clause) func(logic.Atom) bool {
+		prepared.Add(1)
+		return func(e logic.Atom) bool {
+			tests.Add(1)
+			return atomIndex(e)%2 == len(c.Body)%2
+		}
+	}
+	pos, neg := exampleAtoms(50), exampleAtoms(40)
+	allPos := New(len(pos))
+	for i := range pos {
+		allPos.Set(i)
+	}
+	cands := []Candidate{
+		{Clause: logic.MustParseClause("h(X) :- p(X).")},
+		{Clause: logic.MustParseClause("h(X) :- p(X), q(X).")},
+		{Clause: logic.MustParseClause("h(X) :- r(X)."), KnownPos: allPos},
+	}
+	for _, workers := range []int{1, 4} {
+		prepared.Store(0)
+		tests.Store(0)
+		en := NewEngine(cover, workers, nil, nil)
+		en.CoveredSet(cands[0].Clause, pos, nil)
+		if prepared.Load() != 1 || tests.Load() != 50 {
+			t.Fatalf("workers=%d: CoveredSet prepared %d clauses for %d tests, want 1 for 50",
+				workers, prepared.Load(), tests.Load())
+		}
+		prepared.Store(0)
+		tests.Store(0)
+		en.ScoreBatch(cands, pos, neg, NoBound, 0)
+		// Positives: two candidates (the third is fully known); negatives:
+		// all three, one flattened round each.
+		if prepared.Load() != 5 || tests.Load() != 2*50+3*40 {
+			t.Fatalf("workers=%d: ScoreBatch prepared %d clauses for %d tests, want 5 for %d",
+				workers, prepared.Load(), tests.Load(), 2*50+3*40)
+		}
+		prepared.Store(0)
+		en.ScoreBatch(cands, pos, neg, NoBound, 1)
+		if prepared.Load() > 5 {
+			t.Fatalf("workers=%d: bounded ScoreBatch prepared %d clauses, want at most 5", workers, prepared.Load())
+		}
 	}
 }

@@ -217,7 +217,7 @@ func TestPoolUtilizationAccounting(t *testing.T) {
 	run := obs.NewRun(nil, reg)
 	exs := exampleAtoms(200)
 	var f fakeCover
-	en := NewEngine(f.fn, 4, nil, run)
+	en := NewEngine(perPair(f.fn), 4, nil, run)
 	c := logic.MustParseClause("h(X) :- p(X).")
 	en.CoveredSet(c, exs, nil)
 
@@ -259,12 +259,12 @@ func TestPoolUtilizationUnobservedIsFree(t *testing.T) {
 	exs := exampleAtoms(120)
 	var f1, f2 fakeCover
 	c := logic.MustParseClause("h(X) :- p(X).")
-	obs1 := NewEngine(f1.fn, 4, nil, obs.NewRun(nil, obs.NewRegistry())).CoveredSet(c, exs, nil)
-	obs0 := NewEngine(f2.fn, 4, nil, nil).CoveredSet(c, exs, nil)
+	obs1 := NewEngine(perPair(f1.fn), 4, nil, obs.NewRun(nil, obs.NewRegistry())).CoveredSet(c, exs, nil)
+	obs0 := NewEngine(perPair(f2.fn), 4, nil, nil).CoveredSet(c, exs, nil)
 	if !obs1.Equal(obs0) {
 		t.Fatal("utilization accounting changed coverage results")
 	}
-	en := NewEngine(f2.fn, 4, nil, nil)
+	en := NewEngine(perPair(f2.fn), 4, nil, nil)
 	if en.util != nil {
 		t.Fatal("unobserved engine grew a poolUtil")
 	}
@@ -296,7 +296,7 @@ func TestPruneCountersConservation(t *testing.T) {
 	for i := range neg {
 		neg[i] = logic.GroundAtom("n", neg[i].Args[0].Name)
 	}
-	en := NewEngine(cover, 2, nil, run)
+	en := NewEngine(perPair(cover), 2, nil, run)
 	scores := en.ScoreBatch(cands, pos, neg, NoBound, 1)
 
 	var prunedItems int64

@@ -72,8 +72,12 @@ func NewTester(prob *Problem, params Params) *Tester {
 	if !params.DisableCoverageCache {
 		cache = coverage.NewCache(0)
 	}
-	t.engine = coverage.NewEngine(t.Covers, params.Parallelism, cache, params.Obs)
-	t.engine.SetCostFn(t.exampleCost)
+	t.engine = coverage.NewEngine(t.coverer, params.Parallelism, cache, params.Obs)
+	if params.CoverageMode == CoverageSubsumption {
+		// Direct-mode tests have no per-example cost signal, so their
+		// shards stay uniform.
+		t.engine.SetCostFn(t.exampleCost)
+	}
 	return t
 }
 
@@ -81,12 +85,27 @@ func NewTester(prob *Problem, params Params) *Tester {
 // learners that want to report through the same channel.
 func (t *Tester) Run() *obs.Run { return t.run }
 
-// Covers reports whether the clause covers the example. It is the
-// engine's CoverFunc and safe for concurrent use.
+// Covers reports whether the clause covers the example. Testing many
+// examples against one clause goes through the engine instead, which
+// prepares the clause once.
 func (t *Tester) Covers(c *logic.Clause, e logic.Atom) bool {
-	t.run.Inc(obs.CCoverageTests)
-	switch t.params.CoverageMode {
-	case CoverageSubsumption:
+	return t.coverer(c)(e)
+}
+
+// coverer is the engine's CoverFunc: it prepares the clause once and
+// returns its per-example test, safe for concurrent use. Direct mode
+// compiles the clause into a store query; subsumption mode probes each
+// example's compiled saturation.
+func (t *Tester) coverer(c *logic.Clause) func(logic.Atom) bool {
+	if t.params.CoverageMode != CoverageSubsumption {
+		q := t.prob.Instance.Compile(c)
+		return func(e logic.Atom) bool {
+			t.run.Inc(obs.CCoverageTests)
+			return q.Covers(e)
+		}
+	}
+	return func(e logic.Atom) bool {
+		t.run.Inc(obs.CCoverageTests)
 		cd := t.saturation(e)
 		if t.probeHist == nil {
 			return cd.SubsumesR(t.run, c)
@@ -95,8 +114,6 @@ func (t *Tester) Covers(c *logic.Clause, e logic.Atom) bool {
 		ok := cd.SubsumesR(t.run, c)
 		t.probeHist.Observe(time.Since(start))
 		return ok
-	default:
-		return t.prob.Instance.CoversExample(c, e)
 	}
 }
 
@@ -130,28 +147,16 @@ func (t *Tester) saturation(e logic.Atom) *subsume.Compiled {
 	return ent.cd.Load()
 }
 
-// exampleCost is the engine's shard-sizing cost model. In subsumption
-// mode an example's probe cost tracks its compiled bottom-clause size,
-// known exactly once compiled; before that (and in direct-evaluation
-// mode) a relstore-statistics estimate stands in: average tuples scanned
-// per lookup approximates how much store work one coverage test drives.
-// The estimate only shapes shard boundaries — never results — so its
+// exampleCost is the subsumption-mode shard-sizing cost model: an
+// example's probe cost tracks its compiled bottom-clause size, known
+// exactly once compiled; before that every example costs the same. The
+// estimate only shapes shard boundaries — never results — so its
 // coarseness is harmless.
 func (t *Tester) exampleCost(e logic.Atom) int64 {
-	if t.params.CoverageMode == CoverageSubsumption {
-		if v, ok := t.saturations.Load(e.Key()); ok {
-			if cd := v.(*satEntry).cd.Load(); cd != nil {
-				return int64(cd.Len()) + 1
-			}
+	if v, ok := t.saturations.Load(e.Key()); ok {
+		if cd := v.(*satEntry).cd.Load(); cd != nil {
+			return int64(cd.Len()) + 1
 		}
-	}
-	var scanned, lookups int64
-	for _, st := range t.prob.Instance.StoreStats() {
-		scanned += st.TuplesScanned
-		lookups += st.Lookups
-	}
-	if lookups > 0 {
-		return scanned/lookups + 1
 	}
 	return 1
 }

@@ -150,11 +150,22 @@ const substUnbound int32 = -1
 
 // NewSubst returns a substitution over n slots, all unbound.
 func NewSubst(n int) *Subst {
-	vals := make([]int32, n)
-	for i := range vals {
-		vals[i] = substUnbound
+	s := &Subst{}
+	s.Reset(n)
+	return s
+}
+
+// Reset resizes the substitution to n slots, all unbound, with an empty
+// trail, reusing its buffers when they are large enough.
+func (s *Subst) Reset(n int) {
+	if cap(s.vals) < n {
+		s.vals = make([]int32, n)
 	}
-	return &Subst{vals: vals}
+	s.vals = s.vals[:n]
+	for i := range s.vals {
+		s.vals[i] = substUnbound
+	}
+	s.trail = s.trail[:0]
 }
 
 // Slots returns the number of slots.

@@ -199,6 +199,20 @@ func TestSubstTrailUndo(t *testing.T) {
 	if v, ok := s.Value(1); !ok || v != 12 {
 		t.Fatalf("rebinding after undo failed: %d,%v", v, ok)
 	}
+	// Reset unbinds everything and resizes, keeping nothing on the trail.
+	s.Reset(3)
+	if s.Slots() != 3 || s.Mark() != 0 {
+		t.Fatalf("after Reset(3): %d slots, trail %d", s.Slots(), s.Mark())
+	}
+	for i := int32(0); i < 3; i++ {
+		if _, ok := s.Value(i); ok {
+			t.Fatalf("slot %d bound after Reset", i)
+		}
+	}
+	s.Reset(8)
+	if _, ok := s.Value(7); ok || s.Slots() != 8 {
+		t.Fatalf("Reset(8) left %d slots or slot 7 bound", s.Slots())
+	}
 }
 
 // TestITermPacking: the packed representation distinguishes variables from

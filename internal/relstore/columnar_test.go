@@ -204,14 +204,13 @@ func TestFrozenProbesZeroAlloc(t *testing.T) {
 	}
 	// The interned point probe of the solver path borrows the CSR posting
 	// slice, so it is allocation-free too.
-	req := []reqCol{{0, pub.lookupVal("t1")}}
+	t1 := pub.lookupVal("t1")
 	if n := testing.AllocsPerRun(200, func() {
-		rows, all := pub.rowsWith(req)
-		if all || len(rows) != 2 {
-			t.Fatal("rowsWith wrong")
+		if len(pub.matchingRows(0, t1)) != 2 {
+			t.Fatal("matchingRows wrong")
 		}
 	}); n != 0 {
-		t.Errorf("rowsWith point probe allocates %.1f per call, want 0", n)
+		t.Errorf("matchingRows point probe allocates %.1f per call, want 0", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -11,11 +12,28 @@ import (
 // instance, full clause/definition evaluation (the hR(I) of the paper), and
 // example coverage.
 //
-// The solver runs on the interned store: candidate rows are enumerated as
-// row ids straight out of the CSR postings (a point probe borrows the
-// posting slice without copying), constants compare as int32 symbol ids,
-// and strings only surface when a variable is bound into the substitution
-// — as the shared interned name, never a fresh allocation.
+// There is one solver, and it runs on compiled queries. Compile interns a
+// clause once against the instance's symbol table: variables become dense
+// slots, constants become symbol ids (logic.UnknownSym when the instance
+// never saw them), and a body atom over a missing relation, with the wrong
+// arity or with a constant no row holds makes the whole query
+// unsatisfiable up front. Testing a ground example then binds the head
+// slots and backtracks over a logic.Subst (an int32 slot array with a
+// trail), enumerating candidate rows as row ids straight out of the CSR
+// postings (a point probe borrows the posting slice without copying).
+// Scratch state comes from a pool, so a steady-state test allocates
+// nothing and touches no map and no string beyond the example's own
+// constants. The Instance
+// query methods (SatisfyBody, WitnessBody, CoversExample, EvalClause, …)
+// are thin wrappers that compile and run the same solver, turning symbol
+// ids back into names only at a solution.
+//
+// Literal choice is dynamic: every search node picks the unmatched atom
+// with the fewest candidate rows under the current bindings (first on
+// ties), probes its most selective bound column, and scans rows in
+// ascending row order, so enumeration order — and every access statistic
+// — is a deterministic function of the clause, the bindings and the
+// store.
 //
 // Evaluation is resource-bounded: conjunctive-query matching is NP-hard in
 // the clause length, and bottom-up learners produce long clauses, so each
@@ -43,22 +61,368 @@ func (i *Instance) budget() int {
 	return i.evalBudget
 }
 
+// Query is a clause (or a bare body) compiled against one instance. It is
+// immutable after compilation and safe for concurrent tests; it stays
+// valid until the instance is next modified.
+type Query struct {
+	inst  *Instance
+	pred  string // head predicate; empty for a compiled body
+	head  []headArg
+	atoms []queryAtom
+	vars  *logic.VarSlots // slot → variable name
+	unsat bool            // some body atom can match no row
+}
+
+// headArg is one compiled head position: a constant (slot < 0), the first
+// occurrence of a variable (prev < 0), or a repeat of the variable first
+// seen at head position prev. Repeats compare the example's names, so two
+// distinct constants the instance has never seen stay distinct. inBody
+// records whether the body mentions the variable: bound to a constant the
+// instance has never seen, such a variable makes the test fail outright.
+type headArg struct {
+	name   string
+	slot   int32
+	prev   int
+	inBody bool
+}
+
+// queryAtom is one compiled body atom. est and col are its candidate
+// estimate from the constant columns alone: the fewest rows any constant
+// column admits and that column, or the table size and -1 when no column
+// is constant.
+type queryAtom struct {
+	t      *Table
+	args   []logic.ITerm
+	est    int
+	col    int
+	nconst int
+}
+
+// Compile interns the clause against the instance for repeated coverage
+// tests: Covers then tests one example at a time without recompiling.
+func (i *Instance) Compile(c *logic.Clause) *Query {
+	q := &Query{inst: i, pred: c.Head.Pred, vars: logic.NewVarSlots(), head: make([]headArg, len(c.Head.Args))}
+	for j, t := range c.Head.Args {
+		if !t.IsVar {
+			q.head[j] = headArg{name: t.Name, slot: -1, prev: -1}
+			continue
+		}
+		prev := -1
+		for k := 0; k < j; k++ {
+			if a := c.Head.Args[k]; a.IsVar && a.Name == t.Name {
+				prev = k
+				break
+			}
+		}
+		q.head[j] = headArg{slot: q.vars.Slot(t.Name), prev: prev}
+	}
+	q.compileBody(c.Body, nil)
+	inBody := make([]bool, q.vars.Len())
+	for _, a := range q.atoms {
+		for _, arg := range a.args {
+			if arg.IsVar() {
+				inBody[arg.Slot()] = true
+			}
+		}
+	}
+	for j, h := range q.head {
+		q.head[j].inBody = h.slot >= 0 && inBody[h.slot]
+	}
+	return q
+}
+
+// compileBody interns the body atoms, resolving variables through init
+// first: one bound to a constant compiles as that constant, one aliased to
+// another variable shares its slot.
+func (q *Query) compileBody(body []logic.Atom, init logic.Substitution) {
+	n := 0
+	for _, a := range body {
+		n += len(a.Args)
+	}
+	args := make([]logic.ITerm, n)
+	q.atoms = make([]queryAtom, len(body))
+	for k, a := range body {
+		t := q.inst.tables[a.Pred]
+		if t == nil || t.rel.Arity() != len(a.Args) {
+			q.unsat = true
+			return
+		}
+		qa := queryAtom{t: t, args: args[:len(a.Args):len(a.Args)], est: t.nrows, col: -1}
+		args = args[len(a.Args):]
+		for c, term := range a.Args {
+			if init != nil {
+				term = init.Resolve(term)
+			}
+			if term.IsVar {
+				qa.args[c] = logic.VarITerm(q.vars.Slot(term.Name))
+				continue
+			}
+			sym := t.lookupVal(term.Name)
+			qa.args[c] = logic.ConstITerm(sym)
+			qa.nconst++
+			if cnt := t.countMatching(c, sym); qa.col < 0 || cnt < qa.est {
+				qa.est, qa.col = cnt, c
+			}
+		}
+		if qa.est == 0 {
+			q.unsat = true
+			return
+		}
+		q.atoms[k] = qa
+	}
+}
+
+// bodyQuery compiles a bare body under init.
+func (i *Instance) bodyQuery(body []logic.Atom, init logic.Substitution) *Query {
+	q := &Query{inst: i, vars: logic.NewVarSlots()}
+	q.compileBody(body, init)
+	return q
+}
+
+// Covers reports whether the compiled clause covers the ground example e
+// relative to the instance: the coverage test of Definition 3.1. Every
+// argument of e is read as a constant.
+func (q *Query) Covers(e logic.Atom) bool {
+	if q.unsat || e.Pred != q.pred || len(e.Args) != len(q.head) {
+		return false
+	}
+	sc := q.scratch()
+	defer scratchPool.Put(sc)
+	for j, h := range q.head {
+		name := e.Args[j].Name
+		switch {
+		case h.slot < 0:
+			if name != h.name {
+				return false
+			}
+		case h.prev >= 0:
+			if name != e.Args[h.prev].Name {
+				return false
+			}
+		default:
+			if id, ok := q.inst.syms.Lookup(name); ok {
+				sc.subst.Bind(h.slot, id)
+			} else if h.inBody {
+				return false // no row holds the constant
+			}
+		}
+	}
+	return q.run(sc, nil)
+}
+
+// scratch is the mutable state of one top-level call.
+type scratch struct {
+	subst   logic.Subst // slot → symbol id
+	used    []bool      // atoms matched on the current search path
+	stats   []atomStats
+	nodes   int   // remaining search budget
+	scanned int64 // tuples_scanned of this call
+	found   bool
+}
+
+// atomStats accumulates one atom's probe statistics during a call; they
+// reach the table's atomic counters once, when the call ends.
+type atomStats struct{ lookups, scanned, hits int64 }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// scratch takes a cleared scratch sized for the query from the pool.
+func (q *Query) scratch() *scratch {
+	sc := scratchPool.Get().(*scratch)
+	sc.subst.Reset(q.vars.Len())
+	atoms := len(q.atoms)
+	if cap(sc.used) < atoms {
+		sc.used = make([]bool, atoms)
+		sc.stats = make([]atomStats, atoms)
+	}
+	sc.used = sc.used[:atoms]
+	clear(sc.used)
+	sc.stats = sc.stats[:atoms]
+	clear(sc.stats)
+	return sc
+}
+
+// run searches from the bindings in sc and flushes the call's statistics.
+// yield receives each solution and returns whether to go on; a nil yield
+// stops at the first solution, which run then reports.
+func (q *Query) run(sc *scratch, yield func(*logic.Subst) bool) bool {
+	sc.nodes = q.inst.budget()
+	sc.scanned = 0
+	sc.found = false
+	q.search(sc, len(q.atoms), yield)
+	for k := range sc.stats {
+		st := &sc.stats[k]
+		if st.lookups == 0 {
+			continue
+		}
+		ts := &q.atoms[k].t.stats
+		ts.lookups.Add(st.lookups)
+		ts.scanned.Add(st.scanned)
+		if st.hits > 0 {
+			ts.indexHits.Add(st.hits)
+		}
+	}
+	if sc.scanned > 0 {
+		q.inst.obs.Add(obs.CTuplesScanned, sc.scanned)
+	}
+	return sc.found
+}
+
+// search matches the left unmatched atoms, backtracking with
+// most-constrained-literal selection. It returns false when the
+// enumeration stopped: the budget ran out or yield asked to stop.
+func (q *Query) search(sc *scratch, left int, yield func(*logic.Subst) bool) bool {
+	sc.nodes--
+	if sc.nodes < 0 {
+		return false // budget exhausted: cut the search
+	}
+	if left == 0 {
+		if yield == nil {
+			sc.found = true
+			return false
+		}
+		return yield(&sc.subst)
+	}
+	// Pick the atom with the fewest candidate rows: the smallest posting
+	// over its bound columns, or the whole table when none is bound.
+	best, bestEst, bestCol, bestBound := -1, 0, -1, 0
+	for k := range q.atoms {
+		if sc.used[k] {
+			continue
+		}
+		a := &q.atoms[k]
+		est, col, bound := a.est, a.col, a.nconst
+		for c, arg := range a.args {
+			if !arg.IsVar() {
+				continue
+			}
+			v, ok := sc.subst.Value(arg.Slot())
+			if !ok {
+				continue
+			}
+			bound++
+			if n := a.t.countMatching(c, v); col < 0 || n < est {
+				est, col = n, c
+			}
+		}
+		if best < 0 || est < bestEst {
+			if est == 0 {
+				return true // dead branch: no solutions, but not stopped
+			}
+			best, bestEst, bestCol, bestBound = k, est, col, bound
+		}
+	}
+	// Candidate rows: the whole table when no column is bound, else the
+	// posting of the most selective bound column. Rows failing another
+	// bound column are rejected by bind, so walking the posting visits
+	// exactly the filtered rows, in order.
+	a := &q.atoms[best]
+	t := a.t
+	st := &sc.stats[best]
+	st.lookups++
+	var rows []int32
+	n := t.nrows
+	if bestCol < 0 {
+		sc.scanned += int64(n)
+	} else {
+		if t.indexed {
+			st.hits++
+		}
+		rows = t.matchingRows(bestCol, a.value(sc, bestCol))
+		n = len(rows)
+		if bestBound == 1 {
+			sc.scanned += int64(n)
+		} else {
+			sc.scanned += int64(a.countBound(sc, rows))
+		}
+	}
+	st.scanned += int64(n)
+	sc.used[best] = true
+	mark := sc.subst.Mark()
+	for k := 0; k < n; k++ {
+		r := k
+		if rows != nil {
+			r = int(rows[k])
+		}
+		if a.bind(sc, r, mark) {
+			if !q.search(sc, left-1, yield) {
+				return false
+			}
+			sc.subst.UndoTo(mark)
+		}
+	}
+	sc.used[best] = false
+	return true
+}
+
+// value returns the symbol column col of the atom must hold under sc.
+func (a *queryAtom) value(sc *scratch, col int) int32 {
+	if arg := a.args[col]; arg.IsVar() {
+		v, _ := sc.subst.Value(arg.Slot())
+		return v
+	}
+	return a.args[col].Sym()
+}
+
+// countBound counts the rows matching every column bound under sc.
+func (a *queryAtom) countBound(sc *scratch, rows []int32) int {
+	ar := len(a.args)
+	n := 0
+next:
+	for _, r := range rows {
+		base := int(r) * ar
+		for c, arg := range a.args {
+			want := arg.Sym()
+			if arg.IsVar() {
+				v, ok := sc.subst.Value(arg.Slot())
+				if !ok {
+					continue
+				}
+				want = v
+			}
+			if a.t.data[base+c] != want {
+				continue next
+			}
+		}
+		n++
+	}
+	return n
+}
+
+// bind matches the atom against row r: bound columns must agree and free
+// slots bind to the row's values. On a mismatch it unbinds back to mark.
+func (a *queryAtom) bind(sc *scratch, r, mark int) bool {
+	row := a.t.data[r*len(a.args) : (r+1)*len(a.args)]
+	for c, arg := range a.args {
+		v := row[c]
+		if !arg.IsVar() {
+			if arg.Sym() != v {
+				sc.subst.UndoTo(mark)
+				return false
+			}
+			continue
+		}
+		if cur, ok := sc.subst.Value(arg.Slot()); !ok {
+			sc.subst.Bind(arg.Slot(), v)
+		} else if cur != v {
+			sc.subst.UndoTo(mark)
+			return false
+		}
+	}
+	return true
+}
+
 // SatisfyBody reports whether some extension of init maps every body atom
 // onto a tuple of the instance. Atoms over relations absent from the schema
 // never match.
 func (i *Instance) SatisfyBody(body []logic.Atom, init logic.Substitution) bool {
-	if init == nil {
-		init = logic.NewSubstitution()
+	q := i.bodyQuery(body, init)
+	if q.unsat {
+		return false
 	}
-	init = init.Clone() // the solver binds in place
-	found := false
-	ctx := evalCtx{nodes: i.budget()}
-	i.forEachSolution(body, init, &ctx, func(logic.Substitution) bool {
-		found = true
-		return false // stop at the first witness
-	})
-	ctx.flush(i.obs)
-	return found
+	sc := q.scratch()
+	defer scratchPool.Put(sc)
+	return q.run(sc, nil)
 }
 
 // WitnessBody returns the first substitution (in the solver's
@@ -67,17 +431,21 @@ func (i *Instance) SatisfyBody(body []logic.Atom, init logic.Substitution) bool 
 // SatisfyBody returning its evidence: `castor explain` renders the result
 // as the matching substitution of a coverage witness.
 func (i *Instance) WitnessBody(body []logic.Atom, init logic.Substitution) logic.Substitution {
-	if init == nil {
-		init = logic.NewSubstitution()
+	q := i.bodyQuery(body, init)
+	if q.unsat {
+		return nil
 	}
-	init = init.Clone() // the solver binds in place
 	var witness logic.Substitution
-	ctx := evalCtx{nodes: i.budget()}
-	i.forEachSolution(body, init, &ctx, func(s logic.Substitution) bool {
-		witness = s.Clone() // s is trail-managed; freeze the first solution
+	sc := q.scratch()
+	defer scratchPool.Put(sc)
+	q.run(sc, func(sub *logic.Subst) bool {
+		witness = init.Clone()
+		for s := int32(0); s < int32(sub.Slots()); s++ {
+			v, _ := sub.Value(s)
+			witness[q.vars.Name(s)] = logic.Const(i.syms.Name(v))
+		}
 		return false
 	})
-	ctx.flush(i.obs)
 	return witness
 }
 
@@ -94,13 +462,10 @@ func (i *Instance) CoverageWitness(c *logic.Clause, e logic.Atom) logic.Substitu
 
 // CoversExample reports whether clause c covers the ground example atom e
 // relative to the instance: some θ maps c's head onto e and c's body into
-// the instance. This is the coverage test of Definition 3.1.
+// the instance. This is the coverage test of Definition 3.1. Testing many
+// examples against one clause should Compile it once instead.
 func (i *Instance) CoversExample(c *logic.Clause, e logic.Atom) bool {
-	s, ok := logic.MatchAtoms(c.Head, e, logic.NewSubstitution())
-	if !ok {
-		return false
-	}
-	return i.SatisfyBody(c.Body, s)
+	return i.Compile(c).Covers(e)
 }
 
 // DefinitionCovers reports whether any clause of the definition covers e.
@@ -120,19 +485,30 @@ func (i *Instance) EvalClause(c *logic.Clause) ([]logic.Atom, error) {
 	if !c.IsSafe() {
 		return nil, fmt.Errorf("relstore: EvalClause on unsafe clause %v", c)
 	}
+	q := i.Compile(c)
+	if q.unsat {
+		return nil, nil
+	}
 	var out []logic.Atom
 	seen := make(map[string]bool)
-	ctx := evalCtx{nodes: i.budget()}
-	i.forEachSolution(c.Body, logic.NewSubstitution(), &ctx, func(s logic.Substitution) bool {
-		h := c.Head.Apply(s)
-		k := h.Key()
-		if !seen[k] {
+	sc := q.scratch()
+	defer scratchPool.Put(sc)
+	q.run(sc, func(sub *logic.Subst) bool {
+		h := logic.Atom{Pred: c.Head.Pred, Args: make([]logic.Term, len(q.head))}
+		for j, ha := range q.head {
+			if ha.slot < 0 {
+				h.Args[j] = logic.Const(ha.name)
+			} else {
+				v, _ := sub.Value(ha.slot)
+				h.Args[j] = logic.Const(i.syms.Name(v))
+			}
+		}
+		if k := h.Key(); !seen[k] {
 			seen[k] = true
 			out = append(out, h)
 		}
 		return true
 	})
-	ctx.flush(i.obs)
 	return out, nil
 }
 
@@ -155,195 +531,4 @@ func (i *Instance) EvalDefinition(d *logic.Definition) ([]logic.Atom, error) {
 		}
 	}
 	return out, nil
-}
-
-// evalCtx is the per-top-level-call state of the solver: the remaining
-// search-node budget and the tuples scanned so far. Scans accumulate in a
-// plain int on the search path and flush into the instrumentation run
-// once per call.
-type evalCtx struct {
-	nodes   int
-	scanned int64
-}
-
-func (c *evalCtx) flush(run *obs.Run) {
-	if c.scanned > 0 {
-		run.Add(obs.CTuplesScanned, c.scanned)
-	}
-}
-
-// reqCol is one bound column of an interned candidate probe: the column
-// number and the symbol id it must hold (UnknownSym for constants absent
-// from the instance, which no row matches).
-type reqCol struct {
-	col int
-	val int32
-}
-
-// rowsWith is TuplesWith over interned requirements: same statistics,
-// same most-selective-column start, same ascending result order — but it
-// yields row ids instead of materialized tuples, and a point probe
-// borrows the CSR posting slice without copying. An empty requirement
-// returns (nil, true): every row matches, and the caller iterates the row
-// space directly instead of materializing len(t) ids.
-func (t *Table) rowsWith(req []reqCol) (rows []int32, all bool) {
-	t.stats.lookups.Add(1)
-	if len(req) == 0 {
-		t.stats.scanned.Add(int64(t.nrows))
-		return nil, true
-	}
-	// Most selective requirement first (deterministically: smallest
-	// posting, ties by the lowest column — req is in column order).
-	best, bestLen := -1, -1
-	for k, rc := range req {
-		n := t.countMatching(rc.col, rc.val)
-		if bestLen == -1 || n < bestLen {
-			best, bestLen = k, n
-		}
-	}
-	if t.indexed {
-		t.stats.indexHits.Add(1)
-	}
-	probe := t.matchingRows(req[best].col, req[best].val)
-	t.stats.scanned.Add(int64(len(probe)))
-	if len(req) == 1 {
-		return probe, false
-	}
-	out := make([]int32, 0, len(probe))
-	ar := t.rel.Arity()
-	for _, r := range probe {
-		base := int(r) * ar
-		ok := true
-		for _, rc := range req {
-			if t.data[base+rc.col] != rc.val {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	return out, false
-}
-
-// forEachSolution enumerates extensions of s satisfying all atoms,
-// backtracking with most-constrained-literal selection. yield returning
-// false stops the enumeration; forEachSolution returns false when stopped
-// early. ctx carries the remaining search budget (exhausting it also
-// stops) and the scan counter.
-func (i *Instance) forEachSolution(atoms []logic.Atom, s logic.Substitution, ctx *evalCtx, yield func(logic.Substitution) bool) bool {
-	ctx.nodes--
-	if ctx.nodes < 0 {
-		return false // budget exhausted: cut the search
-	}
-	if len(atoms) == 0 {
-		return yield(s)
-	}
-	// Pick the atom with the smallest candidate estimate.
-	bestIdx, bestCount := -1, -1
-	for k, a := range atoms {
-		n := i.candidateEstimate(a, s)
-		if bestCount == -1 || n < bestCount {
-			bestIdx, bestCount = k, n
-			if n == 0 {
-				return true // dead branch: no solutions, but not stopped
-			}
-		}
-	}
-	atom := atoms[bestIdx]
-	rest := make([]logic.Atom, 0, len(atoms)-1)
-	rest = append(rest, atoms[:bestIdx]...)
-	rest = append(rest, atoms[bestIdx+1:]...)
-
-	t := i.tables[atom.Pred]
-	if t == nil || t.rel.Arity() != atom.Arity() {
-		return true
-	}
-	// Interned requirement over the positions bound at entry.
-	var reqBuf [maxInlineArity]reqCol
-	req := reqBuf[:0]
-	for col, arg := range atom.Args {
-		r := s.Resolve(arg)
-		if !r.IsVar {
-			req = append(req, reqCol{col, t.lookupVal(r.Name)})
-		}
-	}
-	// Trail-based binding: extend s in place per candidate row and undo on
-	// backtrack, avoiding a substitution clone per row.
-	step := func(r int32) bool {
-		trail, ok := t.bindRow(atom, r, s)
-		if !ok {
-			return true
-		}
-		if !i.forEachSolution(rest, s, ctx, yield) {
-			return false
-		}
-		for _, v := range trail {
-			delete(s, v)
-		}
-		return true
-	}
-	rows, allRows := t.rowsWith(req)
-	if allRows {
-		ctx.scanned += int64(t.nrows)
-		for r := 0; r < t.nrows; r++ {
-			if !step(int32(r)) {
-				return false
-			}
-		}
-		return true
-	}
-	ctx.scanned += int64(len(rows))
-	for _, r := range rows {
-		if !step(r) {
-			return false
-		}
-	}
-	return true
-}
-
-// bindRow extends s so the atom matches row r of t, returning the trail
-// of newly bound variables; on mismatch it restores s and reports false.
-// Variables bind to the shared interned name of the row value — no string
-// is built — and constants compare as symbol ids.
-func (t *Table) bindRow(atom logic.Atom, r int32, s logic.Substitution) ([]string, bool) {
-	base := int(r) * t.rel.Arity()
-	var trail []string
-	for col, arg := range atom.Args {
-		res := s.Resolve(arg)
-		v := t.data[base+col]
-		if res.IsVar {
-			s[res.Name] = logic.Const(t.syms.Name(v))
-			trail = append(trail, res.Name)
-			continue
-		}
-		if id, ok := t.syms.Lookup(res.Name); !ok || id != v {
-			for _, x := range trail {
-				delete(s, x)
-			}
-			return nil, false
-		}
-	}
-	return trail, true
-}
-
-// candidateEstimate returns a cheap upper bound on the number of tuples
-// matching the atom under s, used for literal selection.
-func (i *Instance) candidateEstimate(a logic.Atom, s logic.Substitution) int {
-	t := i.tables[a.Pred]
-	if t == nil || t.rel.Arity() != a.Arity() {
-		return 0
-	}
-	best := t.Len()
-	for col, arg := range a.Args {
-		r := s.Resolve(arg)
-		if r.IsVar {
-			continue
-		}
-		if n := t.countMatching(col, t.lookupVal(r.Name)); n < best {
-			best = n
-		}
-	}
-	return best
 }

@@ -178,4 +178,109 @@ func TestQuickEvalAgainstNaive(t *testing.T) {
 				got, want, body, inst.Table("p").Len(), inst.Table("q").Len())
 		}
 	}
+
+	// Coverage: random heads (repeated variables, constants) against
+	// random ground examples, some of whose constants the instance has
+	// never seen, with bodies that may reference a missing relation or
+	// the wrong arity. CoversExample must agree with grounding the whole
+	// clause over every assignment.
+	headVars := []string{"X", "Y", "Z", "W"}
+	domain := []string{"v0", "v1", "v2", "v3", "zz", "yy"} // zz and yy are never stored
+	randTerm := func(constPct int) logic.Term {
+		if r.Intn(100) < constPct {
+			return logic.Const(domain[r.Intn(5)])
+		}
+		return logic.Var(headVars[r.Intn(len(headVars))])
+	}
+	randClause := func() *logic.Clause {
+		head := logic.NewAtom("h")
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			head.Args = append(head.Args, randTerm(25))
+		}
+		c := &logic.Clause{Head: head}
+		for n := r.Intn(4); n > 0; n-- {
+			pred, arity := "p", 2
+			switch k := r.Intn(20); {
+			case k < 9:
+				pred = "q"
+			case k == 18:
+				pred = "r" // no such relation
+			case k == 19:
+				arity = 3 // p has arity 2
+			}
+			a := logic.NewAtom(pred)
+			for j := 0; j < arity; j++ {
+				a.Args = append(a.Args, randTerm(30))
+			}
+			c.Body = append(c.Body, a)
+		}
+		return c
+	}
+	randExample := func(c *logic.Clause) logic.Atom {
+		pred, arity := "h", c.Head.Arity()
+		if r.Intn(10) == 0 {
+			pred = "g"
+		}
+		if r.Intn(10) == 0 {
+			arity++
+		}
+		e := logic.NewAtom(pred)
+		for j := 0; j < arity; j++ {
+			e.Args = append(e.Args, logic.Const(domain[r.Intn(len(domain))]))
+		}
+		return e
+	}
+	holds := func(inst *Instance, a logic.Atom) bool {
+		tab := inst.Table(a.Pred)
+		if tab == nil || tab.Relation().Arity() != a.Arity() {
+			return false
+		}
+		vals := make([]string, a.Arity())
+		for i, t := range a.Args {
+			vals[i] = t.Name
+		}
+		return tab.Contains(vals)
+	}
+	naiveCovers := func(inst *Instance, c *logic.Clause, e logic.Atom) bool {
+		var asg [4]int
+		for {
+			s := logic.NewSubstitution()
+			for k, v := range headVars {
+				s.Bind(v, logic.Const(domain[asg[k]]))
+			}
+			if h := c.Head.Apply(s); h.Pred == e.Pred && logic.TermsEqual(h.Args, e.Args) {
+				ok := true
+				for _, a := range c.Body {
+					if !holds(inst, a.Apply(s)) {
+						ok = false
+						break
+					}
+				}
+				if ok {
+					return true
+				}
+			}
+			k := 0
+			for ; k < len(asg); k++ {
+				if asg[k]++; asg[k] < len(domain) {
+					break
+				}
+				asg[k] = 0
+			}
+			if k == len(asg) {
+				return false
+			}
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		inst := randTwoRelInstance(r, true)
+		c := randClause()
+		for k := 0; k < 4; k++ {
+			e := randExample(c)
+			if got, want := inst.CoversExample(c, e), naiveCovers(inst, c, e); got != want {
+				t.Fatalf("CoversExample(%v, %v)=%v naive=%v over p=%v q=%v",
+					c, e, got, want, inst.Table("p").Tuples(), inst.Table("q").Tuples())
+			}
+		}
+	}
 }
