@@ -17,16 +17,6 @@ import (
 // which is invariant under (de)composition, instead of the schema-dependent
 // depth bound.
 
-// copyTuples deep-copies a query result, emulating per-call API
-// marshaling for the no-stored-procedures configuration.
-func copyTuples(tuples []relstore.Tuple) []relstore.Tuple {
-	out := make([]relstore.Tuple, len(tuples))
-	for i, tp := range tuples {
-		out[i] = append(relstore.Tuple(nil), tp...)
-	}
-	return out
-}
-
 // BottomClause builds the variablized bottom clause of example e.
 func BottomClause(prob *ilp.Problem, plan *relstore.Plan, e logic.Atom, params ilp.Params) *logic.Clause {
 	return ilp.Variablize(prob, GroundBottomClause(prob, plan, e, params))
@@ -47,202 +37,309 @@ func BottomClause(prob *ilp.Problem, plan *relstore.Plan, e logic.Atom, params i
 // on every call, which the stored-procedure deployment of §7.5.2 avoids
 // (together with recompiling the plan per call, handled by the learner).
 func GroundBottomClause(prob *ilp.Problem, plan *relstore.Plan, e logic.Atom, params ilp.Params) *logic.Clause {
-	return groundBottomClause(prob, plan, e, params, nil)
+	return newBuilder(prob, plan).build(e, params, nil)
 }
 
-// groundBottomClause is GroundBottomClause with an optional provenance
-// hook: a non-nil indsFired collects, per IND (by its String rendering),
-// how many partner tuples its hops pulled into the clause. Collection is
-// observation only — the constructed clause is identical either way.
-func groundBottomClause(prob *ilp.Problem, plan *relstore.Plan, e logic.Atom, params ilp.Params, indsFired map[string]int64) *logic.Clause {
-	fetch := func(tuples []relstore.Tuple) []relstore.Tuple { return tuples }
-	if !params.UseStoredProc {
-		fetch = copyTuples
-	}
-	run := params.Obs
-	var chaseHops, scanned int64 // flushed into run once, on return
+// builder constructs the ground bottom clauses of one plan over one
+// instance in the store's id space: frontier scans and IND hops read row
+// ids out of the posting lists, constants stay symbol ids, literals dedupe
+// by (relation, row), and names appear only when the finished clause is
+// written out. What the plan fixes — the relations with a table, their
+// value columns, each hop's join columns — is resolved once, so one
+// builder serves every bottom clause of a learn. Per-clause state comes
+// from a pool, so concurrent coverage workers share the builder.
+type builder struct {
+	prob    *ilp.Problem
+	plan    *relstore.Plan
+	syms    *logic.Symbols
+	rels    []bottomRel // the plan schema's relations that have a table, in schema order
+	nattrs  int         // distinct attribute names across rels
+	scratch sync.Pool   // *bottomScratch
+}
+
+// bottomRel is one relation the construction scans and chases into.
+type bottomRel struct {
+	name  string
+	table *relstore.Table
+	attrs []int32 // per column: the attribute's index into the joined row
+	value []bool  // per column: a value attribute, neither chased nor an entity
+	hops  []bottomHop
+}
+
+// bottomHop is one IND hop out of a relation: partner rows whose dst
+// columns hold the source row's src columns join it.
+type bottomHop struct {
+	to       int32 // partner index into builder.rels
+	src, dst []int
+	ind      string // the IND's rendering, for provenance
+}
+
+// rowRef is one tuple of the clause under construction: a relation index
+// into builder.rels and a row id of its table.
+type rowRef struct {
+	rel int32
+	row int32
+}
+
+func newBuilder(prob *ilp.Problem, plan *relstore.Plan) *builder {
 	schema := plan.Schema()
-	c := &logic.Clause{Head: e.Clone()}
-
-	known := make(map[string]bool)     // every constant seen
-	entities := make(map[string]bool)  // constants that will become variables
-	seenAtoms := make(map[string]bool) // literal dedup
-	var frontier []string
-
-	for _, t := range e.Args {
-		if !known[t.Name] {
-			known[t.Name] = true
-			entities[t.Name] = true
-			frontier = append(frontier, t.Name)
-		}
-	}
-
-	// addWithChase inserts the tuple's literal and transitively chases the
-	// plan's IND hops to pull in the partner tuples that belong to the same
-	// joined row (§7.1): the chase tracks the accumulated row (attribute →
-	// value, natural-join convention) and only follows partners that agree
-	// with it on every shared attribute. Without that restriction a
-	// one-to-many reverse hop (e.g. genre → every movie of that genre)
-	// floods the clause with tuples from *other* joined rows — those are
-	// reached by later frontier iterations instead, under the usual recall
-	// cap, on every schema variant alike.
-	var discovered *[]string
-	addWithChase := func(rel *relstore.Relation, tp relstore.Tuple) {
-		type item struct {
-			rel *relstore.Relation
-			tp  relstore.Tuple
-		}
-		row := make(map[string]string, rel.Arity())
-		queue := []item{{rel, tp}}
-		for len(queue) > 0 {
-			it := queue[0]
-			queue = queue[1:]
-			// Row consistency: skip tuples conflicting with the joined row
-			// assembled so far; merge the survivors into it.
-			conflict := false
-			for pos, attr := range it.rel.Attrs {
-				if v, ok := row[attr]; ok && v != it.tp[pos] {
-					conflict = true
-					break
-				}
-			}
-			if conflict {
-				continue
-			}
-			atom := logic.GroundAtom(it.rel.Name, it.tp...)
-			k := atom.Key()
-			if seenAtoms[k] {
-				continue
-			}
-			seenAtoms[k] = true
-			for pos, attr := range it.rel.Attrs {
-				row[attr] = it.tp[pos]
-			}
-			c.Body = append(c.Body, atom)
-			for pos, v := range it.tp {
-				if prob.IsValueAttr(schema, it.rel.Attrs[pos]) {
-					continue
-				}
-				entities[v] = true
-				if !known[v] {
-					known[v] = true
-					*discovered = append(*discovered, v)
-				}
-			}
-			for _, hop := range plan.Partners(it.rel.Name) {
-				partner := prob.Instance.Table(hop.Rel)
-				if partner == nil {
-					continue
-				}
-				chaseHops++
-				req := make(map[int]string, len(hop.SrcPos))
-				for i, sp := range hop.SrcPos {
-					req[hop.DstPos[i]] = it.tp[sp]
-				}
-				joined := fetch(partner.TuplesWith(req))
-				scanned += int64(len(joined))
-				partner.AddINDExpansions(int64(len(joined)))
-				if len(joined) > maxINDJoin {
-					joined = joined[:maxINDJoin]
-				}
-				if indsFired != nil && len(joined) > 0 {
-					indsFired[hop.IND.String()] += int64(len(joined))
-				}
-				prel, _ := schema.Relation(hop.Rel)
-				for _, jt := range joined {
-					queue = append(queue, item{prel, jt})
-				}
-			}
-		}
-	}
-
-	for iter := 0; len(frontier) > 0; iter++ {
-		if params.Depth > 0 && iter >= params.Depth {
-			break
-		}
-		chase := frontier
-		frontier = nil
-		var found []string
-		discovered = &found
-		// One fetch job per (relation, frontier constant) pair. The store
-		// scans run concurrently over the worker pool (reads only; the
-		// §7.5.3 idiom), then the results are folded into the clause
-		// serially in job order, so the literal order — and therefore the
-		// clause — is byte-identical to the sequential construction.
-		jobs := fetchFrontier(prob, schema, chase, fetch, params.Parallelism)
-		for _, job := range jobs {
-			scanned += int64(len(job.tuples))
-			for _, tp := range job.tuples {
-				addWithChase(job.rel, tp)
-			}
-		}
-		frontier = found
-		// §7.1 stopping condition: stop expanding once the distinct-variable
-		// budget is reached. The count is schema independent because
-		// corresponding clauses over (de)compositions share their variables.
-		if params.MaxVars > 0 && len(entities) >= params.MaxVars {
-			break
-		}
-	}
-	run.Add(obs.CINDChaseHops, chaseHops)
-	run.Add(obs.CTuplesScanned, scanned)
-	return c
-}
-
-// fetchJob is one frontier scan: the tuples of rel containing one frontier
-// constant, in deterministic (relation-major, constant-minor) job order.
-type fetchJob struct {
-	rel    *relstore.Relation
-	cst    string
-	tuples []relstore.Tuple
-}
-
-// fetchFrontier runs every (relation, constant) scan of one frontier
-// iteration, sharded over workers goroutines when workers > 1. Only the
-// store reads are concurrent — each job fills its own slot — so callers
-// can fold the results in job order and reproduce the sequential clause
-// exactly.
-func fetchFrontier(prob *ilp.Problem, schema *relstore.Schema, chase []string, fetch func([]relstore.Tuple) []relstore.Tuple, workers int) []fetchJob {
-	var jobs []fetchJob
-	tables := make([]*relstore.Table, 0, len(schema.Relations()))
+	b := &builder{prob: prob, plan: plan, syms: prob.Instance.Symbols()}
+	index := make(map[string]int32)
+	attrIndex := make(map[string]int32)
 	for _, rel := range schema.Relations() {
 		table := prob.Instance.Table(rel.Name)
 		if table == nil {
 			continue
 		}
-		for _, cst := range chase {
-			jobs = append(jobs, fetchJob{rel: rel, cst: cst})
-			tables = append(tables, table)
+		index[rel.Name] = int32(len(b.rels))
+		br := bottomRel{name: rel.Name, table: table, attrs: make([]int32, rel.Arity()), value: make([]bool, rel.Arity())}
+		for pos, attr := range rel.Attrs {
+			a, ok := attrIndex[attr]
+			if !ok {
+				a = int32(len(attrIndex))
+				attrIndex[attr] = a
+			}
+			br.attrs[pos] = a
+			br.value[pos] = prob.IsValueAttr(schema, attr)
 		}
+		b.rels = append(b.rels, br)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for i := range jobs {
-			jobs[i].tuples = fetch(tables[i].TuplesContaining(jobs[i].cst))
-		}
-		return jobs
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Label the drain loop so CPU profiles attribute frontier scans
-			// to bottom-clause construction.
-			obs.WithPhaseLabel("bottom_construction", func() {
-				for i := range next {
-					jobs[i].tuples = fetch(tables[i].TuplesContaining(jobs[i].cst))
+	b.nattrs = len(attrIndex)
+	for i := range b.rels {
+		br := &b.rels[i]
+		for _, hop := range plan.Partners(br.name) {
+			to, ok := index[hop.Rel]
+			if !ok {
+				continue // no table to chase into
+			}
+			// One requirement per partner column; a column named twice keeps
+			// its last source, as a column-keyed requirement map would.
+			h := bottomHop{to: to, ind: hop.IND.String()}
+			for k, dst := range hop.DstPos {
+				if j := indexOf(h.dst, dst); j >= 0 {
+					h.src[j] = hop.SrcPos[k]
+					continue
 				}
-			})
-		}()
+				h.dst = append(h.dst, dst)
+				h.src = append(h.src, hop.SrcPos[k])
+			}
+			br.hops = append(br.hops, h)
+		}
 	}
-	for i := range jobs {
-		next <- i
+	return b
+}
+
+func indexOf(xs []int, x int) int {
+	for i, v := range xs {
+		if v == x {
+			return i
+		}
 	}
-	close(next)
-	wg.Wait()
-	return jobs
+	return -1
+}
+
+// bottomScratch is the mutable state of one construction.
+type bottomScratch struct {
+	entities map[int32]struct{}  // constants that become variables
+	lits     map[rowRef]struct{} // tuples already in the clause
+	body     []rowRef
+	frontier []int32
+	found    []int32
+	unknown  []string // example constants the instance lacks; ids -2, -3, …
+	queue    []rowRef
+	scan     []int32 // frontier-scan result buffer
+	join     []int32 // hop result buffer
+	joinVals []int32
+	// The joined row of the current chase: rowVal[a] holds attribute a's
+	// value where rowSet[a]; touched lists the set attributes.
+	rowVal  []int32
+	rowSet  []bool
+	touched []int32
+}
+
+func (b *builder) getScratch() *bottomScratch {
+	sc, _ := b.scratch.Get().(*bottomScratch)
+	if sc == nil {
+		sc = &bottomScratch{entities: make(map[int32]struct{}), lits: make(map[rowRef]struct{})}
+	}
+	clear(sc.entities)
+	clear(sc.lits)
+	sc.body, sc.frontier, sc.found, sc.unknown = sc.body[:0], sc.frontier[:0], sc.found[:0], sc.unknown[:0]
+	if len(sc.rowSet) < b.nattrs {
+		sc.rowVal = make([]int32, b.nattrs)
+		sc.rowSet = make([]bool, b.nattrs)
+	}
+	return sc
+}
+
+// addEntity records v as a constant that becomes a variable, reporting
+// whether it is new.
+func (sc *bottomScratch) addEntity(v int32) bool {
+	if _, ok := sc.entities[v]; ok {
+		return false
+	}
+	sc.entities[v] = struct{}{}
+	return true
+}
+
+// exampleID interns one example constant: its symbol id, or a distinct
+// negative id below logic.UnknownSym when the instance lacks it, so that
+// distinct unknown constants stay distinct entities while every probe for
+// them matches no row.
+func (b *builder) exampleID(sc *bottomScratch, name string) int32 {
+	if id, ok := b.syms.Lookup(name); ok {
+		return id
+	}
+	for k, u := range sc.unknown {
+		if u == name {
+			return -2 - int32(k)
+		}
+	}
+	sc.unknown = append(sc.unknown, name)
+	return -1 - int32(len(sc.unknown))
+}
+
+// build constructs the ground bottom clause of e. A non-nil indsFired
+// collects, per IND (by its String rendering), how many partner tuples
+// its hops pulled into the clause. Collection is observation only — the
+// constructed clause is identical either way.
+func (b *builder) build(e logic.Atom, params ilp.Params, indsFired map[string]int64) *logic.Clause {
+	sc := b.getScratch()
+	defer b.scratch.Put(sc)
+	var chaseHops, scanned int64 // flushed into the run once, on return
+	for _, t := range e.Args {
+		if v := b.exampleID(sc, t.Name); sc.addEntity(v) {
+			sc.frontier = append(sc.frontier, v)
+		}
+	}
+	for iter := 0; len(sc.frontier) > 0; iter++ {
+		if params.Depth > 0 && iter >= params.Depth {
+			break
+		}
+		chase := sc.frontier
+		sc.found = sc.found[:0]
+		// Scans run relation-major, constant-minor, and each result folds
+		// into the clause before the next scan: that order is the literal
+		// order.
+		for ri := range b.rels {
+			for _, v := range chase {
+				rows := b.rels[ri].table.AppendRowsContaining(sc.scan[:0], v)
+				sc.scan = rows
+				if !params.UseStoredProc {
+					rows = append([]int32(nil), rows...)
+				}
+				scanned += int64(len(rows))
+				for _, r := range rows {
+					b.addWithChase(sc, rowRef{int32(ri), r}, params.UseStoredProc, &chaseHops, &scanned, indsFired)
+				}
+			}
+		}
+		sc.frontier, sc.found = sc.found, chase
+		// §7.1 stopping condition: stop expanding once the distinct-variable
+		// budget is reached. The count is schema independent because
+		// corresponding clauses over (de)compositions share their variables.
+		if params.MaxVars > 0 && len(sc.entities) >= params.MaxVars {
+			break
+		}
+	}
+	params.Obs.Add(obs.CINDChaseHops, chaseHops)
+	params.Obs.Add(obs.CTuplesScanned, scanned)
+	return b.clause(sc, e)
+}
+
+// addWithChase inserts the tuple's literal and transitively chases the
+// plan's IND hops to pull in the partner tuples that belong to the same
+// joined row (§7.1): the chase tracks the accumulated row (attribute →
+// value, natural-join convention) and only follows partners that agree
+// with it on every shared attribute. Without that restriction a
+// one-to-many reverse hop (e.g. genre → every movie of that genre) floods
+// the clause with tuples from *other* joined rows — those are reached by
+// later frontier iterations instead, on every schema variant alike.
+func (b *builder) addWithChase(sc *bottomScratch, start rowRef, storedProc bool, chaseHops, scanned *int64, indsFired map[string]int64) {
+	for _, a := range sc.touched {
+		sc.rowSet[a] = false
+	}
+	sc.touched = sc.touched[:0]
+	sc.queue = append(sc.queue[:0], start)
+	for next := 0; next < len(sc.queue); next++ {
+		it := sc.queue[next]
+		br := &b.rels[it.rel]
+		vals := br.table.Row(it.row)
+		if sc.conflicts(br.attrs, vals) {
+			continue
+		}
+		if _, seen := sc.lits[it]; seen {
+			continue
+		}
+		sc.lits[it] = struct{}{}
+		for pos, a := range br.attrs {
+			if !sc.rowSet[a] {
+				sc.rowSet[a] = true
+				sc.touched = append(sc.touched, a)
+			}
+			sc.rowVal[a] = vals[pos]
+		}
+		sc.body = append(sc.body, it)
+		for pos, v := range vals {
+			if !br.value[pos] && sc.addEntity(v) {
+				sc.found = append(sc.found, v)
+			}
+		}
+		for _, hop := range br.hops {
+			partner := b.rels[hop.to].table
+			*chaseHops++
+			sc.joinVals = sc.joinVals[:0]
+			for _, c := range hop.src {
+				sc.joinVals = append(sc.joinVals, vals[c])
+			}
+			joined := partner.AppendRowsWith(sc.join[:0], hop.dst, sc.joinVals)
+			sc.join = joined
+			if !storedProc {
+				joined = append([]int32(nil), joined...)
+			}
+			*scanned += int64(len(joined))
+			partner.AddINDExpansions(int64(len(joined)))
+			if len(joined) > maxINDJoin {
+				joined = joined[:maxINDJoin]
+			}
+			if indsFired != nil && len(joined) > 0 {
+				indsFired[hop.ind] += int64(len(joined))
+			}
+			for _, r := range joined {
+				sc.queue = append(sc.queue, rowRef{hop.to, r})
+			}
+		}
+	}
+}
+
+// conflicts reports whether a tuple disagrees with the joined row on some
+// attribute the row already holds.
+func (sc *bottomScratch) conflicts(attrs, vals []int32) bool {
+	for pos, a := range attrs {
+		if sc.rowSet[a] && sc.rowVal[a] != vals[pos] {
+			return true
+		}
+	}
+	return false
+}
+
+// clause writes the constructed literals out as a ground clause with head
+// e: the only place ids turn back into names.
+func (b *builder) clause(sc *bottomScratch, e logic.Atom) *logic.Clause {
+	n := 0
+	for _, it := range sc.body {
+		n += len(b.rels[it.rel].attrs)
+	}
+	terms := make([]logic.Term, n)
+	c := &logic.Clause{Head: e.Clone(), Body: make([]logic.Atom, len(sc.body))}
+	for k, it := range sc.body {
+		br := &b.rels[it.rel]
+		args := terms[:len(br.attrs):len(br.attrs)]
+		terms = terms[len(br.attrs):]
+		for pos, v := range br.table.Row(it.row) {
+			args[pos] = logic.Const(b.syms.Name(v))
+		}
+		c.Body[k] = logic.Atom{Pred: br.name, Args: args}
+	}
+	return c
 }

@@ -70,11 +70,11 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 		schema = prob.Instance.PromoteEqualityINDs()
 	}
 	run := params.Obs
-	var plan *relstore.Plan
+	var bld *builder
 	if params.UseStoredProc {
 		// Compiled once and reused across every bottom clause — the
 		// stored-procedure configuration (§7.5.2).
-		plan = relstore.CompilePlan(schema, params.SubsetINDs)
+		bld = newBuilder(prob, relstore.CompilePlan(schema, params.SubsetINDs))
 		run.Inc(obs.CPlanCompiles)
 	}
 	tester := ilp.NewTester(prob, params)
@@ -82,25 +82,23 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 		// Coverage via θ-subsumption against *IND-chased* ground bottom
 		// clauses (§7.5.3) — the classic saturation would reintroduce
 		// schema dependence at the coverage level.
-		satPlan := plan
-		if satPlan == nil {
-			satPlan = relstore.CompilePlan(schema, params.SubsetINDs)
+		sat := bld
+		if sat == nil {
+			sat = newBuilder(prob, relstore.CompilePlan(schema, params.SubsetINDs))
 			run.Inc(obs.CPlanCompiles)
 		}
-		tester.SatFn = func(e logic.Atom) *logic.Clause {
-			return GroundBottomClause(prob, satPlan, e, params)
-		}
+		tester.SatFn = func(e logic.Atom) *logic.Clause { return sat.build(e, params, nil) }
 	}
 	rng := newRand(params.Seed)
 	learn := func(uncovered []logic.Atom) (*logic.Clause, error) {
-		p := plan
-		if p == nil {
+		b := bld
+		if b == nil {
 			// The no-stored-procedures configuration recompiles per clause;
 			// the plan_compiles counter makes that §7.5.2 cost visible.
-			p = relstore.CompilePlan(schema, params.SubsetINDs)
+			b = newBuilder(prob, relstore.CompilePlan(schema, params.SubsetINDs))
 			run.Inc(obs.CPlanCompiles)
 		}
-		return l.learnClause(prob, params, tester, rng, p, uncovered), nil
+		return l.learnClause(prob, params, tester, rng, b, uncovered), nil
 	}
 	sp := run.StartSpan("learn",
 		obs.F("learner", "castor"), obs.F("target", prob.Target.Name),
@@ -137,7 +135,7 @@ const maxSeedTries = 3
 
 // learnClause is Algorithm 4, retrying with the next uncovered seed when a
 // seed yields no acceptable clause.
-func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *rand, plan *relstore.Plan, uncovered []logic.Atom) *logic.Clause {
+func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *rand, bld *builder, uncovered []logic.Atom) *logic.Clause {
 	run := params.Obs
 	tries := maxSeedTries
 	if tries > len(uncovered) {
@@ -148,7 +146,7 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 		if run.Tracing() {
 			run.Emit("castor.seed", obs.F("seed", uncovered[s].String()), obs.F("try", s))
 		}
-		c := l.learnClauseFromSeed(prob, params, tester, rng, plan, uncovered, uncovered[s])
+		c := l.learnClauseFromSeed(prob, params, tester, rng, bld, uncovered, uncovered[s])
 		if c == nil {
 			continue
 		}
@@ -169,8 +167,9 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 }
 
 // learnClauseFromSeed runs the beam search of Algorithm 4 for one seed.
-func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *rand, plan *relstore.Plan, uncovered []logic.Atom, seed logic.Atom) *logic.Clause {
+func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *rand, bld *builder, uncovered []logic.Atom, seed logic.Atom) *logic.Clause {
 	run := params.Obs
+	plan := bld.plan
 	prov := run.Prov()
 	sb := run.StartSpan("bottom_clause", obs.F("seed", seed.String()))
 	tb := run.StartPhase(obs.PBottom)
@@ -179,7 +178,7 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 	if prov.Enabled() {
 		// Same construction, with the chase reporting which INDs fired.
 		fired := make(map[string]int64)
-		bottom = ilp.Variablize(prob, groundBottomClause(prob, plan, seed, params, fired))
+		bottom = ilp.Variablize(prob, bld.build(seed, params, fired))
 		for name := range fired {
 			bottomINDs = append(bottomINDs, name)
 		}
@@ -188,7 +187,7 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 			prov.INDFired(name, fired[name])
 		}
 	} else {
-		bottom = BottomClause(prob, plan, seed, params)
+		bottom = ilp.Variablize(prob, bld.build(seed, params, nil))
 	}
 	run.EndPhase(obs.PBottom, tb)
 	sb.Annotate(obs.F("literals", len(bottom.Body)), obs.F("vars", bottom.NumVars()))

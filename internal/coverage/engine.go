@@ -2,6 +2,7 @@ package coverage
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -10,19 +11,15 @@ import (
 )
 
 // CoverFunc prepares one clause for coverage testing and returns its
-// per-example test. The engine calls it once per candidate per round, on
-// the submitting goroutine, then fans the examples out over the pool, so
+// per-example test. The engine calls it once per candidate per round, so
 // per-clause work (compiling a store query, say) is paid once per round
-// rather than once per example. ilp.Tester supplies it, closing over the
-// coverage mode (direct evaluation or θ-subsumption) and its own
-// instrumentation; the returned tests must be safe for concurrent use.
+// rather than once per example: on the submitting goroutine for a round
+// over one candidate, and from the worker that first tests a candidate in
+// a flattened round over many, so those rounds prepare their candidates
+// in parallel. ilp.Tester supplies it, closing over the coverage mode
+// (direct evaluation or θ-subsumption) and its own instrumentation; it
+// and the tests it returns must be safe for concurrent use.
 type CoverFunc func(c *logic.Clause) func(e logic.Atom) bool
-
-// CostFunc estimates the relative cost of testing one example: for
-// subsumption-mode coverage the compiled bottom-clause size. The estimate
-// only steers shard boundaries — results never depend on it — so it is
-// free to be rough, but it must be safe for concurrent use.
-type CostFunc func(e logic.Atom) int64
 
 // NoBound disables the early-termination bound of ScoreBatch.
 const NoBound = math.MinInt
@@ -32,7 +29,7 @@ const NoBound = math.MinInt
 // small enough to keep the pool load-balanced.
 const targetShardNS = 64_000
 
-// Engine evaluates clause coverage: cost-sharded per-example parallelism
+// Engine evaluates clause coverage: sharded per-example parallelism
 // inside one batch (§7.5.3), whole-result memoization keyed by canonical
 // clause form (§7.5.4), and cross-candidate batched scoring with a global
 // best-score bound shared by every worker.
@@ -44,8 +41,6 @@ type Engine struct {
 	// batchHist is the pre-resolved coverage-batch latency histogram, nil
 	// on unobserved runs (no name lookup, no clock read on the nop path).
 	batchHist *obs.Histogram
-	// costFn sizes example shards; nil means uniform cost.
-	costFn CostFunc
 	// util accumulates pool busy/idle utilization across every pool this
 	// engine creates; nil on unobserved runs.
 	util *poolUtil
@@ -63,26 +58,6 @@ func NewEngine(cover CoverFunc, workers int, cache *Cache, run *obs.Run) *Engine
 	}
 	en.util = newPoolUtil(run)
 	return en
-}
-
-// SetCostFn installs the shard-sizing cost model. Call before scoring
-// starts; a nil function falls back to uniform costs.
-func (en *Engine) SetCostFn(fn CostFunc) { en.costFn = fn }
-
-// exampleCosts evaluates the cost model once per example (items reuse
-// these, so a batch never calls the model more than len(examples) times).
-// Returns nil for uniform costs.
-func (en *Engine) exampleCosts(examples []logic.Atom) []int64 {
-	if en.costFn == nil {
-		return nil
-	}
-	out := make([]int64, len(examples))
-	for i, e := range examples {
-		if out[i] = en.costFn(e); out[i] < 1 {
-			out[i] = 1
-		}
-	}
-	return out
 }
 
 // shardCount picks how many shards a round of items should split into:
@@ -160,7 +135,7 @@ func (en *Engine) coveredSet(c *logic.Clause, examples []logic.Atom, known *Bits
 	return out
 }
 
-// evaluate runs the actual per-example tests, cost-sharded over the pool.
+// evaluate runs the actual per-example tests, sharded over the pool.
 func (en *Engine) evaluate(c *logic.Clause, examples []logic.Atom, known *Bitset, pl *pool) *Bitset {
 	n := len(examples)
 	if known != nil {
@@ -192,12 +167,7 @@ func (en *Engine) evaluate(c *logic.Clause, examples []logic.Atom, known *Bitset
 	// Workers record into a byte-per-example buffer, not the bitset:
 	// concurrent writes to neighbouring bits would race on shared words.
 	buf := make([]bool, n)
-	costs := en.exampleCosts(examples)
-	var costAt func(int) int64
-	if costs != nil {
-		costAt = func(i int) int64 { return costs[i] }
-	}
-	shards := planShards(n, en.shardCount(n), costAt)
+	shards := planShards(n, en.shardCount(n))
 	runShards(en.run, pl, "coverage_testing", shards, func(sh shard) {
 		for i := sh.lo; i < sh.hi; i++ {
 			en.run.Heartbeat()
@@ -284,7 +254,7 @@ func (bb *bestBound) threshold() (int, bool) {
 
 // ScoreBatch evaluates candidates over the worker pool in two phases:
 // every candidate's positive cover is computed exactly in one flattened
-// cost-sharded round, then negative scans run in candidate index order,
+// sharded round, then negative scans run in candidate index order,
 // each sharded across all workers with a cooperative abort.
 //
 // floor, unless NoBound, is a compression score (p−n) the candidates must
@@ -365,7 +335,7 @@ func (en *Engine) setKey(examples []logic.Atom) string {
 }
 
 // batchCovered computes each candidate's covered set over one example
-// list in a single flattened cost-sharded round: cache lookups first,
+// list in a single flattened sharded round: cache lookups first,
 // then every remaining (candidate, example) pair as one work item.
 // setKey is the list's SetKey (unused without a cache); pos selects which
 // known-covered set applies.
@@ -412,17 +382,12 @@ func (en *Engine) batchCovered(pl *pool, cands []Candidate, examples []logic.Ato
 			itemEx = append(itemEx, int32(j))
 		}
 		if len(itemCand) > items {
-			tests[i] = en.cover(cands[i].Clause)
+			tests[i] = en.lazyCover(cands[i].Clause)
 		}
 	}
 	en.run.Add(obs.CCoverageSkipped, skipped)
 	if len(itemCand) > 0 {
-		costs := en.exampleCosts(examples)
-		var costAt func(int) int64
-		if costs != nil {
-			costAt = func(k int) int64 { return costs[itemEx[k]] }
-		}
-		shards := planShards(len(itemCand), en.shardCount(len(itemCand)), costAt)
+		shards := planShards(len(itemCand), en.shardCount(len(itemCand)))
 		runShards(en.run, pl, "candidate_scoring", shards, func(sh shard) {
 			for k := sh.lo; k < sh.hi; k++ {
 				en.run.Heartbeat()
@@ -443,6 +408,18 @@ func (en *Engine) batchCovered(pl *pool, cands []Candidate, examples []logic.Ato
 		}
 	}
 	return sets
+}
+
+// lazyCover defers preparing c to its first test, so the workers of a
+// flattened round prepare its candidates in parallel; the Once keeps it
+// to one preparation per candidate per round.
+func (en *Engine) lazyCover(c *logic.Clause) func(logic.Atom) bool {
+	var once sync.Once
+	var test func(logic.Atom) bool
+	return func(e logic.Atom) bool {
+		once.Do(func() { test = en.cover(c) })
+		return test(e)
+	}
 }
 
 // scoreNeg runs one candidate's bounded negative scan. s carries the
@@ -548,12 +525,7 @@ func (en *Engine) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.Atom,
 	}
 	if len(items) > 0 {
 		test = en.cover(cand.Clause)
-		costs := en.exampleCosts(neg)
-		var costAt func(int) int64
-		if costs != nil {
-			costAt = func(k int) int64 { return costs[items[k]] }
-		}
-		runShards(en.run, pl, "candidate_scoring", planShards(len(items), en.shardCount(len(items)), costAt), scan)
+		runShards(en.run, pl, "candidate_scoring", planShards(len(items), en.shardCount(len(items))), scan)
 	}
 	if aborted.Load() {
 		// Pruning efficiency split: pairs the abort saved vs. pairs scored

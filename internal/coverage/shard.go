@@ -8,13 +8,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Cost-sharded fan-out. Instead of one goroutine per example (or per
+// Sharded fan-out. Instead of one goroutine per example (or per
 // candidate), a scoring round flattens its work into items, splits them
-// into contiguous shards of roughly equal *expected cost*, and lets a
-// fixed pool of workers pull shards off a shared atomic cursor. Shard
-// boundaries come from a heuristic cost model (compiled bottom-clause
-// sizes, store scan statistics, prior batch latencies), so they may vary
-// from run to run — but boundaries only steer scheduling: every item's
+// into contiguous shards of roughly equal size, and lets a fixed pool of
+// workers pull shards off a shared atomic cursor. The coverage_batch
+// latency histogram coarsens the shard count when tests are expensive
+// (Engine.shardCount). Boundaries only steer scheduling: every item's
 // result lands in its own slot, so the outcome of a round is identical
 // for any sharding and any worker count.
 
@@ -22,14 +21,14 @@ import (
 type shard struct{ lo, hi int }
 
 // shardOversub is how many shards each worker gets by default: enough
-// slack for dynamic load balancing when the cost model misestimates,
-// without drowning the round in cursor traffic.
+// slack for dynamic load balancing when items differ in cost, without
+// drowning the round in cursor traffic.
 const shardOversub = 4
 
 // planShards splits items [0, n) into at most want contiguous shards of
-// roughly equal total cost. cost may be nil (uniform). It never returns
-// more than n shards, and always covers [0, n) exactly.
-func planShards(n, want int, cost func(int) int64) []shard {
+// roughly equal size. It never returns more than n shards, and always
+// covers [0, n) exactly.
+func planShards(n, want int) []shard {
 	if n <= 0 {
 		return nil
 	}
@@ -39,37 +38,14 @@ func planShards(n, want int, cost func(int) int64) []shard {
 	if want <= 1 {
 		return []shard{{0, n}}
 	}
-	var total int64
-	if cost != nil {
-		for i := 0; i < n; i++ {
-			c := cost(i)
-			if c < 1 {
-				c = 1
-			}
-			total += c
-		}
-	} else {
-		total = int64(n)
-	}
 	out := make([]shard, 0, want)
 	lo := 0
-	var acc, spent int64
 	for i := 0; i < n; i++ {
-		c := int64(1)
-		if cost != nil {
-			if c = cost(i); c < 1 {
-				c = 1
-			}
-		}
-		acc += c
 		// Greedy balanced cut: aim each remaining shard at an equal slice
-		// of the remaining cost.
-		remShards := int64(want - len(out))
-		if remShards > 1 && acc >= (total-spent)/remShards {
+		// of the remaining items.
+		if rem := want - len(out); rem > 1 && i+1-lo >= (n-lo)/rem {
 			out = append(out, shard{lo, i + 1})
 			lo = i + 1
-			spent += acc
-			acc = 0
 		}
 	}
 	if lo < n {
@@ -131,7 +107,7 @@ func (u *poolUtil) roundDone(workers, shards, tasks int, wall, busy, maxShard, s
 	if shards > 1 && sumShard > 0 {
 		// Imbalance: the worst shard against the round mean. 1.0 is a
 		// perfectly balanced plan; N means one shard ran as long as N
-		// average shards — the cost model misjudged.
+		// average shards.
 		u.reg.MaxGauge(obs.GPoolImbalance,
 			float64(maxShard)*float64(shards)/float64(sumShard))
 	}

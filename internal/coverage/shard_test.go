@@ -6,22 +6,14 @@ import (
 )
 
 // TestEngineShardPlanCoversEveryItem: planShards must partition [0, n)
-// exactly — contiguous, in order, no gaps, no overlap — for uniform and
-// for skewed costs, and never emit more shards than asked or than items.
+// exactly — contiguous, in order, no gaps, no overlap — and never emit
+// more shards than asked or than items.
 func TestEngineShardPlanCoversEveryItem(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(200)
 		want := 1 + rng.Intn(40)
-		var cost func(int) int64
-		if rng.Intn(2) == 0 {
-			costs := make([]int64, n)
-			for i := range costs {
-				costs[i] = int64(rng.Intn(50)) // zero cost must clamp to 1
-			}
-			cost = func(i int) int64 { return costs[i] }
-		}
-		shards := planShards(n, want, cost)
+		shards := planShards(n, want)
 		if n == 0 {
 			if shards != nil {
 				t.Fatalf("n=0 returned %v", shards)
@@ -41,27 +33,5 @@ func TestEngineShardPlanCoversEveryItem(t *testing.T) {
 		if next != n {
 			t.Fatalf("n=%d want=%d: shards end at %d", n, want, next)
 		}
-	}
-}
-
-// TestEngineShardPlanBalancesCost: with one dominant item the plan must
-// isolate it rather than lump cheap items behind it — the property that
-// makes cost sharding pay off over equal-count splits.
-func TestEngineShardPlanBalancesCost(t *testing.T) {
-	costs := make([]int64, 40)
-	for i := range costs {
-		costs[i] = 1
-	}
-	costs[0] = 1000 // one expensive bottom clause at the front
-	shards := planShards(len(costs), 8, func(i int) int64 { return costs[i] })
-	if len(shards) < 2 {
-		t.Fatalf("plan collapsed to %d shards", len(shards))
-	}
-	if first := shards[0]; first.hi != 1 {
-		t.Fatalf("dominant item not isolated: first shard %+v", first)
-	}
-	// The cheap tail must still spread across multiple shards.
-	if len(shards) < 4 {
-		t.Fatalf("cheap tail under-split: %v", shards)
 	}
 }

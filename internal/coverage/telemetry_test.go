@@ -109,16 +109,16 @@ func TestRunShardsLabelsPooledWorkers(t *testing.T) {
 	})
 }
 
-func TestPlanShardsAllZeroCosts(t *testing.T) {
-	// Zero costs clamp to 1 (uniform): the plan must not collapse or
-	// divide by zero, and with want ≥ n it degenerates to singletons.
-	shards := planShards(10, 4, func(int) int64 { return 0 })
-	if len(shards) == 0 || shards[len(shards)-1].hi != 10 {
-		t.Fatalf("all-zero costs: bad plan %v", shards)
+func TestPlanShardsUniform(t *testing.T) {
+	// The plan must not collapse, and with want ≥ n it degenerates to
+	// singletons.
+	shards := planShards(10, 4)
+	if len(shards) != 4 || shards[len(shards)-1].hi != 10 {
+		t.Fatalf("n=10 want=4: bad plan %v", shards)
 	}
-	shards = planShards(5, 9, func(int) int64 { return 0 })
+	shards = planShards(5, 9)
 	if len(shards) != 5 {
-		t.Fatalf("want > n with uniform costs: %d shards, want 5 singletons: %v", len(shards), shards)
+		t.Fatalf("want > n: %d shards, want 5 singletons: %v", len(shards), shards)
 	}
 	for i, sh := range shards {
 		if sh.lo != i || sh.hi != i+1 {
@@ -128,56 +128,21 @@ func TestPlanShardsAllZeroCosts(t *testing.T) {
 }
 
 func TestPlanShardsFewerItemsThanShards(t *testing.T) {
-	shards := planShards(3, 100, nil)
+	shards := planShards(3, 100)
 	if len(shards) != 3 {
 		t.Fatalf("n=3 want=100: %d shards: %v", len(shards), shards)
 	}
 }
 
-func TestPlanShardsSingleGiantItem(t *testing.T) {
-	// A giant mid-list item must end its shard immediately: nothing cheap
-	// should queue behind it in the same shard.
-	n, giant := 40, 20
-	cost := func(i int) int64 {
-		if i == giant {
-			return 10_000
-		}
-		return 1
-	}
-	shards := planShards(n, 8, cost)
-	for _, sh := range shards {
-		if sh.lo <= giant && giant < sh.hi {
-			if sh.hi != giant+1 {
-				t.Fatalf("giant item's shard %+v does not end at it", sh)
-			}
-			return
-		}
-	}
-	t.Fatalf("no shard contains the giant item: %v", shards)
-}
-
 // TestPlanShardsBalanceBound property-checks the greedy cut's guarantee:
-// every shard's clamped cost stays within total/want + maxItem (non-final
-// shards overshoot their running target by at most one item; the final
-// shard gets at most the average that remains).
+// every shard holds at most n/want + 1 items (non-final shards overshoot
+// their running target by at most one item; the final shard gets at most
+// the average that remains).
 func TestPlanShardsBalanceBound(t *testing.T) {
-	prop := func(rawCosts []uint16, rawWant uint8) bool {
-		n := len(rawCosts)
+	prop := func(rawN uint16, rawWant uint8) bool {
+		n := int(rawN % 2048)
 		want := int(rawWant)%32 + 1
-		costs := make([]int64, n)
-		var total, maxItem int64
-		for i, rc := range rawCosts {
-			c := int64(rc % 512)
-			if c < 1 {
-				c = 1
-			}
-			costs[i] = c
-			total += c
-			if c > maxItem {
-				maxItem = c
-			}
-		}
-		shards := planShards(n, want, func(i int) int64 { return costs[i] })
+		shards := planShards(n, want)
 		if n == 0 {
 			return shards == nil
 		}
@@ -195,13 +160,8 @@ func TestPlanShardsBalanceBound(t *testing.T) {
 		if want > n {
 			want = n
 		}
-		bound := total/int64(want) + maxItem
 		for _, sh := range shards {
-			var c int64
-			for i := sh.lo; i < sh.hi; i++ {
-				c += costs[i]
-			}
-			if c > bound {
+			if sh.hi-sh.lo > n/want+1 {
 				return false
 			}
 		}
@@ -346,7 +306,7 @@ func TestRunShardsEmitsWorkerSpans(t *testing.T) {
 
 	util := newPoolUtil(run)
 	pl := newPool(2, "test_span_phase", util)
-	runShards(run, pl, "caller_label_must_lose", planShards(40, 8, nil), func(sh shard) {
+	runShards(run, pl, "caller_label_must_lose", planShards(40, 8), func(sh shard) {
 		time.Sleep(100 * time.Microsecond)
 	})
 	pl.close()
@@ -380,7 +340,7 @@ func TestRunShardsEmitsWorkerSpans(t *testing.T) {
 	}
 
 	// Inline path (nil pool): same tags, worker 0, a fresh round per call.
-	runShards(run, nil, "inline_phase", planShards(4, 2, nil), func(sh shard) {})
+	runShards(run, nil, "inline_phase", planShards(4, 2), func(sh shard) {})
 	inline := graph.Records()[len(pooled):]
 	if len(inline) == 0 {
 		t.Fatal("inline path emitted no spans")
@@ -418,7 +378,7 @@ func TestRunShardsUnobservedEmitsNothing(t *testing.T) {
 	graph := obs.NewGraphSink(0)
 	pl := newPool(2, "test_unobserved", nil)
 	defer pl.close()
-	runShards(nil, pl, "x", planShards(10, 4, nil), func(sh shard) {})
+	runShards(nil, pl, "x", planShards(10, 4), func(sh shard) {})
 	if n := len(graph.Records()); n != 0 {
 		t.Errorf("unobserved run emitted %d spans", n)
 	}

@@ -1,8 +1,8 @@
 package ilp
 
 import (
+	"encoding/binary"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/coverage"
@@ -34,20 +34,26 @@ type Tester struct {
 	// when nil the classic saturation of §6.1 is used.
 	SatFn func(e logic.Atom) *logic.Clause
 
-	// saturations maps example key → *satEntry. Probes are lock-free once
-	// an example is compiled, so every worker of a beam batch shares one
-	// subsume.Compiled target without mutex traffic on the hot path.
-	saturations sync.Map
+	// Subsumption mode only. space is the id space saturations compile
+	// into and candidates are prepared against: the instance's constants
+	// plus the relation names, the target predicate and the example
+	// constants the instance lacks. sats maps each distinct example of the
+	// problem, keyed by its interned ids, to its saturation entry; it is
+	// filled in NewTester and read lock-free afterwards, so every worker
+	// of a beam batch finds and shares one compiled target without mutex
+	// traffic. Examples outside the problem go to stray, under strayMu.
+	space   *subsume.Space
+	sats    map[string]*satEntry
+	strayMu sync.Mutex
+	stray   map[string]*satEntry
 }
 
 // satEntry holds one example's compiled ground bottom clause. The Once
 // guarantees exactly one compilation per example — concurrent probers for
-// the same example wait for it instead of racing duplicate builds — and
-// the atomic pointer lets the shard cost model peek at the compiled size
-// without synchronizing against an in-flight compile.
+// the same example wait for it instead of racing duplicate builds.
 type satEntry struct {
 	once sync.Once
-	cd   atomic.Pointer[subsume.Compiled]
+	cd   *subsume.Compiled
 }
 
 // NewTester builds a tester for the problem. As a side effect it attaches
@@ -68,17 +74,60 @@ func NewTester(prob *Problem, params Params) *Tester {
 		reg.SetStoreSource(prob.Instance.StoreStats)
 		t.probeHist = reg.Histogram("subsumption_probe")
 	}
+	if params.CoverageMode == CoverageSubsumption {
+		t.initSaturations()
+	}
 	var cache *coverage.Cache
 	if !params.DisableCoverageCache {
 		cache = coverage.NewCache(0)
 	}
 	t.engine = coverage.NewEngine(t.coverer, params.Parallelism, cache, params.Obs)
-	if params.CoverageMode == CoverageSubsumption {
-		// Direct-mode tests have no per-example cost signal, so their
-		// shards stay uniform.
-		t.engine.SetCostFn(t.exampleCost)
-	}
 	return t
+}
+
+// initSaturations builds the subsumption-mode id space and one saturation
+// entry per distinct example of the problem.
+func (t *Tester) initSaturations() {
+	prob := t.prob
+	var names []string
+	for _, rel := range prob.Instance.Schema().Relations() {
+		names = append(names, rel.Name)
+	}
+	if prob.Target != nil {
+		names = append(names, prob.Target.Name)
+	}
+	examples := append(append([]logic.Atom(nil), prob.Pos...), prob.Neg...)
+	for _, e := range examples {
+		names = append(names, e.Pred)
+		for _, a := range e.Args {
+			names = append(names, a.Name)
+		}
+	}
+	t.space = subsume.NewSpace(prob.Instance.Symbols(), names...)
+	t.sats = make(map[string]*satEntry, len(examples))
+	for _, e := range examples {
+		if k, ok := t.exampleKey(nil, e); ok && t.sats[string(k)] == nil {
+			t.sats[string(k)] = &satEntry{}
+		}
+	}
+}
+
+// exampleKey appends the example's interned form — predicate and argument
+// ids, four bytes each — to dst; false when the space lacks one of its
+// names.
+func (t *Tester) exampleKey(dst []byte, e logic.Atom) ([]byte, bool) {
+	id, ok := t.space.Lookup(e.Pred)
+	if !ok {
+		return nil, false
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
+	for _, a := range e.Args {
+		if id, ok = t.space.Lookup(a.Name); !ok {
+			return nil, false
+		}
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
+	}
+	return dst, true
 }
 
 // Run returns the tester's instrumentation run (possibly nil), for
@@ -94,8 +143,9 @@ func (t *Tester) Covers(c *logic.Clause, e logic.Atom) bool {
 
 // coverer is the engine's CoverFunc: it prepares the clause once and
 // returns its per-example test, safe for concurrent use. Direct mode
-// compiles the clause into a store query; subsumption mode probes each
-// example's compiled saturation.
+// compiles the clause into a store query; subsumption mode prepares it
+// against the tester's space and probes each example's compiled
+// saturation with it.
 func (t *Tester) coverer(c *logic.Clause) func(logic.Atom) bool {
 	if t.params.CoverageMode != CoverageSubsumption {
 		q := t.prob.Instance.Compile(c)
@@ -104,14 +154,15 @@ func (t *Tester) coverer(c *logic.Clause) func(logic.Atom) bool {
 			return q.Covers(e)
 		}
 	}
+	src := t.space.Prepare(c)
 	return func(e logic.Atom) bool {
 		t.run.Inc(obs.CCoverageTests)
 		cd := t.saturation(e)
 		if t.probeHist == nil {
-			return cd.SubsumesR(t.run, c)
+			return cd.Probe(t.run, src)
 		}
 		start := time.Now()
-		ok := cd.SubsumesR(t.run, c)
+		ok := cd.Probe(t.run, src)
 		t.probeHist.Observe(time.Since(start))
 		return ok
 	}
@@ -119,22 +170,16 @@ func (t *Tester) coverer(c *logic.Clause) func(logic.Atom) bool {
 
 // saturation returns (building, compiling and caching on demand) the
 // ground bottom clause of the example in the engine's compile-once form:
-// the clause is skolemized, interned and indexed exactly once — a Once
+// the clause is compiled into the tester's space exactly once — a Once
 // per example, so concurrent shard workers never compile duplicates — and
 // every candidate the covering loop scores against this example probes
 // the same compilation from every worker, the match-many side of the
-// §7.5.3 engine. The fast path is a lock-free map load.
+// §7.5.3 engine.
 func (t *Tester) saturation(e logic.Atom) *subsume.Compiled {
-	k := e.Key()
-	v, ok := t.saturations.Load(k)
-	if !ok {
-		v, ok = t.saturations.LoadOrStore(k, &satEntry{})
-	}
-	ent := v.(*satEntry)
-	if ok {
-		t.run.Inc(obs.CSaturationHits)
-	}
+	ent := t.satEntry(e)
+	built := false
 	ent.once.Do(func() {
+		built = true
 		t.run.Inc(obs.CSaturationMisses)
 		var bc *logic.Clause
 		if t.SatFn != nil {
@@ -142,23 +187,36 @@ func (t *Tester) saturation(e logic.Atom) *subsume.Compiled {
 		} else {
 			bc = Saturation(t.prob, e, t.params.Depth, t.params.MaxRecall)
 		}
-		ent.cd.Store(subsume.Compile(bc))
+		ent.cd = t.space.Compile(bc)
 	})
-	return ent.cd.Load()
+	if !built {
+		t.run.Inc(obs.CSaturationHits)
+	}
+	return ent.cd
 }
 
-// exampleCost is the subsumption-mode shard-sizing cost model: an
-// example's probe cost tracks its compiled bottom-clause size, known
-// exactly once compiled; before that every example costs the same. The
-// estimate only shapes shard boundaries — never results — so its
-// coarseness is harmless.
-func (t *Tester) exampleCost(e logic.Atom) int64 {
-	if v, ok := t.saturations.Load(e.Key()); ok {
-		if cd := v.(*satEntry).cd.Load(); cd != nil {
-			return int64(cd.Len()) + 1
+// satEntry finds the example's saturation entry: a lock-free map load by
+// interned ids for the problem's examples, a locked lookup by name for
+// any other atom.
+func (t *Tester) satEntry(e logic.Atom) *satEntry {
+	var buf [64]byte
+	if k, ok := t.exampleKey(buf[:0], e); ok {
+		if ent := t.sats[string(k)]; ent != nil {
+			return ent
 		}
 	}
-	return 1
+	k := e.Key()
+	t.strayMu.Lock()
+	defer t.strayMu.Unlock()
+	ent := t.stray[k]
+	if ent == nil {
+		if t.stray == nil {
+			t.stray = make(map[string]*satEntry)
+		}
+		ent = &satEntry{}
+		t.stray[k] = ent
+	}
+	return ent
 }
 
 // knowns strips the known-covered shortcut when the §7.5.4 cache is

@@ -7,6 +7,7 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/ilp"
 	"repro/internal/logic"
+	"repro/internal/obs"
 	"repro/internal/testfix"
 )
 
@@ -120,5 +121,64 @@ func TestScoreBatchEmpty(t *testing.T) {
 	scores := tester.ScoreBatch([]coverage.Candidate{{Clause: c}}, nil, nil, coverage.NoBound, 0)
 	if len(scores) != 1 || scores[0].P != 0 || scores[0].N != 0 || scores[0].Pruned {
 		t.Fatalf("empty example sets: %+v", scores[0])
+	}
+}
+
+// TestSubsumptionTesterNamesOutsideTheProblem: the subsumption tester's id
+// space holds the instance's constants, the relation names, the target
+// predicate and the problem's example constants. Atoms outside the problem
+// (one with a constant no tuple holds) still get one saturation each and
+// agree with direct evaluation, and a saturation holding a name the space
+// lacks still matches a candidate holding that name.
+func TestSubsumptionTesterNamesOutsideTheProblem(t *testing.T) {
+	w := testfix.NewWorld(8)
+	prob := w.ProblemOriginal()
+	params := ilp.Defaults()
+	params.CoverageMode = ilp.CoverageSubsumption
+	params.Obs = obs.NewRun(nil, obs.NewRegistry())
+	sub := ilp.NewTester(prob, params)
+	direct := ilp.NewTester(prob, ilp.Defaults())
+
+	p0 := prob.Pos[0]
+	strays := []logic.Atom{
+		logic.GroundAtom(p0.Pred, p0.Args[1].Name, p0.Args[0].Name),
+		logic.GroundAtom(p0.Pred, p0.Args[0].Name, "nobody"),
+	}
+	clauses := []*logic.Clause{
+		logic.MustParseClause("advisedBy(X,Y) :- publication(P,X), publication(P,Y)."),
+		logic.MustParseClause("advisedBy(X,Y) :- student(X)."),
+		logic.MustParseClause("advisedBy(X,nobody) :- student(X)."),
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, c := range clauses {
+			for _, e := range strays {
+				if got, want := sub.Covers(c, e), direct.Covers(c, e); got != want {
+					t.Errorf("Covers(%v, %v): subsumption %v, direct %v", c, e, got, want)
+				}
+			}
+		}
+	}
+	reg := params.Obs.Registry()
+	if got := reg.Get(obs.CSaturationMisses); got != int64(len(strays)) {
+		t.Errorf("saturation_misses = %d, want one per atom (%d)", got, len(strays))
+	}
+	if got, want := reg.Get(obs.CSaturationHits), int64(2*len(clauses)*len(strays)-len(strays)); got != want {
+		t.Errorf("saturation_hits = %d, want %d", got, want)
+	}
+
+	// A saturation naming a title no tuple holds: the candidate naming it
+	// must land on it.
+	ghost := ilp.NewTester(prob, params)
+	ghost.SatFn = func(e logic.Atom) *logic.Clause {
+		c := ilp.Saturation(prob, e, params.Depth, params.MaxRecall)
+		c.Body = append(c.Body, logic.GroundAtom("publication", "ghost_title", e.Args[0].Name))
+		return c
+	}
+	c := logic.MustParseClause("advisedBy(X,Y) :- publication(ghost_title, X).")
+	if got := ghost.Count(c, prob.Pos, nil); got != len(prob.Pos) {
+		t.Errorf("ghost-title clause covers %d of %d positives, want all", got, len(prob.Pos))
+	}
+	if direct.Count(c, prob.Pos, nil) != 0 {
+		t.Error("direct evaluation found the ghost title in the store")
 	}
 }

@@ -17,17 +17,17 @@ import (
 // allocation), and the per-column indexes are CSR-style postings — a
 // sorted list of distinct value ids plus offsets into one row-id array —
 // built by counting sort when the table is frozen and probed lock-free by
-// binary search afterwards. Scans over large probe lists shard the row
-// space into contiguous ranges and fan out across the instance's
-// scan-worker pool; results are stitched back in shard order, so every
-// query stays byte-deterministic.
+// binary search afterwards. Large materializations shard the row list
+// into contiguous ranges and fan out across the instance's scan-worker
+// pool; results are stitched back in shard order, so every query stays
+// byte-deterministic.
 
 // maxInlineArity bounds the stack-allocated scratch row used by the
 // zero-allocation probe paths; wider relations fall back to the heap.
 const maxInlineArity = 12
 
-// scanShardMin is the probe-list size below which TuplesWith never fans
-// out: small probes are answered inline so the coverage engine's own
+// scanShardMin is the row count below which a scan never fans out: small
+// results are materialized inline so the coverage engine's own
 // worker-level parallelism is not fought by nested goroutines.
 const scanShardMin = 1 << 15
 
@@ -474,131 +474,132 @@ func (t *Table) ForEachTuple(fn func(Tuple) bool) {
 }
 
 // TuplesWith returns the tuples matching every (column, value)
-// requirement, starting from the most selective bound column. Probe lists
-// past the shard threshold fan out over the scan-worker pool; the shards
-// are contiguous slices of the probe list, so the result order — probe
-// order filtered — is identical at every worker count.
+// requirement, in row order: AppendRowsWith over the interned requirement,
+// materialized. Requirements on columns the relation lacks are ignored.
+// Results past the shard threshold materialize over the scan-worker pool;
+// the shards are contiguous slices of the row list, so the result is
+// identical at every worker count.
 func (t *Table) TuplesWith(req map[int]string) []Tuple {
-	t.stats.lookups.Add(1)
-	if len(req) == 0 {
-		t.stats.scanned.Add(int64(t.nrows))
-		return t.Tuples()
-	}
-	// Intern the requirement and pick the most selective column
-	// (deterministically: smallest posting list, ties by column number).
-	var reqBuf [maxInlineArity]int32
-	ar := t.rel.Arity()
-	ids := reqBuf[:0]
-	if ar > maxInlineArity {
-		ids = make([]int32, 0, ar)
-	}
-	bestCol, bestLen := -1, -1
-	for col := 0; col < ar; col++ {
-		v, ok := req[col]
-		if !ok {
-			ids = append(ids, -1)
-			continue
+	cols := make([]int, 0, len(req))
+	for c := range req {
+		if c >= 0 && c < t.rel.Arity() {
+			cols = append(cols, c)
 		}
-		id := t.lookupVal(v)
-		ids = append(ids, id)
-		n := t.countMatching(col, id)
-		if bestLen == -1 || n < bestLen {
-			bestCol, bestLen = col, n
+	}
+	slices.Sort(cols)
+	vals := make([]int32, len(cols))
+	for k, c := range cols {
+		vals[k] = t.lookupVal(req[c])
+	}
+	return t.materializeRows(t.AppendRowsWith(nil, cols, vals))
+}
+
+// AppendRowsWith appends to dst the ids of the rows whose column cols[k]
+// holds value id vals[k] for every k, in ascending row order, and returns
+// the extended slice. It counts one lookup and probes the most selective
+// column (smallest posting list, ties by column number), counting that
+// posting as scanned; with no requirement every row is scanned and
+// appended.
+func (t *Table) AppendRowsWith(dst []int32, cols []int, vals []int32) []int32 {
+	t.stats.lookups.Add(1)
+	if len(cols) == 0 {
+		t.stats.scanned.Add(int64(t.nrows))
+		for r := 0; r < t.nrows; r++ {
+			dst = append(dst, int32(r))
+		}
+		return dst
+	}
+	best, bestLen := 0, -1
+	for k, c := range cols {
+		n := t.countMatching(c, vals[k])
+		if bestLen == -1 || n < bestLen || n == bestLen && c < cols[best] {
+			best, bestLen = k, n
 		}
 	}
 	if t.indexed {
 		t.stats.indexHits.Add(1)
 	}
-	probe := t.matchingRows(bestCol, ids[bestCol])
+	probe := t.matchingRows(cols[best], vals[best])
 	t.stats.scanned.Add(int64(len(probe)))
-	match := func(r int32) bool {
+	ar := t.rel.Arity()
+next:
+	for _, r := range probe {
 		base := int(r) * ar
-		for col, id := range ids {
-			if col == bestCol || req == nil {
-				continue
-			}
-			if _, ok := req[col]; ok && t.data[base+col] != id {
-				return false
+		for k, c := range cols {
+			if k != best && t.data[base+c] != vals[k] {
+				continue next
 			}
 		}
-		return true
+		dst = append(dst, r)
 	}
-	if len(probe) < scanShardMin || t.workers <= 1 {
-		var out []Tuple
-		for _, r := range probe {
-			if match(r) {
-				out = append(out, t.materialize(int(r), nil))
-			}
-		}
-		return out
-	}
-	parts := make([][]Tuple, len(t.shardRanges(len(probe))))
-	t.runSharded(len(probe), func(s, lo, hi int) {
-		var part []Tuple
-		for _, r := range probe[lo:hi] {
-			if match(r) {
-				part = append(part, t.materialize(int(r), nil))
-			}
-		}
-		parts[s] = part
-	})
-	var out []Tuple
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
+	return dst
 }
 
 // TuplesContaining returns the tuples holding value v in any column,
-// deduplicated, in insertion order.
+// deduplicated, in insertion order: AppendRowsContaining, materialized.
 func (t *Table) TuplesContaining(v string) []Tuple {
+	return t.materializeRows(t.AppendRowsContaining(nil, t.lookupVal(v)))
+}
+
+// AppendRowsContaining appends to dst the ids of the rows holding value id
+// v in any column, ascending and without repeats, and returns the extended
+// slice. It counts one lookup; an indexed table answers from its postings
+// and counts the rows appended as scanned, an unindexed one scans every
+// column of every row.
+func (t *Table) AppendRowsContaining(dst []int32, v int32) []int32 {
 	t.stats.lookups.Add(1)
-	id := t.lookupVal(v)
 	ar := t.rel.Arity()
 	if !t.indexed {
-		// One full scan per column when no index exists.
 		t.stats.scanned.Add(int64(t.nrows * ar))
-		var out []Tuple
+		if v < 0 {
+			return dst
+		}
 		for r := 0; r < t.nrows; r++ {
-			base := r * ar
-			for c := 0; c < ar; c++ {
-				if t.data[base+c] == id && id >= 0 {
-					out = append(out, t.materialize(r, nil))
-					break
-				}
+			if slices.Contains(t.row(r), v) {
+				dst = append(dst, int32(r))
 			}
 		}
-		return out
+		return dst
 	}
 	t.stats.indexHits.Add(1)
-	if id < 0 {
-		return nil
+	if v < 0 {
+		return dst
 	}
 	t.ensureFrozen()
-	total := 0
+	base, lists := len(dst), 0
 	for c := 0; c < ar; c++ {
-		total += len(t.cols[c].postings(id))
+		if p := t.cols[c].postings(v); len(p) > 0 {
+			dst = append(dst, p...)
+			lists++
+		}
 	}
-	if total == 0 {
+	if lists > 1 {
+		// Merge the columns' postings back into row order and drop rows
+		// holding v in several columns.
+		slices.Sort(dst[base:])
+		dst = dst[:base+len(slices.Compact(dst[base:]))]
+	}
+	t.stats.scanned.Add(int64(len(dst) - base))
+	return dst
+}
+
+// Row returns the interned values of row r, ids of the instance's symbol
+// table: a view into the table's storage that callers must not modify.
+func (t *Table) Row(r int32) []int32 { return t.row(int(r)) }
+
+// materializeRows externalizes the rows, in order, into one string slab;
+// nil when there are none.
+func (t *Table) materializeRows(rows []int32) []Tuple {
+	if len(rows) == 0 {
 		return nil
 	}
-	var idxBuf [64]int32
-	idxs := idxBuf[:0]
-	if total > len(idxBuf) {
-		idxs = make([]int32, 0, total)
-	}
-	for c := 0; c < ar; c++ {
-		idxs = append(idxs, t.cols[c].postings(id)...)
-	}
-	// Restore insertion order and drop rows holding v in several columns.
-	slices.Sort(idxs)
-	idxs = slices.Compact(idxs)
-	// One string slab for the whole result, not one slice per row.
-	out := make([]Tuple, len(idxs))
-	slab := make([]string, len(idxs)*ar)
-	for i, r := range idxs {
-		out[i] = t.materialize(int(r), slab[i*ar:i*ar+ar:i*ar+ar])
-	}
-	t.stats.scanned.Add(int64(len(out)))
+	ar := t.rel.Arity()
+	out := make([]Tuple, len(rows))
+	slab := make([]string, len(rows)*ar)
+	t.runSharded(len(rows), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = t.materialize(int(rows[i]), slab[i*ar:i*ar+ar:i*ar+ar])
+		}
+	})
 	return out
 }

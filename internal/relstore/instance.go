@@ -134,8 +134,9 @@ func (i *Instance) Freeze() {
 	}
 }
 
-// SetScanWorkers sets the fan-out width of large scans (TuplesWith over a
-// big probe list, bulk materialization, IND inclusion checks). Values
+// SetScanWorkers sets the fan-out width of large scans (bulk
+// materialization by Tuples, TuplesWith and TuplesContaining, IND
+// inclusion checks). Values
 // below 1 mean serial. Shards are contiguous row ranges stitched in
 // order, so results are identical at every width.
 func (i *Instance) SetScanWorkers(n int) {

@@ -2,105 +2,582 @@ package subsume
 
 import (
 	"strings"
+	"sync"
 
 	"repro/internal/logic"
 	"repro/internal/obs"
 )
 
-// Compiled is a target clause in compile-once/match-many form, the
-// substitute for Resumer2's clause compilation: the clause is skolemized
-// and interned once (variables become reserved constants, names become
-// int32 symbol ids), body literals are indexed by predicate and by
-// (predicate, argument position, constant), and every later probe matches
-// a source clause against the integer form with slot-indexed substitutions
-// and incremental candidate domains. One compilation serves thousands of
-// coverage probes; Compile itself costs about what a single probe used to.
-//
-// A Compiled is immutable after construction and safe for concurrent
-// probes.
+// The compile-once/match-many engine, the substitute for Resumer2's clause
+// compilation. Names map to int32 ids through a Space, a read-only table
+// that targets and sources share. A target clause is skolemized (its
+// variables become reserved constants) and compiled into a space once:
+// its literals are indexed by predicate and by (predicate, argument
+// position, symbol). A source clause is prepared against the same space
+// once: its variables become dense slots, its constants space ids, and
+// its occurrence lists and the components its head-bound variables leave
+// are computed up front. A probe then matches one prepared source against
+// one compiled target on pooled scratch — a slot-indexed substitution with
+// a trail and one live candidate domain per source literal — and
+// allocates nothing. The one-shot entry points compile into a private
+// space holding exactly the target's names and prepare-then-probe in one
+// call.
+
+// Space is a read-only id space shared by compiled targets and prepared
+// sources: the first base.Len() ids are the base table's (typically an
+// instance's frozen constants), the next ones the extra names the base
+// lacks. Both are fixed at construction, so a Space is safe for concurrent
+// use as long as nobody interns into base.
+type Space struct {
+	base    *logic.Symbols // nil: no base ids
+	baseLen int32
+	extra   map[string]int32
+	names   []string // extra names, id baseLen+k
+}
+
+// NewSpace builds a space over base (nil allowed) plus every extra name
+// the base lacks.
+func NewSpace(base *logic.Symbols, extra ...string) *Space {
+	s := &Space{base: base, extra: make(map[string]int32, len(extra))}
+	if base != nil {
+		s.baseLen = int32(base.Len())
+	}
+	for _, name := range extra {
+		s.add(name)
+	}
+	return s
+}
+
+// spaceOf is the private space of a one-shot target: its predicate and
+// constant names, skolemized variables included.
+func spaceOf(head *logic.Atom, body []logic.Atom) *Space {
+	s := NewSpace(nil)
+	add := func(a logic.Atom) {
+		s.add(a.Pred)
+		for _, t := range a.Args {
+			s.add(targetName(t))
+		}
+	}
+	if head != nil {
+		add(*head)
+	}
+	for _, a := range body {
+		add(a)
+	}
+	return s
+}
+
+func (s *Space) add(name string) {
+	if _, ok := s.Lookup(name); !ok {
+		s.extra[name] = s.len()
+		s.names = append(s.names, name)
+	}
+}
+
+// Lookup returns the id of the name, or false when the space lacks it.
+func (s *Space) Lookup(name string) (int32, bool) {
+	if s.base != nil {
+		if id, ok := s.base.Lookup(name); ok && id < s.baseLen {
+			return id, true
+		}
+	}
+	id, ok := s.extra[name]
+	return id, ok
+}
+
+// len is the number of ids in the space.
+func (s *Space) len() int32 { return s.baseLen + int32(len(s.names)) }
+
+func (s *Space) name(id int32) string {
+	if id < s.baseLen {
+		return s.base.Name(id)
+	}
+	return s.names[id-s.baseLen]
+}
+
+// targetName is the name a target term compiles under: constants keep
+// theirs, variables become skolem constants.
+func targetName(t logic.Term) string {
+	if t.IsVar {
+		return skolemPrefix + t.Name
+	}
+	return t.Name
+}
+
+// Compiled is a target clause compiled into a Space. It is immutable after
+// construction and safe for concurrent probes.
 type Compiled struct {
-	syms     *logic.Symbols
+	space    *Space
 	hasHead  bool
 	headPred int32
 	headArgs []int32
-	lits     []targetLit
-	byPred   map[int32][]int32
-	byArg    map[argKey][]int32
+	litPred  []int32 // per body literal
+	litOff   []int32 // body literal i's arguments are argv[litOff[i]:litOff[i+1]]
+	argv     []int32
+	preds    []predLits // distinct body predicates, first-seen order
+	index    argIndex
 }
 
-// targetLit is one ground (skolemized) target literal.
-type targetLit struct {
+// predLits lists one predicate's target literals, ascending.
+type predLits struct {
 	pred int32
-	args []int32
+	lits []int32
 }
 
-// argKey addresses the argument-position constant index: the target
-// literals of predicate pred holding symbol sym at position pos.
-type argKey struct {
-	pred int32
-	pos  int32
-	sym  int32
-}
-
-// Compile builds the match-many form of a full clause (head and body).
+// Compile builds the match-many form of a full clause (head and body) in
+// a private space holding exactly its names.
 func Compile(d *logic.Clause) *Compiled {
-	cd := newCompiled(len(d.Body))
-	cd.hasHead = true
-	cd.headPred, cd.headArgs = cd.internTarget(d.Head)
-	for _, a := range d.Body {
-		cd.addTarget(a)
-	}
-	return cd
+	return spaceOf(&d.Head, d.Body).compile(&d.Head, d.Body)
 }
 
 // CompileBody builds the match-many form of a headless body (the
-// SubsumesBody target shape).
+// SubsumesBody target shape) in a private space holding exactly its names.
 func CompileBody(body []logic.Atom) *Compiled {
-	cd := newCompiled(len(body))
-	for _, a := range body {
-		cd.addTarget(a)
+	return spaceOf(nil, body).compile(nil, body)
+}
+
+// Compile compiles a full clause (head and body) into the space. A clause
+// holding a name the space lacks — a skolemized variable, a constant only
+// it holds — compiles into a private space of its own instead, and every
+// probe of it prepares the source afresh against that space: such targets
+// answer exactly, just without the shared space's reuse.
+func (s *Space) Compile(d *logic.Clause) *Compiled {
+	if cd := s.compile(&d.Head, d.Body); cd != nil {
+		return cd
 	}
+	return Compile(d)
+}
+
+// CompileBody compiles a headless body into the space, falling back to a
+// private space as Compile does.
+func (s *Space) CompileBody(body []logic.Atom) *Compiled {
+	if cd := s.compile(nil, body); cd != nil {
+		return cd
+	}
+	return CompileBody(body)
+}
+
+// compile interns the target into the space and indexes it, or returns
+// nil when the space lacks one of its names.
+func (s *Space) compile(head *logic.Atom, body []logic.Atom) *Compiled {
+	n, e := len(body), 0
+	for _, a := range body {
+		e += len(a.Args)
+	}
+	missing := false
+	id := func(name string) int32 {
+		id, ok := s.Lookup(name)
+		missing = missing || !ok
+		return id
+	}
+	cd := &Compiled{space: s}
+	// One backing array for the literal tables.
+	arena := make([]int32, 2*n+1+e)
+	cd.litPred, arena = arena[:n:n], arena[n:]
+	cd.litOff, cd.argv = arena[:n+1:n+1], arena[n+1:]
+	if head != nil {
+		cd.hasHead, cd.headPred = true, id(head.Pred)
+		cd.headArgs = make([]int32, len(head.Args))
+		for i, t := range head.Args {
+			cd.headArgs[i] = id(targetName(t))
+		}
+	}
+	for i, a := range body {
+		cd.litPred[i] = id(a.Pred)
+		cd.litOff[i+1] = cd.litOff[i] + int32(len(a.Args))
+		for p, t := range a.Args {
+			cd.argv[int(cd.litOff[i])+p] = id(targetName(t))
+		}
+	}
+	if missing {
+		return nil
+	}
+	cd.indexPreds()
+	cd.index.build(cd)
 	return cd
 }
 
-func newCompiled(nlits int) *Compiled {
-	return &Compiled{
-		syms:   logic.NewSymbols(),
-		lits:   make([]targetLit, 0, nlits),
-		byPred: make(map[int32][]int32),
-		byArg:  make(map[argKey][]int32, nlits*2),
+// indexPreds builds the per-predicate literal lists: count, then fill
+// slices of one array in literal order.
+func (cd *Compiled) indexPreds() {
+	var counts []int
+	for _, p := range cd.litPred {
+		k := cd.predIndex(p)
+		if k < 0 {
+			k = len(cd.preds)
+			cd.preds = append(cd.preds, predLits{pred: p})
+			counts = append(counts, 0)
+		}
+		counts[k]++
+	}
+	all := make([]int32, len(cd.litPred))
+	for k, c := range counts {
+		cd.preds[k].lits, all = all[:0:c], all[c:]
+	}
+	for i, p := range cd.litPred {
+		k := cd.predIndex(p)
+		cd.preds[k].lits = append(cd.preds[k].lits, int32(i))
 	}
 }
 
-// internTarget interns one target atom, skolemizing variables: each target
-// variable becomes a reserved constant symbol (the NUL-prefixed name can
-// collide with no real constant), so the matcher can never bind onto or
-// rebind it.
-func (cd *Compiled) internTarget(a logic.Atom) (int32, []int32) {
-	args := make([]int32, len(a.Args))
-	for i, t := range a.Args {
-		if t.IsVar {
-			args[i] = cd.syms.Intern(skolemPrefix + t.Name)
-		} else {
-			args[i] = cd.syms.Intern(t.Name)
+// predIndex returns pred's position in cd.preds, or -1. Targets have few
+// distinct predicates, so a scan beats hashing.
+func (cd *Compiled) predIndex(pred int32) int {
+	for k, pl := range cd.preds {
+		if pl.pred == pred {
+			return k
 		}
 	}
-	return cd.syms.Intern(a.Pred), args
-}
-
-func (cd *Compiled) addTarget(a logic.Atom) {
-	pred, args := cd.internTarget(a)
-	idx := int32(len(cd.lits))
-	cd.lits = append(cd.lits, targetLit{pred: pred, args: args})
-	cd.byPred[pred] = append(cd.byPred[pred], idx)
-	for pos, sym := range args {
-		k := argKey{pred: pred, pos: int32(pos), sym: sym}
-		cd.byArg[k] = append(cd.byArg[k], idx)
-	}
+	return -1
 }
 
 // Len returns the number of target body literals.
-func (cd *Compiled) Len() int { return len(cd.lits) }
+func (cd *Compiled) Len() int { return len(cd.litPred) }
+
+// predList returns the target literals of predicate pred, ascending.
+func (cd *Compiled) predList(pred int32) []int32 {
+	if k := cd.predIndex(pred); k >= 0 {
+		return cd.preds[k].lits
+	}
+	return nil
+}
+
+// args returns target body literal t's argument ids.
+func (cd *Compiled) args(t int32) []int32 { return cd.argv[cd.litOff[t]:cd.litOff[t+1]] }
+
+// argKey addresses the argument-position index: the target literals of
+// predicate pred holding symbol sym at position pos.
+type argKey struct {
+	pred, pos, sym int32
+}
+
+func (k argKey) hash() uint32 {
+	h := uint32(k.sym)*0x9E3779B1 ^ uint32(k.pred)*0x85EBCA77 ^ uint32(k.pos)*0xC2B2AE3D
+	h ^= h >> 15
+	h *= 0x2C1B3C6D
+	h ^= h >> 13
+	return h
+}
+
+// argIndex is the argument-position index of one target: an
+// open-addressed table from argKey to a group, whose literal indexes sit,
+// ascending, in one array.
+type argIndex struct {
+	slots []int32 // group+1 per slot, 0 = empty; power-of-two length
+	keys  []argKey
+	off   []int32 // group g's literals are lits[off[g]:off[g+1]]
+	lits  []int32
+}
+
+// group returns k's group, or -1.
+func (x *argIndex) group(k argKey) int32 {
+	mask := uint32(len(x.slots) - 1)
+	for i := k.hash() & mask; ; i = (i + 1) & mask {
+		g := x.slots[i] - 1
+		if g < 0 || x.keys[g] == k {
+			return g
+		}
+	}
+}
+
+// get returns the literals k addresses, ascending.
+func (x *argIndex) get(k argKey) []int32 {
+	if g := x.group(k); g >= 0 {
+		return x.lits[x.off[g]:x.off[g+1]]
+	}
+	return nil
+}
+
+// keys calls f on the index keys of target literal t, one per argument.
+func (cd *Compiled) keys(t int, f func(argKey)) {
+	for p, sym := range cd.args(int32(t)) {
+		f(argKey{pred: cd.litPred[t], pos: int32(p), sym: sym})
+	}
+}
+
+// build indexes every entry of the target: count each key's entries into
+// a new or existing group, prefix-sum the counts into offsets, then
+// scatter literal indexes so each group lists its literals ascending.
+func (x *argIndex) build(cd *Compiled) {
+	entries := len(cd.argv)
+	size := tableSize(entries)
+	x.slots = make([]int32, size)
+	x.keys = make([]argKey, 0, entries)
+	x.off = make([]int32, 1, entries+1)
+	x.lits = make([]int32, entries)
+	mask := uint32(size - 1)
+	for t := range cd.litPred {
+		cd.keys(t, func(k argKey) {
+			i := k.hash() & mask
+			for x.slots[i] != 0 && x.keys[x.slots[i]-1] != k {
+				i = (i + 1) & mask
+			}
+			if x.slots[i] == 0 {
+				x.keys = append(x.keys, k)
+				x.off = append(x.off, 0)
+				x.slots[i] = int32(len(x.keys))
+			}
+			x.off[x.slots[i]]++
+		})
+	}
+	for g := 1; g < len(x.off); g++ {
+		x.off[g] += x.off[g-1]
+	}
+	// off[g+1] is now the end of group g; walking literals backwards and
+	// pre-decrementing leaves it at the group's start, every group
+	// ascending.
+	for t := len(cd.litPred) - 1; t >= 0; t-- {
+		cd.keys(t, func(k argKey) {
+			g := x.group(k)
+			x.off[g+1]--
+			x.lits[x.off[g+1]] = int32(t)
+		})
+	}
+	copy(x.off, x.off[1:])
+	x.off[len(x.off)-1] = int32(entries)
+}
+
+// Source is a source clause (or body) prepared against a Space: probes of
+// any target compiled into that space reuse it. It is immutable after
+// preparation and safe for concurrent probes.
+type Source struct {
+	space *Space
+	// The source as given, for preparing it afresh against a target that
+	// compiled into a private space.
+	clause *logic.Clause // nil for a body source
+	body   []logic.Atom
+	init   logic.Substitution
+
+	head  srcLit // valid when clause != nil
+	lits  []srcLit
+	argv  []logic.ITerm // head arguments first, then the body's
+	preds []int32       // distinct body predicates, first-seen order
+	// occ[occOff[s]:occOff[s+1]] are the body occurrences of slot s.
+	occOff []int32
+	occ    []occEntry
+	// comps[compOff[k]:compOff[k+1]] are the body literals of component k:
+	// literals connected by variables the head leaves unbound, ascending.
+	compOff   []int32
+	comps     []int32
+	slotNames []string
+}
+
+// srcLit is one prepared source literal: its predicate (an index into
+// Source.preds for body literals, the id itself for the head) and its
+// arguments argv[off:off+n].
+type srcLit struct {
+	pred   int32
+	off, n int32
+}
+
+// occEntry is one occurrence of a variable slot in the source body.
+type occEntry struct {
+	lit int32
+	pos int32
+}
+
+// Prepare prepares a full clause (head and body) for probing targets
+// compiled into the space. Names the space lacks prepare as
+// logic.UnknownSym, which no target compiled into the space holds.
+func (s *Space) Prepare(c *logic.Clause) *Source {
+	return s.prepare(c, c.Body, nil)
+}
+
+// PrepareBody prepares a bare body for body-only probes, resolving its
+// terms through init first: a variable bound to a constant prepares as
+// that constant, one aliased to another variable shares its slot.
+// Bindings in init must map onto constants (coverage tests bind onto
+// ground bottom clauses, satisfying this).
+func (s *Space) PrepareBody(body []logic.Atom, init logic.Substitution) *Source {
+	return s.prepare(nil, body, init)
+}
+
+func (s *Space) prepare(c *logic.Clause, body []logic.Atom, init logic.Substitution) *Source {
+	src := &Source{space: s, clause: c, body: body, init: init, lits: make([]srcLit, len(body))}
+	lookup := func(name string) int32 {
+		if id, ok := s.Lookup(name); ok {
+			return id
+		}
+		return logic.UnknownSym
+	}
+	n := 0
+	if c != nil {
+		n += len(c.Head.Args)
+	}
+	for _, a := range body {
+		n += len(a.Args)
+	}
+	src.argv = make([]logic.ITerm, 0, n)
+	// Variables get dense slots in first-use order through a small
+	// open-addressed table over FNV-1a name hashes: sources are prepared
+	// once per candidate per round, and a map per source would be most of
+	// the garbage a preparation makes.
+	table := make([]int32, tableSize(n)) // slot+1 per entry; 0 = empty
+	slotOf := func(name string) int32 {
+		mask := uint32(len(table) - 1)
+		for i := fnv32(name) & mask; ; i = (i + 1) & mask {
+			slot := table[i] - 1
+			if slot < 0 {
+				src.slotNames = append(src.slotNames, name)
+				table[i] = int32(len(src.slotNames))
+				return table[i] - 1
+			}
+			if src.slotNames[slot] == name {
+				return slot
+			}
+		}
+	}
+	intern := func(a logic.Atom) srcLit {
+		lit := srcLit{off: int32(len(src.argv)), n: int32(len(a.Args))}
+		for _, t := range a.Args {
+			if t = init.Resolve(t); t.IsVar {
+				src.argv = append(src.argv, logic.VarITerm(slotOf(t.Name)))
+			} else {
+				src.argv = append(src.argv, logic.ConstITerm(lookup(t.Name)))
+			}
+		}
+		return lit
+	}
+	if c != nil {
+		src.head = intern(c.Head)
+		src.head.pred = lookup(c.Head.Pred)
+	}
+	headSlots := len(src.slotNames)
+	for i, a := range body {
+		src.lits[i] = intern(a)
+		pred := lookup(a.Pred)
+		k := indexOf32(src.preds, pred)
+		if k < 0 {
+			k = len(src.preds)
+			src.preds = append(src.preds, pred)
+		}
+		src.lits[i].pred = int32(k)
+	}
+	src.prepareOcc()
+	src.prepareComponents(headSlots)
+	return src
+}
+
+func indexOf32(xs []int32, x int32) int {
+	for i, v := range xs {
+		if v == x {
+			return i
+		}
+	}
+	return -1
+}
+
+// tableSize is the power-of-two size of an open-addressed table holding
+// at most n keys at no more than half load.
+func tableSize(n int) int {
+	size := 8
+	for size < 2*n {
+		size <<= 1
+	}
+	return size
+}
+
+// fnv32 is FNV-1a over the string's bytes.
+func fnv32(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
+}
+
+// bodyArgs returns body literal i's prepared arguments.
+func (src *Source) bodyArgs(i int32) []logic.ITerm {
+	l := src.lits[i]
+	return src.argv[l.off : l.off+l.n]
+}
+
+// prepareOcc builds the per-slot occurrence lists of the body, in literal
+// then position order: count, prefix-sum, then fill walking the body
+// backwards so each list comes out ascending.
+func (src *Source) prepareOcc() {
+	src.occOff = make([]int32, len(src.slotNames)+1)
+	for i := range src.lits {
+		for _, t := range src.bodyArgs(int32(i)) {
+			if t.IsVar() {
+				src.occOff[t.Slot()+1]++
+			}
+		}
+	}
+	for s := 1; s < len(src.occOff); s++ {
+		src.occOff[s] += src.occOff[s-1]
+	}
+	src.occ = make([]occEntry, src.occOff[len(src.occOff)-1])
+	for i := len(src.lits) - 1; i >= 0; i-- {
+		args := src.bodyArgs(int32(i))
+		for p := len(args) - 1; p >= 0; p-- {
+			if t := args[p]; t.IsVar() {
+				src.occOff[t.Slot()+1]--
+				src.occ[src.occOff[t.Slot()+1]] = occEntry{lit: int32(i), pos: int32(p)}
+			}
+		}
+	}
+	copy(src.occOff, src.occOff[1:])
+	src.occOff[len(src.occOff)-1] = int32(len(src.occ))
+}
+
+// prepareComponents partitions the body literals into groups connected by
+// variables the head does not bind (slots below headSlots are head
+// variables, all bound once the head matches). Components are independent
+// subproblems: they share no unbound variable, so one exponential search
+// becomes several much smaller ones. Groups come in order of their first
+// literal, each ascending.
+func (src *Source) prepareComponents(headSlots int) {
+	n := len(src.lits)
+	// parent is the union-find forest over literals, owner the first
+	// literal holding each slot, rank each root's component number + 1.
+	temp := make([]int32, 2*n+len(src.slotNames))
+	parent, rank, owner := temp[:n], temp[n:2*n], temp[2*n:]
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for i := range src.lits {
+		for _, t := range src.bodyArgs(int32(i)) {
+			if !t.IsVar() || int(t.Slot()) < headSlots {
+				continue // bound variables do not connect literals
+			}
+			s := t.Slot()
+			if o := owner[s] - 1; o >= 0 {
+				parent[find(int32(i))] = find(o)
+			} else {
+				owner[s] = int32(i) + 1
+			}
+		}
+	}
+	src.compOff = make([]int32, 1, n+1)
+	for i := 0; i < n; i++ {
+		r := find(int32(i))
+		if rank[r] == 0 {
+			src.compOff = append(src.compOff, 0)
+			rank[r] = int32(len(src.compOff) - 1)
+		}
+		src.compOff[rank[r]]++
+	}
+	for k := 1; k < len(src.compOff); k++ {
+		src.compOff[k] += src.compOff[k-1]
+	}
+	src.comps = make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
+		k := rank[find(int32(i))]
+		src.compOff[k]--
+		src.comps[src.compOff[k]] = int32(i)
+	}
+	copy(src.compOff, src.compOff[1:])
+	src.compOff[len(src.compOff)-1] = int32(n)
+}
 
 // Subsumes reports whether clause c θ-subsumes the compiled target: some
 // substitution maps c's head to the target head and every body literal of
@@ -112,7 +589,7 @@ func (cd *Compiled) Subsumes(c *logic.Clause) bool {
 // SubsumesR is Subsumes reporting engine calls, backtracking nodes and
 // budget exhaustions into the run (nil observes nothing).
 func (cd *Compiled) SubsumesR(run *obs.Run, c *logic.Clause) bool {
-	return cd.match(run, &c.Head, c.Body, nil)
+	return cd.Probe(run, cd.space.Prepare(c))
 }
 
 // SubsumesBody reports whether cBody maps into the compiled target body
@@ -126,7 +603,21 @@ func (cd *Compiled) SubsumesBody(cBody []logic.Atom, init logic.Substitution) bo
 // SubsumesBodyR is SubsumesBody reporting into the run (nil observes
 // nothing).
 func (cd *Compiled) SubsumesBodyR(run *obs.Run, cBody []logic.Atom, init logic.Substitution) bool {
-	return cd.match(run, nil, cBody, init)
+	return cd.Probe(run, cd.space.PrepareBody(cBody, init))
+}
+
+// Probe reports whether the prepared source θ-subsumes the target (for a
+// body source: maps into the target body, ignoring heads), reporting
+// engine calls, backtracking nodes and budget exhaustions into the run
+// (nil observes nothing). The source must be prepared against the space
+// the target was compiled into (or the target must have fallen back to a
+// private space). A steady-state probe allocates nothing.
+func (cd *Compiled) Probe(run *obs.Run, src *Source) bool {
+	m := cd.matcher(src, run)
+	ok := m.run()
+	m.report(run)
+	m.release()
+	return ok
 }
 
 // Witness is Subsumes returning the witnessing substitution: the mapping
@@ -136,53 +627,51 @@ func (cd *Compiled) SubsumesBodyR(run *obs.Run, cBody []logic.Atom, init logic.S
 // second return is false — and the substitution nil — when c does not
 // subsume the target.
 func (cd *Compiled) Witness(c *logic.Clause) (logic.Substitution, bool) {
-	m := &matcher{cd: cd, nodes: matchBudget}
-	if !m.run(&c.Head, c.Body, nil) {
-		return nil, false
-	}
-	return m.witness(), true
+	return cd.witness(cd.space.Prepare(c))
 }
 
 // WitnessBody is SubsumesBody returning the witnessing substitution for
 // the source body's variables (init entries are not repeated in it).
 func (cd *Compiled) WitnessBody(cBody []logic.Atom, init logic.Substitution) (logic.Substitution, bool) {
-	m := &matcher{cd: cd, nodes: matchBudget}
-	if !m.run(nil, cBody, init) {
-		return nil, false
-	}
-	return m.witness(), true
+	return cd.witness(cd.space.PrepareBody(cBody, init))
 }
 
-// witness externalizes the final substitution of a successful match.
-func (m *matcher) witness() logic.Substitution {
-	out := make(logic.Substitution, m.vars.Len())
-	for slot := int32(0); slot < int32(m.vars.Len()); slot++ {
-		sym, bound := m.subst.Value(slot)
+// witness probes without observing and externalizes the final
+// substitution of a successful match.
+func (cd *Compiled) witness(src *Source) (logic.Substitution, bool) {
+	m := cd.matcher(src, nil)
+	defer m.release()
+	if !m.run() {
+		return nil, false
+	}
+	out := make(logic.Substitution, len(src.slotNames))
+	for slot, v := range src.slotNames {
+		sym, bound := m.subst.Value(int32(slot))
 		if !bound {
 			continue
 		}
-		name := m.cd.syms.Name(sym)
+		name := cd.space.name(sym)
 		if strings.HasPrefix(name, skolemPrefix) {
-			out[m.vars.Name(slot)] = logic.Var(name[len(skolemPrefix):])
+			out[v] = logic.Var(name[len(skolemPrefix):])
 		} else {
-			out[m.vars.Name(slot)] = logic.Const(name)
+			out[v] = logic.Const(name)
 		}
 	}
-	return out
+	return out, true
 }
 
-// matcher is the per-probe search state of one compiled match: interned
-// source literals, a slot-indexed substitution with a trail, and one live
-// candidate domain per open source literal, narrowed on bind and restored
-// from the domain trail on backtrack.
+// matcher is the search state of one probe, pooled: a slot-indexed
+// substitution with a trail, and one live candidate domain per source
+// literal, narrowed on bind and restored from the domain trail on
+// backtrack.
 type matcher struct {
 	cd        *Compiled
-	vars      *logic.VarSlots
-	lits      []logic.IAtom
-	subst     *logic.Subst
-	occ       [][]occEntry // slot → occurrences in source body
-	doms      [][]int32    // per literal: candidate target indexes, swap-partitioned
-	live      []int32      // per literal: length of the live domain prefix
+	src       *Source
+	subst     logic.Subst
+	predCand  [][]int32 // per source predicate: the target's literals of it
+	domBuf    []int32   // every literal's domain, swap-partitioned in place
+	domStart  []int32   // per literal: start of its domain in domBuf
+	live      []int32   // per literal: length of the live domain prefix
 	domTrail  []domSave
 	matched   []bool
 	open      []int32
@@ -193,12 +682,6 @@ type matcher struct {
 	obsRun *obs.Run
 }
 
-// occEntry is one occurrence of a variable slot in the source body.
-type occEntry struct {
-	lit int32
-	pos int32
-}
-
 // domSave is one domain-narrowing trail entry; undoing restores the live
 // length, which resurrects exactly the candidates swapped past it.
 type domSave struct {
@@ -206,19 +689,31 @@ type domSave struct {
 	oldLive int32
 }
 
-// match runs one probe: intern the source (resolving through init), match
-// the heads when the target has one, split the body into components
-// connected by unbound variables, and search each component with forward
-// pruning over incremental domains.
-func (cd *Compiled) match(run *obs.Run, head *logic.Atom, body []logic.Atom, init logic.Substitution) bool {
-	m := &matcher{cd: cd, nodes: matchBudget, obsRun: run}
-	ok := m.run(head, body, init)
-	m.report(run)
-	return ok
+var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
+
+// matcher takes a cleared matcher for probing src against the target from
+// the pool. A target that fell back to a private space gets the source
+// prepared afresh against that space.
+func (cd *Compiled) matcher(src *Source, run *obs.Run) *matcher {
+	if src.space != cd.space {
+		src = cd.space.prepare(src.clause, src.body, src.init)
+	}
+	m := matcherPool.Get().(*matcher)
+	m.cd, m.src, m.obsRun = cd, src, run
+	m.nodes, m.exhausted = matchBudget, false
+	m.domBuf, m.domTrail = m.domBuf[:0], m.domTrail[:0]
+	return m
+}
+
+// release returns the matcher to the pool without the references it held.
+func (m *matcher) release() {
+	m.cd, m.src, m.obsRun = nil, nil, nil
+	clear(m.predCand)
+	matcherPool.Put(m)
 }
 
 // report flushes the engine-call, node and budget-exhaustion counts of one
-// finished top-level match into the run.
+// finished probe into the run.
 func (m *matcher) report(run *obs.Run) {
 	run.Inc(obs.CSubsumptionCalls)
 	used := matchBudget - m.nodes
@@ -229,86 +724,58 @@ func (m *matcher) report(run *obs.Run) {
 	run.Add(obs.CSubsumptionNodes, int64(used))
 }
 
-func (m *matcher) run(head *logic.Atom, body []logic.Atom, init logic.Substitution) bool {
-	vars := logic.NewVarSlots()
-	m.vars = vars
-	var headLit logic.IAtom
-	if head != nil {
-		hl, ok := m.internSource(*head, vars, init)
-		if !ok {
-			return false // head predicate absent from the target
+// run matches the heads when the source has one, then searches each
+// component with forward pruning over incremental domains. A source
+// predicate with no target literal fails the probe before any search.
+func (m *matcher) run() bool {
+	src, cd := m.src, m.cd
+	m.predCand = m.predCand[:0]
+	for _, p := range src.preds {
+		cand := cd.predList(p)
+		if len(cand) == 0 {
+			return false
 		}
-		headLit = hl
+		m.predCand = append(m.predCand, cand)
 	}
-	m.lits = make([]logic.IAtom, len(body))
-	for i, a := range body {
-		lit, ok := m.internSource(a, vars, init)
-		if !ok {
-			return false // predicate absent: the literal has no candidates
-		}
-		m.lits[i] = lit
-	}
-	m.subst = logic.NewSubst(vars.Len())
-	if head != nil && !m.matchHead(headLit) {
+	m.subst.Reset(len(src.slotNames))
+	if src.clause != nil && !m.matchHead() {
 		return false
 	}
-	n := len(m.lits)
+	n := len(src.lits)
 	if n == 0 {
 		return true
 	}
-	m.occ = make([][]occEntry, vars.Len())
-	for i, lit := range m.lits {
-		for p, t := range lit.Args {
-			if t.IsVar() {
-				s := t.Slot()
-				m.occ[s] = append(m.occ[s], occEntry{lit: int32(i), pos: int32(p)})
-			}
-		}
+	m.domStart = resize(m.domStart, n)
+	m.live = resize(m.live, n)
+	if cap(m.matched) < n {
+		m.matched = make([]bool, n)
 	}
-	m.doms = make([][]int32, n)
-	m.live = make([]int32, n)
-	m.matched = make([]bool, n)
-	m.open = make([]int32, 0, n)
-	for _, comp := range m.components() {
-		if !m.matchComponent(comp) {
+	m.matched = m.matched[:n]
+	clear(m.matched)
+	for k := 0; k+1 < len(src.compOff); k++ {
+		if !m.matchComponent(src.comps[src.compOff[k]:src.compOff[k+1]]) {
 			return false
 		}
 	}
 	return true
 }
 
-// internSource interns one source atom against the compiled target's
-// symbol table, resolving terms through init first. Constants the target
-// never mentions become UnknownSym terms (they fail every comparison);
-// a predicate the target never mentions fails the whole probe, which the
-// false return signals.
-func (m *matcher) internSource(a logic.Atom, vars *logic.VarSlots, init logic.Substitution) (logic.IAtom, bool) {
-	pred, ok := m.cd.syms.Lookup(a.Pred)
-	if !ok {
-		return logic.IAtom{}, false
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
 	}
-	args := make([]logic.ITerm, len(a.Args))
-	for i, t := range a.Args {
-		t = init.Resolve(t)
-		if t.IsVar {
-			args[i] = logic.VarITerm(vars.Slot(t.Name))
-		} else if sym, known := m.cd.syms.Lookup(t.Name); known {
-			args[i] = logic.ConstITerm(sym)
-		} else {
-			args[i] = logic.ConstITerm(logic.UnknownSym)
-		}
-	}
-	return logic.IAtom{Pred: pred, Args: args}, true
+	return s[:n]
 }
 
 // matchHead extends the substitution so the source head maps onto the
 // (skolemized, ground) target head.
-func (m *matcher) matchHead(head logic.IAtom) bool {
-	if !m.cd.hasHead || head.Pred != m.cd.headPred || len(head.Args) != len(m.cd.headArgs) {
+func (m *matcher) matchHead() bool {
+	cd, head := m.cd, m.src.head
+	if !cd.hasHead || head.pred != cd.headPred || int(head.n) != len(cd.headArgs) {
 		return false
 	}
-	for i, t := range head.Args {
-		want := m.cd.headArgs[i]
+	for i, t := range m.src.argv[head.off : head.off+head.n] {
+		want := cd.headArgs[i]
 		if t.IsVar() {
 			slot := t.Slot()
 			if sym, bound := m.subst.Value(slot); bound {
@@ -327,60 +794,6 @@ func (m *matcher) matchHead(head logic.IAtom) bool {
 	return true
 }
 
-// components partitions the source literal indexes into groups connected
-// by variables unbound in the current substitution. Components are
-// independent subproblems: they share no unbound variable, so one
-// exponential search becomes several much smaller ones.
-func (m *matcher) components() [][]int32 {
-	n := len(m.lits)
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	slotOwner := make([]int32, m.subst.Slots())
-	for i := range slotOwner {
-		slotOwner[i] = -1
-	}
-	for i, lit := range m.lits {
-		for _, t := range lit.Args {
-			if !t.IsVar() {
-				continue
-			}
-			s := t.Slot()
-			if _, bound := m.subst.Value(s); bound {
-				continue // bound variables do not connect literals
-			}
-			if o := slotOwner[s]; o >= 0 {
-				parent[find(int32(i))] = find(o)
-			} else {
-				slotOwner[s] = int32(i)
-			}
-		}
-	}
-	groups := make(map[int32][]int32, n)
-	var order []int32
-	for i := range m.lits {
-		r := find(int32(i))
-		if _, ok := groups[r]; !ok {
-			order = append(order, r)
-		}
-		groups[r] = append(groups[r], int32(i))
-	}
-	out := make([][]int32, 0, len(order))
-	for _, r := range order {
-		out = append(out, groups[r])
-	}
-	return out
-}
-
 // matchComponent initializes the candidate domains of one component's
 // literals and backtracks over them. Bindings of a solved component stay
 // in place: later components share no unbound variable with it, so they
@@ -397,15 +810,17 @@ func (m *matcher) matchComponent(comp []int32) bool {
 }
 
 // initDomain builds literal i's initial candidate list: starting from the
-// shortest applicable argument-position constant index (falling back to
-// the predicate index), keep the target literals consistent with the
+// shortest applicable argument-position index (falling back to the
+// predicate's literals), keep the target literals consistent with the
 // literal under the current substitution — constants and bound variables
 // must agree positionally, repeated unbound variables must meet equal
 // target constants.
 func (m *matcher) initDomain(i int32) bool {
-	lit := m.lits[i]
-	cand := m.cd.byPred[lit.Pred]
-	for pos, t := range lit.Args {
+	lit := m.src.lits[i]
+	args := m.src.argv[lit.off : lit.off+lit.n]
+	pred := m.src.preds[lit.pred]
+	cand := m.predCand[lit.pred]
+	for pos, t := range args {
 		sym, known := int32(0), false
 		if t.IsVar() {
 			if v, bound := m.subst.Value(t.Slot()); bound {
@@ -417,36 +832,34 @@ func (m *matcher) initDomain(i int32) bool {
 		if !known {
 			continue
 		}
-		if sym < 0 {
-			cand = nil // unknown constant: no target argument can equal it
-			break
-		}
-		if l := m.cd.byArg[argKey{pred: lit.Pred, pos: int32(pos), sym: sym}]; len(l) < len(cand) {
+		// An unknown constant (logic.UnknownSym) finds no entry: no target
+		// argument can equal it.
+		if l := m.cd.index.get(argKey{pred: pred, pos: int32(pos), sym: sym}); len(l) < len(cand) {
 			cand = l
 		}
 	}
-	dom := make([]int32, 0, len(cand))
+	start := int32(len(m.domBuf))
 	for _, t := range cand {
-		if m.consistent(lit, t) {
-			dom = append(dom, t)
+		if m.consistent(args, t) {
+			m.domBuf = append(m.domBuf, t)
 		}
 	}
-	m.doms[i] = dom
-	m.live[i] = int32(len(dom))
-	return len(dom) > 0
+	m.domStart[i] = start
+	m.live[i] = int32(len(m.domBuf)) - start
+	return m.live[i] > 0
 }
 
 // consistent reports whether target literal t can host the source literal
-// under the current substitution.
-func (m *matcher) consistent(lit logic.IAtom, t int32) bool {
-	tgt := m.cd.lits[t]
-	if len(tgt.args) != len(lit.Args) {
+// with arguments args under the current substitution.
+func (m *matcher) consistent(args []logic.ITerm, t int32) bool {
+	tgt := m.cd.args(t)
+	if len(tgt) != len(args) {
 		return false
 	}
-	for p, st := range lit.Args {
+	for p, st := range args {
 		if st.IsVar() {
 			if sym, bound := m.subst.Value(st.Slot()); bound {
-				if tgt.args[p] != sym {
+				if tgt[p] != sym {
 					return false
 				}
 				continue
@@ -454,18 +867,21 @@ func (m *matcher) consistent(lit logic.IAtom, t int32) bool {
 			// Unbound: repeated occurrences inside the literal must land on
 			// equal target constants.
 			for q := 0; q < p; q++ {
-				if lit.Args[q] == st && tgt.args[q] != tgt.args[p] {
+				if args[q] == st && tgt[q] != tgt[p] {
 					return false
 				}
 			}
 			continue
 		}
-		if tgt.args[p] != st.Sym() {
+		if tgt[p] != st.Sym() {
 			return false
 		}
 	}
 	return true
 }
+
+// dom returns literal i's domain (its live prefix is the first live[i]).
+func (m *matcher) dom(i int32) []int32 { return m.domBuf[m.domStart[i]:] }
 
 // search backtracks over the first openCount entries of m.open. At each
 // node it picks the literal with the smallest live domain (domains are
@@ -485,7 +901,7 @@ func (m *matcher) search(openCount int) bool {
 	i := m.open[best]
 	m.open[best], m.open[openCount-1] = m.open[openCount-1], m.open[best]
 	m.matched[i] = true
-	dom, n := m.doms[i], m.live[i]
+	dom, n := m.dom(i), m.live[i]
 	for k := int32(0); k < n; k++ {
 		m.nodes--
 		if m.nodes < 0 {
@@ -518,8 +934,8 @@ func (m *matcher) search(openCount int) bool {
 // every live candidate agrees with the current substitution — so the only
 // failure mode is a neighbour's domain emptying.
 func (m *matcher) assign(i, t int32) bool {
-	tgt := m.cd.lits[t]
-	for p, st := range m.lits[i].Args {
+	tgt := m.cd.args(t)
+	for p, st := range m.src.bodyArgs(i) {
 		if !st.IsVar() {
 			continue
 		}
@@ -527,8 +943,8 @@ func (m *matcher) assign(i, t int32) bool {
 		if _, bound := m.subst.Value(slot); bound {
 			continue
 		}
-		m.subst.Bind(slot, tgt.args[p])
-		if !m.propagate(slot, tgt.args[p]) {
+		m.subst.Bind(slot, tgt[p])
+		if !m.propagate(slot, tgt[p]) {
 			return false
 		}
 	}
@@ -540,14 +956,14 @@ func (m *matcher) assign(i, t int32) bool {
 // arc-consistency-style pruning that replaces per-node candidate
 // re-counting. Emptied domains fail the assignment immediately.
 func (m *matcher) propagate(slot, sym int32) bool {
-	for _, oc := range m.occ[slot] {
+	for _, oc := range m.src.occ[m.src.occOff[slot]:m.src.occOff[slot+1]] {
 		if m.matched[oc.lit] {
 			continue
 		}
-		dom, n := m.doms[oc.lit], m.live[oc.lit]
+		dom, n := m.dom(oc.lit), m.live[oc.lit]
 		kept := int32(0)
 		for k := int32(0); k < n; k++ {
-			if m.cd.lits[dom[k]].args[oc.pos] == sym {
+			if m.cd.argv[m.cd.litOff[dom[k]]+oc.pos] == sym {
 				dom[kept], dom[k] = dom[k], dom[kept]
 				kept++
 			}
