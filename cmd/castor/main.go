@@ -13,14 +13,14 @@
 //	castor -schema db.schema -data db.facts \
 //	       -pos pos.facts -neg neg.facts -target 'advisedBy(stud, prof)'
 //
-//	# observability: human-readable events, machine-readable trace and
-//	# metrics, CPU/heap profiles
+//	# observability: one text line per finished learner span, a JSONL
+//	# span trace, the run report, CPU/heap profiles
 //	castor -dataset uwcse -v
-//	castor -dataset uwcse -trace trace.jsonl -metrics metrics.json
+//	castor -dataset uwcse -trace trace.jsonl -report run.json
 //	castor -dataset uwcse -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-//	# span-level tracing (Perfetto-loadable), run report, live server
-//	castor -dataset uwcse -chrometrace trace.json -report run.json
+//	# Perfetto-loadable span trace, live introspection server
+//	castor -dataset uwcse -chrometrace trace.json
 //	castor -dataset uwcse -http :6060   # /metrics /progress /debug/pprof/
 //
 //	# search-graph provenance and explanations
@@ -31,9 +31,10 @@
 //
 // File formats are those of internal/relstore: `rel name(attr, …)` /
 // `fd` / `ind` / `domain` lines for the schema, one ground fact per line
-// for data and examples. The trace file is JSONL (one event object per
-// line); the metrics file is the JSON snapshot of the run's counter/timer
-// registry (see README "Observability" for both schemas).
+// for data and examples. The trace file is JSONL (one object per finished
+// span); the run report embeds the JSON snapshot of the run's counter and
+// span registry under "metrics" (see README "Observability" for both
+// schemas).
 package main
 
 import (
@@ -75,7 +76,7 @@ type options struct {
 	subsetINDs                             bool
 
 	verbose                bool
-	traceFile, metricsFile string
+	traceFile              string
 	chromeFile, reportFile string
 	httpAddr               string
 	httpIdle               time.Duration
@@ -120,9 +121,8 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "random seed")
 	flag.Float64Var(&o.scale, "scale", 1, "multiply the generated dataset's entity counts (1 = defaults; see README \"Paper-scale data\")")
 	flag.BoolVar(&o.subsetINDs, "subset-inds", false, "Castor: chase general subset INDs (§7.4)")
-	flag.BoolVar(&o.verbose, "v", false, "log trace events to stderr")
-	flag.StringVar(&o.traceFile, "trace", "", "write a JSONL event trace to this file")
-	flag.StringVar(&o.metricsFile, "metrics", "", "write the JSON metrics report to this file")
+	flag.BoolVar(&o.verbose, "v", false, "log one line per finished learner span to stderr")
+	flag.StringVar(&o.traceFile, "trace", "", "write a JSONL span trace to this file")
 	flag.StringVar(&o.chromeFile, "chrometrace", "", "write a Chrome trace-event (Perfetto) span trace to this file")
 	flag.StringVar(&o.reportFile, "report", "", "write the JSON run report (for cmd/obsreport) to this file")
 	flag.StringVar(&o.httpAddr, "http", "", "serve /metrics, /progress, /debug/flightrecorder and /debug/pprof/ on this address (e.g. :6060)")
@@ -161,9 +161,9 @@ func run(o options, out io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	// Instrumentation: counters always (they also feed the summary), the
-	// flight recorder always (it is the crash-evidence layer; ~1.5MB),
-	// event sinks only where asked.
+	// Instrumentation: counters and span aggregates always (they also feed
+	// the summary), the flight recorder always (it is the crash-evidence
+	// layer; ~1.5MB), span sinks only where asked.
 	reg := obs.NewRegistry()
 	fr := obs.NewFlightRecorder(0)
 	fr.SetDumpPath(o.flightFile)
@@ -177,22 +177,19 @@ func run(o options, out io.Writer) error {
 			fr.DumpNow("sigquit") //nolint:errcheck // best-effort operator dump
 		}
 	}()
-	var tracers []obs.Tracer
-	if o.verbose {
-		tracers = append(tracers, obs.NewTextSink(os.Stderr))
-	}
 	var spanSinks []obs.SpanSink
+	if o.verbose {
+		spanSinks = append(spanSinks, obs.NewTextSink(os.Stderr))
+	}
 	var traceSink *obs.JSONLSink
 	if o.traceFile != "" {
 		s, err := obs.CreateJSONLFile(o.traceFile)
 		if err != nil {
 			return err
 		}
-		// The sink is both a tracer (event lines) and a span sink (span
-		// lines with worker/round tags), so the span graph is
+		// Span lines carry worker/round tags, so the span graph is
 		// reconstructable offline from the trace file alone.
 		traceSink = s
-		tracers = append(tracers, s)
 		spanSinks = append(spanSinks, s)
 	}
 	var chromeSink *obs.ChromeTraceSink
@@ -201,16 +198,8 @@ func run(o options, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// The sink is both a span sink (slices) and a tracer (instant
-		// markers), so flat events line up with the spans around them.
 		chromeSink = s
 		spanSinks = append(spanSinks, s)
-		tracers = append(tracers, s)
-	}
-	var prog *obs.Progress
-	if o.httpAddr != "" {
-		prog = obs.NewProgress(reg)
-		spanSinks = append(spanSinks, prog)
 	}
 	var graph *obs.GraphSink
 	if o.reportFile != "" || o.httpAddr != "" {
@@ -229,15 +218,25 @@ func run(o options, out io.Writer) error {
 		}
 		spanSinks = append(spanSinks, slow)
 	}
-	obsRun := obs.NewRun(obs.MultiTracer(tracers...), reg).
-		WithSpans(obs.MultiSpanSink(spanSinks...)).
-		WithFlightRecorder(fr)
+	obsRun := obs.NewRun(obs.MultiSpanSink(spanSinks...), reg).WithFlightRecorder(fr)
+	// The provenance recorder wraps the run first: the server, sampler and
+	// watchdog below must watch the run the learner reports into.
+	var prov *obs.Prov
+	if o.provFile != "" {
+		p, err := obs.CreateProvenanceFile(o.provFile,
+			obs.ProvOptions{MaxNodes: o.provMaxNodes, SampleEvery: o.provSample})
+		if err != nil {
+			return err
+		}
+		prov = p
+		obsRun = obsRun.WithProvenance(prov)
+	}
 	var tl *obs.Timeline
 	if o.timelineFile != "" || o.httpAddr != "" {
 		tl = obs.StartTimeline(obsRun, o.timelineTick)
 	}
 	if o.httpAddr != "" {
-		srv, err := obs.StartServer(o.httpAddr, reg, prog, fr, tl, graph)
+		srv, err := obs.StartServer(o.httpAddr, obsRun, tl, graph)
 		if err != nil {
 			return err
 		}
@@ -262,16 +261,6 @@ func run(o options, out io.Writer) error {
 			fr.DumpNow("watchdog") //nolint:errcheck // best-effort stall dump
 		})
 		defer wd.Stop()
-	}
-	var prov *obs.Prov
-	if o.provFile != "" {
-		p, err := obs.CreateProvenanceFile(o.provFile,
-			obs.ProvOptions{MaxNodes: o.provMaxNodes, SampleEvery: o.provSample})
-		if err != nil {
-			return err
-		}
-		prov = p
-		obsRun = obsRun.WithProvenance(prov)
 	}
 
 	userData := o.schemaFile != ""
@@ -409,20 +398,7 @@ func run(o options, out io.Writer) error {
 			return err
 		}
 	}
-	if o.metricsFile != "" {
-		f, err := os.Create(o.metricsFile)
-		if err != nil {
-			return err
-		}
-		if err := report.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if o.verbose || o.metricsFile != "" || o.traceFile != "" {
+	if o.verbose || o.traceFile != "" || o.reportFile != "" {
 		fmt.Fprintf(out, "\nrun metrics:\n")
 		report.WriteSummary(out)
 	}

@@ -13,16 +13,17 @@ import (
 )
 
 // TestRunWritesMetricsAndTrace drives the full CLI pipeline (uwcse,
-// Castor) and checks the acceptance contract of the -metrics and -trace
-// flags: the metrics file is valid JSON with nonzero coverage-test and
-// cache-hit counters, and every trace line is a standalone JSON object.
+// Castor) and checks the acceptance contract of the -report and -trace
+// flags: the report's metrics object is valid JSON with nonzero
+// coverage-test and cache-hit counters and the coverage span kinds, and
+// every trace line is a standalone JSON span object.
 func TestRunWritesMetricsAndTrace(t *testing.T) {
 	dir := t.TempDir()
 	o := options{
 		dataset: "uwcse", learner: "castor", coverage: "auto",
 		sample: 4, beam: 2, clauseLength: 10, par: 2, seed: 1,
-		metricsFile: filepath.Join(dir, "metrics.json"),
-		traceFile:   filepath.Join(dir, "trace.jsonl"),
+		reportFile: filepath.Join(dir, "run.json"),
+		traceFile:  filepath.Join(dir, "trace.jsonl"),
 	}
 	var out bytes.Buffer
 	if err := run(o, &out); err != nil {
@@ -35,27 +36,30 @@ func TestRunWritesMetricsAndTrace(t *testing.T) {
 		t.Error("run output missing the metrics summary")
 	}
 
-	mf, err := os.ReadFile(o.metricsFile)
+	rf, err := os.ReadFile(o.reportFile)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var report struct {
-		Counters map[string]int64 `json:"counters"`
-		Phases   map[string]struct {
-			Seconds float64 `json:"seconds"`
-			Calls   int64   `json:"calls"`
-		} `json:"phases"`
+		Metrics struct {
+			Counters map[string]int64 `json:"counters"`
+			Spans    map[string]struct {
+				Seconds float64 `json:"seconds"`
+				Calls   int64   `json:"calls"`
+			} `json:"spans"`
+		} `json:"metrics"`
 	}
-	if err := json.Unmarshal(mf, &report); err != nil {
-		t.Fatalf("metrics file does not parse: %v", err)
+	if err := json.Unmarshal(rf, &report); err != nil {
+		t.Fatalf("report file does not parse: %v", err)
 	}
+	m := report.Metrics
 	for _, key := range []string{"coverage_tests", "coverage_tests_skipped", "tuples_scanned", "bottom_clauses"} {
-		if report.Counters[key] == 0 {
-			t.Errorf("metrics counter %s is zero: %v", key, report.Counters)
+		if m.Counters[key] == 0 {
+			t.Errorf("metrics counter %s is zero: %v", key, m.Counters)
 		}
 	}
-	if report.Phases["coverage_testing"].Calls == 0 {
-		t.Error("metrics report has no coverage_testing phase calls")
+	if m.Spans["coverage_batch"].Calls+m.Spans["score_batch"].Calls == 0 {
+		t.Error("metrics report has no coverage_batch or score_batch spans")
 	}
 
 	tf, err := os.Open(o.traceFile)
@@ -63,31 +67,20 @@ func TestRunWritesMetricsAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tf.Close()
-	// The trace interleaves event lines ("event" key) with one span line
-	// per finished span ("span" key); every line is exactly one of the two.
-	events, spans := 0, 0
+	spans := 0
 	sc := bufio.NewScanner(tf)
 	for sc.Scan() {
 		var obj map[string]any
 		if err := json.Unmarshal(sc.Bytes(), &obj); err != nil {
 			t.Fatalf("trace line %q does not parse: %v", sc.Text(), err)
 		}
-		_, isEvent := obj["event"].(string)
-		_, isSpan := obj["span"].(string)
-		if isEvent == isSpan {
-			t.Fatalf("trace line %q is neither an event nor a span line", sc.Text())
+		if _, ok := obj["span"].(string); !ok {
+			t.Fatalf("trace line %q is not a span line", sc.Text())
 		}
-		if isEvent {
-			events++
-		} else {
-			spans++
-		}
+		spans++
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
-	}
-	if events == 0 {
-		t.Error("trace file has no event lines")
 	}
 	if spans == 0 {
 		t.Error("trace file has no span lines")

@@ -6,15 +6,15 @@
 //	experiments -exp table10 -folds 5    # one experiment
 //	experiments -exp table9 -scale 0.5   # smaller/faster
 //
-//	# observability: aggregate counters/timers across every learner run
-//	experiments -exp table10 -v -metrics metrics.json -trace trace.jsonl
-//	experiments -exp table10 -chrometrace trace.json -report run.json
+//	# observability: aggregate counters and spans across every learner run
+//	experiments -exp table10 -v -trace trace.jsonl -report run.json
+//	experiments -exp table10 -chrometrace trace.json
 //	experiments -exp all -http :6060     # live /metrics /progress /debug/pprof/
 //	experiments -exp fig2 -cpuprofile cpu.pprof
 //
 // Experiments: table2, table9, table10, table11, table12, table13, fig2,
-// fig3, all. With -metrics/-trace/-chrometrace/-report, one registry and
-// one trace stream span all selected experiments (see README
+// fig3, all. With -v/-trace/-chrometrace/-report, one registry and one
+// span stream cover all selected experiments (see README
 // "Observability").
 package main
 
@@ -40,9 +40,8 @@ func main() {
 	par := flag.Int("par", 4, "coverage-test parallelism")
 	seed := flag.Int64("seed", 1, "random seed")
 	fig3Defs := flag.Int("fig3-defs", 10, "random definitions per Figure 3 setting")
-	verbose := flag.Bool("v", false, "log trace events to stderr")
-	traceFile := flag.String("trace", "", "write a JSONL event trace to this file")
-	metricsFile := flag.String("metrics", "", "write the JSON metrics report to this file")
+	verbose := flag.Bool("v", false, "log one line per finished learner span to stderr")
+	traceFile := flag.String("trace", "", "write a JSONL span trace to this file")
 	chromeFile := flag.String("chrometrace", "", "write a Chrome trace-event (Perfetto) span trace to this file")
 	reportFile := flag.String("report", "", "write the JSON run report (for cmd/obsreport) to this file")
 	httpAddr := flag.String("http", "", "serve /metrics, /progress, /debug/flightrecorder and /debug/pprof/ on this address (e.g. :6060)")
@@ -69,14 +68,12 @@ func main() {
 
 	var reg *obs.Registry
 	var fr *obs.FlightRecorder
-	var tracers []obs.Tracer
 	var spanSinks []obs.SpanSink
 	var traceSink *obs.JSONLSink
 	var chromeSink *obs.ChromeTraceSink
-	observing := *verbose || *traceFile != "" || *metricsFile != "" ||
-		*chromeFile != "" || *reportFile != "" || *httpAddr != "" ||
-		*flightFile != "" || *watchdogStall > 0 || *sampleResources > 0 ||
-		*timelineFile != ""
+	observing := *verbose || *traceFile != "" || *chromeFile != "" ||
+		*reportFile != "" || *httpAddr != "" || *flightFile != "" ||
+		*watchdogStall > 0 || *sampleResources > 0 || *timelineFile != ""
 	if observing {
 		reg = obs.NewRegistry()
 		fr = obs.NewFlightRecorder(0)
@@ -91,17 +88,16 @@ func main() {
 			}
 		}()
 		if *verbose {
-			tracers = append(tracers, obs.NewTextSink(os.Stderr))
+			spanSinks = append(spanSinks, obs.NewTextSink(os.Stderr))
 		}
 		if *traceFile != "" {
 			s, err := obs.CreateJSONLFile(*traceFile)
 			if err != nil {
 				fatal(err)
 			}
-			// Tracer for event lines, span sink for tagged span lines —
-			// the span graph is reconstructable offline from the trace.
+			// Tagged span lines: the span graph is reconstructable
+			// offline from the trace.
 			traceSink = s
-			tracers = append(tracers, s)
 			spanSinks = append(spanSinks, s)
 		}
 		if *chromeFile != "" {
@@ -111,13 +107,7 @@ func main() {
 			}
 			chromeSink = s
 			spanSinks = append(spanSinks, s)
-			tracers = append(tracers, s)
 		}
-	}
-	var prog *obs.Progress
-	if *httpAddr != "" {
-		prog = obs.NewProgress(reg)
-		spanSinks = append(spanSinks, prog)
 	}
 	var graph *obs.GraphSink
 	if *reportFile != "" || *httpAddr != "" {
@@ -126,15 +116,13 @@ func main() {
 	}
 
 	start := time.Now()
-	obsRun := obs.NewRun(obs.MultiTracer(tracers...), reg).
-		WithSpans(obs.MultiSpanSink(spanSinks...)).
-		WithFlightRecorder(fr)
+	obsRun := obs.NewRun(obs.MultiSpanSink(spanSinks...), reg).WithFlightRecorder(fr)
 	var tl *obs.Timeline
 	if *timelineFile != "" || *httpAddr != "" {
 		tl = obs.StartTimeline(obsRun, *timelineTick)
 	}
 	if *httpAddr != "" {
-		srv, err := obs.StartServer(*httpAddr, reg, prog, fr, tl, graph)
+		srv, err := obs.StartServer(*httpAddr, obsRun, tl, graph)
 		if err != nil {
 			fatal(err)
 		}
@@ -237,21 +225,10 @@ func main() {
 				fatal(err)
 			}
 		}
-		if *metricsFile != "" {
-			f, err := os.Create(*metricsFile)
-			if err != nil {
-				fatal(err)
-			}
-			if err := report.WriteJSON(f); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
+		if *verbose || *traceFile != "" || *reportFile != "" {
+			fmt.Println("\nrun metrics (all experiments):")
+			report.WriteSummary(os.Stdout)
 		}
-		fmt.Println("\nrun metrics (all experiments):")
-		report.WriteSummary(os.Stdout)
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)

@@ -9,7 +9,7 @@
 //	obsreport old.json new.json                       # full diff table
 //	obsreport -watch elapsed_seconds,coverage_tests \
 //	          -threshold 1.10 old.json new.json       # gate: new ≤ 1.10×old
-//	obsreport -watch 'elapsed_seconds=1.5,hist_subsumption_probe_p99=2.0' \
+//	obsreport -watch 'elapsed_seconds=1.5,hist_span_score_batch_p99=2.0' \
 //	          old.json new.json                       # per-metric thresholds
 //	obsreport -attrib old.json new.json               # rank span kinds by Δself
 //	obsreport -attrib -attrib-top negative_reduction \
@@ -17,11 +17,11 @@
 //	obsreport -format json ...                        # machine-readable, any mode
 //
 // Metric names are the flattened namespace of the run report: counters
-// keep their report names (coverage_tests, subsumption_nodes, …), phases
-// become <phase>_seconds and <phase>_calls, span aggregates become
-// span_<name>_seconds and span_<name>_calls, histogram percentiles become
-// hist_<name>_p50/_p95/_p99/_count, gauges (rss_peak_bytes, …) keep their
-// names, elapsed_seconds and the definition_* stats are included,
+// keep their report names (coverage_tests, subsumption_nodes, …), span
+// aggregates become span_<name>_seconds and span_<name>_calls, histogram
+// percentiles become hist_<name>_p50/_p95/_p99/_count (span kinds as
+// hist_span_<name>_*), gauges (rss_peak_bytes, …) keep their names,
+// elapsed_seconds and the definition_* stats are included,
 // timeline digests appear as timeline_<series>_{mean,min,max,last,count},
 // and the attribution table as attrib_<kind>_{self_ns,cum_ns,crit_ns,pct}.
 // A -watch entry may carry its own threshold as name=ratio; entries

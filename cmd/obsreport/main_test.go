@@ -118,28 +118,28 @@ func TestPerMetricThresholds(t *testing.T) {
 	dir := t.TempDir()
 	oldP := writeReportFull(t, dir, "old.json", obs.Report{
 		Counters:   map[string]int64{"coverage_tests": 100},
-		Histograms: map[string]obs.HistStat{"subsumption_probe": {Count: 10, P50: 0.001, P95: 0.002, P99: 0.004}},
+		Histograms: map[string]obs.HistStat{"span_score_batch": {Count: 10, P50: 0.001, P95: 0.002, P99: 0.004}},
 	}, 1.0)
 	newP := writeReportFull(t, dir, "new.json", obs.Report{
 		Counters:   map[string]int64{"coverage_tests": 115},
-		Histograms: map[string]obs.HistStat{"subsumption_probe": {Count: 10, P50: 0.001, P95: 0.002, P99: 0.006}},
+		Histograms: map[string]obs.HistStat{"span_score_batch": {Count: 10, P50: 0.001, P95: 0.002, P99: 0.006}},
 	}, 1.0)
 
 	// Global threshold 1.10 would fail both; per-metric overrides admit the
 	// counter at 1.2× and the p99 at 2×.
 	var out, errw strings.Builder
-	code := run([]string{"-watch", "coverage_tests=1.2,hist_subsumption_probe_p99=2.0", oldP, newP}, &out, &errw)
+	code := run([]string{"-watch", "coverage_tests=1.2,hist_span_score_batch_p99=2.0", oldP, newP}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errw.String())
 	}
 	// Tighten just the histogram percentile: only it regresses.
 	out.Reset()
 	errw.Reset()
-	code = run([]string{"-watch", "coverage_tests=1.2,hist_subsumption_probe_p99=1.2", oldP, newP}, &out, &errw)
+	code = run([]string{"-watch", "coverage_tests=1.2,hist_span_score_batch_p99=1.2", oldP, newP}, &out, &errw)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "REGRESSION: hist_subsumption_probe_p99") ||
+	if !strings.Contains(out.String(), "REGRESSION: hist_span_score_batch_p99") ||
 		strings.Contains(out.String(), "REGRESSION: coverage_tests") {
 		t.Errorf("wrong regression set:\n%s", out.String())
 	}
@@ -178,16 +178,16 @@ func TestHistogramPercentilesAndGaugesDiff(t *testing.T) {
 	dir := t.TempDir()
 	rep := obs.Report{
 		Counters:   map[string]int64{"coverage_tests": 10},
-		Histograms: map[string]obs.HistStat{"coverage_batch": {Count: 4, P50: 0.002, P95: 0.008, P99: 0.016}},
+		Histograms: map[string]obs.HistStat{"span_coverage_batch": {Count: 4, P50: 0.002, P95: 0.008, P99: 0.016}},
 		Gauges:     map[string]float64{"rss_peak_bytes": 1 << 30},
 	}
 	p := writeReportFull(t, dir, "run.json", rep, 1.0)
 	var out, errw strings.Builder
-	code := run([]string{"-watch", "hist_coverage_batch_p95,rss_peak_bytes", p, p}, &out, &errw)
+	code := run([]string{"-watch", "hist_span_coverage_batch_p95,rss_peak_bytes", p, p}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errw.String())
 	}
-	for _, want := range []string{"hist_coverage_batch_p95", "rss_peak_bytes"} {
+	for _, want := range []string{"hist_span_coverage_batch_p95", "rss_peak_bytes"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("diff table missing %q:\n%s", want, out.String())
 		}

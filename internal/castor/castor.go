@@ -136,26 +136,17 @@ const maxSeedTries = 3
 // learnClause is Algorithm 4, retrying with the next uncovered seed when a
 // seed yields no acceptable clause.
 func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *rand, bld *builder, uncovered []logic.Atom) *logic.Clause {
-	run := params.Obs
 	tries := maxSeedTries
 	if tries > len(uncovered) {
 		tries = len(uncovered)
 	}
 	var fallback *logic.Clause
 	for s := 0; s < tries; s++ {
-		if run.Tracing() {
-			run.Emit("castor.seed", obs.F("seed", uncovered[s].String()), obs.F("try", s))
-		}
-		c := l.learnClauseFromSeed(prob, params, tester, rng, bld, uncovered, uncovered[s])
+		c := l.learnClauseFromSeed(prob, params, tester, rng, bld, uncovered, s)
 		if c == nil {
 			continue
 		}
 		p, n := tester.PosNeg(c, uncovered, prob.Neg, nil, nil)
-		if run.Tracing() {
-			run.Emit("castor.clause",
-				obs.F("clause", c.String()), obs.F("pos", p), obs.F("neg", n),
-				obs.F("accepted", ilp.AcceptClause(params, p, n)))
-		}
 		if ilp.AcceptClause(params, p, n) {
 			return c
 		}
@@ -166,13 +157,17 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 	return fallback
 }
 
-// learnClauseFromSeed runs the beam search of Algorithm 4 for one seed.
-func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *rand, bld *builder, uncovered []logic.Atom, seed logic.Atom) *logic.Clause {
+// learnClauseFromSeed runs the beam search of Algorithm 4 for the seed
+// uncovered[try].
+func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *rand, bld *builder, uncovered []logic.Atom, try int) *logic.Clause {
 	run := params.Obs
 	plan := bld.plan
 	prov := run.Prov()
-	sb := run.StartSpan("bottom_clause", obs.F("seed", seed.String()))
-	tb := run.StartPhase(obs.PBottom)
+	seed := uncovered[try]
+	var sb *obs.Span
+	if run.Spanning() {
+		sb = run.StartSpan("bottom_clause", obs.F("seed", seed.String()), obs.F("try", try))
+	}
 	var bottom *logic.Clause
 	var bottomINDs []string
 	if prov.Enabled() {
@@ -189,7 +184,6 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 	} else {
 		bottom = ilp.Variablize(prob, bld.build(seed, params, nil))
 	}
-	run.EndPhase(obs.PBottom, tb)
 	sb.Annotate(obs.F("literals", len(bottom.Body)), obs.F("vars", bottom.NumVars()))
 	sb.End()
 	run.Inc(obs.CBottomClauses)
@@ -200,9 +194,7 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 		Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispKept, INDs: bottomINDs,
 	})
 	if params.Minimize && len(bottom.Body) <= reduceCutoff {
-		tm := run.StartPhase(obs.PMinimize)
 		minimized := subsume.ReduceR(run, bottom)
-		run.EndPhase(obs.PMinimize, tm)
 		if prov.Enabled() && !minimized.Equal(bottom) {
 			rootID = prov.Node(obs.ProvNode{
 				Parents: []uint64{rootID}, Step: obs.StepMinimize, Seed: seed.String(),
@@ -211,11 +203,6 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 			})
 		}
 		bottom = minimized
-	}
-	if run.Tracing() {
-		run.Emit("castor.bottom",
-			obs.F("seed", seed.String()), obs.F("literals", len(bottom.Body)),
-			obs.F("vars", bottom.NumVars()))
 	}
 
 	// Full evaluation of one clause; the tester gates the §7.5.4 knowns and
@@ -241,7 +228,6 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 	if width < 1 {
 		width = 1
 	}
-	tbeam := run.StartPhase(obs.PBeam)
 	for iter := 0; ; iter++ {
 		sr := run.StartSpan("beam_round", obs.F("iter", iter), obs.F("beam", len(beam)))
 		best := beam[0]
@@ -346,15 +332,10 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 			next = next[:width]
 		}
 		beam = next
-		if run.Tracing() {
-			run.Emit("castor.beam",
-				obs.F("iter", iter), obs.F("beam", len(beam)),
-				obs.F("best", beam[0].score), obs.F("literals", len(beam[0].clause.Body)))
-		}
-		sr.Annotate(obs.F("candidates", len(cands)), obs.F("best", beam[0].score))
+		sr.Annotate(obs.F("candidates", len(cands)), obs.F("best", beam[0].score),
+			obs.F("literals", len(beam[0].clause.Body)))
 		sr.End()
 	}
-	run.EndPhase(obs.PBeam, tbeam)
 	best := beam[0]
 	for _, b := range beam {
 		if b.score > best.score {
@@ -362,11 +343,9 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 		}
 	}
 	sn := run.StartSpan("negative_reduction", obs.F("literals", len(best.clause.Body)))
-	tn := run.StartPhase(obs.PNegReduce)
 	// Reduction only generalizes, so the winner's negative cover seeds the
 	// known-covered shortcut for every re-test inside.
 	reduced := NegativeReduce(tester, plan, best.clause, prob.Neg, best.negCovered)
-	run.EndPhase(obs.PNegReduce, tn)
 	sn.Annotate(obs.F("kept", len(reduced.Body)))
 	sn.End()
 	finalID := best.provID
@@ -378,9 +357,7 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 		})
 	}
 	if params.Minimize && len(reduced.Body) <= reduceCutoff {
-		tm := run.StartPhase(obs.PMinimize)
 		minimized := subsume.ReduceR(run, reduced)
-		run.EndPhase(obs.PMinimize, tm)
 		if prov.Enabled() && !minimized.Equal(reduced) {
 			prov.Node(obs.ProvNode{
 				Parents: []uint64{finalID}, Step: obs.StepMinimize, Seed: seed.String(),

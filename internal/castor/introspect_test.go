@@ -15,18 +15,32 @@ import (
 	"repro/internal/testfix"
 )
 
+// checkChain fails unless the /progress stack is one parent chain,
+// innermost first: each span's parent is the next span, the outermost is
+// a root.
+func checkChain(t *testing.T, spans []obs.LiveSpan) {
+	t.Helper()
+	for i, s := range spans {
+		want := uint64(0)
+		if i+1 < len(spans) {
+			want = spans[i+1].ID
+		}
+		if s.Parent != want {
+			t.Fatalf("active spans are not one parent chain: %+v", spans)
+		}
+	}
+}
+
 // TestIntrospectionServerDuringLearn polls /progress while a Castor Learn
 // call runs, exercising the live span stack and counter deltas under
 // concurrency (meaningful under -race), then checks the post-run /metrics
 // exposition carries every counter.
 func TestIntrospectionServerDuringLearn(t *testing.T) {
 	reg := obs.NewRegistry()
-	prog := obs.NewProgress(reg)
-	fr := obs.NewFlightRecorder(2048)
-	srv := httptest.NewServer(obs.NewHandler(reg, prog, fr, nil, nil))
+	run := obs.NewRun(nil, reg).WithFlightRecorder(obs.NewFlightRecorder(2048))
+	srv := httptest.NewServer(obs.NewHandler(run, nil, nil))
 	defer srv.Close()
 
-	run := obs.NewRun(nil, reg).WithSpans(prog).WithFlightRecorder(fr)
 	w := testfix.NewWorld(8)
 	prob := w.ProblemOriginal()
 	params := ilp.Defaults()
@@ -39,7 +53,7 @@ func TestIntrospectionServerDuringLearn(t *testing.T) {
 	}()
 
 	// Poll /progress until the run finishes; every response must be valid
-	// JSON with consistent span bookkeeping.
+	// JSON whose active spans form one parent chain.
 	polls := 0
 	for learning := true; learning; {
 		select {
@@ -72,13 +86,7 @@ func TestIntrospectionServerDuringLearn(t *testing.T) {
 					t.Fatalf("mid-run flight dump line is not JSON: %q", line)
 				}
 			}
-			if snap.SpansStarted < snap.SpansCompleted {
-				t.Fatalf("started %d < completed %d", snap.SpansStarted, snap.SpansCompleted)
-			}
-			if int64(len(snap.ActiveSpans)) != snap.SpansStarted-snap.SpansCompleted {
-				t.Fatalf("active %d != started %d - completed %d",
-					len(snap.ActiveSpans), snap.SpansStarted, snap.SpansCompleted)
-			}
+			checkChain(t, snap.ActiveSpans)
 			polls++
 		}
 	}
@@ -87,11 +95,10 @@ func TestIntrospectionServerDuringLearn(t *testing.T) {
 	}
 
 	// After the run: no span may remain open, and some must have run.
-	snap := prog.Snapshot()
-	if len(snap.ActiveSpans) != 0 {
-		t.Errorf("spans still open after Learn: %+v", snap.ActiveSpans)
+	if open := run.LiveSpans(); len(open) != 0 {
+		t.Errorf("spans still open after Learn: %+v", open)
 	}
-	if snap.SpansCompleted == 0 {
+	if len(reg.Snapshot().Spans) == 0 {
 		t.Error("no spans completed over a full Castor run")
 	}
 
@@ -121,19 +128,14 @@ func TestIntrospectionServerDuringLearn(t *testing.T) {
 // sequential baseline.
 func TestConcurrentLearnsDoNotCrossContaminate(t *testing.T) {
 	type stack struct {
-		reg   *obs.Registry
-		prog  *obs.Progress
-		fr    *obs.FlightRecorder
+		run   *obs.Run
 		graph *obs.GraphSink
 		srv   *httptest.Server
 	}
 	mk := func() *stack {
-		reg := obs.NewRegistry()
-		prog := obs.NewProgress(reg)
-		fr := obs.NewFlightRecorder(1024)
 		graph := obs.NewGraphSink(0)
-		return &stack{reg: reg, prog: prog, fr: fr, graph: graph,
-			srv: httptest.NewServer(obs.NewHandler(reg, prog, fr, nil, graph))}
+		run := obs.NewRun(graph, obs.NewRegistry()).WithFlightRecorder(obs.NewFlightRecorder(1024))
+		return &stack{run: run, graph: graph, srv: httptest.NewServer(obs.NewHandler(run, nil, graph))}
 	}
 	a, b := mk(), mk()
 	defer a.srv.Close()
@@ -143,7 +145,7 @@ func TestConcurrentLearnsDoNotCrossContaminate(t *testing.T) {
 		w := testfix.NewWorld(worldSize)
 		prob := w.ProblemOriginal()
 		params := ilp.Defaults()
-		params.Obs = obs.NewRun(nil, s.reg).WithSpans(obs.MultiSpanSink(s.prog, s.graph)).WithFlightRecorder(s.fr)
+		params.Obs = s.run
 		// A tight stall interval so the watchdog goroutine actively ticks
 		// (and may trip) during the learn; trips must not perturb learning.
 		wd := obs.StartWatchdog(params.Obs, 25*time.Millisecond, nil)
@@ -188,9 +190,7 @@ func TestConcurrentLearnsDoNotCrossContaminate(t *testing.T) {
 			t.Errorf("mid-run /progress is not valid JSON: %v", err)
 		}
 		resp.Body.Close()
-		if snap.SpansStarted < snap.SpansCompleted {
-			t.Errorf("started %d < completed %d", snap.SpansStarted, snap.SpansCompleted)
-		}
+		checkChain(t, snap.ActiveSpans)
 		mresp, err := http.Get(s.srv.URL + "/metrics")
 		if err != nil {
 			t.Error(err)
@@ -239,15 +239,11 @@ func TestConcurrentLearnsDoNotCrossContaminate(t *testing.T) {
 		t.Errorf("concurrent run B learned a different definition:\nbase: %s\ngot:  %s", base6, rb.def)
 	}
 
-	// Each run's spans balance within its own stack — a cross-posted span
-	// would leave one side unbalanced.
+	// Each run's span stack unwinds within its own run — a span ended on
+	// the wrong run would leave the other's stack open.
 	for name, s := range map[string]*stack{"A": a, "B": b} {
-		snap := s.prog.Snapshot()
-		if len(snap.ActiveSpans) != 0 {
-			t.Errorf("run %s: spans still open: %+v", name, snap.ActiveSpans)
-		}
-		if snap.SpansStarted != snap.SpansCompleted {
-			t.Errorf("run %s: started %d != completed %d", name, snap.SpansStarted, snap.SpansCompleted)
+		if open := s.run.LiveSpans(); len(open) != 0 {
+			t.Errorf("run %s: spans still open: %+v", name, open)
 		}
 		// Exactly one learn span each: the other run's spans never leaked in.
 		resp, err := http.Get(s.srv.URL + "/metrics")

@@ -14,8 +14,8 @@ import (
 	"repro/internal/testfix"
 )
 
-// TestObservationDoesNotChangeLearning: the nop tracer (nil Obs) and a
-// fully live run (JSONL tracer + registry) must learn the identical
+// TestObservationDoesNotChangeLearning: the nop run (nil Obs) and a fully
+// live run (JSONL span trace + registry) must learn the identical
 // definition — instrumentation must never influence search.
 func TestObservationDoesNotChangeLearning(t *testing.T) {
 	learn := func(run *obs.Run) string {
@@ -50,27 +50,36 @@ func TestObservationDoesNotChangeLearning(t *testing.T) {
 			t.Errorf("counter %s stayed zero over a full Castor run", c)
 		}
 	}
-	if reg.PhaseTime(obs.PBeam) <= 0 || reg.PhaseTime(obs.PCoverage) <= 0 {
-		t.Error("phase timers stayed zero over a full Castor run")
+	if reg.SpanTime("beam_round") <= 0 || reg.SpanTime("coverage_batch") <= 0 {
+		t.Error("span timings stayed zero over a full Castor run")
 	}
 
-	// And the trace must be line-parseable with the core event sequence.
-	events := map[string]int{}
+	// And the trace must be line-parseable with the core span kinds, each
+	// carrying the fields that narrate the learn.
+	fields := map[string]map[string]bool{} // span kind → field keys seen
 	sc := bufio.NewScanner(&trace)
 	for sc.Scan() {
 		var obj map[string]any
 		if err := json.Unmarshal(sc.Bytes(), &obj); err != nil {
 			t.Fatalf("trace line %q does not parse: %v", sc.Text(), err)
 		}
-		name, _ := obj["event"].(string)
+		name, _ := obj["span"].(string)
 		if name == "" {
-			t.Fatalf("trace line %q has no event name", sc.Text())
+			t.Fatalf("trace line %q has no span name", sc.Text())
 		}
-		events[name]++
+		if fields[name] == nil {
+			fields[name] = map[string]bool{}
+		}
+		for k := range obj {
+			fields[name][k] = true
+		}
 	}
-	for _, want := range []string{"castor.seed", "castor.bottom", "castor.beam", "castor.clause", "covering.iteration", "covering.done"} {
-		if events[want] == 0 {
-			t.Errorf("trace has no %q event (saw %v)", want, events)
+	for kind, field := range map[string]string{
+		"learn": "learner", "covering_iteration": "clause", "bottom_clause": "try",
+		"beam_round": "literals", "coverage_batch": "covered",
+	} {
+		if !fields[kind][field] {
+			t.Errorf("trace has no %q span with field %q (keys: %v)", kind, field, fields[kind])
 		}
 	}
 }
@@ -84,8 +93,8 @@ func TestRuntimeHealthStackDoesNotChangeLearning(t *testing.T) {
 		w := testfix.NewWorld(8)
 		prob := w.ProblemOriginal()
 		params := ilp.Defaults()
-		// Subsumption-mode coverage so both latency histograms
-		// (coverage_batch and subsumption_probe) are on the hot path.
+		// Subsumption-mode coverage, so saturations are built and probed
+		// inside the coverage batches the histograms time.
 		params.CoverageMode = ilp.CoverageSubsumption
 		params.Obs = run
 		def, err := New().Learn(prob, params)
@@ -111,7 +120,7 @@ func TestRuntimeHealthStackDoesNotChangeLearning(t *testing.T) {
 	}
 
 	rep := reg.Snapshot()
-	for _, name := range []string{"subsumption_probe", "coverage_batch"} {
+	for _, name := range []string{"span_coverage_batch", "span_bottom_clause"} {
 		hs, ok := rep.Histograms[name]
 		if !ok || hs.Count == 0 {
 			t.Errorf("histogram %s empty over a full Castor run (report: %v)", name, rep.Histograms)
@@ -131,12 +140,12 @@ func TestRuntimeHealthStackDoesNotChangeLearning(t *testing.T) {
 	}
 }
 
-// TestTelemetryStackDoesNotChangeLearning: the PR-9 telemetry stack — the
+// TestTelemetryStackDoesNotChangeLearning: the telemetry stack — the
 // embedded metric timeline, pool utilization accounting (explicit
-// multi-worker parallelism so the shard pool actually engages), and the
-// runtime/metrics bridge fed by the sampler — must leave the learned
-// definition byte-identical to an unobserved serial-friendly run, in both
-// coverage modes.
+// multi-worker parallelism so the shard pool actually engages), the
+// runtime/metrics bridge fed by the sampler, and the -v text span sink —
+// must leave the learned definition byte-identical to an unobserved
+// serial-friendly run, in both coverage modes.
 func TestTelemetryStackDoesNotChangeLearning(t *testing.T) {
 	for _, mode := range []struct {
 		name string
@@ -160,7 +169,8 @@ func TestTelemetryStackDoesNotChangeLearning(t *testing.T) {
 			plain := learn(nil)
 
 			reg := obs.NewRegistry()
-			run := obs.NewRun(nil, reg)
+			var text bytes.Buffer
+			run := obs.NewRun(obs.NewTextSink(&text), reg)
 			tl := obs.StartTimeline(run, time.Millisecond)
 			observed := learn(run)
 			tl.Stop()
@@ -185,6 +195,10 @@ func TestTelemetryStackDoesNotChangeLearning(t *testing.T) {
 			}
 			if st, ok := sum.Series[obs.GPoolBusyRatio]; !ok || st.Count == 0 {
 				t.Errorf("timeline has no %s samples (series: %d)", obs.GPoolBusyRatio, len(sum.Series))
+			}
+			// The text sink narrates the learner goroutine only.
+			if out := text.String(); !strings.Contains(out, "msg=learn ") || strings.Contains(out, "shard_") {
+				t.Errorf("text span log lacks the learn line or prints worker spans:\n%s", out)
 			}
 		})
 	}
@@ -322,7 +336,7 @@ func TestSpanGraphProfilerDoesNotChangeLearning(t *testing.T) {
 
 			reg := obs.NewRegistry()
 			graph := obs.NewGraphSink(0)
-			observed := learn(obs.NewRun(nil, reg).WithSpans(graph))
+			observed := learn(obs.NewRun(graph, reg))
 
 			if plain != observed {
 				t.Errorf("span-graph profiler changed the learned definition:\noff: %s\non:  %s", plain, observed)

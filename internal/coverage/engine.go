@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -24,11 +23,6 @@ type CoverFunc func(c *logic.Clause) func(e logic.Atom) bool
 // NoBound disables the early-termination bound of ScoreBatch.
 const NoBound = math.MinInt
 
-// targetShardNS is the expected work one shard should carry once latency
-// data exists: big enough to amortize the cursor and round-trip overhead,
-// small enough to keep the pool load-balanced.
-const targetShardNS = 64_000
-
 // Engine evaluates clause coverage: sharded per-example parallelism
 // inside one batch (§7.5.3), whole-result memoization keyed by canonical
 // clause form (§7.5.4), and cross-candidate batched scoring with a global
@@ -38,9 +32,6 @@ type Engine struct {
 	workers int
 	cache   *Cache // nil disables memoization
 	run     *obs.Run
-	// batchHist is the pre-resolved coverage-batch latency histogram, nil
-	// on unobserved runs (no name lookup, no clock read on the nop path).
-	batchHist *obs.Histogram
 	// util accumulates pool busy/idle utilization across every pool this
 	// engine creates; nil on unobserved runs.
 	util *poolUtil
@@ -52,47 +43,15 @@ func NewEngine(cover CoverFunc, workers int, cache *Cache, run *obs.Run) *Engine
 	if workers < 1 {
 		workers = 1
 	}
-	en := &Engine{cover: cover, workers: workers, cache: cache, run: run}
-	if reg := run.Registry(); reg != nil {
-		en.batchHist = reg.Histogram("coverage_batch")
-	}
-	en.util = newPoolUtil(run)
-	return en
+	return &Engine{cover: cover, workers: workers, cache: cache, run: run, util: newPoolUtil(run)}
 }
 
 // shardCount picks how many shards a round of items should split into:
 // an oversubscription factor over the worker count for load balancing,
-// coarsened when the coverage_batch histogram says individual tests are
-// expensive enough that finer shards would be pure bookkeeping.
+// clamped to the item count. The plan depends on nothing but the worker
+// and item counts, so observed and unobserved runs shard alike.
 func (en *Engine) shardCount(items int) int {
-	want := en.workers * shardOversub
-	if en.batchHist != nil {
-		if reg := en.run.Registry(); reg != nil {
-			if tests := reg.Get(obs.CCoverageTests); tests > 0 {
-				if avg := en.batchHist.Sum().Nanoseconds() / tests; avg > 0 {
-					perShard := int(targetShardNS / avg)
-					if perShard < 1 {
-						perShard = 1
-					}
-					if coarse := items / perShard; coarse < want {
-						want = coarse
-					}
-				}
-			}
-		}
-	}
-	// Never plan fewer shards than workers while there is enough work:
-	// idle workers were the bug this engine replaces.
-	if want < en.workers {
-		want = en.workers
-	}
-	if want > items {
-		want = items
-	}
-	if want < 1 {
-		want = 1
-	}
-	return want
+	return max(min(en.workers*shardOversub, items), 1)
 }
 
 // CoveredSet tests the clause against every example. known, when non-nil,
@@ -105,12 +64,7 @@ func (en *Engine) CoveredSet(c *logic.Clause, examples []logic.Atom, known *Bits
 	if en.run.Spanning() {
 		sp = en.run.StartSpan("coverage_batch", obs.F("examples", len(examples)))
 	}
-	start := en.run.StartPhase(obs.PCoverage)
 	out := en.coveredSet(c, examples, known, nil)
-	en.run.EndPhase(obs.PCoverage, start)
-	if en.batchHist != nil && !start.IsZero() {
-		en.batchHist.Observe(time.Since(start))
-	}
 	if sp != nil {
 		sp.Annotate(obs.F("covered", out.Count()))
 		sp.End()
@@ -118,8 +72,8 @@ func (en *Engine) CoveredSet(c *logic.Clause, examples []logic.Atom, known *Bits
 	return out
 }
 
-// coveredSet is CoveredSet without the phase timer, with an explicit pool
-// (nil runs inline) so ScoreBatch can reuse its workers.
+// coveredSet is CoveredSet without the span, with an explicit pool (nil
+// runs inline) so ScoreBatch can reuse its workers.
 func (en *Engine) coveredSet(c *logic.Clause, examples []logic.Atom, known *Bitset, pl *pool) *Bitset {
 	if en.cache == nil {
 		return en.evaluate(c, examples, known, pl)
@@ -275,15 +229,6 @@ func (en *Engine) ScoreBatch(cands []Candidate, pos, neg []logic.Atom, floor, ke
 		sp = en.run.StartSpan("score_batch", obs.F("candidates", len(cands)))
 	}
 	defer sp.End()
-	start := en.run.StartPhase(obs.PCoverage)
-	defer en.run.EndPhase(obs.PCoverage, start)
-	if en.batchHist != nil {
-		defer func() {
-			if !start.IsZero() {
-				en.batchHist.Observe(time.Since(start))
-			}
-		}()
-	}
 
 	out := make([]Score, len(cands))
 	if len(cands) == 0 {

@@ -11,11 +11,10 @@ import (
 // Sharded fan-out. Instead of one goroutine per example (or per
 // candidate), a scoring round flattens its work into items, splits them
 // into contiguous shards of roughly equal size, and lets a fixed pool of
-// workers pull shards off a shared atomic cursor. The coverage_batch
-// latency histogram coarsens the shard count when tests are expensive
-// (Engine.shardCount). Boundaries only steer scheduling: every item's
-// result lands in its own slot, so the outcome of a round is identical
-// for any sharding and any worker count.
+// workers pull shards off a shared atomic cursor; Engine.shardCount
+// plans shardOversub shards per worker. Boundaries only steer scheduling:
+// every item's result lands in its own slot, so the outcome of a round is
+// identical for any sharding and any worker count.
 
 // shard is one contiguous run of work items [lo, hi).
 type shard struct{ lo, hi int }
@@ -55,18 +54,16 @@ func planShards(n, want int) []shard {
 }
 
 // poolUtil is the utilization accumulator one engine shares across every
-// pool it creates: accumulated busy/idle worker time, drained shard and
-// task counts, and the per-shard drain-duration histogram. A nil
-// *poolUtil (unobserved runs) records nothing and costs the rounds no
-// clock reads.
+// pool it creates: accumulated busy/idle worker time and drained shard
+// and task counts. A nil *poolUtil (unobserved runs) records nothing and
+// costs the rounds no clock reads.
 type poolUtil struct {
-	run       *obs.Run
-	reg       *obs.Registry
-	shardHist *obs.Histogram
-	busyNS    atomic.Int64 // worker time inside shard fns, all rounds
-	idleNS    atomic.Int64 // worker time waiting on the cursor, all rounds
-	critNS    atomic.Int64 // slowest worker chain per round, summed
-	meanNS    atomic.Int64 // mean active worker chain per round, summed
+	run    *obs.Run
+	reg    *obs.Registry
+	busyNS atomic.Int64 // worker time inside shard fns, all rounds
+	idleNS atomic.Int64 // worker time waiting on the cursor, all rounds
+	critNS atomic.Int64 // slowest worker chain per round, summed
+	meanNS atomic.Int64 // mean active worker chain per round, summed
 }
 
 // newPoolUtil builds the accumulator, or nil when the run carries no
@@ -76,7 +73,7 @@ func newPoolUtil(run *obs.Run) *poolUtil {
 	if reg == nil {
 		return nil
 	}
-	return &poolUtil{run: run, reg: reg, shardHist: reg.Histogram(obs.HShardDrain)}
+	return &poolUtil{run: run, reg: reg}
 }
 
 // roundDone folds one pooled round into the registry. Busy is the summed
@@ -84,7 +81,7 @@ func newPoolUtil(run *obs.Run) *poolUtil {
 // round's worker-time budget, workers×wall − busy: time workers spent
 // starved at the drained cursor while a straggler shard finished. The
 // busy ratio is therefore in-round utilization — serial learner sections
-// between rounds are excluded by construction (phase timers cover those).
+// between rounds are excluded by construction (their spans cover those).
 // maxChain/sumChain/active describe the round's per-worker drain chains
 // (every shard one worker pulled, summed): the slowest chain is what the
 // join actually waited on, so maxChain over the mean active chain is the
@@ -241,7 +238,6 @@ func runShards(run *obs.Run, p *pool, label string, shards []shard, fn func(sh s
 				break
 			}
 		}
-		u.shardHist.Observe(time.Duration(d))
 		sp.End()
 	}
 	var cursor atomic.Int64

@@ -205,8 +205,10 @@ func TestPoolUtilizationAccounting(t *testing.T) {
 	if got := busy / (busy + idle); ratio < got-1e-9 || ratio > got+1e-9 {
 		t.Errorf("ratio %v != busy/(busy+idle) %v", ratio, got)
 	}
-	if h := reg.Histogram(obs.HShardDrain); h.Count() != reg.Get(obs.CPoolShards) {
-		t.Errorf("shard_drain count %d != shards drained %d", h.Count(), reg.Get(obs.CPoolShards))
+	// Every drained shard is one worker span, so the shard span kind's
+	// duration histogram is the per-shard drain-time distribution.
+	if h := reg.Snapshot().Histograms["span_shard_coverage_testing"]; h.Count != reg.Get(obs.CPoolShards) {
+		t.Errorf("shard span count %d != shards drained %d", h.Count, reg.Get(obs.CPoolShards))
 	}
 	if imb := reg.Gauge(obs.GPoolImbalance); imb < 1 {
 		t.Errorf("pool_shard_imbalance_max = %v, want >= 1 (max/mean can't be below 1)", imb)
@@ -301,7 +303,7 @@ func atomIndex(e logic.Atom) int {
 func TestRunShardsEmitsWorkerSpans(t *testing.T) {
 	reg := obs.NewRegistry()
 	graph := obs.NewGraphSink(0)
-	run := obs.NewRun(nil, reg).WithSpans(graph)
+	run := obs.NewRun(graph, reg)
 	parent := run.StartSpan("learn")
 
 	util := newPoolUtil(run)

@@ -68,8 +68,6 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 	clause := logic.NewClause(head)
 	varDomains := headDomains(prob.Target)
 	nextVar := head.Arity()
-	tbeam := run.StartPhase(obs.PBeam)
-	defer run.EndPhase(obs.PBeam, tbeam)
 	prov := run.Prov()
 	var provID uint64 // node of the clause as grown so far
 
@@ -134,10 +132,8 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 		} else {
 			zeroRun = 0
 		}
-		if run.Tracing() {
-			run.Emit("foil.literal",
-				obs.F("literal", best.atom.String()), obs.F("gain", best.gain),
-				obs.F("pos", best.p), obs.F("neg", best.n))
+		if run.Spanning() {
+			sr.Annotate(obs.F("literal", best.atom.String()))
 		}
 		clause = extend(clause, best.atom)
 		if prov.Enabled() {
@@ -153,7 +149,7 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 		}
 		nextVar += len(best.newVars)
 		p, n = best.p, best.n
-		sr.Annotate(obs.F("candidates", len(cands)), obs.F("pos", p), obs.F("neg", n))
+		sr.Annotate(obs.F("gain", best.gain), obs.F("candidates", len(cands)), obs.F("pos", p), obs.F("neg", n))
 		sr.End()
 	}
 	if n > 0 && !ilp.AcceptClause(params, p, n) {

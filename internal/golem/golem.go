@@ -70,10 +70,11 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 	}
 	satIDs := make(map[string]uint64) // example key → seed_bottom node
 	saturate := func(e logic.Atom) *logic.Clause {
-		sb := run.StartSpan("bottom_clause", obs.F("seed", e.String()))
-		tb := run.StartPhase(obs.PBottom)
+		var sb *obs.Span
+		if run.Spanning() {
+			sb = run.StartSpan("bottom_clause", obs.F("seed", e.String()))
+		}
 		sat := ilp.Saturation(prob, e, params.Depth, params.MaxRecall)
-		run.EndPhase(obs.PBottom, tb)
 		sb.Annotate(obs.F("literals", len(sat.Body)))
 		sb.End()
 		run.Inc(obs.CBottomClauses)
@@ -96,7 +97,6 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 		score    int
 	}
 	var best *cand
-	tbeam := run.StartPhase(obs.PBeam)
 	sg := run.StartSpan("rlgg_generation", obs.F("sample", len(sample)))
 	// Pairwise rlggs are independent: generate them serially (the
 	// saturations are shared across pairs), then score the whole batch
@@ -121,11 +121,6 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 					parents: []uint64{satIDs[sample[i].Key()], satIDs[sample[j].Key()]},
 					seed:    sample[j].String(),
 				})
-			}
-			if run.Tracing() {
-				run.Emit("golem.rlgg",
-					obs.F("pair", []string{sample[i].String(), sample[j].String()}),
-					obs.F("literals", len(g.Body)))
 			}
 		}
 	}
@@ -155,7 +150,6 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 	sg.Annotate(obs.F("rlggs", len(pairs)))
 	sg.End()
 	if best == nil {
-		run.EndPhase(obs.PBeam, tbeam)
 		return nil
 	}
 	// Greedy extension: absorb more positives while the score improves.
@@ -203,11 +197,6 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 	}
 	se.Annotate(obs.F("score", best.score))
 	se.End()
-	run.EndPhase(obs.PBeam, tbeam)
-	if run.Tracing() {
-		run.Emit("golem.clause",
-			obs.F("clause", best.clause.String()), obs.F("score", best.score))
-	}
 	return best.clause
 }
 
@@ -224,10 +213,7 @@ func tidy(run *obs.Run, c *logic.Clause) *logic.Clause {
 	if len(c.Body) > reduceCutoff {
 		return c
 	}
-	tm := run.StartPhase(obs.PMinimize)
-	c = subsume.ReduceR(run, c)
-	run.EndPhase(obs.PMinimize, tm)
-	return c
+	return subsume.ReduceR(run, c)
 }
 
 // RLGG computes the relative least general generalization of two

@@ -26,10 +26,6 @@ func Cover(prob *Problem, params Params, tester *Tester, learn LearnClauseFunc) 
 		if params.MaxClauses > 0 && def.Len() >= params.MaxClauses {
 			break
 		}
-		if run.Tracing() {
-			run.Emit("covering.iteration",
-				obs.F("clauses", def.Len()), obs.F("uncovered", len(uncovered)))
-		}
 		sp := run.StartSpan("covering_iteration",
 			obs.F("clauses", def.Len()), obs.F("uncovered", len(uncovered)))
 		c, err := learn(uncovered)
@@ -46,25 +42,19 @@ func Cover(prob *Problem, params Params, tester *Tester, learn LearnClauseFunc) 
 		covered := tester.CoveredSet(c, uncovered, nil)
 		p := covered.Count()
 		n := tester.Count(c, prob.Neg, nil)
+		if run.Spanning() {
+			sp.Annotate(obs.F("clause", c.String()))
+		}
 		if p == 0 || !AcceptClause(params, p, n) {
 			// The best learnable clause fails the minimum condition.
 			run.Inc(obs.CClausesRejected)
-			if run.Tracing() {
-				run.Emit("covering.rejected",
-					obs.F("clause", c.String()), obs.F("pos", p), obs.F("neg", n))
-			}
-			sp.Annotate(obs.F("accepted", false))
+			sp.Annotate(obs.F("accepted", false), obs.F("pos", p), obs.F("neg", n))
 			sp.End()
 			break
 		}
 		run.Inc(obs.CClausesAccepted)
 		if prov := run.Prov(); prov.Enabled() {
 			prov.Selected(c.String(), p, n)
-		}
-		if run.Tracing() {
-			run.Emit("covering.accepted",
-				obs.F("clause", c.String()), obs.F("pos", p), obs.F("neg", n),
-				obs.F("literals", len(c.Body)))
 		}
 		sp.Annotate(obs.F("accepted", true), obs.F("pos", p), obs.F("neg", n),
 			obs.F("literals", len(c.Body)))
@@ -77,10 +67,6 @@ func Cover(prob *Problem, params Params, tester *Tester, learn LearnClauseFunc) 
 			}
 		}
 		uncovered = rest
-	}
-	if run.Tracing() {
-		run.Emit("covering.done",
-			obs.F("clauses", def.Len()), obs.F("uncovered", len(uncovered)))
 	}
 	return def, nil
 }

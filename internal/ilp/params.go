@@ -9,8 +9,8 @@ import (
 // Params is the parameter tuple θ of §3.1, shared by all learners. Each
 // learner reads the fields that apply to it and ignores the rest.
 type Params struct {
-	// Obs is the instrumentation run (trace events + counters/timers) the
-	// learner reports into. Nil — the default — observes nothing and costs
+	// Obs is the instrumentation run (spans + counters) the learner
+	// reports into. Nil — the default — observes nothing and costs
 	// a pointer test; instrumentation must never change what is learned.
 	Obs *obs.Run
 	// ClauseLength bounds the number of literals per clause (head included)

@@ -3,7 +3,6 @@ package ilp
 import (
 	"encoding/binary"
 	"sync"
-	"time"
 
 	"repro/internal/coverage"
 	"repro/internal/logic"
@@ -23,10 +22,6 @@ type Tester struct {
 	params Params
 	run    *obs.Run // from params.Obs; nil observes nothing
 	engine *coverage.Engine
-	// probeHist is the pre-resolved subsumption-probe latency histogram,
-	// nil on unobserved runs, so the hot path pays no name lookup and no
-	// clock read when nobody is watching.
-	probeHist *obs.Histogram
 
 	// SatFn overrides how ground bottom clauses are built for
 	// subsumption-mode coverage. Castor installs its IND-chasing
@@ -72,7 +67,6 @@ func NewTester(prob *Problem, params Params) *Tester {
 	t := &Tester{prob: prob, params: params, run: params.Obs}
 	if reg := params.Obs.Registry(); reg != nil {
 		reg.SetStoreSource(prob.Instance.StoreStats)
-		t.probeHist = reg.Histogram("subsumption_probe")
 	}
 	if params.CoverageMode == CoverageSubsumption {
 		t.initSaturations()
@@ -157,14 +151,7 @@ func (t *Tester) coverer(c *logic.Clause) func(logic.Atom) bool {
 	src := t.space.Prepare(c)
 	return func(e logic.Atom) bool {
 		t.run.Inc(obs.CCoverageTests)
-		cd := t.saturation(e)
-		if t.probeHist == nil {
-			return cd.Probe(t.run, src)
-		}
-		start := time.Now()
-		ok := cd.Probe(t.run, src)
-		t.probeHist.Observe(time.Since(start))
-		return ok
+		return t.saturation(e).Probe(t.run, src)
 	}
 }
 

@@ -51,8 +51,8 @@ func TestCoveredSetParallelKnownMatchesSequential(t *testing.T) {
 	if got := reg.Get(obs.CCoverageTests); got != wantTested {
 		t.Errorf("coverage_tests = %d, want %d", got, wantTested)
 	}
-	if reg.Snapshot().Phases[obs.PCoverage.String()].Calls != 1 {
-		t.Error("coverage phase not timed exactly once")
+	if reg.Snapshot().Spans["coverage_batch"].Calls != 1 {
+		t.Error("coverage batch not spanned exactly once")
 	}
 }
 

@@ -7,32 +7,33 @@ import (
 
 // TestNilRunFastPathAllocs pins the contract the learner hot paths rely
 // on: with observability off (nil *Run), every instrumentation call is a
-// pointer test and nothing else — zero allocations. Call sites that pass
-// fields guard them behind Tracing()/Spanning(), so the no-field forms
-// below are the ones that run uninstrumented.
+// pointer test and nothing else — zero allocations. It covers every Run
+// and Span method. Call sites that pass fields guard them behind
+// Spanning(), so the no-field forms below are the ones that run
+// uninstrumented.
 func TestNilRunFastPathAllocs(t *testing.T) {
 	var r *Run
 	var fr *FlightRecorder
 	cases := map[string]func(){
-		"Emit":          func() { r.Emit("covering.accepted") },
-		"Inc":           func() { r.Inc(CCoverageTests) },
-		"Add":           func() { r.Add(CTuplesScanned, 42) },
-		"Phase":         func() { r.EndPhase(PCoverage, r.StartPhase(PCoverage)) },
-		"Span":          func() { r.StartSpan("learn").End() },
-		"WorkerSpan":    func() { r.StartWorkerSpan(nil, "shard", 1, 0).End() },
-		"CurrentSpan":   func() { _ = r.CurrentSpan() },
-		"Annotate":      func() { r.StartSpan("learn").Annotate() },
-		"Tracing":       func() { _ = r.Tracing() },
-		"Spanning":      func() { _ = r.Spanning() },
-		"Registry":      func() { _ = r.Registry() },
-		"Observe":       func() { r.Observe("subsumption_probe", time.Millisecond) },
-		"Heartbeat":     func() { r.Heartbeat() },
-		"Sample":        func() { r.Sample() },
-		"Flight":        func() { _ = r.Flight() },
-		"FlightRecord":  func() { fr.Record(FKMark, "m", 0, 0) },
-		"StartWatchdog": func() { StartWatchdog(r, time.Second, nil).Stop() },
-		"StartSampler":  func() { StartSampler(r, time.Second).Stop() },
-		"StartTimeline": func() { StartTimeline(r, time.Second).Stop() },
+		"Registry":           func() { _ = r.Registry() },
+		"Inc":                func() { r.Inc(CCoverageTests) },
+		"Add":                func() { r.Add(CTuplesScanned, 42) },
+		"Heartbeat":          func() { r.Heartbeat() },
+		"WithFlightRecorder": func() { _ = r.WithFlightRecorder(nil) },
+		"Flight":             func() { _ = r.Flight() },
+		"WithProvenance":     func() { _ = r.WithProvenance(nil) },
+		"Prov":               func() { _ = r.Prov() },
+		"Sample":             func() { r.Sample() },
+		"Spanning":           func() { _ = r.Spanning() },
+		"Span":               func() { r.StartSpan("learn").End() },
+		"CurrentSpan":        func() { _ = r.CurrentSpan() },
+		"WorkerSpan":         func() { r.StartWorkerSpan(nil, "shard", 1, 0).End() },
+		"Annotate":           func() { r.StartSpan("learn").Annotate() },
+		"LiveSpans":          func() { _ = r.LiveSpans() },
+		"FlightRecord":       func() { fr.Record(FKMark, "m", 0, 0) },
+		"StartWatchdog":      func() { StartWatchdog(r, time.Second, nil).Stop() },
+		"StartSampler":       func() { StartSampler(r, time.Second).Stop() },
+		"StartTimeline":      func() { StartTimeline(r, time.Second).Stop() },
 		"TimelineSummary": func() {
 			var tl *Timeline
 			_ = tl.Summary()

@@ -9,17 +9,16 @@ import (
 	"time"
 )
 
-// ChromeTraceSink writes spans (and, when also registered as a Tracer,
-// instant events) in the Chrome trace-event JSON format, loadable by
-// Perfetto (ui.perfetto.dev) and chrome://tracing — the -chrometrace
-// flag. Spans become complete ("ph":"X") slices with their fields as
-// args; trace events become instants ("ph":"i"). Spans on the run's
-// owning goroutine render on tid 1, where slices nest by time exactly as
-// the span tree nests; pool-worker shard spans render on tid 2+worker, so
-// a pooled round appears as parallel slices across worker tracks. Slice
-// args carry span_id, parent, and — for worker spans — worker and round,
-// so the span graph survives the export (chrometrace_golden_test.go pins
-// this schema).
+// ChromeTraceSink writes spans in the Chrome trace-event JSON format,
+// loadable by Perfetto (ui.perfetto.dev) and chrome://tracing — the
+// -chrometrace flag. Each finished span becomes a complete ("ph":"X")
+// slice with its fields as args. Spans on the run's owning goroutine
+// render on tid 1, where slices nest by time exactly as the span tree
+// nests; pool-worker shard spans render on tid 2+worker, so a pooled
+// round appears as parallel slices across worker tracks. Slice args carry
+// span_id, parent, and — for worker spans — worker and round, so the
+// span graph survives the export (chrometrace_golden_test.go pins this
+// schema).
 type ChromeTraceSink struct {
 	mu   sync.Mutex
 	w    *bufio.Writer
@@ -57,76 +56,6 @@ func (s *ChromeTraceSink) write(b []byte) {
 	}
 }
 
-// event emits one trace-event object. fields become the args payload.
-func (s *ChromeTraceSink) event(name, ph string, ts time.Time, dur time.Duration, tid uint64, sp *Span, fields []Field) {
-	buf := make([]byte, 0, 192)
-	buf = append(buf, `{"name":`...)
-	buf = appendJSONValue(buf, name)
-	buf = append(buf, `,"ph":"`...)
-	buf = append(buf, ph...)
-	buf = append(buf, `","ts":`...)
-	buf = strconv.AppendInt(buf, ts.Sub(s.base).Microseconds(), 10)
-	if ph == "X" {
-		buf = append(buf, `,"dur":`...)
-		buf = strconv.AppendInt(buf, dur.Microseconds(), 10)
-	}
-	if ph == "i" {
-		buf = append(buf, `,"s":"t"`...)
-	}
-	buf = append(buf, `,"pid":1,"tid":`...)
-	buf = strconv.AppendUint(buf, tid, 10)
-	if sp != nil || len(fields) > 0 {
-		buf = append(buf, `,"args":{`...)
-		first := true
-		arg := func(key string) {
-			if !first {
-				buf = append(buf, ',')
-			}
-			first = false
-			buf = append(buf, '"')
-			buf = append(buf, key...)
-			buf = append(buf, '"', ':')
-		}
-		if sp != nil {
-			arg("span_id")
-			buf = strconv.AppendUint(buf, sp.ID, 10)
-			if sp.ParentID != 0 {
-				arg("parent")
-				buf = strconv.AppendUint(buf, sp.ParentID, 10)
-			}
-			if sp.Worker >= 0 {
-				arg("worker")
-				buf = strconv.AppendInt(buf, int64(sp.Worker), 10)
-			}
-			if sp.Round != 0 {
-				arg("round")
-				buf = strconv.AppendUint(buf, sp.Round, 10)
-			}
-		}
-		for _, f := range fields {
-			if !first {
-				buf = append(buf, ',')
-			}
-			first = false
-			buf = appendJSONValue(buf, f.Key)
-			buf = append(buf, ':')
-			buf = appendJSONValue(buf, f.Value)
-		}
-		buf = append(buf, '}')
-	}
-	buf = append(buf, '}')
-
-	s.mu.Lock()
-	if !s.done {
-		if s.n > 0 {
-			s.write([]byte{','})
-		}
-		s.n++
-		s.write(buf)
-	}
-	s.mu.Unlock()
-}
-
 // SpanStart implements SpanSink; the slice is written whole at SpanEnd,
 // so starts need no output.
 func (s *ChromeTraceSink) SpanStart(*Span) {}
@@ -138,14 +67,41 @@ func (s *ChromeTraceSink) SpanEnd(sp *Span, d time.Duration) {
 	if sp.Worker >= 0 {
 		tid = uint64(2 + sp.Worker)
 	}
-	s.event(sp.Name, "X", sp.Start, d, tid, sp, sp.Fields)
-}
+	buf := make([]byte, 0, 192)
+	buf = append(buf, `{"name":`...)
+	buf = appendJSONValue(buf, sp.Name)
+	buf = append(buf, `,"ph":"X","ts":`...)
+	buf = strconv.AppendInt(buf, sp.Start.Sub(s.base).Microseconds(), 10)
+	buf = append(buf, `,"dur":`...)
+	buf = strconv.AppendInt(buf, d.Microseconds(), 10)
+	buf = append(buf, `,"pid":1,"tid":`...)
+	buf = strconv.AppendUint(buf, tid, 10)
+	buf = append(buf, `,"args":{"span_id":`...)
+	buf = strconv.AppendUint(buf, sp.ID, 10)
+	if sp.ParentID != 0 {
+		buf = append(buf, `,"parent":`...)
+		buf = strconv.AppendUint(buf, sp.ParentID, 10)
+	}
+	if sp.Worker >= 0 {
+		buf = append(buf, `,"worker":`...)
+		buf = strconv.AppendInt(buf, int64(sp.Worker), 10)
+	}
+	if sp.Round != 0 {
+		buf = append(buf, `,"round":`...)
+		buf = strconv.AppendUint(buf, sp.Round, 10)
+	}
+	buf = appendFields(buf, sp.Fields)
+	buf = append(buf, '}', '}')
 
-// Emit implements Tracer: flat trace events render as instant markers on
-// the main track, so covering.accepted and friends line up with the span
-// slices around them.
-func (s *ChromeTraceSink) Emit(e Event) {
-	s.event(e.Name, "i", e.Time, 0, 1, nil, e.Fields)
+	s.mu.Lock()
+	if !s.done {
+		if s.n > 0 {
+			s.write([]byte{','})
+		}
+		s.n++
+		s.write(buf)
+	}
+	s.mu.Unlock()
 }
 
 // Close completes the JSON envelope, flushes and, when the sink owns its

@@ -18,8 +18,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from current
 // timestamp units) fails loudly instead of silently breaking Perfetto
 // imports and the offline span-graph reconstruction that reads the args.
 // The trace covers every output shape: a root slice on the owning
-// goroutine's track, two worker slices from one pooled round on their
-// own tracks (with worker/round args), and an instant event.
+// goroutine's track and two worker slices from one pooled round on their
+// own tracks (with worker/round args).
 //
 // Regenerate after an intentional schema change with
 //
@@ -39,7 +39,6 @@ func TestChromeTraceGolden(t *testing.T) {
 
 	s.SpanEnd(w0, 8*time.Millisecond)
 	s.SpanEnd(w1, 11*time.Millisecond)
-	s.Emit(Event{Time: at(30), Name: "covering.accepted", Fields: []Field{F("pos", 14)}})
 	s.SpanEnd(root, 50*time.Millisecond)
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -70,8 +69,8 @@ func TestChromeTraceGolden(t *testing.T) {
 	if err := json.Unmarshal(want, &tr); err != nil {
 		t.Fatalf("golden file is not valid JSON: %v", err)
 	}
-	if len(tr.TraceEvents) != 4 {
-		t.Fatalf("golden has %d events, want 4", len(tr.TraceEvents))
+	if len(tr.TraceEvents) != 3 {
+		t.Fatalf("golden has %d events, want 3", len(tr.TraceEvents))
 	}
 	byName := func(name string, worker float64) *chromeEvent {
 		for i := range tr.TraceEvents {
@@ -94,8 +93,5 @@ func TestChromeTraceGolden(t *testing.T) {
 		if e.Args["parent"] != float64(1) || e.Args["round"] != float64(1) {
 			t.Errorf("worker %v args = %v, want parent=1 round=1", w, e.Args)
 		}
-	}
-	if e := byName("covering.accepted", -1); e.Ph != "i" || e.S != "t" || e.Tid != 1 {
-		t.Errorf("instant event = ph %q s %q tid %d", e.Ph, e.S, e.Tid)
 	}
 }

@@ -22,14 +22,13 @@ type chromeEvent struct {
 	Dur  int64          `json:"dur"`
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
-	S    string         `json:"s"`
 	Args map[string]any `json:"args"`
 }
 
 func TestChromeTraceSinkSpans(t *testing.T) {
 	var buf strings.Builder
 	sink := NewChromeTraceSink(&buf)
-	r := (*Run)(nil).WithSpans(sink)
+	r := NewRun(sink, nil)
 
 	root := r.StartSpan("learn", F("learner", "castor"))
 	time.Sleep(time.Millisecond)
@@ -79,29 +78,6 @@ func TestChromeTraceSinkSpans(t *testing.T) {
 	}
 }
 
-func TestChromeTraceSinkInstantEvents(t *testing.T) {
-	var buf strings.Builder
-	sink := NewChromeTraceSink(&buf)
-	sink.Emit(Event{Time: time.Now(), Name: "covering.accepted", Fields: []Field{F("pos", 14)}})
-	if err := sink.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	var tr chromeTrace
-	if err := json.Unmarshal([]byte(buf.String()), &tr); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(tr.TraceEvents) != 1 {
-		t.Fatalf("got %d events, want 1", len(tr.TraceEvents))
-	}
-	e := tr.TraceEvents[0]
-	if e.Ph != "i" || e.S != "t" {
-		t.Errorf("ph/s = %q/%q, want i/t", e.Ph, e.S)
-	}
-	if e.Args["pos"] != float64(14) {
-		t.Errorf("args = %v, want pos=14", e.Args)
-	}
-}
-
 func TestChromeTraceSinkEmptyTraceIsValid(t *testing.T) {
 	var buf strings.Builder
 	sink := NewChromeTraceSink(&buf)
@@ -120,10 +96,10 @@ func TestChromeTraceSinkIgnoresEventsAfterClose(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sink.Emit(Event{Time: time.Now(), Name: "late"})
+	NewRun(sink, nil).StartSpan("late").End()
 	var tr chromeTrace
 	if err := json.Unmarshal([]byte(buf.String()), &tr); err != nil {
-		t.Fatalf("post-Close emit corrupted the JSON: %v", err)
+		t.Fatalf("post-Close span corrupted the JSON: %v", err)
 	}
 	if len(tr.TraceEvents) != 0 {
 		t.Errorf("got %d events after Close, want 0", len(tr.TraceEvents))
@@ -136,7 +112,7 @@ func TestCreateChromeTraceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := (*Run)(nil).WithSpans(sink)
+	r := NewRun(sink, nil)
 	r.StartSpan("learn").End()
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -156,7 +132,7 @@ func TestCreateChromeTraceFile(t *testing.T) {
 
 func TestChromeTraceSinkStickyError(t *testing.T) {
 	sink := NewChromeTraceSink(&failWriter{n: 4})
-	r := (*Run)(nil).WithSpans(sink)
+	r := NewRun(sink, nil)
 	for i := 0; i < 50; i++ {
 		r.StartSpan("learn").End()
 	}

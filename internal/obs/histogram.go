@@ -7,13 +7,14 @@ import (
 	"time"
 )
 
-// Latency histograms complement the registry's accumulated phase/span
-// timers with *distributions*: a multi-minute HIV learn whose p50
-// coverage batch is 2ms but whose p99 is 4s has a problem the mean
-// hides. Buckets are logarithmic — powers of two of one microsecond —
-// so one fixed-size atomic array spans clock-tick noise to hours, and
-// recording is a shift, two adds and no locks, cheap enough for the
-// per-probe hot paths that feed it.
+// Latency histograms complement the registry's accumulated span timers
+// with *distributions*: a multi-minute HIV learn whose p50 coverage batch
+// is 2ms but whose p99 is 4s has a problem the mean hides. Every span
+// kind gets one, fed as its spans end, and the runtime/metrics bridge
+// folds GC-pause and scheduler latencies into two more. Buckets are
+// logarithmic — powers of two of one microsecond — so one fixed-size
+// atomic array spans clock-tick noise to hours, and recording is a
+// shift, two adds and no locks.
 
 // numHistBuckets is the number of finite buckets: bucket i counts
 // observations with d ≤ 1µs·2^i, so the top finite bound is ~2.4 hours.
@@ -80,13 +81,8 @@ func (h *Histogram) observeN(d time.Duration, n int64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the accumulated observed duration. Together with an
-// observation or test counter it yields the average unit cost consumers
-// like the coverage engine's shard sizing need without a full Snapshot.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNS.Load()) }
-
-// reset zeroes the histogram (registry Reset support; not atomic with
-// respect to concurrent observers).
+// reset zeroes the histogram (not atomic with respect to concurrent
+// observers).
 func (h *Histogram) reset() {
 	for i := range h.buckets {
 		h.buckets[i].Store(0)
@@ -137,7 +133,7 @@ func bucketQuantile(buckets []int64, total int64, q float64) float64 {
 			return histBound(i)
 		}
 	}
-	return 2 * histBound(numHistBuckets - 1)
+	return 2 * histBound(numHistBuckets-1)
 }
 
 // HistStat is the report entry of one histogram: observation count,

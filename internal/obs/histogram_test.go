@@ -22,7 +22,7 @@ func TestHistBucketMapping(t *testing.T) {
 		{time.Millisecond, 10},        // 1000µs ≤ 1024µs = 2^10
 		{1024 * time.Microsecond, 10}, // exact bound is inclusive
 		{1025 * time.Microsecond, 11},
-		{time.Second, 20}, // 1e6µs ≤ 2^20µs
+		{time.Second, 20},               // 1e6µs ≤ 2^20µs
 		{3 * time.Hour, numHistBuckets}, // beyond the last finite bound
 	}
 	for _, c := range cases {
@@ -137,15 +137,15 @@ func TestHistogramReset(t *testing.T) {
 
 func TestRegistryHistogramGetOrCreate(t *testing.T) {
 	reg := NewRegistry()
-	a := reg.Histogram("subsumption_probe")
-	b := reg.Histogram("subsumption_probe")
+	a := reg.histogram(HGCPause)
+	b := reg.histogram(HGCPause)
 	if a != b {
 		t.Error("same name returned distinct histograms")
 	}
 	a.Observe(2 * time.Millisecond)
 	rep := reg.Snapshot()
-	hs, ok := rep.Histograms["subsumption_probe"]
+	hs, ok := rep.Histograms[HGCPause]
 	if !ok || hs.Count != 1 {
-		t.Errorf("report histograms = %+v, want subsumption_probe with count 1", rep.Histograms)
+		t.Errorf("report histograms = %+v, want %s with count 1", rep.Histograms, HGCPause)
 	}
 }

@@ -10,18 +10,21 @@ import (
 	"strings"
 )
 
-// NewHandler builds the introspection mux the -http flag serves:
+// NewHandler builds the introspection mux the -http flag serves over one
+// run:
 //
-//	/metrics               Prometheus text exposition of the registry
-//	/progress              JSON snapshot of live spans + counter deltas
+//	/metrics               Prometheus text exposition of the run's registry
+//	/progress              JSON snapshot of the live span stack + counter deltas
 //	/timeline              metric timeline rings (JSON; ?series=&since=)
 //	/critpath              span-graph attribution + top-k critical chains (?k=)
-//	/debug/flightrecorder  JSONL dump of the flight-recorder ring
+//	/debug/flightrecorder  JSONL dump of the run's flight-recorder ring
 //	/debug/pprof/*         the standard pprof handlers
 //
-// Any argument may be nil; the corresponding endpoint then reports an
-// empty state rather than disappearing, so scrapers see a stable surface.
-func NewHandler(reg *Registry, prog *Progress, fr *FlightRecorder, tl *Timeline, graph *GraphSink) http.Handler {
+// Any argument may be nil, as may the run's registry and flight recorder;
+// the corresponding endpoint then reports an empty state rather than
+// disappearing, so scrapers see a stable surface.
+func NewHandler(run *Run, tl *Timeline, graph *GraphSink) http.Handler {
+	prog := &progress{run: run}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -40,7 +43,7 @@ func NewHandler(reg *Registry, prog *Progress, fr *FlightRecorder, tl *Timeline,
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", metricsContentType)
 		var rep Report
-		if reg != nil {
+		if reg := run.Registry(); reg != nil {
 			rep = reg.Snapshot()
 		}
 		rep.WritePrometheus(w)
@@ -49,11 +52,7 @@ func NewHandler(reg *Registry, prog *Progress, fr *FlightRecorder, tl *Timeline,
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if prog == nil {
-			enc.Encode(Snapshot{}) //nolint:errcheck // best-effort HTTP response
-			return
-		}
-		enc.Encode(prog.Snapshot()) //nolint:errcheck
+		enc.Encode(prog.snapshot()) //nolint:errcheck // best-effort HTTP response
 	})
 	mux.HandleFunc("/timeline", func(w http.ResponseWriter, r *http.Request) {
 		var filter map[string]bool
@@ -106,7 +105,7 @@ func NewHandler(reg *Registry, prog *Progress, fr *FlightRecorder, tl *Timeline,
 	})
 	mux.HandleFunc("/debug/flightrecorder", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		fr.WriteJSONL(w) //nolint:errcheck // best-effort HTTP response; nil-safe
+		run.Flight().WriteJSONL(w) //nolint:errcheck // best-effort HTTP response; nil-safe
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -134,12 +133,12 @@ type Server struct {
 
 // StartServer listens on addr (e.g. ":6060", "localhost:0") and serves the
 // introspection handler in a background goroutine until Close.
-func StartServer(addr string, reg *Registry, prog *Progress, fr *FlightRecorder, tl *Timeline, graph *GraphSink) (*Server, error) {
+func StartServer(addr string, run *Run, tl *Timeline, graph *GraphSink) (*Server, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{l: l, srv: &http.Server{Handler: NewHandler(reg, prog, fr, tl, graph)}}
+	s := &Server{l: l, srv: &http.Server{Handler: NewHandler(run, tl, graph)}}
 	go s.srv.Serve(l) //nolint:errcheck // always returns ErrServerClosed after Close
 	return s, nil
 }

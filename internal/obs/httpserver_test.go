@@ -15,12 +15,10 @@ func TestMetricsEndpointRendersEveryCounter(t *testing.T) {
 	reg := NewRegistry()
 	reg.counters[CCoverageTests].Store(7)
 	run := NewRun(nil, reg)
-	run.EndPhase(PCoverage, run.StartPhase(PCoverage))
 	run.StartSpan("learn").End()
-	run.Observe("subsumption_probe", 3*time.Millisecond)
 	run.Sample()
 
-	srv := httptest.NewServer(NewHandler(reg, nil, nil, nil, nil))
+	srv := httptest.NewServer(NewHandler(run, nil, nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -46,16 +44,9 @@ func TestMetricsEndpointRendersEveryCounter(t *testing.T) {
 	if !strings.Contains(text, "sirl_coverage_tests 7") {
 		t.Error("/metrics does not carry the counter value")
 	}
-	for p := Phase(0); p < numPhases; p++ {
-		if !strings.Contains(text, fmt.Sprintf("sirl_phase_seconds{phase=%q}", p.String())) {
-			t.Errorf("/metrics missing phase %q", p)
-		}
-	}
-	// Accumulated wall-time tables are point-in-time totals, not monotone
-	// scrape series: they must be gauges, their call counts counters.
+	// The accumulated wall-time table is a point-in-time total, not a
+	// monotone scrape series: it must be a gauge, its call counts a counter.
 	for _, want := range []string{
-		"# HELP sirl_phase_seconds ", "# TYPE sirl_phase_seconds gauge",
-		"# HELP sirl_phase_calls ", "# TYPE sirl_phase_calls counter",
 		"# HELP sirl_span_seconds ", "# TYPE sirl_span_seconds gauge",
 		"# HELP sirl_span_calls ", "# TYPE sirl_span_calls counter",
 	} {
@@ -70,10 +61,8 @@ func TestMetricsEndpointRendersEveryCounter(t *testing.T) {
 	// label: cumulative buckets, sum and count.
 	for _, want := range []string{
 		"# TYPE sirl_duration_seconds histogram",
-		`sirl_duration_seconds_bucket{name="subsumption_probe",le="+Inf"} 1`,
-		`sirl_duration_seconds_count{name="subsumption_probe"} 1`,
+		`sirl_duration_seconds_bucket{name="span_learn",le="+Inf"} 1`,
 		`sirl_duration_seconds_count{name="span_learn"} 1`,
-		`sirl_duration_seconds_count{name="phase_coverage_testing"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -109,16 +98,19 @@ func TestMetricsEndpointRendersEveryCounter(t *testing.T) {
 	}
 }
 
+// TestProgressEndpoint: /progress serves the run's live span stack — the
+// same stack the stall watchdog reports, innermost first, one parent
+// chain — plus counter deltas since the previous request.
 func TestProgressEndpoint(t *testing.T) {
 	reg := NewRegistry()
-	prog := NewProgress(reg)
-	run := NewRun(nil, reg).WithSpans(prog)
+	run := NewRun(nil, reg)
 
 	root := run.StartSpan("learn", F("learner", "castor"))
 	child := run.StartSpan("beam_round")
+	shard := run.StartWorkerSpan(child, "shard_candidate_scoring", 1, 0) // never on the stack
 	run.Inc(CCoverageTests)
 
-	srv := httptest.NewServer(NewHandler(reg, prog, nil, nil, nil))
+	srv := httptest.NewServer(NewHandler(run, nil, nil))
 	defer srv.Close()
 	get := func() Snapshot {
 		resp, err := http.Get(srv.URL + "/progress")
@@ -138,33 +130,25 @@ func TestProgressEndpoint(t *testing.T) {
 
 	snap := get()
 	if len(snap.ActiveSpans) != 2 {
-		t.Fatalf("active spans = %d, want 2", len(snap.ActiveSpans))
+		t.Fatalf("active spans = %+v, want 2", snap.ActiveSpans)
 	}
-	if snap.ActiveSpans[0].Name != "learn" || snap.ActiveSpans[1].Name != "beam_round" {
-		t.Errorf("active spans = %+v, want learn then beam_round", snap.ActiveSpans)
+	if snap.ActiveSpans[0].Name != "beam_round" || snap.ActiveSpans[1].Name != "learn" {
+		t.Errorf("active spans = %+v, want beam_round then learn", snap.ActiveSpans)
 	}
-	if snap.ActiveSpans[1].Parent != snap.ActiveSpans[0].ID {
-		t.Error("child span does not reference its parent")
-	}
-	if snap.ActiveSpans[0].Fields["learner"] != "castor" {
-		t.Errorf("span fields = %v", snap.ActiveSpans[0].Fields)
-	}
-	if snap.SpansStarted != 2 || snap.SpansCompleted != 0 {
-		t.Errorf("started/completed = %d/%d, want 2/0", snap.SpansStarted, snap.SpansCompleted)
+	if snap.ActiveSpans[0].ID != child.ID || snap.ActiveSpans[0].Parent != root.ID || snap.ActiveSpans[1].Parent != 0 {
+		t.Errorf("active spans = %+v, want one parent chain beam_round → learn", snap.ActiveSpans)
 	}
 	if snap.Counters["coverage_tests"] != 1 || snap.CounterDeltas["coverage_tests"] != 1 {
 		t.Errorf("counters = %v deltas = %v", snap.Counters, snap.CounterDeltas)
 	}
 
+	shard.End()
 	child.End()
 	root.End()
 	run.Inc(CCoverageTests)
 	snap = get()
 	if len(snap.ActiveSpans) != 0 {
 		t.Errorf("active spans after End = %d, want 0", len(snap.ActiveSpans))
-	}
-	if snap.SpansCompleted != 2 {
-		t.Errorf("completed = %d, want 2", snap.SpansCompleted)
 	}
 	// The delta baseline advanced with the previous snapshot.
 	if snap.CounterDeltas["coverage_tests"] != 1 {
@@ -173,11 +157,10 @@ func TestProgressEndpoint(t *testing.T) {
 }
 
 func TestProgressElapsedSeconds(t *testing.T) {
-	prog := NewProgress(nil)
-	run := (*Run)(nil).WithSpans(prog)
+	run := NewRun(nil, NewRegistry())
 	s := run.StartSpan("learn")
 	time.Sleep(2 * time.Millisecond)
-	snap := prog.Snapshot()
+	snap := (&progress{run: run}).snapshot()
 	s.End()
 	if len(snap.ActiveSpans) != 1 || snap.ActiveSpans[0].ElapsedSeconds <= 0 {
 		t.Errorf("snapshot = %+v, want one active span with positive elapsed", snap.ActiveSpans)
@@ -185,7 +168,8 @@ func TestProgressElapsedSeconds(t *testing.T) {
 }
 
 func TestHandlerIndexAndPprof(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(NewRegistry(), NewProgress(nil), NewFlightRecorder(8), nil, nil))
+	run := NewRun(nil, NewRegistry()).WithFlightRecorder(NewFlightRecorder(8))
+	srv := httptest.NewServer(NewHandler(run, nil, nil))
 	defer srv.Close()
 	for _, path := range []string{"/", "/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
 		resp, err := http.Get(srv.URL + path)
@@ -208,7 +192,7 @@ func TestHandlerIndexAndPprof(t *testing.T) {
 }
 
 func TestHandlerNilBackends(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(nil, nil, nil, nil, nil))
+	srv := httptest.NewServer(NewHandler(nil, nil, nil))
 	defer srv.Close()
 	for _, path := range []string{"/metrics", "/progress", "/debug/flightrecorder"} {
 		resp, err := http.Get(srv.URL + path)
@@ -228,7 +212,7 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 	run := (*Run)(nil).WithFlightRecorder(fr)
 	run.StartSpan("learn").End()
 
-	srv := httptest.NewServer(NewHandler(nil, nil, fr, nil, nil))
+	srv := httptest.NewServer(NewHandler(run, nil, nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/flightrecorder")
 	if err != nil {
@@ -263,7 +247,7 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 }
 
 func TestStartServer(t *testing.T) {
-	srv, err := StartServer("localhost:0", NewRegistry(), nil, nil, nil, nil)
+	srv, err := StartServer("localhost:0", NewRun(nil, NewRegistry()), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +276,7 @@ func TestTimelineEndpoint(t *testing.T) {
 	tl.tick()
 	tl.Stop()
 
-	srv := httptest.NewServer(NewHandler(reg, nil, nil, tl, nil))
+	srv := httptest.NewServer(NewHandler(run, tl, nil))
 	defer srv.Close()
 
 	get := func(path string) TimelineDump {
@@ -347,7 +331,7 @@ func TestTimelineEndpoint(t *testing.T) {
 }
 
 func TestTimelineEndpointNilTimeline(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(nil, nil, nil, nil, nil))
+	srv := httptest.NewServer(NewHandler(nil, nil, nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/timeline")
 	if err != nil {
@@ -368,14 +352,14 @@ func TestTimelineEndpointNilTimeline(t *testing.T) {
 
 func TestCritPathEndpoint(t *testing.T) {
 	graph := NewGraphSink(0)
-	run := (*Run)(nil).WithSpans(graph)
+	run := NewRun(graph, nil)
 	root := run.StartSpan("learn")
 	round := NextPoolRound()
 	run.StartWorkerSpan(root, "shard_candidate_scoring", round, 0).End()
 	run.StartWorkerSpan(root, "shard_candidate_scoring", round, 1).End()
 	root.End()
 
-	srv := httptest.NewServer(NewHandler(nil, nil, nil, nil, graph))
+	srv := httptest.NewServer(NewHandler(run, nil, graph))
 	defer srv.Close()
 
 	get := func(path string) CritPathResponse {
@@ -427,7 +411,7 @@ func TestCritPathEndpoint(t *testing.T) {
 }
 
 func TestCritPathEndpointNilGraph(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(nil, nil, nil, nil, nil))
+	srv := httptest.NewServer(NewHandler(nil, nil, nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/critpath")
 	if err != nil {

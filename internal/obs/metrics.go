@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -10,22 +9,19 @@ import (
 	"time"
 )
 
-// Registry is the counter/timer store of one run. All operations are
-// atomic; a registry may be shared by the coverage worker pool. Span
-// aggregates (per-name wall time and call counts) are the one open-ended
-// table and take a mutex — spans end orders of magnitude less often than
-// counters increment.
+// Registry is the counter and span-aggregate store of one run. Counter
+// updates are atomic; a registry may be shared by the coverage worker
+// pool. Span aggregates (per-kind wall time, call counts and duration
+// histogram) are the one open-ended table and take a mutex — spans end
+// orders of magnitude less often than counters increment.
 type Registry struct {
-	counters   [numCounters]atomic.Int64
-	phaseNS    [numPhases]atomic.Int64
-	phaseCalls [numPhases]atomic.Int64
-	phaseHist  [numPhases]Histogram
+	counters [numCounters]atomic.Int64
 
 	spanMu sync.Mutex
 	spans  map[string]*spanTotals
 
-	// histMu guards the named-histogram table; the histograms themselves
-	// are lock-free, so hot paths resolve once and observe without locks.
+	// histMu guards the runtime/metrics bridge's named histograms (GC
+	// pauses, scheduler latency); span durations live in spanTotals.
 	histMu sync.Mutex
 	hists  map[string]*Histogram
 
@@ -41,19 +37,17 @@ type Registry struct {
 	rt   *runtimeBridge
 }
 
-// Pool-utilization gauge and histogram names. The coverage engine's
-// worker pool maintains them (see internal/coverage): busy/idle are
-// accumulated worker-seconds inside scoring rounds, the ratio is
-// busy/(busy+idle) over the whole run, the imbalance gauge is the worst
-// observed max-shard-over-mean-shard wall-time ratio of any round, and
-// HShardDrain is the per-shard drain-duration histogram whose spread is
-// the shard-size-imbalance distribution.
+// Pool-utilization gauge names. The coverage engine's worker pool
+// maintains them (see internal/coverage): busy/idle are accumulated
+// worker-seconds inside scoring rounds, the ratio is busy/(busy+idle)
+// over the whole run, and the imbalance gauge is the worst observed
+// max-shard-over-mean-shard wall-time ratio of any round. Per-shard drain
+// times are the shard_<label> worker spans' histograms.
 const (
 	GPoolBusySeconds = "pool_busy_seconds"
 	GPoolIdleSeconds = "pool_idle_seconds"
 	GPoolBusyRatio   = "pool_busy_ratio"
 	GPoolImbalance   = "pool_shard_imbalance_max"
-	HShardDrain      = "shard_drain"
 	// Straggler gauges measure per-worker *chains* (all shards one worker
 	// drained in a round), not individual shards: a round's wall clock is
 	// its slowest chain. GPoolStraggler is Σ slowest-chain / Σ mean-active-
@@ -139,10 +133,10 @@ func (g *Registry) addSpan(name string, d time.Duration) {
 	t.hist.Observe(d)
 }
 
-// Histogram returns (creating on first use) the named latency histogram.
-// The returned histogram records lock-free; hot paths should call this
-// once and keep the pointer.
-func (g *Registry) Histogram(name string) *Histogram {
+// histogram returns (creating on first use) the named histogram the
+// runtime/metrics bridge folds into. The returned histogram records
+// lock-free.
+func (g *Registry) histogram(name string) *Histogram {
 	g.histMu.Lock()
 	defer g.histMu.Unlock()
 	if g.hists == nil {
@@ -216,23 +210,10 @@ func (g *Registry) Get(c Counter) int64 {
 	return g.counters[c].Load()
 }
 
-// PhaseTime returns the accumulated wall time of the phase.
-func (g *Registry) PhaseTime(p Phase) time.Duration {
-	if p < 0 || p >= numPhases {
-		return 0
-	}
-	return time.Duration(g.phaseNS[p].Load())
-}
-
-// Reset zeroes every counter, timer, span aggregate, histogram and gauge.
+// Reset zeroes every counter, span aggregate, histogram and gauge.
 func (g *Registry) Reset() {
 	for i := range g.counters {
 		g.counters[i].Store(0)
-	}
-	for i := range g.phaseNS {
-		g.phaseNS[i].Store(0)
-		g.phaseCalls[i].Store(0)
-		g.phaseHist[i].reset()
 	}
 	g.spanMu.Lock()
 	g.spans = nil
@@ -248,26 +229,24 @@ func (g *Registry) Reset() {
 	g.rtMu.Unlock()
 }
 
-// PhaseStat is the report entry of one timed phase.
-type PhaseStat struct {
+// SpanStat is the report entry of one span kind.
+type SpanStat struct {
 	// Seconds is accumulated wall time.
 	Seconds float64 `json:"seconds"`
-	// Calls is how many times the phase ran.
+	// Calls is how many spans of the kind ended.
 	Calls int64 `json:"calls"`
 }
 
-// Report is a point-in-time snapshot of a registry, the JSON shape the
-// -metrics flag writes. Every known counter and phase is present, zero or
-// not, so consumers see a stable schema; spans hold whichever kinds the
-// run produced.
+// Report is a point-in-time snapshot of a registry, the "metrics" object
+// of a run report. Every known counter is present, zero or not, so
+// consumers see a stable schema; spans hold whichever kinds the run
+// produced.
 type Report struct {
-	Counters map[string]int64     `json:"counters"`
-	Phases   map[string]PhaseStat `json:"phases"`
-	Spans    map[string]PhaseStat `json:"spans,omitempty"`
-	// Histograms holds duration distributions: phases under
-	// phase_<name>, span kinds under span_<name>, ad-hoc latencies
-	// (subsumption_probe) under their own names. Empty histograms are
-	// omitted.
+	Counters map[string]int64    `json:"counters"`
+	Spans    map[string]SpanStat `json:"spans,omitempty"`
+	// Histograms holds duration distributions: span kinds under
+	// span_<name>, the runtime/metrics bridge's GC-pause and scheduler
+	// latencies under their own names. Empty histograms are omitted.
 	Histograms map[string]HistStat `json:"histograms,omitempty"`
 	// Gauges holds last-value measurements, chiefly the resource
 	// sampler's rss/heap/goroutine readings and peaks.
@@ -279,30 +258,16 @@ type Report struct {
 
 // Snapshot captures the registry's current state.
 func (g *Registry) Snapshot() Report {
-	r := Report{
-		Counters: make(map[string]int64, numCounters),
-		Phases:   make(map[string]PhaseStat, numPhases),
-	}
+	r := Report{Counters: make(map[string]int64, numCounters)}
 	for c := Counter(0); c < numCounters; c++ {
 		r.Counters[c.String()] = g.counters[c].Load()
 	}
-	for p := Phase(0); p < numPhases; p++ {
-		r.Phases[p.String()] = PhaseStat{
-			Seconds: time.Duration(g.phaseNS[p].Load()).Seconds(),
-			Calls:   g.phaseCalls[p].Load(),
-		}
-	}
 	hists := make(map[string]HistStat)
-	for p := Phase(0); p < numPhases; p++ {
-		if g.phaseHist[p].Count() > 0 {
-			hists["phase_"+p.String()] = g.phaseHist[p].Snapshot()
-		}
-	}
 	g.spanMu.Lock()
 	if len(g.spans) > 0 {
-		r.Spans = make(map[string]PhaseStat, len(g.spans))
+		r.Spans = make(map[string]SpanStat, len(g.spans))
 		for name, t := range g.spans {
-			r.Spans[name] = PhaseStat{Seconds: time.Duration(t.ns).Seconds(), Calls: t.calls}
+			r.Spans[name] = SpanStat{Seconds: time.Duration(t.ns).Seconds(), Calls: t.calls}
 			if t.hist.Count() > 0 {
 				hists["span_"+name] = t.hist.Snapshot()
 			}
@@ -338,95 +303,57 @@ func (g *Registry) Snapshot() Report {
 	return r
 }
 
-// WriteJSON writes the report as indented JSON.
-func (r Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteSummary renders the report as the end-of-run text table: phases
-// with their wall time and call counts, then nonzero counters. Rows are
-// sorted by name for stable output.
+// WriteSummary renders the report as the end-of-run text table: span
+// kinds with their wall time and call counts, latency percentiles,
+// gauges, store statistics, then nonzero counters. Rows are sorted by
+// name for stable output.
 func (r Report) WriteSummary(w io.Writer) {
-	fmt.Fprintf(w, "%-28s %12s %10s\n", "phase", "seconds", "calls")
-	names := make([]string, 0, len(r.Phases))
-	for n := range r.Phases {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		s := r.Phases[n]
-		if s.Calls == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%-28s %12.3f %10d\n", n, s.Seconds, s.Calls)
-	}
 	if len(r.Spans) > 0 {
 		fmt.Fprintf(w, "%-28s %12s %10s\n", "span", "seconds", "calls")
-		names = names[:0]
-		for n := range r.Spans {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			s := r.Spans[n]
-			if s.Calls == 0 {
-				continue
+		for _, n := range sortedKeys(r.Spans) {
+			if s := r.Spans[n]; s.Calls != 0 {
+				fmt.Fprintf(w, "%-28s %12.3f %10d\n", n, s.Seconds, s.Calls)
 			}
-			fmt.Fprintf(w, "%-28s %12.3f %10d\n", n, s.Seconds, s.Calls)
 		}
 	}
 	if len(r.Histograms) > 0 {
 		fmt.Fprintf(w, "%-28s %10s %10s %10s %10s\n", "latency", "count", "p50", "p95", "p99")
-		names = names[:0]
-		for n := range r.Histograms {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			h := r.Histograms[n]
-			if h.Count == 0 {
-				continue
+		for _, n := range sortedKeys(r.Histograms) {
+			if h := r.Histograms[n]; h.Count != 0 {
+				fmt.Fprintf(w, "%-28s %10d %10s %10s %10s\n", n, h.Count,
+					fmtSeconds(h.P50), fmtSeconds(h.P95), fmtSeconds(h.P99))
 			}
-			fmt.Fprintf(w, "%-28s %10d %10s %10s %10s\n", n, h.Count,
-				fmtSeconds(h.P50), fmtSeconds(h.P95), fmtSeconds(h.P99))
 		}
 	}
 	if len(r.Gauges) > 0 {
 		fmt.Fprintf(w, "%-28s %12s\n", "gauge", "value")
-		names = names[:0]
-		for n := range r.Gauges {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range sortedKeys(r.Gauges) {
 			fmt.Fprintf(w, "%-28s %12.0f\n", n, r.Gauges[n])
 		}
 	}
 	if len(r.Store) > 0 {
 		fmt.Fprintf(w, "%-28s %12s %14s %12s %14s\n", "relation", "lookups", "tuples_scanned", "index_hits", "ind_expansions")
-		names = names[:0]
-		for n := range r.Store {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range sortedKeys(r.Store) {
 			s := r.Store[n]
 			fmt.Fprintf(w, "%-28s %12d %14d %12d %14d\n", n, s.Lookups, s.TuplesScanned, s.IndexHits, s.INDExpansions)
 		}
 	}
 	fmt.Fprintf(w, "%-28s %12s\n", "counter", "value")
-	names = names[:0]
-	for n := range r.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedKeys(r.Counters) {
 		if v := r.Counters[n]; v != 0 {
 			fmt.Fprintf(w, "%-28s %12d\n", n, v)
 		}
 	}
+}
+
+// sortedKeys returns the map's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // fmtSeconds renders a duration-in-seconds compactly for the summary
@@ -446,18 +373,13 @@ func fmtSeconds(s float64) string {
 
 // WritePrometheus renders the report in the Prometheus text exposition
 // format the /metrics endpoint serves: every counter as sirl_<name>
-// (TYPE counter), the accumulated phase/span wall-time tables as gauges
-// (they are point-in-time totals of a finite run, not monotone scrape
-// series), call counts as counters, duration distributions as one
-// histogram family sirl_duration_seconds with a name label, and sampler
-// gauges as sirl_<name> gauges. Every family carries a # HELP line; rows
-// are sorted for stable scrapes.
+// (TYPE counter), the accumulated span wall-time table as the gauge
+// sirl_span_seconds (point-in-time totals of a finite run, not monotone
+// scrape series), span call counts as the counter sirl_span_calls,
+// duration distributions as one histogram family sirl_duration_seconds
+// with a name label, and sampler gauges as sirl_<name> gauges. Every
+// family carries a # HELP line; rows are sorted for stable scrapes.
 func (r Report) WritePrometheus(w io.Writer) {
-	names := make([]string, 0, len(r.Counters))
-	for n := range r.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	helpFor := func(name string) string {
 		for c := Counter(0); c < numCounters; c++ {
 			if counterNames[c] == name {
@@ -466,41 +388,27 @@ func (r Report) WritePrometheus(w io.Writer) {
 		}
 		return "Counter " + name + "."
 	}
-	for _, n := range names {
+	for _, n := range sortedKeys(r.Counters) {
 		fmt.Fprintf(w, "# HELP sirl_%s %s\n# TYPE sirl_%s counter\nsirl_%s %d\n",
 			n, helpFor(n), n, n, r.Counters[n])
 	}
-	writeLabeled := func(family, label, what string, stats map[string]PhaseStat) {
-		if len(stats) == 0 {
-			return
-		}
-		names = names[:0]
-		for n := range stats {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(w, "# HELP %s_seconds Accumulated wall time of each %s.\n", family, what)
-		fmt.Fprintf(w, "# TYPE %s_seconds gauge\n", family)
+	if len(r.Spans) > 0 {
+		names := sortedKeys(r.Spans)
+		fmt.Fprintln(w, "# HELP sirl_span_seconds Accumulated wall time of each span kind.")
+		fmt.Fprintln(w, "# TYPE sirl_span_seconds gauge")
 		for _, n := range names {
-			fmt.Fprintf(w, "%s_seconds{%s=%q} %g\n", family, label, n, stats[n].Seconds)
+			fmt.Fprintf(w, "sirl_span_seconds{span=%q} %g\n", n, r.Spans[n].Seconds)
 		}
-		fmt.Fprintf(w, "# HELP %s_calls How many times each %s ran.\n", family, what)
-		fmt.Fprintf(w, "# TYPE %s_calls counter\n", family)
+		fmt.Fprintln(w, "# HELP sirl_span_calls How many times each span kind ran.")
+		fmt.Fprintln(w, "# TYPE sirl_span_calls counter")
 		for _, n := range names {
-			fmt.Fprintf(w, "%s_calls{%s=%q} %d\n", family, label, n, stats[n].Calls)
+			fmt.Fprintf(w, "sirl_span_calls{span=%q} %d\n", n, r.Spans[n].Calls)
 		}
 	}
-	writeLabeled("sirl_phase", "phase", "pipeline phase", r.Phases)
-	writeLabeled("sirl_span", "span", "span kind", r.Spans)
 	if len(r.Histograms) > 0 {
-		names = names[:0]
-		for n := range r.Histograms {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Fprintln(w, "# HELP sirl_duration_seconds Latency distributions per phase, span kind and probe.")
+		fmt.Fprintln(w, "# HELP sirl_duration_seconds Latency distributions per span kind and runtime metric.")
 		fmt.Fprintln(w, "# TYPE sirl_duration_seconds histogram")
-		for _, n := range names {
+		for _, n := range sortedKeys(r.Histograms) {
 			h := r.Histograms[n]
 			var cum int64
 			for i, v := range h.Buckets {
@@ -518,23 +426,12 @@ func (r Report) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "sirl_duration_seconds_count{name=%q} %d\n", n, h.Count)
 		}
 	}
-	if len(r.Gauges) > 0 {
-		names = names[:0]
-		for n := range r.Gauges {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(w, "# HELP sirl_%s Resource-sampler gauge %s.\n# TYPE sirl_%s gauge\nsirl_%s %g\n",
-				n, n, n, n, r.Gauges[n])
-		}
+	for _, n := range sortedKeys(r.Gauges) {
+		fmt.Fprintf(w, "# HELP sirl_%s Resource-sampler gauge %s.\n# TYPE sirl_%s gauge\nsirl_%s %g\n",
+			n, n, n, n, r.Gauges[n])
 	}
 	if len(r.Store) > 0 {
-		rels := make([]string, 0, len(r.Store))
-		for rel := range r.Store {
-			rels = append(rels, rel)
-		}
-		sort.Strings(rels)
+		rels := sortedKeys(r.Store)
 		writeStore := func(family, help string, get func(StoreStat) int64) {
 			fmt.Fprintf(w, "# HELP sirl_relstore_%s %s\n# TYPE sirl_relstore_%s counter\n", family, help, family)
 			for _, rel := range rels {
@@ -550,9 +447,9 @@ func (r Report) WritePrometheus(w io.Writer) {
 
 // FlatMetrics flattens the report into one name → value table — the
 // namespace cmd/obsreport diffs and gates on: counters keep their names,
-// phases become <phase>_seconds/<phase>_calls, spans span_<name>_seconds/
-// span_<name>_calls, histograms hist_<name>_{p50,p95,p99,count}, gauges
-// keep their names.
+// spans become span_<name>_seconds/span_<name>_calls, histograms
+// hist_<name>_{p50,p95,p99,count} (span kinds as hist_span_<name>_*),
+// gauges keep their names.
 func (r Report) FlatMetrics() map[string]float64 {
 	out, _ := r.FlatMetricsWithFamilies()
 	return out
@@ -564,7 +461,6 @@ func (r Report) FlatMetrics() map[string]float64 {
 // to silently compare.
 const (
 	FamCounter   = "counter"
-	FamPhase     = "phase"
 	FamSpan      = "span"
 	FamHistogram = "histogram"
 	FamGauge     = "gauge"
@@ -574,10 +470,10 @@ const (
 )
 
 // FlatMetricsWithFamilies is FlatMetrics also reporting which family
-// (counter, phase, span, histogram, gauge, relstore) each flattened
-// metric came from.
+// (counter, span, histogram, gauge, relstore) each flattened metric came
+// from.
 func (r Report) FlatMetricsWithFamilies() (map[string]float64, map[string]string) {
-	out := make(map[string]float64, len(r.Counters)+2*len(r.Phases)+2*len(r.Spans))
+	out := make(map[string]float64, len(r.Counters)+2*len(r.Spans))
 	fam := make(map[string]string, len(out))
 	put := func(name, family string, v float64) {
 		out[name] = v
@@ -585,10 +481,6 @@ func (r Report) FlatMetricsWithFamilies() (map[string]float64, map[string]string
 	}
 	for n, v := range r.Counters {
 		put(n, FamCounter, float64(v))
-	}
-	for n, s := range r.Phases {
-		put(n+"_seconds", FamPhase, s.Seconds)
-		put(n+"_calls", FamPhase, float64(s.Calls))
 	}
 	for n, s := range r.Spans {
 		put("span_"+n+"_seconds", FamSpan, s.Seconds)

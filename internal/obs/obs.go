@@ -1,10 +1,10 @@
-// Package obs is the instrumentation layer of the repository: structured
-// trace events, atomic counters, per-phase wall-clock timers and nested
-// spans for the learning pipeline (bottom-clause construction, beam
-// search, coverage testing, negative reduction, minimization), plus the
-// exporters that make them operable — a Chrome-trace (Perfetto) span
-// exporter, a Prometheus/-progress introspection HTTP server, and a
-// machine-diffable run report.
+// Package obs is the instrumentation layer of the repository: atomic
+// counters and nested spans for the learning pipeline (bottom-clause
+// construction, beam search, coverage testing, negative reduction,
+// minimization), plus the exporters that make them operable — a JSONL
+// span trace, a text span log, a Chrome-trace (Perfetto) exporter, a
+// Prometheus/progress introspection HTTP server, and a machine-diffable
+// run report.
 //
 // The paper's performance claims (§7.5) — parallel coverage testing
 // (§7.5.3), the coverage cache (§7.5.4), stored-procedure plans (§7.5.2),
@@ -12,9 +12,15 @@
 // packages; obs makes them visible: every counter below maps to one of
 // those optimizations, so a metrics report shows whether they fire.
 //
-// The central type is *Run, a pairing of an optional Tracer (event sink)
-// with an optional *Registry (counters/timers). A nil *Run is the nop
-// default: every method is nil-safe and returns immediately, so
+// The span is the one primitive for timing a learn and for narrating it:
+// each learner phase is one StartSpan/End pair, results known at the end
+// of a phase are span fields (Annotate), and the registry's per-kind span
+// aggregates and duration histograms are the phase timings reports and
+// gates read.
+//
+// The central type is *Run, a pairing of an optional SpanSink with an
+// optional *Registry (counters and span aggregates). A nil *Run is the
+// nop default: every method is nil-safe and returns immediately, so
 // uninstrumented runs pay only a pointer test on the hot paths. Learners
 // receive the run through ilp.Params.Obs.
 package obs
@@ -22,7 +28,6 @@ package obs
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter identifies one atomic counter of the registry. The fixed
@@ -191,45 +196,8 @@ func (c Counter) String() string {
 	return counterNames[c]
 }
 
-// Phase identifies one timed phase of the learning pipeline.
-type Phase int
-
-const (
-	// PBottom is bottom-clause construction (saturation + IND chase).
-	PBottom Phase = iota
-	// PBeam is the generalization search (beam search, rlgg generation,
-	// or FOIL's greedy literal addition).
-	PBeam
-	// PCoverage is batched coverage testing (CoveredSet calls). In
-	// parallel runs this is the wall time of the batch, not CPU time.
-	PCoverage
-	// PNegReduce is negative reduction (§7.2.2).
-	PNegReduce
-	// PMinimize is θ-subsumption minimization (§7.5.5).
-	PMinimize
-
-	numPhases
-)
-
-// phaseNames are the stable report keys, in Phase order.
-var phaseNames = [numPhases]string{
-	PBottom:    "bottom_construction",
-	PBeam:      "generalization_search",
-	PCoverage:  "coverage_testing",
-	PNegReduce: "negative_reduction",
-	PMinimize:  "minimization",
-}
-
-// String returns the report key of the phase.
-func (p Phase) String() string {
-	if p < 0 || p >= numPhases {
-		return "unknown"
-	}
-	return phaseNames[p]
-}
-
-// Field is one key/value pair of a trace event. Events carry ordered
-// fields (not a map) so sinks emit them deterministically.
+// Field is one key/value pair of a span. Spans carry ordered fields (not
+// a map) so sinks emit them deterministically.
 type Field struct {
 	Key   string
 	Value any
@@ -238,27 +206,9 @@ type Field struct {
 // F builds a Field.
 func F(key string, value any) Field { return Field{Key: key, Value: value} }
 
-// Event is one structured trace record.
-type Event struct {
-	// Time is the emission time (wall clock).
-	Time time.Time
-	// Name identifies the event, dot-namespaced by subsystem
-	// ("castor.seed", "covering.accepted", …).
-	Name string
-	// Fields are the event's payload, in emission order.
-	Fields []Field
-}
-
-// Tracer receives trace events. Implementations must be safe for
-// concurrent use: coverage workers may emit from multiple goroutines.
-type Tracer interface {
-	Emit(Event)
-}
-
-// Run bundles the tracer, registry and span sink one learning run reports
-// into. The zero value and nil are valid and mean "observe nothing".
+// Run bundles the span sink and registry one learning run reports into.
+// The zero value and nil are valid and mean "observe nothing".
 type Run struct {
-	tracer Tracer
 	reg    *Registry
 	spans  SpanSink
 	prov   *Prov
@@ -273,17 +223,14 @@ type Run struct {
 	cur    *Span
 }
 
-// NewRun pairs a tracer with a registry; either may be nil.
-func NewRun(t Tracer, reg *Registry) *Run {
-	if t == nil && reg == nil {
+// NewRun pairs a span sink with a registry; either may be nil. Combine
+// several sinks with MultiSpanSink.
+func NewRun(spans SpanSink, reg *Registry) *Run {
+	if spans == nil && reg == nil {
 		return nil // collapse to the nop run: hot paths test one pointer
 	}
-	return &Run{tracer: t, reg: reg}
+	return &Run{spans: spans, reg: reg}
 }
-
-// Tracing reports whether events are consumed. Hot loops should guard
-// Emit calls with it to avoid building field slices nobody reads.
-func (r *Run) Tracing() bool { return r != nil && r.tracer != nil }
 
 // Registry returns the run's registry, or nil.
 func (r *Run) Registry() *Registry {
@@ -291,15 +238,6 @@ func (r *Run) Registry() *Registry {
 		return nil
 	}
 	return r.reg
-}
-
-// Emit sends an event to the tracer, stamping the current time. It is a
-// no-op without a tracer; the fields are not inspected in that case.
-func (r *Run) Emit(name string, fields ...Field) {
-	if r == nil || r.tracer == nil {
-		return
-	}
-	r.tracer.Emit(Event{Time: time.Now(), Name: name, Fields: fields})
 }
 
 // Inc adds 1 to the counter.
@@ -329,17 +267,6 @@ func (r *Run) Heartbeat() {
 	r.beat.Add(1)
 }
 
-// Observe records a duration into the named registry histogram. Span and
-// phase distributions are recorded automatically; Observe is for ad-hoc
-// latencies (hot paths should resolve the histogram once via
-// Registry.Histogram instead of paying the name lookup per call).
-func (r *Run) Observe(name string, d time.Duration) {
-	if r == nil || r.reg == nil {
-		return
-	}
-	r.reg.Histogram(name).Observe(d)
-}
-
 // WithFlightRecorder returns a run that additionally records span events
 // into the flight recorder (samplers and watchdogs attached to the run
 // find it there too). The receiver is not modified; a nil recorder
@@ -352,7 +279,7 @@ func (r *Run) WithFlightRecorder(f *FlightRecorder) *Run {
 	if r == nil {
 		return &Run{flight: f}
 	}
-	return &Run{tracer: r.tracer, reg: r.reg, spans: r.spans, prov: r.prov, flight: f}
+	return &Run{reg: r.reg, spans: r.spans, prov: r.prov, flight: f}
 }
 
 // Flight returns the run's flight recorder, or nil.
@@ -361,26 +288,4 @@ func (r *Run) Flight() *FlightRecorder {
 		return nil
 	}
 	return r.flight
-}
-
-// StartPhase begins timing a phase. Without a registry it returns the
-// zero time and skips the clock read entirely; EndPhase understands that.
-func (r *Run) StartPhase(p Phase) time.Time {
-	if r == nil || r.reg == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// EndPhase accumulates the elapsed wall time of a phase started with
-// StartPhase, and feeds the phase's duration histogram so reports carry
-// the distribution, not just the total.
-func (r *Run) EndPhase(p Phase, start time.Time) {
-	if r == nil || r.reg == nil || start.IsZero() {
-		return
-	}
-	d := time.Since(start)
-	r.reg.phaseNS[p].Add(int64(d))
-	r.reg.phaseCalls[p].Add(1)
-	r.reg.phaseHist[p].Observe(d)
 }

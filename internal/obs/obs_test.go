@@ -14,20 +14,18 @@ import (
 // is the default in ilp.Params.
 func TestNilRunIsSafe(t *testing.T) {
 	var r *Run
-	if r.Tracing() {
-		t.Error("nil run claims to trace")
+	if r.Spanning() {
+		t.Error("nil run claims to span")
 	}
 	if r.Registry() != nil {
 		t.Error("nil run has a registry")
 	}
-	r.Emit("x", F("k", 1))
 	r.Inc(CCoverageTests)
 	r.Add(CTuplesScanned, 7)
-	start := r.StartPhase(PBeam)
-	if !start.IsZero() {
-		t.Error("nil run read the clock")
+	r.Heartbeat()
+	if sp := r.StartSpan("x", F("k", 1)); sp != nil {
+		t.Error("nil run opened a span")
 	}
-	r.EndPhase(PBeam, start)
 }
 
 func TestNewRunCollapsesToNil(t *testing.T) {
@@ -38,19 +36,14 @@ func TestNewRunCollapsesToNil(t *testing.T) {
 		t.Error("registry-only run collapsed")
 	}
 	if NewRun(NewJSONLSink(&bytes.Buffer{}), nil) == nil {
-		t.Error("tracer-only run collapsed")
+		t.Error("sink-only run collapsed")
 	}
 }
 
-func TestCounterAndPhaseNames(t *testing.T) {
+func TestCounterNames(t *testing.T) {
 	for c := Counter(0); c < numCounters; c++ {
 		if c.String() == "" || c.String() == "unknown" {
 			t.Errorf("counter %d has no name", c)
-		}
-	}
-	for p := Phase(0); p < numPhases; p++ {
-		if p.String() == "" || p.String() == "unknown" {
-			t.Errorf("phase %d has no name", p)
 		}
 	}
 	if Counter(-1).String() != "unknown" || numCounters.String() != "unknown" {
@@ -72,8 +65,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < each; i++ {
 				run.Inc(CCoverageTests)
 				run.Add(CTuplesScanned, 2)
-				s := run.StartPhase(PCoverage)
-				run.EndPhase(PCoverage, s)
+				run.StartWorkerSpan(nil, "shard", 1, 0).End()
 			}
 		}()
 	}
@@ -84,40 +76,23 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := reg.Get(CTuplesScanned); got != 2*workers*each {
 		t.Errorf("tuples_scanned = %d, want %d", got, 2*workers*each)
 	}
-	if reg.Snapshot().Phases[PCoverage.String()].Calls != workers*each {
-		t.Error("phase call count wrong")
+	if reg.Snapshot().Spans["shard"].Calls != workers*each {
+		t.Error("span call count wrong")
 	}
 	reg.Reset()
-	if reg.Get(CCoverageTests) != 0 || reg.PhaseTime(PCoverage) != 0 {
+	if reg.Get(CCoverageTests) != 0 || reg.SpanTime("shard") != 0 {
 		t.Error("Reset left state behind")
 	}
 }
 
-func TestPhaseTiming(t *testing.T) {
-	reg := NewRegistry()
-	run := NewRun(nil, reg)
-	s := run.StartPhase(PBottom)
-	time.Sleep(2 * time.Millisecond)
-	run.EndPhase(PBottom, s)
-	if reg.PhaseTime(PBottom) < time.Millisecond {
-		t.Errorf("phase time %v too small", reg.PhaseTime(PBottom))
-	}
-	// A zero start (from a nop run handed to EndPhase of a live one by
-	// mistake) must not poison the accumulator.
-	run.EndPhase(PBottom, time.Time{})
-	if reg.Snapshot().Phases[PBottom.String()].Calls != 1 {
-		t.Error("zero start time counted as a call")
-	}
-}
-
 // TestSnapshotJSON: the report must round-trip as JSON with a stable
-// schema — every counter and phase present even when zero.
+// schema — every counter present even when zero.
 func TestSnapshotJSON(t *testing.T) {
 	reg := NewRegistry()
 	run := NewRun(nil, reg)
 	run.Inc(CSubsumptionCalls)
 	var buf bytes.Buffer
-	if err := reg.Snapshot().WriteJSON(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(reg.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var back Report
@@ -126,9 +101,6 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 	if len(back.Counters) != int(numCounters) {
 		t.Errorf("report has %d counters, want %d", len(back.Counters), numCounters)
-	}
-	if len(back.Phases) != int(numPhases) {
-		t.Errorf("report has %d phases, want %d", len(back.Phases), numPhases)
 	}
 	if back.Counters["subsumption_calls"] != 1 {
 		t.Errorf("subsumption_calls = %d", back.Counters["subsumption_calls"])
@@ -149,14 +121,16 @@ func TestWriteSummarySkipsZeros(t *testing.T) {
 	}
 }
 
-// TestJSONLSink: every emitted line must parse as a standalone JSON object
-// with the fixed t/event keys plus the event's own fields, in order.
+// TestJSONLSink: every finished span becomes one line that parses as a
+// standalone JSON object with the fixed t/span/id/... keys plus the
+// span's own fields, in order.
 func TestJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
 	run := NewRun(sink, nil)
-	run.Emit("castor.seed", F("seed", "advisedBy(s, p)"), F("try", 3))
-	run.Emit("weird", F("val", map[string]int{"n": 1}), F("list", []string{"a", "b"}))
+	outer := run.StartSpan("bottom_clause", F("seed", "advisedBy(s, p)"), F("try", 3))
+	run.StartSpan("weird", F("val", map[string]int{"n": 1}), F("list", []string{"a", "b"})).End()
+	outer.End()
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,29 +146,33 @@ func TestJSONLSink(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("wrote %d lines, want 2", len(lines))
 	}
-	if lines[0]["event"] != "castor.seed" || lines[0]["seed"] != "advisedBy(s, p)" {
-		t.Errorf("first line = %v", lines[0])
+	if lines[1]["span"] != "bottom_clause" || lines[1]["seed"] != "advisedBy(s, p)" || lines[1]["try"] != 3.0 {
+		t.Errorf("outer span line = %v", lines[1])
 	}
-	if _, err := time.Parse(time.RFC3339Nano, lines[0]["t"].(string)); err != nil {
+	if lines[0]["parent"] != lines[1]["id"] {
+		t.Errorf("inner span parent %v, want %v", lines[0]["parent"], lines[1]["id"])
+	}
+	if _, err := time.Parse(time.RFC3339Nano, lines[1]["t"].(string)); err != nil {
 		t.Errorf("timestamp does not parse: %v", err)
 	}
-	if lines[1]["list"].([]any)[1] != "b" {
-		t.Errorf("slice field mangled: %v", lines[1])
+	if lines[0]["list"].([]any)[1] != "b" {
+		t.Errorf("slice field mangled: %v", lines[0])
 	}
 }
 
 // TestJSONLSinkConcurrent verifies whole-line atomicity under concurrent
-// emitters (coverage workers share one sink).
+// writers (pool workers end their shard spans into one sink).
 func TestJSONLSinkConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
+	run := NewRun(sink, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				sink.Emit(Event{Time: time.Unix(0, 0), Name: "e", Fields: []Field{F("w", w), F("i", i)}})
+				run.StartWorkerSpan(nil, "shard", 1, w, F("i", i)).End()
 			}
 		}(w)
 	}
@@ -215,30 +193,21 @@ func TestJSONLSinkConcurrent(t *testing.T) {
 	}
 }
 
+// TestTextSink: -v prints one slog text line per finished learner span,
+// with its duration and fields, and skips worker spans.
 func TestTextSink(t *testing.T) {
 	var buf bytes.Buffer
 	run := NewRun(NewTextSink(&buf), nil)
-	run.Emit("covering.accepted", F("clause", "t(X) :- p(X)."), F("pos", 5))
+	sp := run.StartSpan("covering_iteration", F("clauses", 0))
+	run.StartWorkerSpan(sp, "shard_candidate_scoring", 1, 0).End()
+	sp.Annotate(F("clause", "t(X) :- p(X)."), F("pos", 5))
+	sp.End()
 	out := buf.String()
-	if !strings.Contains(out, "covering.accepted") || !strings.Contains(out, "pos=5") {
+	if !strings.Contains(out, "msg=covering_iteration") || !strings.Contains(out, "pos=5") ||
+		!strings.Contains(out, "dur=") || !strings.Contains(out, `clause="t(X) :- p(X)."`) {
 		t.Errorf("text sink output %q", out)
 	}
-}
-
-func TestMultiTracer(t *testing.T) {
-	var a, b bytes.Buffer
-	sa, sb := NewJSONLSink(&a), NewJSONLSink(&b)
-	mt := MultiTracer(nil, sa, nil, sb)
-	mt.Emit(Event{Time: time.Unix(0, 0), Name: "x"})
-	sa.Flush()
-	sb.Flush()
-	if a.Len() == 0 || b.Len() == 0 {
-		t.Error("fan-out missed a sink")
-	}
-	if MultiTracer(nil, nil) != nil {
-		t.Error("all-nil MultiTracer must collapse to nil")
-	}
-	if MultiTracer(sa) != Tracer(sa) {
-		t.Error("single tracer must pass through unwrapped")
+	if strings.Contains(out, "shard_") || strings.Count(out, "\n") != 1 {
+		t.Errorf("text sink printed a worker span or extra lines: %q", out)
 	}
 }

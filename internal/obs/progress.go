@@ -1,90 +1,26 @@
 package obs
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
 
-// Progress tracks the live span stack and counter movement of a run, the
-// state behind the introspection server's /progress endpoint: what a
-// multi-minute UW-CSE or HIV run is doing right now, and how fast its
-// counters are moving since the last look.
-type Progress struct {
-	reg *Registry // optional; supplies counters and deltas
-
-	mu        sync.Mutex
-	active    map[uint64]*ActiveSpan
-	started   int64
-	completed int64
-	last      map[string]int64 // counter values at the previous snapshot
-}
-
-// NewProgress builds a tracker; reg may be nil (spans only).
-func NewProgress(reg *Registry) *Progress {
-	return &Progress{reg: reg, active: make(map[uint64]*ActiveSpan)}
-}
-
-// ActiveSpan is one currently-open span in a progress snapshot.
-type ActiveSpan struct {
-	ID     uint64 `json:"id"`
-	Parent uint64 `json:"parent,omitempty"`
-	Name   string `json:"name"`
-	// StartedAt is the wall-clock start; ElapsedSeconds is measured at
-	// snapshot time.
-	StartedAt      time.Time      `json:"started_at"`
-	ElapsedSeconds float64        `json:"elapsed_seconds"`
-	Fields         map[string]any `json:"fields,omitempty"`
-}
-
-// SpanStart implements SpanSink.
-func (p *Progress) SpanStart(s *Span) {
-	a := &ActiveSpan{ID: s.ID, Parent: s.ParentID, Name: s.Name, StartedAt: s.Start}
-	if len(s.Fields) > 0 {
-		a.Fields = make(map[string]any, len(s.Fields))
-		for _, f := range s.Fields {
-			a.Fields[f.Key] = jsonSafe(f.Value)
-		}
-	}
-	p.mu.Lock()
-	p.active[s.ID] = a
-	p.started++
-	p.mu.Unlock()
-}
-
-// SpanEnd implements SpanSink.
-func (p *Progress) SpanEnd(s *Span, _ time.Duration) {
-	p.mu.Lock()
-	delete(p.active, s.ID)
-	p.completed++
-	p.mu.Unlock()
-}
-
-// jsonSafe keeps marshalable values as-is and renders everything else via
-// %v, so a snapshot never fails to encode.
-func jsonSafe(v any) any {
-	switch v.(type) {
-	case nil, bool, string,
-		int, int8, int16, int32, int64,
-		uint, uint8, uint16, uint32, uint64,
-		float32, float64,
-		[]string, []int, []float64, map[string]any:
-		return v
-	default:
-		return fmt.Sprintf("%v", v)
-	}
+// progress is the state behind the introspection server's /progress
+// endpoint: what a multi-minute UW-CSE or HIV run is doing right now (the
+// run's live span stack, the same one the stall watchdog reports) and how
+// fast its counters are moving since the last look.
+type progress struct {
+	run  *Run
+	mu   sync.Mutex
+	last [numCounters]int64 // counter values at the previous snapshot
 }
 
 // Snapshot is the JSON shape of /progress.
 type Snapshot struct {
 	Time time.Time `json:"time"`
-	// ActiveSpans is the live span forest, in start order — for the usual
-	// single learning goroutine this reads as the current stack, outermost
-	// first.
-	ActiveSpans    []ActiveSpan `json:"active_spans"`
-	SpansStarted   int64        `json:"spans_started"`
-	SpansCompleted int64        `json:"spans_completed"`
+	// ActiveSpans is the learner goroutine's open span stack, innermost
+	// first; each entry's parent is the next entry's id.
+	ActiveSpans []LiveSpan `json:"active_spans"`
 	// Counters is the registry state now; CounterDeltas is the movement
 	// since the previous Snapshot call (zero-valued entries omitted), so
 	// polling /progress shows rates without client-side bookkeeping.
@@ -92,37 +28,28 @@ type Snapshot struct {
 	CounterDeltas map[string]int64 `json:"counter_deltas,omitempty"`
 }
 
-// Snapshot captures the tracker's current state. Each call advances the
-// delta baseline.
-func (p *Progress) Snapshot() Snapshot {
-	now := time.Now()
+// snapshot captures the run's current state. Each call advances the delta
+// baseline.
+func (p *progress) snapshot() Snapshot {
+	out := Snapshot{Time: time.Now(), ActiveSpans: p.run.LiveSpans()}
+	if out.ActiveSpans == nil {
+		out.ActiveSpans = []LiveSpan{}
+	}
+	reg := p.run.Registry()
+	if reg == nil {
+		return out
+	}
+	out.Counters = make(map[string]int64, numCounters)
+	out.CounterDeltas = make(map[string]int64)
 	p.mu.Lock()
-	out := Snapshot{Time: now, SpansStarted: p.started, SpansCompleted: p.completed}
-	out.ActiveSpans = make([]ActiveSpan, 0, len(p.active))
-	for _, a := range p.active {
-		c := *a
-		c.ElapsedSeconds = now.Sub(a.StartedAt).Seconds()
-		out.ActiveSpans = append(out.ActiveSpans, c)
+	defer p.mu.Unlock()
+	for c := Counter(0); c < numCounters; c++ {
+		v := reg.Get(c)
+		out.Counters[c.String()] = v
+		if d := v - p.last[c]; d != 0 {
+			out.CounterDeltas[c.String()] = d
+		}
+		p.last[c] = v
 	}
-	sort.Slice(out.ActiveSpans, func(i, j int) bool { return out.ActiveSpans[i].ID < out.ActiveSpans[j].ID })
-	if p.reg != nil {
-		out.Counters = make(map[string]int64, numCounters)
-		out.CounterDeltas = make(map[string]int64)
-		for c := Counter(0); c < numCounters; c++ {
-			name := c.String()
-			v := p.reg.Get(c)
-			out.Counters[name] = v
-			if d := v - p.last[name]; d != 0 {
-				out.CounterDeltas[name] = d
-			}
-		}
-		if p.last == nil {
-			p.last = make(map[string]int64, numCounters)
-		}
-		for name, v := range out.Counters {
-			p.last[name] = v
-		}
-	}
-	p.mu.Unlock()
 	return out
 }

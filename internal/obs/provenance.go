@@ -325,7 +325,7 @@ func (p *Prov) Close() error {
 }
 
 // WithProvenance returns a run that additionally records the candidate
-// search graph into p. Like WithSpans, the receiver is not modified, a nil
+// search graph into p. Like WithFlightRecorder, the receiver is not modified, a nil
 // recorder returns the receiver unchanged, and a nil receiver with a live
 // recorder returns a provenance-only run, so flag wiring stays
 // unconditional.
@@ -336,7 +336,7 @@ func (r *Run) WithProvenance(p *Prov) *Run {
 	if r == nil {
 		return &Run{prov: p}
 	}
-	return &Run{tracer: r.tracer, reg: r.reg, spans: r.spans, prov: p, flight: r.flight}
+	return &Run{reg: r.reg, spans: r.spans, prov: p, flight: r.flight}
 }
 
 // Prov returns the run's provenance recorder, or nil. All recorder

@@ -166,11 +166,13 @@ func TestProvenanceNilSafe(t *testing.T) {
 	if pr == nil || pr.Prov() != live {
 		t.Fatal("nil run + live recorder must build a provenance-only run")
 	}
-	// WithSpans and WithProvenance must preserve each other's state.
+	// WithProvenance and WithFlightRecorder must preserve each other's
+	// state and the run's sink and registry.
 	reg := NewRegistry()
-	full := NewRun(nil, reg).WithProvenance(live).WithSpans(nopSpanSink{})
-	if full.Prov() != live || full.Registry() != reg {
-		t.Fatal("WithSpans dropped provenance or registry")
+	fr := NewFlightRecorder(8)
+	full := NewRun(nopSpanSink{}, reg).WithProvenance(live).WithFlightRecorder(fr)
+	if full.Prov() != live || full.Registry() != reg || full.Flight() != fr || full.spans == nil {
+		t.Fatal("WithFlightRecorder dropped provenance, registry or span sink")
 	}
 }
 

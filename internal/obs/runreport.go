@@ -35,7 +35,8 @@ type RunReport struct {
 	Env *RunEnv `json:"env,omitempty"`
 	// ElapsedSeconds is the end-to-end wall time of the run.
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	// Metrics is the registry snapshot: counters, phases, span aggregates.
+	// Metrics is the registry snapshot: counters, span aggregates and
+	// histograms, gauges, store statistics.
 	Metrics Report `json:"metrics"`
 	// Timeline is the whole-run digest of the metric timeline, when the
 	// run sampled one: per-series mean/min/max/last over every tick.

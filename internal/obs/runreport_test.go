@@ -91,12 +91,11 @@ func TestFlatMetricsNamespaces(t *testing.T) {
 	reg := NewRegistry()
 	run := NewRun(nil, reg)
 	run.Inc(CCoverageTests)
-	run.EndPhase(PCoverage, run.StartPhase(PCoverage))
 	run.StartSpan("learn").End()
 	flat := reg.Snapshot().FlatMetrics()
 	for _, key := range []string{
-		"coverage_tests", "coverage_testing_seconds", "coverage_testing_calls",
-		"span_learn_seconds", "span_learn_calls",
+		"coverage_tests", "span_learn_seconds", "span_learn_calls",
+		"hist_span_learn_p99", "hist_span_learn_count",
 	} {
 		if _, ok := flat[key]; !ok {
 			t.Errorf("FlatMetrics missing %q", key)

@@ -77,13 +77,13 @@ func newRuntimeBridge(g *Registry) *runtimeBridge {
 	for _, name := range gcPauseMetrics {
 		if have[name] {
 			b.gcIdx = add(name)
-			b.gcHist = g.Histogram(HGCPause)
+			b.gcHist = g.histogram(HGCPause)
 			break
 		}
 	}
 	if have[schedLatMetric] {
 		b.schedIdx = add(schedLatMetric)
-		b.schedHist = g.Histogram(HSchedLatency)
+		b.schedHist = g.histogram(HSchedLatency)
 	}
 	return b
 }

@@ -20,7 +20,7 @@ func TestRuntimeBridgeGauges(t *testing.T) {
 	if reg.Gauge(GOSThreads) < 1 {
 		t.Errorf("os_threads_created gauge = %v, want >= 1", reg.Gauge(GOSThreads))
 	}
-	if n := reg.Histogram(HGCPause).Count(); n <= 0 {
+	if n := reg.histogram(HGCPause).Count(); n <= 0 {
 		t.Errorf("gc_pause histogram count = %d, want > 0 after first sample", n)
 	}
 }
@@ -28,7 +28,7 @@ func TestRuntimeBridgeGauges(t *testing.T) {
 func TestRuntimeBridgeDeltaFoldNoDoubleCount(t *testing.T) {
 	reg := NewRegistry()
 	reg.sampleRuntime()
-	h := reg.Histogram(HGCPause)
+	h := reg.histogram(HGCPause)
 	before := h.Count()
 	// Back-to-back samples with no intervening GC must not re-fold the
 	// cumulative history.
@@ -47,13 +47,13 @@ func TestRuntimeBridgeSurvivesReset(t *testing.T) {
 	reg := NewRegistry()
 	reg.sampleRuntime()
 	reg.Reset()
-	if n := reg.Histogram(HGCPause).Count(); n != 0 {
+	if n := reg.histogram(HGCPause).Count(); n != 0 {
 		t.Fatalf("gc_pause count = %d after Reset, want 0", n)
 	}
 	runtime.GC()
 	reg.sampleRuntime()
 	// The re-built bridge re-seeds from the full cumulative history.
-	if n := reg.Histogram(HGCPause).Count(); n <= 0 {
+	if n := reg.histogram(HGCPause).Count(); n <= 0 {
 		t.Errorf("gc_pause count = %d after Reset+sample, want > 0", n)
 	}
 }
@@ -75,12 +75,12 @@ func TestFoldHistDelta(t *testing.T) {
 	}
 	// One new observation in bucket 1, upper bound 1ms.
 	rh.Counts[1]++
-	sumBefore := h.Sum()
+	sumBefore := h.sumNS.Load()
 	foldHistDelta(&h, rh, last)
 	if h.Count() != 6 {
 		t.Fatalf("count = %d, want 6", h.Count())
 	}
-	if d := h.Sum() - sumBefore; d != time.Millisecond {
+	if d := time.Duration(h.sumNS.Load() - sumBefore); d != time.Millisecond {
 		t.Errorf("sum grew by %v, want 1ms (bucket upper bound)", d)
 	}
 }

@@ -11,12 +11,9 @@ import (
 	"time"
 )
 
-// JSONLSink writes one JSON object per event, suitable for machine-read
-// run traces (the -trace flag). Each line has the shape
-//
-//	{"t":"2006-01-02T15:04:05.000Z","event":"castor.seed","seed":"advisedBy(s0, p0)"}
-//
-// with the event's fields flattened into the object in emission order.
+// JSONLSink writes one JSON object per finished span, suitable for
+// machine-read run traces (the -trace flag); the line format is
+// documented at SpanEnd.
 type JSONLSink struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
@@ -42,28 +39,6 @@ func CreateJSONLFile(path string) (*JSONLSink, error) {
 	return s, nil
 }
 
-// Emit implements Tracer. Marshal failures of individual field values
-// degrade to a quoted %v rendering rather than dropping the event.
-func (s *JSONLSink) Emit(e Event) {
-	buf := make([]byte, 0, 128)
-	buf = append(buf, `{"t":`...)
-	buf = appendJSONValue(buf, e.Time.UTC().Format(time.RFC3339Nano))
-	buf = append(buf, `,"event":`...)
-	buf = appendJSONValue(buf, e.Name)
-	for _, f := range e.Fields {
-		buf = append(buf, ',')
-		buf = appendJSONValue(buf, f.Key)
-		buf = append(buf, ':')
-		buf = appendJSONValue(buf, f.Value)
-	}
-	buf = append(buf, '}', '\n')
-	s.mu.Lock()
-	if _, err := s.w.Write(buf); err != nil && s.err == nil {
-		s.err = err // Emit cannot return it; surface the first one at Flush/Close
-	}
-	s.mu.Unlock()
-}
-
 // SpanStart implements SpanSink as a no-op: span lines are written whole
 // at SpanEnd, when the duration is known, which keeps the trace one line
 // per span and the offline graph reconstruction trivial.
@@ -74,12 +49,14 @@ func (s *JSONLSink) SpanStart(*Span) {}
 //	{"t":…,"span":"beam_round","id":7,"parent":3,"worker":-1,"round":0,
 //	 "start_ns":…,"dur_ns":…,…fields}
 //
-// distinguishable from event lines by the "span" key. worker is -1 for
-// spans on the run's owning goroutine, the pool-worker index otherwise;
-// round joins the shard spans of one pooled drain (0 = none). The keys
-// t/span/id/parent/worker/round/start_ns/dur_ns are reserved — span
-// fields with those names would shadow them in consumers, so field keys
-// avoid them by convention. ReadSpanJSONL inverts this encoding.
+// with the span's fields flattened into the object in emission order
+// (values that do not marshal degrade to their String() rendering rather
+// than dropping the line). worker is -1 for spans on the run's owning
+// goroutine, the pool-worker index otherwise; round joins the shard spans
+// of one pooled drain (0 = none). The keys t/span/id/parent/worker/round/
+// start_ns/dur_ns are reserved — span fields with those names would
+// shadow them in consumers, so field keys avoid them by convention.
+// ReadSpanJSONL inverts this encoding.
 func (s *JSONLSink) SpanEnd(sp *Span, d time.Duration) {
 	buf := make([]byte, 0, 192)
 	buf = append(buf, `{"t":`...)
@@ -98,18 +75,24 @@ func (s *JSONLSink) SpanEnd(sp *Span, d time.Duration) {
 	buf = appendJSONValue(buf, sp.Start.UnixNano())
 	buf = append(buf, `,"dur_ns":`...)
 	buf = appendJSONValue(buf, int64(d))
-	for _, f := range sp.Fields {
+	buf = appendFields(buf, sp.Fields)
+	buf = append(buf, '}', '\n')
+	s.mu.Lock()
+	if _, err := s.w.Write(buf); err != nil && s.err == nil {
+		s.err = err // SpanEnd cannot return it; surface the first one at Flush/Close
+	}
+	s.mu.Unlock()
+}
+
+// appendFields appends ,"key":value for every field, in order.
+func appendFields(buf []byte, fields []Field) []byte {
+	for _, f := range fields {
 		buf = append(buf, ',')
 		buf = appendJSONValue(buf, f.Key)
 		buf = append(buf, ':')
 		buf = appendJSONValue(buf, f.Value)
 	}
-	buf = append(buf, '}', '\n')
-	s.mu.Lock()
-	if _, err := s.w.Write(buf); err != nil && s.err == nil {
-		s.err = err
-	}
-	s.mu.Unlock()
+	return buf
 }
 
 func appendJSONValue(buf []byte, v any) []byte {
@@ -128,7 +111,7 @@ func stringify(v any) string {
 	return "unrepresentable"
 }
 
-// Flush forces buffered events out. It returns the first error any Emit
+// Flush forces buffered lines out. It returns the first error any write
 // hit, so a run that traced into a full disk fails loudly instead of
 // silently writing a truncated trace.
 func (s *JSONLSink) Flush() error {
@@ -153,58 +136,33 @@ func (s *JSONLSink) Close() error {
 	return err
 }
 
-// SlogSink forwards events to a log/slog logger at Info level — the
-// human-readable -v output.
-type SlogSink struct{ l *slog.Logger }
+// TextSink logs one human-readable line per finished span of the
+// learner goroutine through log/slog's text format — the -v output:
+//
+//	time=… level=INFO msg=beam_round dur=1.2ms iter=0 beam=1 candidates=8 best=5
+//
+// Worker spans (the coverage pool's shard_* spans) are not printed: they
+// run on other goroutines and would drown the learner's narrative.
+type TextSink struct{ l *slog.Logger }
 
-// NewSlogSink wraps a logger; nil uses slog.Default().
-func NewSlogSink(l *slog.Logger) *SlogSink {
-	if l == nil {
-		l = slog.Default()
+// NewTextSink returns a text sink writing to w.
+func NewTextSink(w io.Writer) *TextSink {
+	return &TextSink{l: slog.New(slog.NewTextHandler(w, nil))}
+}
+
+// SpanStart implements SpanSink as a no-op: the line is written at
+// SpanEnd, when the duration and the annotations are known.
+func (s *TextSink) SpanStart(*Span) {}
+
+// SpanEnd implements SpanSink.
+func (s *TextSink) SpanEnd(sp *Span, d time.Duration) {
+	if sp.Worker >= 0 {
+		return
 	}
-	return &SlogSink{l: l}
-}
-
-// NewTextSink returns a slog sink writing human-readable lines (without
-// the redundant time/level prefix noise suppressed: the event time is the
-// log time).
-func NewTextSink(w io.Writer) *SlogSink {
-	h := slog.NewTextHandler(w, &slog.HandlerOptions{Level: slog.LevelInfo})
-	return &SlogSink{l: slog.New(h)}
-}
-
-// Emit implements Tracer.
-func (s *SlogSink) Emit(e Event) {
-	attrs := make([]slog.Attr, 0, len(e.Fields))
-	for _, f := range e.Fields {
+	attrs := make([]slog.Attr, 0, len(sp.Fields)+1)
+	attrs = append(attrs, slog.Duration("dur", d))
+	for _, f := range sp.Fields {
 		attrs = append(attrs, slog.Any(f.Key, f.Value))
 	}
-	s.l.LogAttrs(context.Background(), slog.LevelInfo, e.Name, attrs...)
-}
-
-// multiTracer fans one event out to several sinks.
-type multiTracer []Tracer
-
-func (m multiTracer) Emit(e Event) {
-	for _, t := range m {
-		t.Emit(e)
-	}
-}
-
-// MultiTracer combines tracers, ignoring nils. It returns nil when
-// nothing remains, so NewRun can collapse to the nop run.
-func MultiTracer(ts ...Tracer) Tracer {
-	var out multiTracer
-	for _, t := range ts {
-		if t != nil {
-			out = append(out, t)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return out
+	s.l.LogAttrs(context.Background(), slog.LevelInfo, sp.Name, attrs...)
 }

@@ -33,7 +33,7 @@ func TestSlowdownInflatesSpanDuration(t *testing.T) {
 		t.Fatal(err)
 	}
 	graph := NewGraphSink(0)
-	r := (*Run)(nil).WithSpans(MultiSpanSink(slow, graph))
+	r := NewRun(MultiSpanSink(slow, graph), nil)
 	r.StartSpan("slowed").End()
 	r.StartSpan("untouched").End()
 	recs := graph.Records()

@@ -7,13 +7,14 @@ import (
 	"time"
 )
 
-// Spans are the structured counterpart of flat trace events: a named,
-// timed region of the learning pipeline with a parent, so a run becomes a
-// tree — one span per Learn call, per covering-loop iteration, per bottom
-// clause, per beam round, per coverage batch, per reduction. Exporters
-// (the Chrome-trace sink, the live progress tracker) consume spans through
-// SpanSink; the Registry aggregates wall time and call counts per span
-// name for the run report.
+// A span is a named, timed region of the learning pipeline with a
+// parent, so a run becomes a tree — one span per Learn call, per
+// covering-loop iteration, per bottom clause, per beam round, per
+// coverage batch, per reduction. Spans are the run's only timing and
+// narration primitive: exporters (the JSONL trace, the text log, the
+// Chrome-trace sink, the span graph) consume them through SpanSink, and
+// the Registry aggregates wall time, call counts and a duration
+// histogram per span kind for the run report.
 //
 // Parentage is implicit: StartSpan parents the new span under the
 // innermost span still open on the run. Learners start and end their
@@ -70,24 +71,11 @@ type SpanSink interface {
 	SpanEnd(s *Span, d time.Duration)
 }
 
-// Spanning reports whether StartSpan would record anything. Hot loops can
-// guard expensive field construction with it, like Tracing for Emit.
+// Spanning reports whether StartSpan would record anything. Call sites
+// guard field construction with it: a field that builds a string (a
+// clause, a literal) or any field list at all on a hot path.
 func (r *Run) Spanning() bool {
 	return r != nil && (r.reg != nil || r.spans != nil || r.flight != nil)
-}
-
-// WithSpans returns a run that additionally records spans into sink. The
-// receiver is not modified; a nil sink returns the receiver unchanged,
-// and a nil receiver with a live sink returns a span-only run, so flag
-// wiring stays unconditional.
-func (r *Run) WithSpans(sink SpanSink) *Run {
-	if sink == nil {
-		return r
-	}
-	if r == nil {
-		return &Run{spans: sink}
-	}
-	return &Run{tracer: r.tracer, reg: r.reg, spans: sink, prov: r.prov, flight: r.flight}
 }
 
 // StartSpan opens a span named name under the innermost open span of the
@@ -209,7 +197,7 @@ func (m multiSpanSink) SpanEnd(s *Span, d time.Duration) {
 }
 
 // MultiSpanSink combines span sinks, ignoring nils; nil when nothing
-// remains, so WithSpans stays a no-op for unobserved runs.
+// remains, so NewRun still collapses to the nop run.
 func MultiSpanSink(sinks ...SpanSink) SpanSink {
 	var out multiSpanSink
 	for _, k := range sinks {

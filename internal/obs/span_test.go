@@ -2,7 +2,6 @@ package obs
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 )
@@ -33,19 +32,9 @@ func TestNilRunSpansAreSafe(t *testing.T) {
 	s.End()               // must not panic
 }
 
-func TestTracerOnlyRunDoesNotSpan(t *testing.T) {
-	r := NewRun(NewTextSink(&strings.Builder{}), nil)
-	if r.Spanning() {
-		t.Fatal("tracer-only run reports Spanning")
-	}
-	if s := r.StartSpan("learn"); s != nil {
-		t.Fatal("tracer-only run produced a span")
-	}
-}
-
 func TestSpanNesting(t *testing.T) {
 	sink := &recordSink{}
-	r := (*Run)(nil).WithSpans(sink)
+	r := NewRun(sink, nil)
 	if !r.Spanning() {
 		t.Fatal("span-only run does not report Spanning")
 	}
@@ -88,7 +77,7 @@ func TestSpanNesting(t *testing.T) {
 
 func TestSpanIDsAreUnique(t *testing.T) {
 	sink := &recordSink{}
-	r := (*Run)(nil).WithSpans(sink)
+	r := NewRun(sink, nil)
 	seen := make(map[uint64]bool)
 	for i := 0; i < 100; i++ {
 		s := r.StartSpan("learn")
@@ -127,32 +116,12 @@ func TestSpanRegistryAggregates(t *testing.T) {
 
 func TestSpanAnnotate(t *testing.T) {
 	sink := &recordSink{}
-	r := (*Run)(nil).WithSpans(sink)
+	r := NewRun(sink, nil)
 	s := r.StartSpan("learn", F("a", 1))
 	s.Annotate(F("b", 2))
 	s.End()
 	if len(s.Fields) != 2 || s.Fields[0].Key != "a" || s.Fields[1].Key != "b" {
 		t.Errorf("fields = %+v, want [a b]", s.Fields)
-	}
-}
-
-func TestWithSpansDoesNotModifyReceiver(t *testing.T) {
-	reg := NewRegistry()
-	base := NewRun(nil, reg)
-	sink := &recordSink{}
-	spanned := base.WithSpans(sink)
-	if spanned == base {
-		t.Fatal("WithSpans returned the receiver")
-	}
-	spanned.StartSpan("learn").End()
-	if len(sink.ended) != 1 {
-		t.Fatal("spanned run did not notify the sink")
-	}
-	if spanned.Registry() != reg {
-		t.Error("WithSpans dropped the registry")
-	}
-	if base.WithSpans(nil) != base {
-		t.Error("WithSpans(nil) did not return the receiver")
 	}
 }
 
@@ -164,7 +133,7 @@ func TestMultiSpanSink(t *testing.T) {
 	if MultiSpanSink(a) != SpanSink(a) {
 		t.Fatal("single MultiSpanSink did not collapse")
 	}
-	r := (*Run)(nil).WithSpans(MultiSpanSink(a, nil, b))
+	r := NewRun(MultiSpanSink(a, nil, b), nil)
 	r.StartSpan("learn").End()
 	if len(a.ended) != 1 || len(b.ended) != 1 {
 		t.Errorf("fan-out missed a sink: a=%d b=%d", len(a.ended), len(b.ended))
@@ -195,8 +164,9 @@ func (w *failWriter) Write(p []byte) (int, error) {
 
 func TestJSONLSinkStickyWriteError(t *testing.T) {
 	s := NewJSONLSink(&failWriter{n: 8})
+	r := NewRun(s, nil)
 	for i := 0; i < 100; i++ {
-		s.Emit(Event{Time: time.Now(), Name: "covering.accepted"})
+		r.StartSpan("covering_iteration").End()
 	}
 	err := s.Flush()
 	if err == nil {

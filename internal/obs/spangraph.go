@@ -291,8 +291,8 @@ func (g *SpanGraph) CriticalChains(k int) []CritChain {
 
 // ReadSpanJSONL reconstructs span records from a JSONL trace stream.
 // Span lines are the ones carrying a "span" key (see JSONLSink.SpanEnd);
-// event lines and any other shapes are skipped, so the reader accepts a
-// full -trace file as-is.
+// other shapes (the event lines of older traces) are skipped, so the
+// reader accepts any -trace file as-is.
 func ReadSpanJSONL(r io.Reader) ([]SpanRecord, error) {
 	var out []SpanRecord
 	sc := bufio.NewScanner(r)
@@ -317,7 +317,7 @@ func ReadSpanJSONL(r io.Reader) ([]SpanRecord, error) {
 			return nil, fmt.Errorf("trace line %d: %w", line, err)
 		}
 		if rec.Span == "" {
-			continue // event line, not a span line
+			continue // not a span line
 		}
 		worker := -1
 		if rec.Worker != nil {

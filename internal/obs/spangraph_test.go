@@ -194,15 +194,15 @@ func TestCriticalChains(t *testing.T) {
 
 // TestReadSpanJSONLRoundTrip: the -trace file alone must be enough to
 // rebuild the same graph the in-process GraphSink saw — span lines parse
-// back to identical records, event lines are skipped.
+// back to identical records, lines without a span key are skipped.
 func TestReadSpanJSONLRoundTrip(t *testing.T) {
 	var buf strings.Builder
+	buf.WriteString(`{"t":"2026-01-01T00:00:00Z","event":"covering.accepted","pos":14}` + "\n")
 	jsonl := NewJSONLSink(&buf)
 	graph := NewGraphSink(0)
-	r := NewRun(jsonl, nil).WithSpans(MultiSpanSink(jsonl, graph))
+	r := NewRun(MultiSpanSink(jsonl, graph), nil)
 
 	root := r.StartSpan("learn", F("learner", "castor"))
-	r.Emit("covering.accepted", F("pos", 14)) // event line: must be skipped
 	round := NextPoolRound()
 	w0 := r.StartWorkerSpan(root, "shard_coverage_testing", round, 0, F("tasks", 3))
 	w1 := r.StartWorkerSpan(root, "shard_coverage_testing", round, 1)

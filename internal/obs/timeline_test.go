@@ -79,15 +79,15 @@ func seriesNames(d TimelineDump) []string {
 func TestTimelineHistogramPercentileSeries(t *testing.T) {
 	reg := NewRegistry()
 	run := NewRun(nil, reg)
-	reg.Histogram("coverage_batch").Observe(2 * time.Millisecond)
+	run.StartSpan("coverage_batch").End()
 	tl := StartTimeline(run, time.Hour)
 	tl.Stop()
 	d := tl.Dump(nil, 0)
-	if _, ok := d.Series["hist_coverage_batch_p50"]; !ok {
-		t.Errorf("no hist_coverage_batch_p50 series; have %v", seriesNames(d))
+	if _, ok := d.Series["hist_span_coverage_batch_p50"]; !ok {
+		t.Errorf("no hist_span_coverage_batch_p50 series; have %v", seriesNames(d))
 	}
-	if _, ok := d.Series["hist_coverage_batch_p99"]; !ok {
-		t.Errorf("no hist_coverage_batch_p99 series; have %v", seriesNames(d))
+	if _, ok := d.Series["hist_span_coverage_batch_p99"]; !ok {
+		t.Errorf("no hist_span_coverage_batch_p99 series; have %v", seriesNames(d))
 	}
 }
 

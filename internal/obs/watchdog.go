@@ -17,16 +17,20 @@ import (
 
 // LiveSpan is one entry of a live span-stack snapshot, innermost first.
 type LiveSpan struct {
+	// ID is the span's process-unique ID; Parent is its parent's (0 for
+	// the root).
+	ID     uint64 `json:"id"`
+	Parent uint64 `json:"parent,omitempty"`
 	// Name is the span kind.
 	Name string `json:"name"`
 	// ElapsedSeconds is how long the span has been open.
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	// ID is the span's process-unique ID.
-	ID uint64 `json:"id"`
 }
 
 // LiveSpans snapshots the run's currently-open span stack, innermost
-// first. Nil-safe; an unobserved run reports an empty stack.
+// first — the stall watchdog's report and the /progress endpoint. Worker
+// spans never enter the stack, so it is the learner goroutine's view.
+// Nil-safe; an unobserved run reports an empty stack.
 func (r *Run) LiveSpans() []LiveSpan {
 	if r == nil {
 		return nil
@@ -35,7 +39,7 @@ func (r *Run) LiveSpans() []LiveSpan {
 	r.spanMu.Lock()
 	var out []LiveSpan
 	for s := r.cur; s != nil; s = s.parent {
-		out = append(out, LiveSpan{Name: s.Name, ElapsedSeconds: now.Sub(s.Start).Seconds(), ID: s.ID})
+		out = append(out, LiveSpan{ID: s.ID, Parent: s.ParentID, Name: s.Name, ElapsedSeconds: now.Sub(s.Start).Seconds()})
 	}
 	r.spanMu.Unlock()
 	return out

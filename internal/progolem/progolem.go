@@ -55,18 +55,15 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 	run := params.Obs
 	prov := run.Prov()
 	seed := uncovered[0]
-	sb := run.StartSpan("bottom_clause", obs.F("seed", seed.String()))
-	tb := run.StartPhase(obs.PBottom)
+	var sb *obs.Span
+	if run.Spanning() {
+		sb = run.StartSpan("bottom_clause", obs.F("seed", seed.String()))
+	}
 	bottom := ilp.BottomClause(prob, seed, params.Depth, params.MaxRecall)
-	run.EndPhase(obs.PBottom, tb)
 	sb.Annotate(obs.F("literals", len(bottom.Body)))
 	sb.End()
 	run.Inc(obs.CBottomClauses)
 	run.Add(obs.CBottomLiterals, int64(len(bottom.Body)))
-	if run.Tracing() {
-		run.Emit("progolem.bottom",
-			obs.F("seed", seed.String()), obs.F("literals", len(bottom.Body)))
-	}
 	var rootID uint64
 	if prov.Enabled() {
 		rootID = prov.Node(obs.ProvNode{
@@ -102,7 +99,6 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 		width = 1
 	}
 
-	tbeam := run.StartPhase(obs.PBeam)
 	for iter := 0; ; iter++ {
 		sr := run.StartSpan("beam_round", obs.F("iter", iter), obs.F("beam", len(beam)))
 		bestScore := beam[0].score
@@ -192,14 +188,9 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 			newCands = newCands[:width]
 		}
 		beam = newCands
-		if run.Tracing() {
-			run.Emit("progolem.beam",
-				obs.F("iter", iter), obs.F("beam", len(beam)), obs.F("best", beam[0].score))
-		}
 		sr.Annotate(obs.F("candidates", len(cands)), obs.F("best", beam[0].score))
 		sr.End()
 	}
-	run.EndPhase(obs.PBeam, tbeam)
 	// Highest-scoring clause in the beam, negatively reduced.
 	best := beam[0]
 	for _, b := range beam {
@@ -208,9 +199,7 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 		}
 	}
 	sn := run.StartSpan("negative_reduction", obs.F("literals", len(best.clause.Body)))
-	tn := run.StartPhase(obs.PNegReduce)
 	reduced := NegativeReduce(tester, best.clause, prob.Neg, best.neg)
-	run.EndPhase(obs.PNegReduce, tn)
 	sn.Annotate(obs.F("kept", len(reduced.Body)))
 	sn.End()
 	if prov.Enabled() && !reduced.Equal(best.clause) {
