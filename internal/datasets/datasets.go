@@ -16,6 +16,7 @@ package datasets
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ilp"
 	"repro/internal/logic"
@@ -134,8 +135,9 @@ func (r *rng) Float64() float64 {
 // the negatives and the same *count* of negatives to the positives. Tying
 // the noise volume to the positive class keeps the signal dominant — a
 // uniform per-pair flip would bury a small positive class under fake
-// positives.
-func flipLabels(r *rng, pos, neg []logic.Atom, frac float64) (outPos, outNeg []logic.Atom) {
+// positives. The draws depend only on the lengths, so labelling example
+// atoms or compact codes for them flips the same examples.
+func flipLabels[T any](r *rng, pos, neg []T, frac float64) (outPos, outNeg []T) {
 	n := int(frac * float64(len(pos)))
 	if n <= 0 || len(pos) == 0 || len(neg) == 0 {
 		return pos, neg
@@ -143,8 +145,8 @@ func flipLabels(r *rng, pos, neg []logic.Atom, frac float64) (outPos, outNeg []l
 	if n > len(neg) {
 		n = len(neg)
 	}
-	pos = append([]logic.Atom(nil), pos...)
-	neg = append([]logic.Atom(nil), neg...)
+	pos = slices.Clone(pos)
+	neg = slices.Clone(neg)
 	// Select n positives and n negatives to swap (partial Fisher-Yates).
 	for i := 0; i < n; i++ {
 		j := i + r.Intn(len(pos)-i)
@@ -152,23 +154,24 @@ func flipLabels(r *rng, pos, neg []logic.Atom, frac float64) (outPos, outNeg []l
 		k := i + r.Intn(len(neg)-i)
 		neg[i], neg[k] = neg[k], neg[i]
 	}
-	outPos = append(append([]logic.Atom(nil), pos[n:]...), neg[:n]...)
-	outNeg = append(append([]logic.Atom(nil), neg[n:]...), pos[:n]...)
+	outPos = append(slices.Clone(pos[n:]), neg[:n]...)
+	outNeg = append(slices.Clone(neg[n:]), pos[:n]...)
 	return outPos, outNeg
 }
 
-// sampleExamples downsamples examples to at most n, deterministically.
-func sampleExamples(r *rng, pool []logic.Atom, n int) []logic.Atom {
+// sampleExamples downsamples examples to at most n, deterministically. The
+// sample is a fresh slice, so the pool it was drawn from is not kept alive.
+func sampleExamples[T any](r *rng, pool []T, n int) []T {
 	if n >= len(pool) {
 		return pool
 	}
-	out := append([]logic.Atom(nil), pool...)
+	out := slices.Clone(pool)
 	// Partial Fisher-Yates.
 	for i := 0; i < n; i++ {
 		j := i + r.Intn(len(out)-i)
 		out[i], out[j] = out[j], out[i]
 	}
-	return out[:n]
+	return slices.Clone(out[:n])
 }
 
 // scaleCount multiplies an entity count by the configured scale factor.

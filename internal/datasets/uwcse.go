@@ -2,6 +2,7 @@ package datasets
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/logic"
 	"repro/internal/relstore"
@@ -181,21 +182,36 @@ func GenerateUWCSE(cfg UWCSEConfig) (*Dataset, error) {
 		return nil, fmt.Errorf("datasets: UW-CSE generator broke its constraints: %w", err)
 	}
 
-	// Labels: advisedBy(s,p) ⇔ p is s's advisor and p is faculty.
-	var pos, neg []logic.Atom
-	for k, s := range studs {
-		for p, pr := range profs {
-			e := logic.GroundAtom("advisedBy", s, pr)
+	// Labels: advisedBy(s,p) ⇔ p is s's advisor and p is faculty. Every
+	// (student, professor) pair is an example; labelling, noise and
+	// negative sampling run over pair codes k·P+p, and atoms are built only
+	// for the pairs kept (about 1.5k of 518k at scale 30).
+	nprof := len(profs)
+	if len(studs) > math.MaxInt32/nprof {
+		return nil, fmt.Errorf("datasets: UW-CSE with %d students and %d professors has too many pairs", len(studs), nprof)
+	}
+	pos := make([]int32, 0, len(studs))
+	neg := make([]int32, 0, len(studs)*nprof)
+	for k := range studs {
+		for p := range profs {
+			code := int32(k*nprof + p)
 			if advisor[k] == p && profPos[p] == "faculty" {
-				pos = append(pos, e)
+				pos = append(pos, code)
 			} else {
-				neg = append(neg, e)
+				neg = append(neg, code)
 			}
 		}
 	}
 	pos, neg = flipLabels(r, pos, neg, cfg.NoiseFrac)
 	if cfg.NegPerPos > 0 {
 		neg = sampleExamples(r, neg, cfg.NegPerPos*len(pos))
+	}
+	atoms := func(codes []int32) []logic.Atom {
+		out := make([]logic.Atom, len(codes))
+		for i, c := range codes {
+			out[i] = logic.GroundAtom("advisedBy", studs[int(c)/nprof], profs[int(c)%nprof])
+		}
+		return out
 	}
 
 	to4nf, toD1, toD2 := uwcsePipelines(schema)
@@ -221,8 +237,8 @@ func GenerateUWCSE(cfg UWCSEConfig) (*Dataset, error) {
 			{Name: "Denormalized-2", Schema: toD2.To(), Instance: iD2},
 		},
 		Target:     &relstore.Relation{Name: "advisedBy", Attrs: []string{"stud", "prof"}},
-		Pos:        pos,
-		Neg:        neg,
+		Pos:        atoms(pos),
+		Neg:        atoms(neg),
 		ValueAttrs: uwcseValueAttrs(),
 	}, nil
 }

@@ -14,10 +14,10 @@ import (
 // 14M-tuple relation is a handful of large allocations instead of millions
 // of small string slices. Dedupe runs over 64-bit hashes of interned rows
 // in an open-addressed row-id set (no string keys, no per-probe
-// allocation), and the per-column indexes are CSR-style postings — a
-// sorted list of distinct value ids plus offsets into one row-id array —
-// built by counting sort when the table is frozen and probed lock-free by
-// binary search afterwards. Large materializations shard the row list
+// allocation), and the per-column indexes are CSR-style postings — offsets
+// into one row-id array, addressed directly by value id over the column's
+// id range — built by counting sort when the table is frozen and probed
+// lock-free afterwards. Large materializations shard the row list
 // into contiguous ranges and fan out across the instance's scan-worker
 // pool; results are stitched back in shard order, so every query stays
 // byte-deterministic.
@@ -121,33 +121,27 @@ func (s *rowSet) insert(t *Table, id int32, vals []int32) bool {
 	return true
 }
 
-// colIndex is the frozen CSR posting list of one column: vals holds the
-// distinct value ids in ascending order, offs[k]..offs[k+1] delimits the
-// row ids holding vals[k] (ascending, i.e. insertion order) in rows.
+// colIndex is the frozen CSR posting list of one column, direct-addressed
+// by value id: the column's ids span [lo, lo+len(offs)-1), and
+// offs[v-lo]..offs[v-lo+1] delimits the row ids holding v (ascending, i.e.
+// insertion order) in rows. Ids inside the span that the column lacks
+// delimit an empty run.
 type colIndex struct {
-	vals []int32
+	lo   int32
 	offs []int32
 	rows []int32
 }
 
 // postings returns the row ids holding value id v in this column — a
-// shared subslice of the CSR row array, never a fresh allocation. The
-// binary search is hand-rolled: a sort.Find closure costs two indirect
-// calls per halving, which dominates the probe hot path under profile.
+// shared subslice of the CSR row array, never a fresh allocation. One
+// unsigned comparison rejects ids below lo, above the column's top id and
+// -1 alike; then two loads delimit the run.
 func (c *colIndex) postings(v int32) []int32 {
-	lo, hi := 0, len(c.vals)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if c.vals[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(c.vals) || c.vals[lo] != v {
+	k := uint32(v - c.lo)
+	if k >= uint32(len(c.offs)-1) {
 		return nil
 	}
-	return c.rows[c.offs[lo]:c.offs[lo+1]]
+	return c.rows[c.offs[k]:c.offs[k+1]]
 }
 
 // Table is the instance of one relation: a set of interned columnar rows
@@ -259,54 +253,41 @@ func (t *Table) ensureFrozen() {
 	t.frozen.Store(true)
 }
 
-// buildPostings counting-sorts every column into CSR form: one pass to
-// count occurrences per value id, a prefix sum, and one pass to scatter
-// row ids — O(rows + symbols) per column, no hash maps, and row ids land
-// in ascending (insertion) order within each value run, which is what the
-// determinism of every probe path rests on.
+// buildPostings counting-sorts every column into CSR form over its value-id
+// range [lo, hi]: one pass for the range, one to count occurrences per id,
+// a prefix sum, and one backward pass that scatters row ids while moving
+// each offset from the end of its run to its start — O(rows + range) per
+// column, no hash maps, and row ids land in ascending (insertion) order
+// within each value run, which is what the determinism of every probe path
+// rests on.
 func (t *Table) buildPostings() []colIndex {
 	ar := t.rel.Arity()
-	nsym := t.syms.Len()
 	cols := make([]colIndex, ar)
-	counts := make([]int32, nsym)
-	starts := make([]int32, nsym)
-	for c := 0; c < ar; c++ {
-		for i := range counts {
-			counts[i] = 0
+	for c := range cols {
+		lo, hi := int32(0), int32(-1)
+		if t.nrows > 0 {
+			lo, hi = t.data[c], t.data[c]
 		}
-		distinct := 0
-		for r := 0; r < t.nrows; r++ {
+		for r := 1; r < t.nrows; r++ {
 			v := t.data[r*ar+c]
-			if counts[v] == 0 {
-				distinct++
-			}
-			counts[v]++
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		offs := make([]int32, hi-lo+2)
+		for r := 0; r < t.nrows; r++ {
+			offs[t.data[r*ar+c]-lo]++
 		}
 		sum := int32(0)
-		for id := 0; id < nsym; id++ {
-			starts[id] = sum
-			sum += counts[id]
+		for k, n := range offs {
+			sum += n
+			offs[k] = sum
 		}
-		ci := colIndex{
-			vals: make([]int32, 0, distinct),
-			offs: make([]int32, 0, distinct+1),
-			rows: make([]int32, t.nrows),
+		rows := make([]int32, t.nrows)
+		for r := t.nrows - 1; r >= 0; r-- {
+			k := t.data[r*ar+c] - lo
+			offs[k]--
+			rows[offs[k]] = int32(r)
 		}
-		cursor := starts
-		for r := 0; r < t.nrows; r++ {
-			v := t.data[r*ar+c]
-			ci.rows[cursor[v]] = int32(r)
-			cursor[v]++
-		}
-		// cursor[v] now points one past the value's run, i.e. its end.
-		for id := int32(0); int(id) < nsym; id++ {
-			if counts[id] > 0 {
-				ci.vals = append(ci.vals, id)
-				ci.offs = append(ci.offs, cursor[id]-counts[id])
-			}
-		}
-		ci.offs = append(ci.offs, int32(t.nrows))
-		cols[c] = ci
+		cols[c] = colIndex{lo: lo, offs: offs, rows: rows}
 	}
 	return cols
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -291,5 +292,107 @@ func TestRowInternExternRoundTrip(t *testing.T) {
 		if !roundTrip {
 			t.Errorf("ForEachTuple alters row %q", vals)
 		}
+	}
+}
+
+// checkPostingsAgainstScan probes every column of tb at every id from -1
+// to two past the symbol table's end — below the column's lowest id, in
+// gaps of its range, above its top id — and compares the postings, their
+// counts and AppendRowsContaining with a scan of the stored rows.
+func checkPostingsAgainstScan(t *testing.T, tb *Table) {
+	t.Helper()
+	ar := tb.Relation().Arity()
+	for v := int32(-1); int(v) <= tb.syms.Len()+1; v++ {
+		var inAny []int32
+		for r := 0; r < tb.Len(); r++ {
+			if slices.Contains(tb.Row(int32(r)), v) {
+				inAny = append(inAny, int32(r))
+			}
+		}
+		for col := 0; col < ar; col++ {
+			var want []int32
+			for r := 0; r < tb.Len(); r++ {
+				if tb.Row(int32(r))[col] == v {
+					want = append(want, int32(r))
+				}
+			}
+			if got := tb.matchingRows(col, v); !slices.Equal(got, want) {
+				t.Errorf("%s col %d id %d: postings %v, scan %v", tb.Relation().Name, col, v, got, want)
+			}
+			if got := tb.countMatching(col, v); got != len(want) {
+				t.Errorf("%s col %d id %d: count %d, scan %d", tb.Relation().Name, col, v, got, len(want))
+			}
+		}
+		if got := tb.AppendRowsContaining(nil, v); !slices.Equal(got, inAny) {
+			t.Errorf("%s id %d: AppendRowsContaining %v, scan %v", tb.Relation().Name, v, got, inAny)
+		}
+	}
+}
+
+// TestPostingsEdgeCases covers the bounds of the direct-addressed postings:
+// a column whose lowest id is above 0 because another relation interned
+// symbols first, gaps in a column's id range, probes outside the range and
+// at -1, an id interned by another table after this one froze, an empty
+// table, and a re-freeze after an insert that widens the range.
+func TestPostingsEdgeCases(t *testing.T) {
+	s := NewSchema()
+	s.MustAddRelation("first", "x")
+	s.MustAddRelation("r", "a", "b")
+	s.MustAddRelation("empty", "a")
+	inst := NewInstance(s)
+	// ids f0..f2 = 0..2 go to "first"; r interns a1=3, b1=4, a2=5, b2=6,
+	// so column a spans [3, 5] with a gap at 4 and column b [4, 6] with a
+	// gap at 5.
+	for _, v := range []string{"f0", "f1", "f2"} {
+		inst.MustInsert("first", v)
+	}
+	inst.MustInsert("r", "a1", "b1")
+	inst.MustInsert("r", "a2", "b1")
+	inst.MustInsert("r", "a1", "b2")
+	inst.Freeze()
+	r, empty := inst.Table("r"), inst.Table("empty")
+	if lo := r.cols[0].lo; lo != 3 {
+		t.Fatalf("column a starts at id %d, want 3", lo)
+	}
+	checkPostingsAgainstScan(t, r)
+	checkPostingsAgainstScan(t, empty)
+	if got := r.TuplesWith(map[int]string{0: "a1"}); len(got) != 2 || !got[0].Equal(Tuple{"a1", "b1"}) || !got[1].Equal(Tuple{"a1", "b2"}) {
+		t.Errorf("TuplesWith(a=a1) = %v", got)
+	}
+	if got := empty.TuplesWith(map[int]string{0: "a1"}); got != nil {
+		t.Errorf("empty table TuplesWith = %v", got)
+	}
+
+	// Another table interns a new id; r stays frozen and must answer
+	// nothing for it rather than read past its offsets.
+	inst.MustInsert("first", "late")
+	if !r.frozen.Load() {
+		t.Fatal("insert into another table thawed r")
+	}
+	late := r.lookupVal("late")
+	for col := 0; col < 2; col++ {
+		if got := r.MatchingIndexes(col, "late"); len(got) != 0 {
+			t.Errorf("col %d: id interned after freeze matches %v", col, got)
+		}
+	}
+	if got := r.AppendRowsContaining(nil, late); len(got) != 0 {
+		t.Errorf("id interned after freeze is contained in %v", got)
+	}
+	checkPostingsAgainstScan(t, r)
+
+	// Widen both columns' ranges: f0 lies below column a's lowest id, and
+	// "wide" is a new id above every column's top. The insert thaws r, and
+	// the next probe rebuilds the postings over the wider range.
+	inst.MustInsert("r", "f0", "wide")
+	inst.MustInsert("r", "a2", "late")
+	if r.frozen.Load() {
+		t.Fatal("insert did not thaw r")
+	}
+	checkPostingsAgainstScan(t, r)
+	if lo := r.cols[0].lo; lo != 0 {
+		t.Errorf("re-frozen column a starts at id %d, want 0", lo)
+	}
+	if got := r.MatchingIndexes(1, "late"); !slices.Equal(got, []int32{4}) {
+		t.Errorf("late after re-freeze: %v, want [4]", got)
 	}
 }

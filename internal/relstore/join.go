@@ -154,7 +154,9 @@ func Project(r *JoinResult, attrs []string) (*JoinResult, error) {
 
 // PairwiseConsistent reports whether the join of the named relations is
 // pairwise consistent: no relation loses tuples when joined with any other
-// relation it shares attributes with (§4).
+// relation it shares attributes with (§4). For relations x and y sharing
+// attributes S that is exactly π_S(x) ⊆ π_S(y), checked as an inclusion
+// semi-join over interned rows; nothing is joined or materialized.
 func (i *Instance) PairwiseConsistent(rels ...string) (bool, error) {
 	for x := 0; x < len(rels); x++ {
 		for y := 0; y < len(rels); y++ {
@@ -165,18 +167,11 @@ func (i *Instance) PairwiseConsistent(rels ...string) (bool, error) {
 			if tx == nil || ty == nil {
 				return false, fmt.Errorf("relstore: unknown relation in consistency check")
 			}
-			if len(tx.rel.SharedAttrs(ty.rel)) == 0 {
+			shared := tx.rel.SharedAttrs(ty.rel)
+			if len(shared) == 0 {
 				continue
 			}
-			joined, err := NaturalJoin(TableResult(tx), TableResult(ty))
-			if err != nil {
-				return false, err
-			}
-			back, err := Project(joined, tx.rel.Attrs)
-			if err != nil {
-				return false, err
-			}
-			if len(back.Tuples) != tx.Len() {
+			if _, ok := i.checkInclusion(RelAttrs{Rel: rels[x], Attrs: shared}, RelAttrs{Rel: rels[y], Attrs: shared}); !ok {
 				return false, nil
 			}
 		}

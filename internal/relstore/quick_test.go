@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/logic"
@@ -25,7 +26,8 @@ func randTwoRelInstance(r *rand.Rand, indexed bool) *Instance {
 }
 
 // TestQuickIndexedMatchesScan: every query primitive returns identical
-// results with and without hash indexes.
+// results, tuple for tuple and in the same order, with and without the
+// posting indexes.
 func TestQuickIndexedMatchesScan(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	vals := []string{"v0", "v1", "v2", "v9"}
@@ -42,6 +44,11 @@ func TestQuickIndexedMatchesScan(t *testing.T) {
 					y := b.Table(rel).TuplesWith(map[int]string{col: v})
 					if len(x) != len(y) {
 						t.Fatalf("TuplesWith mismatch: %v vs %v", x, y)
+					}
+					for i := range x {
+						if !x[i].Equal(y[i]) {
+							t.Fatalf("TuplesWith(%d=%s) order mismatch: %v vs %v", col, v, x, y)
+						}
 					}
 				}
 			}
@@ -87,6 +94,100 @@ func TestQuickJoinAgainstNaive(t *testing.T) {
 				t.Fatalf("unexpected joined tuple %v", tp)
 			}
 		}
+	}
+}
+
+// joinConsistent is the join-based definition of pairwise consistency:
+// every relation, naturally joined with each relation it shares an
+// attribute with and projected back onto its own attributes, keeps all of
+// its tuples.
+func joinConsistent(t *testing.T, inst *Instance, rels ...string) bool {
+	t.Helper()
+	for _, x := range rels {
+		for _, y := range rels {
+			tx, ty := inst.Table(x), inst.Table(y)
+			if x == y || len(tx.Relation().SharedAttrs(ty.Relation())) == 0 {
+				continue
+			}
+			joined, err := NaturalJoin(TableResult(tx), TableResult(ty))
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := Project(joined, tx.Relation().Attrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(back.Tuples) != tx.Len() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestQuickPairwiseConsistentAgainstJoin: the inclusion semi-join check
+// agrees with the join-based definition on random instances of relations
+// sharing one, two or no attributes. Half the instances are projections of
+// one random universal relation (consistent by construction) with a random
+// stray tuple added half of the time, so both answers are exercised.
+func TestQuickPairwiseConsistentAgainstJoin(t *testing.T) {
+	s := NewSchema()
+	s.MustAddRelation("p", "a", "b")
+	s.MustAddRelation("q", "b", "c")
+	s.MustAddRelation("w", "a", "b", "c")
+	s.MustAddRelation("u", "c")
+	s.MustAddRelation("v", "d")
+	names := []string{"p", "q", "w", "u", "v"}
+	r := rand.New(rand.NewSource(66))
+	vals := []string{"v0", "v1", "v2"}
+	val := func() string { return vals[r.Intn(len(vals))] }
+	outcomes := map[bool]int{}
+	for trial := 0; trial < 300; trial++ {
+		inst := NewInstance(s)
+		if trial%2 == 0 {
+			for n := 1 + r.Intn(6); n > 0; n-- {
+				a, b, c := val(), val(), val()
+				inst.MustInsert("w", a, b, c)
+				inst.MustInsert("p", a, b)
+				inst.MustInsert("q", b, c)
+				inst.MustInsert("u", c)
+			}
+			inst.MustInsert("v", val())
+			if r.Intn(2) == 0 {
+				rel := inst.Table(names[r.Intn(len(names))]).Relation()
+				tp := make([]string, rel.Arity())
+				for k := range tp {
+					tp[k] = val()
+				}
+				inst.MustInsert(rel.Name, tp...)
+			}
+		} else {
+			for _, name := range names {
+				rel := inst.Table(name).Relation()
+				for n := r.Intn(6); n > 0; n-- {
+					tp := make([]string, rel.Arity())
+					for k := range tp {
+						tp[k] = val()
+					}
+					inst.MustInsert(name, tp...)
+				}
+			}
+		}
+		rels := slices.Clone(names)
+		r.Shuffle(len(rels), func(i, j int) { rels[i], rels[j] = rels[j], rels[i] })
+		rels = rels[:2+r.Intn(len(rels)-1)]
+		got, err := inst.PairwiseConsistent(rels...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := joinConsistent(t, inst, rels...); got != want {
+			t.Fatalf("PairwiseConsistent(%v)=%v, join-based definition %v", rels, got, want)
+		}
+		outcomes[got]++
+	}
+	t.Logf("outcomes: %v", outcomes)
+	if outcomes[true] < 30 || outcomes[false] < 30 {
+		t.Errorf("one-sided property: %v", outcomes)
 	}
 }
 
