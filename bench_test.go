@@ -195,7 +195,7 @@ func buildScoringCandidates(tb testing.TB, prob *ilp.Problem) []coverage.Candida
 }
 
 // benchScoreBatch times one candidate-scoring configuration; shared between
-// BenchmarkCandidateScoring and the BENCH_castor.json emitter.
+// BenchmarkCandidateScoring and TestScoringPoolGates.
 func benchScoreBatch(b *testing.B, prob *ilp.Problem, cands []coverage.Candidate, workers int, disableCache bool) {
 	params := benchCastorParams()
 	params.CoverageMode = ilp.CoverageSubsumption
@@ -217,11 +217,11 @@ func benchScoreBatch(b *testing.B, prob *ilp.Problem, cands []coverage.Candidate
 	}
 	reportObsMetrics(b, reg)
 	if workers > 1 {
-		// Whole-run worker utilization of the scoring pool, for the
-		// bench-smoke pool_busy_ratio floor gate.
+		// Whole-run worker utilization of the scoring pool, for
+		// TestScoringPoolGates' pool_busy_ratio floor.
 		b.ReportMetric(reg.Gauge(obs.GPoolBusyRatio), "pool_busy_ratio")
-		// Wall-weighted critical-chain/mean-chain quotient, for the
-		// bench-smoke pool_straggler_ratio ceiling gate: a healthy pool
+		// Wall-weighted critical-chain/mean-chain quotient, for
+		// TestScoringPoolGates' pool_straggler_ratio ceiling: a healthy pool
 		// keeps the slowest worker's chain near the mean.
 		b.ReportMetric(reg.Gauge(obs.GPoolStraggler), "pool_straggler_ratio")
 	}
@@ -315,8 +315,7 @@ func subsumptionShapes() []subsumptionShape {
 }
 
 // benchSubsumptionCompiled times the compile-once/match-many path on one
-// shape; shared between BenchmarkSubsumption and the BENCH_castor.json
-// emitter.
+// shape.
 func benchSubsumptionCompiled(b *testing.B, shape subsumptionShape) {
 	reg := obs.NewRegistry()
 	run := obs.NewRun(nil, reg)
@@ -353,8 +352,7 @@ func BenchmarkSubsumption(b *testing.B) {
 	}
 }
 
-// benchBottomClause times ground-bottom-clause saturation; shared between
-// BenchmarkBottomClause and the BENCH_castor.json emitter. Besides the
+// benchBottomClause times ground-bottom-clause saturation. Besides the
 // counter-derived tuples/op, it reports the relstore access statistics of
 // the construction — tuples the store actually examined and tuples pulled
 // in by IND-chase expansions.
@@ -383,8 +381,8 @@ func benchBottomClause(b *testing.B, prob *ilp.Problem, plan *relstore.Plan) {
 }
 
 // BenchmarkBottomClause measures Castor's ground-bottom-clause saturation
-// (IND chasing included) on UW-CSE. The construction is serial; the
-// sub-benchmark keeps its "serial" name, which BENCH gates refer to.
+// (IND chasing included) on UW-CSE. The construction is serial, so it has
+// one sub-benchmark, "serial".
 func BenchmarkBottomClause(b *testing.B) {
 	prob := benchUWCSEProblem(b, true)
 	plan := relstore.CompilePlan(prob.Instance.Schema(), false)
@@ -524,7 +522,7 @@ func benchRelstoreData(tb testing.TB) *relstoreBenchData {
 }
 
 // benchRelstoreLoad times building (and for the columnar store freezing) a
-// full instance from raw rows; shared with the BENCH_castor.json emitter.
+// full instance from raw rows.
 func benchRelstoreLoad(b *testing.B, d *relstoreBenchData, columnar bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -581,7 +579,8 @@ func benchRelstoreProbe(b *testing.B, d *relstoreBenchData, contains func(relsto
 
 // benchRelstoreContaining is the colder saturation probe of bottom-clause
 // construction (tuples holding a constant in any column), kept as its own
-// pair so the gated probe benchmark stays the hot path.
+// pair so the probe benchmark TestColumnarProbeBeatsLegacy gates stays
+// the hot path.
 func benchRelstoreContaining(b *testing.B, d *relstoreBenchData, containing func(string) int) {
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -639,9 +638,8 @@ func benchRelstoreProbeColumnar(b *testing.B, d *relstoreBenchData) {
 
 // BenchmarkRelstoreProbe compares the frozen columnar store's probe
 // throughput against the legacy map-based store on an identical workload;
-// the BENCH emitter derives speedup_vs_legacy and mem_ratio_vs_legacy
-// extras from the pair, gated as absolute floors in CI. The containing
-// sub-benchmarks cover the saturation probe, ungated.
+// TestColumnarProbeBeatsLegacy gates the pair's time and memory ratios.
+// The containing sub-benchmarks cover the saturation probe, ungated.
 func BenchmarkRelstoreProbe(b *testing.B) {
 	d := benchRelstoreData(b)
 	b.Run("legacy", func(b *testing.B) { benchRelstoreProbeLegacy(b, d) })

@@ -31,7 +31,9 @@
 //
 // File formats are those of internal/relstore: `rel name(attr, …)` /
 // `fd` / `ind` / `domain` lines for the schema, one ground fact per line
-// for data and examples. The trace file is JSONL (one object per finished
+// for data and examples. The data must satisfy the schema's FDs and INDs:
+// a violation fails the load with the violated constraint and a witness
+// value. The trace file is JSONL (one object per finished
 // span); the run report embeds the JSON snapshot of the run's counter and
 // span registry under "metrics" (see README "Observability" for both
 // schemas).
@@ -518,6 +520,11 @@ func loadUserProblem(schemaFile, dataFile, posFile, negFile, targetDecl, valueAt
 	inst, err := relstore.ReadInstance(df, schema)
 	if err != nil {
 		return nil, err
+	}
+	// Castor chases the declared INDs as if they held: data that violates
+	// one would silently change the bottom clauses, so refuse it.
+	if err := inst.Validate(); err != nil {
+		return nil, fmt.Errorf("%s: %w", dataFile, err)
 	}
 	head, err := logic.ParseAtom(targetDecl)
 	if err != nil {

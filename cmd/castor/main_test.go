@@ -124,3 +124,39 @@ func TestCoverageModeFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadUserProblemValidatesData checks that user data is validated
+// against its schema's constraints at load: data violating a declared IND
+// fails to load with an error naming the IND and the missing value, and
+// data satisfying it loads.
+func TestLoadUserProblemValidatesData(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		t.Helper()
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	schema := write("schema.txt", "rel student(stud)\nrel ta(course, stud)\nind ta[stud] <= student[stud]\n")
+	pos := write("pos.pl", "advisedBy(ann).\n")
+	for _, tc := range []struct {
+		name, data, wantErr string
+	}{
+		{"violates", "student(ann).\nta(c1, ann).\nta(c2, bob).\n", "ta[stud] <= student[stud]: value \"bob\" missing from student[stud]"},
+		{"satisfies", "student(ann).\nstudent(bob).\nta(c1, ann).\nta(c2, bob).\n", ""},
+	} {
+		data := write(tc.name+".pl", tc.data)
+		prob, err := loadUserProblem(schema, data, pos, "", "advisedBy(stud)", "")
+		if tc.wantErr == "" {
+			if err != nil || prob == nil || len(prob.Pos) != 1 {
+				t.Errorf("%s: load = %v, %v; want the problem", tc.name, prob, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: load error = %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}

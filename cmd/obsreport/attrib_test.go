@@ -205,54 +205,14 @@ func TestReportAndBenchFormatJSON(t *testing.T) {
 		t.Errorf("no coverage_tests row in %+v", doc.Rows)
 	}
 
-	oldB := writeBenchFile(t, dir, "oldb.json", map[int]map[string]map[string]float64{
-		8: {"CandidateScoring/parallel": {"pool_straggler_ratio": 1.2}},
-	})
-	newB := writeBenchFile(t, dir, "newb.json", map[int]map[string]map[string]float64{
-		8: {"CandidateScoring/parallel": {"pool_straggler_ratio": 1.4}},
-	})
+	// Bench mode is gone: -bench is an unknown flag, a usage error.
 	out.Reset()
-	code = run([]string{"-bench", "-cpus", "8", "-format", "json", "-watch",
-		"CandidateScoring/parallel.pool_straggler_ratio@<=4", oldB, newB}, &out, &errw)
-	if code != 0 {
-		t.Fatalf("bench json exit = %d, want 0\n%s", code, errw.String())
+	errw.Reset()
+	if code := run([]string{"-bench", "-format", "json", oldP, newP}, &out, &errw); code != 2 {
+		t.Fatalf("-bench exit = %d, want 2", code)
 	}
-	var bdoc benchJSONDoc
-	if err := json.Unmarshal([]byte(out.String()), &bdoc); err != nil {
-		t.Fatalf("bench json: %v\n%s", err, out.String())
-	}
-	if bdoc.Mode != "bench" || len(bdoc.Gates) != 1 || !bdoc.Gates[0].OK || bdoc.Gates[0].Op != "abs-max" {
-		t.Errorf("bench doc = %+v", bdoc)
-	}
-}
-
-func TestBenchAbsoluteCeilingGate(t *testing.T) {
-	dir := t.TempDir()
-	oldP := writeBenchFile(t, dir, "old.json", map[int]map[string]map[string]float64{
-		8: {"CandidateScoring/parallel": {"pool_straggler_ratio": 1.3}},
-	})
-	newP := writeBenchFile(t, dir, "new.json", map[int]map[string]map[string]float64{
-		8: {"CandidateScoring/parallel": {"pool_straggler_ratio": 5.2}},
-	})
-	var out, errw strings.Builder
-	code := run([]string{"-bench", "-cpus", "8", "-watch",
-		"CandidateScoring/parallel.pool_straggler_ratio@<=4", oldP, newP}, &out, &errw)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSION: CandidateScoring/parallel.pool_straggler_ratio") {
-		t.Errorf("missing regression line:\n%s", out.String())
-	}
-	// The ceiling only reads the new file: missing from old is fine.
-	oldNoMetric := writeBenchFile(t, dir, "old2.json", map[int]map[string]map[string]float64{
-		8: {"CandidateScoring/parallel": {"ns_per_op": 100}},
-	})
-	okNew := writeBenchFile(t, dir, "new2.json", map[int]map[string]map[string]float64{
-		8: {"CandidateScoring/parallel": {"pool_straggler_ratio": 2.0}},
-	})
-	if code := run([]string{"-bench", "-cpus", "8", "-watch",
-		"CandidateScoring/parallel.pool_straggler_ratio@<=4", oldNoMetric, okNew}, &out, &errw); code != 0 {
-		t.Fatalf("baseline-free ceiling exit = %d, want 0\n%s", code, errw.String())
+	if !strings.Contains(errw.String(), "flag provided but not defined: -bench") {
+		t.Errorf("-bench stderr = %q, want an unknown-flag error", errw.String())
 	}
 }
 
@@ -274,7 +234,7 @@ func TestFormatFlagValidation(t *testing.T) {
 	if code := run([]string{"-format", "yaml", "a.json", "b.json"}, &out, &errw); code != 2 {
 		t.Fatalf("bad format exit = %d, want 2", code)
 	}
-	if code := run([]string{"-bench", "-attrib", "a.json", "b.json"}, &out, &errw); code != 2 {
-		t.Fatalf("-bench -attrib exit = %d, want 2", code)
+	if code := run([]string{"-cpus", "4", "a.json", "b.json"}, &out, &errw); code != 2 {
+		t.Fatalf("-cpus exit = %d, want 2", code)
 	}
 }

@@ -25,7 +25,7 @@
 // timeline digests appear as timeline_<series>_{mean,min,max,last,count},
 // and the attribution table as attrib_<kind>_{self_ns,cum_ns,crit_ns,pct}.
 // A -watch entry may carry its own threshold as name=ratio; entries
-// without one use -threshold. Three more gate shapes mirror bench mode:
+// without one use -threshold. Three more gate shapes:
 // name>=ratio requires the new/old ratio to stay at or above ratio (a
 // minimum, for metrics that must not drop — cache hit counts, busy
 // ratios), name@>=value requires the new report's absolute value to
@@ -69,14 +69,11 @@ func run(args []string, out, errw io.Writer) int {
 	watch := fs.String("watch", "", "comma-separated metrics to gate on: name, name=maxratio, name>=minratio, name@>=floor, or name@<=ceiling (empty: report only, never fail)")
 	threshold := fs.Float64("threshold", 1.10, "max allowed new/old ratio for watched metrics without their own =threshold")
 	all := fs.Bool("all", false, "print unchanged metrics too")
-	bench := fs.Bool("bench", false, "inputs are BENCH json files, not run reports; -watch entries are name.metric gates (see bench.go)")
-	cpus := fs.Int("cpus", 0, "with -bench: select the document with this cpus value (0: the only document)")
 	attrib := fs.Bool("attrib", false, "diff the reports' span-graph attribution tables and rank span kinds by self-time delta (see attrib.go)")
 	attribTop := fs.String("attrib-top", "", "with -attrib: fail (exit 1) unless this span kind ranks first by self-time delta")
 	format := fs.String("format", "text", "output format: text or json (one machine-readable object on stdout)")
 	fs.Usage = func() {
 		fmt.Fprintln(errw, "usage: obsreport [-watch 'm1,m2=1.5,m3>=0.9,m4@>=0.6,m5@<=4'] [-threshold 1.10] [-all] [-format text|json] old.json new.json")
-		fmt.Fprintln(errw, "       obsreport -bench [-cpus N] -watch 'name.metric=r,name.metric>=r,name.metric@>=v,name.metric@<=v' old.json new.json")
 		fmt.Fprintln(errw, "       obsreport -attrib [-attrib-top kind] [-watch 'kind=1.5,...'] old.json new.json")
 		fs.PrintDefaults()
 	}
@@ -90,13 +87,6 @@ func run(args []string, out, errw io.Writer) int {
 	if *format != "text" && *format != "json" {
 		fmt.Fprintf(errw, "obsreport: unknown -format %q (have text, json)\n", *format)
 		return 2
-	}
-	if *bench && *attrib {
-		fmt.Fprintln(errw, "obsreport: -bench and -attrib are mutually exclusive")
-		return 2
-	}
-	if *bench {
-		return runBench(*watch, *cpus, *format, fs.Arg(0), fs.Arg(1), out, errw)
 	}
 	if *attrib {
 		return runAttrib(*watch, *threshold, *attribTop, *format, fs.Arg(0), fs.Arg(1), out, errw)

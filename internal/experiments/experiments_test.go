@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,6 +113,16 @@ func TestTable13StoredProcedures(t *testing.T) {
 	for _, r := range rows {
 		if r.WithSeconds <= 0 || r.WithoutSeconds <= 0 {
 			t.Errorf("degenerate timing %+v", r)
+		}
+	}
+}
+
+// TestFigure2Threads pins the default Figure 2 sweep: powers of two up to
+// the hardware thread count, plus the count itself.
+func TestFigure2Threads(t *testing.T) {
+	for n, want := range map[int][]int{1: {1}, 2: {1, 2}, 3: {1, 2, 3}, 6: {1, 2, 4, 6}, 8: {1, 2, 4, 8}} {
+		if got := figure2Threads(n); !slices.Equal(got, want) {
+			t.Errorf("figure2Threads(%d) = %v, want %v", n, got, want)
 		}
 	}
 }

@@ -61,8 +61,7 @@ func NewTester(prob *Problem, params Params) *Tester {
 	prob.Instance.SetObs(params.Obs)
 	// Learning only reads the store: freeze it now so the posting indexes
 	// compact once, up front, instead of lazily under the first concurrent
-	// probe, and let large scans fan out as wide as the coverage pool.
-	prob.Instance.SetScanWorkers(params.Parallelism)
+	// probe.
 	prob.Instance.Freeze()
 	t := &Tester{prob: prob, params: params, run: params.Obs}
 	if reg := params.Obs.Registry(); reg != nil {

@@ -68,6 +68,11 @@ const (
 	// nonzero value here means some answers were cutoffs, not genuine
 	// failures.
 	CSubsumptionBudgetExhausted
+	// CEvalBudgetExhausted counts direct-evaluation calls (relstore query
+	// matching) cut off by the node budget. Like subsumption cutoffs,
+	// those answer "not covered"; a nonzero value means some direct
+	// coverage answers were cutoffs.
+	CEvalBudgetExhausted
 	// CINDChaseHops counts IND hops followed during Castor's bottom-clause
 	// construction (§7.1).
 	CINDChaseHops
@@ -136,6 +141,7 @@ var counterNames = [numCounters]string{
 	CSubsumptionCalls:           "subsumption_calls",
 	CSubsumptionNodes:           "subsumption_nodes",
 	CSubsumptionBudgetExhausted: "subsumption_budget_exhausted",
+	CEvalBudgetExhausted:        "eval_budget_exhausted",
 	CINDChaseHops:               "ind_chase_hops",
 	CTuplesScanned:              "tuples_scanned",
 	CPlanCompiles:               "plan_compiles",
@@ -169,6 +175,7 @@ var counterHelp = [numCounters]string{
 	CSubsumptionCalls:           "Top-level theta-subsumption engine calls.",
 	CSubsumptionNodes:           "Backtracking nodes explored by the subsumption engine.",
 	CSubsumptionBudgetExhausted: "Subsumption calls cut off by the node budget.",
+	CEvalBudgetExhausted:        "Direct-evaluation calls cut off by the node budget.",
 	CINDChaseHops:               "IND hops followed during bottom-clause construction.",
 	CTuplesScanned:              "Tuples read from the relational store.",
 	CPlanCompiles:               "Per-schema access-plan compilations.",

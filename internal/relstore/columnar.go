@@ -17,19 +17,12 @@ import (
 // allocation), and the per-column indexes are CSR-style postings — offsets
 // into one row-id array, addressed directly by value id over the column's
 // id range — built by counting sort when the table is frozen and probed
-// lock-free afterwards. Large materializations shard the row list
-// into contiguous ranges and fan out across the instance's scan-worker
-// pool; results are stitched back in shard order, so every query stays
-// byte-deterministic.
+// lock-free afterwards. Every scan walks rows in ascending row order, so
+// every query is byte-deterministic.
 
 // maxInlineArity bounds the stack-allocated scratch row used by the
 // zero-allocation probe paths; wider relations fall back to the heap.
 const maxInlineArity = 12
-
-// scanShardMin is the row count below which a scan never fans out: small
-// results are materialized inline so the coverage engine's own
-// worker-level parallelism is not fought by nested goroutines.
-const scanShardMin = 1 << 15
 
 // rowHash mixes the interned values of one row into a 64-bit key (FNV-1a
 // over the value ids). It replaces the strings.Join dedupe key: no bytes
@@ -153,7 +146,6 @@ type Table struct {
 	nrows   int
 	set     rowSet
 	indexed bool
-	workers int // scan fan-out width; 1 = serial
 
 	// cols are the frozen CSR postings, one per column, valid while frozen
 	// is set. Inserting thaws the table (drops the postings); the first
@@ -167,7 +159,7 @@ type Table struct {
 }
 
 func newTable(rel *Relation, syms *logic.Symbols, indexed bool) *Table {
-	return &Table{rel: rel, syms: syms, indexed: indexed, workers: 1}
+	return &Table{rel: rel, syms: syms, indexed: indexed}
 }
 
 // Relation returns the relation symbol of the table.
@@ -384,50 +376,6 @@ func (t *Table) containsInterned(vals []int32) bool {
 	return t.set.lookup(t, vals) >= 0
 }
 
-// shardRanges cuts [0, n) into at most t.workers contiguous ranges of
-// near-equal size. Contiguous ranges keep every fan-out path's output in
-// row order, so stitching shard results back in shard order reproduces
-// the serial answer byte for byte.
-func (t *Table) shardRanges(n int) [][2]int {
-	w := t.workers
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	out := make([][2]int, 0, w)
-	for s := 0; s < w; s++ {
-		lo, hi := s*n/w, (s+1)*n/w
-		if lo < hi {
-			out = append(out, [2]int{lo, hi})
-		}
-	}
-	return out
-}
-
-// runSharded executes fn once per shard range, concurrently when the
-// table has a scan-worker pool and the work is large enough.
-func (t *Table) runSharded(n int, fn func(shard int, lo, hi int)) int {
-	ranges := t.shardRanges(n)
-	if len(ranges) <= 1 || n < scanShardMin {
-		for s, r := range ranges {
-			fn(s, r[0], r[1])
-		}
-		return len(ranges)
-	}
-	var wg sync.WaitGroup
-	for s, r := range ranges {
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			fn(s, lo, hi)
-		}(s, r[0], r[1])
-	}
-	wg.Wait()
-	return len(ranges)
-}
-
 // Tuples returns every tuple in insertion order. The rows are
 // materialized from the columnar store into one string slab per call;
 // callers must not modify the result. Prefer ForEachTuple when streaming.
@@ -435,11 +383,9 @@ func (t *Table) Tuples() []Tuple {
 	out := make([]Tuple, t.nrows)
 	slab := make([]string, t.nrows*t.rel.Arity())
 	ar := t.rel.Arity()
-	t.runSharded(t.nrows, func(_, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			out[r] = t.materialize(r, slab[r*ar:r*ar+ar:r*ar+ar])
-		}
-	})
+	for r := range out {
+		out[r] = t.materialize(r, slab[r*ar:r*ar+ar:r*ar+ar])
+	}
 	return out
 }
 
@@ -457,9 +403,6 @@ func (t *Table) ForEachTuple(fn func(Tuple) bool) {
 // TuplesWith returns the tuples matching every (column, value)
 // requirement, in row order: AppendRowsWith over the interned requirement,
 // materialized. Requirements on columns the relation lacks are ignored.
-// Results past the shard threshold materialize over the scan-worker pool;
-// the shards are contiguous slices of the row list, so the result is
-// identical at every worker count.
 func (t *Table) TuplesWith(req map[int]string) []Tuple {
 	cols := make([]int, 0, len(req))
 	for c := range req {
@@ -577,10 +520,8 @@ func (t *Table) materializeRows(rows []int32) []Tuple {
 	ar := t.rel.Arity()
 	out := make([]Tuple, len(rows))
 	slab := make([]string, len(rows)*ar)
-	t.runSharded(len(rows), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = t.materialize(int(rows[i]), slab[i*ar:i*ar+ar:i*ar+ar])
-		}
-	})
+	for i, r := range rows {
+		out[i] = t.materialize(int(r), slab[i*ar:i*ar+ar:i*ar+ar])
+	}
 	return out
 }

@@ -108,10 +108,8 @@ func (i *Instance) CheckINDs() []Violation {
 }
 
 // checkInclusion verifies π_lattrs(left) ⊆ π_rattrs(right), returning a
-// witness description when it fails. The right side is built once as a
-// hash set of interned projections; the left-side probe shards over the
-// row space when the table is large, reporting the first (lowest-row)
-// failure so the witness is identical at every worker count.
+// witness description — the lowest failing left row — when it fails. The
+// right side is built once as a hash set of interned projections.
 func (i *Instance) checkInclusion(left, right RelAttrs) (string, bool) {
 	lt, rt := i.tables[left.Rel], i.tables[right.Rel]
 	if lt == nil || rt == nil {
@@ -133,30 +131,14 @@ func (i *Instance) checkInclusion(left, right RelAttrs) (string, bool) {
 			rSet[h] = append(rSet[h], int32(r))
 		}
 	}
-	fails := make([]int, len(lt.shardRanges(lt.nrows)))
-	lt.runSharded(lt.nrows, func(s, lo, hi int) {
-		fails[s] = -1
-		for r := lo; r < hi; r++ {
-			h := lt.projHash(r, lIdx)
-			found := false
-			for _, pr := range rSet[h] {
-				if projEqualRows(lt, r, lIdx, rt, int(pr), rIdx) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				fails[s] = r
-				return
+rows:
+	for r := 0; r < lt.nrows; r++ {
+		for _, pr := range rSet[lt.projHash(r, lIdx)] {
+			if projEqualRows(lt, r, lIdx, rt, int(pr), rIdx) {
+				continue rows
 			}
 		}
-	})
-	// Shards cover ascending row ranges, so the first failing shard holds
-	// the overall first failing row.
-	for _, r := range fails {
-		if r >= 0 {
-			return fmt.Sprintf("value %q missing from %s", lt.projString(r, lIdx), right), false
-		}
+		return fmt.Sprintf("value %q missing from %s", lt.projString(r, lIdx), right), false
 	}
 	return "", true
 }

@@ -39,8 +39,9 @@ import (
 // the clause length, and bottom-up learners produce long clauses, so each
 // top-level call explores at most the instance's evaluation budget of
 // search nodes and then reports "no (further) match" — the same cutoff
-// discipline subsumption engines like Resumer2 apply. The default budget is
-// far beyond what any non-pathological clause needs.
+// discipline subsumption engines like Resumer2 apply — counting the call
+// once in eval_budget_exhausted. The default budget is far beyond what any
+// non-pathological clause needs.
 
 // DefaultEvalBudget is the default per-call search-node budget.
 const DefaultEvalBudget = 1 << 21
@@ -264,6 +265,9 @@ func (q *Query) run(sc *scratch, yield func(*logic.Subst) bool) bool {
 	}
 	if sc.scanned > 0 {
 		q.inst.obs.Add(obs.CTuplesScanned, sc.scanned)
+	}
+	if sc.nodes < 0 {
+		q.inst.obs.Inc(obs.CEvalBudgetExhausted)
 	}
 	return sc.found
 }

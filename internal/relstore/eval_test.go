@@ -245,7 +245,8 @@ const budgetClause = "q(X, C) :- edge(X, Y), edge(Y, Z), lab(Z, C), tri(Y, Z, W)
 
 // TestEvalBudgetFlip pins the search itself, not just its answer: the
 // node budget at which coverage of one example flips from false to true,
-// and the tuples_scanned counter and per-table statistics of each call.
+// the tuples_scanned counter and per-table statistics of each call, and
+// eval_budget_exhausted, which counts each call the budget cut off.
 // Any change to literal choice, row order, node counting or statistics
 // accounting moves one of these numbers.
 func TestEvalBudgetFlip(t *testing.T) {
@@ -256,17 +257,18 @@ func TestEvalBudgetFlip(t *testing.T) {
 	}
 	full := map[string]obs.StoreStat{"edge": stat(34, 159, 33), "lab": stat(42, 42, 42), "tri": stat(17, 34, 17)}
 	for _, tc := range []struct {
-		budget  int
-		covered bool
-		scanned int64
-		stats   map[string]obs.StoreStat
+		budget    int
+		covered   bool
+		scanned   int64
+		stats     map[string]obs.StoreStat
+		exhausted int
 	}{
-		{1, false, 3, map[string]obs.StoreStat{"edge": stat(1, 3, 1)}},
-		{2, false, 5, map[string]obs.StoreStat{"edge": stat(1, 3, 1), "tri": stat(1, 2, 1)}},
-		{40, false, 45, map[string]obs.StoreStat{"edge": stat(15, 45, 15), "lab": stat(17, 17, 17), "tri": stat(8, 16, 8)}},
-		{93, false, 152, full},
-		{94, true, 152, full},
-		{0, true, 152, full}, // the default budget
+		{1, false, 3, map[string]obs.StoreStat{"edge": stat(1, 3, 1)}, 1},
+		{2, false, 5, map[string]obs.StoreStat{"edge": stat(1, 3, 1), "tri": stat(1, 2, 1)}, 1},
+		{40, false, 45, map[string]obs.StoreStat{"edge": stat(15, 45, 15), "lab": stat(17, 17, 17), "tri": stat(8, 16, 8)}, 1},
+		{93, false, 152, full, 1},
+		{94, true, 152, full, 0},
+		{0, true, 152, full, 0}, // the default budget
 	} {
 		i := budgetGraph(t)
 		reg := obs.NewRegistry()
@@ -280,6 +282,9 @@ func TestEvalBudgetFlip(t *testing.T) {
 		}
 		if got := i.StoreStats(); !reflect.DeepEqual(got, tc.stats) {
 			t.Errorf("budget %d: store stats\n got %v\nwant %v", tc.budget, got, tc.stats)
+		}
+		if got, want := reg.Get(obs.CEvalBudgetExhausted), int64(tc.exhausted); got != want {
+			t.Errorf("budget %d: eval_budget_exhausted = %d, want %d", tc.budget, got, want)
 		}
 	}
 
@@ -307,6 +312,9 @@ func TestEvalBudgetFlip(t *testing.T) {
 		}
 		if got := i.StoreStats(); !reflect.DeepEqual(got, tc.stats) {
 			t.Errorf("r(%s): store stats\n got %v\nwant %v", tc.node, got, tc.stats)
+		}
+		if got := reg.Get(obs.CEvalBudgetExhausted); got != 0 {
+			t.Errorf("r(%s): eval_budget_exhausted = %d on a dead branch, want 0", tc.node, got)
 		}
 	}
 

@@ -134,20 +134,6 @@ func (i *Instance) Freeze() {
 	}
 }
 
-// SetScanWorkers sets the fan-out width of large scans (bulk
-// materialization by Tuples, TuplesWith and TuplesContaining, IND
-// inclusion checks). Values
-// below 1 mean serial. Shards are contiguous row ranges stitched in
-// order, so results are identical at every width.
-func (i *Instance) SetScanWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	for _, t := range i.tables {
-		t.workers = n
-	}
-}
-
 // Table returns the table of a relation, or nil if unknown.
 func (i *Instance) Table(rel string) *Table { return i.tables[rel] }
 

@@ -170,49 +170,41 @@ func TestPlanExplain(t *testing.T) {
 	}
 }
 
-// TestStatsShardedScanPath extends the stats contract to the sharded scan
-// path: past the shard threshold and with scan workers attached, results
-// and statistics are identical to the serial run.
+// TestStatsShardedScanPath pins the statistics contract on a table above
+// 32,768 rows, the size at which scans once fanned out: a point scan and a
+// full fetch return rows in insertion order and count exactly one lookup
+// each, one index hit for the bound column and every row they read.
 func TestStatsShardedScanPath(t *testing.T) {
-	const rows = scanShardMin + scanShardMin/2
-	build := func(workers int) (*Instance, *Table) {
-		s := NewSchema()
-		s.MustAddRelation("big", "k", "v")
-		i := NewInstance(s)
-		for r := 0; r < rows; r++ {
-			i.MustInsert("big", "k"+strconv.Itoa(r%7), "v"+strconv.Itoa(r))
-		}
-		i.SetScanWorkers(workers)
-		i.Freeze()
-		return i, i.Table("big")
+	const rows = 1<<15 + 1<<14
+	s := NewSchema()
+	s.MustAddRelation("big", "k", "v")
+	i := NewInstance(s)
+	for r := 0; r < rows; r++ {
+		i.MustInsert("big", "k"+strconv.Itoa(r%7), "v"+strconv.Itoa(r))
 	}
-	_, serial := build(1)
-	_, sharded := build(8)
+	i.Freeze()
+	big := i.Table("big")
 
-	sx := serial.TuplesWith(map[int]string{0: "k3"})
-	px := sharded.TuplesWith(map[int]string{0: "k3"})
-	if len(sx) != len(px) || len(sx) == 0 {
-		t.Fatalf("sharded point scan size %d, serial %d", len(px), len(sx))
+	point := big.TuplesWith(map[int]string{0: "k3"})
+	if len(point) != (rows-3+6)/7 {
+		t.Fatalf("point scan returned %d rows, want %d", len(point), (rows-3+6)/7)
 	}
-	for i := range sx {
-		if !sx[i].Equal(px[i]) {
-			t.Fatalf("sharded scan order diverges at %d: %v vs %v", i, px[i], sx[i])
+	for n, tp := range point {
+		if want := "v" + strconv.Itoa(3+7*n); tp[0] != "k3" || tp[1] != want {
+			t.Fatalf("point scan row %d = %v, want [k3 %s]", n, tp, want)
 		}
 	}
-	sAll := serial.TuplesWith(nil)
-	pAll := sharded.TuplesWith(nil)
-	for i := range sAll {
-		if !sAll[i].Equal(pAll[i]) {
-			t.Fatalf("sharded full fetch order diverges at %d", i)
+	all := big.TuplesWith(nil)
+	if len(all) != rows {
+		t.Fatalf("full fetch returned %d rows, want %d", len(all), rows)
+	}
+	for r, tp := range all {
+		if tp[1] != "v"+strconv.Itoa(r) {
+			t.Fatalf("full fetch row %d = %v, out of insertion order", r, tp)
 		}
 	}
-	// Identical statistics: same lookups, same index hits, same scan counts
-	// regardless of worker width.
-	if s1, s8 := serial.Stats(), sharded.Stats(); s1 != s8 {
-		t.Errorf("sharded stats diverge: serial %+v sharded %+v", s1, s8)
-	}
-	wantScanned := int64(len(sx)) + int64(rows)
-	if got := sharded.Stats(); got.Lookups != 2 || got.IndexHits != 1 || got.TuplesScanned != wantScanned {
-		t.Errorf("sharded scan stats = %+v, want lookups 2, hits 1, scanned %d", got, wantScanned)
+	wantScanned := int64(len(point)) + int64(rows)
+	if got := big.Stats(); got.Lookups != 2 || got.IndexHits != 1 || got.TuplesScanned != wantScanned {
+		t.Errorf("scan stats = %+v, want lookups 2, hits 1, scanned %d", got, wantScanned)
 	}
 }

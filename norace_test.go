@@ -1,0 +1,5 @@
+//go:build !race
+
+package sirl_test
+
+const raceEnabled = false
