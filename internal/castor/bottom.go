@@ -7,6 +7,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/relstore"
+	"repro/internal/subsume"
 )
 
 // Castor's bottom-clause construction (§7.1): classic saturation extended
@@ -42,12 +43,14 @@ func GroundBottomClause(prob *ilp.Problem, plan *relstore.Plan, e logic.Atom, pa
 
 // builder constructs the ground bottom clauses of one plan over one
 // instance in the store's id space: frontier scans and IND hops read row
-// ids out of the posting lists, constants stay symbol ids, literals dedupe
-// by (relation, row), and names appear only when the finished clause is
-// written out. What the plan fixes — the relations with a table, their
-// value columns, each hop's join columns — is resolved once, so one
-// builder serves every bottom clause of a learn. Per-clause state comes
-// from a pool, so concurrent coverage workers share the builder.
+// ids out of the posting lists, constants stay symbol ids, and literals
+// dedupe by (relation, row). A learn's bottom clauses are written out in
+// names; coverage saturations compile straight from the ids into the
+// tester's subsumption space (compileInto). What the plan fixes — the
+// relations with a table, their value columns, each hop's join columns —
+// is resolved once, so one builder serves every bottom clause of a learn.
+// Per-clause state comes from a pool, so concurrent coverage workers
+// share the builder.
 type builder struct {
 	prob    *ilp.Problem
 	plan    *relstore.Plan
@@ -55,11 +58,19 @@ type builder struct {
 	rels    []bottomRel // the plan schema's relations that have a table, in schema order
 	nattrs  int         // distinct attribute names across rels
 	scratch sync.Pool   // *bottomScratch
+
+	// The space saturations compile into, once compileInto has run:
+	// instance symbol ids below baseLen are its ids too, and targetID is
+	// the target predicate's id (-1 when the space lacks it).
+	space    *subsume.Space
+	baseLen  int32
+	targetID int32
 }
 
 // bottomRel is one relation the construction scans and chases into.
 type bottomRel struct {
 	name  string
+	id    int32 // the name's id in the builder's space; -1 when it lacks it
 	table *relstore.Table
 	attrs []int32 // per column: the attribute's index into the joined row
 	value []bool  // per column: a value attribute, neither chased nor an entity
@@ -81,6 +92,9 @@ type rowRef struct {
 	row int32
 }
 
+// key is the tuple's key in the construction's literal set.
+func (r rowRef) key() uint64 { return uint64(uint32(r.rel))<<32 | uint64(uint32(r.row)) }
+
 func newBuilder(prob *ilp.Problem, plan *relstore.Plan) *builder {
 	schema := plan.Schema()
 	b := &builder{prob: prob, plan: plan, syms: prob.Instance.Symbols()}
@@ -92,7 +106,7 @@ func newBuilder(prob *ilp.Problem, plan *relstore.Plan) *builder {
 			continue
 		}
 		index[rel.Name] = int32(len(b.rels))
-		br := bottomRel{name: rel.Name, table: table, attrs: make([]int32, rel.Arity()), value: make([]bool, rel.Arity())}
+		br := bottomRel{name: rel.Name, id: -1, table: table, attrs: make([]int32, rel.Arity()), value: make([]bool, rel.Arity())}
 		for pos, attr := range rel.Attrs {
 			a, ok := attrIndex[attr]
 			if !ok {
@@ -138,13 +152,31 @@ func indexOf(xs []int, x int) int {
 	return -1
 }
 
+// compileInto readies the builder to compile saturations into space,
+// resolving the relation names and the target predicate once. Call it
+// before the builder is shared.
+func (b *builder) compileInto(space *subsume.Space) {
+	lookup := func(name string) int32 {
+		if id, ok := space.Lookup(name); ok {
+			return id
+		}
+		return -1
+	}
+	b.space, b.baseLen = space, space.BaseLen(b.syms)
+	b.targetID = lookup(b.prob.Target.Name)
+	for i := range b.rels {
+		b.rels[i].id = lookup(b.rels[i].name)
+	}
+}
+
 // bottomScratch is the mutable state of one construction.
 type bottomScratch struct {
-	entities map[int32]struct{}  // constants that become variables
-	lits     map[rowRef]struct{} // tuples already in the clause
+	entities idSet // constants that become variables
+	lits     idSet // tuples already in the clause, by rowRef.key
 	body     []rowRef
 	frontier []int32
 	found    []int32
+	example  []int32  // the example's argument ids, as exampleID gives them
 	unknown  []string // example constants the instance lacks; ids -2, -3, …
 	queue    []rowRef
 	scan     []int32 // frontier-scan result buffer
@@ -155,16 +187,22 @@ type bottomScratch struct {
 	rowVal  []int32
 	rowSet  []bool
 	touched []int32
+	// tally collects the construction's store statistics, published once
+	// at its end.
+	tally *relstore.Tally
+	// The finished clause in the space's ids, for compileIDs.
+	headArgs, litPred, litOff, argv []int32
 }
 
 func (b *builder) getScratch() *bottomScratch {
 	sc, _ := b.scratch.Get().(*bottomScratch)
 	if sc == nil {
-		sc = &bottomScratch{entities: make(map[int32]struct{}), lits: make(map[rowRef]struct{})}
+		sc = &bottomScratch{tally: b.prob.Instance.NewTally()}
 	}
-	clear(sc.entities)
-	clear(sc.lits)
-	sc.body, sc.frontier, sc.found, sc.unknown = sc.body[:0], sc.frontier[:0], sc.found[:0], sc.unknown[:0]
+	sc.entities.reset()
+	sc.lits.reset()
+	sc.body, sc.frontier, sc.found = sc.body[:0], sc.frontier[:0], sc.found[:0]
+	sc.example, sc.unknown = sc.example[:0], sc.unknown[:0]
 	if len(sc.rowSet) < b.nattrs {
 		sc.rowVal = make([]int32, b.nattrs)
 		sc.rowSet = make([]bool, b.nattrs)
@@ -174,13 +212,7 @@ func (b *builder) getScratch() *bottomScratch {
 
 // addEntity records v as a constant that becomes a variable, reporting
 // whether it is new.
-func (sc *bottomScratch) addEntity(v int32) bool {
-	if _, ok := sc.entities[v]; ok {
-		return false
-	}
-	sc.entities[v] = struct{}{}
-	return true
-}
+func (sc *bottomScratch) addEntity(v int32) bool { return sc.entities.add(uint64(uint32(v))) }
 
 // exampleID interns one example constant: its symbol id, or a distinct
 // negative id below logic.UnknownSym when the instance lacks it, so that
@@ -206,9 +238,31 @@ func (b *builder) exampleID(sc *bottomScratch, name string) int32 {
 func (b *builder) build(e logic.Atom, params ilp.Params, indsFired map[string]int64) *logic.Clause {
 	sc := b.getScratch()
 	defer b.scratch.Put(sc)
+	b.saturate(sc, e, params, indsFired)
+	return b.clause(sc, e)
+}
+
+// compile constructs the ground bottom clause of e and compiles it into
+// the space compileInto set: the clause space.Compile(b.build(e, …))
+// compiles, built without writing out or looking up a name of the
+// instance.
+func (b *builder) compile(e logic.Atom, params ilp.Params) *subsume.Compiled {
+	sc := b.getScratch()
+	defer b.scratch.Put(sc)
+	b.saturate(sc, e, params, nil)
+	if cd := b.compileIDs(sc, e); cd != nil {
+		return cd
+	}
+	return b.space.Compile(b.clause(sc, e))
+}
+
+// saturate runs the construction of e's ground bottom clause into sc.
+func (b *builder) saturate(sc *bottomScratch, e logic.Atom, params ilp.Params, indsFired map[string]int64) {
 	var chaseHops, scanned int64 // flushed into the run once, on return
 	for _, t := range e.Args {
-		if v := b.exampleID(sc, t.Name); sc.addEntity(v) {
+		v := b.exampleID(sc, t.Name)
+		sc.example = append(sc.example, v)
+		if sc.addEntity(v) {
 			sc.frontier = append(sc.frontier, v)
 		}
 	}
@@ -223,7 +277,7 @@ func (b *builder) build(e logic.Atom, params ilp.Params, indsFired map[string]in
 		// order.
 		for ri := range b.rels {
 			for _, v := range chase {
-				rows := b.rels[ri].table.AppendRowsContaining(sc.scan[:0], v)
+				rows := b.rels[ri].table.AppendRowsContaining(sc.scan[:0], v, sc.tally)
 				sc.scan = rows
 				if !params.UseStoredProc {
 					rows = append([]int32(nil), rows...)
@@ -238,13 +292,13 @@ func (b *builder) build(e logic.Atom, params ilp.Params, indsFired map[string]in
 		// §7.1 stopping condition: stop expanding once the distinct-variable
 		// budget is reached. The count is schema independent because
 		// corresponding clauses over (de)compositions share their variables.
-		if params.MaxVars > 0 && len(sc.entities) >= params.MaxVars {
+		if params.MaxVars > 0 && sc.entities.n >= params.MaxVars {
 			break
 		}
 	}
+	sc.tally.Publish()
 	params.Obs.Add(obs.CINDChaseHops, chaseHops)
 	params.Obs.Add(obs.CTuplesScanned, scanned)
-	return b.clause(sc, e)
 }
 
 // addWithChase inserts the tuple's literal and transitively chases the
@@ -268,10 +322,9 @@ func (b *builder) addWithChase(sc *bottomScratch, start rowRef, storedProc bool,
 		if sc.conflicts(br.attrs, vals) {
 			continue
 		}
-		if _, seen := sc.lits[it]; seen {
+		if !sc.lits.add(it.key()) {
 			continue
 		}
-		sc.lits[it] = struct{}{}
 		for pos, a := range br.attrs {
 			if !sc.rowSet[a] {
 				sc.rowSet[a] = true
@@ -292,13 +345,13 @@ func (b *builder) addWithChase(sc *bottomScratch, start rowRef, storedProc bool,
 			for _, c := range hop.src {
 				sc.joinVals = append(sc.joinVals, vals[c])
 			}
-			joined := partner.AppendRowsWith(sc.join[:0], hop.dst, sc.joinVals)
+			joined := partner.AppendRowsWith(sc.join[:0], hop.dst, sc.joinVals, sc.tally)
 			sc.join = joined
 			if !storedProc {
 				joined = append([]int32(nil), joined...)
 			}
 			*scanned += int64(len(joined))
-			partner.AddINDExpansions(int64(len(joined)))
+			sc.tally.AddINDExpansions(partner, int64(len(joined)))
 			if len(joined) > maxINDJoin {
 				joined = joined[:maxINDJoin]
 			}
@@ -324,7 +377,8 @@ func (sc *bottomScratch) conflicts(attrs, vals []int32) bool {
 }
 
 // clause writes the constructed literals out as a ground clause with head
-// e: the only place ids turn back into names.
+// e: the only place ids turn back into names, which a coverage saturation
+// reaches only when compileIDs cannot compile it.
 func (b *builder) clause(sc *bottomScratch, e logic.Atom) *logic.Clause {
 	n := 0
 	for _, it := range sc.body {
@@ -342,4 +396,122 @@ func (b *builder) clause(sc *bottomScratch, e logic.Atom) *logic.Clause {
 		c.Body[k] = logic.Atom{Pred: br.name, Args: args}
 	}
 	return c
+}
+
+// compileIDs compiles the construction in sc into the builder's space
+// straight from its ids: instance symbols are the space's base ids, the
+// relation names and the target were resolved by compileInto, and only
+// the example's constants the instance lacks are looked up, once per
+// example. The target equals space.Compile(b.clause(sc, e)). It returns
+// nil when that clause would hold a name outside the space (an atom from
+// outside the problem), for the caller to compile the clause of names.
+func (b *builder) compileIDs(sc *bottomScratch, e logic.Atom) *subsume.Compiled {
+	head := b.targetID
+	if e.Pred != b.prob.Target.Name {
+		head = -1
+		if id, ok := b.space.Lookup(e.Pred); ok {
+			head = id
+		}
+	}
+	if head < 0 {
+		return nil
+	}
+	sc.headArgs = sc.headArgs[:0]
+	for k, t := range e.Args {
+		if t.IsVar {
+			return nil // compiles as a skolem constant, which the space lacks
+		}
+		id := sc.example[k]
+		if uint32(id) >= uint32(b.baseLen) {
+			var ok bool
+			if id, ok = b.space.Lookup(t.Name); !ok {
+				return nil
+			}
+		}
+		sc.headArgs = append(sc.headArgs, id)
+	}
+	sc.litPred, sc.litOff, sc.argv = sc.litPred[:0], append(sc.litOff[:0], 0), sc.argv[:0]
+	for _, it := range sc.body {
+		br := &b.rels[it.rel]
+		if br.id < 0 {
+			return nil
+		}
+		sc.litPred = append(sc.litPred, br.id)
+		for _, v := range br.table.Row(it.row) {
+			if uint32(v) >= uint32(b.baseLen) {
+				return nil
+			}
+			sc.argv = append(sc.argv, v)
+		}
+		sc.litOff = append(sc.litOff, int32(len(sc.argv)))
+	}
+	return b.space.CompileGround(head, sc.headArgs, sc.litPred, sc.litOff, sc.argv)
+}
+
+// idSet is a set of 64-bit keys for one construction at a time: an
+// open-addressed table whose slots count only when stamped with the
+// current generation, so emptying it is one increment. It grows with the
+// largest construction it has held, not with the store.
+type idSet struct {
+	slots []idSlot
+	gen   uint32
+	n     int
+}
+
+type idSlot struct {
+	key uint64
+	gen uint32
+}
+
+// reset empties the set.
+func (s *idSet) reset() {
+	s.n = 0
+	s.gen++
+	if s.gen == 0 {
+		// Wrapped: stamps from 2^32 resets ago would read as current.
+		clear(s.slots)
+		s.gen = 1
+	}
+}
+
+// add inserts k, reporting whether it was absent.
+func (s *idSet) add(k uint64) bool {
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := mix64(k) & mask; ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.gen != s.gen {
+			*sl = idSlot{key: k, gen: s.gen}
+			s.n++
+			return true
+		}
+		if sl.key == k {
+			return false
+		}
+	}
+}
+
+// grow doubles the table, keeping the current generation's keys.
+func (s *idSet) grow() {
+	old := s.slots
+	s.slots = make([]idSlot, max(64, 2*len(old)))
+	mask := uint64(len(s.slots) - 1)
+	for _, sl := range old {
+		if sl.gen != s.gen {
+			continue
+		}
+		i := mix64(sl.key) & mask
+		for s.slots[i].gen == s.gen {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = sl
+	}
+}
+
+// mix64 spreads a key's bits over the low ones a table mask keeps.
+func mix64(k uint64) uint64 {
+	k *= 0x9E3779B97F4A7C15
+	return k ^ k>>32
 }

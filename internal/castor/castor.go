@@ -87,7 +87,8 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 			sat = newBuilder(prob, relstore.CompilePlan(schema, params.SubsetINDs))
 			run.Inc(obs.CPlanCompiles)
 		}
-		tester.SatFn = func(e logic.Atom) *logic.Clause { return sat.build(e, params, nil) }
+		sat.compileInto(tester.Space())
+		tester.CompileSat = func(e logic.Atom) *subsume.Compiled { return sat.compile(e, params) }
 	}
 	rng := newRand(params.Seed)
 	learn := func(uncovered []logic.Atom) (*logic.Clause, error) {

@@ -1,0 +1,5 @@
+//go:build !race
+
+package castor
+
+const raceEnabled = false

@@ -109,11 +109,11 @@ func TestEngineGlobalBoundNeverPrunesKeptCandidates(t *testing.T) {
 		neg := boundAtoms("neg", nneg)
 
 		// Unbounded serial reference: exact scores for every candidate.
-		exact := NewEngine(perPair(rc.fn), 1, nil, nil).ScoreBatch(cands, pos, neg, NoBound, 0)
+		exact := NewEngine(perPair(rc.fn), newNop, 1, nil, nil).ScoreBatch(cands, pos, neg, NoBound, 0)
 		kept := keepSet(exact, floor, keep)
 
 		// Bounded parallel run under test.
-		got := NewEngine(perPair(rc.fn), workers, nil, nil).ScoreBatch(cands, pos, neg, floor, keep)
+		got := NewEngine(perPair(rc.fn), newNop, workers, nil, nil).ScoreBatch(cands, pos, neg, floor, keep)
 		for i, s := range got {
 			if s.Pruned && kept[i] {
 				t.Logf("seed %d: candidate %d pruned but the serial engine keeps it (score %d, floor %d, keep %d)",

@@ -9,16 +9,25 @@ import (
 	"repro/internal/obs"
 )
 
+// Probe is the state one worker's coverage tests share while it runs a
+// shard: the tests accumulate into it (store statistics, counters) rather
+// than into shared counters, and the engine publishes it once the shard is
+// done. A probe serves one goroutine at a time.
+type Probe interface {
+	Publish()
+}
+
 // CoverFunc prepares one clause for coverage testing and returns its
-// per-example test. The engine calls it once per candidate per round, so
-// per-clause work (compiling a store query, say) is paid once per round
-// rather than once per example: on the submitting goroutine for a round
-// over one candidate, and from the worker that first tests a candidate in
-// a flattened round over many, so those rounds prepare their candidates
-// in parallel. ilp.Tester supplies it, closing over the coverage mode
-// (direct evaluation or θ-subsumption) and its own instrumentation; it
-// and the tests it returns must be safe for concurrent use.
-type CoverFunc func(c *logic.Clause) func(e logic.Atom) bool
+// per-example test, which runs on the probe of the worker calling it. The
+// engine calls it once per candidate per round, so per-clause work
+// (compiling a store query, say) is paid once per round rather than once
+// per example: on the submitting goroutine for a round over one
+// candidate, and from the worker that first tests a candidate in a
+// flattened round over many, so those rounds prepare their candidates in
+// parallel. ilp.Tester supplies it, closing over the coverage mode (direct
+// evaluation or θ-subsumption) and its own instrumentation; it and the
+// tests it returns must be safe for concurrent use on distinct probes.
+type CoverFunc[P Probe] func(c *logic.Clause) func(p P, e logic.Atom) bool
 
 // NoBound disables the early-termination bound of ScoreBatch.
 const NoBound = math.MinInt
@@ -27,8 +36,16 @@ const NoBound = math.MinInt
 // inside one batch (§7.5.3), whole-result memoization keyed by canonical
 // clause form (§7.5.4), and cross-candidate batched scoring with a global
 // best-score bound shared by every worker.
-type Engine struct {
-	cover   CoverFunc
+type Engine[P Probe] struct {
+	cover    CoverFunc[P]
+	newProbe func() P
+	// idle holds published probes for reuse. A plain list, not a
+	// sync.Pool: a pool stays registered with the runtime until two
+	// collections after its last use, which would keep the engine, and
+	// through its CoverFunc every compiled saturation of a finished learn,
+	// alive into the next one.
+	mu      sync.Mutex
+	idle    []P
 	workers int
 	cache   *Cache // nil disables memoization
 	run     *obs.Run
@@ -37,20 +54,48 @@ type Engine struct {
 	util *poolUtil
 }
 
-// NewEngine builds an engine. workers < 1 is treated as sequential; a nil
-// cache disables memoization (the ablation path).
-func NewEngine(cover CoverFunc, workers int, cache *Cache, run *obs.Run) *Engine {
+// NewEngine builds an engine whose tests run on probes made by newProbe.
+// workers < 1 is treated as sequential; a nil cache disables memoization
+// (the ablation path).
+func NewEngine[P Probe](cover CoverFunc[P], newProbe func() P, workers int, cache *Cache, run *obs.Run) *Engine[P] {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Engine{cover: cover, workers: workers, cache: cache, run: run, util: newPoolUtil(run)}
+	return &Engine[P]{cover: cover, newProbe: newProbe, workers: workers, cache: cache, run: run, util: newPoolUtil(run)}
+}
+
+// probe takes an idle probe, or makes one, for one shard of tests.
+func (en *Engine[P]) probe() P {
+	en.mu.Lock()
+	defer en.mu.Unlock()
+	if n := len(en.idle); n > 0 {
+		p := en.idle[n-1]
+		en.idle = en.idle[:n-1]
+		return p
+	}
+	return en.newProbe()
+}
+
+// done publishes what the shard's tests accumulated on p and puts p back.
+func (en *Engine[P]) done(p P) {
+	p.Publish()
+	en.mu.Lock()
+	en.idle = append(en.idle, p)
+	en.mu.Unlock()
+}
+
+// Covers tests one example outside any batch, publishing at once.
+func (en *Engine[P]) Covers(c *logic.Clause, e logic.Atom) bool {
+	p := en.probe()
+	defer en.done(p)
+	return en.cover(c)(p, e)
 }
 
 // shardCount picks how many shards a round of items should split into:
 // an oversubscription factor over the worker count for load balancing,
 // clamped to the item count. The plan depends on nothing but the worker
 // and item counts, so observed and unobserved runs shard alike.
-func (en *Engine) shardCount(items int) int {
+func (en *Engine[P]) shardCount(items int) int {
 	return max(min(en.workers*shardOversub, items), 1)
 }
 
@@ -59,7 +104,7 @@ func (en *Engine) shardCount(items int) int {
 // that covered them) and skips their tests; out-of-range known bits read
 // as unset. The result is memoized: a repeat of the same clause (up to
 // variable renaming) over the same example set is answered from cache.
-func (en *Engine) CoveredSet(c *logic.Clause, examples []logic.Atom, known *Bitset) *Bitset {
+func (en *Engine[P]) CoveredSet(c *logic.Clause, examples []logic.Atom, known *Bitset) *Bitset {
 	var sp *obs.Span
 	if en.run.Spanning() {
 		sp = en.run.StartSpan("coverage_batch", obs.F("examples", len(examples)))
@@ -74,7 +119,7 @@ func (en *Engine) CoveredSet(c *logic.Clause, examples []logic.Atom, known *Bits
 
 // coveredSet is CoveredSet without the span, with an explicit pool (nil
 // runs inline) so ScoreBatch can reuse its workers.
-func (en *Engine) coveredSet(c *logic.Clause, examples []logic.Atom, known *Bitset, pl *pool) *Bitset {
+func (en *Engine[P]) coveredSet(c *logic.Clause, examples []logic.Atom, known *Bitset, pl *pool) *Bitset {
 	if en.cache == nil {
 		return en.evaluate(c, examples, known, pl)
 	}
@@ -90,7 +135,7 @@ func (en *Engine) coveredSet(c *logic.Clause, examples []logic.Atom, known *Bits
 }
 
 // evaluate runs the actual per-example tests, sharded over the pool.
-func (en *Engine) evaluate(c *logic.Clause, examples []logic.Atom, known *Bitset, pl *pool) *Bitset {
+func (en *Engine[P]) evaluate(c *logic.Clause, examples []logic.Atom, known *Bitset, pl *pool) *Bitset {
 	n := len(examples)
 	if known != nil {
 		// §7.5.4 known-covered shortcut: tests this batch skips outright.
@@ -110,12 +155,14 @@ func (en *Engine) evaluate(c *logic.Clause, examples []logic.Atom, known *Bitset
 	}
 	if pl == nil {
 		out := New(n)
+		p := en.probe()
 		for i, e := range examples {
 			en.run.Heartbeat()
-			if known.Get(i) || test(e) {
+			if known.Get(i) || test(p, e) {
 				out.Set(i)
 			}
 		}
+		en.done(p)
 		return out
 	}
 	// Workers record into a byte-per-example buffer, not the bitset:
@@ -123,10 +170,12 @@ func (en *Engine) evaluate(c *logic.Clause, examples []logic.Atom, known *Bitset
 	buf := make([]bool, n)
 	shards := planShards(n, en.shardCount(n))
 	runShards(en.run, pl, "coverage_testing", shards, func(sh shard) {
+		p := en.probe()
 		for i := sh.lo; i < sh.hi; i++ {
 			en.run.Heartbeat()
-			buf[i] = known.Get(i) || test(examples[i])
+			buf[i] = known.Get(i) || test(p, examples[i])
 		}
+		en.done(p)
 	})
 	if ownPool {
 		pl.close()
@@ -223,7 +272,7 @@ func (bb *bestBound) threshold() (int, bool) {
 // count and cache setting. Complete results are memoized; pruned ones are
 // not, and carry a canonical empty negative side. keep ≤ 0 disables the
 // shared bound (callers that need exact counts, like FOIL's gain).
-func (en *Engine) ScoreBatch(cands []Candidate, pos, neg []logic.Atom, floor, keep int) []Score {
+func (en *Engine[P]) ScoreBatch(cands []Candidate, pos, neg []logic.Atom, floor, keep int) []Score {
 	var sp *obs.Span
 	if en.run.Spanning() {
 		sp = en.run.StartSpan("score_batch", obs.F("candidates", len(cands)))
@@ -272,7 +321,7 @@ func (en *Engine) ScoreBatch(cands []Candidate, pos, neg []logic.Atom, floor, ke
 
 // setKey digests an example list for the memo cache, or returns "" when
 // memoization is off.
-func (en *Engine) setKey(examples []logic.Atom) string {
+func (en *Engine[P]) setKey(examples []logic.Atom) string {
 	if en.cache == nil {
 		return ""
 	}
@@ -284,7 +333,7 @@ func (en *Engine) setKey(examples []logic.Atom) string {
 // then every remaining (candidate, example) pair as one work item.
 // setKey is the list's SetKey (unused without a cache); pos selects which
 // known-covered set applies.
-func (en *Engine) batchCovered(pl *pool, cands []Candidate, examples []logic.Atom, setKey string, pos bool) []*Bitset {
+func (en *Engine[P]) batchCovered(pl *pool, cands []Candidate, examples []logic.Atom, setKey string, pos bool) []*Bitset {
 	sets := make([]*Bitset, len(cands))
 	var keys []string
 	if en.cache != nil {
@@ -308,7 +357,7 @@ func (en *Engine) batchCovered(pl *pool, cands []Candidate, examples []logic.Ato
 		return cands[i].KnownNeg
 	}
 	bufs := make([][]bool, len(cands))
-	tests := make([]func(logic.Atom) bool, len(cands))
+	tests := make([]func(P, logic.Atom) bool, len(cands))
 	var itemCand, itemEx []int32
 	skipped := int64(0)
 	for i := range cands {
@@ -334,13 +383,15 @@ func (en *Engine) batchCovered(pl *pool, cands []Candidate, examples []logic.Ato
 	if len(itemCand) > 0 {
 		shards := planShards(len(itemCand), en.shardCount(len(itemCand)))
 		runShards(en.run, pl, "candidate_scoring", shards, func(sh shard) {
+			p := en.probe()
 			for k := sh.lo; k < sh.hi; k++ {
 				en.run.Heartbeat()
 				ci, ej := itemCand[k], itemEx[k]
-				if tests[ci](examples[ej]) {
+				if tests[ci](p, examples[ej]) {
 					bufs[ci][ej] = true
 				}
 			}
+			en.done(p)
 		})
 	}
 	for i := range cands {
@@ -358,12 +409,12 @@ func (en *Engine) batchCovered(pl *pool, cands []Candidate, examples []logic.Ato
 // lazyCover defers preparing c to its first test, so the workers of a
 // flattened round prepare its candidates in parallel; the Once keeps it
 // to one preparation per candidate per round.
-func (en *Engine) lazyCover(c *logic.Clause) func(logic.Atom) bool {
+func (en *Engine[P]) lazyCover(c *logic.Clause) func(P, logic.Atom) bool {
 	var once sync.Once
-	var test func(logic.Atom) bool
-	return func(e logic.Atom) bool {
+	var test func(P, logic.Atom) bool
+	return func(p P, e logic.Atom) bool {
 		once.Do(func() { test = en.cover(c) })
-		return test(e)
+		return test(p, e)
 	}
 }
 
@@ -374,7 +425,7 @@ func (en *Engine) lazyCover(c *logic.Clause) func(logic.Atom) bool {
 // exactly when the candidate's full score crosses the bound — covered
 // negatives only accumulate — so prunedness is timing-independent. negKey
 // is SetKey(neg), computed once per batch.
-func (en *Engine) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.Atom, negKey string, floor int, bb *bestBound) {
+func (en *Engine[P]) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.Atom, negKey string, floor int, bb *bestBound) {
 	p := s.P
 	// limit is the strongest applicable bound: pruned ⇔ p−n ≤ limit.
 	// Beating the floor requires s > floor; surviving the shared bound
@@ -444,10 +495,14 @@ func (en *Engine) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.Atom,
 	}
 	var covered, scanned atomic.Int64
 	var aborted atomic.Bool
-	var test func(logic.Atom) bool
+	var test func(P, logic.Atom) bool
 	scan := func(sh shard) {
 		local := int64(0)
-		defer func() { scanned.Add(local) }()
+		pr := en.probe()
+		defer func() {
+			scanned.Add(local)
+			en.done(pr)
+		}()
 		for k := sh.lo; k < sh.hi; k++ {
 			if limit != NoBound && aborted.Load() {
 				return
@@ -455,7 +510,7 @@ func (en *Engine) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.Atom,
 			en.run.Heartbeat()
 			local++
 			j := items[k]
-			if test(neg[j]) {
+			if test(pr, neg[j]) {
 				buf[j] = true
 				n := baseN + int(covered.Add(1))
 				if limit != NoBound && p-n <= limit {

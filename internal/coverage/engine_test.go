@@ -21,11 +21,18 @@ func (f *fakeCover) fn(c *logic.Clause, e logic.Atom) bool {
 	return i%2 == len(c.Body)%2
 }
 
+// nopProbe is the probe of oracles that accumulate nothing.
+type nopProbe struct{}
+
+func (nopProbe) Publish() {}
+
+func newNop() nopProbe { return nopProbe{} }
+
 // perPair adapts a (clause, example) oracle to the engine's per-clause
 // CoverFunc.
-func perPair(f func(c *logic.Clause, e logic.Atom) bool) CoverFunc {
-	return func(c *logic.Clause) func(logic.Atom) bool {
-		return func(e logic.Atom) bool { return f(c, e) }
+func perPair(f func(c *logic.Clause, e logic.Atom) bool) CoverFunc[nopProbe] {
+	return func(c *logic.Clause) func(nopProbe, logic.Atom) bool {
+		return func(_ nopProbe, e logic.Atom) bool { return f(c, e) }
 	}
 }
 
@@ -41,8 +48,8 @@ func TestEngineCoveredSetParallelMatchesSequential(t *testing.T) {
 	exs := exampleAtoms(97)
 	c := logic.MustParseClause("h(X) :- p(X), q(X).")
 	var f fakeCover
-	seq := NewEngine(perPair(f.fn), 1, nil, nil).CoveredSet(c, exs, nil)
-	par := NewEngine(perPair(f.fn), 8, nil, nil).CoveredSet(c, exs, nil)
+	seq := NewEngine(perPair(f.fn), newNop, 1, nil, nil).CoveredSet(c, exs, nil)
+	par := NewEngine(perPair(f.fn), newNop, 8, nil, nil).CoveredSet(c, exs, nil)
 	if !seq.Equal(par) {
 		t.Fatal("parallel and sequential CoveredSet disagree")
 	}
@@ -57,7 +64,7 @@ func TestEngineMemoCache(t *testing.T) {
 	exs := exampleAtoms(40)
 	var f fakeCover
 	reg := obs.NewRegistry()
-	en := NewEngine(perPair(f.fn), 2, NewCache(0), obs.NewRun(nil, reg))
+	en := NewEngine(perPair(f.fn), newNop, 2, NewCache(0), obs.NewRun(nil, reg))
 
 	c1 := logic.MustParseClause("h(X) :- p(X).")
 	first := en.CoveredSet(c1, exs, nil)
@@ -101,7 +108,7 @@ func TestEngineKnownShortcut(t *testing.T) {
 	}
 	var f fakeCover
 	reg := obs.NewRegistry()
-	en := NewEngine(perPair(f.fn), 1, nil, obs.NewRun(nil, reg))
+	en := NewEngine(perPair(f.fn), newNop, 1, nil, obs.NewRun(nil, reg))
 	out := en.CoveredSet(c, exs, known)
 	if f.calls.Load() != 15 {
 		t.Fatalf("ran %d tests, want 15 (skipping knowns)", f.calls.Load())
@@ -118,7 +125,7 @@ func TestEngineKnownShortcut(t *testing.T) {
 	// panic (the seed implementation crashed in the worker goroutine here).
 	shortKnown := New(5)
 	shortKnown.Set(0)
-	if got := NewEngine(perPair(f.fn), 4, nil, nil).CoveredSet(c, exs, shortKnown); got.Len() != 30 {
+	if got := NewEngine(perPair(f.fn), newNop, 4, nil, nil).CoveredSet(c, exs, shortKnown); got.Len() != 30 {
 		t.Fatalf("short-known result len = %d", got.Len())
 	}
 }
@@ -132,7 +139,7 @@ func TestEngineScoreBatch(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		var f fakeCover
-		scores := NewEngine(perPair(f.fn), workers, nil, nil).ScoreBatch(cands, pos, neg, NoBound, 0)
+		scores := NewEngine(perPair(f.fn), newNop, workers, nil, nil).ScoreBatch(cands, pos, neg, NoBound, 0)
 		if len(scores) != 2 {
 			t.Fatalf("workers=%d: %d scores", workers, len(scores))
 		}
@@ -152,7 +159,7 @@ func TestEngineScoreBatchPrunes(t *testing.T) {
 	neg := exampleAtoms(40)
 	var f fakeCover
 	reg := obs.NewRegistry()
-	en := NewEngine(perPair(f.fn), 1, nil, obs.NewRun(nil, reg))
+	en := NewEngine(perPair(f.fn), newNop, 1, nil, obs.NewRun(nil, reg))
 	// The candidate scores p−n = 10−20 = −10; a floor of 5 means the scan
 	// may stop as soon as p−n ≤ 5, and the pruned payload is canonical:
 	// an empty negative side, regardless of how far the scan got.
@@ -226,7 +233,7 @@ func TestEngineScoreBatchKeepBound(t *testing.T) {
 	var want []Score
 	for _, workers := range []int{1, 2, 8} {
 		reg := obs.NewRegistry()
-		got := NewEngine(perPair(cover), workers, nil, obs.NewRun(nil, reg)).ScoreBatch(cands, pos, neg, NoBound, 1)
+		got := NewEngine(perPair(cover), newNop, workers, nil, obs.NewRun(nil, reg)).ScoreBatch(cands, pos, neg, NoBound, 1)
 		if got[0].Pruned || got[0].P != 20 || got[0].N != 0 {
 			t.Fatalf("workers=%d: candidate 0 = %+v, want complete 20/0", workers, got[0])
 		}
@@ -293,7 +300,7 @@ func TestEngineScoreBatchFullUtilization(t *testing.T) {
 		}
 		return false
 	}
-	NewEngine(perPair(cover), workers, nil, nil).ScoreBatch(cands, pos, nil, NoBound, 0)
+	NewEngine(perPair(cover), newNop, workers, nil, nil).ScoreBatch(cands, pos, nil, NoBound, 0)
 	if timedOut.Load() {
 		t.Fatalf("pool never reached %d concurrent coverage tests (peak %d)", workers, peak.Load())
 	}
@@ -306,7 +313,7 @@ func TestEngineScoreBatchDoesNotCachePartialNeg(t *testing.T) {
 	pos := exampleAtoms(20)
 	neg := exampleAtoms(40)
 	var f fakeCover
-	en := NewEngine(perPair(f.fn), 1, NewCache(0), nil)
+	en := NewEngine(perPair(f.fn), newNop, 1, NewCache(0), nil)
 	c := logic.MustParseClause("h(X) :- p(X).")
 	pruned := en.ScoreBatch([]Candidate{{Clause: c}}, pos, neg, 5, 0)[0]
 	if !pruned.Pruned {
@@ -355,9 +362,9 @@ func TestCacheLRUEviction(t *testing.T) {
 // for a candidate whose examples are all known covered.
 func TestEnginePreparesEachClauseOncePerRound(t *testing.T) {
 	var prepared, tests atomic.Int64
-	cover := func(c *logic.Clause) func(logic.Atom) bool {
+	cover := func(c *logic.Clause) func(nopProbe, logic.Atom) bool {
 		prepared.Add(1)
-		return func(e logic.Atom) bool {
+		return func(_ nopProbe, e logic.Atom) bool {
 			tests.Add(1)
 			return atomIndex(e)%2 == len(c.Body)%2
 		}
@@ -375,7 +382,7 @@ func TestEnginePreparesEachClauseOncePerRound(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		prepared.Store(0)
 		tests.Store(0)
-		en := NewEngine(cover, workers, nil, nil)
+		en := NewEngine(cover, newNop, workers, nil, nil)
 		en.CoveredSet(cands[0].Clause, pos, nil)
 		if prepared.Load() != 1 || tests.Load() != 50 {
 			t.Fatalf("workers=%d: CoveredSet prepared %d clauses for %d tests, want 1 for 50",
@@ -395,5 +402,60 @@ func TestEnginePreparesEachClauseOncePerRound(t *testing.T) {
 		if prepared.Load() > 5 {
 			t.Fatalf("workers=%d: bounded ScoreBatch prepared %d clauses, want at most 5", workers, prepared.Load())
 		}
+	}
+}
+
+// countProbe counts the tests run on it; Publish moves the count into the
+// shared total, as a store prober moves its statistics into the tables.
+type countProbe struct {
+	n         int64
+	published *atomic.Int64
+	inUse     atomic.Bool
+}
+
+func (p *countProbe) Publish() {
+	p.published.Add(p.n)
+	p.n = 0
+}
+
+// TestEngineProbesPublishEveryTest: every test runs on a probe one worker
+// holds alone, and every probe is published before the call returns, so
+// the published total is exactly the number of tests run — including
+// negative scans the bound aborts mid-shard — at every worker count.
+func TestEngineProbesPublishEveryTest(t *testing.T) {
+	var published, tests atomic.Int64
+	var shared atomic.Int64 // tests that found their probe in use
+	cover := func(c *logic.Clause) func(*countProbe, logic.Atom) bool {
+		return func(p *countProbe, e logic.Atom) bool {
+			if p.inUse.Swap(true) {
+				shared.Add(1)
+			}
+			defer p.inUse.Store(false)
+			p.n++
+			tests.Add(1)
+			return atomIndex(e)%3 != 0 || len(c.Body) == 1
+		}
+	}
+	newProbe := func() *countProbe { return &countProbe{published: &published} }
+	pos, neg := exampleAtoms(60), exampleAtoms(80)
+	cands := []Candidate{
+		{Clause: logic.MustParseClause("h(X) :- p(X).")},
+		{Clause: logic.MustParseClause("h(X) :- p(X), q(X).")},
+		{Clause: logic.MustParseClause("h(X) :- p(X), q(X), r(X).")},
+	}
+	for _, workers := range []int{1, 4} {
+		published.Store(0)
+		tests.Store(0)
+		en := NewEngine(cover, newProbe, workers, nil, nil)
+		en.CoveredSet(cands[1].Clause, pos, nil)
+		en.ScoreBatch(cands, pos, neg, 0, 1)
+		en.ScoreBatch(cands, pos, neg, NoBound, 0)
+		en.Covers(cands[0].Clause, pos[0])
+		if tests.Load() == 0 || published.Load() != tests.Load() {
+			t.Errorf("workers=%d: published %d of %d tests", workers, published.Load(), tests.Load())
+		}
+	}
+	if shared.Load() != 0 {
+		t.Errorf("%d tests ran on a probe another worker held", shared.Load())
 	}
 }

@@ -177,7 +177,7 @@ func TestPoolUtilizationAccounting(t *testing.T) {
 	run := obs.NewRun(nil, reg)
 	exs := exampleAtoms(200)
 	var f fakeCover
-	en := NewEngine(perPair(f.fn), 4, nil, run)
+	en := NewEngine(perPair(f.fn), newNop, 4, nil, run)
 	c := logic.MustParseClause("h(X) :- p(X).")
 	en.CoveredSet(c, exs, nil)
 
@@ -221,12 +221,12 @@ func TestPoolUtilizationUnobservedIsFree(t *testing.T) {
 	exs := exampleAtoms(120)
 	var f1, f2 fakeCover
 	c := logic.MustParseClause("h(X) :- p(X).")
-	obs1 := NewEngine(perPair(f1.fn), 4, nil, obs.NewRun(nil, obs.NewRegistry())).CoveredSet(c, exs, nil)
-	obs0 := NewEngine(perPair(f2.fn), 4, nil, nil).CoveredSet(c, exs, nil)
+	obs1 := NewEngine(perPair(f1.fn), newNop, 4, nil, obs.NewRun(nil, obs.NewRegistry())).CoveredSet(c, exs, nil)
+	obs0 := NewEngine(perPair(f2.fn), newNop, 4, nil, nil).CoveredSet(c, exs, nil)
 	if !obs1.Equal(obs0) {
 		t.Fatal("utilization accounting changed coverage results")
 	}
-	en := NewEngine(perPair(f2.fn), 4, nil, nil)
+	en := NewEngine(perPair(f2.fn), newNop, 4, nil, nil)
 	if en.util != nil {
 		t.Fatal("unobserved engine grew a poolUtil")
 	}
@@ -258,7 +258,7 @@ func TestPruneCountersConservation(t *testing.T) {
 	for i := range neg {
 		neg[i] = logic.GroundAtom("n", neg[i].Args[0].Name)
 	}
-	en := NewEngine(perPair(cover), 2, nil, run)
+	en := NewEngine(perPair(cover), newNop, 2, nil, run)
 	scores := en.ScoreBatch(cands, pos, neg, NoBound, 1)
 
 	var prunedItems int64

@@ -2,17 +2,20 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/castor"
 	"repro/internal/ilp"
+	"repro/internal/logic"
 	"repro/internal/relstore"
 )
 
 // Ablations of Castor's design choices (DESIGN.md): each runner times a
-// full Castor learning run with one mechanism toggled and reports the
-// pair. These go beyond the paper's own tables (which only ablate stored
-// procedures and parallelism) and quantify the §7.5 engineering.
+// full Castor learning run, the fastest of three, with one mechanism
+// toggled and reports the pair. These go beyond the paper's own tables
+// (which only ablate stored procedures and parallelism) and quantify the
+// §7.5 engineering.
 
 // AblationRow is one on/off timing comparison.
 type AblationRow struct {
@@ -57,12 +60,28 @@ func hivAblationProblem(cfg Config) (*ilp.Problem, error) {
 }
 
 func timedCastor(prob *ilp.Problem, params ilp.Params) (float64, string, error) {
-	start := time.Now()
-	def, err := castor.New().Learn(prob, params)
+	sec, def, err := fastestLearn(prob, params)
 	if err != nil {
 		return 0, "", err
 	}
-	return time.Since(start).Seconds(), def.String(), nil
+	return sec, def.String(), nil
+}
+
+// fastestLearn learns the problem with Castor three times and returns the
+// fastest wall time with the learned definition, which every learn
+// repeats.
+func fastestLearn(prob *ilp.Problem, params ilp.Params) (float64, *logic.Definition, error) {
+	sec := math.Inf(1)
+	var def *logic.Definition
+	for range 3 {
+		start := time.Now()
+		d, err := castor.New().Learn(prob, params)
+		if err != nil {
+			return 0, nil, err
+		}
+		sec, def = min(sec, time.Since(start).Seconds()), d
+	}
+	return sec, def, nil
 }
 
 // Ablations runs all four design-choice ablations and prints one row each.
@@ -73,7 +92,7 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 	var rows []AblationRow
 	emit := func(row AblationRow) {
 		rows = append(rows, row)
-		fmt.Fprintf(w, "%-22s %-10s %8.2f %8.2f %6v\n", row.Ablation, row.Dataset, row.OnSeconds, row.OffSeconds, row.SameResults)
+		fmt.Fprintf(w, "%-22s %-10s %8.3f %8.3f %6v\n", row.Ablation, row.Dataset, row.OnSeconds, row.OffSeconds, row.SameResults)
 	}
 
 	base := func() ilp.Params {

@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
-	"time"
 
-	"repro/internal/castor"
 	"repro/internal/datasets"
 	"repro/internal/loganh"
 	"repro/internal/logic"
@@ -56,13 +53,9 @@ func Figure2(cfg Config, threads []int) ([]Figure2Row, error) {
 			params := castorParams()
 			params.Parallelism = th
 			params.Obs = cfg.Obs
-			sec := math.Inf(1)
-			for range 3 {
-				start := time.Now()
-				if _, err := castor.New().Learn(prob, params); err != nil {
-					return nil, err
-				}
-				sec = min(sec, time.Since(start).Seconds())
+			sec, _, err := fastestLearn(prob, params)
+			if err != nil {
+				return nil, err
 			}
 			rows = append(rows, Figure2Row{Dataset: part.name, Threads: th, Seconds: sec})
 			fmt.Fprintf(w, "  %d→%.2fs", th, sec)

@@ -3,10 +3,12 @@ package ilp
 import (
 	"encoding/binary"
 	"sync"
+	"unsafe"
 
 	"repro/internal/coverage"
 	"repro/internal/logic"
 	"repro/internal/obs"
+	"repro/internal/relstore"
 	"repro/internal/subsume"
 )
 
@@ -21,24 +23,32 @@ type Tester struct {
 	prob   *Problem
 	params Params
 	run    *obs.Run // from params.Obs; nil observes nothing
-	engine *coverage.Engine
+	engine *coverage.Engine[*probe]
 
 	// SatFn overrides how ground bottom clauses are built for
-	// subsumption-mode coverage. Castor installs its IND-chasing
-	// construction here so that coverage semantics stay schema independent;
-	// when nil the classic saturation of §6.1 is used.
+	// subsumption-mode coverage; when nil the classic saturation of §6.1
+	// is used, unless CompileSat is set.
 	SatFn func(e logic.Atom) *logic.Clause
+	// CompileSat, when set and SatFn is not, builds and compiles an
+	// example's saturation straight into the tester's Space, with no
+	// ground clause of names in between. Castor installs its IND-chasing
+	// construction here so that coverage semantics stay schema
+	// independent.
+	CompileSat func(e logic.Atom) *subsume.Compiled
 
 	// Subsumption mode only. space is the id space saturations compile
 	// into and candidates are prepared against: the instance's constants
 	// plus the relation names, the target predicate and the example
-	// constants the instance lacks. sats maps each distinct example of the
-	// problem, keyed by its interned ids, to its saturation entry; it is
-	// filled in NewTester and read lock-free afterwards, so every worker
-	// of a beam batch finds and shares one compiled target without mutex
-	// traffic. Examples outside the problem go to stray, under strayMu.
+	// constants the instance lacks. Every distinct example of the problem
+	// has one saturation entry, resolved in NewTester: sats finds it by
+	// the address of the example's argument array, byKey by its interned
+	// ids. Both are read lock-free afterwards, so every worker of a beam
+	// batch finds and shares one compiled target without mutex traffic,
+	// and a problem example's probe hashes none of its names. Atoms
+	// outside the problem go to stray, under strayMu.
 	space   *subsume.Space
-	sats    map[string]*satEntry
+	sats    exampleTable
+	byKey   map[string]*satEntry
 	strayMu sync.Mutex
 	stray   map[string]*satEntry
 }
@@ -47,8 +57,84 @@ type Tester struct {
 // guarantees exactly one compilation per example — concurrent probers for
 // the same example wait for it instead of racing duplicate builds.
 type satEntry struct {
-	once sync.Once
-	cd   *subsume.Compiled
+	once  sync.Once
+	cd    *subsume.Compiled
+	pred  string // the example's predicate and arity, for checking a hit
+	arity int    // by address
+}
+
+// exampleTable maps the address of a problem example's argument array to
+// its saturation entry: open addressing over a power-of-two table at most
+// half full, so a probe costs a multiply and, usually, one slot load. The
+// slots hold the arrays' pointers, which keeps them alive, and the
+// collector never moves heap objects: an address in the table names one
+// array for the tester's lifetime.
+type exampleTable struct {
+	slots []exampleSlot
+	shift uint // 64 − log2(len(slots))
+}
+
+type exampleSlot struct {
+	args *logic.Term
+	ent  *satEntry
+}
+
+func newExampleTable(n int) exampleTable {
+	bits := uint(3)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	return exampleTable{slots: make([]exampleSlot, 1<<bits), shift: 64 - bits}
+}
+
+func (x *exampleTable) home(args *logic.Term) uint64 {
+	return uint64(uintptr(unsafe.Pointer(args))) * 0x9E3779B97F4A7C15 >> x.shift
+}
+
+// put maps args to ent unless args is mapped already.
+func (x *exampleTable) put(args *logic.Term, ent *satEntry) {
+	mask := uint64(len(x.slots) - 1)
+	for i := x.home(args); ; i = (i + 1) & mask {
+		if sl := &x.slots[i]; sl.args == nil || sl.args == args {
+			if sl.args == nil {
+				*sl = exampleSlot{args: args, ent: ent}
+			}
+			return
+		}
+	}
+}
+
+// get returns the entry mapped to args, or nil.
+func (x *exampleTable) get(args *logic.Term) *satEntry {
+	mask := uint64(len(x.slots) - 1)
+	for i := x.home(args); ; i = (i + 1) & mask {
+		switch sl := &x.slots[i]; sl.args {
+		case args:
+			return sl.ent
+		case nil:
+			return nil
+		}
+	}
+}
+
+// probe is one coverage worker's state: the store prober direct-mode
+// tests run on (nil in subsumption mode) and the tests run since the last
+// Publish.
+type probe struct {
+	run   *obs.Run
+	store *relstore.Prober
+	tests int64
+}
+
+// Publish hands the worker's store statistics and test count on.
+func (p *probe) Publish() {
+	if p.store != nil {
+		p.store.Publish()
+	}
+	if p.tests > 0 {
+		p.run.Add(obs.CCoverageTests, p.tests)
+		p.tests = 0
+	}
 }
 
 // NewTester builds a tester for the problem. As a side effect it attaches
@@ -74,12 +160,22 @@ func NewTester(prob *Problem, params Params) *Tester {
 	if !params.DisableCoverageCache {
 		cache = coverage.NewCache(0)
 	}
-	t.engine = coverage.NewEngine(t.coverer, params.Parallelism, cache, params.Obs)
+	t.engine = coverage.NewEngine(t.coverer, t.newProbe, params.Parallelism, cache, params.Obs)
 	return t
 }
 
-// initSaturations builds the subsumption-mode id space and one saturation
-// entry per distinct example of the problem.
+// newProbe makes one coverage worker's probe state.
+func (t *Tester) newProbe() *probe {
+	p := &probe{run: t.run}
+	if t.params.CoverageMode != CoverageSubsumption {
+		p.store = t.prob.Instance.NewProber()
+	}
+	return p
+}
+
+// initSaturations builds the subsumption-mode id space and resolves every
+// example of the problem to its saturation entry, one per distinct
+// example.
 func (t *Tester) initSaturations() {
 	prob := t.prob
 	var names []string
@@ -97,10 +193,20 @@ func (t *Tester) initSaturations() {
 		}
 	}
 	t.space = subsume.NewSpace(prob.Instance.Symbols(), names...)
-	t.sats = make(map[string]*satEntry, len(examples))
+	t.sats = newExampleTable(len(examples))
+	t.byKey = make(map[string]*satEntry, len(examples))
 	for _, e := range examples {
-		if k, ok := t.exampleKey(nil, e); ok && t.sats[string(k)] == nil {
-			t.sats[string(k)] = &satEntry{}
+		k, ok := t.exampleKey(nil, e)
+		if !ok {
+			continue
+		}
+		ent := t.byKey[string(k)]
+		if ent == nil {
+			ent = &satEntry{pred: e.Pred, arity: len(e.Args)}
+			t.byKey[string(k)] = ent
+		}
+		if len(e.Args) > 0 {
+			t.sats.put(&e.Args[0], ent)
 		}
 	}
 }
@@ -127,29 +233,33 @@ func (t *Tester) exampleKey(dst []byte, e logic.Atom) ([]byte, bool) {
 // learners that want to report through the same channel.
 func (t *Tester) Run() *obs.Run { return t.run }
 
+// Space returns the id space subsumption-mode saturations compile into
+// (nil in direct mode): what a CompileSat function must compile into.
+func (t *Tester) Space() *subsume.Space { return t.space }
+
 // Covers reports whether the clause covers the example. Testing many
 // examples against one clause goes through the engine instead, which
 // prepares the clause once.
 func (t *Tester) Covers(c *logic.Clause, e logic.Atom) bool {
-	return t.coverer(c)(e)
+	return t.engine.Covers(c, e)
 }
 
 // coverer is the engine's CoverFunc: it prepares the clause once and
-// returns its per-example test, safe for concurrent use. Direct mode
-// compiles the clause into a store query; subsumption mode prepares it
-// against the tester's space and probes each example's compiled
-// saturation with it.
-func (t *Tester) coverer(c *logic.Clause) func(logic.Atom) bool {
+// returns its per-example test, safe for concurrent use on distinct
+// probes. Direct mode compiles the clause into a store query and tests on
+// the worker's store prober; subsumption mode prepares it against the
+// tester's space and probes each example's compiled saturation with it.
+func (t *Tester) coverer(c *logic.Clause) func(*probe, logic.Atom) bool {
 	if t.params.CoverageMode != CoverageSubsumption {
 		q := t.prob.Instance.Compile(c)
-		return func(e logic.Atom) bool {
-			t.run.Inc(obs.CCoverageTests)
-			return q.Covers(e)
+		return func(p *probe, e logic.Atom) bool {
+			p.tests++
+			return q.CoversWith(p.store, e)
 		}
 	}
 	src := t.space.Prepare(c)
-	return func(e logic.Atom) bool {
-		t.run.Inc(obs.CCoverageTests)
+	return func(p *probe, e logic.Atom) bool {
+		p.tests++
 		return t.saturation(e).Probe(t.run, src)
 	}
 }
@@ -167,13 +277,14 @@ func (t *Tester) saturation(e logic.Atom) *subsume.Compiled {
 	ent.once.Do(func() {
 		built = true
 		t.run.Inc(obs.CSaturationMisses)
-		var bc *logic.Clause
-		if t.SatFn != nil {
-			bc = t.SatFn(e)
-		} else {
-			bc = Saturation(t.prob, e, t.params.Depth, t.params.MaxRecall)
+		switch {
+		case t.SatFn != nil:
+			ent.cd = t.space.Compile(t.SatFn(e))
+		case t.CompileSat != nil:
+			ent.cd = t.CompileSat(e)
+		default:
+			ent.cd = t.space.Compile(Saturation(t.prob, e, t.params.Depth, t.params.MaxRecall))
 		}
-		ent.cd = t.space.Compile(bc)
 	})
 	if !built {
 		t.run.Inc(obs.CSaturationHits)
@@ -181,13 +292,20 @@ func (t *Tester) saturation(e logic.Atom) *subsume.Compiled {
 	return ent.cd
 }
 
-// satEntry finds the example's saturation entry: a lock-free map load by
-// interned ids for the problem's examples, a locked lookup by name for
-// any other atom.
+// satEntry finds the example's saturation entry: a table load by argument
+// array address for the problem's examples, then a map load by interned
+// ids, then a locked lookup by name for any other atom. A hit by address
+// must match the entry's predicate and arity: the array may be reused
+// under another predicate or sliced shorter.
 func (t *Tester) satEntry(e logic.Atom) *satEntry {
+	if len(e.Args) > 0 {
+		if ent := t.sats.get(&e.Args[0]); ent != nil && ent.pred == e.Pred && ent.arity == len(e.Args) {
+			return ent
+		}
+	}
 	var buf [64]byte
 	if k, ok := t.exampleKey(buf[:0], e); ok {
-		if ent := t.sats[string(k)]; ent != nil {
+		if ent := t.byKey[string(k)]; ent != nil {
 			return ent
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/logic"
+	"repro/internal/obs"
 )
 
 // The columnar table layout. Tuples are interned against the instance's
@@ -156,6 +157,7 @@ type Table struct {
 	cols   []colIndex
 
 	stats tableStats
+	num   int32 // position in the instance's schema order, a Tally's index
 }
 
 func newTable(rel *Relation, syms *logic.Symbols, indexed bool) *Table {
@@ -415,7 +417,7 @@ func (t *Table) TuplesWith(req map[int]string) []Tuple {
 	for k, c := range cols {
 		vals[k] = t.lookupVal(req[c])
 	}
-	return t.materializeRows(t.AppendRowsWith(nil, cols, vals))
+	return t.materializeRows(t.AppendRowsWith(nil, cols, vals, nil))
 }
 
 // AppendRowsWith appends to dst the ids of the rows whose column cols[k]
@@ -423,11 +425,10 @@ func (t *Table) TuplesWith(req map[int]string) []Tuple {
 // the extended slice. It counts one lookup and probes the most selective
 // column (smallest posting list, ties by column number), counting that
 // posting as scanned; with no requirement every row is scanned and
-// appended.
-func (t *Table) AppendRowsWith(dst []int32, cols []int, vals []int32) []int32 {
-	t.stats.lookups.Add(1)
+// appended. The counts go to tl, or straight to the table when tl is nil.
+func (t *Table) AppendRowsWith(dst []int32, cols []int, vals []int32, tl *Tally) []int32 {
 	if len(cols) == 0 {
-		t.stats.scanned.Add(int64(t.nrows))
+		tl.record(t, obs.StoreStat{Lookups: 1, TuplesScanned: int64(t.nrows)})
 		for r := 0; r < t.nrows; r++ {
 			dst = append(dst, int32(r))
 		}
@@ -440,11 +441,8 @@ func (t *Table) AppendRowsWith(dst []int32, cols []int, vals []int32) []int32 {
 			best, bestLen = k, n
 		}
 	}
-	if t.indexed {
-		t.stats.indexHits.Add(1)
-	}
 	probe := t.matchingRows(cols[best], vals[best])
-	t.stats.scanned.Add(int64(len(probe)))
+	tl.record(t, obs.StoreStat{Lookups: 1, TuplesScanned: int64(len(probe)), IndexHits: t.hit()})
 	ar := t.rel.Arity()
 next:
 	for _, r := range probe {
@@ -459,22 +457,30 @@ next:
 	return dst
 }
 
+// hit is the index-hit count of one fetch: 1 on an indexed table.
+func (t *Table) hit() int64 {
+	if t.indexed {
+		return 1
+	}
+	return 0
+}
+
 // TuplesContaining returns the tuples holding value v in any column,
 // deduplicated, in insertion order: AppendRowsContaining, materialized.
 func (t *Table) TuplesContaining(v string) []Tuple {
-	return t.materializeRows(t.AppendRowsContaining(nil, t.lookupVal(v)))
+	return t.materializeRows(t.AppendRowsContaining(nil, t.lookupVal(v), nil))
 }
 
 // AppendRowsContaining appends to dst the ids of the rows holding value id
 // v in any column, ascending and without repeats, and returns the extended
 // slice. It counts one lookup; an indexed table answers from its postings
 // and counts the rows appended as scanned, an unindexed one scans every
-// column of every row.
-func (t *Table) AppendRowsContaining(dst []int32, v int32) []int32 {
-	t.stats.lookups.Add(1)
+// column of every row. The counts go to tl, or straight to the table when
+// tl is nil.
+func (t *Table) AppendRowsContaining(dst []int32, v int32, tl *Tally) []int32 {
 	ar := t.rel.Arity()
 	if !t.indexed {
-		t.stats.scanned.Add(int64(t.nrows * ar))
+		tl.record(t, obs.StoreStat{Lookups: 1, TuplesScanned: int64(t.nrows * ar)})
 		if v < 0 {
 			return dst
 		}
@@ -485,25 +491,24 @@ func (t *Table) AppendRowsContaining(dst []int32, v int32) []int32 {
 		}
 		return dst
 	}
-	t.stats.indexHits.Add(1)
-	if v < 0 {
-		return dst
-	}
-	t.ensureFrozen()
-	base, lists := len(dst), 0
-	for c := 0; c < ar; c++ {
-		if p := t.cols[c].postings(v); len(p) > 0 {
-			dst = append(dst, p...)
-			lists++
+	base := len(dst)
+	if v >= 0 {
+		t.ensureFrozen()
+		lists := 0
+		for c := 0; c < ar; c++ {
+			if p := t.cols[c].postings(v); len(p) > 0 {
+				dst = append(dst, p...)
+				lists++
+			}
+		}
+		if lists > 1 {
+			// Merge the columns' postings back into row order and drop rows
+			// holding v in several columns.
+			slices.Sort(dst[base:])
+			dst = dst[:base+len(slices.Compact(dst[base:]))]
 		}
 	}
-	if lists > 1 {
-		// Merge the columns' postings back into row order and drop rows
-		// holding v in several columns.
-		slices.Sort(dst[base:])
-		dst = dst[:base+len(slices.Compact(dst[base:]))]
-	}
-	t.stats.scanned.Add(int64(len(dst) - base))
+	tl.record(t, obs.StoreStat{Lookups: 1, TuplesScanned: int64(len(dst) - base), IndexHits: 1})
 	return dst
 }
 

@@ -323,7 +323,7 @@ func checkPostingsAgainstScan(t *testing.T, tb *Table) {
 				t.Errorf("%s col %d id %d: count %d, scan %d", tb.Relation().Name, col, v, got, len(want))
 			}
 		}
-		if got := tb.AppendRowsContaining(nil, v); !slices.Equal(got, inAny) {
+		if got := tb.AppendRowsContaining(nil, v, nil); !slices.Equal(got, inAny) {
 			t.Errorf("%s id %d: AppendRowsContaining %v, scan %v", tb.Relation().Name, v, got, inAny)
 		}
 	}
@@ -375,7 +375,7 @@ func TestPostingsEdgeCases(t *testing.T) {
 			t.Errorf("col %d: id interned after freeze matches %v", col, got)
 		}
 	}
-	if got := r.AppendRowsContaining(nil, late); len(got) != 0 {
+	if got := r.AppendRowsContaining(nil, late, nil); len(got) != 0 {
 		t.Errorf("id interned after freeze is contained in %v", got)
 	}
 	checkPostingsAgainstScan(t, r)

@@ -21,12 +21,13 @@ import (
 // slots and backtracks over a logic.Subst (an int32 slot array with a
 // trail), enumerating candidate rows as row ids straight out of the CSR
 // postings (a point probe borrows the posting slice without copying).
-// Scratch state comes from a pool, so a steady-state test allocates
-// nothing and touches no map and no string beyond the example's own
-// constants. The Instance
-// query methods (SatisfyBody, WitnessBody, CoversExample, EvalClause, …)
-// are thin wrappers that compile and run the same solver, turning symbol
-// ids back into names only at a solution.
+// Search state and store statistics live on a Prober, which a coverage
+// worker owns and publishes once per run of tests, so a steady-state test
+// allocates nothing, touches no map and no string beyond the example's
+// own constants, and writes no shared counter. The Instance query methods
+// (SatisfyBody, WitnessBody, CoversExample, EvalClause, …) are thin
+// wrappers that compile and run the same solver on a pooled prober,
+// turning symbol ids back into names only at a solution.
 //
 // Literal choice is dynamic: every search node picks the unmatched atom
 // with the fewest candidate rows under the current bindings (first on
@@ -182,13 +183,22 @@ func (i *Instance) bodyQuery(body []logic.Atom, init logic.Substitution) *Query 
 
 // Covers reports whether the compiled clause covers the ground example e
 // relative to the instance: the coverage test of Definition 3.1. Every
-// argument of e is read as a constant.
+// argument of e is read as a constant. The test's store statistics are
+// published before it returns; a worker testing many examples keeps its
+// own Prober and calls CoversWith instead.
 func (q *Query) Covers(e logic.Atom) bool {
+	p := q.inst.prober()
+	defer q.inst.done(p)
+	return q.CoversWith(p, e)
+}
+
+// CoversWith is Covers on the caller's prober: the test's store statistics
+// stay on p until p.Publish. p must come from the query's instance.
+func (q *Query) CoversWith(p *Prober, e logic.Atom) bool {
 	if q.unsat || e.Pred != q.pred || len(e.Args) != len(q.head) {
 		return false
 	}
-	sc := q.scratch()
-	defer scratchPool.Put(sc)
+	p.reset(q)
 	for j, h := range q.head {
 		name := e.Args[j].Name
 		switch {
@@ -202,96 +212,126 @@ func (q *Query) Covers(e logic.Atom) bool {
 			}
 		default:
 			if id, ok := q.inst.syms.Lookup(name); ok {
-				sc.subst.Bind(h.slot, id)
+				p.subst.Bind(h.slot, id)
 			} else if h.inBody {
 				return false // no row holds the constant
 			}
 		}
 	}
-	return q.run(sc, nil)
+	return q.run(p, nil)
 }
 
-// scratch is the mutable state of one top-level call.
-type scratch struct {
-	subst   logic.Subst // slot → symbol id
-	used    []bool      // atoms matched on the current search path
-	stats   []atomStats
-	nodes   int   // remaining search budget
-	scanned int64 // tuples_scanned of this call
-	found   bool
+// Prober is the state of query evaluation on one goroutine: the search
+// scratch, reused from call to call, and the store statistics of every
+// call since the last Publish. A coverage worker owns one for a run of
+// tests and publishes once at its end, so concurrent workers never write
+// the tables' shared counters per test; the one-off Instance methods take
+// one from a pool and publish after each call. Not safe for concurrent
+// use.
+type Prober struct {
+	inst      *Instance
+	subst     logic.Subst // slot → symbol id
+	used      []bool      // atoms matched on the current search path
+	nodes     int         // remaining search budget of the call
+	found     bool
+	tally     Tally
+	scanned   int64 // tuples_scanned since the last Publish
+	exhausted int64 // calls that ran out of budget since the last Publish
 }
 
-// atomStats accumulates one atom's probe statistics during a call; they
-// reach the table's atomic counters once, when the call ends.
-type atomStats struct{ lookups, scanned, hits int64 }
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// scratch takes a cleared scratch sized for the query from the pool.
-func (q *Query) scratch() *scratch {
-	sc := scratchPool.Get().(*scratch)
-	sc.subst.Reset(q.vars.Len())
-	atoms := len(q.atoms)
-	if cap(sc.used) < atoms {
-		sc.used = make([]bool, atoms)
-		sc.stats = make([]atomStats, atoms)
-	}
-	sc.used = sc.used[:atoms]
-	clear(sc.used)
-	sc.stats = sc.stats[:atoms]
-	clear(sc.stats)
-	return sc
+// NewProber returns a prober for queries compiled against the instance.
+func (i *Instance) NewProber() *Prober {
+	p := new(Prober)
+	p.bind(i)
+	return p
 }
 
-// run searches from the bindings in sc and flushes the call's statistics.
-// yield receives each solution and returns whether to go on; a nil yield
-// stops at the first solution, which run then reports.
-func (q *Query) run(sc *scratch, yield func(*logic.Subst) bool) bool {
-	sc.nodes = q.inst.budget()
-	sc.scanned = 0
-	sc.found = false
-	q.search(sc, len(q.atoms), yield)
-	for k := range sc.stats {
-		st := &sc.stats[k]
-		if st.lookups == 0 {
-			continue
-		}
-		ts := &q.atoms[k].t.stats
-		ts.lookups.Add(st.lookups)
-		ts.scanned.Add(st.scanned)
-		if st.hits > 0 {
-			ts.indexHits.Add(st.hits)
-		}
+// bind points an empty prober at the instance, reusing its arrays.
+func (p *Prober) bind(i *Instance) {
+	p.inst, p.tally.tables = i, i.list
+	if cap(p.tally.stats) < len(i.list) {
+		p.tally.stats = make([]obs.StoreStat, len(i.list))
 	}
-	if sc.scanned > 0 {
-		q.inst.obs.Add(obs.CTuplesScanned, sc.scanned)
+	p.tally.stats = p.tally.stats[:len(i.list)]
+}
+
+// Publish adds the statistics of the calls since the last Publish to the
+// tables' counters and the instance's run.
+func (p *Prober) Publish() {
+	p.tally.Publish()
+	if p.scanned > 0 {
+		p.inst.obs.Add(obs.CTuplesScanned, p.scanned)
 	}
-	if sc.nodes < 0 {
-		q.inst.obs.Inc(obs.CEvalBudgetExhausted)
+	if p.exhausted > 0 {
+		p.inst.obs.Add(obs.CEvalBudgetExhausted, p.exhausted)
 	}
-	return sc.found
+	p.scanned, p.exhausted = 0, 0
+}
+
+// reset readies p for one call of q.
+func (p *Prober) reset(q *Query) {
+	if p.inst != q.inst {
+		panic("relstore: prober of another instance")
+	}
+	p.subst.Reset(q.vars.Len())
+	if cap(p.used) < len(q.atoms) {
+		p.used = make([]bool, len(q.atoms))
+	}
+	p.used = p.used[:len(q.atoms)]
+	clear(p.used)
+}
+
+// proberPool holds the probers of one-off calls between calls, bound to
+// no instance, so the pool keeps no store alive.
+var proberPool = sync.Pool{New: func() any { return new(Prober) }}
+
+// prober takes a pooled prober for one one-off call on the instance.
+func (i *Instance) prober() *Prober {
+	p := proberPool.Get().(*Prober)
+	p.bind(i)
+	return p
+}
+
+// done publishes a pooled prober's statistics and returns it to the pool.
+func (i *Instance) done(p *Prober) {
+	p.Publish()
+	p.inst, p.tally.tables = nil, nil
+	proberPool.Put(p)
+}
+
+// run searches from the bindings in p. yield receives each solution and
+// returns whether to go on; a nil yield stops at the first solution, which
+// run then reports.
+func (q *Query) run(p *Prober, yield func(*logic.Subst) bool) bool {
+	p.nodes = q.inst.budget()
+	p.found = false
+	q.search(p, len(q.atoms), yield)
+	if p.nodes < 0 {
+		p.exhausted++
+	}
+	return p.found
 }
 
 // search matches the left unmatched atoms, backtracking with
 // most-constrained-literal selection. It returns false when the
 // enumeration stopped: the budget ran out or yield asked to stop.
-func (q *Query) search(sc *scratch, left int, yield func(*logic.Subst) bool) bool {
-	sc.nodes--
-	if sc.nodes < 0 {
+func (q *Query) search(p *Prober, left int, yield func(*logic.Subst) bool) bool {
+	p.nodes--
+	if p.nodes < 0 {
 		return false // budget exhausted: cut the search
 	}
 	if left == 0 {
 		if yield == nil {
-			sc.found = true
+			p.found = true
 			return false
 		}
-		return yield(&sc.subst)
+		return yield(&p.subst)
 	}
 	// Pick the atom with the fewest candidate rows: the smallest posting
 	// over its bound columns, or the whole table when none is bound.
 	best, bestEst, bestCol, bestBound := -1, 0, -1, 0
 	for k := range q.atoms {
-		if sc.used[k] {
+		if p.used[k] {
 			continue
 		}
 		a := &q.atoms[k]
@@ -300,7 +340,7 @@ func (q *Query) search(sc *scratch, left int, yield func(*logic.Subst) bool) boo
 			if !arg.IsVar() {
 				continue
 			}
-			v, ok := sc.subst.Value(arg.Slot())
+			v, ok := p.subst.Value(arg.Slot())
 			if !ok {
 				continue
 			}
@@ -322,54 +362,50 @@ func (q *Query) search(sc *scratch, left int, yield func(*logic.Subst) bool) boo
 	// exactly the filtered rows, in order.
 	a := &q.atoms[best]
 	t := a.t
-	st := &sc.stats[best]
-	st.lookups++
 	var rows []int32
-	n := t.nrows
-	if bestCol < 0 {
-		sc.scanned += int64(n)
-	} else {
-		if t.indexed {
-			st.hits++
-		}
-		rows = t.matchingRows(bestCol, a.value(sc, bestCol))
+	n, scanned := t.nrows, int64(t.nrows)
+	if bestCol >= 0 {
+		rows = t.matchingRows(bestCol, a.value(p, bestCol))
 		n = len(rows)
 		if bestBound == 1 {
-			sc.scanned += int64(n)
+			scanned = int64(n)
 		} else {
-			sc.scanned += int64(a.countBound(sc, rows))
+			scanned = int64(a.countBound(p, rows))
 		}
+		p.tally.record(t, obs.StoreStat{Lookups: 1, TuplesScanned: int64(n), IndexHits: t.hit()})
+	} else {
+		p.tally.record(t, obs.StoreStat{Lookups: 1, TuplesScanned: int64(n)})
 	}
-	st.scanned += int64(n)
-	sc.used[best] = true
-	mark := sc.subst.Mark()
+	p.scanned += scanned
+	p.used[best] = true
+	mark := p.subst.Mark()
 	for k := 0; k < n; k++ {
 		r := k
 		if rows != nil {
 			r = int(rows[k])
 		}
-		if a.bind(sc, r, mark) {
-			if !q.search(sc, left-1, yield) {
+		if a.bind(p, r, mark) {
+			if !q.search(p, left-1, yield) {
 				return false
 			}
-			sc.subst.UndoTo(mark)
+			p.subst.UndoTo(mark)
 		}
 	}
-	sc.used[best] = false
+	p.used[best] = false
 	return true
 }
 
-// value returns the symbol column col of the atom must hold under sc.
-func (a *queryAtom) value(sc *scratch, col int) int32 {
+// value returns the symbol column col of the atom must hold under p.
+func (a *queryAtom) value(p *Prober, col int) int32 {
 	if arg := a.args[col]; arg.IsVar() {
-		v, _ := sc.subst.Value(arg.Slot())
+		v, _ := p.subst.Value(arg.Slot())
 		return v
 	}
 	return a.args[col].Sym()
 }
 
-// countBound counts the rows matching every column bound under sc.
-func (a *queryAtom) countBound(sc *scratch, rows []int32) int {
+// countBound counts the rows matching every column bound under p.
+func (a *queryAtom) countBound(p *Prober, rows []int32) int {
 	ar := len(a.args)
 	n := 0
 next:
@@ -378,7 +414,7 @@ next:
 		for c, arg := range a.args {
 			want := arg.Sym()
 			if arg.IsVar() {
-				v, ok := sc.subst.Value(arg.Slot())
+				v, ok := p.subst.Value(arg.Slot())
 				if !ok {
 					continue
 				}
@@ -395,21 +431,21 @@ next:
 
 // bind matches the atom against row r: bound columns must agree and free
 // slots bind to the row's values. On a mismatch it unbinds back to mark.
-func (a *queryAtom) bind(sc *scratch, r, mark int) bool {
+func (a *queryAtom) bind(p *Prober, r, mark int) bool {
 	row := a.t.data[r*len(a.args) : (r+1)*len(a.args)]
 	for c, arg := range a.args {
 		v := row[c]
 		if !arg.IsVar() {
 			if arg.Sym() != v {
-				sc.subst.UndoTo(mark)
+				p.subst.UndoTo(mark)
 				return false
 			}
 			continue
 		}
-		if cur, ok := sc.subst.Value(arg.Slot()); !ok {
-			sc.subst.Bind(arg.Slot(), v)
+		if cur, ok := p.subst.Value(arg.Slot()); !ok {
+			p.subst.Bind(arg.Slot(), v)
 		} else if cur != v {
-			sc.subst.UndoTo(mark)
+			p.subst.UndoTo(mark)
 			return false
 		}
 	}
@@ -424,9 +460,10 @@ func (i *Instance) SatisfyBody(body []logic.Atom, init logic.Substitution) bool 
 	if q.unsat {
 		return false
 	}
-	sc := q.scratch()
-	defer scratchPool.Put(sc)
-	return q.run(sc, nil)
+	p := i.prober()
+	defer i.done(p)
+	p.reset(q)
+	return q.run(p, nil)
 }
 
 // WitnessBody returns the first substitution (in the solver's
@@ -440,9 +477,10 @@ func (i *Instance) WitnessBody(body []logic.Atom, init logic.Substitution) logic
 		return nil
 	}
 	var witness logic.Substitution
-	sc := q.scratch()
-	defer scratchPool.Put(sc)
-	q.run(sc, func(sub *logic.Subst) bool {
+	p := i.prober()
+	defer i.done(p)
+	p.reset(q)
+	q.run(p, func(sub *logic.Subst) bool {
 		witness = init.Clone()
 		for s := int32(0); s < int32(sub.Slots()); s++ {
 			v, _ := sub.Value(s)
@@ -495,9 +533,10 @@ func (i *Instance) EvalClause(c *logic.Clause) ([]logic.Atom, error) {
 	}
 	var out []logic.Atom
 	seen := make(map[string]bool)
-	sc := q.scratch()
-	defer scratchPool.Put(sc)
-	q.run(sc, func(sub *logic.Subst) bool {
+	p := i.prober()
+	defer i.done(p)
+	p.reset(q)
+	q.run(p, func(sub *logic.Subst) bool {
 		h := logic.Atom{Pred: c.Head.Pred, Args: make([]logic.Term, len(q.head))}
 		for j, ha := range q.head {
 			if ha.slot < 0 {

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -38,9 +39,18 @@ func TestStoreStatsCountProbes(t *testing.T) {
 	if s.Lookups != 3 || s.IndexHits != 2 {
 		t.Errorf("after TuplesContaining: %+v", s)
 	}
-	pub.AddINDExpansions(4)
+	tl := i.NewTally()
+	tl.AddINDExpansions(pub, 4)
+	if got := pub.Stats(); got != s {
+		t.Errorf("tally published before Publish: %+v", got)
+	}
+	tl.Publish()
 	if s = pub.Stats(); s.INDExpansions != 4 {
 		t.Errorf("AddINDExpansions not recorded: %+v", s)
+	}
+	tl.Publish()
+	if got := pub.Stats(); got != s {
+		t.Errorf("second Publish republished: %+v", got)
 	}
 
 	// Instance snapshot holds only probed relations.
@@ -206,5 +216,45 @@ func TestStatsShardedScanPath(t *testing.T) {
 	wantScanned := int64(len(point)) + int64(rows)
 	if got := big.Stats(); got.Lookups != 2 || got.IndexHits != 1 || got.TuplesScanned != wantScanned {
 		t.Errorf("scan stats = %+v, want lookups 2, hits 1, scanned %d", got, wantScanned)
+	}
+}
+
+// TestProberPublishesOnce: tests on a worker's prober leave the tables'
+// counters and the run untouched until Publish, which then adds exactly
+// what the same tests through the one-off Covers add.
+func TestProberPublishesOnce(t *testing.T) {
+	c := logic.MustParseClause("collab(X, Y) :- publication(P, X), publication(P, Y), professor(Y).")
+	examples := []logic.Atom{
+		logic.GroundAtom("collab", "abe", "pat"),
+		logic.GroundAtom("collab", "abe", "ghost"),
+		logic.GroundAtom("collab", "bea", "abe"),
+	}
+	oneOff, held := smallInstance(t), smallInstance(t)
+	regA, regB := obs.NewRegistry(), obs.NewRegistry()
+	oneOff.SetObs(obs.NewRun(nil, regA))
+	held.SetObs(obs.NewRun(nil, regB))
+	qa, qb := oneOff.Compile(c), held.Compile(c)
+	p := held.NewProber()
+	for _, e := range examples {
+		if qa.Covers(e) != qb.CoversWith(p, e) {
+			t.Fatalf("Covers and CoversWith disagree on %v", e)
+		}
+	}
+	if got := held.StoreStats(); len(got) != 0 {
+		t.Fatalf("prober published before Publish: %v", got)
+	}
+	if got := regB.Get(obs.CTuplesScanned); got != 0 {
+		t.Fatalf("tuples_scanned %d before Publish", got)
+	}
+	p.Publish()
+	if a, b := oneOff.StoreStats(), held.StoreStats(); !reflect.DeepEqual(a, b) {
+		t.Errorf("published stats %v, one-off %v", b, a)
+	}
+	if a, b := regA.Get(obs.CTuplesScanned), regB.Get(obs.CTuplesScanned); a != b || a == 0 {
+		t.Errorf("tuples_scanned published %d, one-off %d", b, a)
+	}
+	p.Publish()
+	if a, b := oneOff.StoreStats(), held.StoreStats(); !reflect.DeepEqual(a, b) {
+		t.Errorf("second Publish changed the stats: %v, want %v", b, a)
 	}
 }

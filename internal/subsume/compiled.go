@@ -1,6 +1,7 @@
 package subsume
 
 import (
+	"slices"
 	"strings"
 	"sync"
 
@@ -115,6 +116,7 @@ type Compiled struct {
 	litOff   []int32 // body literal i's arguments are argv[litOff[i]:litOff[i+1]]
 	argv     []int32
 	preds    []predLits // distinct body predicates, first-seen order
+	predLits []int32    // backing array of the preds' literal lists
 	index    argIndex
 }
 
@@ -160,9 +162,13 @@ func (s *Space) CompileBody(body []logic.Atom) *Compiled {
 // compile interns the target into the space and indexes it, or returns
 // nil when the space lacks one of its names.
 func (s *Space) compile(head *logic.Atom, body []logic.Atom) *Compiled {
-	n, e := len(body), 0
+	e := 0
 	for _, a := range body {
 		e += len(a.Args)
+	}
+	h := 0
+	if head != nil {
+		h = len(head.Args)
 	}
 	missing := false
 	id := func(name string) int32 {
@@ -170,14 +176,9 @@ func (s *Space) compile(head *logic.Atom, body []logic.Atom) *Compiled {
 		missing = missing || !ok
 		return id
 	}
-	cd := &Compiled{space: s}
-	// One backing array for the literal tables.
-	arena := make([]int32, 2*n+1+e)
-	cd.litPred, arena = arena[:n:n], arena[n:]
-	cd.litOff, cd.argv = arena[:n+1:n+1], arena[n+1:]
+	cd := s.newCompiled(head != nil, h, len(body), e)
 	if head != nil {
-		cd.hasHead, cd.headPred = true, id(head.Pred)
-		cd.headArgs = make([]int32, len(head.Args))
+		cd.headPred = id(head.Pred)
 		for i, t := range head.Args {
 			cd.headArgs[i] = id(targetName(t))
 		}
@@ -192,32 +193,116 @@ func (s *Space) compile(head *logic.Atom, body []logic.Atom) *Compiled {
 	if missing {
 		return nil
 	}
-	cd.indexPreds()
-	cd.index.build(cd)
+	cd.build()
 	return cd
 }
 
+// CompileGround compiles a ground clause given in the space's ids: the
+// head predicate and arguments, and per body literal i its predicate
+// litPred[i] and its arguments argv[litOff[i]:litOff[i+1]], with
+// litOff[0] = 0. It is Compile without the names: the target equals the
+// one Compile builds from the same clause written out in names. The
+// arrays are copied, so the caller may reuse them, and the target's own
+// arrays are all it allocates. It returns nil when an id lies outside the
+// space.
+func (s *Space) CompileGround(headPred int32, headArgs, litPred, litOff, argv []int32) *Compiled {
+	n := uint32(s.len())
+	inside := func(ids []int32) bool {
+		for _, id := range ids {
+			if uint32(id) >= n {
+				return false
+			}
+		}
+		return true
+	}
+	if len(litOff) != len(litPred)+1 || litOff[0] != 0 || litOff[len(litPred)] != int32(len(argv)) {
+		panic("subsume: CompileGround: literal offsets do not delimit the arguments")
+	}
+	if uint32(headPred) >= n || !inside(headArgs) || !inside(litPred) || !inside(argv) {
+		return nil
+	}
+	cd := s.newCompiled(true, len(headArgs), len(litPred), len(argv))
+	cd.headPred = headPred
+	copy(cd.headArgs, headArgs)
+	copy(cd.litPred, litPred)
+	copy(cd.litOff, litOff)
+	copy(cd.argv, argv)
+	cd.build()
+	return cd
+}
+
+// BaseLen returns how many ids the space shares with syms: an id of syms
+// below it is also the space's id for the same name. It is 0 unless syms
+// is the space's base table.
+func (s *Space) BaseLen(syms *logic.Symbols) int32 {
+	if syms == nil || syms != s.base {
+		return 0
+	}
+	return s.baseLen
+}
+
+// newCompiled carves a target of n body literals holding e arguments in
+// all, with a head of h arguments when hasHead, and the int32 tables of
+// its indexes out of one backing array. The caller fills in the head and
+// the literals, then calls build.
+func (s *Space) newCompiled(hasHead bool, h, n, e int) *Compiled {
+	size := tableSize(e)
+	// In carving order: litPred, litOff, argv, headArgs, predLits, then
+	// the index's slots, lits and off.
+	arena := make([]int32, n+(n+1)+e+h+n+size+e+(e+1))
+	take := func(k int) []int32 {
+		a := arena[:k:k]
+		arena = arena[k:]
+		return a
+	}
+	cd := &Compiled{space: s, hasHead: hasHead}
+	cd.litPred, cd.litOff, cd.argv, cd.headArgs = take(n), take(n+1), take(e), take(h)
+	cd.predLits = take(n)
+	cd.index.slots, cd.index.lits = take(size), take(e)
+	cd.index.off = arena[: 1 : e+1]
+	return cd
+}
+
+// build indexes a filled-in target.
+func (cd *Compiled) build() {
+	cd.indexPreds()
+	cd.index.build(cd)
+}
+
 // indexPreds builds the per-predicate literal lists: count, then fill
-// slices of one array in literal order.
+// slices of predLits in literal order. Distinct predicates are counted on
+// the stack, so the lists' headers are the only allocation.
 func (cd *Compiled) indexPreds() {
-	var counts []int
+	var predBuf, countBuf [64]int32
+	preds, counts := predBuf[:0], countBuf[:0]
 	for _, p := range cd.litPred {
-		k := cd.predIndex(p)
+		k := indexOf32(preds, p)
 		if k < 0 {
-			k = len(cd.preds)
-			cd.preds = append(cd.preds, predLits{pred: p})
+			k = len(preds)
+			preds = append(preds, p)
 			counts = append(counts, 0)
 		}
 		counts[k]++
 	}
-	all := make([]int32, len(cd.litPred))
+	cd.preds = make([]predLits, len(preds))
+	all := cd.predLits
 	for k, c := range counts {
-		cd.preds[k].lits, all = all[:0:c], all[c:]
+		cd.preds[k] = predLits{pred: preds[k], lits: all[:0:c]}
+		all = all[c:]
 	}
 	for i, p := range cd.litPred {
 		k := cd.predIndex(p)
 		cd.preds[k].lits = append(cd.preds[k].lits, int32(i))
 	}
+}
+
+// Equal reports whether two targets are the same clause compiled into the
+// same space: the same head, and the same body literals in the same order
+// with the same argument ids.
+func (cd *Compiled) Equal(o *Compiled) bool {
+	return cd.space == o.space && cd.hasHead == o.hasHead && cd.headPred == o.headPred &&
+		slices.Equal(cd.headArgs, o.headArgs) && slices.Equal(cd.litPred, o.litPred) &&
+		slices.Equal(cd.litOff, o.litOff) && slices.Equal(cd.argv, o.argv)
 }
 
 // predIndex returns pred's position in cd.preds, or -1. Targets have few
@@ -295,17 +380,14 @@ func (cd *Compiled) keys(t int, f func(argKey)) {
 	}
 }
 
-// build indexes every entry of the target: count each key's entries into
-// a new or existing group, prefix-sum the counts into offsets, then
-// scatter literal indexes so each group lists its literals ascending.
+// build indexes every entry of the target into the slots, off and lits
+// tables newCompiled carved: count each key's entries into a new or
+// existing group, prefix-sum the counts into offsets, then scatter literal
+// indexes so each group lists its literals ascending.
 func (x *argIndex) build(cd *Compiled) {
 	entries := len(cd.argv)
-	size := tableSize(entries)
-	x.slots = make([]int32, size)
 	x.keys = make([]argKey, 0, entries)
-	x.off = make([]int32, 1, entries+1)
-	x.lits = make([]int32, entries)
-	mask := uint32(size - 1)
+	mask := uint32(len(x.slots) - 1)
 	for t := range cd.litPred {
 		cd.keys(t, func(k argKey) {
 			i := k.hash() & mask

@@ -200,3 +200,51 @@ func TestWitness(t *testing.T) {
 		t.Fatalf("init binding X leaked into the witness")
 	}
 }
+
+// TestCompileGroundMatchesCompile: a ground clause handed over in the
+// space's ids compiles to the target Compile builds from its names, and
+// answers probes alike; an id outside the space compiles to nothing.
+func TestCompileGroundMatchesCompile(t *testing.T) {
+	syms := logic.NewSymbols()
+	for _, c := range []string{"a", "b", "c"} {
+		syms.Intern(c)
+	}
+	space := NewSpace(syms, "t", "p", "q", "z")
+	ground := logic.MustParseClause("t(a,z) :- p(a,b), q(b), p(b,c), q(z).")
+	want := space.Compile(ground)
+	id := func(name string) int32 {
+		v, ok := space.Lookup(name)
+		if !ok {
+			t.Fatalf("space lacks %q", name)
+		}
+		return v
+	}
+	litOff := []int32{0}
+	var litPred, argv []int32
+	for _, a := range ground.Body {
+		litPred = append(litPred, id(a.Pred))
+		for _, term := range a.Args {
+			argv = append(argv, id(term.Name))
+		}
+		litOff = append(litOff, int32(len(argv)))
+	}
+	head := []int32{id("a"), id("z")}
+	got := space.CompileGround(id("t"), head, litPred, litOff, argv)
+	if got == nil || !got.Equal(want) {
+		t.Fatal("CompileGround differs from Compile of the same clause")
+	}
+	for _, src := range []string{"t(X,Y) :- p(X,W), q(W), q(Y).", "t(X,Y) :- p(X,W), p(W,X)."} {
+		c := logic.MustParseClause(src)
+		if got.Subsumes(c) != want.Subsumes(c) {
+			t.Errorf("%s: probes of the two targets disagree", src)
+		}
+	}
+	swapped := &logic.Clause{Head: ground.Head, Body: append([]logic.Atom{ground.Body[1], ground.Body[0]}, ground.Body[2:]...)}
+	if space.Compile(swapped).Equal(want) {
+		t.Error("Equal ignores literal order")
+	}
+	argv[0] = int32(syms.Len() + 100)
+	if space.CompileGround(id("t"), head, litPred, litOff, argv) != nil {
+		t.Error("an id outside the space compiled")
+	}
+}
