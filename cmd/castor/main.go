@@ -19,9 +19,9 @@
 //	castor -dataset uwcse -trace trace.jsonl -report run.json
 //	castor -dataset uwcse -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-//	# Perfetto-loadable span trace, live introspection server
+//	# Perfetto-loadable span trace; flight recorder and stall watchdog
 //	castor -dataset uwcse -chrometrace trace.json
-//	castor -dataset uwcse -http :6060   # /metrics /progress /debug/pprof/
+//	castor -dataset uwcse -flightrecorder flight.jsonl -watchdog-stall 30s
 //
 //	# search-graph provenance and explanations
 //	castor -dataset uwcse -provenance prov.jsonl -explain-plan
@@ -80,16 +80,10 @@ type options struct {
 	verbose                bool
 	traceFile              string
 	chromeFile, reportFile string
-	httpAddr               string
-	httpIdle               time.Duration
 	cpuProfile, memProfile string
 
-	flightFile       string
-	watchdogStall    time.Duration
-	watchdogSelftest bool
-	sampleResources  time.Duration
-	timelineFile     string
-	timelineTick     time.Duration
+	flightFile    string
+	watchdogStall time.Duration
 
 	provFile     string
 	provMaxNodes int64
@@ -127,14 +121,8 @@ func main() {
 	flag.StringVar(&o.traceFile, "trace", "", "write a JSONL span trace to this file")
 	flag.StringVar(&o.chromeFile, "chrometrace", "", "write a Chrome trace-event (Perfetto) span trace to this file")
 	flag.StringVar(&o.reportFile, "report", "", "write the JSON run report (for cmd/obsreport) to this file")
-	flag.StringVar(&o.httpAddr, "http", "", "serve /metrics, /progress, /debug/flightrecorder and /debug/pprof/ on this address (e.g. :6060)")
-	flag.DurationVar(&o.httpIdle, "http-idle", 0, "keep the -http server alive this long after the run finishes")
 	flag.StringVar(&o.flightFile, "flightrecorder", "", "write flight-recorder dumps (JSONL) to this file (default: stderr on dump)")
 	flag.DurationVar(&o.watchdogStall, "watchdog-stall", 0, "trip the stall watchdog after this long without heartbeat progress (0 = off)")
-	flag.BoolVar(&o.watchdogSelftest, "watchdog-selftest", false, "hold the run idle after learning until the watchdog trips once (CI/debugging)")
-	flag.DurationVar(&o.sampleResources, "sample-resources", 0, "sample RSS/heap/goroutines every interval into gauges and the flight recorder (0 = off)")
-	flag.StringVar(&o.timelineFile, "timeline", "", "write the metric timeline (JSONL) to this file at run end")
-	flag.DurationVar(&o.timelineTick, "timeline-tick", obs.DefaultTimelineTick, "metric timeline sampling interval")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file")
 	flag.StringVar(&o.provFile, "provenance", "", "write the candidate search graph (JSONL) to this file")
@@ -150,7 +138,7 @@ func main() {
 	}
 }
 
-func run(o options, out io.Writer) error {
+func run(o options, out io.Writer) (runErr error) {
 	if o.cpuProfile != "" {
 		f, err := os.Create(o.cpuProfile)
 		if err != nil {
@@ -165,7 +153,9 @@ func run(o options, out io.Writer) error {
 
 	// Instrumentation: counters and span aggregates always (they also feed
 	// the summary), the flight recorder always (it is the crash-evidence
-	// layer; ~1.5MB), span sinks only where asked.
+	// layer; ~1.5MB), span sinks only where asked. Every file sink is
+	// closed on every return path, so a failed learn still leaves a
+	// complete trace.
 	reg := obs.NewRegistry()
 	fr := obs.NewFlightRecorder(0)
 	fr.SetDumpPath(o.flightFile)
@@ -183,46 +173,25 @@ func run(o options, out io.Writer) error {
 	if o.verbose {
 		spanSinks = append(spanSinks, obs.NewTextSink(os.Stderr))
 	}
-	var traceSink *obs.JSONLSink
 	if o.traceFile != "" {
 		s, err := obs.CreateJSONLFile(o.traceFile)
 		if err != nil {
 			return err
 		}
-		// Span lines carry worker/round tags, so the span graph is
-		// reconstructable offline from the trace file alone.
-		traceSink = s
+		defer closeOnReturn(&runErr, s, "trace")
 		spanSinks = append(spanSinks, s)
 	}
-	var chromeSink *obs.ChromeTraceSink
 	if o.chromeFile != "" {
 		s, err := obs.CreateChromeTraceFile(o.chromeFile)
 		if err != nil {
 			return err
 		}
-		chromeSink = s
+		defer closeOnReturn(&runErr, s, "Chrome trace")
 		spanSinks = append(spanSinks, s)
 	}
-	var graph *obs.GraphSink
-	if o.reportFile != "" || o.httpAddr != "" {
-		// Span-graph collection feeds the report's attribution table and
-		// the live /critpath endpoint.
-		graph = obs.NewGraphSink(0)
-		spanSinks = append(spanSinks, graph)
-	}
-	if spec := os.Getenv("SIRL_TEST_SLOWDOWN"); spec != "" {
-		// Test hook: inject a synthetic sleep into the named span kinds
-		// (kind=duration,...), so CI can verify obsreport -attrib ranks a
-		// known slowdown first. Never affects what is learned — only time.
-		slow, err := obs.ParseSlowdown(spec)
-		if err != nil {
-			return fmt.Errorf("SIRL_TEST_SLOWDOWN: %w", err)
-		}
-		spanSinks = append(spanSinks, slow)
-	}
 	obsRun := obs.NewRun(obs.MultiSpanSink(spanSinks...), reg).WithFlightRecorder(fr)
-	// The provenance recorder wraps the run first: the server, sampler and
-	// watchdog below must watch the run the learner reports into.
+	// The provenance recorder wraps the run first: the watchdog below must
+	// watch the run the learner reports into.
 	var prov *obs.Prov
 	if o.provFile != "" {
 		p, err := obs.CreateProvenanceFile(o.provFile,
@@ -230,38 +199,12 @@ func run(o options, out io.Writer) error {
 		if err != nil {
 			return err
 		}
+		defer closeOnReturn(&runErr, p, "provenance")
 		prov = p
 		obsRun = obsRun.WithProvenance(prov)
 	}
-	var tl *obs.Timeline
-	if o.timelineFile != "" || o.httpAddr != "" {
-		tl = obs.StartTimeline(obsRun, o.timelineTick)
-	}
-	if o.httpAddr != "" {
-		srv, err := obs.StartServer(o.httpAddr, obsRun, tl, graph)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(out, "introspection server on http://%s/ (/metrics /progress /timeline /critpath /debug/flightrecorder /debug/pprof/)\n", srv.Addr())
-	}
-	if o.sampleResources > 0 {
-		smp := obs.StartSampler(obsRun, o.sampleResources)
-		defer smp.Stop()
-	}
-	var wd *obs.Watchdog
 	if o.watchdogStall > 0 {
-		wd = obs.StartWatchdog(obsRun, o.watchdogStall, func(si obs.StallInfo) {
-			fmt.Fprintf(os.Stderr, "watchdog: no heartbeat progress for %s (trip %d); live spans:\n",
-				si.Stalled.Round(time.Millisecond), si.Trips)
-			if len(si.Spans) == 0 {
-				fmt.Fprintln(os.Stderr, "  (no open spans)")
-			}
-			for _, s := range si.Spans {
-				fmt.Fprintf(os.Stderr, "  %s (open %.2fs, id %d)\n", s.Name, s.ElapsedSeconds, s.ID)
-			}
-			fr.DumpNow("watchdog") //nolint:errcheck // best-effort stall dump
-		})
+		wd := obs.StartWatchdog(obsRun, o.watchdogStall, stallHook(fr, os.Stderr))
 		defer wd.Stop()
 	}
 
@@ -327,9 +270,6 @@ func run(o options, out io.Writer) error {
 		return err
 	}
 	elapsed := time.Since(start)
-	if err := prov.Close(); err != nil {
-		return fmt.Errorf("writing provenance: %w", err)
-	}
 	fmt.Fprintf(out, "\nlearned definition (%d clauses, %.2fs):\n", def.Len(), elapsed.Seconds())
 	if def.IsEmpty() {
 		fmt.Fprintln(out, "  (nothing learned)")
@@ -339,36 +279,7 @@ func run(o options, out io.Writer) error {
 	m := eval.Evaluate(prob.Instance, def, pos, neg)
 	fmt.Fprintf(out, "\ntraining-set quality: %s\n", m)
 
-	if traceSink != nil {
-		if err := traceSink.Close(); err != nil {
-			return err
-		}
-	}
-	if chromeSink != nil {
-		if err := chromeSink.Close(); err != nil {
-			return err
-		}
-	}
-	if o.watchdogSelftest && wd != nil {
-		// Deterministic trip for CI: the run is idle now, so the heartbeat
-		// counter stops and the watchdog must fire within ~1.25× the stall.
-		fmt.Fprintln(out, "watchdog-selftest: holding idle until the watchdog trips")
-		deadline := time.Now().Add(10*o.watchdogStall + 5*time.Second)
-		for wd.Trips() == 0 && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-		}
-		if wd.Trips() == 0 {
-			return fmt.Errorf("watchdog-selftest: watchdog did not trip within %s", 10*o.watchdogStall+5*time.Second)
-		}
-		fmt.Fprintf(out, "watchdog-selftest: tripped (trips=%d)\n", wd.Trips())
-	}
-	obsRun.Sample() // final resource sample, so every report carries RSS/heap gauges
-	tl.Stop()       // final timeline tick; rings stay servable through -http-idle
-	if o.timelineFile != "" {
-		if err := tl.WriteJSONLFile(o.timelineFile); err != nil {
-			return fmt.Errorf("writing timeline: %w", err)
-		}
-	}
+	obsRun.Sample() // the run's one resource sample, so every report carries RSS/heap gauges
 	report := reg.Snapshot()
 	if o.reportFile != "" {
 		rr := &obs.RunReport{
@@ -390,11 +301,7 @@ func run(o options, out io.Writer) error {
 			Env:            obs.CaptureEnv(o.seed),
 			ElapsedSeconds: elapsed.Seconds(),
 			Metrics:        report,
-			Timeline:       tl.Summary(),
 			Definition:     definitionStats(def, m),
-		}
-		if graph != nil {
-			rr.Attrib = obs.Attribute(graph.Graph())
 		}
 		if err := rr.WriteJSONFile(o.reportFile); err != nil {
 			return err
@@ -415,10 +322,6 @@ func run(o options, out io.Writer) error {
 			return err
 		}
 	}
-	if o.httpAddr != "" && o.httpIdle > 0 {
-		fmt.Fprintf(out, "idling %s for introspection (SIGQUIT or /debug/flightrecorder to dump)\n", o.httpIdle)
-		time.Sleep(o.httpIdle)
-	}
 	if o.flightFile != "" {
 		// End-of-run dump: the file always holds the final window (any
 		// earlier watchdog/sigquit marks are still in the ring, so nothing
@@ -428,6 +331,30 @@ func run(o options, out io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// closeOnReturn closes one of run's output files when run returns, on
+// every path, and reports the close error unless run already failed.
+func closeOnReturn(runErr *error, c io.Closer, what string) {
+	if err := c.Close(); err != nil && *runErr == nil {
+		*runErr = fmt.Errorf("writing %s: %w", what, err)
+	}
+}
+
+// stallHook is the stall watchdog's action: it logs the live span stack
+// to w and dumps the flight recorder.
+func stallHook(fr *obs.FlightRecorder, w io.Writer) func(obs.StallInfo) {
+	return func(si obs.StallInfo) {
+		fmt.Fprintf(w, "watchdog: no heartbeat progress for %s (trip %d); live spans:\n",
+			si.Stalled.Round(time.Millisecond), si.Trips)
+		if len(si.Spans) == 0 {
+			fmt.Fprintln(w, "  (no open spans)")
+		}
+		for _, s := range si.Spans {
+			fmt.Fprintf(w, "  %s (open %.2fs, id %d)\n", s.Name, s.ElapsedSeconds, s.ID)
+		}
+		fr.DumpNow("watchdog") //nolint:errcheck // best-effort stall dump
+	}
 }
 
 // definitionStats summarizes the learned definition for the run report.

@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ilp"
+	"repro/internal/obs"
 )
 
 // TestRunWritesMetricsAndTrace drives the full CLI pipeline (uwcse,
@@ -158,5 +161,106 @@ func TestLoadUserProblemValidatesData(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: load error = %v, want one containing %q", tc.name, err, tc.wantErr)
 		}
+	}
+}
+
+// TestFailedLearnClosesTraceFiles: a learn that fails after the span
+// sinks and the provenance file are open must still close them, so the
+// Chrome trace is valid JSON, every JSONL trace line parses, and the
+// provenance stream ends with its summary record.
+func TestFailedLearnClosesTraceFiles(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		t.Helper()
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	o := options{
+		schemaFile: write("schema.txt", "rel student(stud)\nrel professor(prof)\nrel publication(title, person)\n"),
+		dataFile:   write("data.pl", "student(s2).\nprofessor(p1).\npublication(t1, s2).\npublication(t1, p1).\n"),
+		posFile:    write("pos.pl", "wrongPred(s2,p1).\n"),
+		targetDecl: "advisedBy(stud, prof)",
+		learner:    "castor", coverage: "auto",
+		sample: 4, beam: 2, clauseLength: 10, par: 1, seed: 1,
+		traceFile:  filepath.Join(dir, "t.jsonl"),
+		chromeFile: filepath.Join(dir, "c.json"),
+		provFile:   filepath.Join(dir, "prov.jsonl"),
+	}
+	err := run(o, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "wrongPred(s2,p1) is not a advisedBy atom") {
+		t.Fatalf("run error = %v, want the wrong-predicate example rejected", err)
+	}
+
+	b, err := os.ReadFile(o.chromeFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chrome struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &chrome); err != nil {
+		t.Errorf("Chrome trace after a failed learn is not valid JSON (%d bytes): %v", len(b), err)
+	}
+	for name, last := range map[string]string{o.traceFile: "", o.provFile: "summary"} {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kind string
+		for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+			var obj struct {
+				Kind string `json:"kind"`
+			}
+			if line != "" && json.Unmarshal([]byte(line), &obj) != nil {
+				t.Errorf("%s: line %q does not parse", filepath.Base(name), line)
+			}
+			kind = obj.Kind
+		}
+		if kind != last {
+			t.Errorf("%s: last record kind = %q, want %q", filepath.Base(name), kind, last)
+		}
+	}
+}
+
+// TestStallHookDumpsFlightRecorder drives the binary's watchdog stall
+// hook on an idle run: the watchdog must trip, and the -flightrecorder
+// file must then hold the watchdog_stall record and the dump:watchdog
+// mark.
+func TestStallHookDumpsFlightRecorder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flight.jsonl")
+	fr := obs.NewFlightRecorder(64)
+	fr.SetDumpPath(path)
+	run := obs.NewRun(nil, obs.NewRegistry()).WithFlightRecorder(fr)
+	var log strings.Builder
+	wd := obs.StartWatchdog(run, 20*time.Millisecond, stallHook(fr, &log))
+	for deadline := time.Now().Add(10 * time.Second); wd.Trips() == 0 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	wd.Stop() // waits for the hook to finish its dump
+	if wd.Trips() == 0 {
+		t.Fatal("watchdog never tripped on an idle run")
+	}
+	if !strings.Contains(log.String(), "watchdog: no heartbeat progress") {
+		t.Errorf("stall log = %q", log.String())
+	}
+
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stall, mark bool
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		var r obs.FlightRecord
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("dump line %q does not parse: %v", line, err)
+		}
+		stall = stall || r.Kind == "watchdog_stall"
+		mark = mark || (r.Kind == "mark" && r.Name == "dump:watchdog")
+	}
+	if !stall || !mark {
+		t.Errorf("flight dump has watchdog_stall=%v dump:watchdog=%v, want both:\n%s", stall, mark, b)
 	}
 }

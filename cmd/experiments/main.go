@@ -9,7 +9,7 @@
 //	# observability: aggregate counters and spans across every learner run
 //	experiments -exp table10 -v -trace trace.jsonl -report run.json
 //	experiments -exp table10 -chrometrace trace.json
-//	experiments -exp all -http :6060     # live /metrics /progress /debug/pprof/
+//	experiments -exp all -flightrecorder flight.jsonl -watchdog-stall 1m
 //	experiments -exp fig2 -cpuprofile cpu.pprof
 //
 // Experiments: table2, table9, table10, table11, table12, table13, fig2,
@@ -21,10 +21,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -33,35 +35,57 @@ import (
 	"repro/internal/obs"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment id: table2|table9|table10|table11|table12|table13|fig2|fig3|ablations|all")
-	scale := flag.Float64("scale", 1.0, "dataset scale factor")
-	folds := flag.Int("folds", 0, "cross-validation folds (0 = per-table default)")
-	par := flag.Int("par", 4, "coverage-test parallelism")
-	seed := flag.Int64("seed", 1, "random seed")
-	fig3Defs := flag.Int("fig3-defs", 10, "random definitions per Figure 3 setting")
-	verbose := flag.Bool("v", false, "log one line per finished learner span to stderr")
-	traceFile := flag.String("trace", "", "write a JSONL span trace to this file")
-	chromeFile := flag.String("chrometrace", "", "write a Chrome trace-event (Perfetto) span trace to this file")
-	reportFile := flag.String("report", "", "write the JSON run report (for cmd/obsreport) to this file")
-	httpAddr := flag.String("http", "", "serve /metrics, /progress, /debug/flightrecorder and /debug/pprof/ on this address (e.g. :6060)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
-	flightFile := flag.String("flightrecorder", "", "write flight-recorder dumps (JSONL) to this file (default: stderr on dump)")
-	watchdogStall := flag.Duration("watchdog-stall", 0, "trip the stall watchdog after this long without heartbeat progress (0 = off)")
-	sampleResources := flag.Duration("sample-resources", 0, "sample RSS/heap/goroutines every interval into gauges and the flight recorder (0 = off)")
-	timelineFile := flag.String("timeline", "", "write the metric timeline (JSONL) to this file at run end")
-	timelineTick := flag.Duration("timeline-tick", obs.DefaultTimelineTick, "metric timeline sampling interval")
-	flag.Parse()
+var (
+	exp           = flag.String("exp", "all", "experiment id: table2|table9|table10|table11|table12|table13|fig2|fig3|ablations|all")
+	scale         = flag.Float64("scale", 1.0, "dataset scale factor")
+	folds         = flag.Int("folds", 0, "cross-validation folds (0 = per-table default)")
+	par           = flag.Int("par", 4, "coverage-test parallelism")
+	seed          = flag.Int64("seed", 1, "random seed")
+	fig3Defs      = flag.Int("fig3-defs", 10, "random definitions per Figure 3 setting")
+	verbose       = flag.Bool("v", false, "log one line per finished learner span to stderr")
+	traceFile     = flag.String("trace", "", "write a JSONL span trace to this file")
+	chromeFile    = flag.String("chrometrace", "", "write a Chrome trace-event (Perfetto) span trace to this file")
+	reportFile    = flag.String("report", "", "write the JSON run report (for cmd/obsreport) to this file")
+	cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile    = flag.String("memprofile", "", "write a heap profile to this file")
+	flightFile    = flag.String("flightrecorder", "", "write flight-recorder dumps (JSONL) to this file (default: stderr on dump)")
+	watchdogStall = flag.Duration("watchdog-stall", 0, "trip the stall watchdog after this long without heartbeat progress (0 = off)")
+)
 
+// order lists every experiment id in the order -exp all runs them.
+var order = []string{"table2", "table9", "table10", "table11", "table12", "table13", "fig2", "fig3", "ablations"}
+
+func main() {
+	flag.Parse()
+	ids := order
+	if *exp != "all" {
+		ids = strings.Split(*exp, ",")
+		for i, id := range ids {
+			ids[i] = strings.TrimSpace(id)
+			if !slices.Contains(order, ids[i]) {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q; have %v\n", id, order)
+				os.Exit(2)
+			}
+		}
+	}
+	if err := run(ids); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
+
+// run executes the experiments ids in order under one observed run.
+// Every file sink is closed on every return path, so a failed
+// experiment still leaves a complete trace.
+func run(ids []string) (runErr error) {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -69,11 +93,8 @@ func main() {
 	var reg *obs.Registry
 	var fr *obs.FlightRecorder
 	var spanSinks []obs.SpanSink
-	var traceSink *obs.JSONLSink
-	var chromeSink *obs.ChromeTraceSink
 	observing := *verbose || *traceFile != "" || *chromeFile != "" ||
-		*reportFile != "" || *httpAddr != "" || *flightFile != "" ||
-		*watchdogStall > 0 || *sampleResources > 0 || *timelineFile != ""
+		*reportFile != "" || *flightFile != "" || *watchdogStall > 0
 	if observing {
 		reg = obs.NewRegistry()
 		fr = obs.NewFlightRecorder(0)
@@ -93,46 +114,23 @@ func main() {
 		if *traceFile != "" {
 			s, err := obs.CreateJSONLFile(*traceFile)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			// Tagged span lines: the span graph is reconstructable
-			// offline from the trace.
-			traceSink = s
+			defer closeOnReturn(&runErr, s, "trace")
 			spanSinks = append(spanSinks, s)
 		}
 		if *chromeFile != "" {
 			s, err := obs.CreateChromeTraceFile(*chromeFile)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			chromeSink = s
+			defer closeOnReturn(&runErr, s, "Chrome trace")
 			spanSinks = append(spanSinks, s)
 		}
-	}
-	var graph *obs.GraphSink
-	if *reportFile != "" || *httpAddr != "" {
-		graph = obs.NewGraphSink(0)
-		spanSinks = append(spanSinks, graph)
 	}
 
 	start := time.Now()
 	obsRun := obs.NewRun(obs.MultiSpanSink(spanSinks...), reg).WithFlightRecorder(fr)
-	var tl *obs.Timeline
-	if *timelineFile != "" || *httpAddr != "" {
-		tl = obs.StartTimeline(obsRun, *timelineTick)
-	}
-	if *httpAddr != "" {
-		srv, err := obs.StartServer(*httpAddr, obsRun, tl, graph)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		fmt.Printf("introspection server on http://%s/ (/metrics /progress /timeline /critpath /debug/flightrecorder /debug/pprof/)\n", srv.Addr())
-	}
-	if *sampleResources > 0 {
-		smp := obs.StartSampler(obsRun, *sampleResources)
-		defer smp.Stop()
-	}
 	if *watchdogStall > 0 {
 		wd := obs.StartWatchdog(obsRun, *watchdogStall, func(si obs.StallInfo) {
 			fmt.Fprintf(os.Stderr, "watchdog: no heartbeat progress for %s (trip %d); live spans:\n",
@@ -152,7 +150,6 @@ func main() {
 		Out:         os.Stdout,
 		Obs:         obsRun,
 	}
-
 	runners := map[string]func() error{
 		"table2":    func() error { _, err := experiments.Table2(cfg); return err },
 		"table9":    func() error { _, err := experiments.Table9(cfg); return err },
@@ -164,44 +161,14 @@ func main() {
 		"fig3":      func() error { _, err := experiments.Figure3(cfg, *fig3Defs, nil); return err },
 		"ablations": func() error { _, err := experiments.Ablations(cfg); return err },
 	}
-	order := []string{"table2", "table9", "table10", "table11", "table12", "table13", "fig2", "fig3", "ablations"}
-
-	var ids []string
-	if *exp == "all" {
-		ids = order
-	} else {
-		ids = strings.Split(*exp, ",")
-	}
 	for _, id := range ids {
-		run, ok := runners[strings.TrimSpace(id)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; have %v\n", id, order)
-			os.Exit(2)
-		}
-		if err := run(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", id, err)
-			os.Exit(1)
+		if err := runners[id](); err != nil {
+			return fmt.Errorf("experiment %s failed: %w", id, err)
 		}
 	}
 
-	if traceSink != nil {
-		if err := traceSink.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	if chromeSink != nil {
-		if err := chromeSink.Close(); err != nil {
-			fatal(err)
-		}
-	}
 	if reg != nil {
-		obsRun.Sample() // final resource sample, so reports carry RSS/heap gauges
-		tl.Stop()       // final timeline tick before the snapshot
-		if *timelineFile != "" {
-			if err := tl.WriteJSONLFile(*timelineFile); err != nil {
-				fatal(err)
-			}
-		}
+		obsRun.Sample() // the run's one resource sample, so reports carry RSS/heap gauges
 		report := reg.Snapshot()
 		if *reportFile != "" {
 			rr := &obs.RunReport{
@@ -216,13 +183,9 @@ func main() {
 				},
 				ElapsedSeconds: time.Since(start).Seconds(),
 				Metrics:        report,
-				Timeline:       tl.Summary(),
-			}
-			if graph != nil {
-				rr.Attrib = obs.Attribute(graph.Graph())
 			}
 			if err := rr.WriteJSONFile(*reportFile); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 		if *verbose || *traceFile != "" || *reportFile != "" {
@@ -233,22 +196,26 @@ func main() {
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		runtime.GC() // materialize up-to-date heap statistics
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *flightFile != "" {
 		if err := fr.DumpNow("run_end"); err != nil {
-			fatal(err)
+			return fmt.Errorf("writing flight recorder dump: %w", err)
 		}
 	}
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
+// closeOnReturn closes one of run's output files when run returns, on
+// every path, and reports the close error unless run already failed.
+func closeOnReturn(runErr *error, c io.Closer, what string) {
+	if err := c.Close(); err != nil && *runErr == nil {
+		*runErr = fmt.Errorf("writing %s: %w", what, err)
+	}
 }

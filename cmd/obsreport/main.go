@@ -11,38 +11,30 @@
 //	          -threshold 1.10 old.json new.json       # gate: new ≤ 1.10×old
 //	obsreport -watch 'elapsed_seconds=1.5,hist_span_score_batch_p99=2.0' \
 //	          old.json new.json                       # per-metric thresholds
-//	obsreport -attrib old.json new.json               # rank span kinds by Δself
-//	obsreport -attrib -attrib-top negative_reduction \
-//	          old.json new.json                       # gate: that kind ranks first
-//	obsreport -format json ...                        # machine-readable, any mode
+//	obsreport -format json ...                        # machine-readable
 //
 // Metric names are the flattened namespace of the run report: counters
 // keep their report names (coverage_tests, subsumption_nodes, …), span
 // aggregates become span_<name>_seconds and span_<name>_calls, histogram
 // percentiles become hist_<name>_p50/_p95/_p99/_count (span kinds as
-// hist_span_<name>_*), gauges (rss_peak_bytes, …) keep their names,
-// elapsed_seconds and the definition_* stats are included,
-// timeline digests appear as timeline_<series>_{mean,min,max,last,count},
-// and the attribution table as attrib_<kind>_{self_ns,cum_ns,crit_ns,pct}.
-// A -watch entry may carry its own threshold as name=ratio; entries
+// hist_span_<name>_*), gauges (rss_peak_bytes, pool_busy_ratio, …) keep
+// their names, store statistics become relstore_<rel>_<stat> plus
+// relstore_<stat> totals, and elapsed_seconds and the definition_* stats
+// are included. A -watch entry may carry its own threshold as name=ratio; entries
 // without one use -threshold. Three more gate shapes:
 // name>=ratio requires the new/old ratio to stay at or above ratio (a
 // minimum, for metrics that must not drop — cache hit counts, busy
 // ratios), name@>=value requires the new report's absolute value to
 // be at least value, ignoring the baseline entirely (so a utilization
-// floor like timeline_pool_busy_ratio_mean@>=0.6 works even against a
-// baseline from before the series existed), and name@<=value is the
-// matching absolute ceiling (pool_straggler_ratio@<=4). Exit status: 0
-// when no watched metric regresses, 1
-// on a regression or when a watched metric is present in only one of the
+// floor like pool_busy_ratio@>=0.6 works even against a baseline from
+// before the gauge existed), and name@<=value is the matching absolute
+// ceiling (rss_peak_bytes@<=88000000). Exit status: 0 when no watched
+// metric regresses, 1 on a regression or when a watched metric is present in only one of the
 // two reports, 2 on usage or read errors — including a watched metric
 // absent from both reports, and a metric whose family differs between the
 // reports (say a counter in one and a histogram percentile in the other):
 // such values are not comparable, and obsreport refuses to diff them
-// rather than silently passing.
-//
-// -attrib mode diffs the reports' span-graph attribution tables instead
-// (see attrib.go); -format json switches every mode to one JSON object on
+// rather than silently passing. -format json prints one JSON object on
 // stdout so CI can annotate PRs without parsing text tables.
 package main
 
@@ -69,12 +61,9 @@ func run(args []string, out, errw io.Writer) int {
 	watch := fs.String("watch", "", "comma-separated metrics to gate on: name, name=maxratio, name>=minratio, name@>=floor, or name@<=ceiling (empty: report only, never fail)")
 	threshold := fs.Float64("threshold", 1.10, "max allowed new/old ratio for watched metrics without their own =threshold")
 	all := fs.Bool("all", false, "print unchanged metrics too")
-	attrib := fs.Bool("attrib", false, "diff the reports' span-graph attribution tables and rank span kinds by self-time delta (see attrib.go)")
-	attribTop := fs.String("attrib-top", "", "with -attrib: fail (exit 1) unless this span kind ranks first by self-time delta")
 	format := fs.String("format", "text", "output format: text or json (one machine-readable object on stdout)")
 	fs.Usage = func() {
 		fmt.Fprintln(errw, "usage: obsreport [-watch 'm1,m2=1.5,m3>=0.9,m4@>=0.6,m5@<=4'] [-threshold 1.10] [-all] [-format text|json] old.json new.json")
-		fmt.Fprintln(errw, "       obsreport -attrib [-attrib-top kind] [-watch 'kind=1.5,...'] old.json new.json")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -87,9 +76,6 @@ func run(args []string, out, errw io.Writer) int {
 	if *format != "text" && *format != "json" {
 		fmt.Fprintf(errw, "obsreport: unknown -format %q (have text, json)\n", *format)
 		return 2
-	}
-	if *attrib {
-		return runAttrib(*watch, *threshold, *attribTop, *format, fs.Arg(0), fs.Arg(1), out, errw)
 	}
 	oldRep, err := obs.LoadRunReport(fs.Arg(0))
 	if err != nil {

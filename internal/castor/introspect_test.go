@@ -1,12 +1,11 @@
 package castor
 
 import (
+	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,7 +14,34 @@ import (
 	"repro/internal/testfix"
 )
 
-// checkChain fails unless the /progress stack is one parent chain,
+// spanLog is a SpanSink that keeps every finished span's identity, so
+// tests can check parentage and round tags without an exporter.
+type spanLog struct {
+	mu    sync.Mutex
+	spans []loggedSpan
+}
+
+type loggedSpan struct {
+	ID, ParentID, Round uint64
+	Name                string
+	Worker              int
+}
+
+func (l *spanLog) SpanStart(*obs.Span) {}
+
+func (l *spanLog) SpanEnd(s *obs.Span, _ time.Duration) {
+	l.mu.Lock()
+	l.spans = append(l.spans, loggedSpan{ID: s.ID, ParentID: s.ParentID, Round: s.Round, Name: s.Name, Worker: s.Worker})
+	l.mu.Unlock()
+}
+
+func (l *spanLog) records() []loggedSpan {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]loggedSpan(nil), l.spans...)
+}
+
+// checkChain fails unless the live span stack is one parent chain,
 // innermost first: each span's parent is the next span, the outermost is
 // a root.
 func checkChain(t *testing.T, spans []obs.LiveSpan) {
@@ -31,15 +57,14 @@ func checkChain(t *testing.T, spans []obs.LiveSpan) {
 	}
 }
 
-// TestIntrospectionServerDuringLearn polls /progress while a Castor Learn
-// call runs, exercising the live span stack and counter deltas under
-// concurrency (meaningful under -race), then checks the post-run /metrics
-// exposition carries every counter.
-func TestIntrospectionServerDuringLearn(t *testing.T) {
+// TestLiveSpansAndFlightDumpDuringLearn reads the live span stack and
+// dumps the flight recorder while a Castor Learn call runs, exercising
+// both under concurrency (meaningful under -race), then checks the run's
+// report.
+func TestLiveSpansAndFlightDumpDuringLearn(t *testing.T) {
 	reg := obs.NewRegistry()
-	run := obs.NewRun(nil, reg).WithFlightRecorder(obs.NewFlightRecorder(2048))
-	srv := httptest.NewServer(obs.NewHandler(run, nil, nil))
-	defer srv.Close()
+	fr := obs.NewFlightRecorder(2048)
+	run := obs.NewRun(nil, reg).WithFlightRecorder(fr)
 
 	w := testfix.NewWorld(8)
 	prob := w.ProblemOriginal()
@@ -52,8 +77,8 @@ func TestIntrospectionServerDuringLearn(t *testing.T) {
 		done <- err
 	}()
 
-	// Poll /progress until the run finishes; every response must be valid
-	// JSON whose active spans form one parent chain.
+	// Poll until the run finishes; every live stack must form one parent
+	// chain and every dump line must be JSON.
 	polls := 0
 	for learning := true; learning; {
 		select {
@@ -63,30 +88,19 @@ func TestIntrospectionServerDuringLearn(t *testing.T) {
 			}
 			learning = false
 		default:
-			resp, err := http.Get(srv.URL + "/progress")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var snap obs.Snapshot
-			if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-				t.Fatalf("mid-run /progress is not valid JSON: %v", err)
-			}
-			resp.Body.Close()
+			checkChain(t, run.LiveSpans())
 			// Dump the flight recorder while spans are still being recorded
 			// into it — the seqlock ring must stay consistent (and clean
 			// under -race).
-			fresp, err := http.Get(srv.URL + "/debug/flightrecorder")
-			if err != nil {
+			var dump bytes.Buffer
+			if err := fr.WriteJSONL(&dump); err != nil {
 				t.Fatal(err)
 			}
-			fbody, _ := io.ReadAll(fresp.Body)
-			fresp.Body.Close()
-			for _, line := range strings.Split(strings.TrimSpace(string(fbody)), "\n") {
+			for _, line := range strings.Split(strings.TrimSpace(dump.String()), "\n") {
 				if !json.Valid([]byte(line)) {
 					t.Fatalf("mid-run flight dump line is not JSON: %q", line)
 				}
 			}
-			checkChain(t, snap.ActiveSpans)
 			polls++
 		}
 	}
@@ -98,48 +112,37 @@ func TestIntrospectionServerDuringLearn(t *testing.T) {
 	if open := run.LiveSpans(); len(open) != 0 {
 		t.Errorf("spans still open after Learn: %+v", open)
 	}
-	if len(reg.Snapshot().Spans) == 0 {
-		t.Error("no spans completed over a full Castor run")
+	rep := reg.Snapshot()
+	if rep.Spans["learn"].Calls != 1 {
+		t.Errorf("learn span calls = %d, want 1 (spans: %v)", rep.Spans["learn"].Calls, rep.Spans)
 	}
-
-	// /metrics renders every counter of the registry in exposition format.
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
 	for _, name := range []string{"coverage_tests", "bottom_clauses", "tuples_scanned"} {
-		if !strings.Contains(string(body), fmt.Sprintf("sirl_%s ", name)) {
-			t.Errorf("/metrics missing sirl_%s", name)
+		if rep.Counters[name] == 0 {
+			t.Errorf("counter %s is zero after a full Castor run", name)
 		}
-	}
-	if !strings.Contains(string(body), `sirl_span_calls{span="learn"} 1`) {
-		t.Errorf("/metrics missing the learn span aggregate:\n%s", body)
 	}
 }
 
 // TestConcurrentLearnsDoNotCrossContaminate runs two Learn calls with two
-// distinct *obs.Run/registry/server stacks concurrently in one process —
-// each with its own flight recorder, stall watchdog and resource sampler
-// running — and polls /progress, /metrics and /debug/flightrecorder while
-// they race (meaningful under -race): each server must only ever see its
+// distinct *obs.Run/registry/span-log stacks concurrently in one process
+// — each with its own flight recorder and stall watchdog running — and
+// reads their live span stacks, registries and flight recorders while
+// they race (meaningful under -race): each stack must only ever see its
 // own run's spans and counters, and the learned definitions must match a
 // sequential baseline.
 func TestConcurrentLearnsDoNotCrossContaminate(t *testing.T) {
 	type stack struct {
-		run   *obs.Run
-		graph *obs.GraphSink
-		srv   *httptest.Server
+		run *obs.Run
+		reg *obs.Registry
+		log *spanLog
 	}
 	mk := func() *stack {
-		graph := obs.NewGraphSink(0)
-		run := obs.NewRun(graph, obs.NewRegistry()).WithFlightRecorder(obs.NewFlightRecorder(1024))
-		return &stack{run: run, graph: graph, srv: httptest.NewServer(obs.NewHandler(run, nil, graph))}
+		log := &spanLog{}
+		reg := obs.NewRegistry()
+		run := obs.NewRun(log, reg).WithFlightRecorder(obs.NewFlightRecorder(1024))
+		return &stack{run: run, reg: reg, log: log}
 	}
 	a, b := mk(), mk()
-	defer a.srv.Close()
-	defer b.srv.Close()
 
 	learn := func(s *stack, worldSize int) (string, error) {
 		w := testfix.NewWorld(worldSize)
@@ -150,8 +153,6 @@ func TestConcurrentLearnsDoNotCrossContaminate(t *testing.T) {
 		// (and may trip) during the learn; trips must not perturb learning.
 		wd := obs.StartWatchdog(params.Obs, 25*time.Millisecond, nil)
 		defer wd.Stop()
-		smp := obs.StartSampler(params.Obs, 5*time.Millisecond)
-		defer smp.Stop()
 		def, err := New().Learn(prob, params)
 		if err != nil {
 			return "", err
@@ -178,44 +179,13 @@ func TestConcurrentLearnsDoNotCrossContaminate(t *testing.T) {
 	go func() { d, err := learn(a, 8); da <- result{d, err} }()
 	go func() { d, err := learn(b, 6); db <- result{d, err} }()
 
-	// Poll both servers while the runs race.
+	// Read both stacks while the runs race.
 	poll := func(s *stack) {
-		resp, err := http.Get(s.srv.URL + "/progress")
-		if err != nil {
+		checkChain(t, s.run.LiveSpans())
+		s.reg.Snapshot()
+		if err := s.run.Flight().WriteJSONL(io.Discard); err != nil {
 			t.Error(err)
-			return
 		}
-		var snap obs.Snapshot
-		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-			t.Errorf("mid-run /progress is not valid JSON: %v", err)
-		}
-		resp.Body.Close()
-		checkChain(t, snap.ActiveSpans)
-		mresp, err := http.Get(s.srv.URL + "/metrics")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		io.Copy(io.Discard, mresp.Body)
-		mresp.Body.Close()
-		fresp, err := http.Get(s.srv.URL + "/debug/flightrecorder")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		io.Copy(io.Discard, fresp.Body)
-		fresp.Body.Close()
-		// /critpath over a partial graph must stay valid JSON mid-run.
-		cresp, err := http.Get(s.srv.URL + "/critpath?k=3")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		var cp obs.CritPathResponse
-		if err := json.NewDecoder(cresp.Body).Decode(&cp); err != nil {
-			t.Errorf("mid-run /critpath is not valid JSON: %v", err)
-		}
-		cresp.Body.Close()
 	}
 	var ra, rb *result
 	for ra == nil || rb == nil {
@@ -239,28 +209,22 @@ func TestConcurrentLearnsDoNotCrossContaminate(t *testing.T) {
 		t.Errorf("concurrent run B learned a different definition:\nbase: %s\ngot:  %s", base6, rb.def)
 	}
 
-	// Each run's span stack unwinds within its own run — a span ended on
-	// the wrong run would leave the other's stack open.
 	for name, s := range map[string]*stack{"A": a, "B": b} {
+		// Each run's span stack unwinds within its own run — a span ended
+		// on the wrong run would leave the other's stack open.
 		if open := s.run.LiveSpans(); len(open) != 0 {
 			t.Errorf("run %s: spans still open: %+v", name, open)
 		}
 		// Exactly one learn span each: the other run's spans never leaked in.
-		resp, err := http.Get(s.srv.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if !strings.Contains(string(body), `sirl_span_calls{span="learn"} 1`) {
-			t.Errorf("run %s: /metrics does not show exactly one learn span:\n%s", name, body)
+		if calls := s.reg.Snapshot().Spans["learn"].Calls; calls != 1 {
+			t.Errorf("run %s: %d learn spans in its registry, want exactly 1", name, calls)
 		}
 	}
 
-	// Span graphs must be disjoint: process-unique span and round IDs mean
-	// no ID appears in both graphs, every span's parent resolves within its
-	// own graph, and each graph holds exactly one learn root.
-	recsA, recsB := a.graph.Records(), b.graph.Records()
+	// Span logs must be disjoint: process-unique span and round IDs mean
+	// no ID appears in both logs, every span's parent resolves within its
+	// own log, and each log holds exactly one learn root.
+	recsA, recsB := a.log.records(), b.log.records()
 	idsA := map[uint64]bool{}
 	roundsA := map[uint64]bool{}
 	for _, r := range recsA {
@@ -271,21 +235,27 @@ func TestConcurrentLearnsDoNotCrossContaminate(t *testing.T) {
 	}
 	for _, r := range recsB {
 		if idsA[r.ID] {
-			t.Errorf("span ID %d appears in both runs' graphs", r.ID)
+			t.Errorf("span ID %d appears in both runs' logs", r.ID)
 		}
 		if r.Round != 0 && roundsA[r.Round] {
-			t.Errorf("round ID %d appears in both runs' graphs", r.Round)
+			t.Errorf("round ID %d appears in both runs' logs", r.Round)
 		}
 	}
-	for name, recs := range map[string][]obs.SpanRecord{"A": recsA, "B": recsB} {
-		g := obs.BuildGraph(recs)
+	for name, recs := range map[string][]loggedSpan{"A": recsA, "B": recsB} {
+		ids := map[uint64]bool{}
+		for _, r := range recs {
+			ids[r.ID] = true
+		}
 		var learnRoots int
-		for _, root := range g.Roots {
-			if root.Name == "learn" {
+		for _, r := range recs {
+			switch {
+			case r.ParentID == 0 && r.Name == "learn":
 				learnRoots++
-			} else if root.ParentID != 0 {
-				t.Errorf("run %s: span %d (%s) has parent %d outside its own graph",
-					name, root.ID, root.Name, root.ParentID)
+			case r.ParentID == 0:
+				t.Errorf("run %s: span %d (%s) is a root but not learn", name, r.ID, r.Name)
+			case !ids[r.ParentID]:
+				t.Errorf("run %s: span %d (%s) has parent %d outside its own log",
+					name, r.ID, r.Name, r.ParentID)
 			}
 		}
 		if learnRoots != 1 {

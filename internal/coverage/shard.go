@@ -169,11 +169,10 @@ func newPool(workers int, label string, util *poolUtil) *pool {
 //
 // When run records spans, every shard becomes a shard_<label> span tagged
 // with a fresh pool-round ID and the draining worker's index, parented
-// under the span open on the submitting goroutine — the fork/join edges
-// the span-graph profiler (obs.Attribute, obs.CriticalChains) rebuilds
-// wall-clock attribution from. The inline path emits the same tags
-// (worker 0, its own round ID), so a trace is graph-complete regardless
-// of which path a batch took.
+// under the span open on the submitting goroutine, so a trace (the JSONL
+// file or the Chrome trace's worker tracks) shows each round's fork/join.
+// The inline path emits the same tags (worker 0, its own round ID), so a
+// trace looks the same whichever path a batch took.
 func runShards(run *obs.Run, p *pool, label string, shards []shard, fn func(sh shard)) {
 	if len(shards) == 0 {
 		return

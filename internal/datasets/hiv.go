@@ -223,8 +223,8 @@ func GenerateHIV(cfg HIVConfig) (*Dataset, error) {
 	}
 
 	return &Dataset{
-		Name:     "HIV",
-		Variants: variants,
+		Name:       "HIV",
+		Variants:   variants,
 		Target:     &relstore.Relation{Name: "hivActive", Attrs: []string{"comp"}},
 		Pos:        pos,
 		Neg:        neg,

@@ -141,7 +141,7 @@ func (p *probe) Publish() {
 // params.Obs to the problem's instance, so store-level scans during this
 // learner's run report into the same registry, and registers the
 // instance's per-relation access statistics as the registry's store
-// source, so /metrics and run reports expose them (every learner builds
+// source, so run reports expose them (every learner builds
 // its tester first).
 func NewTester(prob *Problem, params Params) *Tester {
 	prob.Instance.SetObs(params.Obs)

@@ -32,12 +32,6 @@ func TestNilRunFastPathAllocs(t *testing.T) {
 		"LiveSpans":          func() { _ = r.LiveSpans() },
 		"FlightRecord":       func() { fr.Record(FKMark, "m", 0, 0) },
 		"StartWatchdog":      func() { StartWatchdog(r, time.Second, nil).Stop() },
-		"StartSampler":       func() { StartSampler(r, time.Second).Stop() },
-		"StartTimeline":      func() { StartTimeline(r, time.Second).Stop() },
-		"TimelineSummary": func() {
-			var tl *Timeline
-			_ = tl.Summary()
-		},
 	}
 	for name, f := range cases {
 		if allocs := testing.AllocsPerRun(1000, f); allocs != 0 {

@@ -17,7 +17,7 @@ import (
 // nests; pool-worker shard spans render on tid 2+worker, so a pooled
 // round appears as parallel slices across worker tracks. Slice args carry
 // span_id, parent, and — for worker spans — worker and round, so the
-// span graph survives the export (chrometrace_golden_test.go pins this
+// span tree survives the export (chrometrace_golden_test.go pins this
 // schema).
 type ChromeTraceSink struct {
 	mu   sync.Mutex

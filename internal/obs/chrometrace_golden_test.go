@@ -16,7 +16,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from current
 // TestChromeTraceGolden pins the exporter's byte-level schema against a
 // golden file, so accidental format drift (arg renames, tid remapping,
 // timestamp units) fails loudly instead of silently breaking Perfetto
-// imports and the offline span-graph reconstruction that reads the args.
+// imports and the tools that read the span_id/parent/worker/round args.
 // The trace covers every output shape: a root slice on the owning
 // goroutine's track and two worker slices from one pooled round on their
 // own tracks (with worker/round args).

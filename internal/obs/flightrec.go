@@ -12,18 +12,18 @@ import (
 )
 
 // The flight recorder is the crash-evidence layer: a fixed-size ring of
-// the most recent observability events (span begins/ends, counter
-// movement, watchdog and resource-sampler observations), recorded
-// continuously at near-zero cost and dumped as JSONL when something goes
-// wrong — a SIGQUIT, a watchdog stall, a panic inside Learn, or an
-// operator hitting /debug/flightrecorder. A killed 10-minute HIV learn
-// then leaves its last seconds of behaviour behind instead of nothing.
+// the most recent observability events (span begins/ends, watchdog
+// stalls, dump marks), recorded continuously at near-zero cost and dumped
+// as JSONL when something goes wrong — a SIGQUIT, a watchdog stall, a
+// panic inside Learn — and at the end of a run. A killed 10-minute HIV
+// learn then leaves its last seconds of behaviour behind instead of
+// nothing.
 //
 // Every slot field is an atomic and each slot carries a sequence number
 // (odd while a write is in flight), so recording takes no locks and a
 // dump taken mid-write simply skips the unstable slot. Names are interned
 // to small IDs through a read-mostly table; after the vocabulary warms up
-// (span kinds, counter names) the record path performs no allocation.
+// (span kinds) the record path performs no allocation.
 
 // FlightKind classifies one flight-recorder record.
 type FlightKind uint32
@@ -35,21 +35,15 @@ const (
 	// FKSpanEnd marks a span closing; Value is the duration in ns, Aux the
 	// span ID.
 	FKSpanEnd
-	// FKCounter is a counter delta observed by the resource sampler; Value
-	// is the delta since the previous sample, Aux the new total.
-	FKCounter
 	// FKWatchdog is a watchdog stall detection; Value is the stalled
 	// interval in ns, Aux the trip count.
 	FKWatchdog
-	// FKSample is one resource-sampler measurement; Value is the measured
-	// quantity (bytes, count).
-	FKSample
 	// FKMark is a free-form marker (dump reasons, run boundaries).
 	FKMark
 )
 
 // flightKindNames are the JSONL kind strings, indexed by FlightKind.
-var flightKindNames = [...]string{"", "span_start", "span_end", "counter", "watchdog_stall", "sample", "mark"}
+var flightKindNames = [...]string{"", "span_start", "span_end", "watchdog_stall", "mark"}
 
 // String returns the record-schema name of the kind.
 func (k FlightKind) String() string {
@@ -112,8 +106,7 @@ func (f *FlightRecorder) SetDumpPath(path string) {
 }
 
 // nameID interns a record name. The sync.Map fast path is lock-free once
-// the vocabulary (span kinds, counter names, sampler fields) has been
-// seen once.
+// the vocabulary (span kinds, marks) has been seen once.
 func (f *FlightRecorder) nameID(name string) uint32 {
 	if name == "" {
 		return 0
@@ -169,16 +162,16 @@ func (f *FlightRecorder) record(tns int64, kind FlightKind, nameID uint32, val, 
 type FlightRecord struct {
 	// T is the record's wall-clock time in unix nanoseconds.
 	T int64 `json:"t_ns"`
-	// Kind is the record type (span_start, span_end, counter,
-	// watchdog_stall, sample, mark).
+	// Kind is the record type (span_start, span_end, watchdog_stall,
+	// mark).
 	Kind string `json:"kind"`
-	// Name is the span kind, counter, or sampler field the record is about.
+	// Name is the span kind or mark the record is about.
 	Name string `json:"name,omitempty"`
-	// Value is the kind-specific payload: span ID, duration ns, counter
-	// delta, stalled ns, or measured quantity.
+	// Value is the kind-specific payload: span ID, duration ns or stalled
+	// ns.
 	Value int64 `json:"value,omitempty"`
-	// Aux is the kind-specific secondary payload: parent span ID, span ID,
-	// counter total, or trip count.
+	// Aux is the kind-specific secondary payload: parent span ID, span ID
+	// or trip count.
 	Aux int64 `json:"aux,omitempty"`
 }
 

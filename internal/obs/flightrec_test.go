@@ -13,7 +13,7 @@ import (
 func TestFlightRecorderRecordAndSnapshot(t *testing.T) {
 	fr := NewFlightRecorder(16)
 	fr.Record(FKMark, "start", 1, 2)
-	fr.Record(FKCounter, "coverage_tests", 5, 105)
+	fr.Record(FKWatchdog, "stall", 5, 105)
 	recs := fr.Snapshot()
 	if len(recs) != 2 {
 		t.Fatalf("snapshot has %d records, want 2", len(recs))
@@ -21,7 +21,7 @@ func TestFlightRecorderRecordAndSnapshot(t *testing.T) {
 	if recs[0].Kind != "mark" || recs[0].Name != "start" || recs[0].Value != 1 || recs[0].Aux != 2 {
 		t.Errorf("record 0 = %+v", recs[0])
 	}
-	if recs[1].Kind != "counter" || recs[1].Name != "coverage_tests" || recs[1].Value != 5 || recs[1].Aux != 105 {
+	if recs[1].Kind != "watchdog_stall" || recs[1].Name != "stall" || recs[1].Value != 5 || recs[1].Aux != 105 {
 		t.Errorf("record 1 = %+v", recs[1])
 	}
 	if recs[0].T == 0 || recs[1].T < recs[0].T {
@@ -77,7 +77,7 @@ func TestFlightRecorderConcurrentRecordAndSnapshot(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					fr.Record(FKCounter, "c", i, int64(g))
+					fr.Record(FKMark, "c", i, int64(g))
 				}
 			}
 		}(g)
@@ -86,7 +86,7 @@ func TestFlightRecorderConcurrentRecordAndSnapshot(t *testing.T) {
 	// fully-written records.
 	for i := 0; i < 200; i++ {
 		for _, r := range fr.Snapshot() {
-			if r.Kind != "counter" || r.Name != "c" || r.T == 0 {
+			if r.Kind != "mark" || r.Name != "c" || r.T == 0 {
 				t.Fatalf("torn record: %+v", r)
 			}
 		}
@@ -159,8 +159,8 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	if err := fr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Nil recorders still emit a parseable meta line, so consumers of the
-	// HTTP endpoint never see an empty body.
+	// Nil recorders still emit a parseable meta line, so a dump is never
+	// an empty file.
 	var meta struct {
 		Kind string `json:"kind"`
 	}

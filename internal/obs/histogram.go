@@ -10,11 +10,10 @@ import (
 // Latency histograms complement the registry's accumulated span timers
 // with *distributions*: a multi-minute HIV learn whose p50 coverage batch
 // is 2ms but whose p99 is 4s has a problem the mean hides. Every span
-// kind gets one, fed as its spans end, and the runtime/metrics bridge
-// folds GC-pause and scheduler latencies into two more. Buckets are
-// logarithmic — powers of two of one microsecond — so one fixed-size
-// atomic array spans clock-tick noise to hours, and recording is a
-// shift, two adds and no locks.
+// kind gets one, fed as its spans end. Buckets are logarithmic — powers
+// of two of one microsecond — so one fixed-size atomic array spans
+// clock-tick noise to hours, and recording is a shift, two adds and no
+// locks.
 
 // numHistBuckets is the number of finite buckets: bucket i counts
 // observations with d ≤ 1µs·2^i, so the top finite bound is ~2.4 hours.
@@ -61,21 +60,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[histBucket(d)].Add(1)
 	h.count.Add(1)
 	h.sumNS.Add(int64(d))
-}
-
-// observeN records n observations of duration d in one shot — the
-// runtime/metrics bridge folds whole bucket deltas of the runtime's
-// cumulative histograms without n individual Observe calls.
-func (h *Histogram) observeN(d time.Duration, n int64) {
-	if n <= 0 {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	h.buckets[histBucket(d)].Add(n)
-	h.count.Add(n)
-	h.sumNS.Add(n * int64(d))
 }
 
 // Count returns the number of observations.

@@ -134,18 +134,3 @@ func TestHistogramReset(t *testing.T) {
 		t.Error("reset did not zero the histogram")
 	}
 }
-
-func TestRegistryHistogramGetOrCreate(t *testing.T) {
-	reg := NewRegistry()
-	a := reg.histogram(HGCPause)
-	b := reg.histogram(HGCPause)
-	if a != b {
-		t.Error("same name returned distinct histograms")
-	}
-	a.Observe(2 * time.Millisecond)
-	rep := reg.Snapshot()
-	hs, ok := rep.Histograms[HGCPause]
-	if !ok || hs.Count != 1 {
-		t.Errorf("report histograms = %+v, want %s with count 1", rep.Histograms, HGCPause)
-	}
-}

@@ -20,21 +20,13 @@ type Registry struct {
 	spanMu sync.Mutex
 	spans  map[string]*spanTotals
 
-	// histMu guards the runtime/metrics bridge's named histograms (GC
-	// pauses, scheduler latency); span durations live in spanTotals.
-	histMu sync.Mutex
-	hists  map[string]*Histogram
-
-	// gaugeMu guards the last-value gauges (resource sampler output).
+	// gaugeMu guards the last-value gauges (Run.Sample and the coverage
+	// pool's utilization).
 	gaugeMu sync.Mutex
 	gauges  map[string]float64
 
 	storeMu  sync.Mutex
 	storeSrc func() map[string]StoreStat
-
-	// rtMu guards the lazily-built runtime/metrics bridge (runtimebridge.go).
-	rtMu sync.Mutex
-	rt   *runtimeBridge
 }
 
 // Pool-utilization gauge names. The coverage engine's worker pool
@@ -133,24 +125,7 @@ func (g *Registry) addSpan(name string, d time.Duration) {
 	t.hist.Observe(d)
 }
 
-// histogram returns (creating on first use) the named histogram the
-// runtime/metrics bridge folds into. The returned histogram records
-// lock-free.
-func (g *Registry) histogram(name string) *Histogram {
-	g.histMu.Lock()
-	defer g.histMu.Unlock()
-	if g.hists == nil {
-		g.hists = make(map[string]*Histogram)
-	}
-	h := g.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		g.hists[name] = h
-	}
-	return h
-}
-
-// SetGauge sets a last-value gauge (resource sampler output).
+// SetGauge sets a last-value gauge.
 func (g *Registry) SetGauge(name string, v float64) {
 	g.gaugeMu.Lock()
 	if g.gauges == nil {
@@ -169,16 +144,6 @@ func (g *Registry) MaxGauge(name string, v float64) {
 	if v > g.gauges[name] {
 		g.gauges[name] = v
 	}
-	g.gaugeMu.Unlock()
-}
-
-// AddGauge adds v to the gauge (sampler pass counting).
-func (g *Registry) AddGauge(name string, v float64) {
-	g.gaugeMu.Lock()
-	if g.gauges == nil {
-		g.gauges = make(map[string]float64)
-	}
-	g.gauges[name] += v
 	g.gaugeMu.Unlock()
 }
 
@@ -210,7 +175,8 @@ func (g *Registry) Get(c Counter) int64 {
 	return g.counters[c].Load()
 }
 
-// Reset zeroes every counter, span aggregate, histogram and gauge.
+// Reset zeroes every counter, span aggregate (with its histogram) and
+// gauge.
 func (g *Registry) Reset() {
 	for i := range g.counters {
 		g.counters[i].Store(0)
@@ -218,15 +184,9 @@ func (g *Registry) Reset() {
 	g.spanMu.Lock()
 	g.spans = nil
 	g.spanMu.Unlock()
-	g.histMu.Lock()
-	g.hists = nil
-	g.histMu.Unlock()
 	g.gaugeMu.Lock()
 	g.gauges = nil
 	g.gaugeMu.Unlock()
-	g.rtMu.Lock()
-	g.rt = nil // drop delta state with the histograms it fed
-	g.rtMu.Unlock()
 }
 
 // SpanStat is the report entry of one span kind.
@@ -244,12 +204,11 @@ type SpanStat struct {
 type Report struct {
 	Counters map[string]int64    `json:"counters"`
 	Spans    map[string]SpanStat `json:"spans,omitempty"`
-	// Histograms holds duration distributions: span kinds under
-	// span_<name>, the runtime/metrics bridge's GC-pause and scheduler
-	// latencies under their own names. Empty histograms are omitted.
+	// Histograms holds the span kinds' duration distributions under
+	// span_<name>. Empty histograms are omitted.
 	Histograms map[string]HistStat `json:"histograms,omitempty"`
-	// Gauges holds last-value measurements, chiefly the resource
-	// sampler's rss/heap/goroutine readings and peaks.
+	// Gauges holds last-value measurements: Run.Sample's rss/heap/
+	// goroutine readings and peak, and the coverage pool's utilization.
 	Gauges map[string]float64 `json:"gauges,omitempty"`
 	// Store holds per-relation store access statistics, when a store
 	// source is registered (relations with all-zero stats are omitted).
@@ -262,28 +221,18 @@ func (g *Registry) Snapshot() Report {
 	for c := Counter(0); c < numCounters; c++ {
 		r.Counters[c.String()] = g.counters[c].Load()
 	}
-	hists := make(map[string]HistStat)
 	g.spanMu.Lock()
 	if len(g.spans) > 0 {
 		r.Spans = make(map[string]SpanStat, len(g.spans))
+		r.Histograms = make(map[string]HistStat, len(g.spans))
 		for name, t := range g.spans {
 			r.Spans[name] = SpanStat{Seconds: time.Duration(t.ns).Seconds(), Calls: t.calls}
 			if t.hist.Count() > 0 {
-				hists["span_"+name] = t.hist.Snapshot()
+				r.Histograms["span_"+name] = t.hist.Snapshot()
 			}
 		}
 	}
 	g.spanMu.Unlock()
-	g.histMu.Lock()
-	for name, h := range g.hists {
-		if h.Count() > 0 {
-			hists[name] = h.Snapshot()
-		}
-	}
-	g.histMu.Unlock()
-	if len(hists) > 0 {
-		r.Histograms = hists
-	}
 	g.gaugeMu.Lock()
 	if len(g.gauges) > 0 {
 		r.Gauges = make(map[string]float64, len(g.gauges))
@@ -371,80 +320,6 @@ func fmtSeconds(s float64) string {
 	}
 }
 
-// WritePrometheus renders the report in the Prometheus text exposition
-// format the /metrics endpoint serves: every counter as sirl_<name>
-// (TYPE counter), the accumulated span wall-time table as the gauge
-// sirl_span_seconds (point-in-time totals of a finite run, not monotone
-// scrape series), span call counts as the counter sirl_span_calls,
-// duration distributions as one histogram family sirl_duration_seconds
-// with a name label, and sampler gauges as sirl_<name> gauges. Every
-// family carries a # HELP line; rows are sorted for stable scrapes.
-func (r Report) WritePrometheus(w io.Writer) {
-	helpFor := func(name string) string {
-		for c := Counter(0); c < numCounters; c++ {
-			if counterNames[c] == name {
-				return counterHelp[c]
-			}
-		}
-		return "Counter " + name + "."
-	}
-	for _, n := range sortedKeys(r.Counters) {
-		fmt.Fprintf(w, "# HELP sirl_%s %s\n# TYPE sirl_%s counter\nsirl_%s %d\n",
-			n, helpFor(n), n, n, r.Counters[n])
-	}
-	if len(r.Spans) > 0 {
-		names := sortedKeys(r.Spans)
-		fmt.Fprintln(w, "# HELP sirl_span_seconds Accumulated wall time of each span kind.")
-		fmt.Fprintln(w, "# TYPE sirl_span_seconds gauge")
-		for _, n := range names {
-			fmt.Fprintf(w, "sirl_span_seconds{span=%q} %g\n", n, r.Spans[n].Seconds)
-		}
-		fmt.Fprintln(w, "# HELP sirl_span_calls How many times each span kind ran.")
-		fmt.Fprintln(w, "# TYPE sirl_span_calls counter")
-		for _, n := range names {
-			fmt.Fprintf(w, "sirl_span_calls{span=%q} %d\n", n, r.Spans[n].Calls)
-		}
-	}
-	if len(r.Histograms) > 0 {
-		fmt.Fprintln(w, "# HELP sirl_duration_seconds Latency distributions per span kind and runtime metric.")
-		fmt.Fprintln(w, "# TYPE sirl_duration_seconds histogram")
-		for _, n := range sortedKeys(r.Histograms) {
-			h := r.Histograms[n]
-			var cum int64
-			for i, v := range h.Buckets {
-				cum += v
-				if v == 0 && i < len(h.Buckets)-1 {
-					continue // keep the exposition compact: cumulative values repeat anyway
-				}
-				le := "+Inf"
-				if i < numHistBuckets {
-					le = fmt.Sprintf("%g", histBound(i))
-				}
-				fmt.Fprintf(w, "sirl_duration_seconds_bucket{name=%q,le=%q} %d\n", n, le, cum)
-			}
-			fmt.Fprintf(w, "sirl_duration_seconds_sum{name=%q} %g\n", n, h.SumSeconds)
-			fmt.Fprintf(w, "sirl_duration_seconds_count{name=%q} %d\n", n, h.Count)
-		}
-	}
-	for _, n := range sortedKeys(r.Gauges) {
-		fmt.Fprintf(w, "# HELP sirl_%s Resource-sampler gauge %s.\n# TYPE sirl_%s gauge\nsirl_%s %g\n",
-			n, n, n, n, r.Gauges[n])
-	}
-	if len(r.Store) > 0 {
-		rels := sortedKeys(r.Store)
-		writeStore := func(family, help string, get func(StoreStat) int64) {
-			fmt.Fprintf(w, "# HELP sirl_relstore_%s %s\n# TYPE sirl_relstore_%s counter\n", family, help, family)
-			for _, rel := range rels {
-				fmt.Fprintf(w, "sirl_relstore_%s{rel=%q} %d\n", family, rel, get(r.Store[rel]))
-			}
-		}
-		writeStore("lookups", "Candidate-tuple fetches per relation.", func(s StoreStat) int64 { return s.Lookups })
-		writeStore("tuples_scanned", "Tuples examined per relation.", func(s StoreStat) int64 { return s.TuplesScanned })
-		writeStore("index_hits", "Lookups answered through a constant index.", func(s StoreStat) int64 { return s.IndexHits })
-		writeStore("ind_expansions", "Tuples pulled in by IND chasing.", func(s StoreStat) int64 { return s.INDExpansions })
-	}
-}
-
 // FlatMetrics flattens the report into one name → value table — the
 // namespace cmd/obsreport diffs and gates on: counters keep their names,
 // spans become span_<name>_seconds/span_<name>_calls, histograms
@@ -465,8 +340,6 @@ const (
 	FamHistogram = "histogram"
 	FamGauge     = "gauge"
 	FamStore     = "relstore"
-	FamTimeline  = "timeline"
-	FamAttrib    = "attrib"
 )
 
 // FlatMetricsWithFamilies is FlatMetrics also reporting which family
@@ -511,6 +384,3 @@ func (r Report) FlatMetricsWithFamilies() (map[string]float64, map[string]string
 	}
 	return out, fam
 }
-
-// metricsContentType is the exposition-format content type of /metrics.
-const metricsContentType = "text/plain; version=0.0.4; charset=utf-8"

@@ -3,8 +3,8 @@
 // construction, beam search, coverage testing, negative reduction,
 // minimization), plus the exporters that make them operable — a JSONL
 // span trace, a text span log, a Chrome-trace (Perfetto) exporter, a
-// Prometheus/progress introspection HTTP server, and a machine-diffable
-// run report.
+// flight recorder with a stall watchdog, and a machine-diffable run
+// report.
 //
 // The paper's performance claims (§7.5) — parallel coverage testing
 // (§7.5.3), the coverage cache (§7.5.4), stored-procedure plans (§7.5.2),
@@ -161,40 +161,6 @@ var counterNames = [numCounters]string{
 	CPruneWastedPairs:           "prune_wasted_pairs",
 }
 
-// counterHelp are the one-line descriptions the /metrics endpoint emits
-// as # HELP lines, in Counter order.
-var counterHelp = [numCounters]string{
-	CCoverageTests:              "Coverage tests executed, over both engines.",
-	CCoverageSkipped:            "Coverage tests skipped via the known-covered shortcut.",
-	CCoverageCacheHits:          "Whole-clause memo-cache hits.",
-	CCoverageCacheMisses:        "Memo-cache lookups that had to evaluate.",
-	CCandidatesScored:           "Candidates evaluated by batched scoring.",
-	CCandidatesPruned:           "Candidates abandoned by the early-termination bound.",
-	CSaturationHits:             "Ground-bottom-clause cache hits.",
-	CSaturationMisses:           "Ground bottom clauses built on demand.",
-	CSubsumptionCalls:           "Top-level theta-subsumption engine calls.",
-	CSubsumptionNodes:           "Backtracking nodes explored by the subsumption engine.",
-	CSubsumptionBudgetExhausted: "Subsumption calls cut off by the node budget.",
-	CEvalBudgetExhausted:        "Direct-evaluation calls cut off by the node budget.",
-	CINDChaseHops:               "IND hops followed during bottom-clause construction.",
-	CTuplesScanned:              "Tuples read from the relational store.",
-	CPlanCompiles:               "Per-schema access-plan compilations.",
-	CReductionSteps:             "Literal-removal attempts during minimization.",
-	CReductionRemoved:           "Literals removed by minimization.",
-	CBottomClauses:              "Bottom clauses constructed.",
-	CBottomLiterals:             "Accumulated body sizes of constructed bottom clauses.",
-	CARMGCalls:                  "ARMG generalization calls.",
-	CCandidateLiterals:          "Candidate literals scored by top-down learners.",
-	CClausesAccepted:            "Clauses accepted by the covering loop.",
-	CClausesRejected:            "Clauses rejected by the minimum condition.",
-	CWatchdogStalls:             "Stall-watchdog trips (no heartbeat progress for the stall interval).",
-	CPoolRounds:                 "Scoring rounds drained by the coverage worker pool.",
-	CPoolShards:                 "Shards drained by pool workers across all rounds.",
-	CPoolTasks:                  "Work items executed inside pool shards.",
-	CPruneSkippedPairs:          "Candidate-example pairs never scanned thanks to the pruning bound.",
-	CPruneWastedPairs:           "Candidate-example pairs scanned for candidates pruned anyway.",
-}
-
 // String returns the report key of the counter.
 func (c Counter) String() string {
 	if c < 0 || c >= numCounters {
@@ -275,8 +241,8 @@ func (r *Run) Heartbeat() {
 }
 
 // WithFlightRecorder returns a run that additionally records span events
-// into the flight recorder (samplers and watchdogs attached to the run
-// find it there too). The receiver is not modified; a nil recorder
+// into the flight recorder (a watchdog attached to the run finds it there
+// too). The receiver is not modified; a nil recorder
 // returns the receiver unchanged, and a nil receiver with a live
 // recorder returns a flight-only run, so flag wiring stays unconditional.
 func (r *Run) WithFlightRecorder(f *FlightRecorder) *Run {

@@ -38,13 +38,6 @@ type RunReport struct {
 	// Metrics is the registry snapshot: counters, span aggregates and
 	// histograms, gauges, store statistics.
 	Metrics Report `json:"metrics"`
-	// Timeline is the whole-run digest of the metric timeline, when the
-	// run sampled one: per-series mean/min/max/last over every tick.
-	Timeline *TimelineSummary `json:"timeline,omitempty"`
-	// Attrib is the span-graph wall-clock attribution table, when the run
-	// collected a span graph: per span kind self/cumulative/critical-path
-	// time (see Attribute). obsreport -attrib diffs this section.
-	Attrib *AttribReport `json:"attrib,omitempty"`
 	// Definition summarizes the learned theory, when the tool learned one.
 	Definition *DefinitionStats `json:"definition,omitempty"`
 }
@@ -202,26 +195,6 @@ func flatten(r *RunReport) (map[string]float64, map[string]string) {
 		fam[name] = "report"
 	}
 	put("elapsed_seconds", r.ElapsedSeconds)
-	if t := r.Timeline; t != nil {
-		for name, s := range t.Series {
-			base := "timeline_" + name
-			out[base+"_mean"], fam[base+"_mean"] = s.Mean, FamTimeline
-			out[base+"_min"], fam[base+"_min"] = s.Min, FamTimeline
-			out[base+"_max"], fam[base+"_max"] = s.Max, FamTimeline
-			out[base+"_last"], fam[base+"_last"] = s.Last, FamTimeline
-			out[base+"_count"], fam[base+"_count"] = float64(s.Count), FamTimeline
-		}
-	}
-	if a := r.Attrib; a != nil {
-		out["attrib_wall_ns"], fam["attrib_wall_ns"] = float64(a.WallNS), FamAttrib
-		for _, row := range a.Rows {
-			base := "attrib_" + row.Kind
-			out[base+"_self_ns"], fam[base+"_self_ns"] = float64(row.SelfNS), FamAttrib
-			out[base+"_cum_ns"], fam[base+"_cum_ns"] = float64(row.CumNS), FamAttrib
-			out[base+"_crit_ns"], fam[base+"_crit_ns"] = float64(row.CritNS), FamAttrib
-			out[base+"_pct"], fam[base+"_pct"] = row.Pct, FamAttrib
-		}
-	}
 	if d := r.Definition; d != nil {
 		put("definition_clauses", float64(d.Clauses))
 		put("definition_literals", float64(d.Literals))

@@ -8,14 +8,14 @@ import (
 	"time"
 )
 
-// The resource sampler captures what the learner itself cannot see: how
-// much memory the process actually holds (RSS from the kernel, not just
-// Go heap accounting), how the heap and GC are behaving, and how many
-// goroutines are live. Samples land in three places — registry gauges
-// (so /metrics and run reports carry rss_peak_bytes and friends), the
-// flight recorder (so a post-mortem dump shows the memory trajectory
-// leading up to the crash), and the heartbeat counter is deliberately
-// NOT touched (a run can be stalled while the sampler keeps sampling).
+// Run.Sample captures what the learner itself cannot see: how much memory
+// the process actually holds (RSS from the kernel, not just Go heap
+// accounting), how the heap and GC behaved, and how many goroutines are
+// live. The binaries take one sample at the end of a run, so every report
+// carries these gauges. The peak comes from the kernel's high-water mark,
+// so one late sample still sees a transient spike that was freed before
+// it. Sampling deliberately does NOT touch the heartbeat counter: a run
+// can be stalled while something keeps sampling it.
 
 // ReadRSS returns the process's resident set size in bytes: the second
 // field of /proc/self/statm (pages) on Linux, falling back to
@@ -35,8 +35,32 @@ func ReadRSS() int64 {
 	return int64(ms.Sys)
 }
 
-// Gauge names the sampler maintains. resource_samples counts sampler
-// passes, so reports show the sampler was actually on.
+// readPeakRSS returns the kernel's resident-set high-water mark in bytes
+// (VmHWM in /proc/self/status), or 0 where it is unavailable.
+func readPeakRSS() int64 {
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		rest, ok := strings.CutPrefix(line, "VmHWM:")
+		if !ok {
+			continue
+		}
+		fields := strings.Fields(rest)
+		if len(fields) != 2 || fields[1] != "kB" {
+			return 0
+		}
+		kb, err := strconv.ParseInt(fields[0], 10, 64)
+		if err != nil {
+			return 0
+		}
+		return kb << 10
+	}
+	return 0
+}
+
+// Gauge names Sample maintains.
 const (
 	GRSSBytes       = "rss_bytes"
 	GRSSPeakBytes   = "rss_peak_bytes"
@@ -45,15 +69,13 @@ const (
 	GGoroutines     = "goroutines"
 	GGCCycles       = "gc_cycles"
 	GGCPauseSeconds = "gc_pause_total_seconds"
-	GSamples        = "resource_samples"
 )
 
 // Sample captures one resource measurement into the run's registry
-// gauges and flight recorder: RSS (current and peak), heap alloc/sys,
-// GC cycle and pause totals, and the live goroutine count. It is the
-// sampler's per-tick body, exported so callers can take a final sample
-// at a known point (end of run) or sample without a background
-// goroutine. Nil-safe: without a registry it returns immediately.
+// gauges: RSS (current, and the peak from the kernel's high-water mark,
+// falling back to the current reading), heap alloc/sys, GC cycle and
+// pause totals, and the live goroutine count. Nil-safe: without a
+// registry it returns immediately.
 func (r *Run) Sample() {
 	if r == nil || r.reg == nil {
 		return
@@ -61,95 +83,12 @@ func (r *Run) Sample() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	rss := ReadRSS()
-	g := int64(runtime.NumGoroutine())
 	reg := r.reg
 	reg.SetGauge(GRSSBytes, float64(rss))
-	reg.MaxGauge(GRSSPeakBytes, float64(rss))
+	reg.MaxGauge(GRSSPeakBytes, float64(max(rss, readPeakRSS())))
 	reg.SetGauge(GHeapAllocBytes, float64(ms.HeapAlloc))
 	reg.SetGauge(GHeapSysBytes, float64(ms.HeapSys))
-	reg.SetGauge(GGoroutines, float64(g))
+	reg.SetGauge(GGoroutines, float64(runtime.NumGoroutine()))
 	reg.SetGauge(GGCCycles, float64(ms.NumGC))
 	reg.SetGauge(GGCPauseSeconds, time.Duration(ms.PauseTotalNs).Seconds())
-	reg.AddGauge(GSamples, 1)
-	reg.sampleRuntime()
-	if f := r.flight; f != nil {
-		f.Record(FKSample, GRSSBytes, rss, 0)
-		f.Record(FKSample, GHeapAllocBytes, int64(ms.HeapAlloc), 0)
-		f.Record(FKSample, GGoroutines, g, 0)
-	}
-}
-
-// Sampler is a running background resource sampler. A nil *Sampler
-// (returned for unobserved runs or a non-positive interval) is a valid
-// nop.
-type Sampler struct {
-	run      *Run
-	interval time.Duration
-	stop     chan struct{}
-	done     chan struct{}
-
-	last map[string]int64 // counter totals at the previous tick
-}
-
-// StartSampler samples the run's process resources every interval until
-// Stop, and additionally records counter *deltas* between ticks into the
-// flight recorder, so a dump shows which counters were moving (and how
-// fast) in the final window. It returns nil — and samples nothing — for
-// a nil run or non-positive interval. An immediate first sample runs
-// before the goroutine starts, so even short runs report gauges.
-func StartSampler(run *Run, interval time.Duration) *Sampler {
-	if run == nil || interval <= 0 {
-		return nil
-	}
-	s := &Sampler{run: run, interval: interval,
-		stop: make(chan struct{}), done: make(chan struct{})}
-	s.tick()
-	go s.loop()
-	return s
-}
-
-// Stop takes a final sample and shuts the sampler down.
-func (s *Sampler) Stop() {
-	if s == nil {
-		return
-	}
-	close(s.stop)
-	<-s.done
-	s.tick()
-}
-
-func (s *Sampler) loop() {
-	defer close(s.done)
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.tick()
-		}
-	}
-}
-
-// tick runs one sampler pass: the resource sample, then counter-delta
-// flight records for every counter that moved since the last pass.
-func (s *Sampler) tick() {
-	s.run.Sample()
-	f := s.run.Flight()
-	reg := s.run.Registry()
-	if f == nil || reg == nil {
-		return
-	}
-	if s.last == nil {
-		s.last = make(map[string]int64, numCounters)
-	}
-	for c := Counter(0); c < numCounters; c++ {
-		v := reg.Get(c)
-		name := c.String()
-		if d := v - s.last[name]; d != 0 {
-			f.Record(FKCounter, name, d, v)
-			s.last[name] = v
-		}
-	}
 }

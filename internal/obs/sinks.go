@@ -41,7 +41,7 @@ func CreateJSONLFile(path string) (*JSONLSink, error) {
 
 // SpanStart implements SpanSink as a no-op: span lines are written whole
 // at SpanEnd, when the duration is known, which keeps the trace one line
-// per span and the offline graph reconstruction trivial.
+// per span.
 func (s *JSONLSink) SpanStart(*Span) {}
 
 // SpanEnd implements SpanSink. Each finished span becomes one line
@@ -56,7 +56,6 @@ func (s *JSONLSink) SpanStart(*Span) {}
 // of one pooled drain (0 = none). The keys t/span/id/parent/worker/round/
 // start_ns/dur_ns are reserved — span fields with those names would
 // shadow them in consumers, so field keys avoid them by convention.
-// ReadSpanJSONL inverts this encoding.
 func (s *JSONLSink) SpanEnd(sp *Span, d time.Duration) {
 	buf := make([]byte, 0, 192)
 	buf = append(buf, `{"t":`...)

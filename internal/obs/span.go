@@ -12,7 +12,7 @@ import (
 // covering-loop iteration, per bottom clause, per beam round, per
 // coverage batch, per reduction. Spans are the run's only timing and
 // narration primitive: exporters (the JSONL trace, the text log, the
-// Chrome-trace sink, the span graph) consume them through SpanSink, and
+// Chrome-trace sink) consume them through SpanSink, and
 // the Registry aggregates wall time, call counts and a duration
 // histogram per span kind for the run report.
 //
@@ -27,8 +27,8 @@ import (
 // experiments binary learns many times) never collide in one export.
 var spanIDs atomic.Uint64
 
-// poolRoundIDs issues process-unique pool-round IDs. Rounds join the shard
-// spans of one worker-pool drain into a fork/join group in the span graph;
+// poolRoundIDs issues process-unique pool-round IDs. A round tags the
+// shard spans of one worker-pool drain, so a trace groups them;
 // process-uniqueness means rounds from concurrent Learns never collide.
 var poolRoundIDs atomic.Uint64
 

@@ -28,7 +28,7 @@ type LiveSpan struct {
 }
 
 // LiveSpans snapshots the run's currently-open span stack, innermost
-// first — the stall watchdog's report and the /progress endpoint. Worker
+// first — the stall watchdog's report. Worker
 // spans never enter the stack, so it is the learner goroutine's view.
 // Nil-safe; an unobserved run reports an empty stack.
 func (r *Run) LiveSpans() []LiveSpan {

@@ -131,3 +131,35 @@ func TestWatchdogQuietWhileProgressing(t *testing.T) {
 	default:
 	}
 }
+
+// TestLiveSpans: the live stack the watchdog reports is the learner
+// goroutine's open spans, innermost first, one parent chain, each with a
+// positive elapsed time; worker spans never enter it, and it empties once
+// the spans end.
+func TestLiveSpans(t *testing.T) {
+	run := NewRun(nil, NewRegistry())
+	root := run.StartSpan("learn", F("learner", "castor"))
+	child := run.StartSpan("beam_round")
+	shard := run.StartWorkerSpan(child, "shard_candidate_scoring", 1, 0)
+	time.Sleep(2 * time.Millisecond)
+
+	live := run.LiveSpans()
+	if len(live) != 2 || live[0].Name != "beam_round" || live[1].Name != "learn" {
+		t.Fatalf("live spans = %+v, want beam_round then learn", live)
+	}
+	if live[0].ID != child.ID || live[0].Parent != root.ID || live[1].Parent != 0 {
+		t.Errorf("live spans = %+v, want one parent chain beam_round → learn", live)
+	}
+	for _, s := range live {
+		if s.ElapsedSeconds <= 0 {
+			t.Errorf("span %s elapsed = %v, want > 0", s.Name, s.ElapsedSeconds)
+		}
+	}
+
+	shard.End()
+	child.End()
+	root.End()
+	if live := run.LiveSpans(); len(live) != 0 {
+		t.Errorf("live spans after End = %+v, want none", live)
+	}
+}
