@@ -117,7 +117,9 @@ func closure(c *logic.Clause, plan *relstore.Plan, j int) []int {
 //
 // known optionally carries c's already-computed negative cover. Every
 // candidate only removes literals — a generalization — so the base cover
-// stays a valid §7.5.4 known-covered set for all of them.
+// stays a valid §7.5.4 known-covered set for all of them, and a
+// candidate's check stops at the first negative outside it that the
+// candidate covers.
 func NegativeReduce(tester *ilp.Tester, plan *relstore.Plan, c *logic.Clause, neg []logic.Atom, known *coverage.Bitset) *logic.Clause {
 	cur := c.Clone()
 	baseSet := tester.CoveredSet(cur, neg, known)
@@ -155,7 +157,7 @@ func NegativeReduce(tester *ilp.Tester, plan *relstore.Plan, c *logic.Clause, ne
 			if len(cand.Body) == 0 || !cand.IsSafe() {
 				continue
 			}
-			if tester.Count(cand, neg, baseSet) <= base {
+			if tester.CoversAtMost(cand, neg, baseSet, base) {
 				cur = cand
 				removedAny = true
 				break // instance indexes shifted; recompute

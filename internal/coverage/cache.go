@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"repro/internal/logic"
 )
@@ -107,6 +108,84 @@ func SetKey(examples []logic.Atom) string {
 		h *= fnvPrime
 	}
 	return strconv.Itoa(len(examples)) + ":" + strconv.FormatUint(h, 16)
+}
+
+// digestMemo remembers the SetKey of every example list an engine has
+// digested, so a list the learner passes again (the negatives on every
+// call, the uncovered positives on every round of a covering iteration)
+// costs one identity check per atom instead of hashing every name. A list
+// is identified atom by atom by its argument arrays and predicates: the
+// memo holds each array it has seen, which keeps it alive, and the
+// collector never moves heap objects, so while the memo lives an address
+// names the one array it held when digested. A backing array reused for
+// other atoms therefore fails the check and is digested afresh. Entries
+// are found by the first atom's argument array and the list length. An
+// engine serves one learn, which digests about one list per covering
+// iteration plus the negatives. Safe for concurrent use.
+type digestMemo struct {
+	mu      sync.Mutex
+	entries map[listHead]*digested
+}
+
+// listHead locates a memoized list.
+type listHead struct {
+	args *logic.Term
+	n    int
+}
+
+// digested is one memoized list: every atom's identity, in order, and the
+// list's SetKey.
+type digested struct {
+	atoms []atomID
+	key   string
+}
+
+// atomID identifies one example atom by its argument array, arity and
+// predicate.
+type atomID struct {
+	args  *logic.Term
+	arity int
+	pred  string
+}
+
+func identify(e logic.Atom) atomID {
+	return atomID{args: unsafe.SliceData(e.Args), arity: len(e.Args), pred: e.Pred}
+}
+
+// key returns SetKey(examples), from the memo when the list was digested
+// before.
+func (m *digestMemo) key(examples []logic.Atom) string {
+	if len(examples) == 0 {
+		return SetKey(examples)
+	}
+	head := listHead{unsafe.SliceData(examples[0].Args), len(examples)}
+	m.mu.Lock()
+	d := m.entries[head]
+	m.mu.Unlock()
+	if d != nil && d.matches(examples) {
+		return d.key
+	}
+	d = &digested{atoms: make([]atomID, len(examples)), key: SetKey(examples)}
+	for i, e := range examples {
+		d.atoms[i] = identify(e)
+	}
+	m.mu.Lock()
+	if m.entries == nil {
+		m.entries = make(map[listHead]*digested)
+	}
+	m.entries[head] = d
+	m.mu.Unlock()
+	return d.key
+}
+
+// matches reports whether examples are, atom by atom, the atoms digested.
+func (d *digested) matches(examples []logic.Atom) bool {
+	for i, e := range examples {
+		if identify(e) != d.atoms[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // 64-bit FNV-1a parameters, as in hash/fnv.

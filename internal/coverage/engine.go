@@ -48,6 +48,7 @@ type Engine[P Probe] struct {
 	idle    []P
 	workers int
 	cache   *Cache // nil disables memoization
+	digests digestMemo
 	run     *obs.Run
 	// util accumulates pool busy/idle utilization across every pool this
 	// engine creates; nil on unobserved runs.
@@ -123,7 +124,7 @@ func (en *Engine[P]) coveredSet(c *logic.Clause, examples []logic.Atom, known *B
 	if en.cache == nil {
 		return en.evaluate(c, examples, known, pl)
 	}
-	key := en.cache.Key(c, SetKey(examples))
+	key := en.cache.Key(c, en.digests.key(examples))
 	if hit, ok := en.cache.Get(key); ok && hit.Len() == len(examples) {
 		en.run.Inc(obs.CCoverageCacheHits)
 		return hit
@@ -319,13 +320,13 @@ func (en *Engine[P]) ScoreBatch(cands []Candidate, pos, neg []logic.Atom, floor,
 	return out
 }
 
-// setKey digests an example list for the memo cache, or returns "" when
-// memoization is off.
+// setKey digests an example list for the memo cache, once per list, or
+// returns "" when memoization is off.
 func (en *Engine[P]) setKey(examples []logic.Atom) string {
 	if en.cache == nil {
 		return ""
 	}
-	return SetKey(examples)
+	return en.digests.key(examples)
 }
 
 // batchCovered computes each candidate's covered set over one example
@@ -472,78 +473,142 @@ func (en *Engine[P]) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.At
 		}
 		en.run.Inc(obs.CCoverageCacheMisses)
 	}
-	// Knowns prefill; the rest become scan items.
-	buf := make([]bool, len(neg))
-	baseN, skipped := 0, int64(0)
-	var items []int32
-	for j := range neg {
-		if cand.KnownNeg.Get(j) {
-			buf[j] = true
-			baseN++
-			skipped++
+	// The candidate survives while it covers at most p−limit−1 negatives.
+	most := math.MaxInt
+	if limit != NoBound {
+		most = p - limit - 1
+	}
+	sc := en.scanUpTo(pl, "candidate_scoring", cand.Clause, neg, cand.KnownNeg, most)
+	if sc.stopped {
+		// Pruning efficiency split: pairs the abort saved vs. pairs scored
+		// before the bound tripped (wasted — their results are discarded).
+		en.run.Add(obs.CPruneSkippedPairs, int64(sc.items)-sc.tested)
+		en.run.Add(obs.CPruneWastedPairs, sc.tested)
+		prune()
+		return
+	}
+	set := FromBools(sc.buf)
+	if en.cache != nil {
+		en.cache.Put(key, set)
+	}
+	complete(set, sc.covered)
+	if s.Pruned {
+		// Fully scanned, then discarded at the bound check: pure waste the
+		// shared bound arrived too late to save.
+		en.run.Add(obs.CPruneWastedPairs, int64(sc.items))
+	}
+}
+
+// CoversAtMost reports whether c covers at most limit of the examples,
+// that is whether CoveredSet(c, examples, known).Count() <= limit, without
+// running the tests after the one that decides it: known-covered examples
+// count without a test, and the sharded scan stops at the test that pushes
+// the count past limit. A memoized set answers outright; a scan that
+// completes is memoized as CoveredSet's would be, and one that stops is
+// not, since its set is partial. The call is one coverage_batch span,
+// whose covered field reads limit+1 for a clause that covers more.
+func (en *Engine[P]) CoversAtMost(c *logic.Clause, examples []logic.Atom, known *Bitset, limit int) bool {
+	var sp *obs.Span
+	if en.run.Spanning() {
+		sp = en.run.StartSpan("coverage_batch", obs.F("examples", len(examples)))
+	}
+	n := en.coversAtMost(c, examples, known, limit)
+	if sp != nil {
+		sp.Annotate(obs.F("covered", min(n, limit+1)))
+		sp.End()
+	}
+	return n <= limit
+}
+
+// coversAtMost is CoversAtMost without the span: it returns the covered
+// count, or a count past limit once the scan stops.
+func (en *Engine[P]) coversAtMost(c *logic.Clause, examples []logic.Atom, known *Bitset, limit int) int {
+	var key string
+	if en.cache != nil {
+		key = en.cache.Key(c, en.setKey(examples))
+		if hit, ok := en.cache.Get(key); ok && hit.Len() == len(examples) {
+			en.run.Inc(obs.CCoverageCacheHits)
+			return hit.Count()
+		}
+		en.run.Inc(obs.CCoverageCacheMisses)
+	}
+	var pl *pool
+	if en.workers > 1 && len(examples) >= 2 {
+		pl = newPool(en.workers, "coverage_testing", en.util)
+		defer pl.close()
+	}
+	sc := en.scanUpTo(pl, "coverage_testing", c, examples, known, limit)
+	if !sc.stopped && en.cache != nil {
+		en.cache.Put(key, FromBools(sc.buf))
+	}
+	return sc.covered
+}
+
+// scan is the outcome of one clause's bounded scan over an example list.
+type scan struct {
+	buf     []bool // covered examples, known-covered ones included
+	covered int    // examples found covered, knowns included
+	items   int    // examples the scan had to test: those outside known
+	tested  int64  // tests run before the scan completed or stopped
+	stopped bool   // covered passed the bound; buf and covered are partial
+}
+
+// scanUpTo tests c against every example known does not mark, sharded
+// over pl (nil runs the shards inline under label), and stops at the test
+// that pushes the covered count, known-covered examples included, past
+// most: it stops before any test when the knowns alone pass it. The count
+// only grows toward the full count, so whether a scan stops is the same
+// in every schedule and for every worker count; only how many tests ran
+// before it stopped varies.
+func (en *Engine[P]) scanUpTo(pl *pool, label string, c *logic.Clause, examples []logic.Atom, known *Bitset, most int) scan {
+	sc := scan{buf: make([]bool, len(examples))}
+	items := make([]int32, 0, len(examples))
+	for j := range examples {
+		if known.Get(j) {
+			sc.buf[j] = true
+			sc.covered++
 			continue
 		}
 		items = append(items, int32(j))
 	}
-	en.run.Add(obs.CCoverageSkipped, skipped)
-	if limit != NoBound && p-baseN <= limit {
-		// Known-covered negatives alone sink the candidate; no scan item
-		// ever runs.
-		en.run.Add(obs.CPruneSkippedPairs, int64(len(items)))
-		prune()
-		return
+	sc.items = len(items)
+	en.run.Add(obs.CCoverageSkipped, int64(sc.covered))
+	if sc.covered > most {
+		sc.stopped = true
+		return sc
 	}
-	var covered, scanned atomic.Int64
-	var aborted atomic.Bool
-	var test func(P, logic.Atom) bool
-	scan := func(sh shard) {
+	if len(items) == 0 {
+		return sc
+	}
+	base := sc.covered
+	test := en.cover(c)
+	var covered, tested atomic.Int64
+	var stopped atomic.Bool
+	runShards(en.run, pl, label, planShards(len(items), en.shardCount(len(items))), func(sh shard) {
 		local := int64(0)
 		pr := en.probe()
 		defer func() {
-			scanned.Add(local)
+			tested.Add(local)
 			en.done(pr)
 		}()
 		for k := sh.lo; k < sh.hi; k++ {
-			if limit != NoBound && aborted.Load() {
+			if stopped.Load() {
 				return
 			}
 			en.run.Heartbeat()
 			local++
 			j := items[k]
-			if test(pr, neg[j]) {
-				buf[j] = true
-				n := baseN + int(covered.Add(1))
-				if limit != NoBound && p-n <= limit {
-					// The bound is crossed on the running count, which only
-					// grows toward the full count: the flag trips in some
-					// schedule iff it trips in every schedule.
-					aborted.Store(true)
+			if test(pr, examples[j]) {
+				sc.buf[j] = true
+				if base+int(covered.Add(1)) > most {
+					stopped.Store(true)
 					return
 				}
 			}
 		}
-	}
-	if len(items) > 0 {
-		test = en.cover(cand.Clause)
-		runShards(en.run, pl, "candidate_scoring", planShards(len(items), en.shardCount(len(items))), scan)
-	}
-	if aborted.Load() {
-		// Pruning efficiency split: pairs the abort saved vs. pairs scored
-		// before the bound tripped (wasted — their results are discarded).
-		done := scanned.Load()
-		en.run.Add(obs.CPruneSkippedPairs, int64(len(items))-done)
-		en.run.Add(obs.CPruneWastedPairs, done)
-		prune()
-		return
-	}
-	set := FromBools(buf)
-	if en.cache != nil {
-		en.cache.Put(key, set)
-	}
-	complete(set, baseN+int(covered.Load()))
-	if s.Pruned {
-		// Fully scanned, then discarded at the bound check: pure waste the
-		// shared bound arrived too late to save.
-		en.run.Add(obs.CPruneWastedPairs, int64(len(items)))
-	}
+	})
+	sc.covered = base + int(covered.Load())
+	sc.tested = tested.Load()
+	sc.stopped = stopped.Load()
+	return sc
 }

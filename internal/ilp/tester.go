@@ -349,6 +349,14 @@ func (t *Tester) Count(c *logic.Clause, examples []logic.Atom, known *coverage.B
 	return t.CoveredSet(c, examples, known).Count()
 }
 
+// CoversAtMost reports whether the clause covers at most limit of the
+// examples: Count(c, examples, known) <= limit, decided without the tests
+// that follow the one pushing the count past limit. known works as in
+// CoveredSet and counts without being tested.
+func (t *Tester) CoversAtMost(c *logic.Clause, examples []logic.Atom, known *coverage.Bitset, limit int) bool {
+	return t.engine.CoversAtMost(c, examples, t.knowns(known), limit)
+}
+
 // PosNeg returns the clause's positive and negative coverage counts.
 func (t *Tester) PosNeg(c *logic.Clause, pos, neg []logic.Atom, knownPos, knownNeg *coverage.Bitset) (p, n int) {
 	return t.Count(c, pos, knownPos), t.Count(c, neg, knownNeg)

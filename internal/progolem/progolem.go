@@ -269,7 +269,9 @@ func blockingAtom(tester *ilp.Tester, c *logic.Clause, e2 logic.Atom) int {
 // (seed-example) literals preferentially.
 //
 // known optionally carries c's negative cover; every candidate here only
-// removes literals, so it stays a valid known-covered set throughout.
+// removes literals, so it stays a valid known-covered set throughout, and
+// a candidate's check stops at the first negative outside it that the
+// candidate covers.
 func NegativeReduce(tester *ilp.Tester, c *logic.Clause, neg []logic.Atom, known *coverage.Bitset) *logic.Clause {
 	cur := c.Clone()
 	baseSet := tester.CoveredSet(cur, neg, known)
@@ -282,7 +284,7 @@ func NegativeReduce(tester *ilp.Tester, c *logic.Clause, neg []logic.Atom, known
 		if len(cand.Body) == 0 {
 			continue
 		}
-		if tester.Count(cand, neg, baseSet) <= base {
+		if tester.CoversAtMost(cand, neg, baseSet, base) {
 			cur = cand
 			if i > len(cur.Body) {
 				i = len(cur.Body)

@@ -77,24 +77,43 @@ func Reduce(c *logic.Clause) *logic.Clause {
 
 // ReduceR is Reduce reporting removal attempts and removed literals into
 // the run (nil observes nothing). Each call is one "minimize" span.
+//
+// The whole reduction works in one space: the clause's names, its
+// variables skolemized, are interned once. The clause is prepared as a
+// source once per kept removal, and each shorter target is compiled
+// straight from the ids of the current clause without one body literal.
+// A kept target is the current clause's compilation from then on. Every
+// id comparison the matcher makes has the answer it has in the private
+// space of a one-shot Subsumes, so each attempt decides and counts
+// backtracking nodes exactly as one.
 func ReduceR(run *obs.Run, c *logic.Clause) *logic.Clause {
 	var sp *obs.Span
 	if run.Spanning() {
 		sp = run.StartSpan("minimize", obs.F("literals", len(c.Body)))
 	}
 	cur := c.Clone()
-	// One scratch body serves every removal attempt: the shorter candidate
-	// only lives for the duration of its subsumption test, so the quadratic
-	// clone-per-attempt of RemoveBodyAt is avoidable.
-	scratch := make([]logic.Atom, 0, len(cur.Body))
+	space := spaceOf(&cur.Head, cur.Body)
+	full := space.compile(&cur.Head, cur.Body)
+	src := space.Prepare(cur)
+	// Scratch id arrays of the shorter target, reused by every attempt.
+	litPred := make([]int32, 0, len(full.litPred))
+	litOff := make([]int32, 0, len(full.litOff))
+	argv := make([]int32, 0, len(full.argv))
 	for i := 0; i < len(cur.Body); {
 		run.Inc(obs.CReductionSteps)
-		scratch = append(scratch[:0], cur.Body[:i]...)
-		scratch = append(scratch, cur.Body[i+1:]...)
-		shorter := &logic.Clause{Head: cur.Head, Body: scratch}
-		if SubsumesR(run, cur, shorter) {
+		lo, hi := full.litOff[i], full.litOff[i+1]
+		litPred = append(append(litPred[:0], full.litPred[:i]...), full.litPred[i+1:]...)
+		argv = append(append(argv[:0], full.argv[:lo]...), full.argv[hi:]...)
+		litOff = append(litOff[:0], full.litOff[:i+1]...)
+		for _, off := range full.litOff[i+2:] {
+			litOff = append(litOff, off-(hi-lo))
+		}
+		shorter := space.CompileGround(full.headPred, full.headArgs, litPred, litOff, argv)
+		if shorter.Probe(run, src) {
 			run.Inc(obs.CReductionRemoved)
 			cur.Body = append(cur.Body[:i], cur.Body[i+1:]...) // drop; do not advance
+			full = shorter
+			src = space.Prepare(cur)
 		} else {
 			i++
 		}

@@ -8,6 +8,7 @@ package testfix
 import (
 	"fmt"
 
+	"repro/internal/datasets"
 	"repro/internal/ilp"
 	"repro/internal/logic"
 	"repro/internal/relstore"
@@ -162,4 +163,44 @@ func (w *World) Problem4NF() *ilp.Problem {
 		Neg:        w.Neg,
 		ValueAttrs: ValueAttrs(),
 	}
+}
+
+// NamedProblem is one schema's learning problem of a generated dataset,
+// named dataset/variant.
+type NamedProblem struct {
+	Name string
+	Prob *ilp.Problem
+}
+
+// TenSchemas generates the paper's three datasets at small, fixed scales
+// and seeds and returns the problems of all ten schemas, in the paper's
+// order: UW-CSE ×4 at its default scale, HIV ×3 at scale 0.2 (direct
+// coverage of its molecules backtracks for milliseconds per test) and IMDb
+// ×3 at scale 0.5.
+func TenSchemas() ([]NamedProblem, error) {
+	uw := datasets.DefaultUWCSE()
+	uw.Seed = 3
+	hiv := datasets.DefaultHIV2K4K()
+	hiv.Seed, hiv.Scale = 5, 0.2
+	imdb := datasets.DefaultIMDb()
+	imdb.Seed, imdb.Scale = 9, 0.5
+	var out []NamedProblem
+	for _, gen := range []func() (*datasets.Dataset, error){
+		func() (*datasets.Dataset, error) { return datasets.GenerateUWCSE(uw) },
+		func() (*datasets.Dataset, error) { return datasets.GenerateHIV(hiv) },
+		func() (*datasets.Dataset, error) { return datasets.GenerateIMDb(imdb) },
+	} {
+		ds, err := gen()
+		if err != nil {
+			return nil, err
+		}
+		for _, v := range ds.Variants {
+			prob, err := ds.Problem(v.Name)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, NamedProblem{Name: ds.Name + "/" + v.Name, Prob: prob})
+		}
+	}
+	return out, nil
 }
