@@ -24,7 +24,7 @@ func ARMG(tester *ilp.Tester, plan *relstore.Plan, c *logic.Clause, e2 logic.Ato
 	}
 	cur := c.Clone()
 	for !tester.Covers(cur, e2) {
-		i := blockingAtom(tester, cur, e2)
+		i := ilp.BlockingAtom(tester, cur, e2)
 		if i < 0 {
 			return nil
 		}
@@ -33,28 +33,6 @@ func ARMG(tester *ilp.Tester, plan *relstore.Plan, c *logic.Clause, e2 logic.Ato
 		cur = logic.PruneNotHeadConnected(cur)
 	}
 	return cur
-}
-
-// blockingAtom returns the least 0-based index i such that the prefix
-// clause T ← L1,…,L(i+1) does not cover e2, by binary search over the
-// monotone prefix-coverage sequence.
-func blockingAtom(tester *ilp.Tester, c *logic.Clause, e2 logic.Atom) int {
-	if len(c.Body) == 0 {
-		return -1
-	}
-	lo, hi := 0, len(c.Body)
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if tester.Covers(&logic.Clause{Head: c.Head, Body: c.Body[:mid]}, e2) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 && !tester.Covers(&logic.Clause{Head: c.Head}, e2) {
-		return -1
-	}
-	return hi - 1
 }
 
 // EnforceINDs removes body literals until every remaining literal satisfies

@@ -90,7 +90,7 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 		sat.compileInto(tester.Space())
 		tester.CompileSat = func(e logic.Atom) *subsume.Compiled { return sat.compile(e, params) }
 	}
-	rng := newRand(params.Seed)
+	rng := ilp.NewRand(params.Seed)
 	learn := func(uncovered []logic.Atom) (*logic.Clause, error) {
 		b := bld
 		if b == nil {
@@ -136,7 +136,7 @@ const maxSeedTries = 3
 
 // learnClause is Algorithm 4, retrying with the next uncovered seed when a
 // seed yields no acceptable clause.
-func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *rand, bld *builder, uncovered []logic.Atom) *logic.Clause {
+func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *ilp.Rand, bld *builder, uncovered []logic.Atom) *logic.Clause {
 	tries := maxSeedTries
 	if tries > len(uncovered) {
 		tries = len(uncovered)
@@ -160,7 +160,7 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 
 // learnClauseFromSeed runs the beam search of Algorithm 4 for the seed
 // uncovered[try].
-func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *rand, bld *builder, uncovered []logic.Atom, try int) *logic.Clause {
+func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *ilp.Rand, bld *builder, uncovered []logic.Atom, try int) *logic.Clause {
 	run := params.Obs
 	plan := bld.plan
 	prov := run.Prov()
@@ -251,7 +251,7 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 			sr.End()
 			break
 		}
-		sample := sampleAtoms(rng, pool, k)
+		sample := ilp.SampleAtoms(rng, pool, k)
 		// Generate this round's ARMGs serially (each mutates toward one
 		// target example), then score the batch concurrently, with the
 		// current best score as the early-termination bound: a candidate
@@ -388,45 +388,4 @@ func clauseString(p *obs.Prov, c *logic.Clause) string {
 		return ""
 	}
 	return c.String()
-}
-
-// --- deterministic PRNG + sampling ---
-
-type rand struct{ s uint64 }
-
-func newRand(seed int64) *rand {
-	if seed == 0 {
-		seed = 1
-	}
-	return &rand{s: uint64(seed)}
-}
-
-func (r *rand) next() uint64 {
-	r.s ^= r.s << 13
-	r.s ^= r.s >> 7
-	r.s ^= r.s << 17
-	return r.s
-}
-
-func (r *rand) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
-}
-
-func sampleAtoms(r *rand, pool []logic.Atom, k int) []logic.Atom {
-	if k >= len(pool) {
-		return append([]logic.Atom(nil), pool...)
-	}
-	idx := make(map[int]bool, k)
-	out := make([]logic.Atom, 0, k)
-	for len(out) < k {
-		i := r.intn(len(pool))
-		if !idx[i] {
-			idx[i] = true
-			out = append(out, pool[i])
-		}
-	}
-	return out
 }

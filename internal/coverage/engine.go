@@ -19,14 +19,15 @@ type Probe interface {
 
 // CoverFunc prepares one clause for coverage testing and returns its
 // per-example test, which runs on the probe of the worker calling it. The
-// engine calls it once per candidate per round, so per-clause work
+// engine calls it at most once per candidate per round, so per-clause work
 // (compiling a store query, say) is paid once per round rather than once
 // per example: on the submitting goroutine for a round over one
-// candidate, and from the worker that first tests a candidate in a
-// flattened round over many, so those rounds prepare their candidates in
-// parallel. ilp.Tester supplies it, closing over the coverage mode (direct
-// evaluation or θ-subsumption) and its own instrumentation; it and the
-// tests it returns must be safe for concurrent use on distinct probes.
+// candidate, and from the worker that first tests a candidate in a round
+// over many, so those rounds prepare their candidates in parallel. A
+// candidate whose round needs no test is never prepared. ilp.Tester
+// supplies it, closing over the coverage mode (direct evaluation or
+// θ-subsumption) and its own instrumentation; it and the tests it returns
+// must be safe for concurrent use on distinct probes.
 type CoverFunc[P Probe] func(c *logic.Clause) func(p P, e logic.Atom) bool
 
 // NoBound disables the early-termination bound of ScoreBatch.
@@ -106,82 +107,42 @@ func (en *Engine[P]) shardCount(items int) int {
 // as unset. The result is memoized: a repeat of the same clause (up to
 // variable renaming) over the same example set is answered from cache.
 func (en *Engine[P]) CoveredSet(c *logic.Clause, examples []logic.Atom, known *Bitset) *Bitset {
+	set, _ := en.scanOne(c, examples, known, math.MaxInt)
+	return set
+}
+
+// CoversAtMost reports whether c covers at most limit of the examples,
+// that is whether CoveredSet(c, examples, known).Count() <= limit, without
+// running the tests after the one that decides it: known-covered examples
+// count without a test, and the sharded scan stops at the test that pushes
+// the count past limit. A memoized set answers outright; a scan that
+// completes is memoized as CoveredSet's would be, and one that stops is
+// not, since its set is partial. The call is one coverage_batch span,
+// whose covered field reads limit+1 for a clause that covers more.
+func (en *Engine[P]) CoversAtMost(c *logic.Clause, examples []logic.Atom, known *Bitset, limit int) bool {
+	_, n := en.scanOne(c, examples, known, limit)
+	return n <= limit
+}
+
+// scanOne runs one job over examples in a coverage_batch span, whose
+// covered field is the covered count capped at most+1.
+func (en *Engine[P]) scanOne(c *logic.Clause, examples []logic.Atom, known *Bitset, most int) (*Bitset, int) {
 	var sp *obs.Span
 	if en.run.Spanning() {
 		sp = en.run.StartSpan("coverage_batch", obs.F("examples", len(examples)))
 	}
-	out := en.coveredSet(c, examples, known, nil)
+	jobs := []job[P]{{clause: c, known: known, most: most}}
+	en.scan(nil, "coverage_testing", examples, en.setKey(examples), jobs)
+	set := jobs[0].set
+	n := set.Count()
+	if n > most {
+		n = most + 1
+	}
 	if sp != nil {
-		sp.Annotate(obs.F("covered", out.Count()))
+		sp.Annotate(obs.F("covered", n))
 		sp.End()
 	}
-	return out
-}
-
-// coveredSet is CoveredSet without the span, with an explicit pool (nil
-// runs inline) so ScoreBatch can reuse its workers.
-func (en *Engine[P]) coveredSet(c *logic.Clause, examples []logic.Atom, known *Bitset, pl *pool) *Bitset {
-	if en.cache == nil {
-		return en.evaluate(c, examples, known, pl)
-	}
-	key := en.cache.Key(c, en.digests.key(examples))
-	if hit, ok := en.cache.Get(key); ok && hit.Len() == len(examples) {
-		en.run.Inc(obs.CCoverageCacheHits)
-		return hit
-	}
-	en.run.Inc(obs.CCoverageCacheMisses)
-	out := en.evaluate(c, examples, known, pl)
-	en.cache.Put(key, out)
-	return out
-}
-
-// evaluate runs the actual per-example tests, sharded over the pool.
-func (en *Engine[P]) evaluate(c *logic.Clause, examples []logic.Atom, known *Bitset, pl *pool) *Bitset {
-	n := len(examples)
-	if known != nil {
-		// §7.5.4 known-covered shortcut: tests this batch skips outright.
-		skipped := int64(0)
-		for i := range examples {
-			if known.Get(i) {
-				skipped++
-			}
-		}
-		en.run.Add(obs.CCoverageSkipped, skipped)
-	}
-	test := en.cover(c)
-	ownPool := false
-	if pl == nil && en.workers > 1 && n >= 2 {
-		pl = newPool(en.workers, "coverage_testing", en.util)
-		ownPool = true
-	}
-	if pl == nil {
-		out := New(n)
-		p := en.probe()
-		for i, e := range examples {
-			en.run.Heartbeat()
-			if known.Get(i) || test(p, e) {
-				out.Set(i)
-			}
-		}
-		en.done(p)
-		return out
-	}
-	// Workers record into a byte-per-example buffer, not the bitset:
-	// concurrent writes to neighbouring bits would race on shared words.
-	buf := make([]bool, n)
-	shards := planShards(n, en.shardCount(n))
-	runShards(en.run, pl, "coverage_testing", shards, func(sh shard) {
-		p := en.probe()
-		for i := sh.lo; i < sh.hi; i++ {
-			en.run.Heartbeat()
-			buf[i] = known.Get(i) || test(p, examples[i])
-		}
-		en.done(p)
-	})
-	if ownPool {
-		pl.close()
-	}
-	return FromBools(buf)
+	return set, n
 }
 
 // Candidate is one clause queued for batched scoring, with optional
@@ -293,19 +254,22 @@ func (en *Engine[P]) ScoreBatch(cands []Candidate, pos, neg []logic.Atom, floor,
 	// Phase A: every candidate's positive cover, exact, one flattened
 	// round. Positive counts are needed in full for any score, so there
 	// is nothing to prune yet and no ordering constraint.
-	posSets := en.batchCovered(pl, cands, pos, en.setKey(pos), true)
+	posJobs := candidateJobs[P](cands, false)
+	en.scan(pl, "candidate_scoring", pos, en.setKey(pos), posJobs)
 	for i := range cands {
 		en.run.Inc(obs.CCandidatesScored)
-		out[i] = Score{Clause: cands[i].Clause, Pos: posSets[i], P: posSets[i].Count()}
+		set := posJobs[i].set
+		out[i] = Score{Clause: cands[i].Clause, Pos: set, P: set.Count()}
 	}
 
 	negKey := en.setKey(neg)
 	if floor == NoBound && keep <= 0 {
 		// Unbounded batch: the negative side flattens into one round too.
-		negSets := en.batchCovered(pl, cands, neg, negKey, false)
+		negJobs := candidateJobs[P](cands, true)
+		en.scan(pl, "candidate_scoring", neg, negKey, negJobs)
 		for i := range cands {
-			out[i].Neg = negSets[i]
-			out[i].N = negSets[i].Count()
+			out[i].Neg = negJobs[i].set
+			out[i].N = out[i].Neg.Count()
 		}
 		return out
 	}
@@ -320,6 +284,19 @@ func (en *Engine[P]) ScoreBatch(cands []Candidate, pos, neg []logic.Atom, floor,
 	return out
 }
 
+// candidateJobs makes one unbounded job per candidate, carrying its known
+// negatives or positives.
+func candidateJobs[P Probe](cands []Candidate, neg bool) []job[P] {
+	jobs := make([]job[P], len(cands))
+	for i, c := range cands {
+		jobs[i].clause, jobs[i].known, jobs[i].most = c.Clause, c.KnownPos, math.MaxInt
+		if neg {
+			jobs[i].known = c.KnownNeg
+		}
+	}
+	return jobs
+}
+
 // setKey digests an example list for the memo cache, once per list, or
 // returns "" when memoization is off.
 func (en *Engine[P]) setKey(examples []logic.Atom) string {
@@ -329,103 +306,12 @@ func (en *Engine[P]) setKey(examples []logic.Atom) string {
 	return en.digests.key(examples)
 }
 
-// batchCovered computes each candidate's covered set over one example
-// list in a single flattened sharded round: cache lookups first,
-// then every remaining (candidate, example) pair as one work item.
-// setKey is the list's SetKey (unused without a cache); pos selects which
-// known-covered set applies.
-func (en *Engine[P]) batchCovered(pl *pool, cands []Candidate, examples []logic.Atom, setKey string, pos bool) []*Bitset {
-	sets := make([]*Bitset, len(cands))
-	var keys []string
-	if en.cache != nil {
-		keys = make([]string, len(cands))
-		for i := range cands {
-			keys[i] = en.cache.Key(cands[i].Clause, setKey)
-			if hit, ok := en.cache.Get(keys[i]); ok && hit.Len() == len(examples) {
-				en.run.Inc(obs.CCoverageCacheHits)
-				sets[i] = hit
-				continue
-			}
-			en.run.Inc(obs.CCoverageCacheMisses)
-		}
-	}
-	// Flatten the misses into (candidate, example) items; known-covered
-	// bits prefill their buffers and never become items.
-	known := func(i int) *Bitset {
-		if pos {
-			return cands[i].KnownPos
-		}
-		return cands[i].KnownNeg
-	}
-	bufs := make([][]bool, len(cands))
-	tests := make([]func(P, logic.Atom) bool, len(cands))
-	var itemCand, itemEx []int32
-	skipped := int64(0)
-	for i := range cands {
-		if sets[i] != nil {
-			continue
-		}
-		bufs[i] = make([]bool, len(examples))
-		items := len(itemCand)
-		for j := range examples {
-			if known(i).Get(j) {
-				bufs[i][j] = true
-				skipped++
-				continue
-			}
-			itemCand = append(itemCand, int32(i))
-			itemEx = append(itemEx, int32(j))
-		}
-		if len(itemCand) > items {
-			tests[i] = en.lazyCover(cands[i].Clause)
-		}
-	}
-	en.run.Add(obs.CCoverageSkipped, skipped)
-	if len(itemCand) > 0 {
-		shards := planShards(len(itemCand), en.shardCount(len(itemCand)))
-		runShards(en.run, pl, "candidate_scoring", shards, func(sh shard) {
-			p := en.probe()
-			for k := sh.lo; k < sh.hi; k++ {
-				en.run.Heartbeat()
-				ci, ej := itemCand[k], itemEx[k]
-				if tests[ci](p, examples[ej]) {
-					bufs[ci][ej] = true
-				}
-			}
-			en.done(p)
-		})
-	}
-	for i := range cands {
-		if sets[i] != nil {
-			continue
-		}
-		sets[i] = FromBools(bufs[i])
-		if en.cache != nil {
-			en.cache.Put(keys[i], sets[i])
-		}
-	}
-	return sets
-}
-
-// lazyCover defers preparing c to its first test, so the workers of a
-// flattened round prepare its candidates in parallel; the Once keeps it
-// to one preparation per candidate per round.
-func (en *Engine[P]) lazyCover(c *logic.Clause) func(P, logic.Atom) bool {
-	var once sync.Once
-	var test func(P, logic.Atom) bool
-	return func(p P, e logic.Atom) bool {
-		once.Do(func() { test = en.cover(c) })
-		return test(p, e)
-	}
-}
-
 // scoreNeg runs one candidate's bounded negative scan. s carries the
-// exact positive side already; the scan shards the negatives across the
-// pool and aborts cooperatively once the score provably cannot beat the
-// effective bound (the floor or the shared keep-th best). The abort fires
-// exactly when the candidate's full score crosses the bound — covered
-// negatives only accumulate — so prunedness is timing-independent. negKey
-// is SetKey(neg), computed once per batch.
+// exact positive side already; the scan stops once the score provably
+// cannot beat the effective bound (the floor or the shared keep-th best).
+// The stop fires exactly when the candidate's full score crosses the bound
+// — covered negatives only accumulate — so prunedness is
+// timing-independent. negKey is SetKey(neg), computed once per batch.
 func (en *Engine[P]) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.Atom, negKey string, floor int, bb *bestBound) {
 	p := s.P
 	// limit is the strongest applicable bound: pruned ⇔ p−n ≤ limit.
@@ -444,18 +330,6 @@ func (en *Engine[P]) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.At
 		s.Neg = New(len(neg))
 		s.N = 0
 	}
-	complete := func(set *Bitset, n int) {
-		s.Neg, s.N = set, n
-		if limit != NoBound && p-n <= limit {
-			// Uniform prunedness: a fully-scanned score at or below the
-			// bound reports the same canonical pruned payload a mid-scan
-			// abort would, so cache hits and worker counts cannot change
-			// the output.
-			prune()
-			return
-		}
-		bb.offer(p - n)
-	}
 	if limit != NoBound && p <= limit {
 		// Even a clean candidate (n = 0) cannot beat the bound: every
 		// negative pair is avoided outright.
@@ -463,152 +337,158 @@ func (en *Engine[P]) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.At
 		prune()
 		return
 	}
-	var key string
-	if en.cache != nil {
-		key = en.cache.Key(cand.Clause, negKey)
-		if hit, ok := en.cache.Get(key); ok && hit.Len() == len(neg) {
-			en.run.Inc(obs.CCoverageCacheHits)
-			complete(hit, hit.Count())
-			return
-		}
-		en.run.Inc(obs.CCoverageCacheMisses)
-	}
 	// The candidate survives while it covers at most p−limit−1 negatives.
-	most := math.MaxInt
+	jobs := []job[P]{{clause: cand.Clause, known: cand.KnownNeg, most: math.MaxInt}}
 	if limit != NoBound {
-		most = p - limit - 1
+		jobs[0].most = p - limit - 1
 	}
-	sc := en.scanUpTo(pl, "candidate_scoring", cand.Clause, neg, cand.KnownNeg, most)
-	if sc.stopped {
-		// Pruning efficiency split: pairs the abort saved vs. pairs scored
-		// before the bound tripped (wasted — their results are discarded).
-		en.run.Add(obs.CPruneSkippedPairs, int64(sc.items)-sc.tested)
-		en.run.Add(obs.CPruneWastedPairs, sc.tested)
+	en.scan(pl, "candidate_scoring", neg, negKey, jobs)
+	jb := &jobs[0]
+	n := jb.set.Count()
+	if limit != NoBound && p-n <= limit {
+		// A stopped scan, or a memoized set at or below the bound (a
+		// complete scan never is: it would have stopped). Both report the
+		// canonical pruned payload, so cache hits and worker counts cannot
+		// change the output. Pruning efficiency split: pairs the stop saved
+		// vs. pairs tested before it (wasted: their results are discarded);
+		// a memoized set tested none.
+		tested := jb.tested.Load()
+		en.run.Add(obs.CPruneSkippedPairs, int64(jb.items)-tested)
+		en.run.Add(obs.CPruneWastedPairs, tested)
 		prune()
 		return
 	}
-	set := FromBools(sc.buf)
-	if en.cache != nil {
-		en.cache.Put(key, set)
-	}
-	complete(set, sc.covered)
-	if s.Pruned {
-		// Fully scanned, then discarded at the bound check: pure waste the
-		// shared bound arrived too late to save.
-		en.run.Add(obs.CPruneWastedPairs, int64(sc.items))
-	}
+	s.Neg, s.N = jb.set, n
+	bb.offer(p - n)
 }
 
-// CoversAtMost reports whether c covers at most limit of the examples,
-// that is whether CoveredSet(c, examples, known).Count() <= limit, without
-// running the tests after the one that decides it: known-covered examples
-// count without a test, and the sharded scan stops at the test that pushes
-// the count past limit. A memoized set answers outright; a scan that
-// completes is memoized as CoveredSet's would be, and one that stops is
-// not, since its set is partial. The call is one coverage_batch span,
-// whose covered field reads limit+1 for a clause that covers more.
-func (en *Engine[P]) CoversAtMost(c *logic.Clause, examples []logic.Atom, known *Bitset, limit int) bool {
-	var sp *obs.Span
-	if en.run.Spanning() {
-		sp = en.run.StartSpan("coverage_batch", obs.F("examples", len(examples)))
-	}
-	n := en.coversAtMost(c, examples, known, limit)
-	if sp != nil {
-		sp.Annotate(obs.F("covered", min(n, limit+1)))
-		sp.End()
-	}
-	return n <= limit
+// job is one clause's share of a scan round. Its known-covered examples
+// count without a test, and its scan stops once more than most examples
+// are covered (math.MaxInt never stops). scan fills in the rest.
+type job[P Probe] struct {
+	clause *logic.Clause
+	known  *Bitset
+	most   int
+
+	set     *Bitset      // covered examples, knowns included; partial when stopped
+	items   int          // examples outside known: those the scan had to test
+	tested  atomic.Int64 // tests run
+	stopped atomic.Bool  // the covered count passed most
+
+	key     string       // memo key, when memoization is on
+	cov     []bool       // the job's row of the round's results
+	covered atomic.Int64 // covered count, knowns included, of a bounded job
+	prep    sync.Once
+	test    func(P, logic.Atom) bool
 }
 
-// coversAtMost is CoversAtMost without the span: it returns the covered
-// count, or a count past limit once the scan stops.
-func (en *Engine[P]) coversAtMost(c *logic.Clause, examples []logic.Atom, known *Bitset, limit int) int {
-	var key string
-	if en.cache != nil {
-		key = en.cache.Key(c, en.setKey(examples))
-		if hit, ok := en.cache.Get(key); ok && hit.Len() == len(examples) {
+// prepare returns the job's test, preparing its clause on first use.
+func (jb *job[P]) prepare(cover CoverFunc[P]) func(P, logic.Atom) bool {
+	jb.prep.Do(func() { jb.test = cover(jb.clause) })
+	return jb.test
+}
+
+// scan runs jobs over one example list in a single round. A memoized set
+// answers a job outright. The examples of every other job that its known
+// set does not mark become (job, example) pairs, indexed arithmetically
+// and sharded over pl; a nil pl runs the round inline, or on a pool of
+// its own when the engine has workers to spare. The first worker to test
+// a job's clause prepares it, unless the round has only that job. A
+// bounded job stops at the test that pushes
+// its covered count past most, or before any test when its knowns alone
+// do: the count only grows toward the full count, so whether a job stops
+// is the same in every schedule and for every worker count; only how many
+// tests ran before it varies. Complete sets are memoized under the list's
+// setKey; stopped ones are not, since they are partial.
+func (en *Engine[P]) scan(pl *pool, label string, examples []logic.Atom, setKey string, jobs []job[P]) {
+	n, misses := len(examples), len(jobs)
+	for i := 0; i < len(jobs) && en.cache != nil; i++ {
+		jb := &jobs[i]
+		jb.key = en.cache.Key(jb.clause, setKey)
+		if hit, ok := en.cache.Get(jb.key); ok && hit.Len() == n {
 			en.run.Inc(obs.CCoverageCacheHits)
-			return hit.Count()
+			jb.set = hit
+			misses--
+			continue
 		}
 		en.run.Inc(obs.CCoverageCacheMisses)
 	}
-	var pl *pool
-	if en.workers > 1 && len(examples) >= 2 {
-		pl = newPool(en.workers, "coverage_testing", en.util)
-		defer pl.close()
-	}
-	sc := en.scanUpTo(pl, "coverage_testing", c, examples, known, limit)
-	if !sc.stopped && en.cache != nil {
-		en.cache.Put(key, FromBools(sc.buf))
-	}
-	return sc.covered
-}
-
-// scan is the outcome of one clause's bounded scan over an example list.
-type scan struct {
-	buf     []bool // covered examples, known-covered ones included
-	covered int    // examples found covered, knowns included
-	items   int    // examples the scan had to test: those outside known
-	tested  int64  // tests run before the scan completed or stopped
-	stopped bool   // covered passed the bound; buf and covered are partial
-}
-
-// scanUpTo tests c against every example known does not mark, sharded
-// over pl (nil runs the shards inline under label), and stops at the test
-// that pushes the covered count, known-covered examples included, past
-// most: it stops before any test when the knowns alone pass it. The count
-// only grows toward the full count, so whether a scan stops is the same
-// in every schedule and for every worker count; only how many tests ran
-// before it stopped varies.
-func (en *Engine[P]) scanUpTo(pl *pool, label string, c *logic.Clause, examples []logic.Atom, known *Bitset, most int) scan {
-	sc := scan{buf: make([]bool, len(examples))}
-	items := make([]int32, 0, len(examples))
-	for j := range examples {
-		if known.Get(j) {
-			sc.buf[j] = true
-			sc.covered++
+	// One byte per pair, not a bitset: workers writing neighbouring bits
+	// would race on shared words. Known-covered examples are set up front
+	// and never tested.
+	cov := make([]bool, misses*n)
+	var active []*job[P]
+	skipped := int64(0)
+	for i := range jobs {
+		jb := &jobs[i]
+		if jb.set != nil {
 			continue
 		}
-		items = append(items, int32(j))
-	}
-	sc.items = len(items)
-	en.run.Add(obs.CCoverageSkipped, int64(sc.covered))
-	if sc.covered > most {
-		sc.stopped = true
-		return sc
-	}
-	if len(items) == 0 {
-		return sc
-	}
-	base := sc.covered
-	test := en.cover(c)
-	var covered, tested atomic.Int64
-	var stopped atomic.Bool
-	runShards(en.run, pl, label, planShards(len(items), en.shardCount(len(items))), func(sh shard) {
-		local := int64(0)
-		pr := en.probe()
-		defer func() {
-			tested.Add(local)
-			en.done(pr)
-		}()
-		for k := sh.lo; k < sh.hi; k++ {
-			if stopped.Load() {
-				return
-			}
-			en.run.Heartbeat()
-			local++
-			j := items[k]
-			if test(pr, examples[j]) {
-				sc.buf[j] = true
-				if base+int(covered.Add(1)) > most {
-					stopped.Store(true)
-					return
-				}
+		jb.cov, cov = cov[:n:n], cov[n:]
+		known := 0
+		for j := range jb.cov {
+			if jb.known.Get(j) {
+				jb.cov[j] = true
+				known++
 			}
 		}
-	})
-	sc.covered = base + int(covered.Load())
-	sc.tested = tested.Load()
-	sc.stopped = stopped.Load()
-	return sc
+		skipped += int64(known)
+		jb.items = n - known
+		jb.covered.Store(int64(known))
+		if known > jb.most {
+			jb.stopped.Store(true)
+		} else if jb.items > 0 {
+			active = append(active, jb)
+		}
+	}
+	en.run.Add(obs.CCoverageSkipped, skipped)
+	if pairs := len(active) * n; pairs > 0 {
+		if len(active) == 1 {
+			// Every worker of a one-job round would wait for its
+			// preparation: prepare it here instead.
+			active[0].prepare(en.cover)
+		}
+		if pl == nil && en.workers > 1 && pairs >= 2 {
+			pl = newPool(en.workers, label, en.util)
+			defer pl.close()
+		}
+		runShards(en.run, pl, label, planShards(pairs, en.shardCount(pairs)), func(sh shard) {
+			pr := en.probe()
+			for k := sh.lo; k < sh.hi; {
+				jb, lo := active[k/n], k%n
+				hi := min(n, lo+sh.hi-k)
+				k += hi - lo
+				var test func(P, logic.Atom) bool
+				tested := int64(0)
+				for j := lo; j < hi && !jb.stopped.Load(); j++ {
+					if jb.cov[j] {
+						continue
+					}
+					if test == nil {
+						test = jb.prepare(en.cover)
+					}
+					en.run.Heartbeat()
+					tested++
+					if test(pr, examples[j]) {
+						jb.cov[j] = true
+						if jb.most != math.MaxInt && jb.covered.Add(1) > int64(jb.most) {
+							jb.stopped.Store(true)
+						}
+					}
+				}
+				jb.tested.Add(tested)
+			}
+			en.done(pr)
+		})
+	}
+	for i := range jobs {
+		jb := &jobs[i]
+		if jb.set != nil {
+			continue
+		}
+		jb.set = FromBools(jb.cov)
+		if en.cache != nil && !jb.stopped.Load() {
+			en.cache.Put(jb.key, jb.set)
+		}
+	}
 }

@@ -160,10 +160,10 @@ func newPool(workers int, label string, util *poolUtil) *pool {
 
 // runShards executes fn over every shard, workers pulling shards off a
 // shared cursor until the list is drained, and returns when all are done.
-// With a nil pool — or a single shard, where the cursor would be pure
-// overhead — the shards run inline, in order, on the calling goroutine,
-// under the same sirl_phase pprof label the pool's workers carry, so CPU
-// profiles attribute single-shard batches to their pipeline stage instead
+// With a nil pool — or a single shard, where the pool's hand-off would be
+// pure overhead — the calling goroutine drains the shards itself, in
+// order, under the same sirl_phase pprof label the pool's workers carry,
+// so CPU profiles attribute inline rounds to their pipeline stage instead
 // of the caller's stack. label names that phase; a non-nil pool's own
 // label wins so both paths always agree.
 //
@@ -171,14 +171,20 @@ func newPool(workers int, label string, util *poolUtil) *pool {
 // with a fresh pool-round ID and the draining worker's index, parented
 // under the span open on the submitting goroutine, so a trace (the JSONL
 // file or the Chrome trace's worker tracks) shows each round's fork/join.
-// The inline path emits the same tags (worker 0, its own round ID), so a
-// trace looks the same whichever path a batch took.
+// An inline round is drained as worker 0, so a trace looks the same
+// whichever path a batch took; only pooled rounds feed the utilization
+// accounting.
 func runShards(run *obs.Run, p *pool, label string, shards []shard, fn func(sh shard)) {
 	if len(shards) == 0 {
 		return
 	}
+	inline := p == nil || len(shards) <= 1
+	var u *poolUtil
 	if p != nil {
 		label = p.label
+		if !inline {
+			u = p.util
+		}
 	}
 	spanning := run.Spanning()
 	var parent *obs.Span
@@ -189,21 +195,6 @@ func runShards(run *obs.Run, p *pool, label string, shards []shard, fn func(sh s
 		round = obs.NextPoolRound()
 		kind = "shard_" + label
 	}
-	if p == nil || len(shards) <= 1 {
-		obs.WithPhaseLabel(label, func() {
-			for _, sh := range shards {
-				if spanning {
-					sp := run.StartWorkerSpan(parent, kind, round, 0, obs.F("tasks", sh.hi-sh.lo))
-					fn(sh)
-					sp.End()
-				} else {
-					fn(sh)
-				}
-			}
-		})
-		return
-	}
-	u := p.util
 	var start time.Time
 	var busy, maxShard, sumShard atomic.Int64
 	var chain []int64 // per-worker drained wall time this round; disjoint indices
@@ -248,6 +239,10 @@ func runShards(run *obs.Run, p *pool, label string, shards []shard, fn func(sh s
 			}
 			doShard(w, shards[k])
 		}
+	}
+	if inline {
+		obs.WithPhaseLabel(label, func() { drain(0) })
+		return
 	}
 	p.round.Add(p.workers)
 	if u == nil && !spanning {

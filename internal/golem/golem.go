@@ -39,7 +39,7 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 		return nil, err
 	}
 	tester := ilp.NewTester(prob, params)
-	rng := newRand(params.Seed)
+	rng := ilp.NewRand(params.Seed)
 	learn := func(uncovered []logic.Atom) (*logic.Clause, error) {
 		return l.learnClause(prob, params, tester, rng, uncovered), nil
 	}
@@ -57,14 +57,14 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 
 // learnClause is Algorithm 2: rlggs of sampled example pairs, then greedy
 // extension.
-func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *rand, uncovered []logic.Atom) *logic.Clause {
+func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *ilp.Rand, uncovered []logic.Atom) *logic.Clause {
 	run := params.Obs
 	prov := run.Prov()
 	k := params.Sample
 	if k < 2 {
 		k = 2
 	}
-	sample := sampleAtoms(rng, uncovered, k+1)
+	sample := ilp.SampleAtoms(rng, uncovered, k+1)
 	if len(sample) < 2 {
 		return nil
 	}
@@ -159,7 +159,7 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 	// though it must still pass AcceptClause when it does beat the bound.
 	remaining := exclude(uncovered, sample)
 	se := run.StartSpan("greedy_extension")
-	for _, e := range sampleAtoms(rng, remaining, k) {
+	for _, e := range ilp.SampleAtoms(rng, remaining, k) {
 		g := RLGG(best.clause, saturate(e))
 		if g == nil {
 			continue
@@ -319,50 +319,6 @@ func LGGDefinitionOfSet(sats []*logic.Clause) *logic.Clause {
 		}
 	}
 	return cur
-}
-
-// --- tiny deterministic PRNG (xorshift) so the package does not pull in
-// math/rand and stays reproducible across Go versions. ---
-
-type rand struct{ s uint64 }
-
-func newRand(seed int64) *rand {
-	if seed == 0 {
-		seed = 1
-	}
-	return &rand{s: uint64(seed)}
-}
-
-func (r *rand) next() uint64 {
-	r.s ^= r.s << 13
-	r.s ^= r.s >> 7
-	r.s ^= r.s << 17
-	return r.s
-}
-
-// intn returns a value in [0,n).
-func (r *rand) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
-}
-
-// sampleAtoms draws up to k distinct atoms.
-func sampleAtoms(r *rand, pool []logic.Atom, k int) []logic.Atom {
-	if k >= len(pool) {
-		return append([]logic.Atom(nil), pool...)
-	}
-	idx := make(map[int]bool, k)
-	out := make([]logic.Atom, 0, k)
-	for len(out) < k {
-		i := r.intn(len(pool))
-		if !idx[i] {
-			idx[i] = true
-			out = append(out, pool[i])
-		}
-	}
-	return out
 }
 
 // exclude returns pool minus the given atoms.

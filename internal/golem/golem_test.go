@@ -171,19 +171,19 @@ func TestRLGGSchemaIndependentOnPair(t *testing.T) {
 }
 
 func TestDeterministicSampling(t *testing.T) {
-	r1, r2 := newRand(42), newRand(42)
+	r1, r2 := ilp.NewRand(42), ilp.NewRand(42)
 	pool := make([]logic.Atom, 10)
 	for i := range pool {
 		pool[i] = logic.GroundAtom("t", lggVarName(i))
 	}
-	a := sampleAtoms(r1, pool, 4)
-	b := sampleAtoms(r2, pool, 4)
+	a := ilp.SampleAtoms(r1, pool, 4)
+	b := ilp.SampleAtoms(r2, pool, 4)
 	for i := range a {
 		if !a[i].Equal(b[i]) {
 			t.Fatal("sampling not deterministic")
 		}
 	}
-	if got := sampleAtoms(newRand(1), pool, 20); len(got) != 10 {
+	if got := ilp.SampleAtoms(ilp.NewRand(1), pool, 20); len(got) != 10 {
 		t.Errorf("oversampling should return the pool: %d", len(got))
 	}
 }

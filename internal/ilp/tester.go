@@ -1,7 +1,6 @@
 package ilp
 
 import (
-	"encoding/binary"
 	"sync"
 	"unsafe"
 
@@ -41,16 +40,15 @@ type Tester struct {
 	// plus the relation names, the target predicate and the example
 	// constants the instance lacks. Every distinct example of the problem
 	// has one saturation entry, resolved in NewTester: sats finds it by
-	// the address of the example's argument array, byKey by its interned
-	// ids. Both are read lock-free afterwards, so every worker of a beam
-	// batch finds and shares one compiled target without mutex traffic,
-	// and a problem example's probe hashes none of its names. Atoms
-	// outside the problem go to stray, under strayMu.
-	space   *subsume.Space
-	sats    exampleTable
-	byKey   map[string]*satEntry
-	strayMu sync.Mutex
-	stray   map[string]*satEntry
+	// the address of the example's argument array, read lock-free, so
+	// every worker of a beam batch finds and shares one compiled target
+	// without mutex traffic, and a problem example's probe hashes none of
+	// its names. byName, under nameMu, holds every entry by Atom.Key: equal
+	// examples share one, and any other atom finds or adds its own there.
+	space  *subsume.Space
+	sats   exampleTable
+	nameMu sync.Mutex
+	byName map[string]*satEntry
 }
 
 // satEntry holds one example's compiled ground bottom clause. The Once
@@ -194,39 +192,12 @@ func (t *Tester) initSaturations() {
 	}
 	t.space = subsume.NewSpace(prob.Instance.Symbols(), names...)
 	t.sats = newExampleTable(len(examples))
-	t.byKey = make(map[string]*satEntry, len(examples))
+	t.byName = make(map[string]*satEntry, len(examples))
 	for _, e := range examples {
-		k, ok := t.exampleKey(nil, e)
-		if !ok {
-			continue
-		}
-		ent := t.byKey[string(k)]
-		if ent == nil {
-			ent = &satEntry{pred: e.Pred, arity: len(e.Args)}
-			t.byKey[string(k)] = ent
-		}
 		if len(e.Args) > 0 {
-			t.sats.put(&e.Args[0], ent)
+			t.sats.put(&e.Args[0], t.nameEntry(e))
 		}
 	}
-}
-
-// exampleKey appends the example's interned form — predicate and argument
-// ids, four bytes each — to dst; false when the space lacks one of its
-// names.
-func (t *Tester) exampleKey(dst []byte, e logic.Atom) ([]byte, bool) {
-	id, ok := t.space.Lookup(e.Pred)
-	if !ok {
-		return nil, false
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
-	for _, a := range e.Args {
-		if id, ok = t.space.Lookup(a.Name); !ok {
-			return nil, false
-		}
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
-	}
-	return dst, true
 }
 
 // Run returns the tester's instrumentation run (possibly nil), for
@@ -293,32 +264,27 @@ func (t *Tester) saturation(e logic.Atom) *subsume.Compiled {
 }
 
 // satEntry finds the example's saturation entry: a table load by argument
-// array address for the problem's examples, then a map load by interned
-// ids, then a locked lookup by name for any other atom. A hit by address
-// must match the entry's predicate and arity: the array may be reused
-// under another predicate or sliced shorter.
+// array address for the problem's examples, else a locked lookup by name.
+// A hit by address must match the entry's predicate and arity: the array
+// may be reused under another predicate or sliced shorter.
 func (t *Tester) satEntry(e logic.Atom) *satEntry {
 	if len(e.Args) > 0 {
 		if ent := t.sats.get(&e.Args[0]); ent != nil && ent.pred == e.Pred && ent.arity == len(e.Args) {
 			return ent
 		}
 	}
-	var buf [64]byte
-	if k, ok := t.exampleKey(buf[:0], e); ok {
-		if ent := t.byKey[string(k)]; ent != nil {
-			return ent
-		}
-	}
+	return t.nameEntry(e)
+}
+
+// nameEntry returns the entry of the atom's Key, adding one if none exists.
+func (t *Tester) nameEntry(e logic.Atom) *satEntry {
 	k := e.Key()
-	t.strayMu.Lock()
-	defer t.strayMu.Unlock()
-	ent := t.stray[k]
+	t.nameMu.Lock()
+	defer t.nameMu.Unlock()
+	ent := t.byName[k]
 	if ent == nil {
-		if t.stray == nil {
-			t.stray = make(map[string]*satEntry)
-		}
-		ent = &satEntry{}
-		t.stray[k] = ent
+		ent = &satEntry{pred: e.Pred, arity: len(e.Args)}
+		t.byName[k] = ent
 	}
 	return ent
 }

@@ -34,7 +34,7 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 		return nil, err
 	}
 	tester := ilp.NewTester(prob, params)
-	rng := newRand(params.Seed)
+	rng := ilp.NewRand(params.Seed)
 	learn := func(uncovered []logic.Atom) (*logic.Clause, error) {
 		return l.learnClause(prob, params, tester, rng, uncovered), nil
 	}
@@ -51,7 +51,7 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 }
 
 // learnClause runs the beam search over ARMGs of the seed's bottom clause.
-func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *rand, uncovered []logic.Atom) *logic.Clause {
+func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *ilp.Rand, uncovered []logic.Atom) *logic.Clause {
 	run := params.Obs
 	prov := run.Prov()
 	seed := uncovered[0]
@@ -107,7 +107,7 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 				bestScore = b.score
 			}
 		}
-		sample := sampleAtoms(rng, uncovered, k)
+		sample := ilp.SampleAtoms(rng, uncovered, k)
 		// ARMGs drop literals, so each candidate generalizes its beam
 		// parent and inherits its covered sets as §7.5.4 knowns; the batch
 		// then scores concurrently, abandoning candidates that provably
@@ -226,40 +226,13 @@ func ARMG(tester *ilp.Tester, c *logic.Clause, e2 logic.Atom) *logic.Clause {
 	}
 	cur := c.Clone()
 	for !tester.Covers(cur, e2) {
-		i := blockingAtom(tester, cur, e2)
+		i := ilp.BlockingAtom(tester, cur, e2)
 		if i < 0 {
 			return nil // cannot happen when the head matches, but stay safe
 		}
 		cur = logic.PruneNotHeadConnected(cur.RemoveBodyAt(i))
 	}
 	return cur
-}
-
-// blockingAtom returns the least index i such that the prefix clause
-// T ← L1,…,L(i+1) does not cover e2 (0-based), found by binary search —
-// prefix coverage is monotone non-increasing in the prefix length.
-func blockingAtom(tester *ilp.Tester, c *logic.Clause, e2 logic.Atom) int {
-	lo, hi := 0, len(c.Body) // prefix lengths: lo covers, hi does not
-	if len(c.Body) == 0 {
-		return -1
-	}
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		prefix := &logic.Clause{Head: c.Head, Body: c.Body[:mid]}
-		if tester.Covers(prefix, e2) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	// Guard the lower end: the empty prefix must cover (head matched).
-	if lo == 0 {
-		prefix := &logic.Clause{Head: c.Head}
-		if !tester.Covers(prefix, e2) {
-			return -1
-		}
-	}
-	return hi - 1
 }
 
 // NegativeReduce removes non-essential literals: a literal is
@@ -292,45 +265,4 @@ func NegativeReduce(tester *ilp.Tester, c *logic.Clause, neg []logic.Atom, known
 		}
 	}
 	return cur
-}
-
-// --- deterministic PRNG + sampling (as in golem) ---
-
-type rand struct{ s uint64 }
-
-func newRand(seed int64) *rand {
-	if seed == 0 {
-		seed = 1
-	}
-	return &rand{s: uint64(seed)}
-}
-
-func (r *rand) next() uint64 {
-	r.s ^= r.s << 13
-	r.s ^= r.s >> 7
-	r.s ^= r.s << 17
-	return r.s
-}
-
-func (r *rand) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
-}
-
-func sampleAtoms(r *rand, pool []logic.Atom, k int) []logic.Atom {
-	if k >= len(pool) {
-		return append([]logic.Atom(nil), pool...)
-	}
-	idx := make(map[int]bool, k)
-	out := make([]logic.Atom, 0, k)
-	for len(out) < k {
-		i := r.intn(len(pool))
-		if !idx[i] {
-			idx[i] = true
-			out = append(out, pool[i])
-		}
-	}
-	return out
 }

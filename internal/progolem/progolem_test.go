@@ -103,12 +103,12 @@ func TestBlockingAtomIndex(t *testing.T) {
 	// for a post_generals student.
 	c := logic.MustParseClause("advisedBy(X,Y) :- student(X), inPhase(X,prelim), professor(Y).")
 	e := logic.GroundAtom("advisedBy", "stud1", "prof0") // stud1 is post_generals
-	if i := blockingAtom(tester, c, e); i != 1 {
-		t.Errorf("blockingAtom = %d want 1", i)
+	if i := ilp.BlockingAtom(tester, c, e); i != 1 {
+		t.Errorf("BlockingAtom = %d want 1", i)
 	}
 	c2 := logic.MustParseClause("advisedBy(X,Y) :- inPhase(X,prelim), student(X).")
-	if i := blockingAtom(tester, c2, e); i != 0 {
-		t.Errorf("blockingAtom = %d want 0", i)
+	if i := ilp.BlockingAtom(tester, c2, e); i != 0 {
+		t.Errorf("BlockingAtom = %d want 0", i)
 	}
 }
 
