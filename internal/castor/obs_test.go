@@ -370,3 +370,50 @@ func TestSpanGraphProfilerDoesNotChangeLearning(t *testing.T) {
 		})
 	}
 }
+
+// TestRunReportStoreSectionIsPerLearn: two Parallelism-1 Castor learns on
+// one instance, each reporting into its own registry, report equal
+// relstore sections: a report holds its own learn's store work, not the
+// instance's totals since it was loaded. Two more such learns reporting
+// into one registry, as an experiment run does, report the sum of both.
+func TestRunReportStoreSectionIsPerLearn(t *testing.T) {
+	prob := testfix.NewWorld(8).ProblemOriginal()
+	learn := func(reg *obs.Registry) {
+		params := ilp.Defaults()
+		params.Parallelism = 1
+		params.CoverageMode = ilp.CoverageDB
+		params.Obs = obs.NewRun(nil, reg)
+		if _, err := New().Learn(prob, params); err != nil {
+			t.Fatal(err)
+		}
+	}
+	report := func() obs.Report {
+		reg := obs.NewRegistry()
+		learn(reg)
+		return reg.Snapshot()
+	}
+	first, second := report(), report()
+	if len(first.Store) == 0 {
+		t.Fatal("the first learn reported no store statistics")
+	}
+	if len(first.Store) != len(second.Store) {
+		t.Fatalf("relstore sections differ:\nfirst  %v\nsecond %v", first.Store, second.Store)
+	}
+	for rel, s := range first.Store {
+		if second.Store[rel] != s {
+			t.Errorf("relation %s: first learn reports %+v, second %+v", rel, s, second.Store[rel])
+		}
+	}
+	shared := obs.NewRegistry()
+	learn(shared)
+	learn(shared)
+	both := shared.Snapshot()
+	if len(both.Store) != len(first.Store) {
+		t.Fatalf("a registry two learns report into holds %v, one learn's %v", both.Store, first.Store)
+	}
+	for rel, s := range first.Store {
+		if both.Store[rel] != s.Add(s) {
+			t.Errorf("relation %s: two learns into one registry report %+v, one learn %+v", rel, both.Store[rel], s)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package castor
 
 import (
+	"math"
+	"slices"
+
 	"repro/internal/coverage"
 	"repro/internal/ilp"
 	"repro/internal/logic"
@@ -115,71 +118,77 @@ func closure(c *logic.Clause, plan *relstore.Plan, j int) []int {
 // literals left disconnected from the head) does not increase the number
 // of covered negatives, and the clause stays non-empty and safe.
 //
-// known optionally carries c's already-computed negative cover. Every
-// candidate only removes literals — a generalization — so the base cover
-// stays a valid §7.5.4 known-covered set for all of them, and a
+// The schedule scans the instances in reverse discovery order and, after
+// each kept removal, restarts from the last instance of the shorter
+// clause; ilp.Reduce runs it, confirming a chain of removals with one
+// check. known optionally carries c's already-computed negative cover.
+// Every candidate only removes literals — a generalization — so the base
+// cover stays a valid §7.5.4 known-covered set for all of them, and a
 // candidate's check stops at the first negative outside it that the
 // candidate covers.
 func NegativeReduce(tester *ilp.Tester, plan *relstore.Plan, c *logic.Clause, neg []logic.Atom, known *coverage.Bitset) *logic.Clause {
 	cur := c.Clone()
 	baseSet := tester.CoveredSet(cur, neg, known)
 	base := baseSet.Count()
-	for {
-		instances := InclusionInstances(cur, plan)
-		if len(instances) <= 1 {
-			return cur
+	instances := make(map[*logic.Clause][][]int)
+	step := func(cur *logic.Clause, idx int) (*logic.Clause, int, int, bool) {
+		insts, ok := instances[cur]
+		if !ok {
+			insts = InclusionInstances(cur, plan)
+			instances[cur] = insts
 		}
-		removedAny := false
-		for idx := len(instances) - 1; idx >= 0; idx-- {
-			// Drop only the literals exclusive to this instance: literals
-			// shared with kept instances stay (the paper's note under
-			// Algorithm 5).
-			kept := make(map[int]bool)
-			for o, inst := range instances {
-				if o == idx {
-					continue
-				}
-				for _, li := range inst {
-					kept[li] = true
-				}
-			}
-			var exclusive []int
-			for _, li := range instances[idx] {
-				if !kept[li] {
-					exclusive = append(exclusive, li)
-				}
-			}
+		if len(insts) <= 1 {
+			return nil, 0, 0, false
+		}
+		for idx = min(idx, len(insts)-1); idx >= 0; idx-- {
+			exclusive := exclusiveLiterals(insts, idx)
 			if len(exclusive) == 0 {
 				continue
 			}
-			cand := removeLiterals(cur, exclusive)
-			cand = logic.PruneNotHeadConnected(cand)
+			cand := logic.PruneNotHeadConnected(removeLiterals(cur, exclusive))
 			if len(cand.Body) == 0 || !cand.IsSafe() {
 				continue
 			}
-			if tester.CoversAtMost(cand, neg, baseSet, base) {
-				cur = cand
-				removedAny = true
-				break // instance indexes shifted; recompute
-			}
+			// A kept removal shifts the instance indexes: restart from the
+			// shorter clause's last instance.
+			return cand, math.MaxInt, idx - 1, true
 		}
-		if !removedAny {
-			return cur
+		return nil, 0, 0, false
+	}
+	return ilp.Reduce(cur, math.MaxInt, step, func(cand *logic.Clause) bool {
+		return tester.CoversAtMost(cand, neg, baseSet, base)
+	})
+}
+
+// exclusiveLiterals returns the literals of instance idx that no other
+// instance holds, ascending: literals shared with kept instances stay (the
+// paper's note under Algorithm 5).
+func exclusiveLiterals(instances [][]int, idx int) []int {
+	kept := make(map[int]bool)
+	for o, inst := range instances {
+		if o == idx {
+			continue
+		}
+		for _, li := range inst {
+			kept[li] = true
 		}
 	}
+	var exclusive []int
+	for _, li := range instances[idx] {
+		if !kept[li] {
+			exclusive = append(exclusive, li)
+		}
+	}
+	return exclusive
 }
 
 // removeLiterals returns the clause without the body literals at the given
-// sorted indexes.
+// distinct indexes. The kept atoms share their argument arrays with c's.
 func removeLiterals(c *logic.Clause, drop []int) *logic.Clause {
-	dropSet := make(map[int]bool, len(drop))
-	for _, i := range drop {
-		dropSet[i] = true
-	}
-	out := &logic.Clause{Head: c.Head.Clone()}
+	out := &logic.Clause{Head: c.Head, Body: make([]logic.Atom, 0, len(c.Body)-len(drop))}
 	for i, a := range c.Body {
-		if !dropSet[i] {
-			out.Body = append(out.Body, a.Clone())
+		if !slices.Contains(drop, i) {
+			out.Body = append(out.Body, a)
 		}
 	}
 	return out

@@ -46,10 +46,20 @@ type Tester struct {
 	// its names. byName, under nameMu, holds every entry by Atom.Key: equal
 	// examples share one, and any other atom finds or adds its own there.
 	space  *subsume.Space
-	sats   exampleTable
+	sats   exampleTable[*satEntry]
 	nameMu sync.Mutex
 	byName map[string]*satEntry
+
+	// Direct mode only: every problem example's constants resolved to the
+	// instance's symbol ids once, in NewTester. ids finds an example's range
+	// of the arena by the address of its argument array, as sats finds
+	// saturations, so a test binds the head without a symbol lookup.
+	ids   exampleTable[idRange]
+	arena []int32
 }
+
+// idRange is one example's symbol ids: arena[off:off+n], n its arity.
+type idRange struct{ off, n int32 }
 
 // satEntry holds one example's compiled ground bottom clause. The Once
 // guarantees exactly one compilation per example — concurrent probers for
@@ -62,55 +72,55 @@ type satEntry struct {
 }
 
 // exampleTable maps the address of a problem example's argument array to
-// its saturation entry: open addressing over a power-of-two table at most
-// half full, so a probe costs a multiply and, usually, one slot load. The
-// slots hold the arrays' pointers, which keeps them alive, and the
-// collector never moves heap objects: an address in the table names one
-// array for the tester's lifetime.
-type exampleTable struct {
-	slots []exampleSlot
+// a value: open addressing over a power-of-two table at most half full, so
+// a probe costs a multiply and, usually, one slot load. The slots hold the
+// arrays' pointers, which keeps them alive, and the collector never moves
+// heap objects: an address in the table names one array for the tester's
+// lifetime.
+type exampleTable[V any] struct {
+	slots []exampleSlot[V]
 	shift uint // 64 − log2(len(slots))
 }
 
-type exampleSlot struct {
+type exampleSlot[V any] struct {
 	args *logic.Term
-	ent  *satEntry
+	val  V
 }
 
-func newExampleTable(n int) exampleTable {
+func newExampleTable[V any](n int) exampleTable[V] {
 	bits := uint(3)
 	for 1<<bits < 2*n {
 		bits++
 	}
-	return exampleTable{slots: make([]exampleSlot, 1<<bits), shift: 64 - bits}
+	return exampleTable[V]{slots: make([]exampleSlot[V], 1<<bits), shift: 64 - bits}
 }
 
-func (x *exampleTable) home(args *logic.Term) uint64 {
+func (x *exampleTable[V]) home(args *logic.Term) uint64 {
 	return uint64(uintptr(unsafe.Pointer(args))) * 0x9E3779B97F4A7C15 >> x.shift
 }
 
-// put maps args to ent unless args is mapped already.
-func (x *exampleTable) put(args *logic.Term, ent *satEntry) {
+// put maps args to val unless args is mapped already.
+func (x *exampleTable[V]) put(args *logic.Term, val V) {
 	mask := uint64(len(x.slots) - 1)
 	for i := x.home(args); ; i = (i + 1) & mask {
 		if sl := &x.slots[i]; sl.args == nil || sl.args == args {
 			if sl.args == nil {
-				*sl = exampleSlot{args: args, ent: ent}
+				*sl = exampleSlot[V]{args: args, val: val}
 			}
 			return
 		}
 	}
 }
 
-// get returns the entry mapped to args, or nil.
-func (x *exampleTable) get(args *logic.Term) *satEntry {
+// get returns the value mapped to args; ok is false when there is none.
+func (x *exampleTable[V]) get(args *logic.Term) (val V, ok bool) {
 	mask := uint64(len(x.slots) - 1)
 	for i := x.home(args); ; i = (i + 1) & mask {
 		switch sl := &x.slots[i]; sl.args {
 		case args:
-			return sl.ent
+			return sl.val, true
 		case nil:
-			return nil
+			return val, false
 		}
 	}
 }
@@ -137,9 +147,10 @@ func (p *probe) Publish() {
 
 // NewTester builds a tester for the problem. As a side effect it attaches
 // params.Obs to the problem's instance, so store-level scans during this
-// learner's run report into the same registry, and registers the
-// instance's per-relation access statistics as the registry's store
-// source, so run reports expose them (every learner builds
+// learner's run report into the same registry, and registers the growth
+// of the instance's per-relation access statistics from this call on as
+// the registry's store source, so run reports expose this learn's store
+// work and no earlier learn's on the same instance (every learner builds
 // its tester first).
 func NewTester(prob *Problem, params Params) *Tester {
 	prob.Instance.SetObs(params.Obs)
@@ -149,10 +160,24 @@ func NewTester(prob *Problem, params Params) *Tester {
 	prob.Instance.Freeze()
 	t := &Tester{prob: prob, params: params, run: params.Obs}
 	if reg := params.Obs.Registry(); reg != nil {
-		reg.SetStoreSource(prob.Instance.StoreStats)
+		inst := prob.Instance
+		base := inst.StoreStats()
+		reg.SetStoreSource(func() map[string]obs.StoreStat {
+			stats := inst.StoreStats()
+			for rel, s := range stats {
+				if d := s.Sub(base[rel]); d != (obs.StoreStat{}) {
+					stats[rel] = d
+				} else {
+					delete(stats, rel)
+				}
+			}
+			return stats
+		})
 	}
 	if params.CoverageMode == CoverageSubsumption {
 		t.initSaturations()
+	} else {
+		t.resolveExamples()
 	}
 	var cache *coverage.Cache
 	if !params.DisableCoverageCache {
@@ -191,13 +216,61 @@ func (t *Tester) initSaturations() {
 		}
 	}
 	t.space = subsume.NewSpace(prob.Instance.Symbols(), names...)
-	t.sats = newExampleTable(len(examples))
+	t.sats = newExampleTable[*satEntry](len(examples))
 	t.byName = make(map[string]*satEntry, len(examples))
 	for _, e := range examples {
 		if len(e.Args) > 0 {
 			t.sats.put(&e.Args[0], t.nameEntry(e))
 		}
 	}
+}
+
+// resolveExamples resolves every problem example's constants to the
+// instance's symbol ids for direct-mode tests, logic.UnknownSym for a
+// constant the instance lacks.
+func (t *Tester) resolveExamples() {
+	syms := t.prob.Instance.Symbols()
+	sets := [][]logic.Atom{t.prob.Pos, t.prob.Neg}
+	n, args := 0, 0
+	for _, examples := range sets {
+		n += len(examples)
+		for _, e := range examples {
+			args += len(e.Args)
+		}
+	}
+	t.ids = newExampleTable[idRange](n)
+	t.arena = make([]int32, 0, args)
+	for _, examples := range sets {
+		for _, e := range examples {
+			if len(e.Args) == 0 {
+				continue
+			}
+			rg := idRange{off: int32(len(t.arena)), n: int32(len(e.Args))}
+			for _, a := range e.Args {
+				id, ok := syms.Lookup(a.Name)
+				if !ok {
+					id = logic.UnknownSym
+				}
+				t.arena = append(t.arena, id)
+			}
+			t.ids.put(&e.Args[0], rg)
+		}
+	}
+}
+
+// exampleIDs returns the resolved symbol ids of a problem example's
+// arguments, or nil for any other atom. Ids depend only on the argument
+// names, so an array registered at least as long as e.Args answers
+// whatever predicate it is reused under.
+func (t *Tester) exampleIDs(e logic.Atom) []int32 {
+	if len(e.Args) == 0 {
+		return nil
+	}
+	rg, ok := t.ids.get(&e.Args[0])
+	if !ok || int(rg.n) < len(e.Args) {
+		return nil
+	}
+	return t.arena[rg.off : rg.off+int32(len(e.Args))]
 }
 
 // Run returns the tester's instrumentation run (possibly nil), for
@@ -225,6 +298,9 @@ func (t *Tester) coverer(c *logic.Clause) func(*probe, logic.Atom) bool {
 		q := t.prob.Instance.Compile(c)
 		return func(p *probe, e logic.Atom) bool {
 			p.tests++
+			if ids := t.exampleIDs(e); ids != nil {
+				return q.CoversIDs(p.store, e, ids)
+			}
 			return q.CoversWith(p.store, e)
 		}
 	}
@@ -269,7 +345,7 @@ func (t *Tester) saturation(e logic.Atom) *subsume.Compiled {
 // may be reused under another predicate or sliced shorter.
 func (t *Tester) satEntry(e logic.Atom) *satEntry {
 	if len(e.Args) > 0 {
-		if ent := t.sats.get(&e.Args[0]); ent != nil && ent.pred == e.Pred && ent.arity == len(e.Args) {
+		if ent, ok := t.sats.get(&e.Args[0]); ok && ent.pred == e.Pred && ent.arity == len(e.Args) {
 			return ent
 		}
 	}

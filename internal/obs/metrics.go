@@ -25,8 +25,12 @@ type Registry struct {
 	gaugeMu sync.Mutex
 	gauges  map[string]float64
 
-	storeMu  sync.Mutex
-	storeSrc func() map[string]StoreStat
+	// storeMu guards the store source and storeDone, the statistics of
+	// the sources it replaced. storeDone is never written in place, so a
+	// snapshot may read it after unlocking.
+	storeMu   sync.Mutex
+	storeSrc  func() map[string]StoreStat
+	storeDone map[string]StoreStat
 }
 
 // Pool-utilization gauge names. The coverage engine's worker pool
@@ -78,25 +82,59 @@ func (s StoreStat) Add(t StoreStat) StoreStat {
 	}
 }
 
-// SetStoreSource registers the callback snapshots pull per-relation store
-// statistics from (relstore.Instance.StoreStats, wired by ilp.NewTester).
-// A nil source detaches; registering twice keeps the latest, so the
-// registry follows the instance of the most recent Learn call.
-func (g *Registry) SetStoreSource(src func() map[string]StoreStat) {
-	g.storeMu.Lock()
-	g.storeSrc = src
-	g.storeMu.Unlock()
+// Sub returns the element-wise difference s − t: the statistics gathered
+// between a snapshot t and a later snapshot s.
+func (s StoreStat) Sub(t StoreStat) StoreStat {
+	return StoreStat{
+		Lookups:       s.Lookups - t.Lookups,
+		TuplesScanned: s.TuplesScanned - t.TuplesScanned,
+		IndexHits:     s.IndexHits - t.IndexHits,
+		INDExpansions: s.INDExpansions - t.INDExpansions,
+	}
 }
 
-// storeSnapshot invokes the registered source, or returns nil.
+// SetStoreSource registers the callback snapshots pull per-relation store
+// statistics from (ilp.NewTester registers the growth of its instance's
+// statistics from then on). Registering a source while another is set
+// first folds the earlier source's statistics into the registry, so a
+// registry that several learns report into in turn sums their store work,
+// as it sums their counters. A nil source detaches and drops everything
+// gathered.
+func (g *Registry) SetStoreSource(src func() map[string]StoreStat) {
+	g.storeMu.Lock()
+	defer g.storeMu.Unlock()
+	if src == nil {
+		g.storeSrc, g.storeDone = nil, nil
+		return
+	}
+	if g.storeSrc != nil {
+		g.storeDone = sumStore(g.storeDone, g.storeSrc())
+	}
+	g.storeSrc = src
+}
+
+// storeSnapshot returns the registered source's statistics plus those of
+// the sources it replaced, or nil when none is registered.
 func (g *Registry) storeSnapshot() map[string]StoreStat {
 	g.storeMu.Lock()
-	src := g.storeSrc
+	src, done := g.storeSrc, g.storeDone
 	g.storeMu.Unlock()
 	if src == nil {
 		return nil
 	}
-	return src()
+	return sumStore(done, src())
+}
+
+// sumStore returns a new map holding a + b, relation by relation.
+func sumStore(a, b map[string]StoreStat) map[string]StoreStat {
+	out := make(map[string]StoreStat, max(len(a), len(b)))
+	for rel, s := range a {
+		out[rel] = s
+	}
+	for rel, s := range b {
+		out[rel] = out[rel].Add(s)
+	}
+	return out
 }
 
 // spanTotals accumulates one span kind: totals for the aggregate tables,

@@ -55,3 +55,33 @@ func TestStoreStatsInReports(t *testing.T) {
 		t.Errorf("detached source still reports: %v", r.Store)
 	}
 }
+
+// TestStoreSourcesReplacedInTurnSum: a source registered while another is
+// set folds the earlier source's statistics into the registry, so the
+// section sums every learn reported into it; the earlier source is not
+// read again.
+func TestStoreSourcesReplacedInTurnSum(t *testing.T) {
+	reg := NewRegistry()
+	first := map[string]StoreStat{"student": {Lookups: 2, TuplesScanned: 5}}
+	reg.SetStoreSource(func() map[string]StoreStat { return first })
+	reg.SetStoreSource(func() map[string]StoreStat {
+		return map[string]StoreStat{"student": {Lookups: 1}, "course": {IndexHits: 4}}
+	})
+	first["student"] = StoreStat{Lookups: 100}
+	want := map[string]StoreStat{"student": {Lookups: 3, TuplesScanned: 5}, "course": {IndexHits: 4}}
+	for i := 0; i < 2; i++ {
+		r := reg.Snapshot()
+		if len(r.Store) != len(want) {
+			t.Fatalf("snapshot %d: got %v, want %v", i, r.Store, want)
+		}
+		for rel, s := range want {
+			if r.Store[rel] != s {
+				t.Errorf("snapshot %d: relation %s: got %+v, want %+v", i, rel, r.Store[rel], s)
+			}
+		}
+	}
+	reg.SetStoreSource(nil)
+	if r := reg.Snapshot(); r.Store != nil {
+		t.Errorf("detached registry still reports: %v", r.Store)
+	}
+}

@@ -238,8 +238,9 @@ func ARMG(tester *ilp.Tester, c *logic.Clause, e2 logic.Atom) *logic.Clause {
 // NegativeReduce removes non-essential literals: a literal is
 // non-essential when dropping it (plus any literals left disconnected)
 // does not increase the clause's negative coverage (§7.2.2 at literal
-// granularity, as in ProGolem). Scanning back to front keeps early
-// (seed-example) literals preferentially.
+// granularity, as in ProGolem). The schedule walks the literals back to
+// front, which keeps early (seed-example) literals preferentially;
+// ilp.Reduce runs it, confirming a chain of removals with one check.
 //
 // known optionally carries c's negative cover; every candidate here only
 // removes literals, so it stays a valid known-covered set throughout, and
@@ -249,20 +250,17 @@ func NegativeReduce(tester *ilp.Tester, c *logic.Clause, neg []logic.Atom, known
 	cur := c.Clone()
 	baseSet := tester.CoveredSet(cur, neg, known)
 	base := baseSet.Count()
-	for i := len(cur.Body) - 1; i >= 0; i-- {
-		if len(cur.Body) == 1 {
-			break
-		}
-		cand := logic.PruneNotHeadConnected(cur.RemoveBodyAt(i))
-		if len(cand.Body) == 0 {
-			continue
-		}
-		if tester.CoversAtMost(cand, neg, baseSet, base) {
-			cur = cand
-			if i > len(cur.Body) {
-				i = len(cur.Body)
+	step := func(cur *logic.Clause, i int) (*logic.Clause, int, int, bool) {
+		for ; i >= 0 && len(cur.Body) > 1; i-- {
+			cand := logic.PruneNotHeadConnected(cur.RemoveBodyAt(i))
+			if len(cand.Body) == 0 {
+				continue
 			}
+			return cand, min(i, len(cand.Body)) - 1, i - 1, true
 		}
+		return nil, 0, 0, false
 	}
-	return cur
+	return ilp.Reduce(cur, len(cur.Body)-1, step, func(cand *logic.Clause) bool {
+		return tester.CoversAtMost(cand, neg, baseSet, base)
+	})
 }

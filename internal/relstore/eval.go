@@ -195,6 +195,21 @@ func (q *Query) Covers(e logic.Atom) bool {
 // CoversWith is Covers on the caller's prober: the test's store statistics
 // stay on p until p.Publish. p must come from the query's instance.
 func (q *Query) CoversWith(p *Prober, e logic.Atom) bool {
+	return q.covers(p, e, nil)
+}
+
+// CoversIDs is CoversWith for an example whose constants the caller has
+// resolved already: ids[j] is the instance's symbol id of e.Args[j], or
+// logic.UnknownSym when the instance has none. A caller testing the same
+// examples against many clauses resolves them once and skips the symbol
+// table lookups a test would make.
+func (q *Query) CoversIDs(p *Prober, e logic.Atom, ids []int32) bool {
+	return q.covers(p, e, ids)
+}
+
+// covers binds the head to e, reading its constants' ids from ids when
+// non-nil and from the symbol table otherwise, and searches the body.
+func (q *Query) covers(p *Prober, e logic.Atom, ids []int32) bool {
 	if q.unsat || e.Pred != q.pred || len(e.Args) != len(q.head) {
 		return false
 	}
@@ -211,7 +226,15 @@ func (q *Query) CoversWith(p *Prober, e logic.Atom) bool {
 				return false
 			}
 		default:
-			if id, ok := q.inst.syms.Lookup(name); ok {
+			var id int32
+			var ok bool
+			if ids != nil {
+				id = ids[j]
+				ok = id != logic.UnknownSym
+			} else {
+				id, ok = q.inst.syms.Lookup(name)
+			}
+			if ok {
 				p.subst.Bind(h.slot, id)
 			} else if h.inBody {
 				return false // no row holds the constant

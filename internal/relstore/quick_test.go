@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/logic"
 )
@@ -383,5 +384,61 @@ func TestQuickEvalAgainstNaive(t *testing.T) {
 					c, e, got, want, inst.Table("p").Tuples(), inst.Table("q").Tuples())
 			}
 		}
+	}
+}
+
+// TestQuickCoversIDsMatchesCoversWith: testing an example by its resolved
+// symbol ids answers as testing it by name and leaves the same store
+// statistics on the prober, on random heads with constants and repeated
+// variables and on examples holding constants the instance never saw.
+func TestQuickCoversIDsMatchesCoversWith(t *testing.T) {
+	domain := []string{"v0", "v1", "v2", "v3", "zz", "yy"} // zz and yy are never stored
+	vars := []string{"X", "Y", "Z"}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		inst := randTwoRelInstance(r, true)
+		term := func(constPct int) logic.Term {
+			if r.Intn(100) < constPct {
+				return logic.Const(domain[r.Intn(len(domain))])
+			}
+			return logic.Var(vars[r.Intn(len(vars))])
+		}
+		c := &logic.Clause{Head: logic.NewAtom("h")}
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			c.Head.Args = append(c.Head.Args, term(20))
+		}
+		for n := r.Intn(4); n > 0; n-- {
+			pred := "p"
+			if r.Intn(2) == 0 {
+				pred = "q"
+			}
+			c.Body = append(c.Body, logic.NewAtom(pred, term(25), term(25)))
+		}
+		q := inst.Compile(c)
+		byName, byID := inst.NewProber(), inst.NewProber()
+		for k := 0; k < 8; k++ {
+			e := logic.NewAtom("h")
+			ids := make([]int32, 0, len(c.Head.Args))
+			for range c.Head.Args {
+				name := domain[r.Intn(len(domain))]
+				e.Args = append(e.Args, logic.Const(name))
+				id, ok := inst.Symbols().Lookup(name)
+				if !ok {
+					id = logic.UnknownSym
+				}
+				ids = append(ids, id)
+			}
+			want, got := q.CoversWith(byName, e), q.CoversIDs(byID, e, ids)
+			if got != want || byID.scanned != byName.scanned || byID.exhausted != byName.exhausted ||
+				!slices.Equal(byID.tally.stats, byName.tally.stats) {
+				t.Logf("%v on %v: CoversIDs %v, CoversWith %v; scanned %d vs %d; stats %v vs %v",
+					c, e, got, want, byID.scanned, byName.scanned, byID.tally.stats, byName.tally.stats)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

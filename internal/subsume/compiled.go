@@ -540,6 +540,51 @@ func (s *Space) prepare(c *logic.Clause, body []logic.Atom, init logic.Substitut
 	return src
 }
 
+// without derives the source of c, which must be the clause src was
+// prepared from without body literal i, from src's ids instead of c's
+// names: the literal's arguments go, the variable slots left are
+// renumbered in first-use order, and the predicates, occurrence lists and
+// components are recomputed, so the result is what Prepare(c) builds.
+func (src *Source) without(i int, c *logic.Clause) *Source {
+	out := &Source{space: src.space, clause: c, body: c.Body, lits: make([]srcLit, 0, len(src.lits)-1)}
+	out.argv = make([]logic.ITerm, 0, len(src.argv)-int(src.lits[i].n))
+	renum := make([]int32, len(src.slotNames)) // old slot → new slot + 1
+	copyLit := func(l srcLit) srcLit {
+		nl := srcLit{pred: l.pred, off: int32(len(out.argv)), n: l.n}
+		for _, t := range src.argv[l.off : l.off+l.n] {
+			if t.IsVar() {
+				s := t.Slot()
+				if renum[s] == 0 {
+					out.slotNames = append(out.slotNames, src.slotNames[s])
+					renum[s] = int32(len(out.slotNames))
+				}
+				t = logic.VarITerm(renum[s] - 1)
+			}
+			out.argv = append(out.argv, t)
+		}
+		return nl
+	}
+	out.head = copyLit(src.head)
+	headSlots := len(out.slotNames)
+	for k, l := range src.lits {
+		if k == i {
+			continue
+		}
+		nl := copyLit(l)
+		pred := src.preds[l.pred]
+		p := indexOf32(out.preds, pred)
+		if p < 0 {
+			p = len(out.preds)
+			out.preds = append(out.preds, pred)
+		}
+		nl.pred = int32(p)
+		out.lits = append(out.lits, nl)
+	}
+	out.prepareOcc()
+	out.prepareComponents(headSlots)
+	return out
+}
+
 func indexOf32(xs []int32, x int32) int {
 	for i, v := range xs {
 		if v == x {

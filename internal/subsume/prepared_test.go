@@ -2,6 +2,7 @@ package subsume
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -241,5 +242,51 @@ func TestPreparedConcurrentProbes(t *testing.T) {
 		if got, w := reg.Get(c), workers*rounds*seq.Get(c); got != w {
 			t.Errorf("%v = %d, want %d", c, got, w)
 		}
+	}
+}
+
+// TestQuickDerivedSourceMatchesPrepare: the sources ReduceR derives from
+// ids after kept removals — the current source without one body literal,
+// removal after removal — equal Prepare of the shorter clause field for
+// field and probe every target exactly as it does: same answers,
+// subsumption_nodes and witnesses.
+func TestQuickDerivedSourceMatchesPrepare(t *testing.T) {
+	prop := func(seed int64) bool {
+		c := drawPreparedCase(seed)
+		rng := rand.New(rand.NewSource(seed))
+		cur := prepClause(rng, 8, 6, len(prepPreds))
+		if rng.Intn(4) == 0 {
+			cur.Head = logic.NewAtom("t", logic.Var("X"), logic.Var("X"))
+		}
+		var targets []*Compiled
+		for _, d := range append(c.targets, cur) {
+			targets = append(targets, c.space.Compile(d))
+		}
+		src := c.space.Prepare(cur)
+		for len(cur.Body) > 0 {
+			i := rng.Intn(len(cur.Body))
+			cur = cur.RemoveBodyAt(i)
+			src = src.without(i, cur)
+			fresh := c.space.Prepare(cur)
+			if a, b := *src, *fresh; !reflect.DeepEqual(a, b) {
+				t.Logf("seed %d: derived source of %v is %+v, prepared %+v", seed, cur, a, b)
+				return false
+			}
+			for _, cd := range targets {
+				got, gotNodes, _ := probeCounts(func(run *obs.Run) bool { return cd.Probe(run, src) })
+				want, wantNodes, _ := probeCounts(func(run *obs.Run) bool { return cd.Probe(run, fresh) })
+				gw, _ := cd.witness(src)
+				ww, _ := cd.witness(fresh)
+				if got != want || gotNodes != wantNodes || !reflect.DeepEqual(gw, ww) {
+					t.Logf("seed %d: derived source of %v probes %v/%d nodes/witness %v, prepared %v/%d/%v",
+						seed, cur, got, gotNodes, gw, want, wantNodes, ww)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }

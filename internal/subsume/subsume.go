@@ -79,9 +79,10 @@ func Reduce(c *logic.Clause) *logic.Clause {
 // the run (nil observes nothing). Each call is one "minimize" span.
 //
 // The whole reduction works in one space: the clause's names, its
-// variables skolemized, are interned once. The clause is prepared as a
-// source once per kept removal, and each shorter target is compiled
-// straight from the ids of the current clause without one body literal.
+// variables skolemized, are interned once, and the clause is prepared as a
+// source once. Each shorter target is compiled straight from the ids of
+// the current clause without one body literal, and a kept removal derives
+// the shorter clause's source from the current one's ids the same way.
 // A kept target is the current clause's compilation from then on. Every
 // id comparison the matcher makes has the answer it has in the private
 // space of a one-shot Subsumes, so each attempt decides and counts
@@ -113,7 +114,7 @@ func ReduceR(run *obs.Run, c *logic.Clause) *logic.Clause {
 			run.Inc(obs.CReductionRemoved)
 			cur.Body = append(cur.Body[:i], cur.Body[i+1:]...) // drop; do not advance
 			full = shorter
-			src = space.Prepare(cur)
+			src = src.without(i, cur)
 		} else {
 			i++
 		}
