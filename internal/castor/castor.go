@@ -252,33 +252,31 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 			break
 		}
 		sample := ilp.SampleAtoms(rng, pool, k)
-		// Generate this round's ARMGs serially (each mutates toward one
-		// target example), then score the batch concurrently, with the
-		// current best score as the early-termination bound: a candidate
-		// whose negative cover already pins it at or below bestScore would
-		// not enter the beam, so its scan is abandoned.
+		// Generate this round's ARMGs, one independent job per (beam
+		// entry, sampled example), then score the batch concurrently, with
+		// the current best score as the early-termination bound: a
+		// candidate whose negative cover already pins it at or below
+		// bestScore would not enter the beam, so its scan is abandoned.
 		var cands []coverage.Candidate
 		var cmeta []candProv // aligned with cands; built only when recording
-		for _, b := range beam {
-			for _, e := range sample {
-				g := ARMG(tester, plan, b.clause, e, params)
-				if g == nil || g.Equal(b.clause) {
-					if g != nil && prov.Enabled() {
-						prov.Node(obs.ProvNode{
-							Parents: []uint64{b.provID}, Step: obs.StepARMG, Seed: e.String(),
-							Clause: g.String(), Literals: len(g.Body),
-							Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispPrunedDuplicate,
-						})
-					}
-					continue
+		for i, g := range armgs(tester, plan, beam, sample, params) {
+			b, e := beam[i/len(sample)], sample[i%len(sample)]
+			if g == nil || g.Equal(b.clause) {
+				if g != nil && prov.Enabled() {
+					prov.Node(obs.ProvNode{
+						Parents: []uint64{b.provID}, Step: obs.StepARMG, Seed: e.String(),
+						Clause: g.String(), Literals: len(g.Body),
+						Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispPrunedDuplicate,
+					})
 				}
-				if !g.IsSafe() {
-					continue // §7.3.2: unsafe candidates are discarded
-				}
-				cands = append(cands, coverage.Candidate{Clause: g, KnownPos: b.posCovered, KnownNeg: b.negCovered})
-				if prov.Enabled() {
-					cmeta = append(cmeta, candProv{parent: b.provID, seed: e.String()})
-				}
+				continue
+			}
+			if !g.IsSafe() {
+				continue // §7.3.2: unsafe candidates are discarded
+			}
+			cands = append(cands, coverage.Candidate{Clause: g, KnownPos: b.posCovered, KnownNeg: b.negCovered})
+			if prov.Enabled() {
+				cmeta = append(cmeta, candProv{parent: b.provID, seed: e.String()})
 			}
 		}
 		var next []*scored
@@ -372,6 +370,18 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 		return nil
 	}
 	return reduced
+}
+
+// armgs generalizes every beam entry toward every sampled example on the
+// tester's rounds. The ARMG of beam[i] toward sample[j] lands at index
+// i·len(sample)+j, so the caller reads them in the order a serial loop
+// over the beam and then the sample would make them.
+func armgs(tester *ilp.Tester, plan *relstore.Plan, beam []*scored, sample []logic.Atom, params ilp.Params) []*logic.Clause {
+	out := make([]*logic.Clause, len(beam)*len(sample))
+	tester.Fan("armg", len(out), func(i int) {
+		out[i] = ARMG(tester, plan, beam[i/len(sample)].clause, sample[i%len(sample)], params)
+	})
+	return out
 }
 
 // candProv is the provenance context of one scoring-batch candidate: the

@@ -1,8 +1,8 @@
 // Package coverage is the coverage-evaluation engine of §7.5.3–7.5.4: a
 // word-packed bitset replacing []bool coverage vectors, a clause-keyed memo
 // cache so the covering loop and negative-reduction re-tests stop
-// recomputing identical clauses, and batched cross-candidate scoring over a
-// worker pool with an early-termination bound.
+// recomputing identical clauses, and batched cross-candidate scoring on
+// persistent helper goroutines with an early-termination bound.
 //
 // The package is learner-agnostic: it evaluates coverage through a CoverFunc
 // provided by ilp.Tester, so both coverage modes (direct database

@@ -51,8 +51,8 @@ type Engine[P Probe] struct {
 	cache   *Cache // nil disables memoization
 	digests digestMemo
 	run     *obs.Run
-	// util accumulates pool busy/idle utilization across every pool this
-	// engine creates; nil on unobserved runs.
+	// util accumulates pool busy/idle utilization across every round this
+	// engine posts; nil on unobserved runs.
 	util *poolUtil
 }
 
@@ -101,6 +101,25 @@ func (en *Engine[P]) shardCount(items int) int {
 	return max(min(en.workers*shardOversub, items), 1)
 }
 
+// Fan runs job(0), …, job(n−1), each once, and returns when all are done.
+// With one worker it is a plain loop on the calling goroutine; otherwise
+// the jobs are one round under label, one shard per job, on at most the
+// engine's worker count of goroutines. Jobs must not depend on one
+// another; they may run coverage rounds of their own.
+func (en *Engine[P]) Fan(label string, n int, job func(i int)) {
+	if en.workers <= 1 {
+		for i := 0; i < n; i++ {
+			job(i)
+		}
+		return
+	}
+	runShards(en.run, en.util, en.workers, label, planShards(n, n), func(sh shard) {
+		for i := sh.lo; i < sh.hi; i++ {
+			job(i)
+		}
+	})
+}
+
 // CoveredSet tests the clause against every example. known, when non-nil,
 // marks examples already known covered (because the clause generalizes one
 // that covered them) and skips their tests; out-of-range known bits read
@@ -132,7 +151,7 @@ func (en *Engine[P]) scanOne(c *logic.Clause, examples []logic.Atom, known *Bits
 		sp = en.run.StartSpan("coverage_batch", obs.F("examples", len(examples)))
 	}
 	jobs := []job[P]{{clause: c, known: known, most: most}}
-	en.scan(nil, "coverage_testing", examples, en.setKey(examples), jobs)
+	en.scan("coverage_testing", examples, en.setKey(examples), jobs)
 	set := jobs[0].set
 	n := set.Count()
 	if n > most {
@@ -217,7 +236,7 @@ func (bb *bestBound) threshold() (int, bool) {
 	return int(bb.bound.Load()), true
 }
 
-// ScoreBatch evaluates candidates over the worker pool in two phases:
+// ScoreBatch evaluates candidates on the engine's workers in two phases:
 // every candidate's positive cover is computed exactly in one flattened
 // sharded round, then negative scans run in candidate index order,
 // each sharded across all workers with a cooperative abort.
@@ -245,17 +264,12 @@ func (en *Engine[P]) ScoreBatch(cands []Candidate, pos, neg []logic.Atom, floor,
 	if len(cands) == 0 {
 		return out
 	}
-	var pl *pool
-	if en.workers > 1 {
-		pl = newPool(en.workers, "candidate_scoring", en.util)
-		defer pl.close()
-	}
 
 	// Phase A: every candidate's positive cover, exact, one flattened
 	// round. Positive counts are needed in full for any score, so there
 	// is nothing to prune yet and no ordering constraint.
 	posJobs := candidateJobs[P](cands, false)
-	en.scan(pl, "candidate_scoring", pos, en.setKey(pos), posJobs)
+	en.scan("candidate_scoring", pos, en.setKey(pos), posJobs)
 	for i := range cands {
 		en.run.Inc(obs.CCandidatesScored)
 		set := posJobs[i].set
@@ -266,7 +280,7 @@ func (en *Engine[P]) ScoreBatch(cands []Candidate, pos, neg []logic.Atom, floor,
 	if floor == NoBound && keep <= 0 {
 		// Unbounded batch: the negative side flattens into one round too.
 		negJobs := candidateJobs[P](cands, true)
-		en.scan(pl, "candidate_scoring", neg, negKey, negJobs)
+		en.scan("candidate_scoring", neg, negKey, negJobs)
 		for i := range cands {
 			out[i].Neg = negJobs[i].set
 			out[i].N = out[i].Neg.Count()
@@ -279,7 +293,7 @@ func (en *Engine[P]) ScoreBatch(cands []Candidate, pos, neg []logic.Atom, floor,
 	// bound tightens as candidates complete.
 	bb := newBestBound(keep)
 	for i := range cands {
-		en.scoreNeg(pl, &out[i], cands[i], neg, negKey, floor, bb)
+		en.scoreNeg(&out[i], cands[i], neg, negKey, floor, bb)
 	}
 	return out
 }
@@ -312,7 +326,7 @@ func (en *Engine[P]) setKey(examples []logic.Atom) string {
 // The stop fires exactly when the candidate's full score crosses the bound
 // — covered negatives only accumulate — so prunedness is
 // timing-independent. negKey is SetKey(neg), computed once per batch.
-func (en *Engine[P]) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.Atom, negKey string, floor int, bb *bestBound) {
+func (en *Engine[P]) scoreNeg(s *Score, cand Candidate, neg []logic.Atom, negKey string, floor int, bb *bestBound) {
 	p := s.P
 	// limit is the strongest applicable bound: pruned ⇔ p−n ≤ limit.
 	// Beating the floor requires s > floor; surviving the shared bound
@@ -342,7 +356,7 @@ func (en *Engine[P]) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.At
 	if limit != NoBound {
 		jobs[0].most = p - limit - 1
 	}
-	en.scan(pl, "candidate_scoring", neg, negKey, jobs)
+	en.scan("candidate_scoring", neg, negKey, jobs)
 	jb := &jobs[0]
 	n := jb.set.Count()
 	if limit != NoBound && p-n <= limit {
@@ -388,19 +402,18 @@ func (jb *job[P]) prepare(cover CoverFunc[P]) func(P, logic.Atom) bool {
 	return jb.test
 }
 
-// scan runs jobs over one example list in a single round. A memoized set
-// answers a job outright. The examples of every other job that its known
-// set does not mark become (job, example) pairs, indexed arithmetically
-// and sharded over pl; a nil pl runs the round inline, or on a pool of
-// its own when the engine has workers to spare. The first worker to test
-// a job's clause prepares it, unless the round has only that job. A
-// bounded job stops at the test that pushes
-// its covered count past most, or before any test when its knowns alone
+// scan runs jobs over one example list in a single round under label. A
+// memoized set answers a job outright. The examples of every other job
+// that its known set does not mark become (job, example) pairs, indexed
+// arithmetically and sharded over the engine's workers. The first worker
+// to test a job's clause prepares it, unless the round has only that
+// job. A bounded job stops at the test that pushes its covered count past
+// most, or before any test when its knowns alone
 // do: the count only grows toward the full count, so whether a job stops
 // is the same in every schedule and for every worker count; only how many
 // tests ran before it varies. Complete sets are memoized under the list's
 // setKey; stopped ones are not, since they are partial.
-func (en *Engine[P]) scan(pl *pool, label string, examples []logic.Atom, setKey string, jobs []job[P]) {
+func (en *Engine[P]) scan(label string, examples []logic.Atom, setKey string, jobs []job[P]) {
 	n, misses := len(examples), len(jobs)
 	for i := 0; i < len(jobs) && en.cache != nil; i++ {
 		jb := &jobs[i]
@@ -448,11 +461,7 @@ func (en *Engine[P]) scan(pl *pool, label string, examples []logic.Atom, setKey 
 			// preparation: prepare it here instead.
 			active[0].prepare(en.cover)
 		}
-		if pl == nil && en.workers > 1 && pairs >= 2 {
-			pl = newPool(en.workers, label, en.util)
-			defer pl.close()
-		}
-		runShards(en.run, pl, label, planShards(pairs, en.shardCount(pairs)), func(sh shard) {
+		runShards(en.run, en.util, en.workers, label, planShards(pairs, en.shardCount(pairs)), func(sh shard) {
 			pr := en.probe()
 			for k := sh.lo; k < sh.hi; {
 				jb, lo := active[k/n], k%n

@@ -1,6 +1,8 @@
 package coverage
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,12 +11,13 @@ import (
 )
 
 // Sharded fan-out. Instead of one goroutine per example (or per
-// candidate), a scoring round flattens its work into items, splits them
-// into contiguous shards of roughly equal size, and lets a fixed pool of
-// workers pull shards off a shared atomic cursor; Engine.shardCount
-// plans shardOversub shards per worker. Boundaries only steer scheduling:
-// every item's result lands in its own slot, so the outcome of a round is
-// identical for any sharding and any worker count.
+// candidate), a round flattens its work into items, splits them into
+// contiguous shards of roughly equal size, and lets the submitting
+// goroutine and up to workers−1 persistent helpers pull shards off a
+// shared atomic cursor; Engine.shardCount plans shardOversub shards per
+// worker. Boundaries only steer scheduling: every item's result lands in
+// its own slot, so the outcome of a round is identical for any sharding
+// and any worker count.
 
 // shard is one contiguous run of work items [lo, hi).
 type shard struct{ lo, hi int }
@@ -53,9 +56,9 @@ func planShards(n, want int) []shard {
 	return out
 }
 
-// poolUtil is the utilization accumulator one engine shares across every
-// pool it creates: accumulated busy/idle worker time and drained shard
-// and task counts. A nil *poolUtil (unobserved runs) records nothing and
+// poolUtil is the utilization accumulator one engine shares across all
+// its rounds: accumulated busy/idle worker time and drained shard and
+// task counts. A nil *poolUtil (unobserved runs) records nothing and
 // costs the rounds no clock reads.
 type poolUtil struct {
 	run    *obs.Run
@@ -78,8 +81,9 @@ func newPoolUtil(run *obs.Run) *poolUtil {
 
 // roundDone folds one pooled round into the registry. Busy is the summed
 // wall time workers spent inside shard fns; idle is the rest of the
-// round's worker-time budget, workers×wall − busy: time workers spent
-// starved at the drained cursor while a straggler shard finished. The
+// round's worker-time budget, workers×wall − busy: time the round's seats
+// went unused, whether a worker sat starved at the drained cursor while a
+// straggler shard finished or no helper was free to take the seat. The
 // busy ratio is therefore in-round utilization — serial learner sections
 // between rounds are excluded by construction (their spans cover those).
 // maxChain/sumChain/active describe the round's per-worker drain chains
@@ -125,74 +129,198 @@ func (u *poolUtil) roundDone(workers, shards, tasks int, wall, busy, maxShard, s
 	u.run.Add(obs.CPoolTasks, int64(tasks))
 }
 
-// pool is a fixed set of worker goroutines reused across the rounds of
-// one ScoreBatch call, so a bounded negative scan per candidate costs a
-// round-trip on a channel instead of fresh goroutine spawns. A nil pool
-// runs everything inline (the serial path).
-type pool struct {
-	workers int
-	label   string
-	util    *poolUtil
-	tasks   chan func()
-	round   sync.WaitGroup // open tasks of the current round
-	exit    sync.WaitGroup // worker goroutine lifetimes
+// Persistent helpers. A round's submitter drains its own shards as worker
+// 0; helper goroutines, started once and shared by every round of every
+// engine in the process, join it for the rest. A round of a few hundred
+// microseconds is shorter than waking an idle vCPU, so a helper that has
+// just finished a round keeps polling for the next one for spinBound,
+// yielding its processor between polls, and only then parks; a submitter
+// wakes parked helpers with a non-blocking send. The submitter never
+// waits for a helper: once the cursor is drained it waits only for the
+// shards helpers have taken, so a round completes whether or not any
+// helper joins, and a job may submit a round of its own (nested rounds).
+//
+// An idle helper holds no reference to any round, and through it to an
+// engine, its tester or the compiled saturations they keep: it remembers
+// the last round it saw by sequence number only. A helper that kept its
+// last round's pointer would keep a finished learn alive into the next.
+
+// spinBound is how long an idle helper polls for the next round before it
+// parks. The beam loop posts rounds tens of microseconds apart; a sweep of
+// 0, 100 µs, 200 µs and 1 ms on learnbench (DESIGN.md "Sharded batch
+// scoring") chose it.
+const spinBound = time.Millisecond
+
+// helpers is the process's one set of helper goroutines.
+var helpers struct {
+	started atomic.Int32  // helpers running; never shrinks
+	posted  atomic.Uint64 // rounds posted so far: idle helpers watch it
+
+	mu   sync.Mutex
+	open []*round        // posted rounds that may still seat a helper
+	idle []chan struct{} // wake channels of parked helpers
 }
 
-// newPool starts workers goroutines whose CPU samples are labeled with
-// the given pprof phase; util (nil allowed) receives per-round
-// utilization accounting. close must be called to release the workers.
-func newPool(workers int, label string, util *poolUtil) *pool {
-	p := &pool{workers: workers, label: label, util: util, tasks: make(chan func(), workers)}
-	p.exit.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer p.exit.Done()
-			obs.WithPhaseLabel(label, func() {
-				for f := range p.tasks {
-					f()
-					p.round.Done()
-				}
-			})
-		}()
+// reserveHelpers starts helpers until at least n run: the helper count is
+// the largest worker count any round asked for, minus one.
+func reserveHelpers(n int) {
+	if int(helpers.started.Load()) >= n {
+		return
 	}
-	return p
+	helpers.mu.Lock()
+	defer helpers.mu.Unlock()
+	for int(helpers.started.Load()) < n {
+		helpers.started.Add(1)
+		go helper()
+	}
 }
 
-// runShards executes fn over every shard, workers pulling shards off a
-// shared cursor until the list is drained, and returns when all are done.
-// With a nil pool — or a single shard, where the pool's hand-off would be
-// pure overhead — the calling goroutine drains the shards itself, in
-// order, under the same sirl_phase pprof label the pool's workers carry,
-// so CPU profiles attribute inline rounds to their pipeline stage instead
-// of the caller's stack. label names that phase; a non-nil pool's own
-// label wins so both paths always agree.
+// helper joins posted rounds for as long as the process lives.
+func helper() {
+	wake := make(chan struct{}, 1)
+	for {
+		seen := helpers.posted.Load()
+		if join() {
+			continue
+		}
+		for deadline := time.Now().Add(spinBound); helpers.posted.Load() == seen && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+		helpers.mu.Lock()
+		if helpers.posted.Load() != seen {
+			helpers.mu.Unlock()
+			continue
+		}
+		helpers.idle = append(helpers.idle, wake)
+		helpers.mu.Unlock()
+		<-wake
+	}
+}
+
+// join seats the calling helper in the oldest open round that has a free
+// seat and shards left, drains that round with it, and reports whether it
+// found one. Rounds with neither leave the open list.
+func join() bool {
+	helpers.mu.Lock()
+	var r *round
+	w := 0
+	for len(helpers.open) > 0 {
+		c := helpers.open[0]
+		if c.seats > 0 && int(c.cursor.Load()) < len(c.shards) {
+			c.seats--
+			r, w = c, c.workers-1-c.seats
+			if c.seats == 0 {
+				helpers.open = slices.Delete(helpers.open, 0, 1)
+			}
+			break
+		}
+		helpers.open = slices.Delete(helpers.open, 0, 1)
+	}
+	helpers.mu.Unlock()
+	if r == nil {
+		return false
+	}
+	r.drain(w)
+	return true
+}
+
+// round is one pooled runShards call while it is open.
+type round struct {
+	shards  []shard
+	label   string
+	workers int
+	do      func(w int, sh shard)
+	cursor  atomic.Int64  // next shard to take
+	left    atomic.Int64  // shards not yet done
+	done    chan struct{} // closed when left reaches zero
+	seats   int           // helper seats still free, under helpers.mu
+}
+
+// post opens the round to the helpers and wakes as many parked ones as it
+// has seats.
+func (r *round) post() {
+	helpers.mu.Lock()
+	defer helpers.mu.Unlock()
+	helpers.open = append(helpers.open, r)
+	helpers.posted.Add(1)
+	for n := r.seats; n > 0 && len(helpers.idle) > 0; n-- {
+		last := len(helpers.idle) - 1
+		select {
+		case helpers.idle[last] <- struct{}{}:
+		default:
+		}
+		helpers.idle = helpers.idle[:last]
+	}
+}
+
+// finish is the submitter's end of a round whose cursor it has drained:
+// no helper can take a shard any more, so the round leaves the open list,
+// and finish waits only for the shards helpers took.
+func (r *round) finish() {
+	helpers.mu.Lock()
+	if i := slices.Index(helpers.open, r); i >= 0 {
+		helpers.open = slices.Delete(helpers.open, i, i+1)
+	}
+	helpers.mu.Unlock()
+	// Parking at once would idle this processor, and the helper finishing
+	// the last shard would hand the round back to it across a wakeup:
+	// poll first, as an idle helper does.
+	for deadline := time.Now().Add(spinBound); r.left.Load() > 0 && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if r.left.Load() > 0 {
+		<-r.done
+	}
+}
+
+// drain runs shards off the cursor on worker w, under the round's phase
+// label, until none are left.
+func (r *round) drain(w int) {
+	obs.WithPhaseLabel(r.label, func() {
+		for {
+			k := int(r.cursor.Add(1)) - 1
+			if k >= len(r.shards) {
+				return
+			}
+			r.do(w, r.shards[k])
+			if r.left.Add(-1) == 0 {
+				close(r.done)
+			}
+		}
+	})
+}
+
+// runShards executes fn over every shard and returns when all are done.
+// The calling goroutine drains the shards as worker 0 under the
+// sirl_phase pprof label named by label, so CPU profiles attribute every
+// round to its pipeline stage instead of the caller's stack. With more
+// than one worker and more than one shard the round is posted to the
+// helpers, and at most workers−1 of them join it; otherwise the caller
+// drains every shard, in order.
 //
 // When run records spans, every shard becomes a shard_<label> span tagged
 // with a fresh pool-round ID and the draining worker's index, parented
 // under the span open on the submitting goroutine, so a trace (the JSONL
 // file or the Chrome trace's worker tracks) shows each round's fork/join.
-// An inline round is drained as worker 0, so a trace looks the same
-// whichever path a batch took; only pooled rounds feed the utilization
-// accounting.
-func runShards(run *obs.Run, p *pool, label string, shards []shard, fn func(sh shard)) {
+// The caller is worker 0 on both paths, so a trace looks the same
+// whichever path a round took; only posted rounds feed the utilization
+// accounting in util (nil records nothing).
+func runShards(run *obs.Run, util *poolUtil, workers int, label string, shards []shard, fn func(sh shard)) {
 	if len(shards) == 0 {
 		return
 	}
-	inline := p == nil || len(shards) <= 1
+	pooled := workers > 1 && len(shards) > 1
 	var u *poolUtil
-	if p != nil {
-		label = p.label
-		if !inline {
-			u = p.util
-		}
+	if pooled {
+		u = util
 	}
 	spanning := run.Spanning()
 	var parent *obs.Span
-	var round uint64
+	var roundID uint64
 	var kind string
 	if spanning {
 		parent = run.CurrentSpan()
-		round = obs.NextPoolRound()
+		roundID = obs.NextPoolRound()
 		kind = "shard_" + label
 	}
 	var start time.Time
@@ -200,7 +328,7 @@ func runShards(run *obs.Run, p *pool, label string, shards []shard, fn func(sh s
 	var chain []int64 // per-worker drained wall time this round; disjoint indices
 	if u != nil {
 		start = time.Now()
-		chain = make([]int64, p.workers)
+		chain = make([]int64, workers)
 	}
 	// doShard runs one shard on worker w: span around it when spanning,
 	// drain-time accounting when observed — workers accumulate their busy
@@ -209,7 +337,7 @@ func runShards(run *obs.Run, p *pool, label string, shards []shard, fn func(sh s
 	doShard := func(w int, sh shard) {
 		var sp *obs.Span
 		if spanning {
-			sp = run.StartWorkerSpan(parent, kind, round, w, obs.F("tasks", sh.hi-sh.lo))
+			sp = run.StartWorkerSpan(parent, kind, roundID, w, obs.F("tasks", sh.hi-sh.lo))
 		}
 		if u == nil {
 			fn(sh)
@@ -230,35 +358,20 @@ func runShards(run *obs.Run, p *pool, label string, shards []shard, fn func(sh s
 		}
 		sp.End()
 	}
-	var cursor atomic.Int64
-	drain := func(w int) {
-		for {
-			k := int(cursor.Add(1)) - 1
-			if k >= len(shards) {
-				return
+	if !pooled {
+		obs.WithPhaseLabel(label, func() {
+			for _, sh := range shards {
+				doShard(0, sh)
 			}
-			doShard(w, shards[k])
-		}
-	}
-	if inline {
-		obs.WithPhaseLabel(label, func() { drain(0) })
+		})
 		return
 	}
-	p.round.Add(p.workers)
-	if u == nil && !spanning {
-		// Unobserved rounds keep the zero-extra-alloc submit: one shared
-		// closure, no per-worker identity needed.
-		shared := func() { drain(0) }
-		for w := 0; w < p.workers; w++ {
-			p.tasks <- shared
-		}
-	} else {
-		for w := 0; w < p.workers; w++ {
-			w := w
-			p.tasks <- func() { drain(w) }
-		}
-	}
-	p.round.Wait()
+	reserveHelpers(workers - 1)
+	r := &round{shards: shards, label: label, workers: workers, do: doShard, done: make(chan struct{}), seats: workers - 1}
+	r.left.Store(int64(len(shards)))
+	r.post()
+	r.drain(0)
+	r.finish()
 	if u != nil {
 		tasks := 0
 		for _, sh := range shards {
@@ -275,17 +388,8 @@ func runShards(run *obs.Run, p *pool, label string, shards []shard, fn func(sh s
 				}
 			}
 		}
-		u.roundDone(p.workers, len(shards), tasks, time.Since(start),
+		u.roundDone(workers, len(shards), tasks, time.Since(start),
 			time.Duration(busy.Load()), time.Duration(maxShard.Load()), time.Duration(sumShard.Load()),
 			time.Duration(maxChain), time.Duration(sumChain), active)
 	}
-}
-
-// close shuts the workers down and waits for them to exit.
-func (p *pool) close() {
-	if p == nil {
-		return
-	}
-	close(p.tasks)
-	p.exit.Wait()
 }

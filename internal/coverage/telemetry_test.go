@@ -58,13 +58,13 @@ func assertLabeledWhileBlocked(t *testing.T, phase string, body func(entered cha
 	}
 }
 
-// The inline fallback (nil pool) must carry the same pprof phase label as
-// pooled workers, so single-shard batches attribute correctly in CPU
-// profiles — the misattribution bug this PR fixes.
+// The inline path (one worker) must carry the same pprof phase label as
+// posted rounds, so single-worker batches attribute correctly in CPU
+// profiles.
 func TestRunShardsLabelsInlinePath(t *testing.T) {
 	assertLabeledWhileBlocked(t, "test_inline_phase", func(entered chan<- struct{}, release <-chan struct{}) {
 		first := true
-		runShards(nil, nil, "test_inline_phase", []shard{{0, 1}}, func(sh shard) {
+		runShards(nil, nil, 1, "test_inline_phase", []shard{{0, 1}}, func(sh shard) {
 			if first {
 				first = false
 				close(entered)
@@ -74,14 +74,12 @@ func TestRunShardsLabelsInlinePath(t *testing.T) {
 	})
 }
 
-// A single-shard round on a live pool also runs inline — under the
-// pool's own label, so both paths always agree.
+// A single-shard round with workers to spare also runs inline, under the
+// round's label, so both paths always agree.
 func TestRunShardsLabelsSingleShardOnPool(t *testing.T) {
-	pl := newPool(2, "test_pool_phase", nil)
-	defer pl.close()
 	assertLabeledWhileBlocked(t, "test_pool_phase", func(entered chan<- struct{}, release <-chan struct{}) {
 		first := true
-		runShards(nil, pl, "caller_label_must_lose", []shard{{0, 1}}, func(sh shard) {
+		runShards(nil, nil, 2, "test_pool_phase", []shard{{0, 1}}, func(sh shard) {
 			if first {
 				first = false
 				close(entered)
@@ -92,13 +90,11 @@ func TestRunShardsLabelsSingleShardOnPool(t *testing.T) {
 }
 
 func TestRunShardsLabelsPooledWorkers(t *testing.T) {
-	pl := newPool(2, "test_worker_phase", nil)
-	defer pl.close()
 	assertLabeledWhileBlocked(t, "test_worker_phase", func(entered chan<- struct{}, release <-chan struct{}) {
 		var once bool
 		var mu = make(chan struct{}, 1)
 		mu <- struct{}{}
-		runShards(nil, pl, "test_worker_phase", []shard{{0, 1}, {1, 2}, {2, 3}}, func(sh shard) {
+		runShards(nil, nil, 2, "test_worker_phase", []shard{{0, 1}, {1, 2}, {2, 3}}, func(sh shard) {
 			<-mu
 			first := !once
 			once = true
@@ -327,10 +323,10 @@ func (c *shardSpans) records() []shardSpan {
 	return append([]shardSpan(nil), c.spans...)
 }
 
-// TestRunShardsEmitsWorkerSpans: with a spanning run, every shard — pooled
-// or inline — emits a worker span tagged with the pool round and parented
-// under the span that submitted the round, so a trace sees both code
-// paths identically.
+// TestRunShardsEmitsWorkerSpans: with a spanning run, every shard — posted
+// to the helpers or inline — emits a worker span tagged with the pool
+// round and parented under the span that submitted the round, so a trace
+// sees both code paths identically.
 func TestRunShardsEmitsWorkerSpans(t *testing.T) {
 	reg := obs.NewRegistry()
 	sink := &shardSpans{}
@@ -338,11 +334,9 @@ func TestRunShardsEmitsWorkerSpans(t *testing.T) {
 	parent := run.StartSpan("learn")
 
 	util := newPoolUtil(run)
-	pl := newPool(2, "test_span_phase", util)
-	runShards(run, pl, "caller_label_must_lose", planShards(40, 8), func(sh shard) {
+	runShards(run, util, 2, "test_span_phase", planShards(40, 8), func(sh shard) {
 		time.Sleep(100 * time.Microsecond)
 	})
-	pl.close()
 	pooled := sink.records()
 	if len(pooled) < 2 {
 		t.Fatalf("pooled path emitted %d spans, want >= 2", len(pooled))
@@ -350,7 +344,7 @@ func TestRunShardsEmitsWorkerSpans(t *testing.T) {
 	round := pooled[0].round
 	for _, rec := range pooled {
 		if rec.name != "shard_test_span_phase" {
-			t.Errorf("span name = %q, want shard_test_span_phase (pool label wins)", rec.name)
+			t.Errorf("span name = %q, want shard_test_span_phase (the round's label)", rec.name)
 		}
 		if rec.round != round || rec.round == 0 {
 			t.Errorf("span round = %d, want uniform non-zero %d", rec.round, round)
@@ -372,8 +366,8 @@ func TestRunShardsEmitsWorkerSpans(t *testing.T) {
 		t.Errorf("pool_straggler_ratio_max %v < wall-weighted ratio %v", srm, reg.Gauge(obs.GPoolStraggler))
 	}
 
-	// Inline path (nil pool): same tags, worker 0, a fresh round per call.
-	runShards(run, nil, "inline_phase", planShards(4, 2), func(sh shard) {})
+	// Inline path (one worker): same tags, worker 0, a fresh round per call.
+	runShards(run, nil, 1, "inline_phase", planShards(4, 2), func(sh shard) {})
 	inline := sink.records()[len(pooled):]
 	if len(inline) == 0 {
 		t.Fatal("inline path emitted no spans")
@@ -404,13 +398,11 @@ func TestRunShardsEmitsWorkerSpans(t *testing.T) {
 	}
 }
 
-// Unobserved runs must emit no spans and take the shared-closure path:
-// every shard still runs, exactly once.
+// Unobserved runs must emit no spans and take no clock reads: every
+// shard still runs, exactly once.
 func TestRunShardsUnobservedEmitsNothing(t *testing.T) {
-	pl := newPool(2, "test_unobserved", nil)
-	defer pl.close()
 	var items atomic.Int64
-	runShards(nil, pl, "x", planShards(10, 4), func(sh shard) { items.Add(int64(sh.hi - sh.lo)) })
+	runShards(nil, nil, 2, "x", planShards(10, 4), func(sh shard) { items.Add(int64(sh.hi - sh.lo)) })
 	if got := items.Load(); got != 10 {
 		t.Errorf("unobserved run drained %d items, want 10", got)
 	}

@@ -21,17 +21,18 @@ type Metrics struct {
 
 // Evaluate scores a definition against labeled examples on the instance.
 func Evaluate(inst *relstore.Instance, def *logic.Definition, pos, neg []logic.Atom) Metrics {
-	var m Metrics
-	for _, e := range pos {
-		if def != nil && inst.DefinitionCovers(def, e) {
-			m.TP++
-		} else {
-			m.FN++
+	m := Metrics{FN: len(pos)}
+	if def != nil {
+		for _, ok := range inst.DefinitionCoverage(def, pos) {
+			if ok {
+				m.TP++
+				m.FN--
+			}
 		}
-	}
-	for _, e := range neg {
-		if def != nil && inst.DefinitionCovers(def, e) {
-			m.FP++
+		for _, ok := range inst.DefinitionCoverage(def, neg) {
+			if ok {
+				m.FP++
+			}
 		}
 	}
 	if m.TP+m.FP > 0 {

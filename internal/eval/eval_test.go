@@ -1,8 +1,12 @@
 package eval
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/castor"
+	"repro/internal/datasets"
+	"repro/internal/ilp"
 	"repro/internal/logic"
 	"repro/internal/relstore"
 )
@@ -115,5 +119,89 @@ func TestKFoldDeterministic(t *testing.T) {
 	// k < 2 clamps to 2.
 	if got := KFold(1, pos, pos, 0); len(got) != 2 {
 		t.Errorf("clamp failed: %d", len(got))
+	}
+}
+
+// TestDefinitionCoverageMatchesPerExample learns Castor's definitions on
+// the four UW-CSE schemas, in both coverage modes and at two seeds, and
+// checks that testing each against the whole example list at once (one
+// Compile per clause, one prober) answers as CoversExample does clause by
+// clause and one example at a time, with the same store statistics, and
+// that Evaluate's counts follow those answers. Some of the definitions
+// must have more than one clause, so that an example a clause covers
+// skips the clauses after it.
+func TestDefinitionCoverageMatchesPerExample(t *testing.T) {
+	multi := 0
+	for _, seed := range []int64{1, 20261017} {
+		cfg := datasets.DefaultUWCSE()
+		cfg.Seed = seed
+		ds, err := datasets.GenerateUWCSE(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []ilp.CoverageMode{ilp.CoverageDB, ilp.CoverageSubsumption} {
+			params := ilp.Defaults()
+			params.Parallelism, params.Seed, params.CoverageMode = 1, seed, mode
+			for _, v := range ds.Variants {
+				prob, err := ds.Problem(v.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				def, err := castor.New().Learn(prob, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if def.Len() > 1 {
+					multi++
+				}
+				checkDefinitionCoverage(t, prob, def)
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no learned definition has more than one clause")
+	}
+}
+
+// checkDefinitionCoverage compares DefinitionCoverage and Evaluate on one
+// learned definition against CoversExample one clause and example at a
+// time.
+func checkDefinitionCoverage(t *testing.T, prob *ilp.Problem, def *logic.Definition) {
+	t.Helper()
+	inst := prob.Instance
+	examples := append(append([]logic.Atom(nil), prob.Pos...), prob.Neg...)
+	s0 := inst.StoreStats()
+	each := make([]bool, len(examples))
+	for j, e := range examples {
+		for _, c := range def.Clauses {
+			if each[j] = inst.CoversExample(c, e); each[j] {
+				break
+			}
+		}
+	}
+	s1 := inst.StoreStats()
+	all := inst.DefinitionCoverage(def, examples)
+	s2 := inst.StoreStats()
+	if !reflect.DeepEqual(all, each) {
+		t.Errorf("%v: DefinitionCoverage %v, CoversExample one by one %v", def, all, each)
+	}
+	for rel, s := range s2 {
+		if d1, d2 := s1[rel].Sub(s0[rel]), s.Sub(s1[rel]); d1 != d2 {
+			t.Errorf("%v: %s statistics %+v one by one, %+v at once", def, rel, d1, d2)
+		}
+	}
+	var want Metrics
+	for j, ok := range each {
+		switch pos := j < len(prob.Pos); {
+		case pos && ok:
+			want.TP++
+		case pos:
+			want.FN++
+		case ok:
+			want.FP++
+		}
+	}
+	if m := Evaluate(inst, def, prob.Pos, prob.Neg); m.TP != want.TP || m.FP != want.FP || m.FN != want.FN {
+		t.Errorf("%v: Evaluate %v, per-example counts tp=%d fp=%d fn=%d", def, m, want.TP, want.FP, want.FN)
 	}
 }

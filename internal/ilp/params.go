@@ -40,9 +40,10 @@ type Params struct {
 	// covering-loop safety net. 0 means unlimited.
 	MaxClauses int
 	// Parallelism is the number of goroutines used for coverage testing
-	// (§7.5.3). 0 or 1 means sequential; Defaults uses runtime.NumCPU().
-	// The tester clamps the pool to the example count, so small example
-	// sets degrade to sequential regardless.
+	// (§7.5.3) and for Castor's and ProGolem's ARMG generation, the
+	// learner's own goroutine included. 0 or 1 means sequential; Defaults
+	// uses runtime.NumCPU(). A round has at most one shard per item, so a
+	// round of one item runs on the learner's goroutine alone.
 	Parallelism int
 	// Seed drives all randomized choices (example sampling); learners are
 	// deterministic given the seed.

@@ -14,7 +14,7 @@ import (
 // Tester decides clause coverage of examples, in one of two modes
 // (§7.5.3): direct evaluation against the indexed store, or θ-subsumption
 // against the example's ground bottom clause. Evaluation runs on a
-// coverage.Engine: example sets shard over a worker pool (Parallelism),
+// coverage.Engine: example sets shard over Parallelism workers,
 // whole results are memoized by canonical clause form, candidate batches
 // score concurrently with an early-termination bound, and the
 // known-covered shortcut implements the paper's coverage caching (§7.5.4).
@@ -404,10 +404,20 @@ func (t *Tester) PosNeg(c *logic.Clause, pos, neg []logic.Atom, knownPos, knownN
 	return t.Count(c, pos, knownPos), t.Count(c, neg, knownNeg)
 }
 
-// ScoreBatch scores independent candidates concurrently over the worker
-// pool. floor, unless coverage.NoBound, is a compression score (p−n) that
-// candidates must strictly beat: ones that provably cannot are abandoned
-// mid-scan and returned with Pruned set. keep > 0 is the caller's beam
+// Fan runs job(0), …, job(n−1) on the coverage engine's rounds, one
+// shard per job under the pprof phase and shard span label: on the
+// calling goroutine alone at Parallelism 1, else on at most Parallelism
+// goroutines, the caller included. The jobs must be independent; a job
+// may test coverage itself. Learners generate a beam round's ARMGs with
+// it, each job writing its own result slot.
+func (t *Tester) Fan(label string, n int, job func(i int)) {
+	t.engine.Fan(label, n, job)
+}
+
+// ScoreBatch scores independent candidates concurrently on the coverage
+// engine's workers. floor, unless coverage.NoBound, is a compression
+// score (p−n) that candidates must strictly beat: ones that provably
+// cannot are abandoned mid-scan and returned with Pruned set. keep > 0 is the caller's beam
 // width, arming the engine's shared best-score bound: candidates that
 // provably cannot crack the top keep completed scores of this batch are
 // abandoned too. Pass keep ≤ 0 when exact counts are needed for every

@@ -37,25 +37,49 @@ func IsSafeDefinition(d *Definition) bool {
 // literals sharing no variable chain with the head are not.
 // The returned slice parallels c.Body.
 func HeadConnected(c *Clause) []bool {
-	connected := make([]bool, len(c.Body))
-	reach := make(map[string]bool)
-	for _, v := range c.Head.Vars() {
-		reach[v] = true
+	// Variables get dense ids, and each literal's variables become a run
+	// of ids in one arena, once per call: the fixpoint passes read ids.
+	n := len(c.Head.Args)
+	for _, a := range c.Body {
+		n += len(a.Args)
 	}
+	ids := make(map[string]int32, len(c.Body)) // about one variable per literal
+	id := func(name string) int32 {
+		v, ok := ids[name]
+		if !ok {
+			v = int32(len(ids))
+			ids[name] = v
+		}
+		return v
+	}
+	reach := make([]bool, n) // by variable id
+	for _, t := range c.Head.Args {
+		if t.IsVar {
+			reach[id(t.Name)] = true
+		}
+	}
+	vars := make([]int32, 0, n) // literal i's ids are vars[ends[i-1]:ends[i]]
+	ends := make([]int, len(c.Body))
+	for i, a := range c.Body {
+		for _, t := range a.Args {
+			if t.IsVar {
+				vars = append(vars, id(t.Name))
+			}
+		}
+		ends[i] = len(vars)
+	}
+	connected := make([]bool, len(c.Body))
 	for changed := true; changed; {
 		changed = false
-		for i, a := range c.Body {
+		lo := 0
+		for i, hi := range ends {
+			lit := vars[lo:hi]
+			lo = hi
 			if connected[i] {
 				continue
 			}
-			vars := a.Vars()
-			if len(vars) == 0 {
-				connected[i] = true
-				changed = true
-				continue
-			}
-			touches := false
-			for _, v := range vars {
+			touches := len(lit) == 0
+			for _, v := range lit {
 				if reach[v] {
 					touches = true
 					break
@@ -66,10 +90,8 @@ func HeadConnected(c *Clause) []bool {
 			}
 			connected[i] = true
 			changed = true
-			for _, v := range vars {
-				if !reach[v] {
-					reach[v] = true
-				}
+			for _, v := range lit {
+				reach[v] = true
 			}
 		}
 	}

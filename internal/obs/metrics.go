@@ -33,8 +33,8 @@ type Registry struct {
 	storeDone map[string]StoreStat
 }
 
-// Pool-utilization gauge names. The coverage engine's worker pool
-// maintains them (see internal/coverage): busy/idle are accumulated
+// Pool-utilization gauge names. The coverage engine's rounds maintain
+// them (see internal/coverage): busy/idle are accumulated
 // worker-seconds inside scoring rounds, the ratio is busy/(busy+idle)
 // over the whole run, and the imbalance gauge is the worst observed
 // max-shard-over-mean-shard wall-time ratio of any round. Per-shard drain

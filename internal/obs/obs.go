@@ -106,8 +106,9 @@ const (
 	// run's heartbeat counter made no forward progress for the configured
 	// stall duration.
 	CWatchdogStalls
-	// CPoolRounds counts scoring rounds executed by the coverage worker
-	// pool (one runShards drain over a planned shard list).
+	// CPoolRounds counts rounds the coverage engine posted to its helpers
+	// (one runShards drain over a planned shard list: a scan, a scoring
+	// round or an ARMG fan-out).
 	CPoolRounds
 	// CPoolShards counts shards drained by pool workers across all rounds.
 	CPoolShards

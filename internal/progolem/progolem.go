@@ -50,6 +50,18 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 	return def, err
 }
 
+// scored is one beam entry with its coverage, which its generalizations
+// inherit as §7.5.4 knowns.
+type scored struct {
+	clause   *logic.Clause
+	pos, neg *coverage.Bitset
+	score    float64
+
+	provID     uint64 // provenance node once the disposition is known
+	provParent uint64
+	provSeed   string
+}
+
 // learnClause runs the beam search over ARMGs of the seed's bottom clause.
 func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *ilp.Rand, uncovered []logic.Atom) *logic.Clause {
 	run := params.Obs
@@ -73,15 +85,6 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 		})
 	}
 
-	type scored struct {
-		clause   *logic.Clause
-		pos, neg *coverage.Bitset
-		score    float64
-
-		provID     uint64 // provenance node once the disposition is known
-		provParent uint64
-		provSeed   string
-	}
 	evaluate := func(c *logic.Clause) scored {
 		pc := tester.CoveredSet(c, uncovered, nil)
 		nc := tester.CoveredSet(c, prob.Neg, nil)
@@ -109,32 +112,31 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 		}
 		sample := ilp.SampleAtoms(rng, uncovered, k)
 		// ARMGs drop literals, so each candidate generalizes its beam
-		// parent and inherits its covered sets as §7.5.4 knowns; the batch
-		// then scores concurrently, abandoning candidates that provably
-		// cannot beat the current best (they would not enter the beam).
+		// parent and inherits its covered sets as §7.5.4 knowns. They are
+		// generated as independent jobs; the batch then scores
+		// concurrently, abandoning candidates that provably cannot beat
+		// the current best (they would not enter the beam).
 		var cands []coverage.Candidate
 		type candProv struct {
 			parent uint64
 			seed   string
 		}
 		var cmeta []candProv // aligned with cands; built only when recording
-		for _, b := range beam {
-			for _, e := range sample {
-				g := ARMG(tester, b.clause, e)
-				if g == nil || g.Equal(b.clause) {
-					if g != nil && prov.Enabled() {
-						prov.Node(obs.ProvNode{
-							Parents: []uint64{b.provID}, Step: obs.StepARMG, Seed: e.String(),
-							Clause: g.String(), Literals: len(g.Body),
-							Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispPrunedDuplicate,
-						})
-					}
-					continue
+		for i, g := range armgs(tester, beam, sample) {
+			b, e := beam[i/len(sample)], sample[i%len(sample)]
+			if g == nil || g.Equal(b.clause) {
+				if g != nil && prov.Enabled() {
+					prov.Node(obs.ProvNode{
+						Parents: []uint64{b.provID}, Step: obs.StepARMG, Seed: e.String(),
+						Clause: g.String(), Literals: len(g.Body),
+						Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispPrunedDuplicate,
+					})
 				}
-				cands = append(cands, coverage.Candidate{Clause: g, KnownPos: b.pos, KnownNeg: b.neg})
-				if prov.Enabled() {
-					cmeta = append(cmeta, candProv{parent: b.provID, seed: e.String()})
-				}
+				continue
+			}
+			cands = append(cands, coverage.Candidate{Clause: g, KnownPos: b.pos, KnownNeg: b.neg})
+			if prov.Enabled() {
+				cmeta = append(cmeta, candProv{parent: b.provID, seed: e.String()})
 			}
 		}
 		var newCands []scored
@@ -213,6 +215,18 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 		return nil
 	}
 	return reduced
+}
+
+// armgs generalizes every beam entry toward every sampled example on the
+// tester's rounds. The ARMG of beam[i] toward sample[j] lands at index
+// i·len(sample)+j, so the caller reads them in the order a serial loop
+// over the beam and then the sample would make them.
+func armgs(tester *ilp.Tester, beam []scored, sample []logic.Atom) []*logic.Clause {
+	out := make([]*logic.Clause, len(beam)*len(sample))
+	tester.Fan("armg", len(out), func(i int) {
+		out[i] = ARMG(tester, beam[i/len(sample)].clause, sample[i%len(sample)])
+	})
+	return out
 }
 
 // ARMG implements Algorithm 3: drop blocking atoms (and literals left

@@ -535,12 +535,25 @@ func (i *Instance) CoversExample(c *logic.Clause, e logic.Atom) bool {
 
 // DefinitionCovers reports whether any clause of the definition covers e.
 func (i *Instance) DefinitionCovers(d *logic.Definition, e logic.Atom) bool {
+	return i.DefinitionCoverage(d, []logic.Atom{e})[0]
+}
+
+// DefinitionCoverage reports, for each example, whether any clause of the
+// definition covers it, with one Compile per clause and every test on one
+// prober. An example is tested against the clauses in order until one
+// covers it, so testing a list at once makes the same tests, and the same
+// store statistics, as testing its examples one at a time.
+func (i *Instance) DefinitionCoverage(d *logic.Definition, examples []logic.Atom) []bool {
+	out := make([]bool, len(examples))
+	p := i.prober()
+	defer i.done(p)
 	for _, c := range d.Clauses {
-		if i.CoversExample(c, e) {
-			return true
+		q := i.Compile(c)
+		for j, e := range examples {
+			out[j] = out[j] || q.CoversWith(p, e)
 		}
 	}
-	return false
+	return out
 }
 
 // EvalClause computes the result of applying the clause to the instance:
