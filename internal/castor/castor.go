@@ -48,10 +48,6 @@ func (l *Learner) Name() string { return "Castor" }
 // is attempted.
 const reduceCutoff = 200
 
-// maxINDJoin caps how many partner tuples one tuple may pull in through a
-// single IND hop during bottom-clause construction (the paper uses 10).
-const maxINDJoin = 10
-
 // Learn implements ilp.Learner.
 func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition, error) {
 	// Leave crash evidence behind: a panic anywhere in the learn dumps the
@@ -70,12 +66,15 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 		schema = prob.Instance.PromoteEqualityINDs()
 	}
 	run := params.Obs
-	var bld *builder
+	newBuilder := func() *ilp.Builder {
+		run.Inc(obs.CPlanCompiles)
+		return ilp.NewBuilder(prob, relstore.CompilePlan(schema, params.SubsetINDs))
+	}
+	var bld *ilp.Builder
 	if params.UseStoredProc {
 		// Compiled once and reused across every bottom clause — the
 		// stored-procedure configuration (§7.5.2).
-		bld = newBuilder(prob, relstore.CompilePlan(schema, params.SubsetINDs))
-		run.Inc(obs.CPlanCompiles)
+		bld = newBuilder()
 	}
 	tester := ilp.NewTester(prob, params)
 	if params.CoverageMode == ilp.CoverageSubsumption {
@@ -84,11 +83,9 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 		// schema dependence at the coverage level.
 		sat := bld
 		if sat == nil {
-			sat = newBuilder(prob, relstore.CompilePlan(schema, params.SubsetINDs))
-			run.Inc(obs.CPlanCompiles)
+			sat = newBuilder()
 		}
-		sat.compileInto(tester.Space())
-		tester.CompileSat = func(e logic.Atom) *subsume.Compiled { return sat.compile(e, params) }
+		tester.UseBuilder(sat)
 	}
 	rng := ilp.NewRand(params.Seed)
 	learn := func(uncovered []logic.Atom) (*logic.Clause, error) {
@@ -96,8 +93,7 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 		if b == nil {
 			// The no-stored-procedures configuration recompiles per clause;
 			// the plan_compiles counter makes that §7.5.2 cost visible.
-			b = newBuilder(prob, relstore.CompilePlan(schema, params.SubsetINDs))
-			run.Inc(obs.CPlanCompiles)
+			b = newBuilder()
 		}
 		return l.learnClause(prob, params, tester, rng, b, uncovered), nil
 	}
@@ -136,7 +132,7 @@ const maxSeedTries = 3
 
 // learnClause is Algorithm 4, retrying with the next uncovered seed when a
 // seed yields no acceptable clause.
-func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *ilp.Rand, bld *builder, uncovered []logic.Atom) *logic.Clause {
+func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *ilp.Rand, bld *ilp.Builder, uncovered []logic.Atom) *logic.Clause {
 	tries := maxSeedTries
 	if tries > len(uncovered) {
 		tries = len(uncovered)
@@ -160,9 +156,9 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 
 // learnClauseFromSeed runs the beam search of Algorithm 4 for the seed
 // uncovered[try].
-func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *ilp.Rand, bld *builder, uncovered []logic.Atom, try int) *logic.Clause {
+func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *ilp.Rand, bld *ilp.Builder, uncovered []logic.Atom, try int) *logic.Clause {
 	run := params.Obs
-	plan := bld.plan
+	plan := bld.Plan()
 	prov := run.Prov()
 	seed := uncovered[try]
 	var sb *obs.Span
@@ -174,7 +170,7 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 	if prov.Enabled() {
 		// Same construction, with the chase reporting which INDs fired.
 		fired := make(map[string]int64)
-		bottom = ilp.Variablize(prob, bld.build(seed, params, fired))
+		bottom = ilp.Variablize(prob, bld.Build(seed, params, fired))
 		for name := range fired {
 			bottomINDs = append(bottomINDs, name)
 		}
@@ -183,7 +179,7 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 			prov.INDFired(name, fired[name])
 		}
 	} else {
-		bottom = ilp.Variablize(prob, bld.build(seed, params, nil))
+		bottom = ilp.Variablize(prob, bld.Build(seed, params, nil))
 	}
 	sb.Annotate(obs.F("literals", len(bottom.Body)), obs.F("vars", bottom.NumVars()))
 	sb.End()

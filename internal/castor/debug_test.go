@@ -39,9 +39,7 @@ func TestIMDbLearnsExactDefinition(t *testing.T) {
 		t.Errorf("bottom clause flooded: %d literals", len(bc.Body))
 	}
 	tester := ilp.NewTester(prob, params)
-	tester.SatFn = func(ex logic.Atom) *logic.Clause {
-		return GroundBottomClause(prob, plan, ex, params)
-	}
+	tester.UseBuilder(ilp.NewBuilder(prob, plan))
 	if !tester.Covers(bc, e) {
 		t.Fatal("bottom clause does not cover its own seed")
 	}

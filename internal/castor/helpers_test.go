@@ -166,10 +166,10 @@ func TestARMGFanOutMatchesSerial(t *testing.T) {
 			params.CoverageMode = mode
 			tester, bld := coverageTester(prob, params)
 			sample := prob.Pos[1:9]
-			beam := []*scored{{clause: BottomClause(prob, bld.plan, prob.Pos[0], params)}}
+			beam := []*scored{{clause: BottomClause(prob, bld.Plan(), prob.Pos[0], params)}}
 			var rounds [][]string
 			for round := 0; round < 2; round++ {
-				gens := armgs(tester, bld.plan, beam, sample, params)
+				gens := armgs(tester, bld.Plan(), beam, sample, params)
 				if len(gens) != len(beam)*len(sample) {
 					t.Fatalf("%d ARMGs of %d entries toward %d examples", len(gens), len(beam), len(sample))
 				}

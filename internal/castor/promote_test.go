@@ -130,9 +130,7 @@ func TestCastorCoverageModesAgree(t *testing.T) {
 	subParams := ilp.Defaults()
 	subParams.CoverageMode = ilp.CoverageSubsumption
 	subTester := ilp.NewTester(prob, subParams)
-	subTester.SatFn = func(e logic.Atom) *logic.Clause {
-		return GroundBottomClause(prob, plan, e, subParams)
-	}
+	subTester.UseBuilder(ilp.NewBuilder(prob, plan))
 	dbTester := ilp.NewTester(prob, ilp.Defaults())
 	clauses := []*logic.Clause{
 		logic.MustParseClause("advisedBy(X,Y) :- publication(P,X), publication(P,Y), hasPosition(Y,faculty)."),

@@ -39,9 +39,10 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 		return nil, err
 	}
 	tester := ilp.NewTester(prob, params)
+	bld := ilp.NewBuilder(prob, nil)
 	rng := ilp.NewRand(params.Seed)
 	learn := func(uncovered []logic.Atom) (*logic.Clause, error) {
-		return l.learnClause(prob, params, tester, rng, uncovered), nil
+		return l.learnClause(prob, params, tester, bld, rng, uncovered), nil
 	}
 	run := params.Obs
 	sp := run.StartSpan("learn",
@@ -57,7 +58,7 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 
 // learnClause is Algorithm 2: rlggs of sampled example pairs, then greedy
 // extension.
-func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *ilp.Rand, uncovered []logic.Atom) *logic.Clause {
+func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, bld *ilp.Builder, rng *ilp.Rand, uncovered []logic.Atom) *logic.Clause {
 	run := params.Obs
 	prov := run.Prov()
 	k := params.Sample
@@ -68,25 +69,31 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 	if len(sample) < 2 {
 		return nil
 	}
-	satIDs := make(map[string]uint64) // example key → seed_bottom node
+	// Each example is saturated once per clause search, however many pairs
+	// and extensions it takes part in.
+	sats := make(map[string]*logic.Clause) // example key → saturation
+	satIDs := make(map[string]uint64)      // example key → seed_bottom node
 	saturate := func(e logic.Atom) *logic.Clause {
+		key := e.Key()
+		if sat, ok := sats[key]; ok {
+			return sat
+		}
 		var sb *obs.Span
 		if run.Spanning() {
 			sb = run.StartSpan("bottom_clause", obs.F("seed", e.String()))
 		}
-		sat := ilp.Saturation(prob, e, params.Depth, params.MaxRecall)
+		sat := bld.Build(e, params, nil)
 		sb.Annotate(obs.F("literals", len(sat.Body)))
 		sb.End()
 		run.Inc(obs.CBottomClauses)
 		run.Add(obs.CBottomLiterals, int64(len(sat.Body)))
+		sats[key] = sat
 		if prov.Enabled() {
-			if _, ok := satIDs[e.Key()]; !ok {
-				satIDs[e.Key()] = prov.Node(obs.ProvNode{
-					Step: obs.StepSeedBottom, Seed: e.String(),
-					Clause: sat.String(), Literals: len(sat.Body),
-					Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispKept,
-				})
-			}
+			satIDs[key] = prov.Node(obs.ProvNode{
+				Step: obs.StepSeedBottom, Seed: e.String(),
+				Clause: sat.String(), Literals: len(sat.Body),
+				Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispKept,
+			})
 		}
 		return sat
 	}
@@ -98,10 +105,10 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 	}
 	var best *cand
 	sg := run.StartSpan("rlgg_generation", obs.F("sample", len(sample)))
-	// Pairwise rlggs are independent: generate them serially (the
-	// saturations are shared across pairs), then score the whole batch
-	// concurrently. No bound here — AcceptClause needs exact counts while
-	// best is still unknown.
+	// Pairwise rlggs are independent: generate them serially (each
+	// saturation is built once and shared across pairs), then score the
+	// whole batch concurrently. No bound here — AcceptClause needs exact
+	// counts while best is still unknown.
 	var pairs []coverage.Candidate
 	type pairProv struct {
 		parents []uint64

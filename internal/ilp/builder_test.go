@@ -1,0 +1,313 @@
+package ilp_test
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"testing/quick"
+
+	"repro/internal/datasets"
+	"repro/internal/ilp"
+	"repro/internal/logic"
+	"repro/internal/relstore"
+)
+
+// nameSaturation is the string-keyed construction the builder's classic
+// policy replaced, kept as its reference: constants are names, literals
+// dedupe by Atom.Key, and every scan materializes its tuples through
+// Table.TuplesContaining.
+func nameSaturation(prob *ilp.Problem, e logic.Atom, depth, maxRecall int) *logic.Clause {
+	c := &logic.Clause{Head: e.Clone()}
+	schema := prob.Instance.Schema()
+
+	known := make(map[string]bool)
+	var frontier []string // constants added in the previous iteration
+	addConst := func(v string) {
+		if !known[v] {
+			known[v] = true
+			frontier = append(frontier, v)
+		}
+	}
+	for _, t := range e.Args {
+		addConst(t.Name)
+	}
+	seenAtoms := make(map[string]bool)
+
+	for iter := 0; iter < depth && len(frontier) > 0; iter++ {
+		chase := frontier
+		frontier = nil
+		var discovered []string
+		for _, rel := range schema.Relations() {
+			table := prob.Instance.Table(rel.Name)
+			if table == nil {
+				continue
+			}
+			collected := 0
+			for _, cst := range chase {
+				if maxRecall > 0 && collected >= maxRecall {
+					break
+				}
+				for _, tp := range table.TuplesContaining(cst) {
+					if maxRecall > 0 && collected >= maxRecall {
+						break
+					}
+					atom := logic.GroundAtom(rel.Name, tp...)
+					k := atom.Key()
+					if seenAtoms[k] {
+						continue
+					}
+					seenAtoms[k] = true
+					c.Body = append(c.Body, atom)
+					collected++
+					for pos, v := range tp {
+						if prob.IsValueAttr(schema, rel.Attrs[pos]) {
+							continue
+						}
+						if !known[v] {
+							known[v] = true
+							discovered = append(discovered, v)
+						}
+					}
+				}
+			}
+		}
+		frontier = discovered
+	}
+	return c
+}
+
+// randomProblem builds a small random instance: up to four relations of
+// arity 1–3 over five attributes, two of them value domains, tuples over
+// eight constants, indexed or not, and a binary target.
+func randomProblem(r *rand.Rand) *ilp.Problem {
+	attrs := []string{"a", "b", "c", "v", "w"}
+	schema := relstore.NewSchema()
+	schema.SetDomain("b", "a") // a shared domain: b's constants chase like a's
+	for k := 1 + r.Intn(4); k > 0; k-- {
+		perm := r.Perm(len(attrs))
+		var rel []string
+		for _, i := range perm[:1+r.Intn(3)] {
+			rel = append(rel, attrs[i])
+		}
+		schema.MustAddRelation(fmt.Sprint("r", k), rel...)
+	}
+	inst := relstore.NewInstance(schema)
+	if r.Intn(3) == 0 {
+		inst = relstore.NewUnindexedInstance(schema)
+	}
+	for _, rel := range schema.Relations() {
+		for n := r.Intn(12); n > 0; n-- {
+			tp := make([]string, rel.Arity())
+			for i := range tp {
+				tp[i] = fmt.Sprint("c", r.Intn(8))
+			}
+			if err := inst.Insert(rel.Name, tp...); err != nil {
+				panic(err)
+			}
+		}
+	}
+	var pos []logic.Atom
+	for n := 1 + r.Intn(4); n > 0; n-- {
+		args := make([]string, 2)
+		for i := range args {
+			args[i] = fmt.Sprint("c", r.Intn(8))
+			if r.Intn(5) == 0 {
+				args[i] = fmt.Sprint("unknown", r.Intn(2))
+			}
+		}
+		pos = append(pos, logic.GroundAtom("t", args...))
+	}
+	return &ilp.Problem{
+		Instance:   inst,
+		Target:     &relstore.Relation{Name: "t", Attrs: []string{"a", "c"}},
+		Pos:        pos,
+		ValueAttrs: map[string]bool{"v": true, "w": r.Intn(2) == 0},
+	}
+}
+
+// TestQuickSaturationMatchesNamePath: on random small instances, depths
+// and recall caps, the builder's classic policy builds the clause the
+// string-keyed construction builds and leaves the same per-table store
+// statistics, whatever MaxVars and UseStoredProc say, and so does the
+// Saturation wrapper.
+func TestQuickSaturationMatchesNamePath(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		prob := randomProblem(r)
+		bld := ilp.NewBuilder(prob, nil)
+		for _, e := range prob.Pos {
+			params := ilp.Params{
+				Depth: r.Intn(6) - 1, MaxRecall: r.Intn(5) - 1,
+				MaxVars: r.Intn(4), UseStoredProc: r.Intn(2) == 0,
+			}
+			prob.Instance.ResetStoreStats()
+			want := nameSaturation(prob, e, params.Depth, params.MaxRecall)
+			wantStats := prob.Instance.StoreStats()
+			prob.Instance.ResetStoreStats()
+			got := bld.Build(e, params, nil)
+			gotStats := prob.Instance.StoreStats()
+			wrapped := ilp.Saturation(prob, e, params.Depth, params.MaxRecall)
+			if got.String() != want.String() || wrapped.String() != want.String() || !reflect.DeepEqual(gotStats, wantStats) {
+				t.Logf("%v at %+v:\n got  %v\n wrap %v\n want %v\nstats %v\nwant  %v", e, params, got, wrapped, want, gotStats, wantStats)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// smallDatasets generates UW-CSE at its default scale and HIV and IMDb at
+// scale 0.5.
+func smallDatasets(t *testing.T) (uw, hiv, imdb *datasets.Dataset) {
+	t.Helper()
+	var err error
+	u := datasets.DefaultUWCSE()
+	u.Seed = 3
+	if uw, err = datasets.GenerateUWCSE(u); err != nil {
+		t.Fatal(err)
+	}
+	h := datasets.DefaultHIV2K4K()
+	h.Seed, h.Scale = 5, 0.5
+	if hiv, err = datasets.GenerateHIV(h); err != nil {
+		t.Fatal(err)
+	}
+	m := datasets.DefaultIMDb()
+	m.Seed, m.Scale = 9, 0.5
+	if imdb, err = datasets.GenerateIMDb(m); err != nil {
+		t.Fatal(err)
+	}
+	return uw, hiv, imdb
+}
+
+// boundTester returns a subsumption-mode tester whose saturations compile
+// through a builder of the given plan (nil: the classic policy), and the
+// builder.
+func boundTester(prob *ilp.Problem, plan *relstore.Plan, params ilp.Params) (*ilp.Tester, *ilp.Builder) {
+	tester := ilp.NewTester(prob, params)
+	bld := ilp.NewBuilder(prob, plan)
+	tester.UseBuilder(bld)
+	return tester, bld
+}
+
+// TestIDCompiledSaturationsMatchNamePath: every example's saturation,
+// compiled straight from store ids, is the target the space compiles from
+// the ground bottom clause of names — same head, same literal order, same
+// argument ids — on UW-CSE ×4, HIV ×3 and IMDb ×3, with and without
+// stored procedures, including examples holding constants the instance
+// lacks, in both policies. Castor's is checked against a fresh builder's
+// clause, the classic one against the Saturation wrapper under Defaults()'
+// depth and recall. Atoms outside the problem fall back to the names.
+func TestIDCompiledSaturationsMatchNamePath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles every example's saturation twice, 40 times over")
+	}
+	uw, hiv, imdb := smallDatasets(t)
+	type cell struct {
+		ds     *datasets.Dataset
+		schema string
+	}
+	var cells []cell
+	for _, s := range []string{"Original", "4NF", "Denormalized-1", "Denormalized-2"} {
+		cells = append(cells, cell{uw, s})
+	}
+	for _, s := range []string{"Initial", "4NF-1", "4NF-2"} {
+		cells = append(cells, cell{hiv, s})
+	}
+	for _, s := range []string{"JMDB", "Stanford", "Denormalized"} {
+		cells = append(cells, cell{imdb, s})
+	}
+	for _, c := range cells {
+		for _, castor := range []bool{true, false} {
+			for _, storedProc := range []bool{true, false} {
+				prob, err := c.ds.Problem(c.schema)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prob.Neg = append(append([]logic.Atom(nil), prob.Neg...), unknownTargets(prob)...)
+				params := ilp.Defaults()
+				params.CoverageMode = ilp.CoverageSubsumption
+				params.UseStoredProc = storedProc
+				var plan *relstore.Plan
+				if castor {
+					plan = relstore.CompilePlan(prob.Instance.Schema(), params.SubsetINDs)
+				}
+				names := func(e logic.Atom) *logic.Clause {
+					if castor {
+						return ilp.NewBuilder(prob, plan).Build(e, params, nil)
+					}
+					return ilp.Saturation(prob, e, params.Depth, params.MaxRecall)
+				}
+				tester, bld := boundTester(prob, plan, params)
+				space := ilp.TesterSpace(tester)
+				label := fmt.Sprintf("%s/%s castor=%v stored-proc=%v", c.ds.Name, c.schema, castor, storedProc)
+				examples := append(append([]logic.Atom(nil), prob.Pos...), prob.Neg...)
+				for _, e := range examples {
+					want := space.Compile(names(e))
+					got := ilp.CompileFromIDs(bld, e, params)
+					if got == nil {
+						t.Fatalf("%s: %v did not compile from ids", label, e)
+					}
+					if !got.Equal(want) {
+						t.Fatalf("%s: %v compiled from ids differs from the name path", label, e)
+					}
+				}
+				stray := logic.GroundAtom(c.ds.Target.Name, "stranger", "stranger")
+				if ilp.CompileFromIDs(bld, stray, params) != nil {
+					t.Errorf("%s: %v holds names outside the space but compiled from ids", label, stray)
+				}
+				if cd := ilp.CompileSaturation(bld, stray, params); cd.Len() != len(names(stray).Body) {
+					t.Errorf("%s: %v fell back to a different clause", label, stray)
+				}
+			}
+		}
+	}
+}
+
+// TestSaturationCompileAllocPin: once a builder's scratch has grown,
+// building and compiling one UW-CSE saturation from ids allocates only the
+// compiled target's own arrays — its header, its int32 arena (literals,
+// head, predicate lists and argument-index tables), the index's key array
+// and the per-predicate list headers. The construction itself, its
+// dedupe sets and its store statistics allocate nothing, in Castor's
+// policy and in the classic one, which copies no fetch even without stored
+// procedures.
+func TestSaturationCompileAllocPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	u := datasets.DefaultUWCSE()
+	u.Seed = 3
+	ds, err := datasets.GenerateUWCSE(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := ds.Problem("Original")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := ilp.Defaults()
+	params.CoverageMode = ilp.CoverageSubsumption
+	castor := relstore.CompilePlan(prob.Instance.Schema(), params.SubsetINDs)
+	for _, cfg := range []struct {
+		plan       *relstore.Plan
+		storedProc bool
+	}{{castor, true}, {nil, true}, {nil, false}} {
+		params.UseStoredProc = cfg.storedProc
+		_, bld := boundTester(prob, cfg.plan, params)
+		for _, e := range []logic.Atom{prob.Pos[0], prob.Neg[0]} {
+			cd := ilp.CompileSaturation(bld, e, params) // warm-up: the scratch grows to fit
+			if cd.Len() == 0 {
+				t.Fatalf("%v: empty saturation", e)
+			}
+			const targetArrays = 4
+			if n := testing.AllocsPerRun(50, func() { ilp.CompileSaturation(bld, e, params) }); n != targetArrays {
+				t.Errorf("castor=%v stored-proc=%v %v: compiling a saturation allocates %.1f times, want %d",
+					cfg.plan != nil, cfg.storedProc, e, n, targetArrays)
+			}
+		}
+	}
+}

@@ -1,9 +1,9 @@
 // Package ilp holds the learning infrastructure shared by every relational
 // learner in this repository: the ILP problem definition (Definition 3.1 of
-// the paper), learner parameters, the classic bottom-clause construction of
-// §6.1, coverage testing (by direct database evaluation or by θ-subsumption
-// against ground bottom clauses, §7.5.3), and the generic covering loop of
-// Algorithm 1.
+// the paper), learner parameters, bottom-clause construction (the classic
+// one of §6.1 and Castor's of §7.1), coverage testing (by direct database
+// evaluation or by θ-subsumption against ground bottom clauses, §7.5.3),
+// and the generic covering loop of Algorithm 1.
 package ilp
 
 import (

@@ -1,5 +1,5 @@
 //go:build race
 
-package castor
+package ilp_test
 
 const raceEnabled = true

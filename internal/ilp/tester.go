@@ -24,27 +24,25 @@ type Tester struct {
 	run    *obs.Run // from params.Obs; nil observes nothing
 	engine *coverage.Engine[*probe]
 
-	// SatFn overrides how ground bottom clauses are built for
-	// subsumption-mode coverage; when nil the classic saturation of §6.1
-	// is used, unless CompileSat is set.
+	// SatFn, when set, overrides how subsumption-mode coverage builds an
+	// example's saturation: the ground clause of names it returns is
+	// compiled into the tester's space. It is for injecting hand-made
+	// saturations; learners hand the tester a Builder instead.
 	SatFn func(e logic.Atom) *logic.Clause
-	// CompileSat, when set and SatFn is not, builds and compiles an
-	// example's saturation straight into the tester's Space, with no
-	// ground clause of names in between. Castor installs its IND-chasing
-	// construction here so that coverage semantics stay schema
-	// independent.
-	CompileSat func(e logic.Atom) *subsume.Compiled
 
-	// Subsumption mode only. space is the id space saturations compile
-	// into and candidates are prepared against: the instance's constants
-	// plus the relation names, the target predicate and the example
-	// constants the instance lacks. Every distinct example of the problem
-	// has one saturation entry, resolved in NewTester: sats finds it by
-	// the address of the example's argument array, read lock-free, so
-	// every worker of a beam batch finds and shares one compiled target
+	// Subsumption mode only. bld builds every saturation and compiles it
+	// straight from store ids into space: the classic builder of §6.1
+	// unless UseBuilder replaced it. space is the id space saturations
+	// compile into and candidates are prepared against: the instance's
+	// constants plus the relation names, the target predicate and the
+	// example constants the instance lacks. Every distinct example of the
+	// problem has one saturation entry, resolved in NewTester: sats finds
+	// it by the address of the example's argument array, read lock-free,
+	// so every worker of a beam batch finds and shares one compiled target
 	// without mutex traffic, and a problem example's probe hashes none of
 	// its names. byName, under nameMu, holds every entry by Atom.Key: equal
 	// examples share one, and any other atom finds or adds its own there.
+	bld    *Builder
 	space  *subsume.Space
 	sats   exampleTable[*satEntry]
 	nameMu sync.Mutex
@@ -196,9 +194,9 @@ func (t *Tester) newProbe() *probe {
 	return p
 }
 
-// initSaturations builds the subsumption-mode id space and resolves every
-// example of the problem to its saturation entry, one per distinct
-// example.
+// initSaturations builds the subsumption-mode id space, binds the classic
+// builder to it, and resolves every example of the problem to its
+// saturation entry, one per distinct example.
 func (t *Tester) initSaturations() {
 	prob := t.prob
 	var names []string
@@ -216,6 +214,7 @@ func (t *Tester) initSaturations() {
 		}
 	}
 	t.space = subsume.NewSpace(prob.Instance.Symbols(), names...)
+	t.UseBuilder(NewBuilder(prob, nil))
 	t.sats = newExampleTable[*satEntry](len(examples))
 	t.byName = make(map[string]*satEntry, len(examples))
 	for _, e := range examples {
@@ -277,9 +276,18 @@ func (t *Tester) exampleIDs(e logic.Atom) []int32 {
 // learners that want to report through the same channel.
 func (t *Tester) Run() *obs.Run { return t.run }
 
-// Space returns the id space subsumption-mode saturations compile into
-// (nil in direct mode): what a CompileSat function must compile into.
-func (t *Tester) Space() *subsume.Space { return t.space }
+// UseBuilder makes subsumption-mode coverage build every saturation with
+// b instead of the classic builder NewTester installs, compiling it
+// straight from store ids into the tester's space. Castor hands over its
+// IND-chasing builder, so coverage semantics stay schema independent.
+// Call it before the first coverage test and before b is shared; in
+// direct mode it does nothing.
+func (t *Tester) UseBuilder(b *Builder) {
+	if t.space != nil {
+		b.compileInto(t.space)
+		t.bld = b
+	}
+}
 
 // Covers reports whether the clause covers the example. Testing many
 // examples against one clause goes through the engine instead, which
@@ -324,13 +332,10 @@ func (t *Tester) saturation(e logic.Atom) *subsume.Compiled {
 	ent.once.Do(func() {
 		built = true
 		t.run.Inc(obs.CSaturationMisses)
-		switch {
-		case t.SatFn != nil:
+		if t.SatFn != nil {
 			ent.cd = t.space.Compile(t.SatFn(e))
-		case t.CompileSat != nil:
-			ent.cd = t.CompileSat(e)
-		default:
-			ent.cd = t.space.Compile(Saturation(t.prob, e, t.params.Depth, t.params.MaxRecall))
+		} else {
+			ent.cd = t.bld.compile(e, t.params)
 		}
 	})
 	if !built {

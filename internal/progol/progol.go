@@ -59,8 +59,9 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 		return nil, err
 	}
 	tester := ilp.NewTester(prob, params)
+	bld := ilp.NewBuilder(prob, nil)
 	learn := func(uncovered []logic.Atom) (*logic.Clause, error) {
-		return l.learnClause(prob, params, tester, uncovered), nil
+		return l.learnClause(prob, params, tester, bld, uncovered), nil
 	}
 	run := params.Obs
 	sp := run.StartSpan("learn",
@@ -93,10 +94,10 @@ func (s *state) key() string {
 
 // learnClause saturates the first uncovered example and searches subsets of
 // the bottom clause top-down.
-func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, uncovered []logic.Atom) *logic.Clause {
+func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, bld *ilp.Builder, uncovered []logic.Atom) *logic.Clause {
 	prov := params.Obs.Prov()
 	seed := uncovered[0]
-	bottom := ilp.BottomClause(prob, seed, params.Depth, params.MaxRecall)
+	bottom := ilp.Variablize(prob, bld.Build(seed, params, nil))
 	if len(bottom.Body) == 0 {
 		return nil
 	}

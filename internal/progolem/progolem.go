@@ -34,9 +34,10 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 		return nil, err
 	}
 	tester := ilp.NewTester(prob, params)
+	bld := ilp.NewBuilder(prob, nil)
 	rng := ilp.NewRand(params.Seed)
 	learn := func(uncovered []logic.Atom) (*logic.Clause, error) {
-		return l.learnClause(prob, params, tester, rng, uncovered), nil
+		return l.learnClause(prob, params, tester, bld, rng, uncovered), nil
 	}
 	run := params.Obs
 	sp := run.StartSpan("learn",
@@ -63,7 +64,7 @@ type scored struct {
 }
 
 // learnClause runs the beam search over ARMGs of the seed's bottom clause.
-func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *ilp.Rand, uncovered []logic.Atom) *logic.Clause {
+func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, bld *ilp.Builder, rng *ilp.Rand, uncovered []logic.Atom) *logic.Clause {
 	run := params.Obs
 	prov := run.Prov()
 	seed := uncovered[0]
@@ -71,7 +72,7 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 	if run.Spanning() {
 		sb = run.StartSpan("bottom_clause", obs.F("seed", seed.String()))
 	}
-	bottom := ilp.BottomClause(prob, seed, params.Depth, params.MaxRecall)
+	bottom := ilp.Variablize(prob, bld.Build(seed, params, nil))
 	sb.Annotate(obs.F("literals", len(bottom.Body)))
 	sb.End()
 	run.Inc(obs.CBottomClauses)
