@@ -10,7 +10,8 @@
 //     (§7.1, Lemma 7.5);
 //   - ARMG re-establishes the INDs after dropping a blocking atom, removing
 //     literals whose free tuples no longer satisfy any IND (§7.2.1,
-//     Lemma 7.7);
+//     Lemma 7.7): the beam search over ARMGs is ilp.Generalize, which
+//     ProGolem shares, run with the schema's plan;
 //   - negative reduction removes non-essential *instances of inclusion
 //     classes* — whole groups of IND-linked literals — instead of single
 //     literals (§7.2.2, Lemma 7.8), keeping clauses safe (§7.3);
@@ -108,22 +109,6 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 	return def, err
 }
 
-// scored is one beam entry with cached coverage, enabling the §7.5.4
-// shortcut: a generalization of this clause covers at least these examples.
-type scored struct {
-	clause     *logic.Clause
-	posCovered *coverage.Bitset // over the uncovered positives
-	negCovered *coverage.Bitset // over all negatives
-	score      float64
-
-	// Provenance bookkeeping, populated only when the run records it:
-	// provID is the node of this entry once its disposition is known,
-	// provParent/provSeed carry the generating ARMG's context until then.
-	provID     uint64
-	provParent uint64
-	provSeed   string
-}
-
 // maxSeedTries bounds how many seed examples one LearnClause call may
 // try: a seed whose generalization degenerates (e.g. its entire bottom
 // clause cascades away under ARMG) should not end the covering loop while
@@ -154,8 +139,10 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 	return fallback
 }
 
-// learnClauseFromSeed runs the beam search of Algorithm 4 for the seed
-// uncovered[try].
+// learnClauseFromSeed runs Algorithm 4 for the seed uncovered[try]: the
+// seed's IND-chased bottom clause, minimized, goes through ilp.Generalize
+// under the plan's policy with instance-level negative reduction, and the
+// result is minimized again.
 func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *ilp.Rand, bld *ilp.Builder, uncovered []logic.Atom, try int) *logic.Clause {
 	run := params.Obs
 	plan := bld.Plan()
@@ -190,201 +177,35 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 		Clause: clauseString(prov, bottom), Literals: len(bottom.Body),
 		Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispKept, INDs: bottomINDs,
 	})
-	if params.Minimize && len(bottom.Body) <= reduceCutoff {
-		minimized := subsume.ReduceR(run, bottom)
-		if prov.Enabled() && !minimized.Equal(bottom) {
-			rootID = prov.Node(obs.ProvNode{
-				Parents: []uint64{rootID}, Step: obs.StepMinimize, Seed: seed.String(),
-				Clause: minimized.String(), Literals: len(minimized.Body),
-				Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispKept,
-			})
-		}
-		bottom = minimized
-	}
-
-	// Full evaluation of one clause; the tester gates the §7.5.4 knowns and
-	// the memo cache on DisableCoverageCache centrally.
-	evaluate := func(c *logic.Clause, parent *scored) *scored {
-		var knownPos, knownNeg *coverage.Bitset
-		if parent != nil {
-			knownPos, knownNeg = parent.posCovered, parent.negCovered
-		}
-		pc := tester.CoveredSet(c, uncovered, knownPos)
-		nc := tester.CoveredSet(c, prob.Neg, knownNeg)
-		return &scored{clause: c, posCovered: pc, negCovered: nc, score: float64(pc.Count() - nc.Count())}
-	}
-
-	root := evaluate(bottom, nil)
-	root.provID = rootID
-	beam := []*scored{root}
-	k := params.Sample
-	if k < 1 {
-		k = 1
-	}
-	width := params.BeamWidth
-	if width < 1 {
-		width = 1
-	}
-	for iter := 0; ; iter++ {
-		sr := run.StartSpan("beam_round", obs.F("iter", iter), obs.F("beam", len(beam)))
-		best := beam[0]
-		for _, b := range beam {
-			if b.score > best.score {
-				best = b
-			}
-		}
-		bestScore := best.score
-		// Sample generalization targets among the positives the current
-		// best clause does not cover yet (as Golem's Algorithm 2 does):
-		// ARMG toward an already-covered example is the identity.
-		pool := make([]logic.Atom, 0, len(uncovered))
-		for i, e := range uncovered {
-			if !best.posCovered.Get(i) {
-				pool = append(pool, e)
-			}
-		}
-		if len(pool) == 0 {
-			sr.End()
-			break
-		}
-		sample := ilp.SampleAtoms(rng, pool, k)
-		// Generate this round's ARMGs, one independent job per (beam
-		// entry, sampled example), then score the batch concurrently, with
-		// the current best score as the early-termination bound: a
-		// candidate whose negative cover already pins it at or below
-		// bestScore would not enter the beam, so its scan is abandoned.
-		var cands []coverage.Candidate
-		var cmeta []candProv // aligned with cands; built only when recording
-		for i, g := range armgs(tester, plan, beam, sample, params) {
-			b, e := beam[i/len(sample)], sample[i%len(sample)]
-			if g == nil || g.Equal(b.clause) {
-				if g != nil && prov.Enabled() {
-					prov.Node(obs.ProvNode{
-						Parents: []uint64{b.provID}, Step: obs.StepARMG, Seed: e.String(),
-						Clause: g.String(), Literals: len(g.Body),
-						Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispPrunedDuplicate,
-					})
-				}
-				continue
-			}
-			if !g.IsSafe() {
-				continue // §7.3.2: unsafe candidates are discarded
-			}
-			cands = append(cands, coverage.Candidate{Clause: g, KnownPos: b.posCovered, KnownNeg: b.negCovered})
-			if prov.Enabled() {
-				cmeta = append(cmeta, candProv{parent: b.provID, seed: e.String()})
-			}
-		}
-		var next []*scored
-		for ci, s := range tester.ScoreBatch(cands, uncovered, prob.Neg, int(bestScore), width) {
-			if s.Pruned {
-				if prov.Enabled() {
-					// Scoring was abandoned mid-scan: the counts are unknown.
-					prov.Node(obs.ProvNode{
-						Parents: []uint64{cmeta[ci].parent}, Step: obs.StepARMG, Seed: cmeta[ci].seed,
-						Clause: s.Clause.String(), Literals: len(s.Clause.Body),
-						Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispPrunedBudget,
-					})
-				}
-				continue
-			}
-			if sc := float64(s.P - s.N); sc > bestScore {
-				ns := &scored{clause: s.Clause, posCovered: s.Pos, negCovered: s.Neg, score: sc}
-				if prov.Enabled() {
-					ns.provParent, ns.provSeed = cmeta[ci].parent, cmeta[ci].seed
-				}
-				next = append(next, ns)
-			} else if prov.Enabled() {
-				prov.Node(obs.ProvNode{
-					Parents: []uint64{cmeta[ci].parent}, Step: obs.StepARMG, Seed: cmeta[ci].seed,
-					Clause: s.Clause.String(), Literals: len(s.Clause.Body),
-					Pos: s.P, Neg: s.N, Score: float64(s.P - s.N), Disposition: obs.DispPrunedScore,
-				})
-			}
-		}
-		if len(next) == 0 {
-			sr.End()
-			break
-		}
-		// Keep the N best, ties in discovery order for determinism.
-		sort.SliceStable(next, func(i, j int) bool { return next[i].score > next[j].score })
-		if prov.Enabled() {
-			// Dispositions are final only after the width trim.
-			for i, b := range next {
-				disp := obs.DispKept
-				if i >= width {
-					disp = obs.DispPrunedScore
-				}
-				b.provID = prov.Node(obs.ProvNode{
-					Parents: []uint64{b.provParent}, Step: obs.StepARMG, Seed: b.provSeed,
-					Clause: b.clause.String(), Literals: len(b.clause.Body),
-					Pos: b.posCovered.Count(), Neg: b.negCovered.Count(),
-					Score: b.score, Disposition: disp,
-				})
-			}
-		}
-		if len(next) > width {
-			next = next[:width]
-		}
-		beam = next
-		sr.Annotate(obs.F("candidates", len(cands)), obs.F("best", beam[0].score),
-			obs.F("literals", len(beam[0].clause.Body)))
-		sr.End()
-	}
-	best := beam[0]
-	for _, b := range beam {
-		if b.score > best.score {
-			best = b
-		}
-	}
-	sn := run.StartSpan("negative_reduction", obs.F("literals", len(best.clause.Body)))
-	// Reduction only generalizes, so the winner's negative cover seeds the
-	// known-covered shortcut for every re-test inside.
-	reduced := NegativeReduce(tester, plan, best.clause, prob.Neg, best.negCovered)
-	sn.Annotate(obs.F("kept", len(reduced.Body)))
-	sn.End()
-	finalID := best.provID
-	if prov.Enabled() && !reduced.Equal(best.clause) {
-		finalID = prov.Node(obs.ProvNode{
-			Parents: []uint64{finalID}, Step: obs.StepNegativeReduction, Seed: seed.String(),
-			Clause: reduced.String(), Literals: len(reduced.Body),
-			Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispKept,
+	bottom, rootID = minimize(params, seed, bottom, rootID)
+	reduced, id := ilp.Generalize(tester, plan, rng, seed, bottom, rootID, uncovered,
+		func(c *logic.Clause, known *coverage.Bitset) *logic.Clause {
+			return NegativeReduce(tester, plan, c, prob.Neg, known)
 		})
-	}
-	if params.Minimize && len(reduced.Body) <= reduceCutoff {
-		minimized := subsume.ReduceR(run, reduced)
-		if prov.Enabled() && !minimized.Equal(reduced) {
-			prov.Node(obs.ProvNode{
-				Parents: []uint64{finalID}, Step: obs.StepMinimize, Seed: seed.String(),
-				Clause: minimized.String(), Literals: len(minimized.Body),
-				Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispKept,
-			})
-		}
-		reduced = minimized
-	}
+	reduced, _ = minimize(params, seed, reduced, id)
 	if len(reduced.Body) == 0 {
 		return nil
 	}
 	return reduced
 }
 
-// armgs generalizes every beam entry toward every sampled example on the
-// tester's rounds. The ARMG of beam[i] toward sample[j] lands at index
-// i·len(sample)+j, so the caller reads them in the order a serial loop
-// over the beam and then the sample would make them.
-func armgs(tester *ilp.Tester, plan *relstore.Plan, beam []*scored, sample []logic.Atom, params ilp.Params) []*logic.Clause {
-	out := make([]*logic.Clause, len(beam)*len(sample))
-	tester.Fan("armg", len(out), func(i int) {
-		out[i] = ARMG(tester, plan, beam[i/len(sample)].clause, sample[i%len(sample)], params)
+// minimize reduces c by θ-subsumption (§7.5.5) when Minimize is on and c
+// is at most reduceCutoff literals long, recording a changed clause as a
+// child of node parent. It returns the clause and its node.
+func minimize(params ilp.Params, seed logic.Atom, c *logic.Clause, parent uint64) (*logic.Clause, uint64) {
+	if !params.Minimize || len(c.Body) > reduceCutoff {
+		return c, parent
+	}
+	prov := params.Obs.Prov()
+	m := subsume.ReduceR(params.Obs, c)
+	if !prov.Enabled() || m.Equal(c) {
+		return m, parent
+	}
+	return m, prov.Node(obs.ProvNode{
+		Parents: []uint64{parent}, Step: obs.StepMinimize, Seed: seed.String(),
+		Clause: m.String(), Literals: len(m.Body),
+		Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispKept,
 	})
-	return out
-}
-
-// candProv is the provenance context of one scoring-batch candidate: the
-// beam entry it generalizes and the example it generalized toward.
-type candProv struct {
-	parent uint64
-	seed   string
 }
 
 // clauseString renders c only when the recorder is live, so uninstrumented

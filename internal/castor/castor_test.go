@@ -105,7 +105,7 @@ func TestARMGExample76(t *testing.T) {
 	testerO := ilp.NewTester(probO, ilp.Defaults())
 	cO := logic.MustParseClause("hardWorking(X) :- student(X), inPhase(X, prelim), yearsInProgram(X, 3).")
 	e2 := logic.GroundAtom("hardWorking", "bea")
-	gO := ARMG(testerO, planO, cO, e2, ilp.Defaults())
+	gO := ilp.ARMG(testerO, planO, cO, e2)
 	if gO == nil {
 		t.Fatal("ARMG failed")
 	}
@@ -129,7 +129,7 @@ func TestARMGExample76(t *testing.T) {
 	plan4 := relstore.CompilePlan(s4, false)
 	tester4 := ilp.NewTester(prob4, ilp.Defaults())
 	c4 := logic.MustParseClause("hardWorking(X) :- student(X, prelim, 3).")
-	g4 := ARMG(tester4, plan4, c4, e2, ilp.Defaults())
+	g4 := ilp.ARMG(tester4, plan4, c4, e2)
 	if g4 == nil {
 		t.Fatal("ARMG failed on 4NF")
 	}
@@ -145,19 +145,19 @@ func TestEnforceINDs(t *testing.T) {
 	// student(X) without its inPhase/yearsInProgram partners violates the
 	// INDs with equality and must be dropped.
 	c := logic.MustParseClause("t(X) :- student(X), publication(P,X).")
-	g := EnforceINDs(c, plan)
+	g := ilp.EnforceINDs(c, plan)
 	if len(g.Body) != 1 || g.Body[0].Pred != "publication" {
 		t.Errorf("EnforceINDs = %v", g)
 	}
 	// A complete inclusion-class instance survives.
 	c2 := logic.MustParseClause("t(X) :- student(X), inPhase(X, prelim), yearsInProgram(X, 2).")
-	g2 := EnforceINDs(c2, plan)
+	g2 := ilp.EnforceINDs(c2, plan)
 	if len(g2.Body) != 3 {
 		t.Errorf("complete instance was damaged: %v", g2)
 	}
 	// Mismatched join terms do not count as partners.
 	c3 := logic.MustParseClause("t(X,Y) :- student(X), inPhase(Y, prelim), yearsInProgram(X, 2).")
-	g3 := EnforceINDs(c3, plan)
+	g3 := ilp.EnforceINDs(c3, plan)
 	for _, a := range g3.Body {
 		if a.Pred == "student" {
 			t.Errorf("student(X) kept despite missing inPhase(X,·): %v", g3)

@@ -44,7 +44,7 @@ func TestIMDbLearnsExactDefinition(t *testing.T) {
 		t.Fatal("bottom clause does not cover its own seed")
 	}
 	// ARMG toward another positive keeps a nonempty safe clause.
-	g2 := ARMG(tester, plan, bc, ds.Pos[1], params)
+	g2 := ilp.ARMG(tester, plan, bc, ds.Pos[1])
 	if g2 == nil || len(g2.Body) == 0 || !g2.IsSafe() {
 		t.Fatalf("ARMG degenerate: %v", g2)
 	}

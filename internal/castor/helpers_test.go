@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/datasets"
 	"repro/internal/ilp"
-	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/testfix"
 )
@@ -150,61 +149,4 @@ func TestConcurrentLearnsShareHelpers(t *testing.T) {
 			t.Errorf("%s: learned at the same time as another learn:\n%s\nalone:\n%s", v, got[i], alone[i])
 		}
 	}
-}
-
-// TestARMGFanOutMatchesSerial: a beam round's ARMGs generated on the
-// tester's rounds at Parallelism 2 and 4 are the serial ones, entry by
-// entry, in both coverage modes, for a beam of the bottom clause and for
-// a beam of its generalizations.
-func TestARMGFanOutMatchesSerial(t *testing.T) {
-	for _, mode := range []ilp.CoverageMode{ilp.CoverageDB, ilp.CoverageSubsumption} {
-		var serial [][]string
-		for _, par := range []int{1, 2, 4} {
-			prob := uwcseProblems(t, "Original")[0]
-			params := ilp.Defaults()
-			params.Parallelism = par
-			params.CoverageMode = mode
-			tester, bld := coverageTester(prob, params)
-			sample := prob.Pos[1:9]
-			beam := []*scored{{clause: BottomClause(prob, bld.Plan(), prob.Pos[0], params)}}
-			var rounds [][]string
-			for round := 0; round < 2; round++ {
-				gens := armgs(tester, bld.Plan(), beam, sample, params)
-				if len(gens) != len(beam)*len(sample) {
-					t.Fatalf("%d ARMGs of %d entries toward %d examples", len(gens), len(beam), len(sample))
-				}
-				rounds = append(rounds, clauseStrings(gens))
-				beam = beam[:0]
-				for _, g := range gens {
-					if g != nil && len(beam) < 3 {
-						beam = append(beam, &scored{clause: g})
-					}
-				}
-			}
-			if par == 1 {
-				serial = rounds
-				continue
-			}
-			for r := range rounds {
-				for i := range rounds[r] {
-					if rounds[r][i] != serial[r][i] {
-						t.Errorf("mode %v Parallelism %d round %d: ARMG %d is\n%s\nserially\n%s",
-							mode, par, r, i, rounds[r][i], serial[r][i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// clauseStrings renders clauses, "<nil>" for a nil one.
-func clauseStrings(cs []*logic.Clause) []string {
-	out := make([]string, len(cs))
-	for i, c := range cs {
-		out[i] = "<nil>"
-		if c != nil {
-			out[i] = c.String()
-		}
-	}
-	return out
 }

@@ -82,7 +82,7 @@ func reductionInputs(prob *ilp.Problem, plan *relstore.Plan, params ilp.Params) 
 		if e >= len(prob.Pos) {
 			continue
 		}
-		if g := ARMG(tester, plan, bottom, prob.Pos[e], params); g != nil && g.IsSafe() && len(g.Body) > 0 {
+		if g := ilp.ARMG(tester, plan, bottom, prob.Pos[e]); g != nil && g.IsSafe() && len(g.Body) > 0 {
 			out = append(out, g)
 		}
 	}

@@ -21,7 +21,7 @@ import (
 	"repro/internal/testfix"
 )
 
-var updateCensus = flag.Bool("update", false, "rewrite testdata/span_census.golden from the current learners")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current learners")
 
 // censusSink records, per span kind on the learner goroutine, how often
 // the kind ran and with which field keys. Worker spans (shard_*) stay
@@ -117,7 +117,7 @@ func TestSpanCensus(t *testing.T) {
 	got := strings.Join(lines, "\n") + "\n"
 
 	golden := filepath.Join("testdata", "span_census.golden")
-	if *updateCensus {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/foil"
 	"repro/internal/ilp"
 	"repro/internal/logic"
-	"repro/internal/progolem"
 	"repro/internal/relstore"
 	"repro/internal/transform"
 )
@@ -165,10 +164,10 @@ func TestLemma63DepthBoundSchemaDependent(t *testing.T) {
 }
 
 // TestExample65ARMGNotSchemaIndependent reproduces Example 6.5: ProGolem's
-// literal-at-a-time ARMG keeps student(x) over the Original schema but
-// removes the whole composed literal over 4NF, producing non-equivalent
-// generalizations — while Castor's IND-aware ARMG treats both alike
-// (Example 7.6).
+// literal-at-a-time ARMG (ilp.ARMG with no plan) keeps student(x) over the
+// Original schema but removes the whole composed literal over 4NF,
+// producing non-equivalent generalizations — while Castor's IND-aware ARMG
+// (ilp.ARMG with the schema's plan) treats both alike (Example 7.6).
 func TestExample65ARMGNotSchemaIndependent(t *testing.T) {
 	orig := relstore.NewSchema()
 	orig.MustAddRelation("student", "stud")
@@ -203,8 +202,8 @@ func TestExample65ARMGNotSchemaIndependent(t *testing.T) {
 	cC := logic.MustParseClause("hardWorking(X) :- student(X, prelim, 3).")
 	e2 := logic.GroundAtom("hardWorking", "bea")
 
-	gO := progolem.ARMG(testerO, cO, e2)
-	gC := progolem.ARMG(testerC, cC, e2)
+	gO := ilp.ARMG(testerO, nil, cO, e2)
+	gC := ilp.ARMG(testerC, nil, cC, e2)
 	if gO == nil || gC == nil {
 		t.Fatal("ARMG failed")
 	}
@@ -219,8 +218,8 @@ func TestExample65ARMGNotSchemaIndependent(t *testing.T) {
 	// Castor: equivalent (empty) generalizations on both schemas.
 	planO := relstore.CompilePlan(orig, false)
 	planC := relstore.CompilePlan(pipe.To(), false)
-	aO := castor.ARMG(testerO, planO, cO, e2, ilp.Defaults())
-	aC := castor.ARMG(testerC, planC, cC, e2, ilp.Defaults())
+	aO := ilp.ARMG(testerO, planO, cO, e2)
+	aC := ilp.ARMG(testerC, planC, cC, e2)
 	if aO == nil || aC == nil {
 		t.Fatal("Castor ARMG failed")
 	}

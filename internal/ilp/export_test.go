@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"repro/internal/logic"
+	"repro/internal/relstore"
 	"repro/internal/subsume"
 )
 
@@ -22,4 +23,14 @@ func CompileFromIDs(b *Builder, e logic.Atom, params Params) *subsume.Compiled {
 	defer b.scratch.Put(sc)
 	b.saturate(sc, e, params, nil)
 	return b.compileIDs(sc, e)
+}
+
+// ARMGs generates a beam round's ARMGs of the beam's clauses toward the
+// sample on the tester's rounds, as Generalize does.
+func ARMGs(t *Tester, plan *relstore.Plan, beam []*logic.Clause, sample []logic.Atom) []*logic.Clause {
+	entries := make([]*entry, len(beam))
+	for i, c := range beam {
+		entries[i] = &entry{clause: c}
+	}
+	return armgs(t, plan, entries, sample)
 }

@@ -1,0 +1,280 @@
+package ilp
+
+import (
+	"sort"
+
+	"repro/internal/coverage"
+	"repro/internal/logic"
+	"repro/internal/obs"
+	"repro/internal/relstore"
+)
+
+// The generalization search of the bottom-up learners: ProGolem's beam
+// search over ARMGs of a seed's bottom clause (§6.4, Algorithm 3), which
+// Castor's Algorithm 4 runs with IND-preserving ARMG (§7.2.1) and safe
+// clauses (§7.3). As for Builder, a plan picks Castor's policy and no plan
+// ProGolem's; each learner keeps its own bottom clause and negative
+// reduction.
+
+// entry is one beam entry with its coverage, which its generalizations
+// inherit as §7.5.4 knowns: pos over the uncovered positives, neg over
+// all negatives.
+type entry struct {
+	clause   *logic.Clause
+	pos, neg *coverage.Bitset
+	score    float64
+
+	// Provenance: id is the entry's node once its disposition is known;
+	// until then parent and seed hold the node of the entry its ARMG
+	// generalized and the example it generalized toward.
+	id, parent uint64
+	seed       logic.Atom
+}
+
+// Generalize runs the beam search over ARMGs of bottom, the bottom clause
+// of seed, whose provenance node is bottomID, against the uncovered
+// positives and the problem's negatives. It returns the best clause the
+// search reaches after reduce, the learner's negative reduction, with that
+// clause's provenance node. reduce gets the winner and its negative cover,
+// which stays a valid known-covered set for every generalization it tries.
+//
+// Each round generalizes every beam entry toward Sample drawn positives,
+// scores the ARMGs as one batch that must beat the best score so far, and
+// keeps the BeamWidth best, ties in discovery order; the search ends when
+// no ARMG beats it. The plan picks the policy:
+//   - no plan (ProGolem): draw among all uncovered positives, keep unsafe
+//     ARMGs, and ARMG drops one blocking atom at a time;
+//   - a plan (Castor): draw among the positives the best entry does not
+//     cover yet, since ARMG toward a covered example is the identity; drop
+//     unsafe ARMGs (§7.3.2); and ARMG restores the plan's INDs after each
+//     drop.
+func Generalize(t *Tester, plan *relstore.Plan, rng *Rand, seed logic.Atom, bottom *logic.Clause, bottomID uint64,
+	uncovered []logic.Atom, reduce func(c *logic.Clause, negCovered *coverage.Bitset) *logic.Clause) (*logic.Clause, uint64) {
+	run, prov, neg := t.run, t.run.Prov(), t.prob.Neg
+	root := &entry{clause: bottom, id: bottomID}
+	root.pos = t.CoveredSet(bottom, uncovered, nil)
+	root.neg = t.CoveredSet(bottom, neg, nil)
+	root.score = float64(root.pos.Count() - root.neg.Count())
+	beam := []*entry{root}
+	k, width := max(t.params.Sample, 1), max(t.params.BeamWidth, 1)
+	for iter := 0; ; iter++ {
+		sr := run.StartSpan("beam_round", obs.F("iter", iter), obs.F("beam", len(beam)))
+		best := beam[0] // the beam is sorted by score
+		pool := uncovered
+		if plan != nil {
+			pool = make([]logic.Atom, 0, len(uncovered))
+			for i, e := range uncovered {
+				if !best.pos.Get(i) {
+					pool = append(pool, e)
+				}
+			}
+		}
+		if len(pool) == 0 {
+			sr.End()
+			break
+		}
+		sample := SampleAtoms(rng, pool, k)
+		// One independent ARMG job per (beam entry, sampled example); the
+		// batch then scores concurrently, abandoning candidates that
+		// provably cannot beat the best score (they would not enter the
+		// beam). ARMGs only drop literals, so each candidate inherits its
+		// entry's covered sets as knowns.
+		origin := func(i int) (*entry, logic.Atom) { return beam[i/len(sample)], sample[i%len(sample)] }
+		var cands []coverage.Candidate
+		var from []int // aligned with cands: the index of each one's ARMG
+		for i, g := range armgs(t, plan, beam, sample) {
+			b, e := origin(i)
+			if g == nil || g.Equal(b.clause) {
+				if g != nil {
+					armgNode(prov, b.id, e, g, -1, -1, -1, obs.DispPrunedDuplicate)
+				}
+				continue
+			}
+			if plan != nil && !g.IsSafe() {
+				continue // §7.3.2: unsafe candidates are discarded
+			}
+			cands = append(cands, coverage.Candidate{Clause: g, KnownPos: b.pos, KnownNeg: b.neg})
+			from = append(from, i)
+		}
+		var next []*entry
+		for ci, s := range t.ScoreBatch(cands, uncovered, neg, int(best.score), width) {
+			b, e := origin(from[ci])
+			switch sc := float64(s.P - s.N); {
+			case s.Pruned:
+				// Scoring was abandoned mid-scan: the counts are unknown.
+				armgNode(prov, b.id, e, s.Clause, -1, -1, -1, obs.DispPrunedBudget)
+			case sc > best.score:
+				next = append(next, &entry{clause: s.Clause, pos: s.Pos, neg: s.Neg, score: sc, parent: b.id, seed: e})
+			default:
+				armgNode(prov, b.id, e, s.Clause, s.P, s.N, sc, obs.DispPrunedScore)
+			}
+		}
+		if len(next) == 0 {
+			sr.End()
+			break
+		}
+		// Keep the N best, ties in discovery order for determinism.
+		// Dispositions are final only after the width trim.
+		sort.SliceStable(next, func(i, j int) bool { return next[i].score > next[j].score })
+		for i, b := range next {
+			disp := obs.DispKept
+			if i >= width {
+				disp = obs.DispPrunedScore
+			}
+			b.id = armgNode(prov, b.parent, b.seed, b.clause, b.pos.Count(), b.neg.Count(), b.score, disp)
+		}
+		beam = next[:min(len(next), width)]
+		sr.Annotate(obs.F("candidates", len(cands)), obs.F("best", beam[0].score),
+			obs.F("literals", len(beam[0].clause.Body)))
+		sr.End()
+	}
+	best := beam[0]
+	sn := run.StartSpan("negative_reduction", obs.F("literals", len(best.clause.Body)))
+	reduced := reduce(best.clause, best.neg)
+	sn.Annotate(obs.F("kept", len(reduced.Body)))
+	sn.End()
+	if !prov.Enabled() || reduced.Equal(best.clause) {
+		return reduced, best.id
+	}
+	return reduced, prov.Node(obs.ProvNode{
+		Parents: []uint64{best.id}, Step: obs.StepNegativeReduction, Seed: seed.String(),
+		Clause: reduced.String(), Literals: len(reduced.Body),
+		Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispKept,
+	})
+}
+
+// armgNode records the provenance node of an ARMG of the entry whose node
+// is parent toward seed, when the run records provenance. p, n and score
+// are -1 for a candidate that was never scored.
+func armgNode(prov *obs.Prov, parent uint64, seed logic.Atom, c *logic.Clause, p, n int, score float64, disp string) uint64 {
+	if !prov.Enabled() {
+		return 0
+	}
+	return prov.Node(obs.ProvNode{
+		Parents: []uint64{parent}, Step: obs.StepARMG, Seed: seed.String(),
+		Clause: c.String(), Literals: len(c.Body),
+		Pos: p, Neg: n, Score: score, Disposition: disp,
+	})
+}
+
+// armgs generalizes every beam entry toward every sampled example on the
+// tester's rounds. The ARMG of beam[i] toward sample[j] lands at index
+// i·len(sample)+j, so the caller reads them in the order a serial loop
+// over the beam and then the sample would make them.
+func armgs(t *Tester, plan *relstore.Plan, beam []*entry, sample []logic.Atom) []*logic.Clause {
+	out := make([]*logic.Clause, len(beam)*len(sample))
+	t.Fan("armg", len(out), func(i int) {
+		out[i] = ARMG(t, plan, beam[i/len(sample)].clause, sample[i%len(sample)])
+	})
+	return out
+}
+
+// ARMG generalizes clause c to cover example e (Algorithm 3): it drops
+// blocking atoms, and the literals left disconnected from the head, until
+// the clause covers e. With a plan it is Castor's ARMG (§7.2.1): after
+// each drop EnforceINDs also removes the literals whose IND partners went,
+// so the canonical database instance of the clause keeps satisfying the
+// plan's INDs (Lemma 7.7). Example 7.6: dropping inPhase(x, prelim) over
+// the Original schema also drops student(x) and yearsInProgram(x, 3),
+// exactly mirroring the removal of student(x, prelim, 3) over 4NF. The
+// input clause is not modified; nil is returned when e cannot be covered
+// (its head does not match).
+func ARMG(t *Tester, plan *relstore.Plan, c *logic.Clause, e logic.Atom) *logic.Clause {
+	t.run.Inc(obs.CARMGCalls)
+	if _, ok := logic.MatchAtoms(c.Head, e, logic.NewSubstitution()); !ok {
+		return nil
+	}
+	cur := c.Clone()
+	for !t.Covers(cur, e) {
+		i := BlockingAtom(t, cur, e)
+		if i < 0 {
+			return nil // cannot happen when the head matches, but stay safe
+		}
+		cur = cur.RemoveBodyAt(i)
+		if plan != nil {
+			cur = EnforceINDs(cur, plan)
+		}
+		cur = logic.PruneNotHeadConnected(cur)
+	}
+	return cur
+}
+
+// BlockingAtom returns the least 0-based index i such that the prefix
+// clause T ← L1,…,L(i+1) does not cover e, by binary search over the
+// monotone prefix-coverage sequence: −1 when c has no body or its head
+// alone does not cover e.
+func BlockingAtom(tester *Tester, c *logic.Clause, e logic.Atom) int {
+	if len(c.Body) == 0 {
+		return -1
+	}
+	lo, hi := 0, len(c.Body) // prefix lengths: lo covers, hi does not
+	for lo+1 < hi {
+		mid := (lo + hi) / 2
+		if tester.Covers(&logic.Clause{Head: c.Head, Body: c.Body[:mid]}, e) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	if lo == 0 && !tester.Covers(&logic.Clause{Head: c.Head}, e) {
+		return -1
+	}
+	return hi - 1
+}
+
+// EnforceINDs removes body literals until every remaining literal satisfies
+// all its IND hops within the clause: for each hop R1[X] ⋈ R2[X] out of a
+// literal R1(u), some literal R2(v) must agree with u on the join
+// positions. Removals cascade to a fixpoint.
+func EnforceINDs(c *logic.Clause, plan *relstore.Plan) *logic.Clause {
+	body := append([]logic.Atom(nil), c.Body...)
+	for {
+		removed := false
+		for i := 0; i < len(body); i++ {
+			if !literalSatisfiesINDs(body[i], body, plan) {
+				body = append(body[:i], body[i+1:]...)
+				removed = true
+				i--
+			}
+		}
+		if !removed {
+			break
+		}
+	}
+	return &logic.Clause{Head: c.Head.Clone(), Body: body}
+}
+
+// literalSatisfiesINDs checks every hop out of the literal's relation. A
+// hop naming a position past the literal's arity is skipped: the literal
+// is not one of the schema relation's.
+func literalSatisfiesINDs(lit logic.Atom, body []logic.Atom, plan *relstore.Plan) bool {
+hops:
+	for _, hop := range plan.Partners(lit.Pred) {
+		for _, sp := range hop.SrcPos {
+			if sp >= len(lit.Args) {
+				continue hops
+			}
+		}
+		for _, other := range body {
+			if joins(lit, other, hop) {
+				continue hops
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// joins reports whether other is lit's partner for the hop: a literal of
+// the hop's relation that agrees with lit on the join positions.
+func joins(lit, other logic.Atom, hop relstore.PlanPartner) bool {
+	if other.Pred != hop.Rel {
+		return false
+	}
+	for i, sp := range hop.SrcPos {
+		if dp := hop.DstPos[i]; dp >= len(other.Args) || lit.Args[sp] != other.Args[dp] {
+			return false
+		}
+	}
+	return true
+}

@@ -3,8 +3,8 @@ package ilp
 import "repro/internal/logic"
 
 // Search helpers the learners share: the seeded example sampler of Castor,
-// ProGolem and Golem, the blocking-atom search of Castor's and ProGolem's
-// ARMG, and the removal-schedule runner of their negative reductions.
+// ProGolem and Golem, and the removal-schedule runner of Castor's and
+// ProGolem's negative reductions.
 
 // Rand is a tiny deterministic PRNG (xorshift), so the learners do not
 // pull in math/rand and stay reproducible across Go versions.
@@ -49,29 +49,6 @@ func SampleAtoms(r *Rand, pool []logic.Atom, k int) []logic.Atom {
 		}
 	}
 	return out
-}
-
-// BlockingAtom returns the least 0-based index i such that the prefix
-// clause T ← L1,…,L(i+1) does not cover e, by binary search over the
-// monotone prefix-coverage sequence: −1 when c has no body or its head
-// alone does not cover e.
-func BlockingAtom(tester *Tester, c *logic.Clause, e logic.Atom) int {
-	if len(c.Body) == 0 {
-		return -1
-	}
-	lo, hi := 0, len(c.Body) // prefix lengths: lo covers, hi does not
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if tester.Covers(&logic.Clause{Head: c.Head, Body: c.Body[:mid]}, e) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 && !tester.Covers(&logic.Clause{Head: c.Head}, e) {
-		return -1
-	}
-	return hi - 1
 }
 
 // Step is one move of a greedy removal schedule, the shape of Castor's and

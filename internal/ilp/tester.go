@@ -413,8 +413,8 @@ func (t *Tester) PosNeg(c *logic.Clause, pos, neg []logic.Atom, knownPos, knownN
 // shard per job under the pprof phase and shard span label: on the
 // calling goroutine alone at Parallelism 1, else on at most Parallelism
 // goroutines, the caller included. The jobs must be independent; a job
-// may test coverage itself. Learners generate a beam round's ARMGs with
-// it, each job writing its own result slot.
+// may test coverage itself. Generalize generates a beam round's ARMGs
+// with it, each job writing its own result slot.
 func (t *Tester) Fan(label string, n int, job func(i int)) {
 	t.engine.Fan(label, n, job)
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"io"
 	"os"
 	"strconv"
@@ -21,19 +20,17 @@ import (
 // schema).
 type ChromeTraceSink struct {
 	mu   sync.Mutex
-	w    *bufio.Writer
-	c    io.Closer // non-nil when the sink owns the file
+	out  fileWriter
 	base time.Time // ts origin; Chrome wants microseconds from an epoch
 	n    int       // events written, for comma placement
-	err  error     // first write error, sticky
 	done bool
 }
 
 // NewChromeTraceSink wraps a writer. Call Close before reading what was
 // written: the JSON envelope is only complete then.
 func NewChromeTraceSink(w io.Writer) *ChromeTraceSink {
-	s := &ChromeTraceSink{w: bufio.NewWriter(w), base: time.Now()}
-	s.write([]byte(`{"displayTimeUnit":"ms","traceEvents":[`))
+	s := &ChromeTraceSink{out: newFileWriter(w), base: time.Now()}
+	s.out.write([]byte(`{"displayTimeUnit":"ms","traceEvents":[`))
 	return s
 }
 
@@ -45,15 +42,8 @@ func CreateChromeTraceFile(path string) (*ChromeTraceSink, error) {
 		return nil, err
 	}
 	s := NewChromeTraceSink(f)
-	s.c = f
+	s.out.c = f
 	return s, nil
-}
-
-// write appends raw bytes, latching the first error.
-func (s *ChromeTraceSink) write(b []byte) {
-	if _, err := s.w.Write(b); err != nil && s.err == nil {
-		s.err = err
-	}
 }
 
 // SpanStart implements SpanSink; the slice is written whole at SpanEnd,
@@ -96,10 +86,10 @@ func (s *ChromeTraceSink) SpanEnd(sp *Span, d time.Duration) {
 	s.mu.Lock()
 	if !s.done {
 		if s.n > 0 {
-			s.write([]byte{','})
+			s.out.write([]byte{','})
 		}
 		s.n++
-		s.write(buf)
+		s.out.write(buf)
 	}
 	s.mu.Unlock()
 }
@@ -108,20 +98,10 @@ func (s *ChromeTraceSink) SpanEnd(sp *Span, d time.Duration) {
 // file, closes it. The first write error wins.
 func (s *ChromeTraceSink) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !s.done {
 		s.done = true
-		s.write([]byte("]}\n"))
-		if err := s.w.Flush(); err != nil && s.err == nil {
-			s.err = err
-		}
+		s.out.write([]byte("]}\n"))
 	}
-	err := s.err
-	s.mu.Unlock()
-	if s.c != nil {
-		if cerr := s.c.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		s.c = nil
-	}
-	return err
+	return s.out.close()
 }

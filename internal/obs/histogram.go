@@ -65,16 +65,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// reset zeroes the histogram (not atomic with respect to concurrent
-// observers).
-func (h *Histogram) reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sumNS.Store(0)
-}
-
 // Snapshot captures the histogram's current state. Concurrent writers may
 // land between the bucket reads; the stat is internally consistent enough
 // for reporting (count is recomputed from the bucket sum).

@@ -125,12 +125,3 @@ func TestHistogramEmptySnapshot(t *testing.T) {
 		t.Errorf("empty snapshot = %+v, want zeros", s)
 	}
 }
-
-func TestHistogramReset(t *testing.T) {
-	var h Histogram
-	h.Observe(time.Millisecond)
-	h.reset()
-	if h.Count() != 0 || h.Snapshot().SumSeconds != 0 {
-		t.Error("reset did not zero the histogram")
-	}
-}

@@ -213,20 +213,6 @@ func (g *Registry) Get(c Counter) int64 {
 	return g.counters[c].Load()
 }
 
-// Reset zeroes every counter, span aggregate (with its histogram) and
-// gauge.
-func (g *Registry) Reset() {
-	for i := range g.counters {
-		g.counters[i].Store(0)
-	}
-	g.spanMu.Lock()
-	g.spans = nil
-	g.spanMu.Unlock()
-	g.gaugeMu.Lock()
-	g.gauges = nil
-	g.gaugeMu.Unlock()
-}
-
 // SpanStat is the report entry of one span kind.
 type SpanStat struct {
 	// Seconds is accumulated wall time.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"os"
@@ -141,9 +140,7 @@ const DefaultProvMaxNodes = 250_000
 // same way they thread *Run. Safe for concurrent use.
 type Prov struct {
 	mu      sync.Mutex
-	w       *bufio.Writer
-	c       io.Closer // non-nil when the recorder owns the file
-	err     error     // first write error, sticky
+	out     fileWriter
 	nextID  uint64
 	written uint64
 	dropped uint64
@@ -167,7 +164,7 @@ func NewProvenance(w io.Writer, opts ProvOptions) *Prov {
 		opts.SampleEvery = 1
 	}
 	return &Prov{
-		w:        bufio.NewWriter(w),
+		out:      newFileWriter(w),
 		opts:     opts,
 		inds:     make(map[string]int64),
 		byClause: make(map[string]uint64),
@@ -183,7 +180,7 @@ func CreateProvenanceFile(path string, opts ProvOptions) (*Prov, error) {
 		return nil, err
 	}
 	p := NewProvenance(f, opts)
-	p.c = f
+	p.out.c = f
 	return p, nil
 }
 
@@ -277,15 +274,10 @@ func (p *Prov) Selected(clause string, pos, neg int) {
 func (p *Prov) writeLocked(rec any) {
 	b, err := json.Marshal(rec)
 	if err != nil {
-		if p.err == nil {
-			p.err = err
-		}
+		p.out.latch(err)
 		return
 	}
-	b = append(b, '\n')
-	if _, werr := p.w.Write(b); werr != nil && p.err == nil {
-		p.err = werr
-	}
+	p.out.write(append(b, '\n'))
 }
 
 // Close writes the summary record, flushes, and closes the artifact when
@@ -309,18 +301,8 @@ func (p *Prov) Close() error {
 		}
 	}
 	p.writeLocked(sum)
-	if err := p.w.Flush(); err != nil && p.err == nil {
-		p.err = err
-	}
-	err := p.err
-	c := p.c
-	p.c = nil
+	err := p.out.close()
 	p.mu.Unlock()
-	if c != nil {
-		if cerr := c.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
 	return err
 }
 

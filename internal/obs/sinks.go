@@ -11,20 +11,62 @@ import (
 	"time"
 )
 
+// fileWriter is the buffered output of the artifact writers (JSONLSink,
+// ChromeTraceSink, Prov): a bufio writer, the first error any write hit,
+// kept so a run that wrote into a full disk fails loudly at Flush or
+// Close, and the file when the writer owns it. Callers hold their own
+// lock.
+type fileWriter struct {
+	w   *bufio.Writer
+	c   io.Closer // non-nil when the writer owns the file
+	err error     // first error, sticky
+}
+
+func newFileWriter(w io.Writer) fileWriter { return fileWriter{w: bufio.NewWriter(w)} }
+
+// latch keeps err when it is the first error.
+func (f *fileWriter) latch(err error) {
+	if err != nil && f.err == nil {
+		f.err = err
+	}
+}
+
+func (f *fileWriter) write(b []byte) {
+	_, err := f.w.Write(b)
+	f.latch(err)
+}
+
+// flush forces buffered output out and returns the first error.
+func (f *fileWriter) flush() error {
+	f.latch(f.w.Flush())
+	return f.err
+}
+
+// close flushes and, when the writer owns its file, closes it (even when a
+// write already failed). The first error wins.
+func (f *fileWriter) close() error {
+	err := f.flush()
+	if f.c != nil {
+		if cerr := f.c.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+		f.c = nil
+	}
+	return err
+}
+
 // JSONLSink writes one JSON object per finished span, suitable for
 // machine-read run traces (the -trace flag); the line format is
 // documented at SpanEnd.
 type JSONLSink struct {
 	mu  sync.Mutex
-	w   *bufio.Writer
-	c   io.Closer // non-nil when the sink owns the file
-	err error     // first write error, sticky; reported by Flush/Close
+	out fileWriter
 }
 
 // NewJSONLSink wraps a writer. Call Close (or Flush) before reading what
 // was written: output is buffered.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{w: bufio.NewWriter(w)}
+	return &JSONLSink{out: newFileWriter(w)}
 }
 
 // CreateJSONLFile creates (truncating) a trace file and returns a sink
@@ -35,7 +77,7 @@ func CreateJSONLFile(path string) (*JSONLSink, error) {
 		return nil, err
 	}
 	s := NewJSONLSink(f)
-	s.c = f
+	s.out.c = f
 	return s, nil
 }
 
@@ -77,9 +119,7 @@ func (s *JSONLSink) SpanEnd(sp *Span, d time.Duration) {
 	buf = appendFields(buf, sp.Fields)
 	buf = append(buf, '}', '\n')
 	s.mu.Lock()
-	if _, err := s.w.Write(buf); err != nil && s.err == nil {
-		s.err = err // SpanEnd cannot return it; surface the first one at Flush/Close
-	}
+	s.out.write(buf) // SpanEnd cannot return an error; Flush/Close report it
 	s.mu.Unlock()
 }
 
@@ -116,23 +156,15 @@ func stringify(v any) string {
 func (s *JSONLSink) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.w.Flush(); err != nil && s.err == nil {
-		s.err = err
-	}
-	return s.err
+	return s.out.flush()
 }
 
 // Close flushes and, when the sink owns its file, closes it (even when a
 // write already failed). The first error wins.
 func (s *JSONLSink) Close() error {
-	err := s.Flush()
-	if s.c != nil {
-		if cerr := s.c.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		s.c = nil
-	}
-	return err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.out.close()
 }
 
 // TextSink logs one human-readable line per finished span of the

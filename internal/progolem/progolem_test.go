@@ -31,7 +31,7 @@ func TestARMGDropsBlockingAtom(t *testing.T) {
 	tester := ilp.NewTester(prob, ilp.Defaults())
 	c := logic.MustParseClause("hardWorking(X) :- student(X), inPhase(X, prelim), yearsInProgram(X, 3).")
 	e2 := logic.GroundAtom("hardWorking", "bea")
-	g := ARMG(tester, c, e2)
+	g := ilp.ARMG(tester, nil, c, e2)
 	if g == nil {
 		t.Fatal("ARMG failed")
 	}
@@ -55,7 +55,7 @@ func TestARMGAlreadyCovering(t *testing.T) {
 	prob := w.ProblemOriginal()
 	tester := ilp.NewTester(prob, ilp.Defaults())
 	c := logic.MustParseClause("advisedBy(X,Y) :- publication(P,X), publication(P,Y).")
-	g := ARMG(tester, c, w.Pos[0])
+	g := ilp.ARMG(tester, nil, c, w.Pos[0])
 	if !g.Equal(c) {
 		t.Errorf("covered example should leave the clause unchanged: %v", g)
 	}
@@ -66,7 +66,7 @@ func TestARMGHeadMismatch(t *testing.T) {
 	prob := w.ProblemOriginal()
 	tester := ilp.NewTester(prob, ilp.Defaults())
 	c := logic.MustParseClause("advisedBy(X,X) :- student(X).")
-	if g := ARMG(tester, c, logic.GroundAtom("advisedBy", "stud0", "prof0")); g != nil {
+	if g := ilp.ARMG(tester, nil, c, logic.GroundAtom("advisedBy", "stud0", "prof0")); g != nil {
 		t.Errorf("repeated head variable cannot match distinct constants: %v", g)
 	}
 }
@@ -81,7 +81,7 @@ func TestARMGPrunesDisconnected(t *testing.T) {
 	// stud3 TAs nothing (courses only for j < n/2 = 4 → stud0..3 do TA; use
 	// an example whose student has no TA row: stud5).
 	e := logic.GroundAtom("advisedBy", "stud5", "prof1")
-	g := ARMG(tester, c, e)
+	g := ilp.ARMG(tester, nil, c, e)
 	if g == nil {
 		t.Fatal("ARMG failed")
 	}

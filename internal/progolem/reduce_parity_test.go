@@ -55,7 +55,7 @@ func reductionInputs(prob *ilp.Problem, params ilp.Params) []*logic.Clause {
 	bottom := ilp.BottomClause(prob, prob.Pos[0], 2, params.MaxRecall)
 	var out []*logic.Clause
 	for _, e := range []int{1, 2} {
-		if g := ARMG(tester, bottom, prob.Pos[e]); g != nil && len(g.Body) > 0 {
+		if g := ilp.ARMG(tester, nil, bottom, prob.Pos[e]); g != nil && len(g.Body) > 0 {
 			out = append(out, g)
 		}
 	}
