@@ -71,10 +71,10 @@ func digest(s string) string {
 // default search and at Sample/BeamWidth 4/2 and 8/3, on every problem of
 // bottomUpProblems at Parallelism 1, one golden line holds SHA-256 digests
 // of the learned definition, of the provenance stream (every candidate the
-// beam generated, scored, pruned or kept) and of the registry's counters
-// and span call counts. A refactor of the beam, ARMG or negative reduction
-// that changes any decision shows up as a drifted line. Regenerate after
-// an intentional change with
+// beam generated, scored, pruned or kept) and of the registry's counters,
+// span call counts and per-relation store statistics. A refactor of the
+// beam, ARMG or negative reduction that changes any decision shows up as
+// a drifted line. Regenerate after an intentional change with
 //
 //	go test ./internal/experiments -run BottomUpLearnersGolden -args -update
 func TestBottomUpLearnersGolden(t *testing.T) {
@@ -155,6 +155,9 @@ func bottomUpDigests(t *testing.T, name string, learner ilp.Learner, prob *ilp.P
 	}
 	for k, s := range rep.Spans {
 		counters = append(counters, fmt.Sprintf("span %s=%d", k, s.Calls))
+	}
+	for rel, s := range rep.Store {
+		counters = append(counters, fmt.Sprintf("relstore %s=%d/%d/%d/%d", rel, s.Lookups, s.TuplesScanned, s.IndexHits, s.INDExpansions))
 	}
 	sort.Strings(counters)
 	text := "nil"
