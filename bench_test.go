@@ -360,7 +360,6 @@ func benchBottomClause(b *testing.B, prob *ilp.Problem, plan *relstore.Plan) {
 	params := benchCastorParams()
 	reg := obs.NewRegistry()
 	params.Obs = obs.NewRun(nil, reg)
-	prob.Instance.ResetStoreStats()
 	var lits int
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -372,7 +371,7 @@ func benchBottomClause(b *testing.B, prob *ilp.Problem, plan *relstore.Plan) {
 	b.ReportMetric(float64(lits)/n, "lits/op")
 	b.ReportMetric(float64(reg.Get(obs.CTuplesScanned))/n, "tuples/op")
 	var scanned, expansions int64
-	for _, st := range prob.Instance.StoreStats() {
+	for _, st := range reg.Snapshot().Store {
 		scanned += st.TuplesScanned
 		expansions += st.INDExpansions
 	}

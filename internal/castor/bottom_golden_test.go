@@ -17,7 +17,7 @@ import (
 // bottomGolden pins what ground bottom-clause construction produces on one
 // schema of a generated dataset: a digest of every example's clause text,
 // in example order, the two construction counters, and a digest of every
-// table's access statistics after the sweep. The digests were recorded
+// table's access statistics the sweep published. The digests were recorded
 // from the string-keyed construction the id-space builder replaced, so a
 // change to literal order, to a stopping rule, to the IND chase or to any
 // probe's accounting shows here.
@@ -36,13 +36,12 @@ func bottomGoldenSweep(prob *ilp.Problem, params ilp.Params, extra ...logic.Atom
 	plan := relstore.CompilePlan(prob.Instance.Schema(), params.SubsetINDs)
 	reg := obs.NewRegistry()
 	params.Obs = obs.NewRun(nil, reg)
-	prob.Instance.ResetStoreStats()
 	h := fnv.New64a()
 	examples := append(append(append([]logic.Atom(nil), prob.Pos...), prob.Neg...), extra...)
 	for _, e := range examples {
 		fmt.Fprintln(h, GroundBottomClause(prob, plan, e, params).String())
 	}
-	stats := prob.Instance.StoreStats()
+	stats := reg.Snapshot().Store
 	names := make([]string, 0, len(stats))
 	for n := range stats {
 		names = append(names, n)

@@ -98,15 +98,7 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 		}
 		return l.learnClause(prob, params, tester, rng, b, uncovered), nil
 	}
-	sp := run.StartSpan("learn",
-		obs.F("learner", "castor"), obs.F("target", prob.Target.Name),
-		obs.F("pos", len(prob.Pos)), obs.F("neg", len(prob.Neg)))
-	def, err := ilp.Cover(prob, params, tester, learn)
-	if def != nil {
-		sp.Annotate(obs.F("clauses", def.Len()))
-	}
-	sp.End()
-	return def, err
+	return ilp.Cover("castor", prob, params, tester, learn)
 }
 
 // maxSeedTries bounds how many seed examples one LearnClause call may

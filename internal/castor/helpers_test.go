@@ -44,7 +44,7 @@ func TestFinishedLearnIsCollectable(t *testing.T) {
 			params.Parallelism = 2
 			params.CoverageMode = mode
 			sink := &helperShards{}
-			params.Obs = obs.NewRun(sink, nil) // no registry: its store source would hold the instance
+			params.Obs = obs.NewRun(sink, nil)
 			if _, err := New().Learn(prob, params); err != nil {
 				t.Fatal(err)
 			}

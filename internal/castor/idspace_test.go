@@ -60,7 +60,6 @@ func TestCoveredSetStoreStatsParallel(t *testing.T) {
 		var wantStats map[string]obs.StoreStat
 		var wantCounts []int64
 		for _, par := range []int{1, 4} {
-			prob.Instance.ResetStoreStats()
 			reg := obs.NewRegistry()
 			p := params
 			p.CoverageMode, p.Parallelism, p.Obs = mode, par, obs.NewRun(nil, reg)
@@ -69,7 +68,7 @@ func TestCoveredSetStoreStatsParallel(t *testing.T) {
 				tester.CoveredSet(c, prob.Pos, nil)
 				tester.CoveredSet(c, prob.Neg, nil)
 			}
-			stats := prob.Instance.StoreStats()
+			stats := reg.Snapshot().Store
 			var counts []int64
 			for _, c := range counters {
 				counts = append(counts, reg.Get(c))

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -414,6 +416,45 @@ func TestRunReportStoreSectionIsPerLearn(t *testing.T) {
 	for rel, s := range first.Store {
 		if both.Store[rel] != s.Add(s) {
 			t.Errorf("relation %s: two learns into one registry report %+v, one learn %+v", rel, both.Store[rel], s)
+		}
+	}
+}
+
+// TestRunReportStoreSectionIgnoresLaterLearns: a registry's relstore
+// section holds what its own learn asked of the store, however the
+// instance is used afterwards. A Castor learn reports into registry A,
+// then a second learn on the same instance into registry B; A's section
+// must read the same after B's learn as before it, in both coverage modes
+// and at Parallelism 1 and 2.
+func TestRunReportStoreSectionIgnoresLaterLearns(t *testing.T) {
+	modes := []struct {
+		name string
+		m    ilp.CoverageMode
+	}{{"direct", ilp.CoverageDB}, {"subsumption", ilp.CoverageSubsumption}}
+	for _, mode := range modes {
+		for _, par := range []int{1, 2} {
+			t.Run(mode.name+"/par"+strconv.Itoa(par), func(t *testing.T) {
+				prob := testfix.NewWorld(8).ProblemOriginal()
+				learn := func(reg *obs.Registry) {
+					params := ilp.Defaults()
+					params.Parallelism = par
+					params.CoverageMode = mode.m
+					params.Obs = obs.NewRun(nil, reg)
+					if _, err := New().Learn(prob, params); err != nil {
+						t.Fatal(err)
+					}
+				}
+				a := obs.NewRegistry()
+				learn(a)
+				before := a.Snapshot().Store
+				if len(before) == 0 {
+					t.Fatal("the learn reported no store statistics")
+				}
+				learn(obs.NewRegistry())
+				if after := a.Snapshot().Store; !reflect.DeepEqual(after, before) {
+					t.Errorf("registry A's relstore section changed with a later learn under registry B:\nbefore %v\nafter  %v", before, after)
+				}
+			})
 		}
 	}
 }

@@ -109,7 +109,7 @@ func closure(c *logic.Clause, plan *relstore.Plan, j int) []int {
 	for k := range in {
 		out = append(out, k)
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -200,12 +200,4 @@ func intsKey(a []int) string {
 		b = append(b, byte(v), byte(v>>8), ',')
 	}
 	return string(b)
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

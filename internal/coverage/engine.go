@@ -10,8 +10,8 @@ import (
 )
 
 // Probe is the state one worker's coverage tests share while it runs a
-// shard: the tests accumulate into it (store statistics, counters) rather
-// than into shared counters, and the engine publishes it once the shard is
+// shard: the tests accumulate their store statistics into it rather than
+// into shared counters, and the engine publishes it once the shard is
 // done. A probe serves one goroutine at a time.
 type Probe interface {
 	Publish()
@@ -90,6 +90,7 @@ func (en *Engine[P]) done(p P) {
 func (en *Engine[P]) Covers(c *logic.Clause, e logic.Atom) bool {
 	p := en.probe()
 	defer en.done(p)
+	en.run.Inc(obs.CCoverageTests)
 	return en.cover(c)(p, e)
 }
 
@@ -463,6 +464,7 @@ func (en *Engine[P]) scan(label string, examples []logic.Atom, setKey string, jo
 		}
 		runShards(en.run, en.util, en.workers, label, planShards(pairs, en.shardCount(pairs)), func(sh shard) {
 			pr := en.probe()
+			shardTested := int64(0)
 			for k := sh.lo; k < sh.hi; {
 				jb, lo := active[k/n], k%n
 				hi := min(n, lo+sh.hi-k)
@@ -486,7 +488,9 @@ func (en *Engine[P]) scan(label string, examples []logic.Atom, setKey string, jo
 					}
 				}
 				jb.tested.Add(tested)
+				shardTested += tested
 			}
+			en.run.Add(obs.CCoverageTests, shardTested)
 			en.done(pr)
 		})
 	}

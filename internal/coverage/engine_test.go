@@ -406,7 +406,7 @@ func TestEnginePreparesEachClauseOncePerRound(t *testing.T) {
 }
 
 // countProbe counts the tests run on it; Publish moves the count into the
-// shared total, as a store prober moves its statistics into the tables.
+// shared total, as a store prober moves its statistics into the run.
 type countProbe struct {
 	n         int64
 	published *atomic.Int64

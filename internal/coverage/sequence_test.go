@@ -10,18 +10,6 @@ import (
 	"repro/internal/obs"
 )
 
-// seqProbe counts the tests run on it and publishes them as the
-// coverage_tests counter, as ilp.Tester's probe does.
-type seqProbe struct {
-	run   *obs.Run
-	tests int64
-}
-
-func (p *seqProbe) Publish() {
-	p.run.Add(obs.CCoverageTests, p.tests)
-	p.tests = 0
-}
-
 // seqCovers is the oracle of TestEngineCallSequence. A clause with body
 // length L covers positive i ("e") iff i % (L+1) != 0, and negative i
 // ("n") iff i % (5−L) == 0 for L ≤ 4, none for longer bodies; a body
@@ -69,7 +57,7 @@ func seqBits(b *Bitset) string { return fmt.Sprintf("%x", b.words) }
 // seqSteps runs the fixed call sequence on en and returns, per call, its
 // result and, when reg is non-nil, every non-zero registry counter after
 // it.
-func seqSteps(en *Engine[*seqProbe], reg *obs.Registry) []string {
+func seqSteps(en *Engine[nopProbe], reg *obs.Registry) []string {
 	pos := make([]logic.Atom, 24)
 	for i := range pos {
 		pos[i] = logic.GroundAtom("e", fmt.Sprint(i))
@@ -148,12 +136,7 @@ func seqSteps(en *Engine[*seqProbe], reg *obs.Registry) []string {
 // off — must return the recorded results and leave the recorded counters
 // after every call at one worker, and return the same results at four.
 func TestEngineCallSequence(t *testing.T) {
-	cover := func(c *logic.Clause) func(*seqProbe, logic.Atom) bool {
-		return func(p *seqProbe, e logic.Atom) bool {
-			p.tests++
-			return seqCovers(c, e)
-		}
-	}
+	cover := perPair(seqCovers)
 	for _, cached := range []bool{false, true} {
 		want := seqWant[cached]
 		for _, workers := range []int{1, 4} {
@@ -163,7 +146,7 @@ func TestEngineCallSequence(t *testing.T) {
 			if cached {
 				cache = NewCache(0)
 			}
-			en := NewEngine(cover, func() *seqProbe { return &seqProbe{run: run} }, workers, cache, run)
+			en := NewEngine(cover, newNop, workers, cache, run)
 			if workers > 1 {
 				reg = nil // counters follow the schedule past one worker
 			}

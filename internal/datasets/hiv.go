@@ -2,6 +2,7 @@ package datasets
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/logic"
 	"repro/internal/relstore"
@@ -96,7 +97,7 @@ func HIVInitialSchema(elements, properties int) *relstore.Schema {
 		s.MustAddRelation("element_"+hivElements[e], "atm")
 	}
 	for p := 0; p < properties; p++ {
-		s.MustAddRelation("p2_"+itoa(p), "atm")
+		s.MustAddRelation("p2_"+strconv.Itoa(p), "atm")
 	}
 	// Table 4: bonds[bd] = bTypeK[bd] with equality; the rest are subsets.
 	s.MustAddIND("bonds", []string{"bd"}, "bType1", []string{"bd"}, true)
@@ -108,7 +109,7 @@ func HIVInitialSchema(elements, properties int) *relstore.Schema {
 		s.MustAddIND("element_"+hivElements[e], []string{"atm"}, "compound", []string{"atm"}, false)
 	}
 	for p := 0; p < properties; p++ {
-		s.MustAddIND("p2_"+itoa(p), []string{"atm"}, "compound", []string{"atm"}, false)
+		s.MustAddIND("p2_"+strconv.Itoa(p), []string{"atm"}, "compound", []string{"atm"}, false)
 	}
 	s.SetDomain("atm1", "atm")
 	s.SetDomain("atm2", "atm")
@@ -141,7 +142,7 @@ func GenerateHIV(cfg HIVConfig) (*Dataset, error) {
 	var pos, neg []logic.Atom
 	atomID, bondID := 0, 0
 	for c := 0; c < cfg.Compounds; c++ {
-		comp := "comp" + itoa(c)
+		comp := "comp" + strconv.Itoa(c)
 		n := cfg.AtomsPerCompound/2 + r.Intn(cfg.AtomsPerCompound)
 		if n < 2 {
 			n = 2
@@ -149,19 +150,19 @@ func GenerateHIV(cfg HIVConfig) (*Dataset, error) {
 		atoms := make([]string, n)
 		elems := make([]int, n)
 		for a := 0; a < n; a++ {
-			atoms[a] = "atm" + itoa(atomID)
+			atoms[a] = "atm" + strconv.Itoa(atomID)
 			atomID++
 			elems[a] = r.Intn(cfg.Elements)
 			inst.MustInsert("compound", comp, atoms[a])
 			inst.MustInsert("element_"+hivElements[elems[a]], atoms[a])
 			if r.Float64() < 0.5 {
-				inst.MustInsert("p2_"+itoa(r.Intn(cfg.Properties)), atoms[a])
+				inst.MustInsert("p2_"+strconv.Itoa(r.Intn(cfg.Properties)), atoms[a])
 			}
 		}
 		// Bond tree plus a few extra edges.
 		active := false
 		addBond := func(i, j int) {
-			bd := "bd" + itoa(bondID)
+			bd := "bd" + strconv.Itoa(bondID)
 			bondID++
 			inst.MustInsert("bonds", bd, atoms[i], atoms[j])
 			t1 := types[r.Intn(len(types))]

@@ -2,6 +2,7 @@ package datasets
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/logic"
 	"repro/internal/relstore"
@@ -177,90 +178,90 @@ func GenerateIMDb(cfg IMDbConfig) (*Dataset, error) {
 	inst := relstore.NewInstance(schema)
 
 	for g := 0; g < cfg.Genres; g++ {
-		inst.MustInsert("genre", "g"+itoa(g), imdbGenres[g])
+		inst.MustInsert("genre", "g"+strconv.Itoa(g), imdbGenres[g])
 	}
 	colors := []string{"color", "bw"}
 	for c := range colors {
-		inst.MustInsert("color", "col"+itoa(c), colors[c])
+		inst.MustInsert("color", "col"+strconv.Itoa(c), colors[c])
 	}
 	companies := 12
 	for p := 0; p < companies; p++ {
-		inst.MustInsert("prodcompany", "pc"+itoa(p), "studio_"+itoa(p))
+		inst.MustInsert("prodcompany", "pc"+strconv.Itoa(p), "studio_"+strconv.Itoa(p))
 	}
 	// Crew pools: one pool per crew kind, sized off the director count.
 	crewPool := cfg.Directors
 	for d := 0; d < cfg.Directors; d++ {
-		inst.MustInsert("director", "d"+itoa(d), "director_"+itoa(d))
-		inst.MustInsert("producer", "pr"+itoa(d), "producer_"+itoa(d))
+		inst.MustInsert("director", "d"+strconv.Itoa(d), "director_"+strconv.Itoa(d))
+		inst.MustInsert("producer", "pr"+strconv.Itoa(d), "producer_"+strconv.Itoa(d))
 	}
 	for _, e := range crewEntities {
 		for k := 0; k < crewPool; k++ {
-			inst.MustInsert(e, e+itoa(k), e+"_name_"+itoa(k))
+			inst.MustInsert(e, e+strconv.Itoa(k), e+"_name_"+strconv.Itoa(k))
 		}
 	}
 	sexes := []string{"m", "f"}
 	for a := 0; a < cfg.Actors; a++ {
-		inst.MustInsert("actor", "a"+itoa(a), "actor_"+itoa(a), sexes[a%2])
+		inst.MustInsert("actor", "a"+strconv.Itoa(a), "actor_"+strconv.Itoa(a), sexes[a%2])
 	}
 	languages := []string{"english", "spanish", "japanese", "french"}
 	for l, lang := range languages {
-		inst.MustInsert("language", "lang"+itoa(l), lang)
+		inst.MustInsert("language", "lang"+strconv.Itoa(l), lang)
 	}
 	countries := []string{"usa", "mexico", "japan", "france", "india"}
 	for c, country := range countries {
-		inst.MustInsert("country", "ctry"+itoa(c), country)
+		inst.MustInsert("country", "ctry"+strconv.Itoa(c), country)
 	}
 
 	dramaDirectors := make(map[string]bool)
 	for m := 0; m < cfg.Movies; m++ {
-		id := "m" + itoa(m)
-		inst.MustInsert("movie", id, "movie_"+itoa(m), "year_"+itoa(2001+r.Intn(15)))
+		id := "m" + strconv.Itoa(m)
+		inst.MustInsert("movie", id, "movie_"+strconv.Itoa(m), "year_"+strconv.Itoa(2001+r.Intn(15)))
 		g := r.Intn(cfg.Genres)
 		d := r.Intn(cfg.Directors)
 		// The five Stanford links: every movie has exactly one of each (the
 		// equality INDs and the losslessness of the Stanford composition
 		// depend on it).
-		inst.MustInsert("movies2genre", id, "g"+itoa(g))
-		inst.MustInsert("movies2color", id, "col"+itoa(r.Intn(len(colors))))
-		inst.MustInsert("movies2prodcompany", id, "pc"+itoa(r.Intn(companies)))
-		inst.MustInsert("movies2director", id, "d"+itoa(d))
-		inst.MustInsert("movies2producer", id, "pr"+itoa(r.Intn(cfg.Directors)))
+		inst.MustInsert("movies2genre", id, "g"+strconv.Itoa(g))
+		inst.MustInsert("movies2color", id, "col"+strconv.Itoa(r.Intn(len(colors))))
+		inst.MustInsert("movies2prodcompany", id, "pc"+strconv.Itoa(r.Intn(companies)))
+		inst.MustInsert("movies2director", id, "d"+strconv.Itoa(d))
+		inst.MustInsert("movies2producer", id, "pr"+strconv.Itoa(r.Intn(cfg.Directors)))
 		// Crew links: most movies have one of each kind.
 		for _, e := range crewEntities {
 			if r.Float64() < 0.8 {
-				inst.MustInsert("movies2"+e, id, e+itoa(r.Intn(crewPool)))
+				inst.MustInsert("movies2"+e, id, e+strconv.Itoa(r.Intn(crewPool)))
 			}
 		}
 		for k := 0; k < 2+r.Intn(3); k++ {
-			inst.MustInsert("movies2actor", id, "a"+itoa(r.Intn(cfg.Actors)), "character_"+itoa(r.Intn(500)))
+			inst.MustInsert("movies2actor", id, "a"+strconv.Itoa(r.Intn(cfg.Actors)), "character_"+strconv.Itoa(r.Intn(500)))
 		}
 		// Per-movie facts and localization.
 		if r.Float64() < 0.7 {
-			inst.MustInsert("rating", id, "rank_"+itoa(1+r.Intn(10)), "votes_"+itoa(r.Intn(9)))
+			inst.MustInsert("rating", id, "rank_"+strconv.Itoa(1+r.Intn(10)), "votes_"+strconv.Itoa(r.Intn(9)))
 		}
 		for _, f := range perMovieFacts {
 			if r.Float64() < 0.5 {
-				inst.MustInsert(f, id, f+"_text_"+itoa(r.Intn(1000)))
+				inst.MustInsert(f, id, f+"_text_"+strconv.Itoa(r.Intn(1000)))
 			}
 		}
 		lang := r.Intn(len(languages))
 		ctry := r.Intn(len(countries))
-		inst.MustInsert("movies2language", id, "lang"+itoa(lang))
-		inst.MustInsert("movies2country", id, "ctry"+itoa(ctry))
+		inst.MustInsert("movies2language", id, "lang"+strconv.Itoa(lang))
+		inst.MustInsert("movies2country", id, "ctry"+strconv.Itoa(ctry))
 		if r.Float64() < 0.6 {
-			inst.MustInsert("certificate", id, "ctry"+itoa(ctry), "cert_"+itoa(r.Intn(5)))
+			inst.MustInsert("certificate", id, "ctry"+strconv.Itoa(ctry), "cert_"+strconv.Itoa(r.Intn(5)))
 		}
 		if r.Float64() < 0.6 {
-			inst.MustInsert("releasedate", id, "ctry"+itoa(ctry), "date_"+itoa(r.Intn(360)))
+			inst.MustInsert("releasedate", id, "ctry"+strconv.Itoa(ctry), "date_"+strconv.Itoa(r.Intn(360)))
 		}
 		if r.Float64() < 0.3 {
-			inst.MustInsert("akatitle", id, "lang"+itoa(r.Intn(len(languages))), "aka_"+itoa(m))
+			inst.MustInsert("akatitle", id, "lang"+strconv.Itoa(r.Intn(len(languages))), "aka_"+strconv.Itoa(m))
 		}
 		if r.Float64() < 0.5 {
-			inst.MustInsert("distributor", id, "dist_"+itoa(r.Intn(8)))
+			inst.MustInsert("distributor", id, "dist_"+strconv.Itoa(r.Intn(8)))
 		}
 		if imdbGenres[g] == "drama" {
-			dramaDirectors["d"+itoa(d)] = true
+			dramaDirectors["d"+strconv.Itoa(d)] = true
 		}
 	}
 	// The movies2X[Xid] = X[id] equality INDs require every entity to be
@@ -275,7 +276,7 @@ func GenerateIMDb(cfg IMDbConfig) (*Dataset, error) {
 	// Exact labels (no noise: Table 11 relies on the exact definition).
 	var pos, neg []logic.Atom
 	for d := 0; d < cfg.Directors; d++ {
-		id := "d" + itoa(d)
+		id := "d" + strconv.Itoa(d)
 		if inst.Table("director").TuplesWith(map[int]string{0: id}) == nil {
 			continue // pruned (never directed anything)
 		}

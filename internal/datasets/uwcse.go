@@ -3,6 +3,7 @@ package datasets
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/logic"
 	"repro/internal/relstore"
@@ -133,7 +134,7 @@ func GenerateUWCSE(cfg UWCSEConfig) (*Dataset, error) {
 	profs := make([]string, cfg.Professors)
 	profPos := make([]string, cfg.Professors)
 	for p := range profs {
-		profs[p] = "prof" + itoa(p)
+		profs[p] = "prof" + strconv.Itoa(p)
 		// Round-robin positions: exactly ⌈1/3⌉ of the professors are
 		// faculty at every scale, so the positive class never collapses.
 		profPos[p] = positions[p%len(positions)]
@@ -143,10 +144,10 @@ func GenerateUWCSE(cfg UWCSEConfig) (*Dataset, error) {
 	// Students with phase and years.
 	studs := make([]string, cfg.Students)
 	for k := range studs {
-		studs[k] = "stud" + itoa(k)
+		studs[k] = "stud" + strconv.Itoa(k)
 		inst.MustInsert("student", studs[k])
 		inst.MustInsert("inPhase", studs[k], phases[r.Intn(len(phases))])
-		inst.MustInsert("yearsInProgram", studs[k], "year_"+itoa(1+r.Intn(7)))
+		inst.MustInsert("yearsInProgram", studs[k], "year_"+strconv.Itoa(1+r.Intn(7)))
 	}
 	// Advising ground truth: each student has one intended advisor; the
 	// pair co-publishes. Students may also co-publish with a non-advisor
@@ -156,14 +157,14 @@ func GenerateUWCSE(cfg UWCSEConfig) (*Dataset, error) {
 	for k := range studs {
 		advisor[k] = r.Intn(cfg.Professors)
 		for j := 0; j < cfg.PubsPerStudent; j++ {
-			tt := "title" + itoa(title)
+			tt := "title" + strconv.Itoa(title)
 			title++
 			inst.MustInsert("publication", tt, studs[k])
 			inst.MustInsert("publication", tt, profs[advisor[k]])
 		}
 		if r.Float64() < 0.3 {
 			other := r.Intn(cfg.Professors)
-			tt := "title" + itoa(title)
+			tt := "title" + strconv.Itoa(title)
 			title++
 			inst.MustInsert("publication", tt, studs[k])
 			inst.MustInsert("publication", tt, profs[other])
@@ -172,7 +173,7 @@ func GenerateUWCSE(cfg UWCSEConfig) (*Dataset, error) {
 	// Courses: each has a level, one teaching professor and at least one
 	// TA (ta[crs] = taughtBy[crs] = courseLevel[crs] equalities).
 	for c := 0; c < cfg.Courses; c++ {
-		crs := "crs" + itoa(c)
+		crs := "crs" + strconv.Itoa(c)
 		term := terms[r.Intn(len(terms))]
 		inst.MustInsert("courseLevel", crs, levels[r.Intn(len(levels))])
 		inst.MustInsert("taughtBy", crs, profs[c%cfg.Professors], term)

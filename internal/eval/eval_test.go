@@ -8,6 +8,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/ilp"
 	"repro/internal/logic"
+	"repro/internal/obs"
 	"repro/internal/relstore"
 )
 
@@ -170,7 +171,9 @@ func checkDefinitionCoverage(t *testing.T, prob *ilp.Problem, def *logic.Definit
 	t.Helper()
 	inst := prob.Instance
 	examples := append(append([]logic.Atom(nil), prob.Pos...), prob.Neg...)
-	s0 := inst.StoreStats()
+	oneByOne, atOnce := obs.NewRegistry(), obs.NewRegistry()
+	defer inst.SetObs(nil)
+	inst.SetObs(obs.NewRun(nil, oneByOne))
 	each := make([]bool, len(examples))
 	for j, e := range examples {
 		for _, c := range def.Clauses {
@@ -179,16 +182,13 @@ func checkDefinitionCoverage(t *testing.T, prob *ilp.Problem, def *logic.Definit
 			}
 		}
 	}
-	s1 := inst.StoreStats()
+	inst.SetObs(obs.NewRun(nil, atOnce))
 	all := inst.DefinitionCoverage(def, examples)
-	s2 := inst.StoreStats()
 	if !reflect.DeepEqual(all, each) {
 		t.Errorf("%v: DefinitionCoverage %v, CoversExample one by one %v", def, all, each)
 	}
-	for rel, s := range s2 {
-		if d1, d2 := s1[rel].Sub(s0[rel]), s.Sub(s1[rel]); d1 != d2 {
-			t.Errorf("%v: %s statistics %+v one by one, %+v at once", def, rel, d1, d2)
-		}
+	if s1, s2 := oneByOne.Snapshot().Store, atOnce.Snapshot().Store; !reflect.DeepEqual(s1, s2) {
+		t.Errorf("%v: store statistics %v one by one, %v at once", def, s1, s2)
 	}
 	var want Metrics
 	for j, ok := range each {

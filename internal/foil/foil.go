@@ -17,6 +17,7 @@ package foil
 import (
 	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/coverage"
 	"repro/internal/ilp"
@@ -49,16 +50,7 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 	learn := func(uncovered []logic.Atom) (*logic.Clause, error) {
 		return l.learnClause(prob, params, tester, gen, uncovered)
 	}
-	run := params.Obs
-	sp := run.StartSpan("learn",
-		obs.F("learner", "foil"), obs.F("target", prob.Target.Name),
-		obs.F("pos", len(prob.Pos)), obs.F("neg", len(prob.Neg)))
-	def, err := ilp.Cover(prob, params, tester, learn)
-	if def != nil {
-		sp.Annotate(obs.F("clauses", def.Len()))
-	}
-	sp.End()
-	return def, err
+	return ilp.Cover("foil", prob, params, tester, learn)
 }
 
 // learnClause grows one clause greedily by gain.
@@ -193,7 +185,7 @@ func extend(c *logic.Clause, a logic.Atom) *logic.Clause {
 func headAtom(target *relstore.Relation) logic.Atom {
 	args := make([]logic.Term, target.Arity())
 	for i := range args {
-		args[i] = logic.Var(varName(i))
+		args[i] = logic.Var("V" + strconv.Itoa(i))
 	}
 	return logic.NewAtom(target.Name, args...)
 }
@@ -204,27 +196,9 @@ func headAtom(target *relstore.Relation) logic.Atom {
 func headDomains(target *relstore.Relation) map[string]string {
 	out := make(map[string]string, target.Arity())
 	for i, a := range target.Attrs {
-		out[varName(i)] = a
+		out["V"+strconv.Itoa(i)] = a
 	}
 	return out
-}
-
-func varName(i int) string {
-	return "V" + itoa(i)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [10]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // candidate is one proposed literal with its coverage statistics.
@@ -269,7 +243,7 @@ func newLiteralGenerator(prob *ilp.Problem) *literalGenerator {
 			if len(vals) > maxValueConstants {
 				vals = vals[:maxValueConstants]
 			}
-			g.valueVals[rel.Name+"\x00"+itoa(col)] = vals
+			g.valueVals[rel.Name+"\x00"+strconv.Itoa(col)] = vals
 		}
 	}
 	return g
@@ -314,7 +288,7 @@ func (g *literalGenerator) enumerate(rel *relstore.Relation, byDomain map[string
 			opts = append(opts, option{term: logic.Var(v), isOld: true})
 		}
 		if g.prob.IsValueAttr(g.schema, attr) {
-			for _, val := range g.valueVals[rel.Name+"\x00"+itoa(col)] {
+			for _, val := range g.valueVals[rel.Name+"\x00"+strconv.Itoa(col)] {
 				opts = append(opts, option{term: logic.Const(val)})
 			}
 		} else {
@@ -332,7 +306,7 @@ func (g *literalGenerator) enumerate(rel *relstore.Relation, byDomain map[string
 			atom := logic.NewAtom(rel.Name, append([]logic.Term(nil), args...)...)
 			newVars := make(map[string]string, freshCount)
 			for i, d := range freshDomains {
-				newVars[varName(nextVar+i)] = d
+				newVars["V"+strconv.Itoa(nextVar+i)] = d
 			}
 			out = append(out, candidate{atom: atom, newVars: newVars})
 			return
@@ -340,7 +314,7 @@ func (g *literalGenerator) enumerate(rel *relstore.Relation, byDomain map[string
 		for _, opt := range options[col] {
 			switch {
 			case opt.isFresh:
-				args[col] = logic.Var(varName(nextVar + freshCount))
+				args[col] = logic.Var("V" + strconv.Itoa(nextVar+freshCount))
 				rec(col+1, oldCount, freshCount+1, append(freshDomains, opt.domain))
 			case opt.isOld:
 				args[col] = opt.term

@@ -44,16 +44,7 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 	learn := func(uncovered []logic.Atom) (*logic.Clause, error) {
 		return l.learnClause(prob, params, tester, bld, rng, uncovered), nil
 	}
-	run := params.Obs
-	sp := run.StartSpan("learn",
-		obs.F("learner", "golem"), obs.F("target", prob.Target.Name),
-		obs.F("pos", len(prob.Pos)), obs.F("neg", len(prob.Neg)))
-	def, err := ilp.Cover(prob, params, tester, learn)
-	if def != nil {
-		sp.Annotate(obs.F("clauses", def.Len()))
-	}
-	sp.End()
-	return def, err
+	return ilp.Cover("golem", prob, params, tester, learn)
 }
 
 // learnClause is Algorithm 2: rlggs of sampled example pairs, then greedy

@@ -2,6 +2,8 @@ package ilp
 
 import (
 	"math"
+	"slices"
+	"strconv"
 	"sync"
 
 	"repro/internal/logic"
@@ -157,7 +159,7 @@ func NewBuilder(prob *Problem, plan *relstore.Plan) *Builder {
 			// its last source, as a column-keyed requirement map would.
 			h := bottomHop{to: to, ind: hop.IND.String()}
 			for k, dst := range hop.DstPos {
-				if j := indexOf(h.dst, dst); j >= 0 {
+				if j := slices.Index(h.dst, dst); j >= 0 {
 					h.src[j] = hop.SrcPos[k]
 					continue
 				}
@@ -168,15 +170,6 @@ func NewBuilder(prob *Problem, plan *relstore.Plan) *Builder {
 		}
 	}
 	return b
-}
-
-func indexOf(xs []int, x int) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
 }
 
 // Plan returns the plan whose INDs the builder chases; nil for the
@@ -342,7 +335,7 @@ func (b *Builder) saturate(sc *bottomScratch, e logic.Atom, params Params, indsF
 			break
 		}
 	}
-	sc.tally.Publish()
+	sc.tally.Publish(params.Obs)
 	params.Obs.Add(obs.CINDChaseHops, chaseHops)
 	params.Obs.Add(obs.CTuplesScanned, scanned)
 }
@@ -575,7 +568,7 @@ func Variablize(prob *Problem, ground *logic.Clause) *logic.Clause {
 	mapTerm := func(v string) logic.Term {
 		t, ok := varOf[v]
 		if !ok {
-			t = logic.Var(varName(next))
+			t = logic.Var("V" + strconv.Itoa(next))
 			next++
 			varOf[v] = t
 		}
@@ -601,27 +594,4 @@ func Variablize(prob *Problem, ground *logic.Clause) *logic.Clause {
 		out.Body = append(out.Body, logic.NewAtom(lit.Pred, args...))
 	}
 	return out
-}
-
-func varName(n int) string {
-	// V0, V1, … ; small cache-free formatter to avoid fmt in a hot path.
-	buf := [12]byte{'V'}
-	i := 1
-	if n == 0 {
-		buf[1] = '0'
-		return string(buf[:2])
-	}
-	var digits [10]byte
-	d := 0
-	for n > 0 {
-		digits[d] = byte('0' + n%10)
-		n /= 10
-		d++
-	}
-	for d > 0 {
-		d--
-		buf[i] = digits[d]
-		i++
-	}
-	return string(buf[:i])
 }

@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/ilp"
 	"repro/internal/logic"
-	"repro/internal/relstore"
+	"repro/internal/obs"
 	"repro/internal/testfix"
 )
 
@@ -52,10 +52,10 @@ func unknownTargets(prob *ilp.Problem) []logic.Atom {
 	return append(out, logic.GroundAtom(prob.Target.Name, same...))
 }
 
-// writeStoreStats renders the instance's per-table statistics into h in
-// table-name order.
-func writeStoreStats(h hash.Hash64, inst *relstore.Instance) {
-	stats := inst.StoreStats()
+// writeStoreStats renders the per-table statistics published into reg
+// into h in table-name order.
+func writeStoreStats(h hash.Hash64, reg *obs.Registry) {
+	stats := reg.Snapshot().Store
 	names := make([]string, 0, len(stats))
 	for n := range stats {
 		names = append(names, n)
@@ -73,13 +73,16 @@ func saturationSweep(prob *ilp.Problem) saturationGolden {
 	hc, hs, ht := fnv.New64a(), fnv.New64a(), fnv.New64a()
 	for depth := 0; depth <= 3; depth++ {
 		for _, recall := range []int{0, 2, 10} {
-			prob.Instance.ResetStoreStats()
+			// ilp.Saturation with a registry attached.
+			reg := obs.NewRegistry()
+			params := ilp.Params{Depth: depth, MaxRecall: recall, Obs: obs.NewRun(nil, reg)}
+			bld := ilp.NewBuilder(prob, nil)
 			fmt.Fprintf(hc, "depth=%d recall=%d\n", depth, recall)
 			for _, e := range examples {
-				fmt.Fprintln(hc, ilp.Saturation(prob, e, depth, recall).String())
+				fmt.Fprintln(hc, bld.Build(e, params, nil).String())
 			}
 			fmt.Fprintf(hs, "depth=%d recall=%d\n", depth, recall)
-			writeStoreStats(hs, prob.Instance)
+			writeStoreStats(hs, reg)
 		}
 	}
 	for depth := 1; depth <= 3; depth++ {
@@ -92,13 +95,14 @@ func saturationSweep(prob *ilp.Problem) saturationGolden {
 			for k, e := range examples {
 				bottoms[k] = ilp.BottomClause(prob, e, params.Depth, params.MaxRecall)
 			}
-			prob.Instance.ResetStoreStats()
+			reg := obs.NewRegistry()
+			params.Obs = obs.NewRun(nil, reg)
 			tester := ilp.NewTester(prob, params)
 			fmt.Fprintf(ht, "depth=%d stored-proc=%v\n", depth, storedProc)
 			for k, e := range examples {
 				fmt.Fprintln(ht, tester.Covers(bottoms[k], e))
 			}
-			writeStoreStats(ht, prob.Instance)
+			writeStoreStats(ht, reg)
 		}
 	}
 	hex := func(h hash.Hash64) string { return fmt.Sprintf("%016x", h.Sum64()) }

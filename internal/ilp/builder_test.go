@@ -10,16 +10,34 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/ilp"
 	"repro/internal/logic"
+	"repro/internal/obs"
 	"repro/internal/relstore"
 )
 
 // nameSaturation is the string-keyed construction the builder's classic
 // policy replaced, kept as its reference: constants are names, literals
-// dedupe by Atom.Key, and every scan materializes its tuples through
-// Table.TuplesContaining.
-func nameSaturation(prob *ilp.Problem, e logic.Atom, depth, maxRecall int) *logic.Clause {
+// dedupe by Atom.Key, and every scan fetches the rows holding a constant
+// through Table.AppendRowsContaining, counting on tl, and writes them out
+// as tuples of names.
+func nameSaturation(prob *ilp.Problem, e logic.Atom, depth, maxRecall int, tl *relstore.Tally) *logic.Clause {
 	c := &logic.Clause{Head: e.Clone()}
 	schema := prob.Instance.Schema()
+	syms := prob.Instance.Symbols()
+	containing := func(table *relstore.Table, v string) []relstore.Tuple {
+		id, ok := syms.Lookup(v)
+		if !ok {
+			id = logic.UnknownSym
+		}
+		var out []relstore.Tuple
+		for _, r := range table.AppendRowsContaining(nil, id, tl) {
+			var tp relstore.Tuple
+			for _, x := range table.Row(r) {
+				tp = append(tp, syms.Name(x))
+			}
+			out = append(out, tp)
+		}
+		return out
+	}
 
 	known := make(map[string]bool)
 	var frontier []string // constants added in the previous iteration
@@ -48,7 +66,7 @@ func nameSaturation(prob *ilp.Problem, e logic.Atom, depth, maxRecall int) *logi
 				if maxRecall > 0 && collected >= maxRecall {
 					break
 				}
-				for _, tp := range table.TuplesContaining(cst) {
+				for _, tp := range containing(table, cst) {
 					if maxRecall > 0 && collected >= maxRecall {
 						break
 					}
@@ -141,12 +159,14 @@ func TestQuickSaturationMatchesNamePath(t *testing.T) {
 				Depth: r.Intn(6) - 1, MaxRecall: r.Intn(5) - 1,
 				MaxVars: r.Intn(4), UseStoredProc: r.Intn(2) == 0,
 			}
-			prob.Instance.ResetStoreStats()
-			want := nameSaturation(prob, e, params.Depth, params.MaxRecall)
-			wantStats := prob.Instance.StoreStats()
-			prob.Instance.ResetStoreStats()
+			tl := prob.Instance.NewTally()
+			want := nameSaturation(prob, e, params.Depth, params.MaxRecall, tl)
+			wantReg, gotReg := obs.NewRegistry(), obs.NewRegistry()
+			tl.Publish(obs.NewRun(nil, wantReg))
+			wantStats := wantReg.Snapshot().Store
+			params.Obs = obs.NewRun(nil, gotReg)
 			got := bld.Build(e, params, nil)
-			gotStats := prob.Instance.StoreStats()
+			gotStats := gotReg.Snapshot().Store
 			wrapped := ilp.Saturation(prob, e, params.Depth, params.MaxRecall)
 			if got.String() != want.String() || wrapped.String() != want.String() || !reflect.DeepEqual(gotStats, wantStats) {
 				t.Logf("%v at %+v:\n got  %v\n wrap %v\n want %v\nstats %v\nwant  %v", e, params, got, wrapped, want, gotStats, wantStats)

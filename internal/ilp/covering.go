@@ -15,9 +15,25 @@ import (
 // built.
 type LearnClauseFunc func(uncovered []logic.Atom) (*logic.Clause, error)
 
-// Cover runs the covering loop. The tester decides coverage; params
+// Cover runs the covering loop of the named learner inside its learn
+// span, which records the learner, the target, the example counts and, at
+// the end, the clauses learned. The tester decides coverage; params
 // supplies the minimum condition (MinPos, MinPrec) and MaxClauses.
-func Cover(prob *Problem, params Params, tester *Tester, learn LearnClauseFunc) (*logic.Definition, error) {
+func Cover(learner string, prob *Problem, params Params, tester *Tester, learn LearnClauseFunc) (*logic.Definition, error) {
+	run := params.Obs
+	sp := run.StartSpan("learn",
+		obs.F("learner", learner), obs.F("target", prob.Target.Name),
+		obs.F("pos", len(prob.Pos)), obs.F("neg", len(prob.Neg)))
+	def, err := cover(prob, params, tester, learn)
+	if def != nil {
+		sp.Annotate(obs.F("clauses", def.Len()))
+	}
+	sp.End()
+	return def, err
+}
+
+// cover is the loop of Cover.
+func cover(prob *Problem, params Params, tester *Tester, learn LearnClauseFunc) (*logic.Definition, error) {
 	run := params.Obs
 	def := logic.NewDefinition(prob.Target.Name)
 	uncovered := append([]logic.Atom(nil), prob.Pos...)

@@ -46,8 +46,8 @@ type entry struct {
 //     ARMGs, and ARMG drops one blocking atom at a time;
 //   - a plan (Castor): draw among the positives the best entry does not
 //     cover yet, since ARMG toward a covered example is the identity; drop
-//     unsafe ARMGs (§7.3.2); and ARMG restores the plan's INDs after each
-//     drop.
+//     unsafe ARMGs unscored (§7.3.2), recording each as pruned_unsafe; and
+//     ARMG restores the plan's INDs after each drop.
 func Generalize(t *Tester, plan *relstore.Plan, rng *Rand, seed logic.Atom, bottom *logic.Clause, bottomID uint64,
 	uncovered []logic.Atom, reduce func(c *logic.Clause, negCovered *coverage.Bitset) *logic.Clause) (*logic.Clause, uint64) {
 	run, prov, neg := t.run, t.run.Prov(), t.prob.Neg
@@ -91,7 +91,9 @@ func Generalize(t *Tester, plan *relstore.Plan, rng *Rand, seed logic.Atom, bott
 				continue
 			}
 			if plan != nil && !g.IsSafe() {
-				continue // §7.3.2: unsafe candidates are discarded
+				// §7.3.2: unsafe candidates are discarded unscored.
+				armgNode(prov, b.id, e, g, -1, -1, -1, obs.DispPrunedUnsafe)
+				continue
 			}
 			cands = append(cands, coverage.Candidate{Clause: g, KnownPos: b.pos, KnownNeg: b.neg})
 			from = append(from, i)

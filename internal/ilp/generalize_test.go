@@ -1,12 +1,15 @@
 package ilp_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/coverage"
 	"repro/internal/datasets"
 	"repro/internal/ilp"
 	"repro/internal/logic"
+	"repro/internal/obs"
 	"repro/internal/relstore"
 	"repro/internal/testfix"
 )
@@ -124,16 +127,38 @@ func TestGeneralizeDropsUnsafeARMGsUnderAPlan(t *testing.T) {
 	params.Sample = 2
 	keep := func(c *logic.Clause, _ *coverage.Bitset) *logic.Clause { return c }
 	for _, tc := range []struct {
-		plan *relstore.Plan
-		want string
+		plan   *relstore.Plan
+		want   string
+		unsafe int // pruned_unsafe ARMG nodes in the provenance stream
 	}{
-		{nil, "t(X,Y) :- p(X)."},
-		{relstore.CompilePlan(s, false), "t(X,Y) :- p(X), q(Y)."},
+		{nil, "t(X,Y) :- p(X).", 0},
+		{relstore.CompilePlan(s, false), "t(X,Y) :- p(X), q(Y).", 1},
 	} {
-		tester := ilp.NewTester(prob, params)
+		var stream bytes.Buffer
+		prov := obs.NewProvenance(&stream, obs.ProvOptions{MaxNodes: -1})
+		p := params
+		p.Obs = obs.NewRun(nil, nil).WithProvenance(prov)
+		tester := ilp.NewTester(prob, p)
 		got, _ := ilp.Generalize(tester, tc.plan, ilp.NewRand(1), prob.Pos[0], bottom, 0, prob.Pos, keep)
 		if want := logic.MustParseClause(tc.want); !got.Equal(want) {
 			t.Errorf("plan %v: Generalize = %v, want %v", tc.plan != nil, got, want)
+		}
+		if err := prov.Close(); err != nil {
+			t.Fatal(err)
+		}
+		unsafe := 0
+		dec := json.NewDecoder(&stream)
+		for dec.More() {
+			var n obs.ProvNode
+			if err := dec.Decode(&n); err != nil {
+				t.Fatal(err)
+			}
+			if n.Kind == "node" && n.Step == obs.StepARMG && n.Disposition == obs.DispPrunedUnsafe {
+				unsafe++
+			}
+		}
+		if unsafe != tc.unsafe {
+			t.Errorf("plan %v: %d pruned_unsafe ARMG nodes, want %d", tc.plan != nil, unsafe, tc.unsafe)
 		}
 	}
 }

@@ -259,7 +259,7 @@ func TestCoveringLoop(t *testing.T) {
 		}
 		return nil, nil
 	}
-	def, err := ilp.Cover(prob, params, tester, learn)
+	def, err := ilp.Cover("test", prob, params, tester, learn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestCoveringLoopRejectsBadClause(t *testing.T) {
 	learn := func(uncovered []logic.Atom) (*logic.Clause, error) {
 		return logic.MustParseClause("advisedBy(X,Y) :- student(X), professor(Y)."), nil
 	}
-	def, err := ilp.Cover(prob, params, tester, learn)
+	def, err := ilp.Cover("test", prob, params, tester, learn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestCoveringLoopMaxClauses(t *testing.T) {
 			logic.NewAtom("publication", logic.Const(title), logic.Var("Y")),
 		), nil
 	}
-	def, err := ilp.Cover(prob, params, tester, learn)
+	def, err := ilp.Cover("test", prob, params, tester, learn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ type Tester struct {
 	prob   *Problem
 	params Params
 	run    *obs.Run // from params.Obs; nil observes nothing
-	engine *coverage.Engine[*probe]
+	engine *coverage.Engine[*relstore.Prober]
 
 	// SatFn, when set, overrides how subsumption-mode coverage builds an
 	// example's saturation: the ground clause of names it returns is
@@ -123,33 +123,10 @@ func (x *exampleTable[V]) get(args *logic.Term) (val V, ok bool) {
 	}
 }
 
-// probe is one coverage worker's state: the store prober direct-mode
-// tests run on (nil in subsumption mode) and the tests run since the last
-// Publish.
-type probe struct {
-	run   *obs.Run
-	store *relstore.Prober
-	tests int64
-}
-
-// Publish hands the worker's store statistics and test count on.
-func (p *probe) Publish() {
-	if p.store != nil {
-		p.store.Publish()
-	}
-	if p.tests > 0 {
-		p.run.Add(obs.CCoverageTests, p.tests)
-		p.tests = 0
-	}
-}
-
 // NewTester builds a tester for the problem. As a side effect it attaches
-// params.Obs to the problem's instance, so store-level scans during this
-// learner's run report into the same registry, and registers the growth
-// of the instance's per-relation access statistics from this call on as
-// the registry's store source, so run reports expose this learn's store
-// work and no earlier learn's on the same instance (every learner builds
-// its tester first).
+// params.Obs to the problem's instance, so the store's probes during this
+// learner's run report their scans and per-relation statistics into the
+// same registry (every learner builds its tester first).
 func NewTester(prob *Problem, params Params) *Tester {
 	prob.Instance.SetObs(params.Obs)
 	// Learning only reads the store: freeze it now so the posting indexes
@@ -157,41 +134,21 @@ func NewTester(prob *Problem, params Params) *Tester {
 	// probe.
 	prob.Instance.Freeze()
 	t := &Tester{prob: prob, params: params, run: params.Obs}
-	if reg := params.Obs.Registry(); reg != nil {
-		inst := prob.Instance
-		base := inst.StoreStats()
-		reg.SetStoreSource(func() map[string]obs.StoreStat {
-			stats := inst.StoreStats()
-			for rel, s := range stats {
-				if d := s.Sub(base[rel]); d != (obs.StoreStat{}) {
-					stats[rel] = d
-				} else {
-					delete(stats, rel)
-				}
-			}
-			return stats
-		})
-	}
+	// A coverage worker's probe is a store prober in direct mode and nil
+	// in subsumption mode, whose tests do not probe the store.
+	newProbe := func() *relstore.Prober { return nil }
 	if params.CoverageMode == CoverageSubsumption {
 		t.initSaturations()
 	} else {
 		t.resolveExamples()
+		newProbe = prob.Instance.NewProber
 	}
 	var cache *coverage.Cache
 	if !params.DisableCoverageCache {
 		cache = coverage.NewCache(0)
 	}
-	t.engine = coverage.NewEngine(t.coverer, t.newProbe, params.Parallelism, cache, params.Obs)
+	t.engine = coverage.NewEngine(t.coverer, newProbe, params.Parallelism, cache, params.Obs)
 	return t
-}
-
-// newProbe makes one coverage worker's probe state.
-func (t *Tester) newProbe() *probe {
-	p := &probe{run: t.run}
-	if t.params.CoverageMode != CoverageSubsumption {
-		p.store = t.prob.Instance.NewProber()
-	}
-	return p
 }
 
 // initSaturations builds the subsumption-mode id space, binds the classic
@@ -301,20 +258,18 @@ func (t *Tester) Covers(c *logic.Clause, e logic.Atom) bool {
 // probes. Direct mode compiles the clause into a store query and tests on
 // the worker's store prober; subsumption mode prepares it against the
 // tester's space and probes each example's compiled saturation with it.
-func (t *Tester) coverer(c *logic.Clause) func(*probe, logic.Atom) bool {
+func (t *Tester) coverer(c *logic.Clause) func(*relstore.Prober, logic.Atom) bool {
 	if t.params.CoverageMode != CoverageSubsumption {
 		q := t.prob.Instance.Compile(c)
-		return func(p *probe, e logic.Atom) bool {
-			p.tests++
+		return func(p *relstore.Prober, e logic.Atom) bool {
 			if ids := t.exampleIDs(e); ids != nil {
-				return q.CoversIDs(p.store, e, ids)
+				return q.CoversIDs(p, e, ids)
 			}
-			return q.CoversWith(p.store, e)
+			return q.CoversWith(p, e)
 		}
 	}
 	src := t.space.Prepare(c)
-	return func(p *probe, e logic.Atom) bool {
-		p.tests++
+	return func(_ *relstore.Prober, e logic.Atom) bool {
 		return t.saturation(e).Probe(t.run, src)
 	}
 }

@@ -1,6 +1,8 @@
 package loganh
 
 import (
+	"strconv"
+
 	"repro/internal/logic"
 	"repro/internal/relstore"
 )
@@ -47,7 +49,7 @@ func GenerateDefinition(rng Rand, schema *relstore.Schema, spec GenSpec) (*relst
 	arity := 1 + rng.Intn(maxArity)
 	attrs := make([]string, arity)
 	for i := range attrs {
-		attrs[i] = "t" + itoa(i)
+		attrs[i] = "t" + strconv.Itoa(i)
 	}
 	target := &relstore.Relation{Name: "target", Attrs: attrs}
 
@@ -67,7 +69,7 @@ func generateClause(rng Rand, schema *relstore.Schema, target *relstore.Relation
 	if maxBody <= 0 {
 		maxBody = 3 * spec.NumVars
 	}
-	varName := func(i int) logic.Term { return logic.Var("X" + itoa(i)) }
+	varName := func(i int) logic.Term { return logic.Var("X" + strconv.Itoa(i)) }
 	used := 0 // variables introduced so far
 	pick := func() logic.Term {
 		// Introduce a new variable until the budget is reached, with a coin

@@ -28,6 +28,7 @@ package loganh
 
 import (
 	"sort"
+	"strconv"
 
 	"repro/internal/logic"
 	"repro/internal/relstore"
@@ -194,25 +195,11 @@ func (x *Interpretation) CloseUnder(def *logic.Definition) error {
 func CanonicalInterpretation(schema *relstore.Schema, target *relstore.Relation, c *logic.Clause) *Interpretation {
 	s := logic.NewSubstitution()
 	for i, v := range c.Vars() {
-		s.Bind(v, logic.Const("o"+itoa(i)))
+		s.Bind(v, logic.Const("o"+strconv.Itoa(i)))
 	}
 	x := NewInterpretation(schema, target)
 	for _, a := range c.Body {
 		x.Add(a.Apply(s))
 	}
 	return x
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [10]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -2,6 +2,7 @@ package loganh
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/logic"
 	"repro/internal/relstore"
@@ -202,7 +203,7 @@ func variablizedClause(x *Interpretation, head logic.Atom, targetRel *relstore.R
 		if v, ok := varOf[o]; ok {
 			return v
 		}
-		v := logic.Var("X" + itoa(next))
+		v := logic.Var("X" + strconv.Itoa(next))
 		next++
 		varOf[o] = v
 		return v

@@ -2,6 +2,7 @@ package loganh
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/logic"
@@ -20,7 +21,7 @@ func miniSchema() *relstore.Schema {
 func targetRel(arity int) *relstore.Relation {
 	attrs := make([]string, arity)
 	for i := range attrs {
-		attrs[i] = "t" + itoa(i)
+		attrs[i] = "t" + strconv.Itoa(i)
 	}
 	return &relstore.Relation{Name: "target", Attrs: attrs}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,12 +26,10 @@ type Registry struct {
 	gaugeMu sync.Mutex
 	gauges  map[string]float64
 
-	// storeMu guards the store source and storeDone, the statistics of
-	// the sources it replaced. storeDone is never written in place, so a
-	// snapshot may read it after unlocking.
-	storeMu   sync.Mutex
-	storeSrc  func() map[string]StoreStat
-	storeDone map[string]StoreStat
+	// storeMu guards store, the per-relation store statistics published
+	// into the run (see AddStore).
+	storeMu sync.Mutex
+	store   map[string]StoreStat
 }
 
 // Pool-utilization gauge names. The coverage engine's rounds maintain
@@ -54,11 +53,8 @@ const (
 	GPoolStragglerMax = "pool_straggler_ratio_max"
 )
 
-// StoreStat is the access-statistics snapshot of one relation of the
-// relational store: how often and how hard its table was probed. The
-// store keeps the live counters (it owns the tables); the registry only
-// pulls a snapshot at report time through the source callback, so obs
-// does not depend on relstore.
+// StoreStat is the access statistics of one relation of the relational
+// store: how often and how hard its table was probed.
 type StoreStat struct {
 	// Lookups counts candidate-tuple fetches (one per evaluated literal
 	// probe or frontier scan).
@@ -72,7 +68,7 @@ type StoreStat struct {
 	INDExpansions int64 `json:"ind_expansions"`
 }
 
-// Add returns the element-wise sum of two snapshots.
+// Add returns the element-wise sum of two statistics.
 func (s StoreStat) Add(t StoreStat) StoreStat {
 	return StoreStat{
 		Lookups:       s.Lookups + t.Lookups,
@@ -82,59 +78,21 @@ func (s StoreStat) Add(t StoreStat) StoreStat {
 	}
 }
 
-// Sub returns the element-wise difference s − t: the statistics gathered
-// between a snapshot t and a later snapshot s.
-func (s StoreStat) Sub(t StoreStat) StoreStat {
-	return StoreStat{
-		Lookups:       s.Lookups - t.Lookups,
-		TuplesScanned: s.TuplesScanned - t.TuplesScanned,
-		IndexHits:     s.IndexHits - t.IndexHits,
-		INDExpansions: s.INDExpansions - t.INDExpansions,
-	}
-}
-
-// SetStoreSource registers the callback snapshots pull per-relation store
-// statistics from (ilp.NewTester registers the growth of its instance's
-// statistics from then on). Registering a source while another is set
-// first folds the earlier source's statistics into the registry, so a
-// registry that several learns report into in turn sums their store work,
-// as it sums their counters. A nil source detaches and drops everything
-// gathered.
-func (g *Registry) SetStoreSource(src func() map[string]StoreStat) {
+// AddStore adds store access statistics to the registry's relstore
+// section, under one lock: stats[k] to relation rels[k]. All-zero entries
+// add nothing, so every relation the section lists was probed.
+func (g *Registry) AddStore(rels []string, stats []StoreStat) {
 	g.storeMu.Lock()
 	defer g.storeMu.Unlock()
-	if src == nil {
-		g.storeSrc, g.storeDone = nil, nil
-		return
+	for k, s := range stats {
+		if s == (StoreStat{}) {
+			continue
+		}
+		if g.store == nil {
+			g.store = make(map[string]StoreStat)
+		}
+		g.store[rels[k]] = g.store[rels[k]].Add(s)
 	}
-	if g.storeSrc != nil {
-		g.storeDone = sumStore(g.storeDone, g.storeSrc())
-	}
-	g.storeSrc = src
-}
-
-// storeSnapshot returns the registered source's statistics plus those of
-// the sources it replaced, or nil when none is registered.
-func (g *Registry) storeSnapshot() map[string]StoreStat {
-	g.storeMu.Lock()
-	src, done := g.storeSrc, g.storeDone
-	g.storeMu.Unlock()
-	if src == nil {
-		return nil
-	}
-	return sumStore(done, src())
-}
-
-// sumStore returns a new map holding a + b, relation by relation.
-func sumStore(a, b map[string]StoreStat) map[string]StoreStat {
-	out := make(map[string]StoreStat, max(len(a), len(b)))
-	for rel, s := range a {
-		out[rel] = s
-	}
-	for rel, s := range b {
-		out[rel] = out[rel].Add(s)
-	}
-	return out
 }
 
 // spanTotals accumulates one span kind: totals for the aggregate tables,
@@ -234,8 +192,8 @@ type Report struct {
 	// Gauges holds last-value measurements: Run.Sample's rss/heap/
 	// goroutine readings and peak, and the coverage pool's utilization.
 	Gauges map[string]float64 `json:"gauges,omitempty"`
-	// Store holds per-relation store access statistics, when a store
-	// source is registered (relations with all-zero stats are omitted).
+	// Store holds per-relation store access statistics: what the run's
+	// learns asked of each relation they probed (see AddStore).
 	Store map[string]StoreStat `json:"relstore,omitempty"`
 }
 
@@ -265,14 +223,11 @@ func (g *Registry) Snapshot() Report {
 		}
 	}
 	g.gaugeMu.Unlock()
-	if store := g.storeSnapshot(); len(store) > 0 {
-		r.Store = make(map[string]StoreStat, len(store))
-		for rel, s := range store {
-			if s != (StoreStat{}) {
-				r.Store[rel] = s
-			}
-		}
+	g.storeMu.Lock()
+	if len(g.store) > 0 {
+		r.Store = maps.Clone(g.store)
 	}
+	g.storeMu.Unlock()
 	return r
 }
 

@@ -62,6 +62,9 @@ const (
 	// DispPrunedDuplicate means the generator produced its own input (or a
 	// clause already known) and the candidate was discarded unscored.
 	DispPrunedDuplicate = "pruned_duplicate"
+	// DispPrunedUnsafe means the clause was discarded unscored because it
+	// is unsafe: a head variable is missing from its body (§7.3.2).
+	DispPrunedUnsafe = "pruned_unsafe"
 	// DispSelected marks a clause accepted into the final definition by
 	// the covering loop. It appears on "select" records, which reference
 	// the node that produced the clause.
@@ -212,8 +215,8 @@ func (p *Prov) Node(n ProvNode) uint64 {
 	if p == nil {
 		return 0
 	}
-	prunedDisp := n.Disposition == DispPrunedScore ||
-		n.Disposition == DispPrunedBudget || n.Disposition == DispPrunedDuplicate
+	prunedDisp := n.Disposition == DispPrunedScore || n.Disposition == DispPrunedBudget ||
+		n.Disposition == DispPrunedDuplicate || n.Disposition == DispPrunedUnsafe
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if prunedDisp {

@@ -8,14 +8,12 @@ import (
 func TestStoreStatsInReports(t *testing.T) {
 	reg := NewRegistry()
 	if r := reg.Snapshot(); r.Store != nil {
-		t.Fatalf("sourceless snapshot has store stats: %v", r.Store)
+		t.Fatalf("fresh snapshot has store stats: %v", r.Store)
 	}
-	reg.SetStoreSource(func() map[string]StoreStat {
-		return map[string]StoreStat{
-			"publication": {Lookups: 10, TuplesScanned: 42, IndexHits: 9, INDExpansions: 3},
-			"student":     {Lookups: 2, TuplesScanned: 5},
-			"untouched":   {},
-		}
+	reg.AddStore([]string{"publication", "student", "untouched"}, []StoreStat{
+		{Lookups: 10, TuplesScanned: 42, IndexHits: 9, INDExpansions: 3},
+		{Lookups: 2, TuplesScanned: 5},
+		{},
 	})
 
 	r := reg.Snapshot()
@@ -49,39 +47,21 @@ func TestStoreStatsInReports(t *testing.T) {
 		t.Errorf("summary missing store table:\n%s", sum.String())
 	}
 
-	// Detaching the source detaches the stats.
-	reg.SetStoreSource(nil)
-	if r := reg.Snapshot(); r.Store != nil {
-		t.Errorf("detached source still reports: %v", r.Store)
+	// Later publishes add relation by relation; a snapshot is a copy.
+	r.Store["student"] = StoreStat{Lookups: 100}
+	reg.AddStore([]string{"student", "course"}, []StoreStat{{Lookups: 1}, {IndexHits: 4}})
+	want := map[string]StoreStat{
+		"publication": {Lookups: 10, TuplesScanned: 42, IndexHits: 9, INDExpansions: 3},
+		"student":     {Lookups: 3, TuplesScanned: 5},
+		"course":      {IndexHits: 4},
 	}
-}
-
-// TestStoreSourcesReplacedInTurnSum: a source registered while another is
-// set folds the earlier source's statistics into the registry, so the
-// section sums every learn reported into it; the earlier source is not
-// read again.
-func TestStoreSourcesReplacedInTurnSum(t *testing.T) {
-	reg := NewRegistry()
-	first := map[string]StoreStat{"student": {Lookups: 2, TuplesScanned: 5}}
-	reg.SetStoreSource(func() map[string]StoreStat { return first })
-	reg.SetStoreSource(func() map[string]StoreStat {
-		return map[string]StoreStat{"student": {Lookups: 1}, "course": {IndexHits: 4}}
-	})
-	first["student"] = StoreStat{Lookups: 100}
-	want := map[string]StoreStat{"student": {Lookups: 3, TuplesScanned: 5}, "course": {IndexHits: 4}}
-	for i := 0; i < 2; i++ {
-		r := reg.Snapshot()
-		if len(r.Store) != len(want) {
-			t.Fatalf("snapshot %d: got %v, want %v", i, r.Store, want)
-		}
-		for rel, s := range want {
-			if r.Store[rel] != s {
-				t.Errorf("snapshot %d: relation %s: got %+v, want %+v", i, rel, r.Store[rel], s)
-			}
-		}
+	got := reg.Snapshot().Store
+	if len(got) != len(want) {
+		t.Fatalf("after a second publish: got %v, want %v", got, want)
 	}
-	reg.SetStoreSource(nil)
-	if r := reg.Snapshot(); r.Store != nil {
-		t.Errorf("detached registry still reports: %v", r.Store)
+	for rel, s := range want {
+		if got[rel] != s {
+			t.Errorf("relation %s: got %+v, want %+v", rel, got[rel], s)
+		}
 	}
 }

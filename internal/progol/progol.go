@@ -63,16 +63,7 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 	learn := func(uncovered []logic.Atom) (*logic.Clause, error) {
 		return l.learnClause(prob, params, tester, bld, uncovered), nil
 	}
-	run := params.Obs
-	sp := run.StartSpan("learn",
-		obs.F("learner", l.name), obs.F("target", prob.Target.Name),
-		obs.F("pos", len(prob.Pos)), obs.F("neg", len(prob.Neg)))
-	def, err := ilp.Cover(prob, params, tester, learn)
-	if def != nil {
-		sp.Annotate(obs.F("clauses", def.Len()))
-	}
-	sp.End()
-	return def, err
+	return ilp.Cover(l.name, prob, params, tester, learn)
 }
 
 // state is one node of the search: a subset of bottom-clause literal

@@ -39,16 +39,7 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 	learn := func(uncovered []logic.Atom) (*logic.Clause, error) {
 		return l.learnClause(prob, params, tester, bld, rng, uncovered), nil
 	}
-	run := params.Obs
-	sp := run.StartSpan("learn",
-		obs.F("learner", "progolem"), obs.F("target", prob.Target.Name),
-		obs.F("pos", len(prob.Pos)), obs.F("neg", len(prob.Neg)))
-	def, err := ilp.Cover(prob, params, tester, learn)
-	if def != nil {
-		sp.Annotate(obs.F("clauses", def.Len()))
-	}
-	sp.End()
-	return def, err
+	return ilp.Cover("progolem", prob, params, tester, learn)
 }
 
 // learnClause generalizes the seed's bottom clause by ilp.Generalize under

@@ -156,8 +156,7 @@ type Table struct {
 	mu     sync.Mutex
 	cols   []colIndex
 
-	stats tableStats
-	num   int32 // position in the instance's schema order, a Tally's index
+	num int32 // position in the instance's schema order, a Tally's index
 }
 
 func newTable(rel *Relation, syms *logic.Symbols, indexed bool) *Table {
@@ -425,7 +424,7 @@ func (t *Table) TuplesWith(req map[int]string) []Tuple {
 // the extended slice. It counts one lookup and probes the most selective
 // column (smallest posting list, ties by column number), counting that
 // posting as scanned; with no requirement every row is scanned and
-// appended. The counts go to tl, or straight to the table when tl is nil.
+// appended. The counts go to tl; a nil tl counts nothing.
 func (t *Table) AppendRowsWith(dst []int32, cols []int, vals []int32, tl *Tally) []int32 {
 	if len(cols) == 0 {
 		tl.record(t, obs.StoreStat{Lookups: 1, TuplesScanned: int64(t.nrows)})
@@ -475,8 +474,7 @@ func (t *Table) TuplesContaining(v string) []Tuple {
 // v in any column, ascending and without repeats, and returns the extended
 // slice. It counts one lookup; an indexed table answers from its postings
 // and counts the rows appended as scanned, an unindexed one scans every
-// column of every row. The counts go to tl, or straight to the table when
-// tl is nil.
+// column of every row. The counts go to tl; a nil tl counts nothing.
 func (t *Table) AppendRowsContaining(dst []int32, v int32, tl *Tally) []int32 {
 	ar := t.rel.Arity()
 	if !t.indexed {

@@ -248,7 +248,7 @@ func (q *Query) covers(p *Prober, e logic.Atom, ids []int32) bool {
 // scratch, reused from call to call, and the store statistics of every
 // call since the last Publish. A coverage worker owns one for a run of
 // tests and publishes once at its end, so concurrent workers never write
-// the tables' shared counters per test; the one-off Instance methods take
+// the run's shared counters per test; the one-off Instance methods take
 // one from a pool and publish after each call. Not safe for concurrent
 // use.
 type Prober struct {
@@ -271,7 +271,7 @@ func (i *Instance) NewProber() *Prober {
 
 // bind points an empty prober at the instance, reusing its arrays.
 func (p *Prober) bind(i *Instance) {
-	p.inst, p.tally.tables = i, i.list
+	p.inst, p.tally.names = i, i.names
 	if cap(p.tally.stats) < len(i.list) {
 		p.tally.stats = make([]obs.StoreStat, len(i.list))
 	}
@@ -279,9 +279,12 @@ func (p *Prober) bind(i *Instance) {
 }
 
 // Publish adds the statistics of the calls since the last Publish to the
-// tables' counters and the instance's run.
+// instance's run. A nil prober has none.
 func (p *Prober) Publish() {
-	p.tally.Publish()
+	if p == nil {
+		return
+	}
+	p.tally.Publish(p.inst.obs)
 	if p.scanned > 0 {
 		p.inst.obs.Add(obs.CTuplesScanned, p.scanned)
 	}
@@ -318,7 +321,7 @@ func (i *Instance) prober() *Prober {
 // done publishes a pooled prober's statistics and returns it to the pool.
 func (i *Instance) done(p *Prober) {
 	p.Publish()
-	p.inst, p.tally.tables = nil, nil
+	p.inst, p.tally.names = nil, nil
 	proberPool.Put(p)
 }
 

@@ -280,7 +280,7 @@ func TestEvalBudgetFlip(t *testing.T) {
 		if got := reg.Get(obs.CTuplesScanned); got != tc.scanned {
 			t.Errorf("budget %d: tuples_scanned = %d, want %d", tc.budget, got, tc.scanned)
 		}
-		if got := i.StoreStats(); !reflect.DeepEqual(got, tc.stats) {
+		if got := reg.Snapshot().Store; !reflect.DeepEqual(got, tc.stats) {
 			t.Errorf("budget %d: store stats\n got %v\nwant %v", tc.budget, got, tc.stats)
 		}
 		if got, want := reg.Get(obs.CEvalBudgetExhausted), int64(tc.exhausted); got != want {
@@ -310,7 +310,7 @@ func TestEvalBudgetFlip(t *testing.T) {
 		if got := reg.Get(obs.CTuplesScanned); got != tc.scanned {
 			t.Errorf("r(%s): tuples_scanned = %d, want %d", tc.node, got, tc.scanned)
 		}
-		if got := i.StoreStats(); !reflect.DeepEqual(got, tc.stats) {
+		if got := reg.Snapshot().Store; !reflect.DeepEqual(got, tc.stats) {
 			t.Errorf("r(%s): store stats\n got %v\nwant %v", tc.node, got, tc.stats)
 		}
 		if got := reg.Get(obs.CEvalBudgetExhausted); got != 0 {
@@ -365,6 +365,8 @@ func budgetExamples() []logic.Atom {
 // this is the safety check for sharing one compiled query across the pool.
 func TestQueryConcurrentCovers(t *testing.T) {
 	i := budgetGraph(t)
+	reg := obs.NewRegistry()
+	i.SetObs(obs.NewRun(nil, reg))
 	q := i.Compile(logic.MustParseClause(budgetClause))
 	exs := budgetExamples()
 	want := make([]bool, len(exs))
@@ -377,7 +379,7 @@ func TestQueryConcurrentCovers(t *testing.T) {
 	if covered == 0 || covered == len(exs) {
 		t.Fatalf("fixture covers %d of %d examples, want a mix", covered, len(exs))
 	}
-	serial := i.StoreStats()
+	serial := reg.Snapshot().Store
 
 	const workers, rounds = 8, 10
 	var wg sync.WaitGroup
@@ -403,7 +405,7 @@ func TestQueryConcurrentCovers(t *testing.T) {
 		t.Fatal(e)
 	}
 	const passes = 1 + workers*rounds
-	for name, s := range i.StoreStats() {
+	for name, s := range reg.Snapshot().Store {
 		one := serial[name]
 		if s.Lookups != passes*one.Lookups || s.TuplesScanned != passes*one.TuplesScanned || s.IndexHits != passes*one.IndexHits {
 			t.Errorf("%s: stats %+v after %d passes of %+v", name, s, passes, one)

@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -26,66 +25,29 @@ func (t Tuple) Equal(u Tuple) bool {
 	return true
 }
 
-// tableStats are the cumulative access statistics of one table. They are
-// atomic because coverage workers probe tables concurrently, but no probe
-// adds to them per fetch: a Tally accumulates the counts where the probe
-// runs and publishes them here once per unit of work — one bottom-clause
-// construction, one shard of coverage tests. Flushing them after every
-// test cost 0.33 s of the 1.90 s inside Query.Covers over 16 uwcse-direct
-// passes (2-vCPU VM, GOMAXPROCS 2, Go 1.24): both pool workers wrote these
-// four counters, which share one cache line.
-type tableStats struct {
-	lookups       atomic.Int64 // candidate-tuple fetches
-	scanned       atomic.Int64 // tuples examined by those fetches
-	indexHits     atomic.Int64 // fetches answered through a posting index
-	indExpansions atomic.Int64 // tuples chased in through INDs (§7.1)
-}
-
-// add publishes a batch of counts.
-func (ts *tableStats) add(s obs.StoreStat) {
-	if s.Lookups != 0 {
-		ts.lookups.Add(s.Lookups)
-	}
-	if s.TuplesScanned != 0 {
-		ts.scanned.Add(s.TuplesScanned)
-	}
-	if s.IndexHits != 0 {
-		ts.indexHits.Add(s.IndexHits)
-	}
-	if s.INDExpansions != 0 {
-		ts.indExpansions.Add(s.INDExpansions)
-	}
-}
-
-// Stats returns a snapshot of the table's access statistics.
-func (t *Table) Stats() obs.StoreStat {
-	return obs.StoreStat{
-		Lookups:       t.stats.lookups.Load(),
-		TuplesScanned: t.stats.scanned.Load(),
-		IndexHits:     t.stats.indexHits.Load(),
-		INDExpansions: t.stats.indExpansions.Load(),
-	}
-}
-
 // Tally is store access statistics accumulated where the probes run, for
-// publishing into the tables' shared counters in one step. It holds one
-// entry per table of the instance that made it and may record only those
-// tables. Not safe for concurrent use.
+// publishing into a run's registry in one step: once per unit of work —
+// one bottom-clause construction, one shard of coverage tests — never per
+// fetch. Flushing shared counters after every test cost 0.33 s of the
+// 1.90 s inside Query.Covers over 16 uwcse-direct passes (2-vCPU VM,
+// GOMAXPROCS 2, Go 1.24): both pool workers wrote four counters that
+// shared one cache line. A tally holds one entry per table of the
+// instance that made it and may record only those tables. Not safe for
+// concurrent use.
 type Tally struct {
-	tables []*Table
-	stats  []obs.StoreStat // by table number
+	names []string        // relation names by table number
+	stats []obs.StoreStat // by table number
 }
 
 // NewTally returns an empty tally over the instance's tables.
 func (i *Instance) NewTally() *Tally {
-	return &Tally{tables: i.list, stats: make([]obs.StoreStat, len(i.list))}
+	return &Tally{names: i.names, stats: make([]obs.StoreStat, len(i.list))}
 }
 
-// record adds one fetch's counts to t's entry. A nil tally publishes them
-// to t's counters at once: the path of one-off fetches.
+// record adds one fetch's counts to t's entry. A nil tally counts
+// nothing: the path of one-off fetches (TuplesWith, TuplesContaining).
 func (tl *Tally) record(t *Table, s obs.StoreStat) {
 	if tl == nil {
-		t.stats.add(s)
 		return
 	}
 	e := &tl.stats[t.num]
@@ -97,21 +59,20 @@ func (tl *Tally) record(t *Table, s obs.StoreStat) {
 
 // AddINDExpansions records n tuples pulled into a bottom clause by IND
 // chasing with t as the chase target. The chase itself lives in the
-// learner; the count lands in the same per-relation snapshot as the probe
+// learner; the count lands in the same per-relation entry as the probe
 // statistics.
 func (tl *Tally) AddINDExpansions(t *Table, n int64) {
 	tl.record(t, obs.StoreStat{INDExpansions: n})
 }
 
-// Publish adds the accumulated statistics to the tables' counters and
-// empties the tally.
-func (tl *Tally) Publish() {
-	for k := range tl.stats {
-		if s := &tl.stats[k]; *s != (obs.StoreStat{}) {
-			tl.tables[k].stats.add(*s)
-			*s = obs.StoreStat{}
-		}
+// Publish adds the accumulated statistics to the relstore section of
+// run's registry and empties the tally. Without a registry the counts are
+// dropped and no shared counter is written.
+func (tl *Tally) Publish(run *obs.Run) {
+	if reg := run.Registry(); reg != nil {
+		reg.AddStore(tl.names, tl.stats)
 	}
+	clear(tl.stats)
 }
 
 // Instance is a database instance of a schema: one table per relation,
@@ -120,6 +81,7 @@ type Instance struct {
 	schema     *Schema
 	tables     map[string]*Table
 	list       []*Table // the tables in schema order; Table.num indexes it
+	names      []string // the relations' names in the same order
 	syms       *logic.Symbols
 	indexed    bool
 	evalBudget int      // per-call search-node budget; 0 = DefaultEvalBudget
@@ -127,8 +89,9 @@ type Instance struct {
 }
 
 // SetObs attaches an instrumentation run: query evaluation reports the
-// tuples it scans into it. Set it before learning starts (concurrent
-// coverage workers read it without synchronization); nil detaches.
+// tuples it scans and its per-relation access statistics into it. Set it
+// before learning starts (concurrent coverage workers read it without
+// synchronization); nil detaches.
 func (i *Instance) SetObs(run *obs.Run) { i.obs = run }
 
 // NewInstance returns an empty instance with posting indexes enabled.
@@ -150,6 +113,7 @@ func newInstance(schema *Schema, indexed bool) *Instance {
 		t.num = int32(len(inst.list))
 		inst.tables[r.Name] = t
 		inst.list = append(inst.list, t)
+		inst.names = append(inst.names, r.Name)
 	}
 	return inst
 }
@@ -197,30 +161,6 @@ func (i *Instance) Freeze() {
 
 // Table returns the table of a relation, or nil if unknown.
 func (i *Instance) Table(rel string) *Table { return i.tables[rel] }
-
-// StoreStats snapshots the per-relation access statistics of every table
-// that has been probed at least once (untouched relations are omitted).
-// Safe to call while coverage workers run: each field is read atomically,
-// so a snapshot is per-field consistent, not cross-field.
-func (i *Instance) StoreStats() map[string]obs.StoreStat {
-	out := make(map[string]obs.StoreStat, len(i.tables))
-	for name, t := range i.tables {
-		if s := t.Stats(); s != (obs.StoreStat{}) {
-			out[name] = s
-		}
-	}
-	return out
-}
-
-// ResetStoreStats zeroes the access statistics of every table.
-func (i *Instance) ResetStoreStats() {
-	for _, t := range i.tables {
-		t.stats.lookups.Store(0)
-		t.stats.scanned.Store(0)
-		t.stats.indexHits.Store(0)
-		t.stats.indExpansions.Store(0)
-	}
-}
 
 // NumTuples returns the total number of tuples across all relations.
 func (i *Instance) NumTuples() int {

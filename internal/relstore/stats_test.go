@@ -13,57 +13,75 @@ import (
 func TestStoreStatsCountProbes(t *testing.T) {
 	i := smallInstance(t)
 	pub := i.Table("publication")
+	reg := obs.NewRegistry()
+	run := obs.NewRun(nil, reg)
+	tl := i.NewTally()
+	published := func() obs.StoreStat { return reg.Snapshot().Store["publication"] }
+	id := func(name string) int32 {
+		v, ok := i.Symbols().Lookup(name)
+		if !ok {
+			t.Fatalf("no symbol %q", name)
+		}
+		return v
+	}
 
-	if got := pub.Stats(); got != (obs.StoreStat{}) {
-		t.Fatalf("fresh table has stats %+v", got)
+	if got := reg.Snapshot().Store; got != nil {
+		t.Fatalf("fresh registry has store stats %v", got)
 	}
 	// One indexed point lookup: t1 has two publication tuples.
-	out := pub.TuplesWith(map[int]string{0: "t1"})
-	if len(out) != 2 {
-		t.Fatalf("TuplesWith(title=t1) = %v", out)
+	if rows := pub.AppendRowsWith(nil, []int{0}, []int32{id("t1")}, tl); len(rows) != 2 {
+		t.Fatalf("rows with title=t1: %v", rows)
 	}
-	s := pub.Stats()
+	tl.Publish(run)
+	s := published()
 	if s.Lookups != 1 || s.IndexHits != 1 || s.TuplesScanned != 2 {
 		t.Errorf("after point lookup: %+v", s)
 	}
 	// An unconstrained fetch scans the whole table.
-	pub.TuplesWith(nil)
-	s = pub.Stats()
+	pub.AppendRowsWith(nil, nil, nil, tl)
+	tl.Publish(run)
+	s = published()
 	if s.Lookups != 2 || s.TuplesScanned != 2+3 {
 		t.Errorf("after full fetch: %+v", s)
 	}
-	// TuplesContaining is one indexed lookup more (the full fetch above
-	// bypassed the index, so hits lag lookups by one).
-	pub.TuplesContaining("abe")
-	s = pub.Stats()
+	// A fetch by value in any column is one indexed lookup more (the full
+	// fetch above bypassed the index, so hits lag lookups by one).
+	pub.AppendRowsContaining(nil, id("abe"), tl)
+	tl.Publish(run)
+	s = published()
 	if s.Lookups != 3 || s.IndexHits != 2 {
-		t.Errorf("after TuplesContaining: %+v", s)
+		t.Errorf("after a fetch by value: %+v", s)
 	}
-	tl := i.NewTally()
 	tl.AddINDExpansions(pub, 4)
-	if got := pub.Stats(); got != s {
+	if got := published(); got != s {
 		t.Errorf("tally published before Publish: %+v", got)
 	}
-	tl.Publish()
-	if s = pub.Stats(); s.INDExpansions != 4 {
+	tl.Publish(run)
+	if s = published(); s.INDExpansions != 4 {
 		t.Errorf("AddINDExpansions not recorded: %+v", s)
 	}
-	tl.Publish()
-	if got := pub.Stats(); got != s {
+	tl.Publish(run)
+	if got := published(); got != s {
 		t.Errorf("second Publish republished: %+v", got)
 	}
 
-	// Instance snapshot holds only probed relations.
-	snap := i.StoreStats()
+	// The registry's section holds only probed relations.
+	snap := reg.Snapshot().Store
 	if len(snap) != 1 {
-		t.Fatalf("StoreStats = %v, want only publication", snap)
+		t.Fatalf("store section = %v, want only publication", snap)
 	}
 	if snap["publication"] != s {
-		t.Errorf("snapshot %+v != table stats %+v", snap["publication"], s)
+		t.Errorf("snapshot %+v != published stats %+v", snap["publication"], s)
 	}
-	i.ResetStoreStats()
-	if got := i.StoreStats(); len(got) != 0 {
-		t.Errorf("stats survive reset: %v", got)
+	// One-off fetches count nothing, and a tally published into a run
+	// without a registry drops its counts.
+	pub.TuplesWith(nil)
+	pub.TuplesContaining("abe")
+	tl.AddINDExpansions(pub, 1)
+	tl.Publish(nil)
+	tl.Publish(run)
+	if got := reg.Snapshot().Store; !reflect.DeepEqual(got, snap) {
+		t.Errorf("stats survive a publish without a registry, or one-off fetches counted: %v, want %v", got, snap)
 	}
 }
 
@@ -73,23 +91,29 @@ func TestStoreStatsUnindexedScans(t *testing.T) {
 	i.MustInsert("publication", "t1", "abe")
 	i.MustInsert("publication", "t2", "bea")
 	pub := i.Table("publication")
-	pub.TuplesContaining("abe")
-	st := pub.Stats()
+	abe, _ := i.Symbols().Lookup("abe")
+	tl := i.NewTally()
+	pub.AppendRowsContaining(nil, abe, tl)
+	reg := obs.NewRegistry()
+	tl.Publish(obs.NewRun(nil, reg))
+	st := reg.Snapshot().Store["publication"]
 	if st.IndexHits != 0 {
 		t.Errorf("unindexed table reported index hits: %+v", st)
 	}
 	if st.TuplesScanned != 2*2 { // full scan per column
-		t.Errorf("unindexed TuplesContaining scanned %d, want 4", st.TuplesScanned)
+		t.Errorf("unindexed fetch by value scanned %d, want 4", st.TuplesScanned)
 	}
 }
 
 func TestStoreStatsFlowThroughEval(t *testing.T) {
 	i := smallInstance(t)
+	reg := obs.NewRegistry()
+	i.SetObs(obs.NewRun(nil, reg))
 	c := logic.MustParseClause("collab(X, Y) :- publication(P, X), publication(P, Y), professor(Y).")
 	if !i.CoversExample(c, logic.GroundAtom("collab", "abe", "pat")) {
 		t.Fatal("abe/pat must collaborate")
 	}
-	snap := i.StoreStats()
+	snap := reg.Snapshot().Store
 	if snap["publication"].Lookups == 0 || snap["publication"].TuplesScanned == 0 {
 		t.Errorf("evaluation left no publication stats: %v", snap)
 	}
@@ -213,15 +237,22 @@ func TestStatsShardedScanPath(t *testing.T) {
 			t.Fatalf("full fetch row %d = %v, out of insertion order", r, tp)
 		}
 	}
+	// The same two fetches through a tally.
+	tl := i.NewTally()
+	k3, _ := i.Symbols().Lookup("k3")
+	big.AppendRowsWith(nil, []int{0}, []int32{k3}, tl)
+	big.AppendRowsWith(nil, nil, nil, tl)
+	reg := obs.NewRegistry()
+	tl.Publish(obs.NewRun(nil, reg))
 	wantScanned := int64(len(point)) + int64(rows)
-	if got := big.Stats(); got.Lookups != 2 || got.IndexHits != 1 || got.TuplesScanned != wantScanned {
+	if got := reg.Snapshot().Store["big"]; got.Lookups != 2 || got.IndexHits != 1 || got.TuplesScanned != wantScanned {
 		t.Errorf("scan stats = %+v, want lookups 2, hits 1, scanned %d", got, wantScanned)
 	}
 }
 
-// TestProberPublishesOnce: tests on a worker's prober leave the tables'
-// counters and the run untouched until Publish, which then adds exactly
-// what the same tests through the one-off Covers add.
+// TestProberPublishesOnce: tests on a worker's prober leave the run
+// untouched until Publish, which then adds exactly what the same tests
+// through the one-off Covers add. A nil prober publishes nothing.
 func TestProberPublishesOnce(t *testing.T) {
 	c := logic.MustParseClause("collab(X, Y) :- publication(P, X), publication(P, Y), professor(Y).")
 	examples := []logic.Atom{
@@ -240,21 +271,22 @@ func TestProberPublishesOnce(t *testing.T) {
 			t.Fatalf("Covers and CoversWith disagree on %v", e)
 		}
 	}
-	if got := held.StoreStats(); len(got) != 0 {
+	if got := regB.Snapshot().Store; len(got) != 0 {
 		t.Fatalf("prober published before Publish: %v", got)
 	}
 	if got := regB.Get(obs.CTuplesScanned); got != 0 {
 		t.Fatalf("tuples_scanned %d before Publish", got)
 	}
 	p.Publish()
-	if a, b := oneOff.StoreStats(), held.StoreStats(); !reflect.DeepEqual(a, b) {
+	if a, b := regA.Snapshot().Store, regB.Snapshot().Store; !reflect.DeepEqual(a, b) {
 		t.Errorf("published stats %v, one-off %v", b, a)
 	}
 	if a, b := regA.Get(obs.CTuplesScanned), regB.Get(obs.CTuplesScanned); a != b || a == 0 {
 		t.Errorf("tuples_scanned published %d, one-off %d", b, a)
 	}
 	p.Publish()
-	if a, b := oneOff.StoreStats(), held.StoreStats(); !reflect.DeepEqual(a, b) {
+	(*Prober)(nil).Publish()
+	if a, b := regA.Snapshot().Store, regB.Snapshot().Store; !reflect.DeepEqual(a, b) {
 		t.Errorf("second Publish changed the stats: %v, want %v", b, a)
 	}
 }

@@ -276,7 +276,7 @@ func (cd *Compiled) indexPreds() {
 	var predBuf, countBuf [64]int32
 	preds, counts := predBuf[:0], countBuf[:0]
 	for _, p := range cd.litPred {
-		k := indexOf32(preds, p)
+		k := slices.Index(preds, p)
 		if k < 0 {
 			k = len(preds)
 			preds = append(preds, p)
@@ -528,7 +528,7 @@ func (s *Space) prepare(c *logic.Clause, body []logic.Atom, init logic.Substitut
 	for i, a := range body {
 		src.lits[i] = intern(a)
 		pred := lookup(a.Pred)
-		k := indexOf32(src.preds, pred)
+		k := slices.Index(src.preds, pred)
 		if k < 0 {
 			k = len(src.preds)
 			src.preds = append(src.preds, pred)
@@ -572,7 +572,7 @@ func (src *Source) without(i int, c *logic.Clause) *Source {
 		}
 		nl := copyLit(l)
 		pred := src.preds[l.pred]
-		p := indexOf32(out.preds, pred)
+		p := slices.Index(out.preds, pred)
 		if p < 0 {
 			p = len(out.preds)
 			out.preds = append(out.preds, pred)
@@ -583,15 +583,6 @@ func (src *Source) without(i int, c *logic.Clause) *Source {
 	out.prepareOcc()
 	out.prepareComponents(headSlots)
 	return out
-}
-
-func indexOf32(xs []int32, x int32) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
 }
 
 // tableSize is the power-of-two size of an open-addressed table holding
