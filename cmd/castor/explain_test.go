@@ -16,8 +16,7 @@ func learnWithProvenance(t *testing.T, extra func(*options)) (string, string) {
 	o := options{
 		dataset: "uwcse", learner: "castor", coverage: "auto",
 		sample: 4, beam: 2, clauseLength: 10, par: 2, seed: 1,
-		provFile:   filepath.Join(dir, "prov.jsonl"),
-		provSample: 1,
+		provFile: filepath.Join(dir, "prov.jsonl"),
 	}
 	if extra != nil {
 		extra(&o)
@@ -154,12 +153,10 @@ func TestExplainSubcommand(t *testing.T) {
 	}
 }
 
-// TestProvenanceSamplingFlagsStillCompleteLineage: aggressive sampling and
-// a tiny node cap drop pruned candidates but never break the lineage of
-// selected clauses.
+// TestProvenanceSamplingFlagsStillCompleteLineage: a tiny node cap drops
+// pruned candidates but never breaks the lineage of selected clauses.
 func TestProvenanceSamplingFlagsStillCompleteLineage(t *testing.T) {
 	provPath, _ := learnWithProvenance(t, func(o *options) {
-		o.provSample = 10
 		o.provMaxNodes = 50
 	})
 	g, err := loadProvenance(provPath)
@@ -172,7 +169,7 @@ func TestProvenanceSamplingFlagsStillCompleteLineage(t *testing.T) {
 	for _, s := range g.selects {
 		path := g.lineage(s.Node)
 		if len(path) == 0 || path[0].Step != "seed_bottom" {
-			t.Errorf("sampled artifact: select %q lost its lineage", s.Clause)
+			t.Errorf("capped artifact: select %q lost its lineage", s.Clause)
 		}
 	}
 }

@@ -44,13 +44,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/cmd/internal/observe"
 	"repro/internal/castor"
 	"repro/internal/datasets"
 	"repro/internal/eval"
@@ -77,17 +75,10 @@ type options struct {
 	scale                                  float64
 	subsetINDs                             bool
 
-	verbose                bool
-	traceFile              string
-	chromeFile, reportFile string
-	cpuProfile, memProfile string
-
-	flightFile    string
-	watchdogStall time.Duration
+	obsFlags observe.Flags
 
 	provFile     string
 	provMaxNodes int64
-	provSample   int64
 	explainPlan  bool
 }
 
@@ -117,18 +108,10 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "random seed")
 	flag.Float64Var(&o.scale, "scale", 1, "multiply the generated dataset's entity counts (1 = defaults; see README \"Paper-scale data\")")
 	flag.BoolVar(&o.subsetINDs, "subset-inds", false, "Castor: chase general subset INDs (§7.4)")
-	flag.BoolVar(&o.verbose, "v", false, "log one line per finished learner span to stderr")
-	flag.StringVar(&o.traceFile, "trace", "", "write a JSONL span trace to this file")
-	flag.StringVar(&o.chromeFile, "chrometrace", "", "write a Chrome trace-event (Perfetto) span trace to this file")
-	flag.StringVar(&o.reportFile, "report", "", "write the JSON run report (for cmd/obsreport) to this file")
-	flag.StringVar(&o.flightFile, "flightrecorder", "", "write flight-recorder dumps (JSONL) to this file (default: stderr on dump)")
-	flag.DurationVar(&o.watchdogStall, "watchdog-stall", 0, "trip the stall watchdog after this long without heartbeat progress (0 = off)")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file")
+	o.obsFlags.Register(flag.CommandLine)
 	flag.StringVar(&o.provFile, "provenance", "", "write the candidate search graph (JSONL) to this file")
 	flag.Int64Var(&o.provMaxNodes, "provenance-max-nodes", 0,
 		"cap on recorded provenance nodes (0 = default cap, negative = unlimited); past it pruned candidates are dropped")
-	flag.Int64Var(&o.provSample, "provenance-sample", 1, "record every Nth pruned candidate (kept nodes always recorded)")
 	flag.BoolVar(&o.explainPlan, "explain-plan", false, "print the precompiled bottom-clause plan (IND hop table) before learning")
 	flag.Parse()
 
@@ -138,75 +121,18 @@ func main() {
 	}
 }
 
-func run(o options, out io.Writer) (runErr error) {
-	if o.cpuProfile != "" {
-		f, err := os.Create(o.cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	// Instrumentation: counters and span aggregates always (they also feed
-	// the summary), the flight recorder always (it is the crash-evidence
-	// layer; ~1.5MB), span sinks only where asked. Every file sink is
-	// closed on every return path, so a failed learn still leaves a
-	// complete trace.
-	reg := obs.NewRegistry()
-	fr := obs.NewFlightRecorder(0)
-	fr.SetDumpPath(o.flightFile)
-	sigq := make(chan os.Signal, 1)
-	signal.Notify(sigq, syscall.SIGQUIT)
-	defer signal.Stop(sigq)
-	go func() {
-		// SIGQUIT dumps the ring and keeps running (like a JVM thread
-		// dump), so an operator can probe a live learn repeatedly.
-		for range sigq {
-			fr.DumpNow("sigquit") //nolint:errcheck // best-effort operator dump
-		}
-	}()
-	var spanSinks []obs.SpanSink
-	if o.verbose {
-		spanSinks = append(spanSinks, obs.NewTextSink(os.Stderr))
-	}
-	if o.traceFile != "" {
-		s, err := obs.CreateJSONLFile(o.traceFile)
-		if err != nil {
-			return err
-		}
-		defer closeOnReturn(&runErr, s, "trace")
-		spanSinks = append(spanSinks, s)
-	}
-	if o.chromeFile != "" {
-		s, err := obs.CreateChromeTraceFile(o.chromeFile)
-		if err != nil {
-			return err
-		}
-		defer closeOnReturn(&runErr, s, "Chrome trace")
-		spanSinks = append(spanSinks, s)
-	}
-	obsRun := obs.NewRun(obs.MultiSpanSink(spanSinks...), reg).WithFlightRecorder(fr)
-	// The provenance recorder wraps the run first: the watchdog below must
-	// watch the run the learner reports into.
+func run(o options, out io.Writer) (err error) {
 	var prov *obs.Prov
 	if o.provFile != "" {
-		p, err := obs.CreateProvenanceFile(o.provFile,
-			obs.ProvOptions{MaxNodes: o.provMaxNodes, SampleEvery: o.provSample})
-		if err != nil {
+		if prov, err = obs.CreateProvenanceFile(o.provFile, obs.ProvOptions{MaxNodes: o.provMaxNodes}); err != nil {
 			return err
 		}
-		defer closeOnReturn(&runErr, p, "provenance")
-		prov = p
-		obsRun = obsRun.WithProvenance(prov)
 	}
-	if o.watchdogStall > 0 {
-		wd := obs.StartWatchdog(obsRun, o.watchdogStall, stallHook(fr, os.Stderr))
-		defer wd.Stop()
+	s, err := observe.Start(o.obsFlags, prov)
+	if err != nil {
+		return err
 	}
+	defer s.Close(&err)
 
 	userData := o.schemaFile != ""
 	prob, pos, neg, datasetLabel, err := loadProblem(&o)
@@ -242,7 +168,7 @@ func run(o options, out io.Writer) (runErr error) {
 	}
 	params.Seed = o.seed
 	params.SubsetINDs = o.subsetINDs
-	params.Obs = obsRun
+	params.Obs = s.Run
 	mode, err := coverageMode(o.coverage, userData, o.dataset)
 	if err != nil {
 		return err
@@ -279,82 +205,24 @@ func run(o options, out io.Writer) (runErr error) {
 	m := eval.Evaluate(prob.Instance, def, pos, neg)
 	fmt.Fprintf(out, "\ntraining-set quality: %s\n", m)
 
-	obsRun.Sample() // the run's one resource sample, so every report carries RSS/heap gauges
-	report := reg.Snapshot()
-	if o.reportFile != "" {
-		rr := &obs.RunReport{
-			Tool:    "castor",
-			When:    time.Now(),
-			Dataset: datasetLabel,
-			Variant: o.variant,
-			Learner: learner.Name(),
-			Target:  prob.Target.Name,
-			Params: map[string]any{
-				"coverage":     o.coverage,
-				"sample":       o.sample,
-				"beam":         o.beam,
-				"clauselength": o.clauseLength,
-				"par":          params.Parallelism,
-				"seed":         o.seed,
-				"subset_inds":  o.subsetINDs,
-			},
-			Env:            obs.CaptureEnv(o.seed),
-			ElapsedSeconds: elapsed.Seconds(),
-			Metrics:        report,
-			Definition:     definitionStats(def, m),
-		}
-		if err := rr.WriteJSONFile(o.reportFile); err != nil {
-			return err
-		}
-	}
-	if o.verbose || o.traceFile != "" || o.reportFile != "" {
-		fmt.Fprintf(out, "\nrun metrics:\n")
-		report.WriteSummary(out)
-	}
-	if o.memProfile != "" {
-		f, err := os.Create(o.memProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC() // materialize up-to-date heap statistics
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
-	}
-	if o.flightFile != "" {
-		// End-of-run dump: the file always holds the final window (any
-		// earlier watchdog/sigquit marks are still in the ring, so nothing
-		// is lost by the rewrite).
-		if err := fr.DumpNow("run_end"); err != nil {
-			return fmt.Errorf("writing flight recorder dump: %w", err)
-		}
-	}
-	return nil
-}
-
-// closeOnReturn closes one of run's output files when run returns, on
-// every path, and reports the close error unless run already failed.
-func closeOnReturn(runErr *error, c io.Closer, what string) {
-	if err := c.Close(); err != nil && *runErr == nil {
-		*runErr = fmt.Errorf("writing %s: %w", what, err)
-	}
-}
-
-// stallHook is the stall watchdog's action: it logs the live span stack
-// to w and dumps the flight recorder.
-func stallHook(fr *obs.FlightRecorder, w io.Writer) func(obs.StallInfo) {
-	return func(si obs.StallInfo) {
-		fmt.Fprintf(w, "watchdog: no heartbeat progress for %s (trip %d); live spans:\n",
-			si.Stalled.Round(time.Millisecond), si.Trips)
-		if len(si.Spans) == 0 {
-			fmt.Fprintln(w, "  (no open spans)")
-		}
-		for _, s := range si.Spans {
-			fmt.Fprintf(w, "  %s (open %.2fs, id %d)\n", s.Name, s.ElapsedSeconds, s.ID)
-		}
-		fr.DumpNow("watchdog") //nolint:errcheck // best-effort stall dump
-	}
+	return s.Finish(out, o.seed, &obs.RunReport{
+		Tool:    "castor",
+		Dataset: datasetLabel,
+		Variant: o.variant,
+		Learner: learner.Name(),
+		Target:  prob.Target.Name,
+		Params: map[string]any{
+			"coverage":     o.coverage,
+			"sample":       o.sample,
+			"beam":         o.beam,
+			"clauselength": o.clauseLength,
+			"par":          params.Parallelism,
+			"seed":         o.seed,
+			"subset_inds":  o.subsetINDs,
+		},
+		ElapsedSeconds: elapsed.Seconds(),
+		Definition:     definitionStats(def, m),
+	})
 }
 
 // definitionStats summarizes the learned definition for the run report.

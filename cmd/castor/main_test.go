@@ -9,10 +9,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/cmd/internal/observe"
 	"repro/internal/ilp"
-	"repro/internal/obs"
 )
 
 // TestRunWritesMetricsAndTrace drives the full CLI pipeline (uwcse,
@@ -25,8 +24,10 @@ func TestRunWritesMetricsAndTrace(t *testing.T) {
 	o := options{
 		dataset: "uwcse", learner: "castor", coverage: "auto",
 		sample: 4, beam: 2, clauseLength: 10, par: 2, seed: 1,
-		reportFile: filepath.Join(dir, "run.json"),
-		traceFile:  filepath.Join(dir, "trace.jsonl"),
+		obsFlags: observe.Flags{
+			Report: filepath.Join(dir, "run.json"),
+			Trace:  filepath.Join(dir, "trace.jsonl"),
+		},
 	}
 	var out bytes.Buffer
 	if err := run(o, &out); err != nil {
@@ -39,7 +40,7 @@ func TestRunWritesMetricsAndTrace(t *testing.T) {
 		t.Error("run output missing the metrics summary")
 	}
 
-	rf, err := os.ReadFile(o.reportFile)
+	rf, err := os.ReadFile(o.obsFlags.Report)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestRunWritesMetricsAndTrace(t *testing.T) {
 		t.Error("metrics report has no coverage_batch or score_batch spans")
 	}
 
-	tf, err := os.Open(o.traceFile)
+	tf, err := os.Open(o.obsFlags.Trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,16 +186,18 @@ func TestFailedLearnClosesTraceFiles(t *testing.T) {
 		targetDecl: "advisedBy(stud, prof)",
 		learner:    "castor", coverage: "auto",
 		sample: 4, beam: 2, clauseLength: 10, par: 1, seed: 1,
-		traceFile:  filepath.Join(dir, "t.jsonl"),
-		chromeFile: filepath.Join(dir, "c.json"),
-		provFile:   filepath.Join(dir, "prov.jsonl"),
+		obsFlags: observe.Flags{
+			Trace:       filepath.Join(dir, "t.jsonl"),
+			ChromeTrace: filepath.Join(dir, "c.json"),
+		},
+		provFile: filepath.Join(dir, "prov.jsonl"),
 	}
 	err := run(o, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "wrongPred(s2,p1) is not a advisedBy atom") {
 		t.Fatalf("run error = %v, want the wrong-predicate example rejected", err)
 	}
 
-	b, err := os.ReadFile(o.chromeFile)
+	b, err := os.ReadFile(o.obsFlags.ChromeTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +207,7 @@ func TestFailedLearnClosesTraceFiles(t *testing.T) {
 	if err := json.Unmarshal(b, &chrome); err != nil {
 		t.Errorf("Chrome trace after a failed learn is not valid JSON (%d bytes): %v", len(b), err)
 	}
-	for name, last := range map[string]string{o.traceFile: "", o.provFile: "summary"} {
+	for name, last := range map[string]string{o.obsFlags.Trace: "", o.provFile: "summary"} {
 		b, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
@@ -222,45 +225,5 @@ func TestFailedLearnClosesTraceFiles(t *testing.T) {
 		if kind != last {
 			t.Errorf("%s: last record kind = %q, want %q", filepath.Base(name), kind, last)
 		}
-	}
-}
-
-// TestStallHookDumpsFlightRecorder drives the binary's watchdog stall
-// hook on an idle run: the watchdog must trip, and the -flightrecorder
-// file must then hold the watchdog_stall record and the dump:watchdog
-// mark.
-func TestStallHookDumpsFlightRecorder(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "flight.jsonl")
-	fr := obs.NewFlightRecorder(64)
-	fr.SetDumpPath(path)
-	run := obs.NewRun(nil, obs.NewRegistry()).WithFlightRecorder(fr)
-	var log strings.Builder
-	wd := obs.StartWatchdog(run, 20*time.Millisecond, stallHook(fr, &log))
-	for deadline := time.Now().Add(10 * time.Second); wd.Trips() == 0 && time.Now().Before(deadline); {
-		time.Sleep(5 * time.Millisecond)
-	}
-	wd.Stop() // waits for the hook to finish its dump
-	if wd.Trips() == 0 {
-		t.Fatal("watchdog never tripped on an idle run")
-	}
-	if !strings.Contains(log.String(), "watchdog: no heartbeat progress") {
-		t.Errorf("stall log = %q", log.String())
-	}
-
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stall, mark bool
-	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
-		var r obs.FlightRecord
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			t.Fatalf("dump line %q does not parse: %v", line, err)
-		}
-		stall = stall || r.Kind == "watchdog_stall"
-		mark = mark || (r.Kind == "mark" && r.Name == "dump:watchdog")
-	}
-	if !stall || !mark {
-		t.Errorf("flight dump has watchdog_stall=%v dump:watchdog=%v, want both:\n%s", stall, mark, b)
 	}
 }

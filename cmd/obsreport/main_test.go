@@ -234,114 +234,6 @@ func TestWatchedMetricMissingFromOneReportExitsOne(t *testing.T) {
 	}
 }
 
-func TestUtilizationFloorGate(t *testing.T) {
-	dir := t.TempDir()
-	busy := func(name string, ratio float64) string {
-		return writeReportFull(t, dir, name, obs.Report{
-			Counters: map[string]int64{"coverage_tests": 10},
-			Gauges:   map[string]float64{"pool_busy_ratio": ratio},
-		}, 1.0)
-	}
-	good := busy("good.json", 0.8)
-	bad := busy("bad.json", 0.3)
-
-	// Floor satisfied: exit 0.
-	var out, errw strings.Builder
-	if code := run([]string{"-watch", "pool_busy_ratio@>=0.6", good, good}, &out, &errw); code != 0 {
-		t.Fatalf("floor met: exit = %d, want 0\n%s%s", code, out.String(), errw.String())
-	}
-	// Floor violated: exit 1.
-	out.Reset()
-	errw.Reset()
-	if code := run([]string{"-watch", "pool_busy_ratio@>=0.6", good, bad}, &out, &errw); code != 1 {
-		t.Fatalf("floor broken: exit = %d, want 1\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSION: pool_busy_ratio") {
-		t.Errorf("missing regression line:\n%s", out.String())
-	}
-	// Floor gates ignore the baseline: an old report without the gauge
-	// passes.
-	oldNoGauge := writeReport(t, dir, "old.json", map[string]int64{"coverage_tests": 10}, 1.0)
-	out.Reset()
-	errw.Reset()
-	if code := run([]string{"-watch", "pool_busy_ratio@>=0.6", oldNoGauge, good}, &out, &errw); code != 0 {
-		t.Fatalf("floor vs gauge-less baseline: exit = %d, want 0\n%s%s", code, out.String(), errw.String())
-	}
-	// Metric absent from both reports stays a usage error: exit 2.
-	out.Reset()
-	errw.Reset()
-	if code := run([]string{"-watch", "pool_busy_ratio@>=0.6", oldNoGauge, oldNoGauge}, &out, &errw); code != 2 {
-		t.Fatalf("floor on absent metric: exit = %d, want 2\n%s", code, out.String())
-	}
-	// Malformed entry: exit 2.
-	if code := run([]string{"-watch", "pool_busy_ratio@>=abc", good, good}, &out, &errw); code != 2 {
-		t.Fatalf("malformed floor: exit = %d, want 2", code)
-	}
-}
-
-func TestMinRatioGate(t *testing.T) {
-	dir := t.TempDir()
-	oldP := writeReport(t, dir, "old.json", map[string]int64{"coverage_cache_hits": 100}, 1.0)
-	newGood := writeReport(t, dir, "good.json", map[string]int64{"coverage_cache_hits": 95}, 1.0)
-	newBad := writeReport(t, dir, "bad.json", map[string]int64{"coverage_cache_hits": 40}, 1.0)
-	var out, errw strings.Builder
-	if code := run([]string{"-watch", "coverage_cache_hits>=0.9", oldP, newGood}, &out, &errw); code != 0 {
-		t.Fatalf("min ratio met: exit = %d, want 0\n%s%s", code, out.String(), errw.String())
-	}
-	out.Reset()
-	if code := run([]string{"-watch", "coverage_cache_hits>=0.9", oldP, newBad}, &out, &errw); code != 1 {
-		t.Fatalf("min ratio broken: exit = %d, want 1\n%s", code, out.String())
-	}
-	// Max-ratio gates (name=r) still work alongside.
-	out.Reset()
-	if code := run([]string{"-watch", "coverage_cache_hits=1.5,coverage_cache_hits>=0.9", oldP, newGood}, &out, &errw); code != 0 {
-		t.Fatalf("mixed gates: exit = %d, want 0\n%s", code, out.String())
-	}
-}
-
-func TestReportAndBenchFormatJSON(t *testing.T) {
-	dir := t.TempDir()
-	oldP := writeReport(t, dir, "old.json", map[string]int64{"coverage_tests": 100}, 1.0)
-	newP := writeReport(t, dir, "new.json", map[string]int64{"coverage_tests": 300}, 1.0)
-	var out, errw strings.Builder
-	code := run([]string{"-watch", "coverage_tests", "-format", "json", oldP, newP}, &out, &errw)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	var doc reportJSONDoc
-	if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
-		t.Fatalf("report json: %v\n%s", err, out.String())
-	}
-	if doc.Mode != "report" || doc.Exit != 1 || len(doc.Regressions) != 1 {
-		t.Errorf("doc = %+v", doc)
-	}
-	var found bool
-	for _, row := range doc.Rows {
-		if row.Name == "coverage_tests" {
-			found = true
-			if !row.Watched || !row.Regressed || row.Ratio == nil || *row.Ratio != 3 {
-				t.Errorf("row = %+v", row)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("no coverage_tests row in %+v", doc.Rows)
-	}
-
-	// Bench and attrib modes are gone: their flags are unknown, a usage
-	// error.
-	for _, flag := range []string{"-bench", "-attrib"} {
-		out.Reset()
-		errw.Reset()
-		if code := run([]string{flag, "-format", "json", oldP, newP}, &out, &errw); code != 2 {
-			t.Fatalf("%s exit = %d, want 2", flag, code)
-		}
-		if !strings.Contains(errw.String(), "flag provided but not defined: "+flag) {
-			t.Errorf("%s stderr = %q, want an unknown-flag error", flag, errw.String())
-		}
-	}
-}
-
 func TestReportCeilingGate(t *testing.T) {
 	dir := t.TempDir()
 	oldP := writeReport(t, dir, "old.json", map[string]int64{"coverage_tests": 100}, 1.0)
@@ -352,15 +244,5 @@ func TestReportCeilingGate(t *testing.T) {
 	}
 	if code := run([]string{"-watch", "coverage_tests@<=120", oldP, newP}, &out, &errw); code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
-	}
-}
-
-func TestFormatFlagValidation(t *testing.T) {
-	var out, errw strings.Builder
-	if code := run([]string{"-format", "yaml", "a.json", "b.json"}, &out, &errw); code != 2 {
-		t.Fatalf("bad format exit = %d, want 2", code)
-	}
-	if code := run([]string{"-cpus", "4", "a.json", "b.json"}, &out, &errw); code != 2 {
-		t.Fatalf("-cpus exit = %d, want 2", code)
 	}
 }

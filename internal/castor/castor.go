@@ -51,14 +51,6 @@ const reduceCutoff = 200
 
 // Learn implements ilp.Learner.
 func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition, error) {
-	// Leave crash evidence behind: a panic anywhere in the learn dumps the
-	// flight-recorder ring (when one is attached) before unwinding on.
-	defer func() {
-		if r := recover(); r != nil {
-			params.Obs.Flight().DumpNow("panic") //nolint:errcheck // best-effort crash dump
-			panic(r)
-		}
-	}()
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}

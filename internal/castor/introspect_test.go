@@ -64,7 +64,7 @@ func checkChain(t *testing.T, spans []obs.LiveSpan) {
 func TestLiveSpansAndFlightDumpDuringLearn(t *testing.T) {
 	reg := obs.NewRegistry()
 	fr := obs.NewFlightRecorder(2048)
-	run := obs.NewRun(nil, reg).WithFlightRecorder(fr)
+	run := obs.NewRun(fr, reg)
 
 	w := testfix.NewWorld(8)
 	prob := w.ProblemOriginal()
@@ -132,15 +132,17 @@ func TestLiveSpansAndFlightDumpDuringLearn(t *testing.T) {
 // sequential baseline.
 func TestConcurrentLearnsDoNotCrossContaminate(t *testing.T) {
 	type stack struct {
-		run *obs.Run
-		reg *obs.Registry
-		log *spanLog
+		run  *obs.Run
+		reg  *obs.Registry
+		log  *spanLog
+		ring *obs.FlightRecorder
 	}
 	mk := func() *stack {
 		log := &spanLog{}
 		reg := obs.NewRegistry()
-		run := obs.NewRun(log, reg).WithFlightRecorder(obs.NewFlightRecorder(1024))
-		return &stack{run: run, reg: reg, log: log}
+		ring := obs.NewFlightRecorder(1024)
+		run := obs.NewRun(obs.MultiSpanSink(log, ring), reg)
+		return &stack{run: run, reg: reg, log: log, ring: ring}
 	}
 	a, b := mk(), mk()
 
@@ -183,7 +185,7 @@ func TestConcurrentLearnsDoNotCrossContaminate(t *testing.T) {
 	poll := func(s *stack) {
 		checkChain(t, s.run.LiveSpans())
 		s.reg.Snapshot()
-		if err := s.run.Flight().WriteJSONL(io.Discard); err != nil {
+		if err := s.ring.WriteJSONL(io.Discard); err != nil {
 			t.Error(err)
 		}
 	}

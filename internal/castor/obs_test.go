@@ -52,7 +52,7 @@ func TestObservationDoesNotChangeLearning(t *testing.T) {
 			t.Errorf("counter %s stayed zero over a full Castor run", c)
 		}
 	}
-	if reg.SpanTime("beam_round") <= 0 || reg.SpanTime("coverage_batch") <= 0 {
+	if spans := reg.Snapshot().Spans; spans["beam_round"].Seconds <= 0 || spans["coverage_batch"].Seconds <= 0 {
 		t.Error("span timings stayed zero over a full Castor run")
 	}
 
@@ -111,7 +111,7 @@ func TestRuntimeHealthStackDoesNotChangeLearning(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	fr := obs.NewFlightRecorder(4096)
-	run := obs.NewRun(nil, reg).WithFlightRecorder(fr)
+	run := obs.NewRun(fr, reg)
 	wd := obs.StartWatchdog(run, 20*time.Millisecond, nil)
 	observed := learn(run)
 	wd.Stop()

@@ -1,7 +1,6 @@
 package logic
 
 import (
-	"hash/fnv"
 	"strconv"
 	"strings"
 )
@@ -51,12 +50,4 @@ func CanonicalKey(c *Clause) string {
 		writeAtom(a)
 	}
 	return b.String()
-}
-
-// CanonicalHash returns the FNV-1a hash of CanonicalKey, for callers that
-// want a fixed-width key.
-func CanonicalHash(c *Clause) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(CanonicalKey(c)))
-	return h.Sum64()
 }

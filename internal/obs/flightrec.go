@@ -15,9 +15,11 @@ import (
 // the most recent observability events (span begins/ends, watchdog
 // stalls, dump marks), recorded continuously at near-zero cost and dumped
 // as JSONL when something goes wrong — a SIGQUIT, a watchdog stall, a
-// panic inside Learn — and at the end of a run. A killed 10-minute HIV
-// learn then leaves its last seconds of behaviour behind instead of
-// nothing.
+// panic in the observed run — and at the end of a run. A killed 10-minute
+// HIV learn then leaves its last seconds of behaviour behind instead of
+// nothing. The ring is a SpanSink: a run records span begins and ends
+// into it like into any exporter; stall hooks Record watchdog stalls, and
+// DumpNow marks its own reason.
 //
 // Every slot field is an atomic and each slot carries a sequence number
 // (odd while a write is in flight), so recording takes no locks and a
@@ -144,8 +146,8 @@ func (f *FlightRecorder) Record(kind FlightKind, name string, val, aux int64) {
 	f.record(time.Now().UnixNano(), kind, f.nameID(name), val, aux)
 }
 
-// record is Record with the clock read and interning already done (span
-// hooks reuse the span's own timestamp).
+// record is Record with the clock read and interning already done
+// (SpanStart reuses the span's own timestamp).
 func (f *FlightRecorder) record(tns int64, kind FlightKind, nameID uint32, val, aux int64) {
 	idx := f.cursor.Add(1) - 1
 	s := &f.slots[idx%uint64(len(f.slots))]
@@ -156,6 +158,17 @@ func (f *FlightRecorder) record(tns int64, kind FlightKind, nameID uint32, val, 
 	s.val.Store(val)
 	s.aux.Store(aux)
 	s.seq.Add(1) // even: stable
+}
+
+// SpanStart implements SpanSink: a span_start record at the span's own
+// start time.
+func (f *FlightRecorder) SpanStart(s *Span) {
+	f.record(s.Start.UnixNano(), FKSpanStart, f.nameID(s.Name), int64(s.ID), int64(s.ParentID))
+}
+
+// SpanEnd implements SpanSink: a span_end record.
+func (f *FlightRecorder) SpanEnd(s *Span, d time.Duration) {
+	f.Record(FKSpanEnd, s.Name, int64(d), int64(s.ID))
 }
 
 // FlightRecord is the decoded JSONL form of one record.

@@ -150,16 +150,6 @@ func (g *Registry) Gauge(name string) float64 {
 	return g.gauges[name]
 }
 
-// SpanTime returns the accumulated wall time of the span kind.
-func (g *Registry) SpanTime(name string) time.Duration {
-	g.spanMu.Lock()
-	defer g.spanMu.Unlock()
-	if t := g.spans[name]; t != nil {
-		return time.Duration(t.ns)
-	}
-	return 0
-}
-
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 

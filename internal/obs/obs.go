@@ -18,9 +18,10 @@
 // aggregates and duration histograms are the phase timings reports and
 // gates read.
 //
-// The central type is *Run, a pairing of an optional SpanSink with an
-// optional *Registry (counters and span aggregates). A nil *Run is the
-// nop default: every method is nil-safe and returns immediately, so
+// The central type is *Run: an optional *Registry (counters and span
+// aggregates), an optional SpanSink (the exporters and the flight
+// recorder) and an optional provenance recorder. A nil *Run is the nop
+// default: every method is nil-safe and returns immediately, so
 // uninstrumented runs pay only a pointer test on the hot paths. Learners
 // receive the run through ilp.Params.Obs.
 package obs
@@ -180,13 +181,13 @@ type Field struct {
 // F builds a Field.
 func F(key string, value any) Field { return Field{Key: key, Value: value} }
 
-// Run bundles the span sink and registry one learning run reports into.
-// The zero value and nil are valid and mean "observe nothing".
+// Run bundles the registry, span sink and provenance recorder one
+// learning run reports into. The zero value and nil are valid and mean
+// "observe nothing".
 type Run struct {
-	reg    *Registry
-	spans  SpanSink
-	prov   *Prov
-	flight *FlightRecorder
+	reg   *Registry
+	spans SpanSink
+	prov  *Prov
 
 	// beat is the stall-watchdog heartbeat: span begins/ends and the
 	// learner hot paths bump it, StartWatchdog watches it (see watchdog.go).
@@ -239,27 +240,4 @@ func (r *Run) Heartbeat() {
 		return
 	}
 	r.beat.Add(1)
-}
-
-// WithFlightRecorder returns a run that additionally records span events
-// into the flight recorder (a watchdog attached to the run finds it there
-// too). The receiver is not modified; a nil recorder
-// returns the receiver unchanged, and a nil receiver with a live
-// recorder returns a flight-only run, so flag wiring stays unconditional.
-func (r *Run) WithFlightRecorder(f *FlightRecorder) *Run {
-	if f == nil {
-		return r
-	}
-	if r == nil {
-		return &Run{flight: f}
-	}
-	return &Run{reg: r.reg, spans: r.spans, prov: r.prov, flight: f}
-}
-
-// Flight returns the run's flight recorder, or nil.
-func (r *Run) Flight() *FlightRecorder {
-	if r == nil {
-		return nil
-	}
-	return r.flight
 }

@@ -20,10 +20,11 @@ import (
 //
 // Recording must never change what is learned: the recorder only observes,
 // and the regression tests pin learned definitions byte-identical with
-// provenance on and off. Overhead is bounded by two knobs: MaxNodes caps
-// the total node count (once exhausted, pruned candidates are dropped and
-// counted, while kept/selected nodes are always written so lineage stays
-// complete), and SampleEvery records only every Nth pruned candidate.
+// provenance on and off. Overhead is bounded by MaxNodes, a cap on the
+// total node count: once it is exhausted, pruned candidates are dropped
+// and counted, while kept/selected nodes are always written so lineage
+// stays complete. The stream is never sampled: a checker comparing two
+// search graphs node by node needs every node below the cap.
 
 // Generator steps of provenance nodes. They name the operator that
 // produced the clause, not the learner: several learners share steps.
@@ -130,9 +131,6 @@ type ProvOptions struct {
 	// are dropped (and counted in the summary); kept nodes are always
 	// written so every selected clause keeps a complete lineage.
 	MaxNodes int64
-	// SampleEvery records only every Nth pruned candidate (1 = all). Kept
-	// and selected nodes are never sampled away.
-	SampleEvery int64
 }
 
 // DefaultProvMaxNodes is the node cap used when ProvOptions.MaxNodes is 0.
@@ -147,7 +145,6 @@ type Prov struct {
 	nextID  uint64
 	written uint64
 	dropped uint64
-	pruned  uint64 // pruned candidates seen, for sampling
 	selects int
 	opts    ProvOptions
 	inds    map[string]int64
@@ -162,9 +159,6 @@ type Prov struct {
 func NewProvenance(w io.Writer, opts ProvOptions) *Prov {
 	if opts.MaxNodes == 0 {
 		opts.MaxNodes = DefaultProvMaxNodes
-	}
-	if opts.SampleEvery < 1 {
-		opts.SampleEvery = 1
 	}
 	return &Prov{
 		out:      newFileWriter(w),
@@ -209,8 +203,8 @@ func (p *Prov) Meta(fields map[string]any) {
 }
 
 // Node records one search-graph node, assigning and returning its ID. The
-// returned ID is 0 when the node was dropped (nil recorder, sampling, or
-// the node cap) — parents of later nodes tolerate 0 entries being elided.
+// returned ID is 0 when the node was dropped (nil recorder or the node
+// cap) — parents of later nodes tolerate 0 entries being elided.
 func (p *Prov) Node(n ProvNode) uint64 {
 	if p == nil {
 		return 0
@@ -219,13 +213,9 @@ func (p *Prov) Node(n ProvNode) uint64 {
 		n.Disposition == DispPrunedDuplicate || n.Disposition == DispPrunedUnsafe
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if prunedDisp {
-		p.pruned++
-		if p.pruned%uint64(p.opts.SampleEvery) != 0 ||
-			(p.opts.MaxNodes > 0 && p.written >= uint64(p.opts.MaxNodes)) {
-			p.dropped++
-			return 0
-		}
+	if prunedDisp && p.opts.MaxNodes > 0 && p.written >= uint64(p.opts.MaxNodes) {
+		p.dropped++
+		return 0
 	}
 	p.nextID++
 	n.Kind = "node"
@@ -310,10 +300,9 @@ func (p *Prov) Close() error {
 }
 
 // WithProvenance returns a run that additionally records the candidate
-// search graph into p. Like WithFlightRecorder, the receiver is not modified, a nil
-// recorder returns the receiver unchanged, and a nil receiver with a live
-// recorder returns a provenance-only run, so flag wiring stays
-// unconditional.
+// search graph into p. The receiver is not modified, a nil recorder
+// returns the receiver unchanged, and a nil receiver with a live recorder
+// returns a provenance-only run, so flag wiring stays unconditional.
 func (r *Run) WithProvenance(p *Prov) *Run {
 	if p == nil {
 		return r
@@ -321,7 +310,7 @@ func (r *Run) WithProvenance(p *Prov) *Run {
 	if r == nil {
 		return &Run{prov: p}
 	}
-	return &Run{reg: r.reg, spans: r.spans, prov: p, flight: r.flight}
+	return &Run{reg: r.reg, spans: r.spans, prov: p}
 }
 
 // Prov returns the run's provenance recorder, or nil. All recorder

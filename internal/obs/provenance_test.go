@@ -96,16 +96,16 @@ func TestProvenanceRecordsGraph(t *testing.T) {
 
 func TestProvenanceSamplingAndCap(t *testing.T) {
 	var buf bytes.Buffer
-	p := NewProvenance(&buf, ProvOptions{MaxNodes: 4, SampleEvery: 2})
-	// 6 pruned candidates at SampleEvery=2 -> every 2nd recorded (3 written).
+	p := NewProvenance(&buf, ProvOptions{MaxNodes: 4})
+	// 6 pruned candidates under a cap of 4: the first 4 are written, the
+	// rest dropped.
 	var ids []uint64
 	for i := 0; i < 6; i++ {
 		ids = append(ids, p.Node(ProvNode{Step: StepARMG, Clause: "c", Pos: 0, Neg: 1, Score: -1, Disposition: DispPrunedScore}))
 	}
-	// Kept nodes ignore both sampling and the cap.
+	// Kept nodes ignore the cap.
 	k1 := p.Node(ProvNode{Step: StepARMG, Clause: "k1", Pos: 1, Neg: 0, Score: 1, Disposition: DispKept})
-	// Past the cap (written is now 4), pruned nodes are dropped even on a
-	// sample boundary...
+	// Past the cap, pruned nodes of every kind are dropped...
 	capped := p.Node(ProvNode{Step: StepARMG, Clause: "c2", Disposition: DispPrunedBudget})
 	capped2 := p.Node(ProvNode{Step: StepARMG, Clause: "c3", Disposition: DispPrunedDuplicate})
 	// ...but kept nodes still record, so lineage stays complete.
@@ -120,8 +120,8 @@ func TestProvenanceSamplingAndCap(t *testing.T) {
 			written++
 		}
 	}
-	if written != 3 {
-		t.Errorf("SampleEvery=2 over 6 pruned nodes wrote %d, want 3", written)
+	if written != 4 || ids[3] == 0 || ids[4] != 0 {
+		t.Errorf("cap 4 over 6 pruned nodes wrote %d (ids %v), want the first 4", written, ids)
 	}
 	if capped != 0 || capped2 != 0 {
 		t.Errorf("cap did not drop pruned nodes: %d %d", capped, capped2)
@@ -134,8 +134,8 @@ func TestProvenanceSamplingAndCap(t *testing.T) {
 	if sum["kind"] != "summary" {
 		t.Fatalf("missing summary: %v", recs)
 	}
-	if sum["nodes"].(float64) != 5 || sum["dropped"].(float64) != 5 {
-		t.Errorf("summary totals wrong (nodes=%v dropped=%v), want 5/5", sum["nodes"], sum["dropped"])
+	if sum["nodes"].(float64) != 6 || sum["dropped"].(float64) != 4 {
+		t.Errorf("summary totals wrong (nodes=%v dropped=%v), want 6/4", sum["nodes"], sum["dropped"])
 	}
 }
 
@@ -166,13 +166,11 @@ func TestProvenanceNilSafe(t *testing.T) {
 	if pr == nil || pr.Prov() != live {
 		t.Fatal("nil run + live recorder must build a provenance-only run")
 	}
-	// WithProvenance and WithFlightRecorder must preserve each other's
-	// state and the run's sink and registry.
+	// WithProvenance must preserve the run's sink and registry.
 	reg := NewRegistry()
-	fr := NewFlightRecorder(8)
-	full := NewRun(nopSpanSink{}, reg).WithProvenance(live).WithFlightRecorder(fr)
-	if full.Prov() != live || full.Registry() != reg || full.Flight() != fr || full.spans == nil {
-		t.Fatal("WithFlightRecorder dropped provenance, registry or span sink")
+	full := NewRun(nopSpanSink{}, reg).WithProvenance(live)
+	if full.Prov() != live || full.Registry() != reg || full.spans == nil {
+		t.Fatal("WithProvenance dropped the registry or span sink")
 	}
 }
 

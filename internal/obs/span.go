@@ -12,9 +12,9 @@ import (
 // covering-loop iteration, per bottom clause, per beam round, per
 // coverage batch, per reduction. Spans are the run's only timing and
 // narration primitive: exporters (the JSONL trace, the text log, the
-// Chrome-trace sink) consume them through SpanSink, and
-// the Registry aggregates wall time, call counts and a duration
-// histogram per span kind for the run report.
+// Chrome-trace sink) and the flight recorder consume them through
+// SpanSink, and the Registry aggregates wall time, call counts and a
+// duration histogram per span kind for the run report.
 //
 // Parentage is implicit: StartSpan parents the new span under the
 // innermost span still open on the run. Learners start and end their
@@ -75,14 +75,14 @@ type SpanSink interface {
 // guard field construction with it: a field that builds a string (a
 // clause, a literal) or any field list at all on a hot path.
 func (r *Run) Spanning() bool {
-	return r != nil && (r.reg != nil || r.spans != nil || r.flight != nil)
+	return r != nil && (r.reg != nil || r.spans != nil)
 }
 
 // StartSpan opens a span named name under the innermost open span of the
 // run. It returns nil — and does nothing — when the run observes nothing,
 // so uninstrumented paths pay one pointer test.
 func (r *Run) StartSpan(name string, fields ...Field) *Span {
-	if r == nil || (r.reg == nil && r.spans == nil && r.flight == nil) {
+	if !r.Spanning() {
 		return nil
 	}
 	s := &Span{run: r, ID: spanIDs.Add(1), Name: name, Start: time.Now(), Fields: fields, Worker: -1}
@@ -94,9 +94,6 @@ func (r *Run) StartSpan(name string, fields ...Field) *Span {
 	r.cur = s
 	r.spanMu.Unlock()
 	r.beat.Add(1) // span progress doubles as a watchdog heartbeat
-	if f := r.flight; f != nil {
-		f.record(s.Start.UnixNano(), FKSpanStart, f.nameID(name), int64(s.ID), int64(s.ParentID))
-	}
 	if r.spans != nil {
 		r.spans.SpanStart(s)
 	}
@@ -123,7 +120,7 @@ func (r *Run) CurrentSpan() *Span {
 // stack-revert in End is guarded, so a span that never entered the stack
 // never pops it). Returns nil on an unobserved run.
 func (r *Run) StartWorkerSpan(parent *Span, name string, round uint64, worker int, fields ...Field) *Span {
-	if r == nil || (r.reg == nil && r.spans == nil && r.flight == nil) {
+	if !r.Spanning() {
 		return nil
 	}
 	s := &Span{run: r, ID: spanIDs.Add(1), Name: name, Start: time.Now(), Fields: fields, Worker: worker, Round: round}
@@ -132,9 +129,6 @@ func (r *Run) StartWorkerSpan(parent *Span, name string, round uint64, worker in
 		s.ParentID = parent.ID
 	}
 	r.beat.Add(1)
-	if f := r.flight; f != nil {
-		f.record(s.Start.UnixNano(), FKSpanStart, f.nameID(name), int64(s.ID), int64(s.ParentID))
-	}
 	if r.spans != nil {
 		r.spans.SpanStart(s)
 	}
@@ -170,9 +164,6 @@ func (s *Span) End() {
 		r.spanMu.Unlock()
 	}
 	r.beat.Add(1) // span progress doubles as a watchdog heartbeat
-	if f := r.flight; f != nil {
-		f.Record(FKSpanEnd, s.Name, int64(d), int64(s.ID))
-	}
 	if r.reg != nil {
 		r.reg.addSpan(s.Name, d)
 	}

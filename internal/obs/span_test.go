@@ -100,10 +100,10 @@ func TestSpanRegistryAggregates(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		s.End()
 	}
-	if got := reg.SpanTime("beam_round"); got < 3*time.Millisecond {
-		t.Errorf("SpanTime = %v, want >= 3ms", got)
-	}
 	rep := reg.Snapshot()
+	if got := rep.Spans["beam_round"].Seconds; got < 0.003 {
+		t.Errorf("beam_round seconds = %v, want >= 0.003", got)
+	}
 	st, ok := rep.Spans["beam_round"]
 	if !ok || st.Calls != 3 {
 		t.Fatalf("snapshot spans = %+v, want beam_round with 3 calls", rep.Spans)

@@ -10,10 +10,10 @@ import (
 // tests, θ-subsumption node batches, covering iterations); a per-run
 // goroutine watches the heartbeat counter and, when it stops moving for a
 // configured interval, trips: it bumps the watchdog_stalls counter,
-// records the event in the flight recorder, snapshots the live span
-// stack, and invokes the caller's stall hook (the binaries log the stack
-// and dump the flight recorder). The watchdog re-arms once progress
-// resumes, so a run that stalls twice trips twice.
+// snapshots the live span stack, and invokes the caller's stall hook (the
+// binaries log the stack, record the stall in the flight recorder and
+// dump it). The watchdog re-arms once progress resumes, so a run that
+// stalls twice trips twice.
 
 // LiveSpan is one entry of a live span-stack snapshot, innermost first.
 type LiveSpan struct {
@@ -68,9 +68,8 @@ type Watchdog struct {
 
 // StartWatchdog begins watching the run's heartbeat counter: if it does
 // not move for at least stall, the watchdog trips — watchdog_stalls is
-// incremented, the flight recorder (when attached) gets a watchdog_stall
-// record, and onStall (optional) runs on the watchdog goroutine with the
-// live span stack. It returns nil — and watches nothing — for a nil run
+// incremented and onStall (optional) runs on the watchdog goroutine with
+// the live span stack. It returns nil — and watches nothing — for a nil run
 // or non-positive stall.
 func StartWatchdog(run *Run, stall time.Duration, onStall func(StallInfo)) *Watchdog {
 	if run == nil || stall <= 0 {
@@ -143,7 +142,6 @@ func (w *Watchdog) watch() {
 func (w *Watchdog) trip(stalled time.Duration) {
 	trips := w.trips.Add(1)
 	w.run.Inc(CWatchdogStalls)
-	w.run.Flight().Record(FKWatchdog, "stall", int64(stalled), trips)
 	if w.onStall != nil {
 		w.onStall(StallInfo{Stalled: stalled, Spans: w.run.LiveSpans(), Trips: trips})
 	}

@@ -22,8 +22,7 @@ func TestWatchdogNilAndDisabledCases(t *testing.T) {
 
 func TestWatchdogTripsOnStall(t *testing.T) {
 	reg := NewRegistry()
-	fr := NewFlightRecorder(64)
-	run := NewRun(nil, reg).WithFlightRecorder(fr)
+	run := NewRun(nil, reg)
 	sp := run.StartSpan("learn")
 	defer sp.End()
 
@@ -50,15 +49,6 @@ func TestWatchdogTripsOnStall(t *testing.T) {
 	}
 	if got := reg.Get(CWatchdogStalls); got != 1 {
 		t.Errorf("watchdog_stalls counter = %d, want 1", got)
-	}
-	found := false
-	for _, r := range fr.Snapshot() {
-		if r.Kind == "watchdog_stall" && r.Aux == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("flight recorder has no watchdog_stall record")
 	}
 }
 

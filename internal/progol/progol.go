@@ -17,6 +17,7 @@
 package progol
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/ilp"
@@ -157,10 +158,12 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 		// canonical key in seen.
 		var children []*state
 		for k := 0; k < len(bottom.Body); k++ {
-			if containsInt(cur.picks, k) {
+			i, picked := slices.BinarySearch(cur.picks, k)
+			if picked {
 				continue
 			}
-			picks := insertSorted(cur.picks, k)
+			// Clip: siblings must never write into their parent's picks.
+			picks := slices.Insert(slices.Clip(cur.picks), i, k)
 			child := &state{picks: picks}
 			ck := child.key()
 			if seen[ck] {
@@ -202,32 +205,6 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 		return nil
 	}
 	return build(best.picks)
-}
-
-func containsInt(a []int, x int) bool {
-	for _, v := range a {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// insertSorted returns a new sorted slice with x inserted.
-func insertSorted(a []int, x int) []int {
-	out := make([]int, 0, len(a)+1)
-	placed := false
-	for _, v := range a {
-		if !placed && x < v {
-			out = append(out, x)
-			placed = true
-		}
-		out = append(out, v)
-	}
-	if !placed {
-		out = append(out, x)
-	}
-	return out
 }
 
 // headConnectedPicks reports whether every picked literal is connected to

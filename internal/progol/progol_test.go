@@ -137,22 +137,6 @@ func TestNames(t *testing.T) {
 	}
 }
 
-func TestInsertSorted(t *testing.T) {
-	got := insertSorted([]int{1, 3, 5}, 4)
-	want := []int{1, 3, 4, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("insertSorted = %v", got)
-		}
-	}
-	if got := insertSorted(nil, 7); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("insertSorted(nil) = %v", got)
-	}
-	if got := insertSorted([]int{2}, 1); got[0] != 1 || got[1] != 2 {
-		t.Fatalf("prepend failed: %v", got)
-	}
-}
-
 func TestStateKeyDistinguishes(t *testing.T) {
 	a := &state{picks: []int{1, 2}}
 	b := &state{picks: []int{1, 3}}

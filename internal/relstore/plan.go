@@ -153,7 +153,6 @@ type Plan struct {
 	schema   *Schema
 	partners map[string][]PlanPartner
 	classes  [][]string
-	classOf  map[string]int
 }
 
 // CompilePlan precomputes the IND hop table for the schema. With
@@ -165,12 +164,6 @@ func CompilePlan(schema *Schema, subsetINDs bool) *Plan {
 		schema:   schema,
 		partners: make(map[string][]PlanPartner),
 		classes:  schema.InclusionClasses(subsetINDs),
-		classOf:  make(map[string]int),
-	}
-	for ci, members := range p.classes {
-		for _, r := range members {
-			p.classOf[r] = ci
-		}
 	}
 	add := func(ind IND, from, to RelAttrs) {
 		fromRel, _ := schema.Relation(from.Rel)
@@ -204,15 +197,6 @@ func (p *Plan) Partners(rel string) []PlanPartner { return p.partners[rel] }
 
 // Classes returns the inclusion classes (each a sorted member list).
 func (p *Plan) Classes() [][]string { return p.classes }
-
-// ClassOf returns the inclusion-class index of the relation, or -1 when the
-// relation is in no (multi-member) class.
-func (p *Plan) ClassOf(rel string) int {
-	if ci, ok := p.classOf[rel]; ok {
-		return ci
-	}
-	return -1
-}
 
 // Explain renders the compiled plan as an EXPLAIN-style text report: the
 // inclusion classes, then, per relation in schema order, the IND hops
