@@ -240,14 +240,14 @@ func BenchmarkCandidateScoring(b *testing.B) {
 	b.Run("cached", func(b *testing.B) { benchScoreBatch(b, prob, cands, runtime.GOMAXPROCS(0), false) })
 }
 
-// subsumptionShape is one (source body, target body) pair exercising a
-// distinct regime of the θ-subsumption engine. Targets are ground, like the
-// bottom clauses coverage testing probes.
+// subsumptionShape is one (source, target) clause pair exercising a
+// distinct regime of the θ-subsumption engine: two bodies under the shared
+// nullary head x. Targets are ground, like the bottom clauses coverage
+// testing probes.
 type subsumptionShape struct {
-	name  string
-	cBody []logic.Atom
-	dBody []logic.Atom
-	want  bool
+	name string
+	c, d *logic.Clause
+	want bool
 }
 
 // subsumptionShapes builds the benchmark clause pairs: a dense
@@ -306,11 +306,12 @@ func subsumptionShapes() []subsumptionShape {
 	for i := 0; i < 200; i++ {
 		mismatchTgt = append(mismatchTgt, logic.GroundAtom("r", fmt.Sprintf("e%d", i), fmt.Sprintf("v%d", i%7)))
 	}
+	headed := func(body []logic.Atom) *logic.Clause { return logic.NewClause(logic.NewAtom("x"), body...) }
 	return []subsumptionShape{
-		{"dense_sat", denseSrc(), denseTgt([][2]int{{0, 1}, {2, 3}}), true},
-		{"dense_unsat", denseSrc(), denseTgt([][2]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}), false},
-		{"chain", chainSrc, chainTgt, true},
-		{"ground_mismatch", mismatchSrc, mismatchTgt, false},
+		{"dense_sat", headed(denseSrc()), headed(denseTgt([][2]int{{0, 1}, {2, 3}})), true},
+		{"dense_unsat", headed(denseSrc()), headed(denseTgt([][2]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}})), false},
+		{"chain", headed(chainSrc), headed(chainTgt), true},
+		{"ground_mismatch", headed(mismatchSrc), headed(mismatchTgt), false},
 	}
 }
 
@@ -319,11 +320,11 @@ func subsumptionShapes() []subsumptionShape {
 func benchSubsumptionCompiled(b *testing.B, shape subsumptionShape) {
 	reg := obs.NewRegistry()
 	run := obs.NewRun(nil, reg)
-	cd := subsume.CompileBody(shape.dBody)
+	cd := subsume.Compile(shape.d)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := cd.SubsumesBodyR(run, shape.cBody, nil); got != shape.want {
+		if got := cd.SubsumesR(run, shape.c); got != shape.want {
 			b.Fatalf("%s: got %v, want %v", shape.name, got, shape.want)
 		}
 	}
@@ -332,9 +333,9 @@ func benchSubsumptionCompiled(b *testing.B, shape subsumptionShape) {
 
 // BenchmarkSubsumption measures the θ-subsumption engine itself on the
 // shapes above, reporting backtracking nodes per op. The oneshot variants
-// pay target compilation every call (the engine's Subsumes/SubsumesBody
-// entry points); the compiled variants compile the target once and probe
-// it repeatedly, the coverage-testing access pattern.
+// pay target compilation every call (the engine's Subsumes entry point);
+// the compiled variants compile the target once and probe it repeatedly,
+// the coverage-testing access pattern.
 func BenchmarkSubsumption(b *testing.B) {
 	for _, shape := range subsumptionShapes() {
 		b.Run(shape.name+"/oneshot", func(b *testing.B) {
@@ -342,7 +343,7 @@ func BenchmarkSubsumption(b *testing.B) {
 			run := obs.NewRun(nil, reg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := subsume.SubsumesBodyR(run, shape.cBody, shape.dBody, nil); got != shape.want {
+				if got := subsume.Compile(shape.d).SubsumesR(run, shape.c); got != shape.want {
 					b.Fatalf("%s: got %v, want %v", shape.name, got, shape.want)
 				}
 			}

@@ -6,9 +6,9 @@
 //
 // One policy holds for both binaries (README "Observability"). The flight
 // recorder is always on: SIGQUIT, a watchdog stall and a panic dump it, and
-// so does the end of a run under -flightrecorder. The registry exists only
-// when something reads it: the summary and the report (-v, -trace,
-// -report).
+// so does the end of a run under -flightrecorder, whose file holds every
+// dump of the run in order. The registry exists only when something reads
+// it: the summary and the report (-v, -trace, -report).
 package observe
 
 import (
@@ -41,7 +41,7 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Trace, "trace", "", "write a JSONL span trace to this file")
 	fs.StringVar(&f.ChromeTrace, "chrometrace", "", "write a Chrome trace-event (Perfetto) span trace to this file")
 	fs.StringVar(&f.Report, "report", "", "write the JSON run report (for cmd/obsreport) to this file")
-	fs.StringVar(&f.FlightRecorder, "flightrecorder", "", "write flight-recorder dumps (JSONL) to this file (default: stderr on dump)")
+	fs.StringVar(&f.FlightRecorder, "flightrecorder", "", "write every flight-recorder dump (JSONL) to this file, one after another, the run-end dump last (default: stderr on dump)")
 	fs.DurationVar(&f.WatchdogStall, "watchdog-stall", 0, "trip the stall watchdog after this long without heartbeat progress (0 = off)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file")
@@ -72,7 +72,7 @@ type artifact struct {
 // other artifacts. When Start fails, it closes what it opened, prov
 // included.
 func Start(f Flags, prov *obs.Prov) (_ *Session, err error) {
-	s := &Session{flags: f, ring: obs.NewFlightRecorder(0)}
+	s := &Session{flags: f}
 	if prov != nil {
 		s.artifacts = append(s.artifacts, artifact{"provenance", prov})
 	}
@@ -81,6 +81,16 @@ func Start(f Flags, prov *obs.Prov) (_ *Session, err error) {
 			s.close(&err)
 		}
 	}()
+	var dump io.Writer // nil: dumps go to stderr
+	if f.FlightRecorder != "" {
+		file, err := os.Create(f.FlightRecorder)
+		if err != nil {
+			return nil, err
+		}
+		s.artifacts = append(s.artifacts, artifact{"flight recorder", file})
+		dump = file
+	}
+	s.ring = obs.NewFlightRecorder(0, dump)
 	if f.CPUProfile != "" {
 		file, err := os.Create(f.CPUProfile)
 		if err != nil {
@@ -118,7 +128,6 @@ func Start(f Flags, prov *obs.Prov) (_ *Session, err error) {
 	}
 	s.Run = obs.NewRun(obs.MultiSpanSink(sinks...), reg).WithProvenance(prov)
 
-	s.ring.SetDumpPath(f.FlightRecorder)
 	s.sigq, s.sigDone = make(chan os.Signal, 1), make(chan struct{})
 	signal.Notify(s.sigq, syscall.SIGQUIT)
 	go func(ring *obs.FlightRecorder, sigq <-chan os.Signal, done chan<- struct{}) {
@@ -165,9 +174,7 @@ func (s *Session) Finish(out io.Writer, seed int64, rr *obs.RunReport) error {
 		}
 	}
 	if s.flags.FlightRecorder != "" {
-		// The dump rewrites the file with the final window: an earlier
-		// watchdog or sigquit dump survives only as far as its records
-		// are still in the ring.
+		// The dump is appended after any earlier watchdog or sigquit dump.
 		if err := s.ring.DumpNow("run_end"); err != nil {
 			return fmt.Errorf("writing flight recorder dump: %w", err)
 		}

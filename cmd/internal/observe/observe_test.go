@@ -3,9 +3,11 @@ package observe
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -53,8 +55,12 @@ func has(recs []obs.FlightRecord, kind, name string) bool {
 // mark.
 func TestStallHookDumpsFlightRecorder(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flight.jsonl")
-	fr := obs.NewFlightRecorder(64)
-	fr.SetDumpPath(path)
+	file, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	fr := obs.NewFlightRecorder(64, file)
 	run := obs.NewRun(fr, obs.NewRegistry())
 	var log strings.Builder
 	wd := obs.StartWatchdog(run, 20*time.Millisecond, stallHook(fr, &log))
@@ -145,6 +151,60 @@ func TestSessionWritesEveryArtifact(t *testing.T) {
 	meta, recs := readDump(t, f.FlightRecorder)
 	if meta != "flight_meta" || !has(recs, "span_start", "learn") || !has(recs, "mark", "dump:run_end") {
 		t.Errorf("ring dump (meta %q) lacks the learn span or the dump:run_end mark", meta)
+	}
+}
+
+// TestSessionAppendsEveryDump: a SIGQUIT dump, then enough spans to wrap
+// the ring, then the run-end dump leave both dumps in the -flightrecorder
+// file, in order: a flight_meta line and the dump:sigquit mark, then a
+// second flight_meta line and the dump:run_end mark. The SIGQUIT dump is
+// on disk before the run goes on, and the wrapped ring no longer holds it.
+func TestSessionAppendsEveryDump(t *testing.T) {
+	f := Flags{FlightRecorder: filepath.Join(t.TempDir(), "flight.jsonl")}
+	s, err := Start(f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(&err)
+	if err := syscall.Kill(os.Getpid(), syscall.SIGQUIT); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if b, _ := os.ReadFile(f.FlightRecorder); bytes.Contains(b, []byte(`"dump:sigquit"`)) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the SIGQUIT dump did not reach the file")
+		}
+	}
+	for k := 0; k < obs.DefaultFlightSlots/2+5; k++ { // 16,394 records
+		s.Run.StartSpan("learn").End()
+	}
+	if err := s.Finish(io.Discard, 1, &obs.RunReport{}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(f.FlightRecorder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq []string // the meta lines and marks, in file order
+	for i, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		var r obs.FlightRecord
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("dump line %q does not parse: %v", line, err)
+		}
+		if i == 0 && r.Kind != "flight_meta" {
+			t.Fatalf("first line %q is not a flight_meta line", line)
+		}
+		switch r.Kind {
+		case "flight_meta":
+			seq = append(seq, r.Kind)
+		case "mark":
+			seq = append(seq, r.Name)
+		}
+	}
+	if got, want := strings.Join(seq, " "), "flight_meta dump:sigquit flight_meta dump:run_end"; got != want {
+		t.Errorf("dump file holds %q, want %q", got, want)
 	}
 }
 

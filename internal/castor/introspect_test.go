@@ -63,7 +63,7 @@ func checkChain(t *testing.T, spans []obs.LiveSpan) {
 // report.
 func TestLiveSpansAndFlightDumpDuringLearn(t *testing.T) {
 	reg := obs.NewRegistry()
-	fr := obs.NewFlightRecorder(2048)
+	fr := obs.NewFlightRecorder(2048, nil)
 	run := obs.NewRun(fr, reg)
 
 	w := testfix.NewWorld(8)
@@ -140,7 +140,7 @@ func TestConcurrentLearnsDoNotCrossContaminate(t *testing.T) {
 	mk := func() *stack {
 		log := &spanLog{}
 		reg := obs.NewRegistry()
-		ring := obs.NewFlightRecorder(1024)
+		ring := obs.NewFlightRecorder(1024, nil)
 		run := obs.NewRun(obs.MultiSpanSink(log, ring), reg)
 		return &stack{run: run, reg: reg, log: log, ring: ring}
 	}

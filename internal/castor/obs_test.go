@@ -110,7 +110,7 @@ func TestRuntimeHealthStackDoesNotChangeLearning(t *testing.T) {
 	plain := learn(nil)
 
 	reg := obs.NewRegistry()
-	fr := obs.NewFlightRecorder(4096)
+	fr := obs.NewFlightRecorder(4096, nil)
 	run := obs.NewRun(fr, reg)
 	wd := obs.StartWatchdog(run, 20*time.Millisecond, nil)
 	observed := learn(run)

@@ -87,7 +87,7 @@ func reductionInputs(prob *ilp.Problem, plan *relstore.Plan, params ilp.Params) 
 		}
 	}
 	if len(bottom.Body) <= reduceCutoff {
-		bottom = subsume.Reduce(bottom)
+		bottom = subsume.ReduceR(nil, bottom)
 	}
 	return append(out, bottom)
 }

@@ -44,11 +44,6 @@ type Config struct {
 	Obs *obs.Run
 }
 
-// DefaultConfig runs every experiment at laptop scale in a few minutes.
-func DefaultConfig() Config {
-	return Config{Scale: 1.0, Parallelism: 4, Seed: 1}
-}
-
 func (c Config) out() io.Writer {
 	if c.Out == nil {
 		return io.Discard

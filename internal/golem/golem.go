@@ -13,6 +13,8 @@
 package golem
 
 import (
+	"strconv"
+
 	"repro/internal/coverage"
 	"repro/internal/ilp"
 	"repro/internal/logic"
@@ -263,17 +265,7 @@ func (lt *lggTerms) lgg(a, b logic.Term) logic.Term {
 	return v
 }
 
-func lggVarName(n int) string {
-	digits := []rune{}
-	for {
-		digits = append([]rune{rune('0' + n%10)}, digits...)
-		n /= 10
-		if n == 0 {
-			break
-		}
-	}
-	return "G" + string(digits)
-}
+func lggVarName(n int) string { return "G" + strconv.Itoa(n) }
 
 // lggAtoms generalizes two compatible atoms.
 func lggAtoms(a, b logic.Atom, lt *lggTerms) (logic.Atom, bool) {

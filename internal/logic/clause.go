@@ -19,9 +19,6 @@ func NewClause(head Atom, body ...Atom) *Clause {
 	return &Clause{Head: head, Body: body}
 }
 
-// Fact builds a bodiless clause.
-func Fact(head Atom) *Clause { return &Clause{Head: head} }
-
 // Len returns the clause length: the number of literals including the head,
 // matching the paper's notion used by the clauselength parameter.
 func (c *Clause) Len() int { return 1 + len(c.Body) }

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"sync"
@@ -77,9 +75,10 @@ type FlightRecorder struct {
 	nameMu sync.Mutex
 	byID   []string // ID → string; index 0 reserved for ""
 
-	dumpMu   sync.Mutex
-	dumpPath string
-	dumps    atomic.Int64
+	dumpMu sync.Mutex
+	out    fileWriter // where dumps go, guarded by dumpMu
+	stderr bool       // dumps go to stderr, each behind a header line
+	dumps  atomic.Int64
 }
 
 // DefaultFlightSlots is the ring size used when NewFlightRecorder is
@@ -88,23 +87,18 @@ type FlightRecorder struct {
 const DefaultFlightSlots = 16384
 
 // NewFlightRecorder builds a ring with n slots (DefaultFlightSlots when
-// n <= 0).
-func NewFlightRecorder(n int) *FlightRecorder {
+// n <= 0) whose dumps DumpNow appends to dump, or writes to stderr when
+// dump is nil. The caller owns dump and closes it after the last dump.
+func NewFlightRecorder(n int, dump io.Writer) *FlightRecorder {
 	if n <= 0 {
 		n = DefaultFlightSlots
 	}
-	return &FlightRecorder{slots: make([]flightSlot, n), byID: []string{""}}
-}
-
-// SetDumpPath names the file DumpNow (re)writes. An empty path makes
-// DumpNow write to stderr.
-func (f *FlightRecorder) SetDumpPath(path string) {
-	if f == nil {
-		return
+	f := &FlightRecorder{slots: make([]flightSlot, n), byID: []string{""}}
+	if dump == nil {
+		dump, f.stderr = os.Stderr, true
 	}
-	f.dumpMu.Lock()
-	f.dumpPath = path
-	f.dumpMu.Unlock()
+	f.out = newFileWriter(dump)
+	return f
 }
 
 // nameID interns a record name. The sync.Map fast path is lock-free once
@@ -228,8 +222,15 @@ func (f *FlightRecorder) Snapshot() []FlightRecord {
 // WriteJSONL writes the current ring contents as JSONL: one meta line
 // (ring geometry, dump time), then one line per record, oldest first.
 func (f *FlightRecorder) WriteJSONL(w io.Writer) error {
+	out := newFileWriter(w)
+	f.writeJSONL(&out)
+	return out.flush()
+}
+
+// writeJSONL is WriteJSONL into a buffered writer, which keeps the first
+// error and is not flushed.
+func (f *FlightRecorder) writeJSONL(out *fileWriter) {
 	recs := f.Snapshot()
-	bw := bufio.NewWriter(w)
 	meta := struct {
 		Kind    string `json:"kind"`
 		When    int64  `json:"t_ns"`
@@ -241,22 +242,21 @@ func (f *FlightRecorder) WriteJSONL(w io.Writer) error {
 		meta.Slots = len(f.slots)
 		meta.Dumps = f.dumps.Load()
 	}
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(meta); err != nil {
-		return err
-	}
+	enc := json.NewEncoder(out.w)
+	out.latch(enc.Encode(meta))
 	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			return err
-		}
+		out.latch(enc.Encode(&recs[i]))
 	}
-	return bw.Flush()
 }
 
-// DumpNow writes the ring to the configured dump path (stderr when none
-// is set), recording the reason as a mark first so the dump explains
-// itself. Dumps serialize; each rewrites the file from scratch, so the
-// file always holds the latest window. Nil-safe.
+// DumpNow appends the ring to the recorder's dump writer (stderr, behind a
+// header line, when it has none), recording the reason as a mark first so
+// the dump explains itself. Dumps serialize, and each is flushed before
+// DumpNow returns, so a file holds every dump in order, each a flight_meta
+// line and its records: a run-end dump does not erase an earlier SIGQUIT
+// or watchdog dump, whose records the ring may have overwritten since.
+// The first write error is kept and returned by every later dump.
+// Nil-safe.
 func (f *FlightRecorder) DumpNow(reason string) error {
 	if f == nil {
 		return nil
@@ -265,17 +265,9 @@ func (f *FlightRecorder) DumpNow(reason string) error {
 	f.dumps.Add(1)
 	f.dumpMu.Lock()
 	defer f.dumpMu.Unlock()
-	if f.dumpPath == "" {
-		fmt.Fprintf(os.Stderr, "flight recorder dump (%s):\n", reason)
-		return f.WriteJSONL(os.Stderr)
+	if f.stderr {
+		f.out.write([]byte("flight recorder dump (" + reason + "):\n"))
 	}
-	file, err := os.Create(f.dumpPath)
-	if err != nil {
-		return err
-	}
-	if err := f.WriteJSONL(file); err != nil {
-		file.Close()
-		return err
-	}
-	return file.Close()
+	f.writeJSONL(&f.out)
+	return f.out.flush()
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestFlightRecorderRecordAndSnapshot(t *testing.T) {
-	fr := NewFlightRecorder(16)
+	fr := NewFlightRecorder(16, nil)
 	fr.Record(FKMark, "start", 1, 2)
 	fr.Record(FKWatchdog, "stall", 5, 105)
 	recs := fr.Snapshot()
@@ -30,7 +30,7 @@ func TestFlightRecorderRecordAndSnapshot(t *testing.T) {
 }
 
 func TestFlightRecorderRingWraps(t *testing.T) {
-	fr := NewFlightRecorder(8)
+	fr := NewFlightRecorder(8, nil)
 	for i := int64(0); i < 20; i++ {
 		fr.Record(FKMark, "m", i, 0)
 	}
@@ -47,7 +47,7 @@ func TestFlightRecorderRingWraps(t *testing.T) {
 }
 
 func TestFlightRecorderInterning(t *testing.T) {
-	fr := NewFlightRecorder(8)
+	fr := NewFlightRecorder(8, nil)
 	id1 := fr.nameID("span_learn")
 	id2 := fr.nameID("span_learn")
 	if id1 != id2 {
@@ -65,7 +65,7 @@ func TestFlightRecorderInterning(t *testing.T) {
 }
 
 func TestFlightRecorderConcurrentRecordAndSnapshot(t *testing.T) {
-	fr := NewFlightRecorder(64)
+	fr := NewFlightRecorder(64, nil)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -96,9 +96,13 @@ func TestFlightRecorderConcurrentRecordAndSnapshot(t *testing.T) {
 }
 
 func TestFlightRecorderDumpNowToFile(t *testing.T) {
-	fr := NewFlightRecorder(32)
 	path := filepath.Join(t.TempDir(), "flight.jsonl")
-	fr.SetDumpPath(path)
+	file, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	fr := NewFlightRecorder(32, file)
 	fr.Record(FKSpanStart, "learn", 1, 0)
 	fr.Record(FKSpanEnd, "learn", 1500, 1)
 	if err := fr.DumpNow("test_reason"); err != nil {
@@ -135,20 +139,21 @@ func TestFlightRecorderDumpNowToFile(t *testing.T) {
 		t.Errorf("dump mark missing its reason: %s", lines[3])
 	}
 
-	// A second dump rewrites the file with the grown ring, not appends.
+	// A second dump is appended whole: its meta line, then the grown ring.
 	if err := fr.DumpNow("again"); err != nil {
 		t.Fatal(err)
 	}
 	b2, _ := os.ReadFile(path)
-	if n := len(strings.Split(strings.TrimSpace(string(b2)), "\n")); n != 5 {
-		t.Errorf("second dump has %d lines, want 5 (rewrite, not append)", n)
+	lines2 := strings.Split(strings.TrimSpace(string(b2)), "\n")
+	if len(lines2) != 9 || strings.Join(lines2[:4], "\n") != strings.Join(lines, "\n") ||
+		!strings.Contains(lines2[4], `"flight_meta"`) || !strings.Contains(lines2[8], `"dump:again"`) {
+		t.Errorf("after a second dump the file holds %d lines, want the first dump's 4 and then 5 more:\n%s", len(lines2), b2)
 	}
 }
 
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var fr *FlightRecorder
 	fr.Record(FKMark, "x", 0, 0)
-	fr.SetDumpPath("/nope")
 	if err := fr.DumpNow("r"); err != nil {
 		t.Errorf("nil DumpNow: %v", err)
 	}
@@ -170,7 +175,7 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 }
 
 func TestRunSpanHooksFeedFlightRecorder(t *testing.T) {
-	fr := NewFlightRecorder(32)
+	fr := NewFlightRecorder(32, nil)
 	run := NewRun(fr, nil) // the ring alone is a span sink
 	s := run.StartSpan("learn")
 	s.End()

@@ -12,10 +12,10 @@ import (
 )
 
 // fileWriter is the buffered output of the artifact writers (JSONLSink,
-// ChromeTraceSink, Prov): a bufio writer, the first error any write hit,
-// kept so a run that wrote into a full disk fails loudly at Flush or
-// Close, and the file when the writer owns it. Callers hold their own
-// lock.
+// ChromeTraceSink, Prov, the flight recorder's dumps): a bufio writer, the
+// first error any write hit, kept so a run that wrote into a full disk
+// fails loudly at Flush or Close, and the file when the writer owns it.
+// Callers hold their own lock.
 type fileWriter struct {
 	w   *bufio.Writer
 	c   io.Closer // non-nil when the writer owns the file

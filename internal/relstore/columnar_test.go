@@ -115,13 +115,13 @@ func TestLegacyColumnarEquivalence(t *testing.T) {
 			}
 		}
 
-		// SatisfyBody agrees with brute-force grounding over the legacy
-		// store's Contains.
+		// Body satisfaction agrees with brute-force grounding over the
+		// legacy store's Contains.
 		body := randEquivBody(r)
-		got := col.SatisfyBody(body, nil)
+		got := satisfiable(col, body)
 		want := naiveSatisfy(leg, body, vals)
 		if got != want {
-			t.Fatalf("SatisfyBody=%v naive(legacy)=%v for %v", got, want, body)
+			t.Fatalf("satisfiable=%v naive(legacy)=%v for %v", got, want, body)
 		}
 	}
 }

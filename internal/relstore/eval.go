@@ -8,9 +8,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Conjunctive-query evaluation: satisfying clause bodies against an
-// instance, full clause/definition evaluation (the hR(I) of the paper), and
-// example coverage.
+// Conjunctive-query evaluation: example coverage and its witnesses, and
+// full clause/definition evaluation (the hR(I) of the paper).
 //
 // There is one solver, and it runs on compiled queries. Compile interns a
 // clause once against the instance's symbol table: variables become dense
@@ -25,9 +24,9 @@ import (
 // worker owns and publishes once per run of tests, so a steady-state test
 // allocates nothing, touches no map and no string beyond the example's
 // own constants, and writes no shared counter. The Instance query methods
-// (SatisfyBody, WitnessBody, CoversExample, EvalClause, …) are thin
-// wrappers that compile and run the same solver on a pooled prober,
-// turning symbol ids back into names only at a solution.
+// (CoversExample, CoverageWitness, EvalClause, …) are thin wrappers that
+// compile and run the same solver on a pooled prober, turning symbol ids
+// back into names only at a solution.
 //
 // Literal choice is dynamic: every search node picks the unmatched atom
 // with the fewest candidate rows under the current bindings (first on
@@ -63,12 +62,12 @@ func (i *Instance) budget() int {
 	return i.evalBudget
 }
 
-// Query is a clause (or a bare body) compiled against one instance. It is
-// immutable after compilation and safe for concurrent tests; it stays
-// valid until the instance is next modified.
+// Query is a clause compiled against one instance. It is immutable after
+// compilation and safe for concurrent tests; it stays valid until the
+// instance is next modified.
 type Query struct {
 	inst  *Instance
-	pred  string // head predicate; empty for a compiled body
+	pred  string // head predicate
 	head  []headArg
 	atoms []queryAtom
 	vars  *logic.VarSlots // slot → variable name
@@ -118,7 +117,7 @@ func (i *Instance) Compile(c *logic.Clause) *Query {
 		}
 		q.head[j] = headArg{slot: q.vars.Slot(t.Name), prev: prev}
 	}
-	q.compileBody(c.Body, nil)
+	q.compileBody(c.Body)
 	inBody := make([]bool, q.vars.Len())
 	for _, a := range q.atoms {
 		for _, arg := range a.args {
@@ -133,10 +132,8 @@ func (i *Instance) Compile(c *logic.Clause) *Query {
 	return q
 }
 
-// compileBody interns the body atoms, resolving variables through init
-// first: one bound to a constant compiles as that constant, one aliased to
-// another variable shares its slot.
-func (q *Query) compileBody(body []logic.Atom, init logic.Substitution) {
+// compileBody interns the body atoms.
+func (q *Query) compileBody(body []logic.Atom) {
 	n := 0
 	for _, a := range body {
 		n += len(a.Args)
@@ -152,9 +149,6 @@ func (q *Query) compileBody(body []logic.Atom, init logic.Substitution) {
 		qa := queryAtom{t: t, args: args[:len(a.Args):len(a.Args)], est: t.nrows, col: -1}
 		args = args[len(a.Args):]
 		for c, term := range a.Args {
-			if init != nil {
-				term = init.Resolve(term)
-			}
 			if term.IsVar {
 				qa.args[c] = logic.VarITerm(q.vars.Slot(term.Name))
 				continue
@@ -174,13 +168,6 @@ func (q *Query) compileBody(body []logic.Atom, init logic.Substitution) {
 	}
 }
 
-// bodyQuery compiles a bare body under init.
-func (i *Instance) bodyQuery(body []logic.Atom, init logic.Substitution) *Query {
-	q := &Query{inst: i, vars: logic.NewVarSlots()}
-	q.compileBody(body, init)
-	return q
-}
-
 // Covers reports whether the compiled clause covers the ground example e
 // relative to the instance: the coverage test of Definition 3.1. Every
 // argument of e is read as a constant. The test's store statistics are
@@ -195,7 +182,7 @@ func (q *Query) Covers(e logic.Atom) bool {
 // CoversWith is Covers on the caller's prober: the test's store statistics
 // stay on p until p.Publish. p must come from the query's instance.
 func (q *Query) CoversWith(p *Prober, e logic.Atom) bool {
-	return q.covers(p, e, nil)
+	return q.covers(p, e, nil, nil)
 }
 
 // CoversIDs is CoversWith for an example whose constants the caller has
@@ -204,12 +191,13 @@ func (q *Query) CoversWith(p *Prober, e logic.Atom) bool {
 // examples against many clauses resolves them once and skips the symbol
 // table lookups a test would make.
 func (q *Query) CoversIDs(p *Prober, e logic.Atom, ids []int32) bool {
-	return q.covers(p, e, ids)
+	return q.covers(p, e, ids, nil)
 }
 
 // covers binds the head to e, reading its constants' ids from ids when
-// non-nil and from the symbol table otherwise, and searches the body.
-func (q *Query) covers(p *Prober, e logic.Atom, ids []int32) bool {
+// non-nil and from the symbol table otherwise, and searches the body,
+// handing each solution to yield as run does.
+func (q *Query) covers(p *Prober, e logic.Atom, ids []int32, yield func(*logic.Subst) bool) bool {
 	if q.unsat || e.Pred != q.pred || len(e.Args) != len(q.head) {
 		return false
 	}
@@ -241,7 +229,7 @@ func (q *Query) covers(p *Prober, e logic.Atom, ids []int32) bool {
 			}
 		}
 	}
-	return q.run(p, nil)
+	return q.run(p, yield)
 }
 
 // Prober is the state of query evaluation on one goroutine: the search
@@ -478,54 +466,33 @@ func (a *queryAtom) bind(p *Prober, r, mark int) bool {
 	return true
 }
 
-// SatisfyBody reports whether some extension of init maps every body atom
-// onto a tuple of the instance. Atoms over relations absent from the schema
-// never match.
-func (i *Instance) SatisfyBody(body []logic.Atom, init logic.Substitution) bool {
-	q := i.bodyQuery(body, init)
-	if q.unsat {
-		return false
-	}
-	p := i.prober()
-	defer i.done(p)
-	p.reset(q)
-	return q.run(p, nil)
-}
-
-// WitnessBody returns the first substitution (in the solver's
-// deterministic enumeration order) extending init that maps every body
-// atom onto a tuple of the instance, or nil when none exists. It is
-// SatisfyBody returning its evidence: `castor explain` renders the result
-// as the matching substitution of a coverage witness.
-func (i *Instance) WitnessBody(body []logic.Atom, init logic.Substitution) logic.Substitution {
-	q := i.bodyQuery(body, init)
-	if q.unsat {
-		return nil
-	}
+// CoverageWitness returns the substitution under which clause c covers
+// the ground example atom e — the head match extended to a full body
+// embedding, the first in the solver's deterministic enumeration order —
+// or nil when c does not cover e. `castor explain` renders it as the
+// evidence of a coverage.
+func (i *Instance) CoverageWitness(c *logic.Clause, e logic.Atom) logic.Substitution {
+	q := i.Compile(c)
 	var witness logic.Substitution
 	p := i.prober()
 	defer i.done(p)
-	p.reset(q)
-	q.run(p, func(sub *logic.Subst) bool {
-		witness = init.Clone()
+	q.covers(p, e, nil, func(sub *logic.Subst) bool {
+		// A head variable the body does not mention stays unbound when the
+		// instance lacks its constant, so head variables take e's terms.
+		witness = logic.NewSubstitution()
+		for j, t := range c.Head.Args {
+			if t.IsVar {
+				witness[t.Name] = e.Args[j]
+			}
+		}
 		for s := int32(0); s < int32(sub.Slots()); s++ {
-			v, _ := sub.Value(s)
-			witness[q.vars.Name(s)] = logic.Const(i.syms.Name(v))
+			if v, ok := sub.Value(s); ok {
+				witness[q.vars.Name(s)] = logic.Const(i.syms.Name(v))
+			}
 		}
 		return false
 	})
 	return witness
-}
-
-// CoverageWitness returns the substitution under which clause c covers
-// the ground example atom e — the head match extended to a full body
-// embedding — or nil when c does not cover e.
-func (i *Instance) CoverageWitness(c *logic.Clause, e logic.Atom) logic.Substitution {
-	s, ok := logic.MatchAtoms(c.Head, e, logic.NewSubstitution())
-	if !ok {
-		return nil
-	}
-	return i.WitnessBody(c.Body, s)
 }
 
 // CoversExample reports whether clause c covers the ground example atom e

@@ -10,6 +10,12 @@ import (
 	"repro/internal/obs"
 )
 
+// satisfiable reports whether the body maps into the instance: whether
+// its clause under the nullary head x covers the example x.
+func satisfiable(i *Instance, body []logic.Atom) bool {
+	return i.CoversExample(&logic.Clause{Head: logic.NewAtom("x"), Body: body}, logic.NewAtom("x"))
+}
+
 func TestSatisfyBody(t *testing.T) {
 	i := smallInstance(t)
 	tests := []struct {
@@ -25,21 +31,21 @@ func TestSatisfyBody(t *testing.T) {
 	}
 	for _, tt := range tests {
 		c := logic.MustParseClause(tt.body)
-		if got := i.SatisfyBody(c.Body, nil); got != tt.want {
-			t.Errorf("SatisfyBody(%q) = %v want %v", tt.body, got, tt.want)
+		if got := i.CoversExample(c, logic.NewAtom("x")); got != tt.want {
+			t.Errorf("CoversExample(%q, x) = %v want %v", tt.body, got, tt.want)
 		}
 	}
 }
 
+// TestSatisfyBodyWithInit: a body variable bound beforehand is a head
+// variable the example binds.
 func TestSatisfyBodyWithInit(t *testing.T) {
 	i := smallInstance(t)
-	body := logic.MustParseClause("x :- inPhase(X, P).").Body
-	init := logic.NewSubstitution().Bind("X", logic.Const("abe"))
-	if !i.SatisfyBody(body, init) {
+	c := logic.MustParseClause("x(X) :- inPhase(X, P).")
+	if !i.CoversExample(c, logic.GroundAtom("x", "abe")) {
 		t.Error("abe has a phase")
 	}
-	init2 := logic.NewSubstitution().Bind("X", logic.Const("ghost"))
-	if i.SatisfyBody(body, init2) {
+	if i.CoversExample(c, logic.GroundAtom("x", "ghost")) {
 		t.Error("ghost has no phase")
 	}
 }
@@ -50,11 +56,11 @@ func TestSatisfyBodyRepeatedVariable(t *testing.T) {
 	i := NewInstance(s)
 	i.MustInsert("p", "x", "y")
 	body := logic.MustParseClause("t :- p(A, A).").Body
-	if i.SatisfyBody(body, nil) {
+	if satisfiable(i, body) {
 		t.Error("p(A,A) must not match p(x,y)")
 	}
 	i.MustInsert("p", "z", "z")
-	if !i.SatisfyBody(body, nil) {
+	if !satisfiable(i, body) {
 		t.Error("p(A,A) should match p(z,z)")
 	}
 }
@@ -151,14 +157,14 @@ func TestEvalArityMismatchAtom(t *testing.T) {
 	i := smallInstance(t)
 	// student has arity 1; an arity-2 atom over it matches nothing.
 	body := []logic.Atom{logic.NewAtom("student", logic.Var("X"), logic.Var("Y"))}
-	if i.SatisfyBody(body, nil) {
+	if satisfiable(i, body) {
 		t.Error("arity-mismatched atom matched")
 	}
 }
 
 func TestEvalEmptyBody(t *testing.T) {
 	i := smallInstance(t)
-	if !i.SatisfyBody(nil, nil) {
+	if !satisfiable(i, nil) {
 		t.Error("empty body is trivially satisfied")
 	}
 }
@@ -320,8 +326,7 @@ func TestEvalBudgetFlip(t *testing.T) {
 
 	// The first solution and the enumeration order are pinned too.
 	i := budgetGraph(t)
-	init := logic.NewSubstitution().Bind("X", logic.Const("n18")).Bind("C", logic.Const("green"))
-	w := i.WitnessBody(c.Body, init)
+	w := i.CoverageWitness(c, ex)
 	want := map[string]string{"A": "n11", "B": "n19", "C": "green", "P": "n0", "Q": "n4",
 		"U": "n10", "V": "n3", "W": "n11", "X": "n18", "Y": "n6", "Z": "n5"}
 	if len(w) != len(want) {

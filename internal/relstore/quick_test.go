@@ -215,8 +215,9 @@ func TestQuickProjectionLaws(t *testing.T) {
 	}
 }
 
-// TestQuickEvalAgainstSubsumptionStyleNaive: SatisfyBody agrees with a
-// brute-force grounding check on random small bodies.
+// TestQuickEvalAgainstNaive: body satisfaction agrees with a brute-force
+// grounding check on random small bodies, and coverage and its witness
+// with one on random clauses.
 func TestQuickEvalAgainstNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	varsPool := []logic.Term{logic.Var("X"), logic.Var("Y"), logic.Var("Z")}
@@ -273,10 +274,10 @@ func TestQuickEvalAgainstNaive(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		inst := randTwoRelInstance(r, true)
 		body := randBody()
-		got := inst.SatisfyBody(body, nil)
+		got := satisfiable(inst, body)
 		want := naive(inst, body)
 		if got != want {
-			t.Fatalf("SatisfyBody=%v naive=%v for body %v over %d/%d tuples",
+			t.Fatalf("satisfiable=%v naive=%v for body %v over %d/%d tuples",
 				got, want, body, inst.Table("p").Len(), inst.Table("q").Len())
 		}
 	}
@@ -285,7 +286,9 @@ func TestQuickEvalAgainstNaive(t *testing.T) {
 	// random ground examples, some of whose constants the instance has
 	// never seen, with bodies that may reference a missing relation or
 	// the wrong arity. CoversExample must agree with grounding the whole
-	// clause over every assignment.
+	// clause over every assignment. CoverageWitness must find a witness
+	// exactly when CoversExample covers, and the witness must map the head
+	// onto the example and every body atom onto a stored tuple.
 	headVars := []string{"X", "Y", "Z", "W"}
 	domain := []string{"v0", "v1", "v2", "v3", "zz", "yy"} // zz and yy are never stored
 	randTerm := func(constPct int) logic.Term {
@@ -379,9 +382,25 @@ func TestQuickEvalAgainstNaive(t *testing.T) {
 		c := randClause()
 		for k := 0; k < 4; k++ {
 			e := randExample(c)
-			if got, want := inst.CoversExample(c, e), naiveCovers(inst, c, e); got != want {
+			got := inst.CoversExample(c, e)
+			if want := naiveCovers(inst, c, e); got != want {
 				t.Fatalf("CoversExample(%v, %v)=%v naive=%v over p=%v q=%v",
 					c, e, got, want, inst.Table("p").Tuples(), inst.Table("q").Tuples())
+			}
+			w := inst.CoverageWitness(c, e)
+			if (w != nil) != got {
+				t.Fatalf("CoverageWitness(%v, %v)=%v, CoversExample=%v", c, e, w, got)
+			}
+			if w == nil {
+				continue
+			}
+			if h := c.Head.Apply(w); !h.Equal(e) {
+				t.Fatalf("CoverageWitness(%v, %v)=%v maps the head onto %v", c, e, w, h)
+			}
+			for _, a := range c.Body {
+				if g := a.Apply(w); !g.IsGround() || !holds(inst, g) {
+					t.Fatalf("CoverageWitness(%v, %v)=%v grounds %v into no stored tuple", c, e, w, g)
+				}
 			}
 		}
 	}

@@ -122,7 +122,7 @@ func TestStoreStatsFlowThroughEval(t *testing.T) {
 	}
 }
 
-func TestWitnessBodyAndCoverageWitness(t *testing.T) {
+func TestCoverageWitness(t *testing.T) {
 	i := smallInstance(t)
 	c := logic.MustParseClause("collab(X, Y) :- publication(P, X), publication(P, Y), professor(Y).")
 
@@ -150,21 +150,18 @@ func TestWitnessBodyAndCoverageWitness(t *testing.T) {
 	if w := i.CoverageWitness(c, logic.GroundAtom("collab", "bea", "pat")); w != nil {
 		t.Errorf("uncovered example got witness %v", w)
 	}
-	if w := i.WitnessBody(c.Body, nil); w == nil {
-		t.Error("satisfiable body has no witness")
-	}
-	if w := i.WitnessBody(logic.MustParseClause("x :- ghost(Z).").Body, nil); w != nil {
-		t.Errorf("unsatisfiable body got witness %v", w)
-	}
-	// WitnessBody agrees with SatisfyBody on every eval_test fixture query.
-	for _, body := range []string{
+	// The witness exists exactly when the clause covers the example, on
+	// eval_test fixture queries under the nullary head x.
+	for _, src := range []string{
 		"x :- student(X), inPhase(X, prelim).",
 		"x :- student(X), inPhase(X, quals).",
 		"x :- publication(P, bea), publication(P, pat).",
+		"x :- ghost(Z).",
 	} {
-		b := logic.MustParseClause(body).Body
-		if got, want := i.WitnessBody(b, nil) != nil, i.SatisfyBody(b, nil); got != want {
-			t.Errorf("WitnessBody(%q) found=%v, SatisfyBody=%v", body, got, want)
+		c := logic.MustParseClause(src)
+		x := logic.NewAtom("x")
+		if got, want := i.CoverageWitness(c, x) != nil, i.CoversExample(c, x); got != want {
+			t.Errorf("CoverageWitness(%q) found=%v, CoversExample=%v", src, got, want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package subsume
 
 import (
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/logic"
@@ -51,7 +50,7 @@ func NewSpace(base *logic.Symbols, extra ...string) *Space {
 
 // spaceOf is the private space of a one-shot target: its predicate and
 // constant names, skolemized variables included.
-func spaceOf(head *logic.Atom, body []logic.Atom) *Space {
+func spaceOf(d *logic.Clause) *Space {
 	s := NewSpace(nil)
 	add := func(a logic.Atom) {
 		s.add(a.Pred)
@@ -59,10 +58,8 @@ func spaceOf(head *logic.Atom, body []logic.Atom) *Space {
 			s.add(targetName(t))
 		}
 	}
-	if head != nil {
-		add(*head)
-	}
-	for _, a := range body {
+	add(d.Head)
+	for _, a := range d.Body {
 		add(a)
 	}
 	return s
@@ -89,13 +86,6 @@ func (s *Space) Lookup(name string) (int32, bool) {
 // len is the number of ids in the space.
 func (s *Space) len() int32 { return s.baseLen + int32(len(s.names)) }
 
-func (s *Space) name(id int32) string {
-	if id < s.baseLen {
-		return s.base.Name(id)
-	}
-	return s.names[id-s.baseLen]
-}
-
 // targetName is the name a target term compiles under: constants keep
 // theirs, variables become skolem constants.
 func targetName(t logic.Term) string {
@@ -109,7 +99,6 @@ func targetName(t logic.Term) string {
 // construction and safe for concurrent probes.
 type Compiled struct {
 	space    *Space
-	hasHead  bool
 	headPred int32
 	headArgs []int32
 	litPred  []int32 // per body literal
@@ -126,49 +115,30 @@ type predLits struct {
 	lits []int32
 }
 
-// Compile builds the match-many form of a full clause (head and body) in
-// a private space holding exactly its names.
+// Compile builds the match-many form of a clause in a private space
+// holding exactly its names.
 func Compile(d *logic.Clause) *Compiled {
-	return spaceOf(&d.Head, d.Body).compile(&d.Head, d.Body)
+	return spaceOf(d).compile(d)
 }
 
-// CompileBody builds the match-many form of a headless body (the
-// SubsumesBody target shape) in a private space holding exactly its names.
-func CompileBody(body []logic.Atom) *Compiled {
-	return spaceOf(nil, body).compile(nil, body)
-}
-
-// Compile compiles a full clause (head and body) into the space. A clause
-// holding a name the space lacks — a skolemized variable, a constant only
-// it holds — compiles into a private space of its own instead, and every
-// probe of it prepares the source afresh against that space: such targets
-// answer exactly, just without the shared space's reuse.
+// Compile compiles a clause into the space. A clause holding a name the
+// space lacks — a skolemized variable, a constant only it holds —
+// compiles into a private space of its own instead, and every probe of it
+// prepares the source afresh against that space: such targets answer
+// exactly, just without the shared space's reuse.
 func (s *Space) Compile(d *logic.Clause) *Compiled {
-	if cd := s.compile(&d.Head, d.Body); cd != nil {
+	if cd := s.compile(d); cd != nil {
 		return cd
 	}
 	return Compile(d)
 }
 
-// CompileBody compiles a headless body into the space, falling back to a
-// private space as Compile does.
-func (s *Space) CompileBody(body []logic.Atom) *Compiled {
-	if cd := s.compile(nil, body); cd != nil {
-		return cd
-	}
-	return CompileBody(body)
-}
-
 // compile interns the target into the space and indexes it, or returns
 // nil when the space lacks one of its names.
-func (s *Space) compile(head *logic.Atom, body []logic.Atom) *Compiled {
+func (s *Space) compile(d *logic.Clause) *Compiled {
 	e := 0
-	for _, a := range body {
+	for _, a := range d.Body {
 		e += len(a.Args)
-	}
-	h := 0
-	if head != nil {
-		h = len(head.Args)
 	}
 	missing := false
 	id := func(name string) int32 {
@@ -176,14 +146,12 @@ func (s *Space) compile(head *logic.Atom, body []logic.Atom) *Compiled {
 		missing = missing || !ok
 		return id
 	}
-	cd := s.newCompiled(head != nil, h, len(body), e)
-	if head != nil {
-		cd.headPred = id(head.Pred)
-		for i, t := range head.Args {
-			cd.headArgs[i] = id(targetName(t))
-		}
+	cd := s.newCompiled(len(d.Head.Args), len(d.Body), e)
+	cd.headPred = id(d.Head.Pred)
+	for i, t := range d.Head.Args {
+		cd.headArgs[i] = id(targetName(t))
 	}
-	for i, a := range body {
+	for i, a := range d.Body {
 		cd.litPred[i] = id(a.Pred)
 		cd.litOff[i+1] = cd.litOff[i] + int32(len(a.Args))
 		for p, t := range a.Args {
@@ -221,7 +189,7 @@ func (s *Space) CompileGround(headPred int32, headArgs, litPred, litOff, argv []
 	if uint32(headPred) >= n || !inside(headArgs) || !inside(litPred) || !inside(argv) {
 		return nil
 	}
-	cd := s.newCompiled(true, len(headArgs), len(litPred), len(argv))
+	cd := s.newCompiled(len(headArgs), len(litPred), len(argv))
 	cd.headPred = headPred
 	copy(cd.headArgs, headArgs)
 	copy(cd.litPred, litPred)
@@ -242,10 +210,10 @@ func (s *Space) BaseLen(syms *logic.Symbols) int32 {
 }
 
 // newCompiled carves a target of n body literals holding e arguments in
-// all, with a head of h arguments when hasHead, and the int32 tables of
-// its indexes out of one backing array. The caller fills in the head and
-// the literals, then calls build.
-func (s *Space) newCompiled(hasHead bool, h, n, e int) *Compiled {
+// all, with a head of h arguments, and the int32 tables of its indexes out
+// of one backing array. The caller fills in the head and the literals,
+// then calls build.
+func (s *Space) newCompiled(h, n, e int) *Compiled {
 	size := tableSize(e)
 	// In carving order: litPred, litOff, argv, headArgs, predLits, then
 	// the index's slots, lits and off.
@@ -255,7 +223,7 @@ func (s *Space) newCompiled(hasHead bool, h, n, e int) *Compiled {
 		arena = arena[k:]
 		return a
 	}
-	cd := &Compiled{space: s, hasHead: hasHead}
+	cd := &Compiled{space: s}
 	cd.litPred, cd.litOff, cd.argv, cd.headArgs = take(n), take(n+1), take(e), take(h)
 	cd.predLits = take(n)
 	cd.index.slots, cd.index.lits = take(size), take(e)
@@ -300,7 +268,7 @@ func (cd *Compiled) indexPreds() {
 // same space: the same head, and the same body literals in the same order
 // with the same argument ids.
 func (cd *Compiled) Equal(o *Compiled) bool {
-	return cd.space == o.space && cd.hasHead == o.hasHead && cd.headPred == o.headPred &&
+	return cd.space == o.space && cd.headPred == o.headPred &&
 		slices.Equal(cd.headArgs, o.headArgs) && slices.Equal(cd.litPred, o.litPred) &&
 		slices.Equal(cd.litOff, o.litOff) && slices.Equal(cd.argv, o.argv)
 }
@@ -419,18 +387,16 @@ func (x *argIndex) build(cd *Compiled) {
 	x.off[len(x.off)-1] = int32(entries)
 }
 
-// Source is a source clause (or body) prepared against a Space: probes of
-// any target compiled into that space reuse it. It is immutable after
+// Source is a source clause prepared against a Space: probes of any
+// target compiled into that space reuse it. It is immutable after
 // preparation and safe for concurrent probes.
 type Source struct {
 	space *Space
-	// The source as given, for preparing it afresh against a target that
+	// The clause as given, for preparing it afresh against a target that
 	// compiled into a private space.
-	clause *logic.Clause // nil for a body source
-	body   []logic.Atom
-	init   logic.Substitution
+	clause *logic.Clause
 
-	head  srcLit // valid when clause != nil
+	head  srcLit
 	lits  []srcLit
 	argv  []logic.ITerm // head arguments first, then the body's
 	preds []int32       // distinct body predicates, first-seen order
@@ -458,35 +424,19 @@ type occEntry struct {
 	pos int32
 }
 
-// Prepare prepares a full clause (head and body) for probing targets
-// compiled into the space. Names the space lacks prepare as
-// logic.UnknownSym, which no target compiled into the space holds.
+// Prepare prepares a clause for probing targets compiled into the space.
+// Names the space lacks prepare as logic.UnknownSym, which no target
+// compiled into the space holds.
 func (s *Space) Prepare(c *logic.Clause) *Source {
-	return s.prepare(c, c.Body, nil)
-}
-
-// PrepareBody prepares a bare body for body-only probes, resolving its
-// terms through init first: a variable bound to a constant prepares as
-// that constant, one aliased to another variable shares its slot.
-// Bindings in init must map onto constants (coverage tests bind onto
-// ground bottom clauses, satisfying this).
-func (s *Space) PrepareBody(body []logic.Atom, init logic.Substitution) *Source {
-	return s.prepare(nil, body, init)
-}
-
-func (s *Space) prepare(c *logic.Clause, body []logic.Atom, init logic.Substitution) *Source {
-	src := &Source{space: s, clause: c, body: body, init: init, lits: make([]srcLit, len(body))}
+	src := &Source{space: s, clause: c, lits: make([]srcLit, len(c.Body))}
 	lookup := func(name string) int32 {
 		if id, ok := s.Lookup(name); ok {
 			return id
 		}
 		return logic.UnknownSym
 	}
-	n := 0
-	if c != nil {
-		n += len(c.Head.Args)
-	}
-	for _, a := range body {
+	n := len(c.Head.Args)
+	for _, a := range c.Body {
 		n += len(a.Args)
 	}
 	src.argv = make([]logic.ITerm, 0, n)
@@ -512,7 +462,7 @@ func (s *Space) prepare(c *logic.Clause, body []logic.Atom, init logic.Substitut
 	intern := func(a logic.Atom) srcLit {
 		lit := srcLit{off: int32(len(src.argv)), n: int32(len(a.Args))}
 		for _, t := range a.Args {
-			if t = init.Resolve(t); t.IsVar {
+			if t.IsVar {
 				src.argv = append(src.argv, logic.VarITerm(slotOf(t.Name)))
 			} else {
 				src.argv = append(src.argv, logic.ConstITerm(lookup(t.Name)))
@@ -520,12 +470,10 @@ func (s *Space) prepare(c *logic.Clause, body []logic.Atom, init logic.Substitut
 		}
 		return lit
 	}
-	if c != nil {
-		src.head = intern(c.Head)
-		src.head.pred = lookup(c.Head.Pred)
-	}
+	src.head = intern(c.Head)
+	src.head.pred = lookup(c.Head.Pred)
 	headSlots := len(src.slotNames)
-	for i, a := range body {
+	for i, a := range c.Body {
 		src.lits[i] = intern(a)
 		pred := lookup(a.Pred)
 		k := slices.Index(src.preds, pred)
@@ -546,7 +494,7 @@ func (s *Space) prepare(c *logic.Clause, body []logic.Atom, init logic.Substitut
 // renumbered in first-use order, and the predicates, occurrence lists and
 // components are recomputed, so the result is what Prepare(c) builds.
 func (src *Source) without(i int, c *logic.Clause) *Source {
-	out := &Source{space: src.space, clause: c, body: c.Body, lits: make([]srcLit, 0, len(src.lits)-1)}
+	out := &Source{space: src.space, clause: c, lits: make([]srcLit, 0, len(src.lits)-1)}
 	out.argv = make([]logic.ITerm, 0, len(src.argv)-int(src.lits[i].n))
 	renum := make([]int32, len(src.slotNames)) // old slot → new slot + 1
 	copyLit := func(l srcLit) srcLit {
@@ -710,72 +658,17 @@ func (cd *Compiled) SubsumesR(run *obs.Run, c *logic.Clause) bool {
 	return cd.Probe(run, cd.space.Prepare(c))
 }
 
-// SubsumesBody reports whether cBody maps into the compiled target body
-// under some extension of init, ignoring heads. Bindings in init must map
-// onto constants (coverage tests bind onto ground bottom clauses,
-// satisfying this); aliases var→var act as shared free variables.
-func (cd *Compiled) SubsumesBody(cBody []logic.Atom, init logic.Substitution) bool {
-	return cd.SubsumesBodyR(nil, cBody, init)
-}
-
-// SubsumesBodyR is SubsumesBody reporting into the run (nil observes
-// nothing).
-func (cd *Compiled) SubsumesBodyR(run *obs.Run, cBody []logic.Atom, init logic.Substitution) bool {
-	return cd.Probe(run, cd.space.PrepareBody(cBody, init))
-}
-
-// Probe reports whether the prepared source θ-subsumes the target (for a
-// body source: maps into the target body, ignoring heads), reporting
-// engine calls, backtracking nodes and budget exhaustions into the run
-// (nil observes nothing). The source must be prepared against the space
-// the target was compiled into (or the target must have fallen back to a
-// private space). A steady-state probe allocates nothing.
+// Probe reports whether the prepared source θ-subsumes the target,
+// reporting engine calls, backtracking nodes and budget exhaustions into
+// the run (nil observes nothing). The source must be prepared against the
+// space the target was compiled into (or the target must have fallen back
+// to a private space). A steady-state probe allocates nothing.
 func (cd *Compiled) Probe(run *obs.Run, src *Source) bool {
 	m := cd.matcher(src, run)
 	ok := m.run()
 	m.report(run)
 	m.release()
 	return ok
-}
-
-// Witness is Subsumes returning the witnessing substitution: the mapping
-// from c's variables to the target symbols they landed on. Target-clause
-// variables (skolemized during compilation) are reported under their
-// original names as variable terms; everything else is a constant. The
-// second return is false — and the substitution nil — when c does not
-// subsume the target.
-func (cd *Compiled) Witness(c *logic.Clause) (logic.Substitution, bool) {
-	return cd.witness(cd.space.Prepare(c))
-}
-
-// WitnessBody is SubsumesBody returning the witnessing substitution for
-// the source body's variables (init entries are not repeated in it).
-func (cd *Compiled) WitnessBody(cBody []logic.Atom, init logic.Substitution) (logic.Substitution, bool) {
-	return cd.witness(cd.space.PrepareBody(cBody, init))
-}
-
-// witness probes without observing and externalizes the final
-// substitution of a successful match.
-func (cd *Compiled) witness(src *Source) (logic.Substitution, bool) {
-	m := cd.matcher(src, nil)
-	defer m.release()
-	if !m.run() {
-		return nil, false
-	}
-	out := make(logic.Substitution, len(src.slotNames))
-	for slot, v := range src.slotNames {
-		sym, bound := m.subst.Value(int32(slot))
-		if !bound {
-			continue
-		}
-		name := cd.space.name(sym)
-		if strings.HasPrefix(name, skolemPrefix) {
-			out[v] = logic.Var(name[len(skolemPrefix):])
-		} else {
-			out[v] = logic.Const(name)
-		}
-	}
-	return out, true
 }
 
 // matcher is the search state of one probe, pooled: a slot-indexed
@@ -795,8 +688,8 @@ type matcher struct {
 	open      []int32
 	nodes     int
 	exhausted bool
-	// obsRun feeds the stall watchdog from inside long probes; nil (the
-	// Witness paths and unobserved runs) costs one pointer test per batch.
+	// obsRun feeds the stall watchdog from inside long probes; nil (an
+	// unobserved run) costs one pointer test per batch.
 	obsRun *obs.Run
 }
 
@@ -814,7 +707,7 @@ var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
 // prepared afresh against that space.
 func (cd *Compiled) matcher(src *Source, run *obs.Run) *matcher {
 	if src.space != cd.space {
-		src = cd.space.prepare(src.clause, src.body, src.init)
+		src = cd.space.Prepare(src.clause)
 	}
 	m := matcherPool.Get().(*matcher)
 	m.cd, m.src, m.obsRun = cd, src, run
@@ -842,9 +735,9 @@ func (m *matcher) report(run *obs.Run) {
 	run.Add(obs.CSubsumptionNodes, int64(used))
 }
 
-// run matches the heads when the source has one, then searches each
-// component with forward pruning over incremental domains. A source
-// predicate with no target literal fails the probe before any search.
+// run matches the heads, then searches each component with forward
+// pruning over incremental domains. A source predicate with no target
+// literal fails the probe before any search.
 func (m *matcher) run() bool {
 	src, cd := m.src, m.cd
 	m.predCand = m.predCand[:0]
@@ -856,7 +749,7 @@ func (m *matcher) run() bool {
 		m.predCand = append(m.predCand, cand)
 	}
 	m.subst.Reset(len(src.slotNames))
-	if src.clause != nil && !m.matchHead() {
+	if !m.matchHead() {
 		return false
 	}
 	n := len(src.lits)
@@ -889,7 +782,7 @@ func resize(s []int32, n int) []int32 {
 // (skolemized, ground) target head.
 func (m *matcher) matchHead() bool {
 	cd, head := m.cd, m.src.head
-	if !cd.hasHead || head.pred != cd.headPred || int(head.n) != len(cd.headArgs) {
+	if head.pred != cd.headPred || int(head.n) != len(cd.headArgs) {
 		return false
 	}
 	for i, t := range m.src.argv[head.off : head.off+head.n] {

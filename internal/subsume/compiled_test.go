@@ -9,19 +9,21 @@ import (
 	"repro/internal/obs"
 )
 
-// chainPair builds a c-body chain q(X0,X1)…q(Xn-1,Xn) and a ground chain
-// of m constants it maps into — a pair that genuinely subsumes but needs at
-// least n search nodes to prove it.
-func chainPair(n, m int) (cBody, dBody []logic.Atom) {
+// chainPair builds a clause whose body is the chain q(X0,X1)…q(Xn-1,Xn)
+// and a ground chain of m constants it maps into, both under the nullary
+// head x — a pair that genuinely subsumes but needs at least n search
+// nodes to prove it.
+func chainPair(n, m int) (c, d *logic.Clause) {
+	c, d = headed(nil), headed(nil)
 	for i := 0; i < n; i++ {
-		cBody = append(cBody, logic.NewAtom("q",
+		c.Body = append(c.Body, logic.NewAtom("q",
 			logic.Var(fmt.Sprintf("X%d", i)), logic.Var(fmt.Sprintf("X%d", i+1))))
 	}
 	for i := 0; i < m; i++ {
-		dBody = append(dBody, logic.GroundAtom("q",
+		d.Body = append(d.Body, logic.GroundAtom("q",
 			fmt.Sprintf("c%d", i), fmt.Sprintf("c%d", i+1)))
 	}
-	return cBody, dBody
+	return c, d
 }
 
 // TestBudgetExhaustedCutoff: when the node budget runs out, the engine
@@ -30,8 +32,8 @@ func chainPair(n, m int) (cBody, dBody []logic.Atom) {
 // cutoffs from real failures. The budget variable is lowered so the test
 // is deterministic and fast instead of needing a multi-million-node pair.
 func TestBudgetExhaustedCutoff(t *testing.T) {
-	cBody, dBody := chainPair(10, 40)
-	if !SubsumesBody(cBody, dBody, nil) {
+	c, d := chainPair(10, 40)
+	if !Subsumes(c, d) {
 		t.Fatalf("chain pair should subsume under the full budget")
 	}
 
@@ -41,7 +43,7 @@ func TestBudgetExhaustedCutoff(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	run := obs.NewRun(nil, reg)
-	if SubsumesBodyR(run, cBody, dBody, nil) {
+	if Compile(d).SubsumesR(run, c) {
 		t.Fatalf("exhausted search must report non-subsumption")
 	}
 	if got := reg.Get(obs.CSubsumptionBudgetExhausted); got != 1 {
@@ -58,7 +60,7 @@ func TestBudgetExhaustedCutoff(t *testing.T) {
 	// Restored budget: the same pair subsumes again and the exhaustion
 	// counter stays put — the cutoff left no state behind.
 	matchBudget = old
-	if !SubsumesBodyR(run, cBody, dBody, nil) {
+	if !Compile(d).SubsumesR(run, c) {
 		t.Fatalf("pair should subsume once the budget is restored")
 	}
 	if got := reg.Get(obs.CSubsumptionBudgetExhausted); got != 1 {
@@ -98,10 +100,10 @@ func TestCompiledProbeMany(t *testing.T) {
 // must agree with the sequential answers. Run under -race this is the
 // safety check for sharing one compilation across the pool.
 func TestCompiledConcurrentProbes(t *testing.T) {
-	cBody, dBody := chainPair(8, 32)
-	cd := CompileBody(dBody)
-	bad := append(append([]logic.Atom(nil), cBody...),
-		logic.GroundAtom("q", "absent", "absent"))
+	c, d := chainPair(8, 32)
+	cd := Compile(d)
+	bad := headed(append(append([]logic.Atom(nil), c.Body...),
+		logic.GroundAtom("q", "absent", "absent")))
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
@@ -110,11 +112,11 @@ func TestCompiledConcurrentProbes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if !cd.SubsumesBody(cBody, nil) {
+				if !cd.Subsumes(c) {
 					errs <- "chain probe: got false, want true"
 					return
 				}
-				if cd.SubsumesBody(bad, nil) {
+				if cd.Subsumes(bad) {
 					errs <- "bad probe: got true, want false"
 					return
 				}
@@ -125,79 +127,6 @@ func TestCompiledConcurrentProbes(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
-	}
-}
-
-// TestWitness: a successful probe can report the substitution it found,
-// with target-clause variables externalized under their original names.
-func TestWitness(t *testing.T) {
-	// Ground target: p(a) :- q(a,b).
-	ground := &logic.Clause{
-		Head: logic.GroundAtom("p", "a"),
-		Body: []logic.Atom{logic.GroundAtom("q", "a", "b")},
-	}
-	src := &logic.Clause{
-		Head: logic.NewAtom("p", logic.Var("X")),
-		Body: []logic.Atom{logic.NewAtom("q", logic.Var("X"), logic.Var("Y"))},
-	}
-	s, ok := Compile(ground).Witness(src)
-	if !ok {
-		t.Fatalf("source should subsume the ground target")
-	}
-	if got := s["X"]; got.IsVar || got.Name != "a" {
-		t.Fatalf("X bound to %v, want constant a", got)
-	}
-	if got := s["Y"]; got.IsVar || got.Name != "b" {
-		t.Fatalf("Y bound to %v, want constant b", got)
-	}
-
-	// Variablized target: p(U,V) :- q(U,W), r(W,V). The skolemized target
-	// variables must come back as variables named U/V/W.
-	varTgt := &logic.Clause{
-		Head: logic.NewAtom("p", logic.Var("U"), logic.Var("V")),
-		Body: []logic.Atom{
-			logic.NewAtom("q", logic.Var("U"), logic.Var("W")),
-			logic.NewAtom("r", logic.Var("W"), logic.Var("V")),
-		},
-	}
-	src2 := &logic.Clause{
-		Head: logic.NewAtom("p", logic.Var("X"), logic.Var("Y")),
-		Body: []logic.Atom{logic.NewAtom("q", logic.Var("X"), logic.Var("Z"))},
-	}
-	s2, ok := Compile(varTgt).Witness(src2)
-	if !ok {
-		t.Fatalf("source should subsume the variablized target")
-	}
-	want := map[string]string{"X": "U", "Y": "V", "Z": "W"}
-	for v, tgt := range want {
-		got, bound := s2[v]
-		if !bound || !got.IsVar || got.Name != tgt {
-			t.Fatalf("%s bound to %v, want variable %s", v, got, tgt)
-		}
-	}
-
-	// Non-subsuming pair: nil witness, false.
-	bad := &logic.Clause{
-		Head: logic.NewAtom("p", logic.Var("X")),
-		Body: []logic.Atom{logic.NewAtom("missing", logic.Var("X"))},
-	}
-	if s3, ok := Compile(ground).Witness(bad); ok || s3 != nil {
-		t.Fatalf("non-subsuming pair returned a witness: %v", s3)
-	}
-
-	// WitnessBody with an init binding: init entries resolve before
-	// interning and are not repeated in the witness.
-	s4, ok := CompileBody([]logic.Atom{logic.GroundAtom("q", "a", "b")}).
-		WitnessBody([]logic.Atom{logic.NewAtom("q", logic.Var("X"), logic.Var("Y"))},
-			logic.Substitution{"X": logic.Const("a")})
-	if !ok {
-		t.Fatalf("body should map under init")
-	}
-	if got := s4["Y"]; got.IsVar || got.Name != "b" {
-		t.Fatalf("Y bound to %v, want constant b", got)
-	}
-	if _, repeated := s4["X"]; repeated {
-		t.Fatalf("init binding X leaked into the witness")
 	}
 }
 

@@ -12,10 +12,12 @@ import (
 
 // TestSubsumptionNodesGolden pins the matcher's search order: over a fixed
 // stream of random clause pairs, the answers and the total
-// subsumption_nodes of one-shot Subsumes and SubsumesBody (with init
-// substitutions) must equal the values the per-target string-keyed
-// matcher this engine replaced recorded. Literal selection, domain order,
-// component splitting and the early exits all move the node total.
+// subsumption_nodes of one-shot probes of each clause pair and of its two
+// bodies under a shared nullary head (the source body with a variable
+// bound to a constant beforehand, half the time) must equal the values the
+// per-target string-keyed matcher this engine replaced recorded. Literal
+// selection, domain order, component splitting and the early exits all
+// move the node total.
 func TestSubsumptionNodesGolden(t *testing.T) {
 	preds := []struct {
 		name  string
@@ -57,7 +59,7 @@ func TestSubsumptionNodesGolden(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			init = nil
 		}
-		fmt.Fprint(answers, SubsumesR(run, c, d), SubsumesBodyR(run, c.Body, d.Body, init))
+		fmt.Fprint(answers, Compile(d).SubsumesR(run, c), Compile(headed(d.Body)).SubsumesR(run, headed(c.Body).Apply(init)))
 	}
 	got := fmt.Sprintf("%016x/%d/%d", answers.Sum64(), reg.Get(obs.CSubsumptionNodes), reg.Get(obs.CSubsumptionCalls))
 	if want := "ca5fefbebc38b762/25903/40000"; got != want {

@@ -17,7 +17,6 @@ type preparedCase struct {
 	space   *Space
 	targets []*logic.Clause
 	source  *logic.Clause
-	init    logic.Substitution
 }
 
 // Vocabulary of the random cases. "q" is a predicate and a constant at
@@ -92,10 +91,13 @@ func drawPreparedCase(seed int64) preparedCase {
 		c.source.Head = logic.NewAtom("t", logic.Var("X"), logic.Var("X"))
 	}
 	if rng.Intn(2) == 0 {
-		c.init = logic.Substitution{"X": prepTerm(rng, 0)}
+		// Bindings applied beforehand: a variable bound to a constant, and
+		// one aliased to another variable.
+		init := logic.Substitution{"X": prepTerm(rng, 0)}
 		if rng.Intn(2) == 0 {
-			c.init["Y"] = logic.Var("Z")
+			init["Y"] = logic.Var("Z")
 		}
+		c.source = c.source.Apply(init)
 	}
 	return c
 }
@@ -110,43 +112,22 @@ func probeCounts(f func(run *obs.Run) bool) (bool, int64, int64) {
 
 // TestPreparedSourceMatchesOneShot: a source prepared once in a shared
 // space and probed against targets compiled into that space answers
-// exactly as one-shot Subsumes/SubsumesBody on the same clauses and
-// reports the same subsumption_nodes — across source constants and
-// predicates the space lacks, target names it lacks (skolems and
-// constants only the target holds), predicates missing from a target,
-// repeated head variables, empty bodies and init substitutions.
+// exactly as one-shot probes of the same clauses and reports the same
+// subsumption_nodes — across source constants and predicates the space
+// lacks, target names it lacks (skolems and constants only the target
+// holds), predicates missing from a target, repeated head variables,
+// empty bodies and sources with bindings applied beforehand.
 func TestPreparedSourceMatchesOneShot(t *testing.T) {
 	prop := func(seed int64) bool {
 		c := drawPreparedCase(seed)
 		src := c.space.Prepare(c.source)
-		body := c.space.PrepareBody(c.source.Body, c.init)
 		for _, d := range c.targets {
-			full, bodyOnly := c.space.Compile(d), c.space.CompileBody(d.Body)
-			got, gotNodes, gotCalls := probeCounts(func(run *obs.Run) bool { return full.Probe(run, src) })
-			want, wantNodes, _ := probeCounts(func(run *obs.Run) bool { return SubsumesR(run, c.source, d) })
+			shared := c.space.Compile(d)
+			got, gotNodes, gotCalls := probeCounts(func(run *obs.Run) bool { return shared.Probe(run, src) })
+			want, wantNodes, _ := probeCounts(func(run *obs.Run) bool { return Compile(d).SubsumesR(run, c.source) })
 			if got != want || gotNodes != wantNodes || gotCalls != 1 {
 				t.Logf("seed %d: Probe(%v, %v) = %v/%d nodes, one-shot %v/%d", seed, c.source, d, got, gotNodes, want, wantNodes)
 				return false
-			}
-			want, wantNodes, _ = probeCounts(func(run *obs.Run) bool { return SubsumesBodyR(run, c.source.Body, d.Body, c.init) })
-			for _, cd := range []*Compiled{full, bodyOnly} {
-				got, gotNodes, _ = probeCounts(func(run *obs.Run) bool { return cd.Probe(run, body) })
-				if got != want || gotNodes != wantNodes {
-					t.Logf("seed %d: body Probe(%v | %v, %v) = %v/%d nodes, one-shot %v/%d", seed, c.source.Body, c.init, d.Body, got, gotNodes, want, wantNodes)
-					return false
-				}
-			}
-			w, ok := full.Witness(c.source)
-			ow, ook := Compile(d).Witness(c.source)
-			if ok != ook || len(w) != len(ow) {
-				t.Logf("seed %d: Witness(%v, %v) = %v, one-shot %v", seed, c.source, d, w, ow)
-				return false
-			}
-			for v, term := range w {
-				if ow[v] != term {
-					t.Logf("seed %d: Witness(%v, %v) = %v, one-shot %v", seed, c.source, d, w, ow)
-					return false
-				}
 			}
 		}
 		return true
@@ -248,8 +229,8 @@ func TestPreparedConcurrentProbes(t *testing.T) {
 // TestQuickDerivedSourceMatchesPrepare: the sources ReduceR derives from
 // ids after kept removals — the current source without one body literal,
 // removal after removal — equal Prepare of the shorter clause field for
-// field and probe every target exactly as it does: same answers,
-// subsumption_nodes and witnesses.
+// field and probe every target exactly as it does: same answers and
+// subsumption_nodes.
 func TestQuickDerivedSourceMatchesPrepare(t *testing.T) {
 	prop := func(seed int64) bool {
 		c := drawPreparedCase(seed)
@@ -275,11 +256,9 @@ func TestQuickDerivedSourceMatchesPrepare(t *testing.T) {
 			for _, cd := range targets {
 				got, gotNodes, _ := probeCounts(func(run *obs.Run) bool { return cd.Probe(run, src) })
 				want, wantNodes, _ := probeCounts(func(run *obs.Run) bool { return cd.Probe(run, fresh) })
-				gw, _ := cd.witness(src)
-				ww, _ := cd.witness(fresh)
-				if got != want || gotNodes != wantNodes || !reflect.DeepEqual(gw, ww) {
-					t.Logf("seed %d: derived source of %v probes %v/%d nodes/witness %v, prepared %v/%d/%v",
-						seed, cur, got, gotNodes, gw, want, wantNodes, ww)
+				if got != want || gotNodes != wantNodes {
+					t.Logf("seed %d: derived source of %v probes %v/%d nodes, prepared %v/%d",
+						seed, cur, got, gotNodes, want, wantNodes)
 					return false
 				}
 			}

@@ -17,16 +17,15 @@ import (
 )
 
 // attemptReduce is ReduceR as one removal attempt per one-shot
-// subsumption test: every attempt writes out the shorter clause and asks
-// SubsumesR, which interns it into a private space and prepares the
-// current clause against that space. It is the oracle of the one-space
-// reduction.
+// subsumption test: every attempt writes out the shorter clause, compiles
+// it into a private space and prepares the current clause against that
+// space. It is the oracle of the one-space reduction.
 func attemptReduce(run *obs.Run, c *logic.Clause) *logic.Clause {
 	cur := c.Clone()
 	for i := 0; i < len(cur.Body); {
 		run.Inc(obs.CReductionSteps)
 		body := append(append([]logic.Atom(nil), cur.Body[:i]...), cur.Body[i+1:]...)
-		if subsume.SubsumesR(run, cur, &logic.Clause{Head: cur.Head, Body: body}) {
+		if subsume.Compile(&logic.Clause{Head: cur.Head, Body: body}).SubsumesR(run, cur) {
 			run.Inc(obs.CReductionRemoved)
 			cur.Body = append(cur.Body[:i], cur.Body[i+1:]...)
 		} else {
@@ -88,7 +87,7 @@ func TestReduceRMatchesPerAttemptReduction(t *testing.T) {
 				t.Errorf("%s: %v", sc.Name, err)
 			}
 			checked++
-			if len(subsume.Reduce(b).Body) < len(b.Body) {
+			if len(subsume.ReduceR(nil, b).Body) < len(b.Body) {
 				removed++
 			}
 		}

@@ -33,7 +33,7 @@ func TestReduceRAllocsPerAttemptPin(t *testing.T) {
 	prev := 0.0
 	for _, n := range []int{16, 64, 256} {
 		c := chainClause(n)
-		if got := Reduce(c); len(got.Body) != n {
+		if got := ReduceR(nil, c); len(got.Body) != n {
 			t.Fatalf("chain of %d literals reduced to %d", n, len(got.Body))
 		}
 		perAttempt := testing.AllocsPerRun(2, func() { ReduceR(nil, c) }) / float64(n)

@@ -9,14 +9,17 @@
 // database instance, which is what the paper's equivalence of definitions
 // (operator ≡) is built on.
 //
-// The engine substitutes for the Resumer2 system the paper uses: targets
-// are compiled once (Compile/CompileBody — skolemized, interned, indexed
-// by predicate and argument-position constants) and probed many times by
-// a backtracking CSP matcher with decomposition into variable-connected
+// The engine substitutes for the Resumer2 system the paper uses: target
+// clauses are compiled once (Compile — skolemized, interned, indexed by
+// predicate and argument-position constants) and probed many times by a
+// backtracking CSP matcher with decomposition into variable-connected
 // components, dynamic most-constrained-literal selection, and incremental
 // candidate domains narrowed on bind and restored from a trail on
-// backtrack. The one-shot entry points below compile and probe in one
-// call; coverage testing caches the compilation per bottom clause.
+// backtrack. Every probe asks one question: does a clause, its head
+// matched onto the target's head, map its body into the target's body?
+// Coverage testing asks it of a candidate against an example's ground
+// bottom clause, whose head is the example; Subsumes compiles and probes
+// in one call.
 package subsume
 
 import (
@@ -28,28 +31,7 @@ import (
 // θ (applied to c only; d's variables act as fresh constants) maps c's head
 // to d's head and every body literal of c to a body literal of d.
 func Subsumes(c, d *logic.Clause) bool {
-	return SubsumesR(nil, c, d)
-}
-
-// SubsumesR is Subsumes reporting engine calls and backtracking nodes into
-// the run (nil observes nothing).
-func SubsumesR(run *obs.Run, c, d *logic.Clause) bool {
-	return Compile(d).SubsumesR(run, c)
-}
-
-// SubsumesBody reports whether the body of c maps into the body of d under
-// some extension of the initial substitution, ignoring heads. Variables in
-// dBody act as fresh constants; bindings in init must map onto constants or
-// terms appearing in dBody verbatim (coverage tests bind onto ground bottom
-// clauses, satisfying this).
-func SubsumesBody(cBody, dBody []logic.Atom, init logic.Substitution) bool {
-	return SubsumesBodyR(nil, cBody, dBody, init)
-}
-
-// SubsumesBodyR is SubsumesBody reporting into the run (nil observes
-// nothing).
-func SubsumesBodyR(run *obs.Run, cBody, dBody []logic.Atom, init logic.Substitution) bool {
-	return CompileBody(dBody).SubsumesBodyR(run, cBody, init)
+	return Compile(d).Subsumes(c)
 }
 
 // skolemPrefix marks constants standing in for target-clause variables. The
@@ -66,17 +48,13 @@ const skolemPrefix = "\x00sk:"
 // without a multi-million-node search.
 var matchBudget = 1 << 21
 
-// Reduce removes syntactically redundant body literals from the clause: a
-// literal L is redundant iff C θ-subsumes C−{L} (then the two are
+// ReduceR removes syntactically redundant body literals from the clause:
+// a literal L is redundant iff C θ-subsumes C−{L} (then the two are
 // equivalent, because C−{L} trivially subsumes C). This is the paper's
 // §7.5.5 minimization (θ-transformation). The head and relative order of
 // the surviving literals are preserved. The input clause is not modified.
-func Reduce(c *logic.Clause) *logic.Clause {
-	return ReduceR(nil, c)
-}
-
-// ReduceR is Reduce reporting removal attempts and removed literals into
-// the run (nil observes nothing). Each call is one "minimize" span.
+// It reports removal attempts and removed literals into the run (nil
+// observes nothing); each call is one "minimize" span.
 //
 // The whole reduction works in one space: the clause's names, its
 // variables skolemized, are interned once, and the clause is prepared as a
@@ -93,8 +71,8 @@ func ReduceR(run *obs.Run, c *logic.Clause) *logic.Clause {
 		sp = run.StartSpan("minimize", obs.F("literals", len(c.Body)))
 	}
 	cur := c.Clone()
-	space := spaceOf(&cur.Head, cur.Body)
-	full := space.compile(&cur.Head, cur.Body)
+	space := spaceOf(cur)
+	full := space.compile(cur)
 	src := space.Prepare(cur)
 	// Scratch id arrays of the shorter target, reused by every attempt.
 	litPred := make([]int32, 0, len(full.litPred))

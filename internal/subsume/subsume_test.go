@@ -11,6 +11,13 @@ import (
 
 func cl(src string) *logic.Clause { return logic.MustParseClause(src) }
 
+// headed is the body under the nullary head x. Probing one body against
+// another is probing their clauses under this shared head, which binds
+// nothing.
+func headed(body []logic.Atom) *logic.Clause {
+	return &logic.Clause{Head: logic.NewAtom("x"), Body: body}
+}
+
 func TestSubsumesBasic(t *testing.T) {
 	tests := []struct {
 		name string
@@ -118,18 +125,19 @@ func TestSubsumesDisconnectedComponents(t *testing.T) {
 	}
 }
 
+// TestSubsumesBody: a body maps into another under the shared nullary
+// head, with a variable bound to a constant beforehand, and the empty
+// body maps into anything.
 func TestSubsumesBody(t *testing.T) {
-	cBody := cl("x :- p(X,Y), q(Y).").Body
-	dBody := cl("x :- p(a,b), q(b).").Body
-	init := logic.NewSubstitution().Bind("X", logic.Const("a"))
-	if !SubsumesBody(cBody, dBody, init) {
-		t.Error("body subsumption with init binding failed")
+	c := cl("x :- p(X,Y), q(Y).")
+	d := cl("x :- p(a,b), q(b).")
+	if !Subsumes(c.Apply(logic.Substitution{"X": logic.Const("a")}), d) {
+		t.Error("body subsumption with X bound to a failed")
 	}
-	init2 := logic.NewSubstitution().Bind("X", logic.Const("z"))
-	if SubsumesBody(cBody, dBody, init2) {
-		t.Error("init binding should be respected")
+	if Subsumes(c.Apply(logic.Substitution{"X": logic.Const("z")}), d) {
+		t.Error("the binding of X to z should be respected")
 	}
-	if !SubsumesBody(nil, dBody, nil) {
+	if !Subsumes(headed(nil), d) {
 		t.Error("empty body subsumes anything")
 	}
 }
@@ -163,7 +171,7 @@ func TestReduce(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := Reduce(cl(tt.in))
+			got := ReduceR(nil, cl(tt.in))
 			if !EquivalentClauses(got, cl(tt.in)) {
 				t.Errorf("Reduce changed semantics: %v", got)
 			}
@@ -176,7 +184,7 @@ func TestReduce(t *testing.T) {
 
 func TestReduceDoesNotModifyInput(t *testing.T) {
 	in := cl("t(X) :- p(X,Y), p(X,Z).")
-	Reduce(in)
+	ReduceR(nil, in)
 	if len(in.Body) != 2 {
 		t.Error("Reduce modified its input")
 	}
@@ -256,11 +264,11 @@ func TestReduceIdempotentProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 200; i++ {
 		c := randomClause(rng)
-		r := Reduce(c)
+		r := ReduceR(nil, c)
 		if !EquivalentClauses(c, r) {
 			t.Fatalf("Reduce broke equivalence: %v → %v", c, r)
 		}
-		rr := Reduce(r)
+		rr := ReduceR(nil, r)
 		if !rr.Equal(r) {
 			t.Fatalf("Reduce not idempotent: %v → %v → %v", c, r, rr)
 		}
