@@ -253,7 +253,7 @@ type subsumptionShape struct {
 // subsumptionShapes builds the benchmark clause pairs: a dense
 // repeated-variable component (heavy backtracking, both satisfiable and
 // not), a long chain (propagation-bound), and a ground mismatch (the
-// fail-fast path constant indexing should answer without search).
+// fail-fast path: every domain comes out empty, so no search runs).
 func subsumptionShapes() []subsumptionShape {
 	// Dense component: source demands p(Xi,Xj) for every i<j over 6
 	// variables; the target is the i<j edge set over 8 constants minus a

@@ -4,14 +4,18 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/datasets"
 	"repro/internal/ilp"
 	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/relstore"
+	"repro/internal/subsume"
 )
 
 // nameSaturation is the string-keyed construction the builder's classic
@@ -289,11 +293,11 @@ func TestIDCompiledSaturationsMatchNamePath(t *testing.T) {
 
 // TestSaturationCompileAllocPin: once a builder's scratch has grown,
 // building and compiling one UW-CSE saturation from ids allocates only the
-// compiled target's own arrays — its header, its int32 arena (literals,
-// head, predicate lists and argument-index tables), the index's key array
-// and the per-predicate list headers. The construction itself, its
-// dedupe sets and its store statistics allocate nothing, in Castor's
-// policy and in the classic one, which copies no fetch even without stored
+// compiled target: its header and one int32 arena holding the literals,
+// the head and the per-predicate literal lists, so two allocations of at
+// most their size classes in bytes. The construction itself, its dedupe
+// sets and its store statistics allocate nothing, in Castor's policy and
+// in the classic one, which copies no fetch even without stored
 // procedures.
 func TestSaturationCompileAllocPin(t *testing.T) {
 	if raceEnabled {
@@ -312,6 +316,9 @@ func TestSaturationCompileAllocPin(t *testing.T) {
 	params := ilp.Defaults()
 	params.CoverageMode = ilp.CoverageSubsumption
 	castor := relstore.CompilePlan(prob.Instance.Schema(), params.SubsetINDs)
+	// sizeClass is the allocator's size for an n-byte object: growslice
+	// rounds a new capacity up to it.
+	sizeClass := func(n uintptr) uint64 { return uint64(cap(slices.Grow([]byte(nil), int(n)))) }
 	for _, cfg := range []struct {
 		plan       *relstore.Plan
 		storedProc bool
@@ -323,11 +330,44 @@ func TestSaturationCompileAllocPin(t *testing.T) {
 			if cd.Len() == 0 {
 				t.Fatalf("%v: empty saturation", e)
 			}
-			const targetArrays = 4
-			if n := testing.AllocsPerRun(50, func() { ilp.CompileSaturation(bld, e, params) }); n != targetArrays {
-				t.Errorf("castor=%v stored-proc=%v %v: compiling a saturation allocates %.1f times, want %d",
-					cfg.plan != nil, cfg.storedProc, e, n, targetArrays)
+			label := fmt.Sprintf("castor=%v stored-proc=%v %v", cfg.plan != nil, cfg.storedProc, e)
+			const header, arena = 1, 1
+			if n := testing.AllocsPerRun(50, func() { ilp.CompileSaturation(bld, e, params) }); n != header+arena {
+				t.Errorf("%s: compiling a saturation allocates %.1f times, want %d", label, n, header+arena)
+			}
+			// The arena holds litPred, litOff, argv and headArgs, then the
+			// distinct predicates, their list offsets and the lists.
+			c := bld.Build(e, params, nil)
+			n, args, p := len(c.Body), 0, 0
+			for i, a := range c.Body {
+				args += len(a.Args)
+				if !slices.ContainsFunc(c.Body[:i], func(b logic.Atom) bool { return b.Pred == a.Pred }) {
+					p++
+				}
+			}
+			ints := n + (n + 1) + args + len(c.Head.Args) + p + (p + 1) + n
+			limit := sizeClass(unsafe.Sizeof(subsume.Compiled{})) + sizeClass(4*uintptr(ints))
+			if b := bytesPerRun(50, func() { ilp.CompileSaturation(bld, e, params) }); b > limit {
+				t.Errorf("%s: compiling a saturation allocates %d B, want at most %d", label, b, limit)
 			}
 		}
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun counting bytes: the bytes f
+// allocates per call, averaged over runs calls after a warm-up one, with
+// GOMAXPROCS at 1 as AllocsPerRun sets it. A collection first leaves the
+// heap far below its goal, so none runs mid-measurement: one would empty
+// the builder's scratch pool, and refilling it would count against f.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -156,27 +157,50 @@ func NewTester(prob *Problem, params Params) *Tester {
 // saturation entry, one per distinct example.
 func (t *Tester) initSaturations() {
 	prob := t.prob
-	var names []string
-	for _, rel := range prob.Instance.Schema().Relations() {
-		names = append(names, rel.Name)
-	}
-	if prob.Target != nil {
-		names = append(names, prob.Target.Name)
-	}
-	examples := append(append([]logic.Atom(nil), prob.Pos...), prob.Neg...)
-	for _, e := range examples {
-		names = append(names, e.Pred)
-		for _, a := range e.Args {
-			names = append(names, a.Name)
+	syms := prob.Instance.Symbols()
+	sets := [][]logic.Atom{prob.Pos, prob.Neg}
+	// The names the instance's symbols lack, in first-seen order: the
+	// relation names, the target predicate and the few example constants
+	// that are not instance symbols.
+	var extra []string
+	add := func(name string) {
+		if _, ok := syms.Lookup(name); !ok && !slices.Contains(extra, name) {
+			extra = append(extra, name)
 		}
 	}
-	t.space = subsume.NewSpace(prob.Instance.Symbols(), names...)
+	for _, rel := range prob.Instance.Schema().Relations() {
+		add(rel.Name)
+	}
+	if prob.Target != nil {
+		add(prob.Target.Name)
+	}
+	n := 0
+	for _, examples := range sets {
+		n += len(examples)
+		for _, e := range examples {
+			add(e.Pred)
+			for _, a := range e.Args {
+				add(a.Name)
+			}
+		}
+	}
+	t.space = subsume.NewSpace(syms, extra...)
 	t.UseBuilder(NewBuilder(prob, nil))
-	t.sats = newExampleTable[*satEntry](len(examples))
-	t.byName = make(map[string]*satEntry, len(examples))
-	for _, e := range examples {
-		if len(e.Args) > 0 {
-			t.sats.put(&e.Args[0], t.nameEntry(e))
+	t.sats = newExampleTable[*satEntry](n)
+	t.byName = make(map[string]*satEntry, n)
+	ents := make([]satEntry, n)
+	for _, examples := range sets {
+		for _, e := range examples {
+			k := e.Key()
+			ent := t.byName[k]
+			if ent == nil {
+				ent = &ents[len(t.byName)]
+				ent.pred, ent.arity = e.Pred, len(e.Args)
+				t.byName[k] = ent
+			}
+			if len(e.Args) > 0 {
+				t.sats.put(&e.Args[0], ent)
+			}
 		}
 	}
 }

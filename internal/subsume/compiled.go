@@ -12,16 +12,17 @@ import (
 // compilation. Names map to int32 ids through a Space, a read-only table
 // that targets and sources share. A target clause is skolemized (its
 // variables become reserved constants) and compiled into a space once:
-// its literals are indexed by predicate and by (predicate, argument
-// position, symbol). A source clause is prepared against the same space
-// once: its variables become dense slots, its constants space ids, and
-// its occurrence lists and the components its head-bound variables leave
-// are computed up front. A probe then matches one prepared source against
-// one compiled target on pooled scratch — a slot-indexed substitution with
-// a trail and one live candidate domain per source literal — and
-// allocates nothing. The one-shot entry points compile into a private
-// space holding exactly the target's names and prepare-then-probe in one
-// call.
+// its literals, its head and its per-predicate literal lists sit in one
+// int32 arena, so a target is two allocations, header and arena. A source
+// clause is prepared against the same space once: its variables become
+// dense slots, its constants space ids, and its occurrence lists and the
+// components its head-bound variables leave are computed up front. A
+// probe then matches one prepared source against one compiled target on
+// pooled scratch — a slot-indexed substitution with a trail and one live
+// candidate domain per source literal, drawn from the target's literals
+// of its predicate — and allocates nothing. The one-shot entry points
+// compile into a private space holding exactly the target's names and
+// prepare-then-probe in one call.
 
 // Space is a read-only id space shared by compiled targets and prepared
 // sources: the first base.Len() ids are the base table's (typically an
@@ -104,15 +105,12 @@ type Compiled struct {
 	litPred  []int32 // per body literal
 	litOff   []int32 // body literal i's arguments are argv[litOff[i]:litOff[i+1]]
 	argv     []int32
-	preds    []predLits // distinct body predicates, first-seen order
-	predLits []int32    // backing array of the preds' literal lists
-	index    argIndex
-}
-
-// predLits lists one predicate's target literals, ascending.
-type predLits struct {
-	pred int32
-	lits []int32
+	// Per-predicate literal lists: the target literals of predicate
+	// preds[k] (distinct predicates, first-seen order) are
+	// predLits[predOff[k]:predOff[k+1]], ascending.
+	preds    []int32
+	predOff  []int32
+	predLits []int32
 }
 
 // Compile builds the match-many form of a clause in a private space
@@ -146,7 +144,8 @@ func (s *Space) compile(d *logic.Clause) *Compiled {
 		missing = missing || !ok
 		return id
 	}
-	cd := s.newCompiled(len(d.Head.Args), len(d.Body), e)
+	preds := distinct(len(d.Body), func(i int) string { return d.Body[i].Pred })
+	cd := s.newCompiled(len(d.Head.Args), len(d.Body), e, preds)
 	cd.headPred = id(d.Head.Pred)
 	for i, t := range d.Head.Args {
 		cd.headArgs[i] = id(targetName(t))
@@ -161,7 +160,7 @@ func (s *Space) compile(d *logic.Clause) *Compiled {
 	if missing {
 		return nil
 	}
-	cd.build()
+	cd.indexPreds()
 	return cd
 }
 
@@ -189,13 +188,14 @@ func (s *Space) CompileGround(headPred int32, headArgs, litPred, litOff, argv []
 	if uint32(headPred) >= n || !inside(headArgs) || !inside(litPred) || !inside(argv) {
 		return nil
 	}
-	cd := s.newCompiled(len(headArgs), len(litPred), len(argv))
+	preds := distinct(len(litPred), func(i int) int32 { return litPred[i] })
+	cd := s.newCompiled(len(headArgs), len(litPred), len(argv), preds)
 	cd.headPred = headPred
 	copy(cd.headArgs, headArgs)
 	copy(cd.litPred, litPred)
 	copy(cd.litOff, litOff)
 	copy(cd.argv, argv)
-	cd.build()
+	cd.indexPreds()
 	return cd
 }
 
@@ -209,15 +209,12 @@ func (s *Space) BaseLen(syms *logic.Symbols) int32 {
 	return s.baseLen
 }
 
-// newCompiled carves a target of n body literals holding e arguments in
-// all, with a head of h arguments, and the int32 tables of its indexes out
-// of one backing array. The caller fills in the head and the literals,
-// then calls build.
-func (s *Space) newCompiled(h, n, e int) *Compiled {
-	size := tableSize(e)
-	// In carving order: litPred, litOff, argv, headArgs, predLits, then
-	// the index's slots, lits and off.
-	arena := make([]int32, n+(n+1)+e+h+n+size+e+(e+1))
+// newCompiled carves a target of n body literals of p distinct predicates
+// holding e arguments in all, with a head of h arguments, out of one int32
+// arena. The caller fills in the head and the literals, then calls
+// indexPreds.
+func (s *Space) newCompiled(h, n, e, p int) *Compiled {
+	arena := make([]int32, n+(n+1)+e+h+p+(p+1)+n)
 	take := func(k int) []int32 {
 		a := arena[:k:k]
 		arena = arena[k:]
@@ -225,42 +222,42 @@ func (s *Space) newCompiled(h, n, e int) *Compiled {
 	}
 	cd := &Compiled{space: s}
 	cd.litPred, cd.litOff, cd.argv, cd.headArgs = take(n), take(n+1), take(e), take(h)
-	cd.predLits = take(n)
-	cd.index.slots, cd.index.lits = take(size), take(e)
-	cd.index.off = arena[: 1 : e+1]
+	cd.preds, cd.predOff, cd.predLits = take(p), take(p+1), take(n)
 	return cd
 }
 
-// build indexes a filled-in target.
-func (cd *Compiled) build() {
-	cd.indexPreds()
-	cd.index.build(cd)
+// distinct counts the distinct values among key(0), …, key(n−1).
+func distinct[K comparable](n int, key func(int) K) int {
+	var buf [64]K // targets have few distinct predicates
+	seen := buf[:0]
+	for i := range n {
+		if k := key(i); !slices.Contains(seen, k) {
+			seen = append(seen, k)
+		}
+	}
+	return len(seen)
 }
 
-// indexPreds builds the per-predicate literal lists: count, then fill
-// slices of predLits in literal order. Distinct predicates are counted on
-// the stack, so the lists' headers are the only allocation.
+// indexPreds builds the per-predicate literal lists of a filled-in target:
+// the distinct predicates in first-seen order, then for each one a scan of
+// the body for its literals, so each list comes out ascending.
 func (cd *Compiled) indexPreds() {
-	var predBuf, countBuf [64]int32
-	preds, counts := predBuf[:0], countBuf[:0]
+	n := 0
 	for _, p := range cd.litPred {
-		k := slices.Index(preds, p)
-		if k < 0 {
-			k = len(preds)
-			preds = append(preds, p)
-			counts = append(counts, 0)
+		if !slices.Contains(cd.preds[:n], p) {
+			cd.preds[n] = p
+			n++
 		}
-		counts[k]++
 	}
-	cd.preds = make([]predLits, len(preds))
-	all := cd.predLits
-	for k, c := range counts {
-		cd.preds[k] = predLits{pred: preds[k], lits: all[:0:c]}
-		all = all[c:]
-	}
-	for i, p := range cd.litPred {
-		k := cd.predIndex(p)
-		cd.preds[k].lits = append(cd.preds[k].lits, int32(i))
+	j := int32(0)
+	for k, p := range cd.preds {
+		for i, q := range cd.litPred {
+			if q == p {
+				cd.predLits[j] = int32(i)
+				j++
+			}
+		}
+		cd.predOff[k+1] = j
 	}
 }
 
@@ -275,14 +272,7 @@ func (cd *Compiled) Equal(o *Compiled) bool {
 
 // predIndex returns pred's position in cd.preds, or -1. Targets have few
 // distinct predicates, so a scan beats hashing.
-func (cd *Compiled) predIndex(pred int32) int {
-	for k, pl := range cd.preds {
-		if pl.pred == pred {
-			return k
-		}
-	}
-	return -1
-}
+func (cd *Compiled) predIndex(pred int32) int { return slices.Index(cd.preds, pred) }
 
 // Len returns the number of target body literals.
 func (cd *Compiled) Len() int { return len(cd.litPred) }
@@ -290,102 +280,13 @@ func (cd *Compiled) Len() int { return len(cd.litPred) }
 // predList returns the target literals of predicate pred, ascending.
 func (cd *Compiled) predList(pred int32) []int32 {
 	if k := cd.predIndex(pred); k >= 0 {
-		return cd.preds[k].lits
+		return cd.predLits[cd.predOff[k]:cd.predOff[k+1]]
 	}
 	return nil
 }
 
 // args returns target body literal t's argument ids.
 func (cd *Compiled) args(t int32) []int32 { return cd.argv[cd.litOff[t]:cd.litOff[t+1]] }
-
-// argKey addresses the argument-position index: the target literals of
-// predicate pred holding symbol sym at position pos.
-type argKey struct {
-	pred, pos, sym int32
-}
-
-func (k argKey) hash() uint32 {
-	h := uint32(k.sym)*0x9E3779B1 ^ uint32(k.pred)*0x85EBCA77 ^ uint32(k.pos)*0xC2B2AE3D
-	h ^= h >> 15
-	h *= 0x2C1B3C6D
-	h ^= h >> 13
-	return h
-}
-
-// argIndex is the argument-position index of one target: an
-// open-addressed table from argKey to a group, whose literal indexes sit,
-// ascending, in one array.
-type argIndex struct {
-	slots []int32 // group+1 per slot, 0 = empty; power-of-two length
-	keys  []argKey
-	off   []int32 // group g's literals are lits[off[g]:off[g+1]]
-	lits  []int32
-}
-
-// group returns k's group, or -1.
-func (x *argIndex) group(k argKey) int32 {
-	mask := uint32(len(x.slots) - 1)
-	for i := k.hash() & mask; ; i = (i + 1) & mask {
-		g := x.slots[i] - 1
-		if g < 0 || x.keys[g] == k {
-			return g
-		}
-	}
-}
-
-// get returns the literals k addresses, ascending.
-func (x *argIndex) get(k argKey) []int32 {
-	if g := x.group(k); g >= 0 {
-		return x.lits[x.off[g]:x.off[g+1]]
-	}
-	return nil
-}
-
-// keys calls f on the index keys of target literal t, one per argument.
-func (cd *Compiled) keys(t int, f func(argKey)) {
-	for p, sym := range cd.args(int32(t)) {
-		f(argKey{pred: cd.litPred[t], pos: int32(p), sym: sym})
-	}
-}
-
-// build indexes every entry of the target into the slots, off and lits
-// tables newCompiled carved: count each key's entries into a new or
-// existing group, prefix-sum the counts into offsets, then scatter literal
-// indexes so each group lists its literals ascending.
-func (x *argIndex) build(cd *Compiled) {
-	entries := len(cd.argv)
-	x.keys = make([]argKey, 0, entries)
-	mask := uint32(len(x.slots) - 1)
-	for t := range cd.litPred {
-		cd.keys(t, func(k argKey) {
-			i := k.hash() & mask
-			for x.slots[i] != 0 && x.keys[x.slots[i]-1] != k {
-				i = (i + 1) & mask
-			}
-			if x.slots[i] == 0 {
-				x.keys = append(x.keys, k)
-				x.off = append(x.off, 0)
-				x.slots[i] = int32(len(x.keys))
-			}
-			x.off[x.slots[i]]++
-		})
-	}
-	for g := 1; g < len(x.off); g++ {
-		x.off[g] += x.off[g-1]
-	}
-	// off[g+1] is now the end of group g; walking literals backwards and
-	// pre-decrementing leaves it at the group's start, every group
-	// ascending.
-	for t := len(cd.litPred) - 1; t >= 0; t-- {
-		cd.keys(t, func(k argKey) {
-			g := x.group(k)
-			x.off[g+1]--
-			x.lits[x.off[g+1]] = int32(t)
-		})
-	}
-	copy(x.off, x.off[1:])
-	x.off[len(x.off)-1] = int32(entries)
-}
 
 // Source is a source clause prepared against a Space: probes of any
 // target compiled into that space reuse it. It is immutable after
@@ -820,37 +721,16 @@ func (m *matcher) matchComponent(comp []int32) bool {
 	return m.search(len(comp))
 }
 
-// initDomain builds literal i's initial candidate list: starting from the
-// shortest applicable argument-position index (falling back to the
-// predicate's literals), keep the target literals consistent with the
-// literal under the current substitution — constants and bound variables
-// must agree positionally, repeated unbound variables must meet equal
-// target constants.
+// initDomain builds literal i's initial candidate list: the target
+// literals of its predicate consistent with the literal under the current
+// substitution — constants and bound variables must agree positionally,
+// repeated unbound variables must meet equal target constants. An unknown
+// constant (logic.UnknownSym) agrees with no target argument.
 func (m *matcher) initDomain(i int32) bool {
 	lit := m.src.lits[i]
 	args := m.src.argv[lit.off : lit.off+lit.n]
-	pred := m.src.preds[lit.pred]
-	cand := m.predCand[lit.pred]
-	for pos, t := range args {
-		sym, known := int32(0), false
-		if t.IsVar() {
-			if v, bound := m.subst.Value(t.Slot()); bound {
-				sym, known = v, true
-			}
-		} else {
-			sym, known = t.Sym(), true
-		}
-		if !known {
-			continue
-		}
-		// An unknown constant (logic.UnknownSym) finds no entry: no target
-		// argument can equal it.
-		if l := m.cd.index.get(argKey{pred: pred, pos: int32(pos), sym: sym}); len(l) < len(cand) {
-			cand = l
-		}
-	}
 	start := int32(len(m.domBuf))
-	for _, t := range cand {
+	for _, t := range m.predCand[lit.pred] {
 		if m.consistent(args, t) {
 			m.domBuf = append(m.domBuf, t)
 		}

@@ -177,3 +177,59 @@ func TestCompileGroundMatchesCompile(t *testing.T) {
 		t.Error("an id outside the space compiled")
 	}
 }
+
+// TestMixedArityProbes: a name-compiled target may hold one predicate at
+// two arities, so a source literal's domain, drawn from its predicate's
+// literal list, must skip the literals of the other arity. Sources with a
+// constant the space lacks, a repeated variable, a head-bound variable and
+// two components answer as the oracle does on the bodies under the head
+// binding, both prepared against a shared space and one-shot, at the node
+// counts the engine took when it still drew domains from an
+// argument-position index.
+func TestMixedArityProbes(t *testing.T) {
+	d := cl("t(a) :- p(a), p(a,b), p(c,b), q(b).")
+	syms := logic.NewSymbols()
+	for _, c := range []string{"a", "b", "c"} {
+		syms.Intern(c)
+	}
+	space := NewSpace(syms, "t", "p", "q")
+	shared := space.Compile(d)
+	head := logic.Substitution{"X": logic.Const("a")}
+	for _, tc := range []struct {
+		src   string
+		nodes int64 // per probe
+	}{
+		{"t(X) :- p(X,zz).", 0},                    // zz: a constant the space lacks
+		{"t(X) :- p(X), p(Y,zz).", 1},              // the same, behind a match
+		{"t(X) :- p(Y,Y).", 0},                     // a repeated variable
+		{"t(X) :- p(Y), p(Y,Y).", 0},               // the same, across arities
+		{"t(X) :- p(X,Y), q(Y).", 2},               // head-bound X
+		{"t(X) :- p(Y,X).", 0},                     // head-bound X at the wrong position
+		{"t(X) :- p(X), q(Y), p(Z,Y).", 3},         // components {p(X)}, {q(Y), p(Z,Y)}
+		{"t(X) :- p(X,Y), p(Z), p(Z,W), q(W).", 4}, // components {p(X,Y)}, {p(Z), p(Z,W), q(W)}
+		{"t(X) :- p(Y), p(Y,Z), p(W,Z), p(W).", 4}, // W is a or c, only a is unary
+		{"t(X) :- p(Y), p(W,Z), p(Z), q(Z).", 2},   // Z must be unary, a, which q lacks
+	} {
+		c := cl(tc.src)
+		body := make([]logic.Atom, len(c.Body))
+		for i, a := range c.Body {
+			body[i] = a.Apply(head)
+		}
+		want := oracleSubsumesBody(body, d.Body)
+		for _, probe := range []struct {
+			name string
+			run  func(*obs.Run) bool
+		}{
+			{"prepared", func(run *obs.Run) bool { return shared.Probe(run, space.Prepare(c)) }},
+			{"one-shot", func(run *obs.Run) bool { return Compile(d).SubsumesR(run, c) }},
+		} {
+			reg := obs.NewRegistry()
+			if got := probe.run(obs.NewRun(nil, reg)); got != want {
+				t.Errorf("%s %s: subsumes = %v, want %v", probe.name, tc.src, got, want)
+			}
+			if got := reg.Get(obs.CSubsumptionNodes); got != tc.nodes {
+				t.Errorf("%s %s: subsumption_nodes = %d, want %d", probe.name, tc.src, got, tc.nodes)
+			}
+		}
+	}
+}

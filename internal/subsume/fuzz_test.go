@@ -130,8 +130,8 @@ func FuzzSubsumesBodyOracle(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 5, 1, 2, 3, 4})
 	f.Add([]byte{0, 3, 0, 0, 1, 1, 3, 2, 4, 5})
 	f.Add([]byte{4, 0, 0, 1, 2, 1, 2, 0, 2, 1, 1, 0, 5, 0, 0, 3, 1, 4, 2, 5, 5})
-	// Constants in the source anchoring the argument-position index, with a
-	// repeated variable, and a two-component source (p-chain ⊥ lone q).
+	// Constants in the source narrowing the domains, with a repeated
+	// variable, and a two-component source (p-chain ⊥ lone q).
 	f.Add([]byte{3, 0, 0, 3, 0, 3, 0, 2, 0, 0, 3, 0, 4, 3, 0, 3, 4, 2, 4, 4})
 	f.Add([]byte{2, 0, 0, 1, 1, 2, 2, 0, 3, 4, 1, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -10,8 +10,8 @@
 // (operator ≡) is built on.
 //
 // The engine substitutes for the Resumer2 system the paper uses: target
-// clauses are compiled once (Compile — skolemized, interned, indexed by
-// predicate and argument-position constants) and probed many times by a
+// clauses are compiled once (Compile — skolemized, interned, their
+// literals listed per predicate) and probed many times by a
 // backtracking CSP matcher with decomposition into variable-connected
 // components, dynamic most-constrained-literal selection, and incremental
 // candidate domains narrowed on bind and restored from a trail on
