@@ -19,12 +19,13 @@ type Probe interface {
 
 // CoverFunc prepares one clause for coverage testing and returns its
 // per-example test, which runs on the probe of the worker calling it. The
-// engine calls it at most once per candidate per round, so per-clause work
-// (compiling a store query, say) is paid once per round rather than once
-// per example: on the submitting goroutine for a round over one
-// candidate, and from the worker that first tests a candidate in a round
-// over many, so those rounds prepare their candidates in parallel. A
-// candidate whose round needs no test is never prepared. ilp.Tester
+// engine calls it at most once per clause per call — ScoreBatch prepares
+// each candidate once for its positive and negative rounds together — so
+// per-clause work (compiling a store query, say) is paid once per call
+// rather than once per example: on the submitting goroutine for a round
+// over one clause, and from the worker that first tests a clause in a
+// round over many, so those rounds prepare their candidates in parallel.
+// A clause whose rounds need no test is never prepared. ilp.Tester
 // supplies it, closing over the coverage mode (direct evaluation or
 // θ-subsumption) and its own instrumentation; it and the tests it returns
 // must be safe for concurrent use on distinct probes.
@@ -268,8 +269,9 @@ func (en *Engine[P]) ScoreBatch(cands []Candidate, pos, neg []logic.Atom, floor,
 
 	// Phase A: every candidate's positive cover, exact, one flattened
 	// round. Positive counts are needed in full for any score, so there
-	// is nothing to prune yet and no ordering constraint.
-	posJobs := candidateJobs[P](cands, false)
+	// is nothing to prune yet and no ordering constraint. A candidate's
+	// test, once prepared, serves its negative scan too.
+	posJobs := candidateJobs[P](cands, nil)
 	en.scan("candidate_scoring", pos, en.setKey(pos), posJobs)
 	for i := range cands {
 		en.run.Inc(obs.CCandidatesScored)
@@ -280,7 +282,7 @@ func (en *Engine[P]) ScoreBatch(cands []Candidate, pos, neg []logic.Atom, floor,
 	negKey := en.setKey(neg)
 	if floor == NoBound && keep <= 0 {
 		// Unbounded batch: the negative side flattens into one round too.
-		negJobs := candidateJobs[P](cands, true)
+		negJobs := candidateJobs(cands, posJobs)
 		en.scan("candidate_scoring", neg, negKey, negJobs)
 		for i := range cands {
 			out[i].Neg = negJobs[i].set
@@ -294,19 +296,20 @@ func (en *Engine[P]) ScoreBatch(cands []Candidate, pos, neg []logic.Atom, floor,
 	// bound tightens as candidates complete.
 	bb := newBestBound(keep)
 	for i := range cands {
-		en.scoreNeg(&out[i], cands[i], neg, negKey, floor, bb)
+		en.scoreNeg(&out[i], cands[i], &posJobs[i].prep, neg, negKey, floor, bb)
 	}
 	return out
 }
 
 // candidateJobs makes one unbounded job per candidate, carrying its known
-// negatives or positives.
-func candidateJobs[P Probe](cands []Candidate, neg bool) []job[P] {
+// positives, or, given the candidates' positive jobs, its known negatives
+// and the test its positive job prepared.
+func candidateJobs[P Probe](cands []Candidate, posJobs []job[P]) []job[P] {
 	jobs := make([]job[P], len(cands))
 	for i, c := range cands {
 		jobs[i].clause, jobs[i].known, jobs[i].most = c.Clause, c.KnownPos, math.MaxInt
-		if neg {
-			jobs[i].known = c.KnownNeg
+		if posJobs != nil {
+			jobs[i].known, jobs[i].shared = c.KnownNeg, &posJobs[i].prep
 		}
 	}
 	return jobs
@@ -326,8 +329,10 @@ func (en *Engine[P]) setKey(examples []logic.Atom) string {
 // cannot beat the effective bound (the floor or the shared keep-th best).
 // The stop fires exactly when the candidate's full score crosses the bound
 // — covered negatives only accumulate — so prunedness is
-// timing-independent. negKey is SetKey(neg), computed once per batch.
-func (en *Engine[P]) scoreNeg(s *Score, cand Candidate, neg []logic.Atom, negKey string, floor int, bb *bestBound) {
+// timing-independent. negKey is SetKey(neg), computed once per batch;
+// prep is the candidate's test, prepared already if its positive round
+// tested anything.
+func (en *Engine[P]) scoreNeg(s *Score, cand Candidate, prep *prepared[P], neg []logic.Atom, negKey string, floor int, bb *bestBound) {
 	p := s.P
 	// limit is the strongest applicable bound: pruned ⇔ p−n ≤ limit.
 	// Beating the floor requires s > floor; surviving the shared bound
@@ -353,7 +358,7 @@ func (en *Engine[P]) scoreNeg(s *Score, cand Candidate, neg []logic.Atom, negKey
 		return
 	}
 	// The candidate survives while it covers at most p−limit−1 negatives.
-	jobs := []job[P]{{clause: cand.Clause, known: cand.KnownNeg, most: math.MaxInt}}
+	jobs := []job[P]{{clause: cand.Clause, known: cand.KnownNeg, most: math.MaxInt, shared: prep}}
 	if limit != NoBound {
 		jobs[0].most = p - limit - 1
 	}
@@ -393,14 +398,26 @@ type job[P Probe] struct {
 	key     string       // memo key, when memoization is on
 	cov     []bool       // the job's row of the round's results
 	covered atomic.Int64 // covered count, knowns included, of a bounded job
-	prep    sync.Once
-	test    func(P, logic.Atom) bool
+	prep    prepared[P]  // the clause's test
+	shared  *prepared[P] // an earlier job's test of the same clause, used instead
+}
+
+// prepared is one clause's test, prepared by the first worker to need it.
+// A ScoreBatch candidate's negative job shares its positive job's, so a
+// candidate is prepared once for both rounds.
+type prepared[P Probe] struct {
+	once sync.Once
+	test func(P, logic.Atom) bool
 }
 
 // prepare returns the job's test, preparing its clause on first use.
 func (jb *job[P]) prepare(cover CoverFunc[P]) func(P, logic.Atom) bool {
-	jb.prep.Do(func() { jb.test = cover(jb.clause) })
-	return jb.test
+	pp := jb.shared
+	if pp == nil {
+		pp = &jb.prep
+	}
+	pp.once.Do(func() { pp.test = cover(jb.clause) })
+	return pp.test
 }
 
 // scan runs jobs over one example list in a single round under label. A

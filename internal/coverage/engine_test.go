@@ -358,8 +358,9 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 // TestEnginePreparesEachClauseOncePerRound: the CoverFunc factory runs
-// once per candidate per round — never once per example — and not at all
-// for a candidate whose examples are all known covered.
+// once per candidate per call — never once per example, and once for a
+// ScoreBatch candidate's positive and negative rounds together — and not
+// at all for a round whose examples are all known covered.
 func TestEnginePreparesEachClauseOncePerRound(t *testing.T) {
 	var prepared, tests atomic.Int64
 	cover := func(c *logic.Clause) func(nopProbe, logic.Atom) bool {
@@ -392,15 +393,86 @@ func TestEnginePreparesEachClauseOncePerRound(t *testing.T) {
 		tests.Store(0)
 		en.ScoreBatch(cands, pos, neg, NoBound, 0)
 		// Positives: two candidates (the third is fully known); negatives:
-		// all three, one flattened round each.
-		if prepared.Load() != 5 || tests.Load() != 2*50+3*40 {
-			t.Fatalf("workers=%d: ScoreBatch prepared %d clauses for %d tests, want 5 for %d",
+		// all three, one flattened round each. The first two reuse their
+		// positive round's test.
+		if prepared.Load() != 3 || tests.Load() != 2*50+3*40 {
+			t.Fatalf("workers=%d: ScoreBatch prepared %d clauses for %d tests, want 3 for %d",
 				workers, prepared.Load(), tests.Load(), 2*50+3*40)
 		}
 		prepared.Store(0)
 		en.ScoreBatch(cands, pos, neg, NoBound, 1)
-		if prepared.Load() > 5 {
-			t.Fatalf("workers=%d: bounded ScoreBatch prepared %d clauses, want at most 5", workers, prepared.Load())
+		if prepared.Load() > 3 {
+			t.Fatalf("workers=%d: bounded ScoreBatch prepared %d clauses, want at most 3", workers, prepared.Load())
+		}
+	}
+}
+
+// TestScoreBatchPreparesEachCandidateOnce: a candidate tested in both its
+// positive and negative rounds is prepared once per ScoreBatch, bounded or
+// not, at Parallelism 1 and 4 with the memo cache on and off, and the
+// scores are the same in every configuration and exact where not pruned.
+func TestScoreBatchPreparesEachCandidateOnce(t *testing.T) {
+	pos, neg := exampleAtoms(60), exampleAtoms(45)
+	var cands []Candidate
+	for _, body := range []string{"p(X)", "p(X), q(X)", "r(X), q(X), s(X)", "t(X), u(X), v(X), w(X)"} {
+		cands = append(cands, Candidate{Clause: logic.MustParseClause("h(X) :- " + body + ".")})
+	}
+	covers := func(c *logic.Clause, e logic.Atom) bool { return atomIndex(e)%(len(c.Body)+1) != 0 }
+	type call struct{ floor, keep int }
+	calls := []call{{NoBound, 0}, {NoBound, 2}, {10, 1}}
+	var want [][]Score
+	for _, workers := range []int{1, 4} {
+		for _, cached := range []bool{false, true} {
+			var mu sync.Mutex
+			prepared := map[string]int{}
+			cover := func(c *logic.Clause) func(nopProbe, logic.Atom) bool {
+				mu.Lock()
+				prepared[c.String()]++
+				mu.Unlock()
+				return func(_ nopProbe, e logic.Atom) bool { return covers(c, e) }
+			}
+			for k, cl := range calls {
+				var cache *Cache
+				if cached {
+					cache = NewCache(64)
+				}
+				clear(prepared)
+				scores := NewEngine(cover, newNop, workers, cache, nil).ScoreBatch(cands, pos, neg, cl.floor, cl.keep)
+				for _, c := range cands {
+					if n := prepared[c.Clause.String()]; n != 1 {
+						t.Errorf("workers=%d cache=%v floor=%d keep=%d: %v prepared %d times, want once",
+							workers, cached, cl.floor, cl.keep, c.Clause, n)
+					}
+				}
+				if len(want) <= k {
+					want = append(want, scores)
+				}
+				for i, s := range scores {
+					w := want[k][i]
+					if s.P != w.P || s.N != w.N || s.Pruned != w.Pruned || !s.Pos.Equal(w.Pos) || !s.Neg.Equal(w.Neg) {
+						t.Errorf("workers=%d cache=%v floor=%d keep=%d: candidate %d scores p=%d n=%d pruned=%v, first configuration p=%d n=%d pruned=%v",
+							workers, cached, cl.floor, cl.keep, i, s.P, s.N, s.Pruned, w.P, w.N, w.Pruned)
+					}
+					if s.Pruned {
+						continue
+					}
+					p, n := 0, 0
+					for _, e := range pos {
+						if covers(cands[i].Clause, e) {
+							p++
+						}
+					}
+					for _, e := range neg {
+						if covers(cands[i].Clause, e) {
+							n++
+						}
+					}
+					if s.P != p || s.N != n {
+						t.Errorf("workers=%d cache=%v floor=%d keep=%d: candidate %d scores p=%d n=%d, want p=%d n=%d",
+							workers, cached, cl.floor, cl.keep, i, s.P, s.N, p, n)
+					}
+				}
+			}
 		}
 	}
 }

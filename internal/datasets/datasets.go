@@ -136,7 +136,10 @@ func (r *rng) Float64() float64 {
 // the noise volume to the positive class keeps the signal dominant — a
 // uniform per-pair flip would bury a small positive class under fake
 // positives. The draws depend only on the lengths, so labelling example
-// atoms or compact codes for them flips the same examples.
+// atoms or compact codes for them flips the same examples. Both slices are
+// shuffled in place, and the negatives come back in neg's own array: the
+// generators own the pools they pass and drop them, and a copy of UW-CSE's
+// 518k negative codes would be most of what labelling allocates.
 func flipLabels[T any](r *rng, pos, neg []T, frac float64) (outPos, outNeg []T) {
 	n := int(frac * float64(len(pos)))
 	if n <= 0 || len(pos) == 0 || len(neg) == 0 {
@@ -145,8 +148,6 @@ func flipLabels[T any](r *rng, pos, neg []T, frac float64) (outPos, outNeg []T) 
 	if n > len(neg) {
 		n = len(neg)
 	}
-	pos = slices.Clone(pos)
-	neg = slices.Clone(neg)
 	// Select n positives and n negatives to swap (partial Fisher-Yates).
 	for i := 0; i < n; i++ {
 		j := i + r.Intn(len(pos)-i)
@@ -154,24 +155,24 @@ func flipLabels[T any](r *rng, pos, neg []T, frac float64) (outPos, outNeg []T) 
 		k := i + r.Intn(len(neg)-i)
 		neg[i], neg[k] = neg[k], neg[i]
 	}
-	outPos = append(slices.Clone(pos[n:]), neg[:n]...)
-	outNeg = append(slices.Clone(neg[n:]), pos[:n]...)
+	outPos = append(append(make([]T, 0, len(pos)), pos[n:]...), neg[:n]...)
+	outNeg = append(neg[:copy(neg, neg[n:])], pos[:n]...)
 	return outPos, outNeg
 }
 
-// sampleExamples downsamples examples to at most n, deterministically. The
-// sample is a fresh slice, so the pool it was drawn from is not kept alive.
+// sampleExamples downsamples examples to at most n, deterministically,
+// shuffling pool in place. The sample is a fresh slice, so the pool it was
+// drawn from is not kept alive.
 func sampleExamples[T any](r *rng, pool []T, n int) []T {
 	if n >= len(pool) {
 		return pool
 	}
-	out := slices.Clone(pool)
 	// Partial Fisher-Yates.
 	for i := 0; i < n; i++ {
-		j := i + r.Intn(len(out)-i)
-		out[i], out[j] = out[j], out[i]
+		j := i + r.Intn(len(pool)-i)
+		pool[i], pool[j] = pool[j], pool[i]
 	}
-	return slices.Clone(out[:n])
+	return slices.Clone(pool[:n])
 }
 
 // scaleCount multiplies an entity count by the configured scale factor.

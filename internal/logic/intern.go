@@ -19,6 +19,11 @@ type Symbols struct {
 // NewSymbols returns an empty symbol table.
 func NewSymbols() *Symbols { return &Symbols{ids: make(map[string]int32)} }
 
+// NewSymbolsCap returns an empty symbol table with room for n names.
+func NewSymbolsCap(n int) *Symbols {
+	return &Symbols{ids: make(map[string]int32, n), names: make([]string, 0, n)}
+}
+
 // Intern returns the id of the name, assigning the next free id on first
 // sight.
 func (s *Symbols) Intern(name string) int32 {

@@ -204,15 +204,26 @@ func (t *Table) materialize(r int, dst []string) Tuple {
 // and inserts the row under set semantics, returning false on duplicates.
 // Single-writer (the load path): it may grow the shared symbol table.
 func (t *Table) appendRow(values []string) bool {
-	if t.frozen.Load() {
-		t.thaw()
-	}
-	base := len(t.data)
+	base := t.stage()
 	for _, v := range values {
 		t.data = append(t.data, t.syms.Intern(v))
 	}
-	staged := t.data[base:]
-	if !t.set.insert(t, int32(t.nrows), staged) {
+	return t.commit(base)
+}
+
+// stage readies the table for one row written into the backing slice from
+// the returned offset on: it thaws the frozen postings. commit inserts it.
+func (t *Table) stage() int {
+	if t.frozen.Load() {
+		t.thaw()
+	}
+	return len(t.data)
+}
+
+// commit inserts the row staged at data[base:] under set semantics,
+// dropping it and returning false when an equal row is present.
+func (t *Table) commit(base int) bool {
+	if !t.set.insert(t, int32(t.nrows), t.data[base:]) {
 		t.data = t.data[:base]
 		return false
 	}
@@ -433,14 +444,7 @@ func (t *Table) AppendRowsWith(dst []int32, cols []int, vals []int32, tl *Tally)
 		}
 		return dst
 	}
-	best, bestLen := 0, -1
-	for k, c := range cols {
-		n := t.countMatching(c, vals[k])
-		if bestLen == -1 || n < bestLen || n == bestLen && c < cols[best] {
-			best, bestLen = k, n
-		}
-	}
-	probe := t.matchingRows(cols[best], vals[best])
+	best, probe := t.probeRows(cols, vals)
 	tl.record(t, obs.StoreStat{Lookups: 1, TuplesScanned: int64(len(probe)), IndexHits: t.hit()})
 	ar := t.rel.Arity()
 next:
@@ -454,6 +458,40 @@ next:
 		dst = append(dst, r)
 	}
 	return dst
+}
+
+// probeRows picks the most selective requirement — the column cols[k]
+// whose value vals[k] the fewest rows hold, ties by column number — and
+// returns its k and those rows, ascending.
+func (t *Table) probeRows(cols []int, vals []int32) (int, []int32) {
+	best, bestLen := 0, -1
+	for k, c := range cols {
+		n := t.countMatching(c, vals[k])
+		if bestLen == -1 || n < bestLen || n == bestLen && c < cols[best] {
+			best, bestLen = k, n
+		}
+	}
+	return best, t.matchingRows(cols[best], vals[best])
+}
+
+// hasRowWith reports whether some row holds value id vals[k] in column
+// cols[k] for every k. It answers from the most selective requirement's
+// rows, as AppendRowsWith does, and stops at the first match. cols must
+// not be empty.
+func (t *Table) hasRowWith(cols []int, vals []int32) bool {
+	best, probe := t.probeRows(cols, vals)
+	ar := t.rel.Arity()
+next:
+	for _, r := range probe {
+		base := int(r) * ar
+		for k, c := range cols {
+			if k != best && t.data[base+c] != vals[k] {
+				continue next
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // hit is the index-hit count of one fetch: 1 on an indexed table.

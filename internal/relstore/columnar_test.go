@@ -94,15 +94,15 @@ func TestLegacyColumnarEquivalence(t *testing.T) {
 			}
 		}
 
-		// Joins over materialized columnar tables equal joins over the
-		// legacy tuple slices (same algorithm, so order must match too).
-		cj, err := NaturalJoin(TableResult(col.Table("p")), TableResult(col.Table("q")))
+		// The id-space join over the columnar tables' postings equals the
+		// string-tuple join over the legacy tuple slices, order included.
+		_, cj, err := joinIDs(t, col, "p", "q")
 		if err != nil {
 			t.Fatal(err)
 		}
-		lj, err := NaturalJoin(
-			&JoinResult{Attrs: []string{"a", "b"}, Tuples: leg.Table("p").Tuples()},
-			&JoinResult{Attrs: []string{"b", "c"}, Tuples: leg.Table("q").Tuples()})
+		lj, err := refJoin(
+			&refResult{Attrs: []string{"a", "b"}, Tuples: leg.Table("p").Tuples()},
+			&refResult{Attrs: []string{"b", "c"}, Tuples: leg.Table("q").Tuples()})
 		if err != nil {
 			t.Fatal(err)
 		}

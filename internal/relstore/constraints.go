@@ -46,7 +46,12 @@ func (t *Table) projHash(r int, idx []int) uint64 {
 // projString renders the projection of row r for a violation message (the
 // only place projected values are externalized).
 func (t *Table) projString(r int, idx []int) string {
-	return projectKey(t.materialize(r, nil), idx)
+	row := t.row(r)
+	parts := make([]string, len(idx))
+	for i, p := range idx {
+		parts[i] = t.syms.Name(row[p])
+	}
+	return strings.Join(parts, "\x00")
 }
 
 // CheckFDs returns a violation for every FD of the schema that does not
@@ -108,8 +113,9 @@ func (i *Instance) CheckINDs() []Violation {
 }
 
 // checkInclusion verifies π_lattrs(left) ⊆ π_rattrs(right), returning a
-// witness description — the lowest failing left row — when it fails. The
-// right side is built once as a hash set of interned projections.
+// witness description — the lowest failing left row — when it fails. Each
+// left row's projection is looked up in the right side's postings; nothing
+// is hashed or built per check.
 func (i *Instance) checkInclusion(left, right RelAttrs) (string, bool) {
 	lt, rt := i.tables[left.Rel], i.tables[right.Rel]
 	if lt == nil || rt == nil {
@@ -117,30 +123,44 @@ func (i *Instance) checkInclusion(left, right RelAttrs) (string, bool) {
 	}
 	lIdx := attrPositions(lt.rel, left.Attrs)
 	rIdx := attrPositions(rt.rel, right.Attrs)
-	rSet := make(map[uint64][]int32, rt.Len())
-	for r := 0; r < rt.nrows; r++ {
-		h := rt.projHash(r, rIdx)
-		dup := false
-		for _, pr := range rSet[h] {
-			if projEqualRows(rt, int(pr), rIdx, rt, r, rIdx) {
-				dup = true
-				break
-			}
+	vals := make([]int32, len(lIdx))
+	for r := range lt.nrows {
+		row := lt.row(r)
+		for k, p := range lIdx {
+			vals[k] = row[p]
 		}
-		if !dup {
-			rSet[h] = append(rSet[h], int32(r))
+		if !rt.hasRowWith(rIdx, vals) {
+			return fmt.Sprintf("value %q missing from %s", lt.projString(r, lIdx), right), false
 		}
-	}
-rows:
-	for r := 0; r < lt.nrows; r++ {
-		for _, pr := range rSet[lt.projHash(r, lIdx)] {
-			if projEqualRows(lt, r, lIdx, rt, int(pr), rIdx) {
-				continue rows
-			}
-		}
-		return fmt.Sprintf("value %q missing from %s", lt.projString(r, lIdx), right), false
 	}
 	return "", true
+}
+
+// PairwiseConsistent reports whether the join of the named relations is
+// pairwise consistent: no relation loses tuples when joined with any other
+// relation it shares attributes with (§4). For relations x and y sharing
+// attributes S that is exactly π_S(x) ⊆ π_S(y), checked as an inclusion
+// semi-join over interned rows; nothing is joined or materialized.
+func (i *Instance) PairwiseConsistent(rels ...string) (bool, error) {
+	for x := 0; x < len(rels); x++ {
+		for y := 0; y < len(rels); y++ {
+			if x == y {
+				continue
+			}
+			tx, ty := i.Table(rels[x]), i.Table(rels[y])
+			if tx == nil || ty == nil {
+				return false, fmt.Errorf("relstore: unknown relation in consistency check")
+			}
+			shared := tx.rel.SharedAttrs(ty.rel)
+			if len(shared) == 0 {
+				continue
+			}
+			if _, ok := i.checkInclusion(RelAttrs{Rel: rels[x], Attrs: shared}, RelAttrs{Rel: rels[y], Attrs: shared}); !ok {
+				return false, nil
+			}
+		}
+	}
+	return true, nil
 }
 
 // INDHoldsAsEquality reports whether a subset IND holds as an equality on
@@ -196,14 +216,4 @@ func attrPositions(rel *Relation, attrs []string) []int {
 		out[i] = p
 	}
 	return out
-}
-
-// projectKey builds a canonical key of the tuple restricted to the given
-// column positions.
-func projectKey(tp Tuple, idx []int) string {
-	parts := make([]string, len(idx))
-	for i, p := range idx {
-		parts[i] = tp[p]
-	}
-	return strings.Join(parts, "\x00")
 }

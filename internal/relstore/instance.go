@@ -102,10 +102,15 @@ func NewInstance(schema *Schema) *Instance { return newInstance(schema, true) }
 func NewUnindexedInstance(schema *Schema) *Instance { return newInstance(schema, false) }
 
 func newInstance(schema *Schema, indexed bool) *Instance {
+	return newInstanceOn(schema, indexed, logic.NewSymbols())
+}
+
+// newInstanceOn returns an empty instance interning through syms.
+func newInstanceOn(schema *Schema, indexed bool, syms *logic.Symbols) *Instance {
 	inst := &Instance{
 		schema:  schema,
 		tables:  make(map[string]*Table),
-		syms:    logic.NewSymbols(),
+		syms:    syms,
 		indexed: indexed,
 	}
 	for _, r := range schema.Relations() {

@@ -1,8 +1,10 @@
 package relstore
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -69,13 +71,14 @@ func TestQuickIndexedMatchesScan(t *testing.T) {
 	}
 }
 
-// TestQuickJoinAgainstNaive: the hash join equals the nested-loop
-// definition of natural join on random instances.
+// TestQuickJoinAgainstNaive: the id-space join over postings equals the
+// string-tuple hash join row for row, and the nested-loop definition of
+// natural join as a set, on random instances.
 func TestQuickJoinAgainstNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 150; trial++ {
 		inst := randTwoRelInstance(r, true)
-		got, err := inst.JoinRelations("p", "q")
+		_, got, err := joinIDs(t, inst, "p", "q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,11 +113,11 @@ func joinConsistent(t *testing.T, inst *Instance, rels ...string) bool {
 			if x == y || len(tx.Relation().SharedAttrs(ty.Relation())) == 0 {
 				continue
 			}
-			joined, err := NaturalJoin(TableResult(tx), TableResult(ty))
+			joined, err := refJoin(refTable(tx), refTable(ty))
 			if err != nil {
 				t.Fatal(err)
 			}
-			back, err := Project(joined, tx.Relation().Attrs)
+			back, err := refProject(joined, tx.Relation().Attrs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,20 +195,92 @@ func TestQuickPairwiseConsistentAgainstJoin(t *testing.T) {
 	}
 }
 
-// TestQuickProjectionLaws: projection is idempotent and never grows.
+// TestQuickCheckINDsAgainstHashSet: the inclusion check over the right
+// side's postings reports the violations a hash set of the right side's
+// projected tuples finds, with the same first failing left tuple, on
+// random instances under single- and multi-attribute INDs, with and
+// without equality.
+func TestQuickCheckINDsAgainstHashSet(t *testing.T) {
+	s := NewSchema()
+	s.MustAddRelation("p", "a", "b")
+	s.MustAddRelation("q", "b", "c")
+	s.MustAddRelation("w", "a", "b", "c")
+	s.MustAddIND("q", []string{"b"}, "p", []string{"b"}, false)
+	s.MustAddIND("w", []string{"a", "b"}, "p", []string{"a", "b"}, true)
+	s.MustAddIND("w", []string{"c", "b"}, "q", []string{"c", "b"}, false)
+	s.MustAddIND("p", []string{"b", "a"}, "w", []string{"c", "a"}, false)
+	r := rand.New(rand.NewSource(67))
+	vals := []string{"v0", "v1", "v2"}
+	project := func(tp Tuple, rel *Relation, attrs []string) string {
+		parts := make([]string, len(attrs))
+		for k, a := range attrs {
+			parts[k] = tp[rel.AttrIndex(a)]
+		}
+		return strings.Join(parts, "\x00")
+	}
+	// include is π(left) ⊆ π(right) by a hash set, naming the first left
+	// tuple whose projection the right side lacks.
+	include := func(inst *Instance, left, right RelAttrs) (string, bool) {
+		lt, rt := inst.Table(left.Rel), inst.Table(right.Rel)
+		set := map[string]bool{}
+		for _, tp := range rt.Tuples() {
+			set[project(tp, rt.Relation(), right.Attrs)] = true
+		}
+		for _, tp := range lt.Tuples() {
+			if k := project(tp, lt.Relation(), left.Attrs); !set[k] {
+				return fmt.Sprintf("value %q missing from %s", k, right), false
+			}
+		}
+		return "", true
+	}
+	violated := 0
+	for trial := 0; trial < 300; trial++ {
+		inst := NewInstance(s)
+		for _, rel := range s.Relations() {
+			for n := r.Intn(8); n > 0; n-- {
+				tp := make([]string, rel.Arity())
+				for k := range tp {
+					tp[k] = vals[r.Intn(len(vals))]
+				}
+				inst.MustInsert(rel.Name, tp...)
+			}
+		}
+		var want []Violation
+		for _, ind := range s.INDs() {
+			if d, ok := include(inst, ind.Left, ind.Right); !ok {
+				want = append(want, Violation{Constraint: ind.String(), Detail: d})
+			} else if ind.Equality {
+				if d, ok := include(inst, ind.Right, ind.Left); !ok {
+					want = append(want, Violation{Constraint: ind.String(), Detail: d})
+				}
+			}
+		}
+		got := inst.CheckINDs()
+		if !slices.Equal(got, want) {
+			t.Fatalf("CheckINDs = %v, hash-set reference %v", got, want)
+		}
+		violated += len(got)
+	}
+	if violated < 100 {
+		t.Errorf("only %d violations in 300 trials: the property barely exercises failures", violated)
+	}
+}
+
+// TestQuickProjectionLaws: projection in the store's id space equals the
+// string-tuple projection row for row, is idempotent and never grows.
 func TestQuickProjectionLaws(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 150; trial++ {
 		inst := randTwoRelInstance(r, true)
-		full := TableResult(inst.Table("p"))
-		p1, err := Project(full, []string{"a"})
+		full := refTable(inst.Table("p"))
+		i1, p1, err := projectIDs(t, inst, "p", "a")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(p1.Tuples) > len(full.Tuples) {
 			t.Fatal("projection grew")
 		}
-		p2, err := Project(p1, []string{"a"})
+		_, p2, err := projectIDs(t, i1, "proj", "a")
 		if err != nil {
 			t.Fatal(err)
 		}

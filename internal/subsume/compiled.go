@@ -1,6 +1,8 @@
 package subsume
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -313,10 +315,14 @@ type Source struct {
 
 // srcLit is one prepared source literal: its predicate (an index into
 // Source.preds for body literals, the id itself for the head) and its
-// arguments argv[off:off+n].
+// arguments argv[off:off+n]. unknown marks a literal holding a constant
+// the space lacks (logic.UnknownSym), which no target literal can host.
+// The arity is an int16 so that the mark keeps the literal at 12 bytes.
 type srcLit struct {
-	pred   int32
-	off, n int32
+	pred    int32
+	off     int32
+	n       int16
+	unknown bool
 }
 
 // occEntry is one occurrence of a variable slot in the source body.
@@ -361,12 +367,17 @@ func (s *Space) Prepare(c *logic.Clause) *Source {
 		}
 	}
 	intern := func(a logic.Atom) srcLit {
-		lit := srcLit{off: int32(len(src.argv)), n: int32(len(a.Args))}
+		if len(a.Args) > math.MaxInt16 {
+			panic(fmt.Sprintf("subsume: atom %s/%d has more arguments than a source literal holds", a.Pred, len(a.Args)))
+		}
+		lit := srcLit{off: int32(len(src.argv)), n: int16(len(a.Args))}
 		for _, t := range a.Args {
 			if t.IsVar {
 				src.argv = append(src.argv, logic.VarITerm(slotOf(t.Name)))
 			} else {
-				src.argv = append(src.argv, logic.ConstITerm(lookup(t.Name)))
+				id := lookup(t.Name)
+				lit.unknown = lit.unknown || id == logic.UnknownSym
+				src.argv = append(src.argv, logic.ConstITerm(id))
 			}
 		}
 		return lit
@@ -399,8 +410,8 @@ func (src *Source) without(i int, c *logic.Clause) *Source {
 	out.argv = make([]logic.ITerm, 0, len(src.argv)-int(src.lits[i].n))
 	renum := make([]int32, len(src.slotNames)) // old slot → new slot + 1
 	copyLit := func(l srcLit) srcLit {
-		nl := srcLit{pred: l.pred, off: int32(len(out.argv)), n: l.n}
-		for _, t := range src.argv[l.off : l.off+l.n] {
+		nl := srcLit{pred: l.pred, off: int32(len(out.argv)), n: l.n, unknown: l.unknown}
+		for _, t := range src.argv[l.off : l.off+int32(l.n)] {
 			if t.IsVar() {
 				s := t.Slot()
 				if renum[s] == 0 {
@@ -457,7 +468,7 @@ func fnv32(s string) uint32 {
 // bodyArgs returns body literal i's prepared arguments.
 func (src *Source) bodyArgs(i int32) []logic.ITerm {
 	l := src.lits[i]
-	return src.argv[l.off : l.off+l.n]
+	return src.argv[l.off : l.off+int32(l.n)]
 }
 
 // prepareOcc builds the per-slot occurrence lists of the body, in literal
@@ -686,7 +697,7 @@ func (m *matcher) matchHead() bool {
 	if head.pred != cd.headPred || int(head.n) != len(cd.headArgs) {
 		return false
 	}
-	for i, t := range m.src.argv[head.off : head.off+head.n] {
+	for i, t := range m.src.argv[head.off : head.off+int32(head.n)] {
 		want := cd.headArgs[i]
 		if t.IsVar() {
 			slot := t.Slot()
@@ -724,18 +735,23 @@ func (m *matcher) matchComponent(comp []int32) bool {
 // initDomain builds literal i's initial candidate list: the target
 // literals of its predicate consistent with the literal under the current
 // substitution — constants and bound variables must agree positionally,
-// repeated unbound variables must meet equal target constants. An unknown
-// constant (logic.UnknownSym) agrees with no target argument.
+// repeated unbound variables must meet equal target constants. A literal
+// holding an unknown constant (logic.UnknownSym) agrees with no target
+// literal, so Prepare marks it and its domain is empty without a scan.
 func (m *matcher) initDomain(i int32) bool {
 	lit := m.src.lits[i]
-	args := m.src.argv[lit.off : lit.off+lit.n]
+	args := m.src.argv[lit.off : lit.off+int32(lit.n)]
 	start := int32(len(m.domBuf))
+	m.domStart[i] = start
+	if lit.unknown {
+		m.live[i] = 0
+		return false
+	}
 	for _, t := range m.predCand[lit.pred] {
 		if m.consistent(args, t) {
 			m.domBuf = append(m.domBuf, t)
 		}
 	}
-	m.domStart[i] = start
 	m.live[i] = int32(len(m.domBuf)) - start
 	return m.live[i] > 0
 }

@@ -2,6 +2,7 @@ package transform
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/relstore"
 )
@@ -45,27 +46,19 @@ func (p *Pipeline) apply(inst *relstore.Instance, strict bool) (*relstore.Instan
 	return cur, nil
 }
 
+// applyInstance maps one step's instance in the store's id space: the
+// relations the step leaves alone are copied, and the step's own are
+// projected or joined, all through one symbol translation into the output.
 func (st *step) applyInstance(inst *relstore.Instance, strict bool) (*relstore.Instance, error) {
-	out := relstore.NewInstance(st.to)
+	tr := relstore.NewTranslation(inst, st.to)
 	switch st.kind {
 	case stepDecompose:
-		for _, r := range st.from.Relations() {
-			if r.Name == st.source {
-				continue
-			}
-			copyTable(inst, out, r.Name)
+		if err := copyOthers(tr, st.from, st.source); err != nil {
+			return nil, err
 		}
-		src := inst.Table(st.source)
-		full := relstore.TableResult(src)
 		for _, part := range st.parts {
-			proj, err := relstore.Project(full, part.Attrs)
-			if err != nil {
+			if err := tr.Project(st.source, part.Name); err != nil {
 				return nil, fmt.Errorf("transform: projecting %q: %w", part.Name, err)
-			}
-			for _, tp := range proj.Tuples {
-				if err := out.Insert(part.Name, tp...); err != nil {
-					return nil, err
-				}
 			}
 		}
 	case stepCompose:
@@ -78,38 +71,25 @@ func (st *step) applyInstance(inst *relstore.Instance, strict bool) (*relstore.I
 				return nil, fmt.Errorf("transform: composing %v would lose tuples (instance not pairwise consistent); use ApplyLossy for general composition", st.sources)
 			}
 		}
-		isSource := make(map[string]bool)
-		for _, s := range st.sources {
-			isSource[s] = true
-		}
-		for _, r := range st.from.Relations() {
-			if !isSource[r.Name] {
-				copyTable(inst, out, r.Name)
-			}
-		}
-		joined, err := inst.JoinRelations(st.sources...)
-		if err != nil {
-			return nil, fmt.Errorf("transform: composing %q: %w", st.target, err)
-		}
-		reordered, err := relstore.Project(joined, st.targetAttr)
-		if err != nil {
+		if err := copyOthers(tr, st.from, st.sources...); err != nil {
 			return nil, err
 		}
-		for _, tp := range reordered.Tuples {
-			if err := out.Insert(st.target, tp...); err != nil {
-				return nil, err
+		if err := tr.Compose(st.target, st.sources...); err != nil {
+			return nil, fmt.Errorf("transform: composing %q: %w", st.target, err)
+		}
+	}
+	return tr.Output(), nil
+}
+
+// copyOthers copies every relation of schema but the step's own, in schema
+// order.
+func copyOthers(tr *relstore.Translation, schema *relstore.Schema, own ...string) error {
+	for _, r := range schema.Relations() {
+		if !slices.Contains(own, r.Name) {
+			if err := tr.Copy(r.Name); err != nil {
+				return err
 			}
 		}
 	}
-	return out, nil
-}
-
-func copyTable(from, to *relstore.Instance, rel string) {
-	t := from.Table(rel)
-	if t == nil {
-		return
-	}
-	for _, tp := range t.Tuples() {
-		to.MustInsert(rel, tp...)
-	}
+	return nil
 }
