@@ -1,7 +1,6 @@
 package relstore
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -162,7 +161,7 @@ func (tr *Translation) Compose(target string, sources ...string) error {
 			}
 		}
 		if len(hop.cols) == 0 {
-			return fmt.Errorf("joining %q: %w", name, errCartesian)
+			return fmt.Errorf("joining %q: relstore: natural join with no shared attributes (would be a Cartesian product)", name)
 		}
 		for c, a := range t.rel.Attrs {
 			if !slices.Contains(hop.cols, c) {
@@ -212,8 +211,6 @@ func (tr *Translation) Compose(target string, sources ...string) error {
 	}
 	return nil
 }
-
-var errCartesian = errors.New("relstore: natural join with no shared attributes (would be a Cartesian product)")
 
 // positions maps attrs to their positions in from, failing on one from
 // lacks.
