@@ -67,8 +67,10 @@ func NewEngine[P Probe](cover CoverFunc[P], newProbe func() P, workers int, cach
 	return &Engine[P]{cover: cover, newProbe: newProbe, workers: workers, cache: cache, run: run, util: newPoolUtil(run)}
 }
 
-// probe takes an idle probe, or makes one, for one shard of tests.
-func (en *Engine[P]) probe() P {
+// Probe takes an idle probe, or makes one, for one shard of tests or for a
+// run of single tests outside any batch, as one ARMG makes; Done gives it
+// back.
+func (en *Engine[P]) Probe() P {
 	en.mu.Lock()
 	defer en.mu.Unlock()
 	if n := len(en.idle); n > 0 {
@@ -79,8 +81,8 @@ func (en *Engine[P]) probe() P {
 	return en.newProbe()
 }
 
-// done publishes what the shard's tests accumulated on p and puts p back.
-func (en *Engine[P]) done(p P) {
+// Done publishes what the tests accumulated on p and puts p back.
+func (en *Engine[P]) Done(p P) {
 	p.Publish()
 	en.mu.Lock()
 	en.idle = append(en.idle, p)
@@ -89,8 +91,8 @@ func (en *Engine[P]) done(p P) {
 
 // Covers tests one example outside any batch, publishing at once.
 func (en *Engine[P]) Covers(c *logic.Clause, e logic.Atom) bool {
-	p := en.probe()
-	defer en.done(p)
+	p := en.Probe()
+	defer en.Done(p)
 	en.run.Inc(obs.CCoverageTests)
 	return en.cover(c)(p, e)
 }
@@ -480,7 +482,7 @@ func (en *Engine[P]) scan(label string, examples []logic.Atom, setKey string, jo
 			active[0].prepare(en.cover)
 		}
 		runShards(en.run, en.util, en.workers, label, planShards(pairs, en.shardCount(pairs)), func(sh shard) {
-			pr := en.probe()
+			pr := en.Probe()
 			shardTested := int64(0)
 			for k := sh.lo; k < sh.hi; {
 				jb, lo := active[k/n], k%n
@@ -508,7 +510,7 @@ func (en *Engine[P]) scan(label string, examples []logic.Atom, setKey string, jo
 				shardTested += tested
 			}
 			en.run.Add(obs.CCoverageTests, shardTested)
-			en.done(pr)
+			en.Done(pr)
 		})
 	}
 	for i := range jobs {

@@ -293,12 +293,13 @@ func TestIDCompiledSaturationsMatchNamePath(t *testing.T) {
 
 // TestSaturationCompileAllocPin: once a builder's scratch has grown,
 // building and compiling one UW-CSE saturation from ids allocates only the
-// compiled target: its header and one int32 arena holding the literals,
-// the head and the per-predicate literal lists, so two allocations of at
-// most their size classes in bytes. The construction itself, its dedupe
-// sets and its store statistics allocate nothing, in Castor's policy and
-// in the classic one, which copies no fetch even without stored
-// procedures.
+// compiled target: its header, which holds the arena and int32 offsets
+// into it and fits the 64 B size class, and one int32 arena holding the
+// literals, the head and the per-predicate literal lists, so two
+// allocations of at most 64 B and the arena's size class in bytes (Castor's
+// saturation of the first positive at seed 3 takes 960 B: 64 + 896). The construction itself, its dedupe sets and its
+// store statistics allocate nothing, in Castor's policy and in the classic
+// one, which copies no fetch even without stored procedures.
 func TestSaturationCompileAllocPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -319,6 +320,10 @@ func TestSaturationCompileAllocPin(t *testing.T) {
 	// sizeClass is the allocator's size for an n-byte object: growslice
 	// rounds a new capacity up to it.
 	sizeClass := func(n uintptr) uint64 { return uint64(cap(slices.Grow([]byte(nil), int(n)))) }
+	const headerBytes = 64
+	if h := sizeClass(unsafe.Sizeof(subsume.Compiled{})); h > headerBytes {
+		t.Fatalf("a compiled target's header takes %d B, want at most %d", h, headerBytes)
+	}
 	for _, cfg := range []struct {
 		plan       *relstore.Plan
 		storedProc bool
@@ -346,7 +351,7 @@ func TestSaturationCompileAllocPin(t *testing.T) {
 				}
 			}
 			ints := n + (n + 1) + args + len(c.Head.Args) + p + (p + 1) + n
-			limit := sizeClass(unsafe.Sizeof(subsume.Compiled{})) + sizeClass(4*uintptr(ints))
+			limit := headerBytes + sizeClass(4*uintptr(ints))
 			if b := bytesPerRun(50, func() { ilp.CompileSaturation(bld, e, params) }); b > limit {
 				t.Errorf("%s: compiling a saturation allocates %d B, want at most %d", label, b, limit)
 			}

@@ -34,3 +34,24 @@ func ARMGs(t *Tester, plan *relstore.Plan, beam []*logic.Clause, sample []logic.
 	}
 	return armgs(t, plan, entries, sample)
 }
+
+// ARMGPrep is a beam entry prepared for ARMG jobs.
+type ARMGPrep = armgPrep
+
+// PrepareARMG prepares c for the ARMG jobs of a beam round, as armgs
+// prepares a beam entry.
+func PrepareARMG(t *Tester, plan *relstore.Plan, c *logic.Clause) *ARMGPrep {
+	pe := new(armgPrep)
+	pe.init(t, plan, c)
+	return pe
+}
+
+// RunARMG runs one ARMG job of the prepared entry toward e.
+func RunARMG(t *Tester, pe *ARMGPrep, e logic.Atom) *logic.Clause { return t.armg(pe, e) }
+
+// EnforceINDsMask clears from keep the literals that EnforceINDs removes
+// from the sub-clause of c keep leaves.
+func EnforceINDsMask(c *logic.Clause, plan *relstore.Plan, keep []bool) {
+	ip := newINDPartners(c.Body, plan)
+	ip.enforce(keep)
+}

@@ -162,13 +162,39 @@ func armgNode(prov *obs.Prov, parent uint64, seed logic.Atom, c *logic.Clause, p
 // armgs generalizes every beam entry toward every sampled example on the
 // tester's rounds. The ARMG of beam[i] toward sample[j] lands at index
 // i·len(sample)+j, so the caller reads them in the order a serial loop
-// over the beam and then the sample would make them.
+// over the beam and then the sample would make them. Each entry is
+// prepared once, before the round, and its jobs share the preparation: a
+// job that waited for another to prepare its entry would cost more than
+// the preparation.
 func armgs(t *Tester, plan *relstore.Plan, beam []*entry, sample []logic.Atom) []*logic.Clause {
+	preps := make([]armgPrep, len(beam))
+	for i, b := range beam {
+		preps[i].init(t, plan, b.clause)
+	}
 	out := make([]*logic.Clause, len(beam)*len(sample))
 	t.Fan("armg", len(out), func(i int) {
-		out[i] = ARMG(t, plan, beam[i/len(sample)].clause, sample[i%len(sample)])
+		out[i] = t.armg(&preps[i/len(sample)], sample[i%len(sample)])
 	})
 	return out
+}
+
+// armgPrep is a beam entry's clause prepared for the ARMG jobs that
+// generalize it, which share it read-only: its coverage test, which tests
+// any sub-clause under a keep mask too, its literals' variable ids, and,
+// under a plan, its literals' IND partners.
+type armgPrep struct {
+	clause *logic.Clause
+	test   prepared
+	vars   logic.ClauseVars
+	inds   *indPartners // nil without a plan
+}
+
+func (pe *armgPrep) init(t *Tester, plan *relstore.Plan, c *logic.Clause) {
+	pe.clause, pe.test, pe.vars = c, t.prepare(c), logic.NewClauseVars(c)
+	if plan != nil {
+		ip := newINDPartners(c.Body, plan)
+		pe.inds = &ip
+	}
 }
 
 // ARMG generalizes clause c to cover example e (Algorithm 3): it drops
@@ -182,23 +208,44 @@ func armgs(t *Tester, plan *relstore.Plan, beam []*entry, sample []logic.Atom) [
 // input clause is not modified; nil is returned when e cannot be covered
 // (its head does not match).
 func ARMG(t *Tester, plan *relstore.Plan, c *logic.Clause, e logic.Atom) *logic.Clause {
+	var pe armgPrep
+	pe.init(t, plan, c)
+	return t.armg(&pe, e)
+}
+
+// armg is ARMG of the prepared clause on a keep mask over its literals:
+// the coverage tests, the blocking-atom search, the drop, the IND
+// restoration and the head-connectivity pruning all read or write the
+// mask, and the generalization is built once, at the end. Its tests run
+// on one probe, published when it returns.
+func (t *Tester) armg(pe *armgPrep, e logic.Atom) *logic.Clause {
 	t.run.Inc(obs.CARMGCalls)
+	c := pe.clause
 	if _, ok := logic.MatchAtoms(c.Head, e, logic.NewSubstitution()); !ok {
 		return nil
 	}
-	cur := c.Clone()
-	for !t.Covers(cur, e) {
-		i := BlockingAtom(t, cur, e)
+	n := len(c.Body)
+	scratch := make([]bool, 3*n+pe.vars.NumVars())
+	keep, prefix, connected, reach := scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:]
+	for k := range keep {
+		keep[k] = true
+	}
+	kept := make([]int32, 0, n)
+	s := t.singles()
+	defer s.done()
+	for !s.covers(pe.test, keep, e) {
+		i := s.blockingAtom(pe.test, keep, prefix, kept, e)
 		if i < 0 {
 			return nil // cannot happen when the head matches, but stay safe
 		}
-		cur = cur.RemoveBodyAt(i)
-		if plan != nil {
-			cur = EnforceINDs(cur, plan)
+		keep[i] = false
+		if pe.inds != nil {
+			pe.inds.enforce(keep)
 		}
-		cur = logic.PruneNotHeadConnected(cur)
+		pe.vars.HeadConnected(keep, connected, reach)
+		copy(keep, connected)
 	}
-	return cur
+	return subClause(c, keep)
 }
 
 // BlockingAtom returns the least 0-based index i such that the prefix
@@ -206,22 +253,51 @@ func ARMG(t *Tester, plan *relstore.Plan, c *logic.Clause, e logic.Atom) *logic.
 // monotone prefix-coverage sequence: −1 when c has no body or its head
 // alone does not cover e.
 func BlockingAtom(tester *Tester, c *logic.Clause, e logic.Atom) int {
-	if len(c.Body) == 0 {
+	n := len(c.Body)
+	keep := make([]bool, 2*n)
+	for k := range n {
+		keep[k] = true
+	}
+	s := tester.singles()
+	defer s.done()
+	return s.blockingAtom(tester.prepare(c), keep[:n], keep[n:], make([]int32, 0, n), e)
+}
+
+// blockingAtom is BlockingAtom of the sub-clause keep leaves of the
+// prepared clause: it returns the index, among all the clause's literals,
+// of the kept literal whose prefix of kept literals is the shortest not to
+// cover e. prefix is scratch of len(keep); kept is scratch of capacity
+// len(keep).
+func (s *singles) blockingAtom(pc prepared, keep, prefix []bool, kept []int32, e logic.Atom) int {
+	kept = kept[:0]
+	for k, in := range keep {
+		if in {
+			kept = append(kept, int32(k))
+		}
+	}
+	if len(kept) == 0 {
 		return -1
 	}
-	lo, hi := 0, len(c.Body) // prefix lengths: lo covers, hi does not
+	covers := func(m int) bool { // the prefix of the first m kept literals
+		clear(prefix)
+		for _, k := range kept[:m] {
+			prefix[k] = true
+		}
+		return s.covers(pc, prefix, e)
+	}
+	lo, hi := 0, len(kept) // prefix lengths: lo covers, hi does not
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
-		if tester.Covers(&logic.Clause{Head: c.Head, Body: c.Body[:mid]}, e) {
+		if covers(mid) {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	if lo == 0 && !tester.Covers(&logic.Clause{Head: c.Head}, e) {
+	if lo == 0 && !covers(0) {
 		return -1
 	}
-	return hi - 1
+	return int(kept[hi-1])
 }
 
 // EnforceINDs removes body literals until every remaining literal satisfies
@@ -229,36 +305,69 @@ func BlockingAtom(tester *Tester, c *logic.Clause, e logic.Atom) int {
 // literal R1(u), some literal R2(v) must agree with u on the join
 // positions. Removals cascade to a fixpoint.
 func EnforceINDs(c *logic.Clause, plan *relstore.Plan) *logic.Clause {
-	body := append([]logic.Atom(nil), c.Body...)
-	for {
-		removed := false
-		for i := 0; i < len(body); i++ {
-			if !literalSatisfiesINDs(body[i], body, plan) {
-				body = append(body[:i], body[i+1:]...)
-				removed = true
-				i--
-			}
-		}
-		if !removed {
-			break
-		}
+	keep := make([]bool, len(c.Body))
+	for k := range keep {
+		keep[k] = true
 	}
-	return &logic.Clause{Head: c.Head.Clone(), Body: body}
+	ip := newINDPartners(c.Body, plan)
+	ip.enforce(keep)
+	return subClause(c, keep)
 }
 
-// literalSatisfiesINDs checks every hop out of the literal's relation. A
-// hop naming a position past the literal's arity is skipped: the literal
-// is not one of the schema relation's.
-func literalSatisfiesINDs(lit logic.Atom, body []logic.Atom, plan *relstore.Plan) bool {
-hops:
-	for _, hop := range plan.Partners(lit.Pred) {
-		for _, sp := range hop.SrcPos {
-			if sp >= len(lit.Args) {
-				continue hops
+// indPartners lists, per body literal of a clause, the partners of each
+// IND hop out of its relation: for a hop R1[X] ⋈ R2[X] out of R1(u), the
+// literals R2(v) that agree with u on the join positions. A hop naming a
+// position past the literal's arity is left out: the literal is not one of
+// the schema relation's. Literal i's hops are hops[lits[i]:lits[i+1]], and
+// hop h's partners are partners[hops[h]:hops[h+1]].
+type indPartners struct {
+	lits, hops, partners []int32
+}
+
+func newINDPartners(body []logic.Atom, plan *relstore.Plan) indPartners {
+	ip := indPartners{lits: make([]int32, 1, len(body)+1), hops: []int32{0}}
+	for _, lit := range body {
+	hops:
+		for _, hop := range plan.Partners(lit.Pred) {
+			for _, sp := range hop.SrcPos {
+				if sp >= len(lit.Args) {
+					continue hops
+				}
+			}
+			for j, other := range body {
+				if joins(lit, other, hop) {
+					ip.partners = append(ip.partners, int32(j))
+				}
+			}
+			ip.hops = append(ip.hops, int32(len(ip.partners)))
+		}
+		ip.lits = append(ip.lits, int32(len(ip.hops)-1))
+	}
+	return ip
+}
+
+// enforce clears from keep every literal with a hop none of whose partners
+// keep marks, cascading to a fixpoint: the largest sub-clause in which
+// every literal satisfies all its hops, whatever the order of removals.
+func (ip *indPartners) enforce(keep []bool) {
+	for changed := true; changed; {
+		changed = false
+		for i, in := range keep {
+			if in && !ip.satisfied(i, keep) {
+				keep[i] = false
+				changed = true
 			}
 		}
-		for _, other := range body {
-			if joins(lit, other, hop) {
+	}
+}
+
+// satisfied reports whether every hop out of literal i has a partner that
+// keep marks.
+func (ip *indPartners) satisfied(i int, keep []bool) bool {
+hops:
+	for h := ip.lits[i]; h < ip.lits[i+1]; h++ {
+		for _, j := range ip.partners[ip.hops[h]:ip.hops[h+1]] {
+			if keep[j] {
 				continue hops
 			}
 		}
@@ -279,4 +388,22 @@ func joins(lit, other logic.Atom, hop relstore.PlanPartner) bool {
 		}
 	}
 	return true
+}
+
+// subClause returns the clause that keeps c's body literals keep marks, in
+// order, under a copy of c's head.
+func subClause(c *logic.Clause, keep []bool) *logic.Clause {
+	n := 0
+	for _, in := range keep {
+		if in {
+			n++
+		}
+	}
+	body := make([]logic.Atom, 0, n)
+	for k, a := range c.Body {
+		if keep[k] {
+			body = append(body, a)
+		}
+	}
+	return &logic.Clause{Head: c.Head.Clone(), Body: body}
 }

@@ -279,24 +279,68 @@ func (t *Tester) Covers(c *logic.Clause, e logic.Atom) bool {
 
 // coverer is the engine's CoverFunc: it prepares the clause once and
 // returns its per-example test, safe for concurrent use on distinct
-// probes. Direct mode compiles the clause into a store query and tests on
-// the worker's store prober; subsumption mode prepares it against the
-// tester's space and probes each example's compiled saturation with it.
+// probes.
 func (t *Tester) coverer(c *logic.Clause) func(*relstore.Prober, logic.Atom) bool {
-	if t.params.CoverageMode != CoverageSubsumption {
-		q := t.prob.Instance.Compile(c)
-		return func(p *relstore.Prober, e logic.Atom) bool {
-			if ids := t.exampleIDs(e); ids != nil {
-				return q.CoversIDs(p, e, ids)
-			}
-			return q.CoversWith(p, e)
-		}
-	}
-	src := t.space.Prepare(c)
-	return func(_ *relstore.Prober, e logic.Atom) bool {
-		return t.saturation(e).Probe(t.run, src)
+	pc := t.prepare(c)
+	return func(p *relstore.Prober, e logic.Atom) bool {
+		return t.covers(pc, p, nil, nil, e)
 	}
 }
+
+// prepared is a clause prepared for coverage tests of itself and of its
+// sub-clauses, each of which keeps the body literals of a mask, in order:
+// a store query compiled from the clause in direct mode, a source prepared
+// from it against the tester's space in subsumption mode. Read-only once
+// made.
+type prepared struct {
+	q   *relstore.Query
+	src *subsume.Source
+}
+
+// prepare prepares the clause for the tester's coverage mode.
+func (t *Tester) prepare(c *logic.Clause) prepared {
+	if t.params.CoverageMode != CoverageSubsumption {
+		return prepared{q: t.prob.Instance.Compile(c)}
+	}
+	return prepared{src: t.space.Prepare(c)}
+}
+
+// covers reports whether the sub-clause of the prepared clause that keeps
+// the body literals keep marks (the whole clause when keep is nil) covers
+// the example, with the answer and the counts of preparing that sub-clause
+// and testing it. Direct mode tests on the store prober p; subsumption
+// mode probes the example's compiled saturation, deriving a sub-clause's
+// source into sub.
+func (t *Tester) covers(pc prepared, p *relstore.Prober, sub *subsume.Sub, keep []bool, e logic.Atom) bool {
+	if pc.q != nil {
+		return pc.q.CoversMask(p, e, t.exampleIDs(e), keep)
+	}
+	if keep == nil {
+		return t.saturation(e).Probe(t.run, pc.src)
+	}
+	return t.saturation(e).ProbeSub(t.run, pc.src, keep, sub)
+}
+
+// singles runs single coverage tests outside any batch, as ARMG makes
+// them, on one probe taken from the engine and published once, when done.
+// Each test counts in coverage_tests as one Engine.Covers call does. Not
+// safe for concurrent use.
+type singles struct {
+	t   *Tester
+	p   *relstore.Prober
+	sub subsume.Sub
+}
+
+func (t *Tester) singles() *singles { return &singles{t: t, p: t.engine.Probe()} }
+
+// covers tests the sub-clause keep leaves of the prepared clause on e.
+func (s *singles) covers(pc prepared, keep []bool, e logic.Atom) bool {
+	s.t.run.Inc(obs.CCoverageTests)
+	return s.t.covers(pc, s.p, &s.sub, keep, e)
+}
+
+// done publishes the tests' store statistics and gives the probe back.
+func (s *singles) done() { s.t.engine.Done(s.p) }
 
 // saturation returns (building, compiling and caching on demand) the
 // ground bottom clause of the example in the engine's compile-once form:

@@ -37,47 +37,76 @@ func IsSafeDefinition(d *Definition) bool {
 // literals sharing no variable chain with the head are not.
 // The returned slice parallels c.Body.
 func HeadConnected(c *Clause) []bool {
-	// Variables get dense ids, and each literal's variables become a run
-	// of ids in one arena, once per call: the fixpoint passes read ids.
+	cv := NewClauseVars(c)
+	connected := make([]bool, len(c.Body))
+	cv.HeadConnected(nil, connected, make([]bool, cv.NumVars()))
+	return connected
+}
+
+// ClauseVars is a clause's variables as dense ids, listed per literal
+// once, so that head connectivity can be asked of the clause and of any
+// sub-clause keeping some of its body literals without listing them again.
+type ClauseVars struct {
+	ids  []int32 // the head's ids, then each body literal's
+	ends []int32 // body literal i's ids are ids[ends[i]:ends[i+1]]; the head's ids[:ends[0]]
+	n    int     // distinct variables
+}
+
+// NewClauseVars numbers the clause's variables in first-occurrence order,
+// head first, and lists each literal's.
+func NewClauseVars(c *Clause) ClauseVars {
 	n := len(c.Head.Args)
 	for _, a := range c.Body {
 		n += len(a.Args)
 	}
-	ids := make(map[string]int32, len(c.Body)) // about one variable per literal
-	id := func(name string) int32 {
-		v, ok := ids[name]
-		if !ok {
-			v = int32(len(ids))
-			ids[name] = v
-		}
-		return v
-	}
-	reach := make([]bool, n) // by variable id
-	for _, t := range c.Head.Args {
-		if t.IsVar {
-			reach[id(t.Name)] = true
-		}
-	}
-	vars := make([]int32, 0, n) // literal i's ids are vars[ends[i-1]:ends[i]]
-	ends := make([]int, len(c.Body))
-	for i, a := range c.Body {
+	seen := make(map[string]int32, len(c.Body)) // about one variable per literal
+	cv := ClauseVars{ids: make([]int32, 0, n), ends: make([]int32, len(c.Body)+1)}
+	add := func(a Atom) {
 		for _, t := range a.Args {
-			if t.IsVar {
-				vars = append(vars, id(t.Name))
-			}
-		}
-		ends[i] = len(vars)
-	}
-	connected := make([]bool, len(c.Body))
-	for changed := true; changed; {
-		changed = false
-		lo := 0
-		for i, hi := range ends {
-			lit := vars[lo:hi]
-			lo = hi
-			if connected[i] {
+			if !t.IsVar {
 				continue
 			}
+			v, ok := seen[t.Name]
+			if !ok {
+				v = int32(len(seen))
+				seen[t.Name] = v
+			}
+			cv.ids = append(cv.ids, v)
+		}
+	}
+	add(c.Head)
+	cv.ends[0] = int32(len(cv.ids))
+	for i, a := range c.Body {
+		add(a)
+		cv.ends[i+1] = int32(len(cv.ids))
+	}
+	cv.n = len(seen)
+	return cv
+}
+
+// NumVars returns the number of distinct variables of the clause.
+func (cv *ClauseVars) NumVars() int { return cv.n }
+
+// HeadConnected is HeadConnected of the sub-clause keeping the body
+// literals keep marks, in order (all of them when keep is nil): it sets
+// connected[i], for each body literal i, to whether keep marks it and it is
+// head-connected in that sub-clause. reach is scratch of at least NumVars
+// entries. The fixpoint reads each literal's ids, so a pass costs no
+// lookups however many passes a chain takes.
+func (cv *ClauseVars) HeadConnected(keep, connected, reach []bool) {
+	reach = reach[:cv.n]
+	clear(reach)
+	clear(connected)
+	for _, v := range cv.ids[:cv.ends[0]] {
+		reach[v] = true
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := range connected {
+			if connected[i] || keep != nil && !keep[i] {
+				continue
+			}
+			lit := cv.ids[cv.ends[i]:cv.ends[i+1]]
 			touches := len(lit) == 0
 			for _, v := range lit {
 				if reach[v] {
@@ -95,7 +124,6 @@ func HeadConnected(c *Clause) []bool {
 			}
 		}
 	}
-	return connected
 }
 
 // PruneNotHeadConnected returns a copy of the clause with every body literal

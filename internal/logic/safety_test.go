@@ -64,6 +64,43 @@ func TestQuickHeadConnectedMatchesByName(t *testing.T) {
 	}
 }
 
+// TestQuickHeadConnectedMaskMatchesByName: ClauseVars.HeadConnected under
+// a keep mask marks exactly the kept literals that the fixpoint over
+// names finds head-connected in the sub-clause the mask keeps, reusing
+// its scratch from clause to clause.
+func TestQuickHeadConnectedMaskMatchesByName(t *testing.T) {
+	var connected, reach []bool
+	f := func(v longClauseValue, seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		keep := make([]bool, len(v.c.Body))
+		sub := &Clause{Head: v.c.Head}
+		for i, a := range v.c.Body {
+			if keep[i] = r.Intn(3) != 0; keep[i] {
+				sub.Body = append(sub.Body, a)
+			}
+		}
+		cv := NewClauseVars(v.c)
+		connected = append(connected[:0], make([]bool, len(keep))...)
+		if cv.NumVars() > len(reach) {
+			reach = make([]bool, cv.NumVars())
+		}
+		cv.HeadConnected(keep, connected, reach)
+		want := headConnectedByName(sub)
+		for i := range keep {
+			if connected[i] != (keep[i] && want[0]) {
+				return false
+			}
+			if keep[i] {
+				want = want[1:]
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}
+
 // chainClause is h(X0) :- e(X0,X1), …, e(Xn−1,Xn), body reversed when
 // reverse is set: forward, one fixpoint pass connects every literal;
 // reversed, each pass connects one more.

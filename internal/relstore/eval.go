@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/logic"
@@ -15,15 +16,19 @@ import (
 // clause once against the instance's symbol table: variables become dense
 // slots, constants become symbol ids (logic.UnknownSym when the instance
 // never saw them), and a body atom over a missing relation, with the wrong
-// arity or with a constant no row holds makes the whole query
+// arity or with a constant no row holds is dead and makes the whole query
 // unsatisfiable up front. Testing a ground example then binds the head
 // slots and backtracks over a logic.Subst (an int32 slot array with a
 // trail), enumerating candidate rows as row ids straight out of the CSR
-// postings (a point probe borrows the posting slice without copying).
+// postings (a point probe borrows the posting slice without copying). A
+// masked test (CoversMask) tests a sub-clause, the body atoms of a keep
+// mask, on the same compiled query: the other atoms start the search as
+// matched, and a dead atom fails only a test that keeps it.
 // Search state and store statistics live on a Prober, which a coverage
 // worker owns and publishes once per run of tests, so a steady-state test
 // allocates nothing, touches no map and no string beyond the example's
-// own constants, and writes no shared counter. The Instance query methods
+// own constants, and writes no shared counter; on an instance whose run
+// has no registry it keeps no store statistics at all. The Instance query methods
 // (CoversExample, CoverageWitness, EvalClause, …) are thin wrappers that
 // compile and run the same solver on a pooled prober, turning symbol ids
 // back into names only at a solution.
@@ -80,6 +85,7 @@ type Query struct {
 // distinct constants the instance has never seen stay distinct. inBody
 // records whether the body mentions the variable: bound to a constant the
 // instance has never seen, such a variable makes the test fail outright.
+// A masked test asks the atoms it keeps instead (Query.inBody).
 type headArg struct {
 	name   string
 	slot   int32
@@ -90,7 +96,8 @@ type headArg struct {
 // queryAtom is one compiled body atom. est and col are its candidate
 // estimate from the constant columns alone: the fewest rows any constant
 // column admits and that column, or the table size and -1 when no column
-// is constant.
+// is constant. A dead atom, one that can match no row, has est 0, and t
+// is nil when its relation is missing or has another arity.
 type queryAtom struct {
 	t      *Table
 	args   []logic.ITerm
@@ -132,7 +139,9 @@ func (i *Instance) Compile(c *logic.Clause) *Query {
 	return q
 }
 
-// compileBody interns the body atoms.
+// compileBody interns the body atoms. Dead atoms are recorded one by one,
+// each with est 0, and make the whole query unsat; a masked test that
+// leaves them out still runs.
 func (q *Query) compileBody(body []logic.Atom) {
 	n := 0
 	for _, a := range body {
@@ -141,30 +150,30 @@ func (q *Query) compileBody(body []logic.Atom) {
 	args := make([]logic.ITerm, n)
 	q.atoms = make([]queryAtom, len(body))
 	for k, a := range body {
-		t := q.inst.tables[a.Pred]
-		if t == nil || t.rel.Arity() != len(a.Args) {
-			q.unsat = true
-			return
-		}
-		qa := queryAtom{t: t, args: args[:len(a.Args):len(a.Args)], est: t.nrows, col: -1}
+		qa := &q.atoms[k]
+		*qa = queryAtom{args: args[:len(a.Args):len(a.Args)], col: -1}
 		args = args[len(a.Args):]
+		t := q.inst.tables[a.Pred]
+		if t != nil && t.rel.Arity() == len(a.Args) {
+			qa.t, qa.est = t, t.nrows
+		}
 		for c, term := range a.Args {
 			if term.IsVar {
 				qa.args[c] = logic.VarITerm(q.vars.Slot(term.Name))
 				continue
 			}
+			qa.nconst++
+			if qa.t == nil {
+				qa.args[c] = logic.ConstITerm(logic.UnknownSym)
+				continue
+			}
 			sym := t.lookupVal(term.Name)
 			qa.args[c] = logic.ConstITerm(sym)
-			qa.nconst++
 			if cnt := t.countMatching(c, sym); qa.col < 0 || cnt < qa.est {
 				qa.est, qa.col = cnt, c
 			}
 		}
-		if qa.est == 0 {
-			q.unsat = true
-			return
-		}
-		q.atoms[k] = qa
+		q.unsat = q.unsat || qa.est == 0
 	}
 }
 
@@ -182,26 +191,51 @@ func (q *Query) Covers(e logic.Atom) bool {
 // CoversWith is Covers on the caller's prober: the test's store statistics
 // stay on p until p.Publish. p must come from the query's instance.
 func (q *Query) CoversWith(p *Prober, e logic.Atom) bool {
-	return q.covers(p, e, nil, nil)
+	return q.covers(p, e, nil, nil, nil)
 }
 
-// CoversIDs is CoversWith for an example whose constants the caller has
-// resolved already: ids[j] is the instance's symbol id of e.Args[j], or
-// logic.UnknownSym when the instance has none. A caller testing the same
-// examples against many clauses resolves them once and skips the symbol
-// table lookups a test would make.
-func (q *Query) CoversIDs(p *Prober, e logic.Atom, ids []int32) bool {
-	return q.covers(p, e, ids, nil)
+// CoversMask is CoversWith for the sub-clause that keeps the body atoms
+// keep marks, in order: keep has one entry per body atom, and a nil keep
+// keeps them all. The test answers, searches and leaves store statistics
+// exactly as compiling the sub-clause and testing it would, without
+// compiling anything: the atoms outside keep start the search as matched,
+// and a dead atom fails the test only when keep holds it. ids, when not
+// nil, are e's constants resolved already: ids[j] is the instance's symbol
+// id of e.Args[j], or logic.UnknownSym when the instance has none. A
+// caller testing the same examples against many clauses resolves them
+// once and skips the symbol table lookups a test would make.
+func (q *Query) CoversMask(p *Prober, e logic.Atom, ids []int32, keep []bool) bool {
+	return q.covers(p, e, ids, keep, nil)
 }
 
 // covers binds the head to e, reading its constants' ids from ids when
-// non-nil and from the symbol table otherwise, and searches the body,
-// handing each solution to yield as run does.
-func (q *Query) covers(p *Prober, e logic.Atom, ids []int32, yield func(*logic.Subst) bool) bool {
-	if q.unsat || e.Pred != q.pred || len(e.Args) != len(q.head) {
+// non-nil and from the symbol table otherwise, and searches the body atoms
+// keep marks (every atom when keep is nil), handing each solution to
+// yield as run does.
+func (q *Query) covers(p *Prober, e logic.Atom, ids []int32, keep []bool, yield func(*logic.Subst) bool) bool {
+	if e.Pred != q.pred || len(e.Args) != len(q.head) {
 		return false
 	}
-	p.reset(q)
+	left := len(q.atoms)
+	if keep == nil {
+		if q.unsat {
+			return false
+		}
+	} else {
+		if len(keep) != len(q.atoms) {
+			panic("relstore: keep mask of another length than the query's body")
+		}
+		left = 0
+		for k, in := range keep {
+			if in {
+				if q.atoms[k].est == 0 {
+					return false
+				}
+				left++
+			}
+		}
+	}
+	p.reset(q, keep)
 	for j, h := range q.head {
 		name := e.Args[j].Name
 		switch {
@@ -224,12 +258,26 @@ func (q *Query) covers(p *Prober, e logic.Atom, ids []int32, yield func(*logic.S
 			}
 			if ok {
 				p.subst.Bind(h.slot, id)
-			} else if h.inBody {
+			} else if q.inBody(h, keep) {
 				return false // no row holds the constant
 			}
 		}
 	}
-	return q.run(p, yield)
+	return q.run(p, left, yield)
+}
+
+// inBody reports whether a body atom keep marks mentions the head
+// variable h.
+func (q *Query) inBody(h headArg, keep []bool) bool {
+	if keep == nil {
+		return h.inBody
+	}
+	for k := range q.atoms {
+		if keep[k] && slices.Contains(q.atoms[k].args, logic.VarITerm(h.slot)) {
+			return true
+		}
+	}
+	return false
 }
 
 // Prober is the state of query evaluation on one goroutine: the search
@@ -245,6 +293,7 @@ type Prober struct {
 	used      []bool      // atoms matched on the current search path
 	nodes     int         // remaining search budget of the call
 	found     bool
+	count     bool // the call keeps store statistics: the run has a registry
 	tally     Tally
 	scanned   int64 // tuples_scanned since the last Publish
 	exhausted int64 // calls that ran out of budget since the last Publish
@@ -282,8 +331,9 @@ func (p *Prober) Publish() {
 	p.scanned, p.exhausted = 0, 0
 }
 
-// reset readies p for one call of q.
-func (p *Prober) reset(q *Query) {
+// reset readies p for one call of q over the body atoms keep marks (every
+// atom when keep is nil): the others start as matched.
+func (p *Prober) reset(q *Query, keep []bool) {
 	if p.inst != q.inst {
 		panic("relstore: prober of another instance")
 	}
@@ -292,7 +342,13 @@ func (p *Prober) reset(q *Query) {
 		p.used = make([]bool, len(q.atoms))
 	}
 	p.used = p.used[:len(q.atoms)]
-	clear(p.used)
+	if keep == nil {
+		clear(p.used)
+		return
+	}
+	for k, in := range keep {
+		p.used[k] = !in
+	}
 }
 
 // proberPool holds the probers of one-off calls between calls, bound to
@@ -313,13 +369,16 @@ func (i *Instance) done(p *Prober) {
 	proberPool.Put(p)
 }
 
-// run searches from the bindings in p. yield receives each solution and
-// returns whether to go on; a nil yield stops at the first solution, which
-// run then reports.
-func (q *Query) run(p *Prober, yield func(*logic.Subst) bool) bool {
+// run searches the left unmatched atoms from the bindings in p. yield
+// receives each solution and returns whether to go on; a nil yield stops
+// at the first solution, which run then reports. Store statistics exist
+// only to be published, so a call on an instance whose run has no
+// registry, where Publish would drop them, keeps none.
+func (q *Query) run(p *Prober, left int, yield func(*logic.Subst) bool) bool {
 	p.nodes = q.inst.budget()
 	p.found = false
-	q.search(p, len(q.atoms), yield)
+	p.count = q.inst.obs.Registry() != nil
+	q.search(p, left, yield)
 	if p.nodes < 0 {
 		p.exhausted++
 	}
@@ -375,22 +434,15 @@ func (q *Query) search(p *Prober, left int, yield func(*logic.Subst) bool) bool 
 	// bound column are rejected by bind, so walking the posting visits
 	// exactly the filtered rows, in order.
 	a := &q.atoms[best]
-	t := a.t
 	var rows []int32
-	n, scanned := t.nrows, int64(t.nrows)
+	n := a.t.nrows
 	if bestCol >= 0 {
-		rows = t.matchingRows(bestCol, a.value(p, bestCol))
+		rows = a.t.matchingRows(bestCol, a.value(p, bestCol))
 		n = len(rows)
-		if bestBound == 1 {
-			scanned = int64(n)
-		} else {
-			scanned = int64(a.countBound(p, rows))
-		}
-		p.tally.record(t, obs.StoreStat{Lookups: 1, TuplesScanned: int64(n), IndexHits: t.hit()})
-	} else {
-		p.tally.record(t, obs.StoreStat{Lookups: 1, TuplesScanned: int64(n)})
 	}
-	p.scanned += scanned
+	if p.count {
+		p.record(a, rows, bestCol, bestBound)
+	}
 	p.used[best] = true
 	mark := p.subst.Mark()
 	for k := 0; k < n; k++ {
@@ -407,6 +459,25 @@ func (q *Query) search(p *Prober, left int, yield func(*logic.Subst) bool) bool 
 	}
 	p.used[best] = false
 	return true
+}
+
+// record counts one candidate fetch of atom a: one lookup of its table,
+// the whole table when no column is bound (col < 0), else the posting rows
+// of column col. tuples_scanned counts the rows matching all of the bound
+// columns it probes, bound in number.
+func (p *Prober) record(a *queryAtom, rows []int32, col, bound int) {
+	t := a.t
+	if col < 0 {
+		p.tally.record(t, obs.StoreStat{Lookups: 1, TuplesScanned: int64(t.nrows)})
+		p.scanned += int64(t.nrows)
+		return
+	}
+	p.tally.record(t, obs.StoreStat{Lookups: 1, TuplesScanned: int64(len(rows)), IndexHits: t.hit()})
+	if bound == 1 {
+		p.scanned += int64(len(rows))
+	} else {
+		p.scanned += int64(a.countBound(p, rows))
+	}
 }
 
 // value returns the symbol column col of the atom must hold under p.
@@ -476,7 +547,7 @@ func (i *Instance) CoverageWitness(c *logic.Clause, e logic.Atom) logic.Substitu
 	var witness logic.Substitution
 	p := i.prober()
 	defer i.done(p)
-	q.covers(p, e, nil, func(sub *logic.Subst) bool {
+	q.covers(p, e, nil, nil, func(sub *logic.Subst) bool {
 		// A head variable the body does not mention stays unbound when the
 		// instance lacks its constant, so head variables take e's terms.
 		witness = logic.NewSubstitution()
@@ -541,8 +612,8 @@ func (i *Instance) EvalClause(c *logic.Clause) ([]logic.Atom, error) {
 	seen := make(map[string]bool)
 	p := i.prober()
 	defer i.done(p)
-	p.reset(q)
-	q.run(p, func(sub *logic.Subst) bool {
+	p.reset(q, nil)
+	q.run(p, len(q.atoms), func(sub *logic.Subst) bool {
 		h := logic.Atom{Pred: c.Head.Pred, Args: make([]logic.Term, len(q.head))}
 		for j, ha := range q.head {
 			if ha.slot < 0 {

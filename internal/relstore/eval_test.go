@@ -420,14 +420,22 @@ func TestQueryConcurrentCovers(t *testing.T) {
 
 // TestQueryCoversZeroAlloc pins the steady-state coverage test at zero
 // allocations on a frozen instance, whether the example is covered, not
-// covered, or carries a constant the instance has never seen.
+// covered, or carries a constant the instance has never seen, and so the
+// masked test of a sub-clause on a held prober, for a mask that keeps a
+// prefix and one that keeps every other atom.
 func TestQueryCoversZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	i := budgetGraph(t)
 	i.SetObs(obs.NewRun(nil, obs.NewRegistry()))
-	q := i.Compile(logic.MustParseClause(budgetClause))
+	c := logic.MustParseClause(budgetClause)
+	q := i.Compile(c)
+	p := i.NewProber()
+	prefix, alternate := make([]bool, len(c.Body)), make([]bool, len(c.Body))
+	for k := range c.Body {
+		prefix[k], alternate[k] = k < 6, k%2 == 0
+	}
 	for _, tc := range []struct {
 		e    logic.Atom
 		want bool
@@ -442,6 +450,22 @@ func TestQueryCoversZeroAlloc(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Errorf("Covers(%v) allocates %.1f per test, want 0", tc.e, n)
+		}
+		for _, keep := range [][]bool{prefix, alternate} {
+			sub := &logic.Clause{Head: c.Head}
+			for k, a := range c.Body {
+				if keep[k] {
+					sub.Body = append(sub.Body, a)
+				}
+			}
+			want := i.Compile(sub).Covers(tc.e)
+			if n := testing.AllocsPerRun(100, func() {
+				if q.CoversMask(p, tc.e, nil, keep) != want {
+					t.Fatalf("CoversMask(%v) on %v != %v", tc.e, sub, want)
+				}
+			}); n != 0 {
+				t.Errorf("CoversMask(%v) on %v allocates %.1f per test, want 0", tc.e, sub, n)
+			}
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/logic"
+	"repro/internal/obs"
 )
 
 // randInstance fills a fixed two-relation schema with random tuples over a
@@ -482,7 +483,8 @@ func TestQuickEvalAgainstNaive(t *testing.T) {
 }
 
 // TestQuickCoversIDsMatchesCoversWith: testing an example by its resolved
-// symbol ids answers as testing it by name and leaves the same store
+// symbol ids (CoversMask with ids and no mask) answers as testing it by
+// name and leaves the same store
 // statistics on the prober, on random heads with constants and repeated
 // variables and on examples holding constants the instance never saw.
 func TestQuickCoversIDsMatchesCoversWith(t *testing.T) {
@@ -491,6 +493,7 @@ func TestQuickCoversIDsMatchesCoversWith(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		inst := randTwoRelInstance(r, true)
+		inst.SetObs(obs.NewRun(nil, obs.NewRegistry())) // probes keep statistics only for a registry
 		term := func(constPct int) logic.Term {
 			if r.Intn(100) < constPct {
 				return logic.Const(domain[r.Intn(len(domain))])
@@ -522,10 +525,10 @@ func TestQuickCoversIDsMatchesCoversWith(t *testing.T) {
 				}
 				ids = append(ids, id)
 			}
-			want, got := q.CoversWith(byName, e), q.CoversIDs(byID, e, ids)
+			want, got := q.CoversWith(byName, e), q.CoversMask(byID, e, ids, nil)
 			if got != want || byID.scanned != byName.scanned || byID.exhausted != byName.exhausted ||
 				!slices.Equal(byID.tally.stats, byName.tally.stats) {
-				t.Logf("%v on %v: CoversIDs %v, CoversWith %v; scanned %d vs %d; stats %v vs %v",
+				t.Logf("%v on %v: by ids %v, CoversWith %v; scanned %d vs %d; stats %v vs %v",
 					c, e, got, want, byID.scanned, byName.scanned, byID.tally.stats, byName.tally.stats)
 				return false
 			}
@@ -533,6 +536,89 @@ func TestQuickCoversIDsMatchesCoversWith(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickMaskedCoversMatchesSubClause: testing the sub-clause a keep
+// mask and a prefix cut leave of a compiled clause answers as compiling
+// that sub-clause and testing it, and leaves the same per-table tally,
+// tuples_scanned and eval_budget_exhausted on the prober. Clauses hold
+// dead atoms (a missing relation, a wrong arity, a constant no row holds)
+// inside and outside the mask, examples hold constants the instance never
+// saw, and a small search budget makes some tests run out.
+func TestQuickMaskedCoversMatchesSubClause(t *testing.T) {
+	domain := []string{"v0", "v1", "v2", "v3", "zz", "yy"} // zz and yy are never stored
+	vars := []string{"X", "Y", "Z", "W"}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		inst := randTwoRelInstance(r, true)
+		inst.SetObs(obs.NewRun(nil, obs.NewRegistry()))
+		if r.Intn(4) == 0 {
+			inst.SetEvalBudget(1 + r.Intn(6))
+		}
+		term := func(constPct int) logic.Term {
+			if r.Intn(100) < constPct {
+				return logic.Const(domain[r.Intn(len(domain))])
+			}
+			return logic.Var(vars[r.Intn(len(vars))])
+		}
+		c := &logic.Clause{Head: logic.NewAtom("h")}
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			c.Head.Args = append(c.Head.Args, term(15))
+		}
+		for n := r.Intn(7); n > 0; n-- {
+			switch k := r.Intn(12); {
+			case k == 0:
+				c.Body = append(c.Body, logic.NewAtom("missing", term(25), term(25)))
+			case k == 1:
+				c.Body = append(c.Body, logic.NewAtom("p", term(25)))
+			default:
+				pred := "p"
+				if k%2 == 0 {
+					pred = "q"
+				}
+				c.Body = append(c.Body, logic.NewAtom(pred, term(25), term(25)))
+			}
+		}
+		q := inst.Compile(c)
+		masked, whole := inst.NewProber(), inst.NewProber()
+		keep := make([]bool, len(c.Body))
+		for k := 0; k < 6; k++ {
+			sub := &logic.Clause{Head: c.Head}
+			cut := r.Intn(len(c.Body) + 1)
+			for i := range keep {
+				keep[i] = i < cut && r.Intn(3) != 0
+				if keep[i] {
+					sub.Body = append(sub.Body, c.Body[i])
+				}
+			}
+			e := logic.NewAtom("h")
+			ids := make([]int32, 0, len(c.Head.Args))
+			for range c.Head.Args {
+				name := domain[r.Intn(len(domain))]
+				e.Args = append(e.Args, logic.Const(name))
+				id, ok := inst.Symbols().Lookup(name)
+				if !ok {
+					id = logic.UnknownSym
+				}
+				ids = append(ids, id)
+			}
+			if r.Intn(2) == 0 {
+				ids = nil
+			}
+			want, got := inst.Compile(sub).CoversWith(whole, e), q.CoversMask(masked, e, ids, keep)
+			if got != want || masked.scanned != whole.scanned || masked.exhausted != whole.exhausted ||
+				!slices.Equal(masked.tally.stats, whole.tally.stats) {
+				t.Logf("%v masked to %v on %v: %v, sub-clause %v; scanned %d vs %d; exhausted %d vs %d; stats %v vs %v",
+					c, sub, e, got, want, masked.scanned, whole.scanned, masked.exhausted, whole.exhausted,
+					masked.tally.stats, whole.tally.stats)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -15,10 +15,12 @@ import (
 // that targets and sources share. A target clause is skolemized (its
 // variables become reserved constants) and compiled into a space once:
 // its literals, its head and its per-predicate literal lists sit in one
-// int32 arena, so a target is two allocations, header and arena. A source
-// clause is prepared against the same space once: its variables become
-// dense slots, its constants space ids, and its occurrence lists and the
-// components its head-bound variables leave are computed up front. A
+// int32 arena, so a target is two allocations, a 64-byte header of offsets
+// and the arena. A source clause is prepared against the same space once:
+// its variables become dense slots, its constants space ids, and its
+// occurrence lists and the components its head-bound variables leave are
+// computed up front; the source of a sub-clause, the body literals of a
+// keep mask, is derived from those ids instead of prepared from names. A
 // probe then matches one prepared source against one compiled target on
 // pooled scratch — a slot-indexed substitution with a trail and one live
 // candidate domain per source literal, drawn from the target's literals
@@ -99,21 +101,31 @@ func targetName(t logic.Term) string {
 }
 
 // Compiled is a target clause compiled into a Space. It is immutable after
-// construction and safe for concurrent probes.
+// construction and safe for concurrent probes. Its tables lie back to back
+// in one arena, each from its offset to the next one's (the last to the
+// arena's end), so the header holds one slice and int32 offsets:
+//   - litPred: each body literal's predicate;
+//   - litOff: body literal i's arguments are argv[litOff[i]:litOff[i+1]];
+//   - argv, then headArgs: the body's and the head's argument ids;
+//   - preds, predOff, predLits: the target literals of predicate preds[k]
+//     (distinct predicates, first-seen order) are
+//     predLits[predOff[k]:predOff[k+1]], ascending.
 type Compiled struct {
 	space    *Space
+	arena    []int32
 	headPred int32
-	headArgs []int32
-	litPred  []int32 // per body literal
-	litOff   []int32 // body literal i's arguments are argv[litOff[i]:litOff[i+1]]
-	argv     []int32
-	// Per-predicate literal lists: the target literals of predicate
-	// preds[k] (distinct predicates, first-seen order) are
-	// predLits[predOff[k]:predOff[k+1]], ascending.
-	preds    []int32
-	predOff  []int32
-	predLits []int32
+	// Where litOff, argv, headArgs, preds, predOff and predLits start;
+	// litPred starts at 0.
+	litOffAt, argvAt, headAt, predsAt, predOffAt, predLitsAt int32
 }
+
+func (cd *Compiled) litPred() []int32  { return cd.arena[:cd.litOffAt] }
+func (cd *Compiled) litOff() []int32   { return cd.arena[cd.litOffAt:cd.argvAt] }
+func (cd *Compiled) argv() []int32     { return cd.arena[cd.argvAt:cd.headAt] }
+func (cd *Compiled) headArgs() []int32 { return cd.arena[cd.headAt:cd.predsAt] }
+func (cd *Compiled) preds() []int32    { return cd.arena[cd.predsAt:cd.predOffAt] }
+func (cd *Compiled) predOff() []int32  { return cd.arena[cd.predOffAt:cd.predLitsAt] }
+func (cd *Compiled) predLits() []int32 { return cd.arena[cd.predLitsAt:] }
 
 // Compile builds the match-many form of a clause in a private space
 // holding exactly its names.
@@ -149,14 +161,15 @@ func (s *Space) compile(d *logic.Clause) *Compiled {
 	preds := distinct(len(d.Body), func(i int) string { return d.Body[i].Pred })
 	cd := s.newCompiled(len(d.Head.Args), len(d.Body), e, preds)
 	cd.headPred = id(d.Head.Pred)
+	headArgs, litPred, litOff, argv := cd.headArgs(), cd.litPred(), cd.litOff(), cd.argv()
 	for i, t := range d.Head.Args {
-		cd.headArgs[i] = id(targetName(t))
+		headArgs[i] = id(targetName(t))
 	}
 	for i, a := range d.Body {
-		cd.litPred[i] = id(a.Pred)
-		cd.litOff[i+1] = cd.litOff[i] + int32(len(a.Args))
+		litPred[i] = id(a.Pred)
+		litOff[i+1] = litOff[i] + int32(len(a.Args))
 		for p, t := range a.Args {
-			cd.argv[int(cd.litOff[i])+p] = id(targetName(t))
+			argv[int(litOff[i])+p] = id(targetName(t))
 		}
 	}
 	if missing {
@@ -193,10 +206,10 @@ func (s *Space) CompileGround(headPred int32, headArgs, litPred, litOff, argv []
 	preds := distinct(len(litPred), func(i int) int32 { return litPred[i] })
 	cd := s.newCompiled(len(headArgs), len(litPred), len(argv), preds)
 	cd.headPred = headPred
-	copy(cd.headArgs, headArgs)
-	copy(cd.litPred, litPred)
-	copy(cd.litOff, litOff)
-	copy(cd.argv, argv)
+	copy(cd.headArgs(), headArgs)
+	copy(cd.litPred(), litPred)
+	copy(cd.litOff(), litOff)
+	copy(cd.argv(), argv)
 	cd.indexPreds()
 	return cd
 }
@@ -216,15 +229,13 @@ func (s *Space) BaseLen(syms *logic.Symbols) int32 {
 // arena. The caller fills in the head and the literals, then calls
 // indexPreds.
 func (s *Space) newCompiled(h, n, e, p int) *Compiled {
-	arena := make([]int32, n+(n+1)+e+h+p+(p+1)+n)
-	take := func(k int) []int32 {
-		a := arena[:k:k]
-		arena = arena[k:]
-		return a
-	}
-	cd := &Compiled{space: s}
-	cd.litPred, cd.litOff, cd.argv, cd.headArgs = take(n), take(n+1), take(e), take(h)
-	cd.preds, cd.predOff, cd.predLits = take(p), take(p+1), take(n)
+	cd := &Compiled{space: s, arena: make([]int32, n+(n+1)+e+h+p+(p+1)+n)}
+	cd.litOffAt = int32(n)
+	cd.argvAt = cd.litOffAt + int32(n+1)
+	cd.headAt = cd.argvAt + int32(e)
+	cd.predsAt = cd.headAt + int32(h)
+	cd.predOffAt = cd.predsAt + int32(p)
+	cd.predLitsAt = cd.predOffAt + int32(p+1)
 	return cd
 }
 
@@ -244,22 +255,23 @@ func distinct[K comparable](n int, key func(int) K) int {
 // the distinct predicates in first-seen order, then for each one a scan of
 // the body for its literals, so each list comes out ascending.
 func (cd *Compiled) indexPreds() {
+	litPred, preds, predOff, predLits := cd.litPred(), cd.preds(), cd.predOff(), cd.predLits()
 	n := 0
-	for _, p := range cd.litPred {
-		if !slices.Contains(cd.preds[:n], p) {
-			cd.preds[n] = p
+	for _, p := range litPred {
+		if !slices.Contains(preds[:n], p) {
+			preds[n] = p
 			n++
 		}
 	}
 	j := int32(0)
-	for k, p := range cd.preds {
-		for i, q := range cd.litPred {
+	for k, p := range preds {
+		for i, q := range litPred {
 			if q == p {
-				cd.predLits[j] = int32(i)
+				predLits[j] = int32(i)
 				j++
 			}
 		}
-		cd.predOff[k+1] = j
+		predOff[k+1] = j
 	}
 }
 
@@ -268,27 +280,22 @@ func (cd *Compiled) indexPreds() {
 // with the same argument ids.
 func (cd *Compiled) Equal(o *Compiled) bool {
 	return cd.space == o.space && cd.headPred == o.headPred &&
-		slices.Equal(cd.headArgs, o.headArgs) && slices.Equal(cd.litPred, o.litPred) &&
-		slices.Equal(cd.litOff, o.litOff) && slices.Equal(cd.argv, o.argv)
+		slices.Equal(cd.headArgs(), o.headArgs()) && slices.Equal(cd.litPred(), o.litPred()) &&
+		slices.Equal(cd.litOff(), o.litOff()) && slices.Equal(cd.argv(), o.argv())
 }
 
-// predIndex returns pred's position in cd.preds, or -1. Targets have few
-// distinct predicates, so a scan beats hashing.
-func (cd *Compiled) predIndex(pred int32) int { return slices.Index(cd.preds, pred) }
-
 // Len returns the number of target body literals.
-func (cd *Compiled) Len() int { return len(cd.litPred) }
+func (cd *Compiled) Len() int { return int(cd.litOffAt) }
 
 // predList returns the target literals of predicate pred, ascending.
+// Targets have few distinct predicates, so a scan beats hashing.
 func (cd *Compiled) predList(pred int32) []int32 {
-	if k := cd.predIndex(pred); k >= 0 {
-		return cd.predLits[cd.predOff[k]:cd.predOff[k+1]]
+	if k := int32(slices.Index(cd.preds(), pred)); k >= 0 {
+		off := cd.arena[cd.predOffAt+k:]
+		return cd.arena[cd.predLitsAt+off[0] : cd.predLitsAt+off[1]]
 	}
 	return nil
 }
-
-// args returns target body literal t's argument ids.
-func (cd *Compiled) args(t int32) []int32 { return cd.argv[cd.litOff[t]:cd.litOff[t+1]] }
 
 // Source is a source clause prepared against a Space: probes of any
 // target compiled into that space reuse it. It is immutable after
@@ -396,19 +403,44 @@ func (s *Space) Prepare(c *logic.Clause) *Source {
 		src.lits[i].pred = int32(k)
 	}
 	src.prepareOcc()
-	src.prepareComponents(headSlots)
+	src.prepareComponents(headSlots, nil)
 	return src
 }
 
-// without derives the source of c, which must be the clause src was
-// prepared from without body literal i, from src's ids instead of c's
-// names: the literal's arguments go, the variable slots left are
-// renumbered in first-use order, and the predicates, occurrence lists and
-// components are recomputed, so the result is what Prepare(c) builds.
-func (src *Source) without(i int, c *logic.Clause) *Source {
-	out := &Source{space: src.space, clause: c, lits: make([]srcLit, 0, len(src.lits)-1)}
-	out.argv = make([]logic.ITerm, 0, len(src.argv)-int(src.lits[i].n))
-	renum := make([]int32, len(src.slotNames)) // old slot → new slot + 1
+// Sub is the scratch of sub-clause probes (Compiled.ProbeSub): the source
+// a probe derives and the derivation's temporary arrays, all reused from
+// probe to probe. The zero value is ready; a Sub serves one goroutine at a
+// time.
+type Sub struct {
+	src   Source
+	renum []int32 // old slot → new slot + 1
+	temp  []int32 // prepareComponents' union-find arrays
+}
+
+// derive writes into sc the source of the sub-clause of src's clause that
+// keeps the body literals keep marks, in order, from src's ids instead of
+// its names: the kept literals' arguments are copied, the variable slots
+// left are renumbered in first-use order, and the predicates, occurrence
+// lists and components are recomputed, so the result is what Prepare of
+// the sub-clause builds, with no clause of names: it serves targets
+// compiled into src's space only. src must come from Prepare.
+func (src *Source) derive(sc *Sub, keep []bool) *Source {
+	if len(keep) != len(src.lits) {
+		panic("subsume: keep mask of another length than the source's body")
+	}
+	out := &sc.src
+	out.space, out.clause = src.space, nil
+	// The first derivation sizes every array for the whole source.
+	if cap(out.lits) < len(src.lits) {
+		out.lits = make([]srcLit, 0, len(src.lits))
+		out.argv = make([]logic.ITerm, 0, len(src.argv))
+		out.preds = make([]int32, 0, len(src.preds))
+		out.slotNames = make([]string, 0, len(src.slotNames))
+	}
+	out.lits, out.argv, out.preds, out.slotNames = out.lits[:0], out.argv[:0], out.preds[:0], out.slotNames[:0]
+	sc.renum = resize(sc.renum, len(src.slotNames))
+	renum := sc.renum
+	clear(renum)
 	copyLit := func(l srcLit) srcLit {
 		nl := srcLit{pred: l.pred, off: int32(len(out.argv)), n: l.n, unknown: l.unknown}
 		for _, t := range src.argv[l.off : l.off+int32(l.n)] {
@@ -427,7 +459,7 @@ func (src *Source) without(i int, c *logic.Clause) *Source {
 	out.head = copyLit(src.head)
 	headSlots := len(out.slotNames)
 	for k, l := range src.lits {
-		if k == i {
+		if !keep[k] {
 			continue
 		}
 		nl := copyLit(l)
@@ -441,8 +473,20 @@ func (src *Source) without(i int, c *logic.Clause) *Source {
 		out.lits = append(out.lits, nl)
 	}
 	out.prepareOcc()
-	out.prepareComponents(headSlots)
+	sc.temp = out.prepareComponents(headSlots, sc.temp)
 	return out
+}
+
+// subClause returns the sub-clause of src's clause that keeps the body
+// literals keep marks, in order.
+func (src *Source) subClause(keep []bool) *logic.Clause {
+	c := &logic.Clause{Head: src.clause.Head}
+	for k, a := range src.clause.Body {
+		if keep[k] {
+			c.Body = append(c.Body, a)
+		}
+	}
+	return c
 }
 
 // tableSize is the power-of-two size of an open-addressed table holding
@@ -473,9 +517,11 @@ func (src *Source) bodyArgs(i int32) []logic.ITerm {
 
 // prepareOcc builds the per-slot occurrence lists of the body, in literal
 // then position order: count, prefix-sum, then fill walking the body
-// backwards so each list comes out ascending.
+// backwards so each list comes out ascending. The arrays reuse what src
+// holds already.
 func (src *Source) prepareOcc() {
-	src.occOff = make([]int32, len(src.slotNames)+1)
+	src.occOff = resize(src.occOff, len(src.slotNames)+1)
+	clear(src.occOff)
 	for i := range src.lits {
 		for _, t := range src.bodyArgs(int32(i)) {
 			if t.IsVar() {
@@ -486,7 +532,11 @@ func (src *Source) prepareOcc() {
 	for s := 1; s < len(src.occOff); s++ {
 		src.occOff[s] += src.occOff[s-1]
 	}
-	src.occ = make([]occEntry, src.occOff[len(src.occOff)-1])
+	if n := int(src.occOff[len(src.occOff)-1]); cap(src.occ) < n {
+		src.occ = make([]occEntry, n)
+	} else {
+		src.occ = src.occ[:n]
+	}
 	for i := len(src.lits) - 1; i >= 0; i-- {
 		args := src.bodyArgs(int32(i))
 		for p := len(args) - 1; p >= 0; p-- {
@@ -505,12 +555,14 @@ func (src *Source) prepareOcc() {
 // variables, all bound once the head matches). Components are independent
 // subproblems: they share no unbound variable, so one exponential search
 // becomes several much smaller ones. Groups come in order of their first
-// literal, each ascending.
-func (src *Source) prepareComponents(headSlots int) {
+// literal, each ascending. temp is scratch, reused when large enough; the
+// scratch is returned, and the component arrays reuse what src holds.
+func (src *Source) prepareComponents(headSlots int, temp []int32) []int32 {
 	n := len(src.lits)
 	// parent is the union-find forest over literals, owner the first
 	// literal holding each slot, rank each root's component number + 1.
-	temp := make([]int32, 2*n+len(src.slotNames))
+	temp = resize(temp, 2*n+len(src.slotNames))
+	clear(temp)
 	parent, rank, owner := temp[:n], temp[n:2*n], temp[2*n:]
 	for i := range parent {
 		parent[i] = int32(i)
@@ -535,7 +587,10 @@ func (src *Source) prepareComponents(headSlots int) {
 			}
 		}
 	}
-	src.compOff = make([]int32, 1, n+1)
+	if cap(src.compOff) < n+1 {
+		src.compOff = make([]int32, 0, n+1)
+	}
+	src.compOff = append(src.compOff[:0], 0)
 	for i := 0; i < n; i++ {
 		r := find(int32(i))
 		if rank[r] == 0 {
@@ -547,7 +602,7 @@ func (src *Source) prepareComponents(headSlots int) {
 	for k := 1; k < len(src.compOff); k++ {
 		src.compOff[k] += src.compOff[k-1]
 	}
-	src.comps = make([]int32, n)
+	src.comps = resize(src.comps, n)
 	for i := n - 1; i >= 0; i-- {
 		k := rank[find(int32(i))]
 		src.compOff[k]--
@@ -555,6 +610,7 @@ func (src *Source) prepareComponents(headSlots int) {
 	}
 	copy(src.compOff, src.compOff[1:])
 	src.compOff[len(src.compOff)-1] = int32(n)
+	return temp
 }
 
 // Subsumes reports whether clause c θ-subsumes the compiled target: some
@@ -568,6 +624,19 @@ func (cd *Compiled) Subsumes(c *logic.Clause) bool {
 // budget exhaustions into the run (nil observes nothing).
 func (cd *Compiled) SubsumesR(run *obs.Run, c *logic.Clause) bool {
 	return cd.Probe(run, cd.space.Prepare(c))
+}
+
+// ProbeSub is Probe of the sub-clause of src's clause that keeps the body
+// literals keep marks, in order, without preparing it: its source is
+// derived from src's ids into sc, and the probe answers, searches and
+// counts exactly as Probe of the sub-clause prepared. keep has one entry
+// per body literal of src, which must come from Prepare. A target that
+// fell back to a private space gets the sub-clause prepared there.
+func (cd *Compiled) ProbeSub(run *obs.Run, src *Source, keep []bool, sc *Sub) bool {
+	if src.space != cd.space {
+		return cd.Probe(run, cd.space.Prepare(src.subClause(keep)))
+	}
+	return cd.Probe(run, src.derive(sc, keep))
 }
 
 // Probe reports whether the prepared source θ-subsumes the target,
@@ -603,6 +672,9 @@ type matcher struct {
 	// obsRun feeds the stall watchdog from inside long probes; nil (an
 	// unobserved run) costs one pointer test per batch.
 	obsRun *obs.Run
+	// The target's litOff and argv tables, sliced from its arena once per
+	// probe for the search's hot loops.
+	litOff, argv []int32
 }
 
 // domSave is one domain-narrowing trail entry; undoing restores the live
@@ -623,6 +695,7 @@ func (cd *Compiled) matcher(src *Source, run *obs.Run) *matcher {
 	}
 	m := matcherPool.Get().(*matcher)
 	m.cd, m.src, m.obsRun = cd, src, run
+	m.litOff, m.argv = cd.litOff(), cd.argv()
 	m.nodes, m.exhausted = matchBudget, false
 	m.domBuf, m.domTrail = m.domBuf[:0], m.domTrail[:0]
 	return m
@@ -631,6 +704,7 @@ func (cd *Compiled) matcher(src *Source, run *obs.Run) *matcher {
 // release returns the matcher to the pool without the references it held.
 func (m *matcher) release() {
 	m.cd, m.src, m.obsRun = nil, nil, nil
+	m.litOff, m.argv = nil, nil
 	clear(m.predCand)
 	matcherPool.Put(m)
 }
@@ -694,11 +768,12 @@ func resize(s []int32, n int) []int32 {
 // (skolemized, ground) target head.
 func (m *matcher) matchHead() bool {
 	cd, head := m.cd, m.src.head
-	if head.pred != cd.headPred || int(head.n) != len(cd.headArgs) {
+	headArgs := cd.headArgs()
+	if head.pred != cd.headPred || int(head.n) != len(headArgs) {
 		return false
 	}
 	for i, t := range m.src.argv[head.off : head.off+int32(head.n)] {
-		want := cd.headArgs[i]
+		want := headArgs[i]
 		if t.IsVar() {
 			slot := t.Slot()
 			if sym, bound := m.subst.Value(slot); bound {
@@ -759,7 +834,7 @@ func (m *matcher) initDomain(i int32) bool {
 // consistent reports whether target literal t can host the source literal
 // with arguments args under the current substitution.
 func (m *matcher) consistent(args []logic.ITerm, t int32) bool {
-	tgt := m.cd.args(t)
+	tgt := m.args(t)
 	if len(tgt) != len(args) {
 		return false
 	}
@@ -786,6 +861,9 @@ func (m *matcher) consistent(args []logic.ITerm, t int32) bool {
 	}
 	return true
 }
+
+// args returns target body literal t's argument ids.
+func (m *matcher) args(t int32) []int32 { return m.argv[m.litOff[t]:m.litOff[t+1]] }
 
 // dom returns literal i's domain (its live prefix is the first live[i]).
 func (m *matcher) dom(i int32) []int32 { return m.domBuf[m.domStart[i]:] }
@@ -841,7 +919,7 @@ func (m *matcher) search(openCount int) bool {
 // every live candidate agrees with the current substitution — so the only
 // failure mode is a neighbour's domain emptying.
 func (m *matcher) assign(i, t int32) bool {
-	tgt := m.cd.args(t)
+	tgt := m.args(t)
 	for p, st := range m.src.bodyArgs(i) {
 		if !st.IsVar() {
 			continue
@@ -870,7 +948,7 @@ func (m *matcher) propagate(slot, sym int32) bool {
 		dom, n := m.dom(oc.lit), m.live[oc.lit]
 		kept := int32(0)
 		for k := int32(0); k < n; k++ {
-			if m.cd.argv[m.cd.litOff[dom[k]]+oc.pos] == sym {
+			if m.argv[m.litOff[dom[k]]+oc.pos] == sym {
 				dom[kept], dom[k] = dom[k], dom[kept]
 				kept++
 			}

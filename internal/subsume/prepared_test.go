@@ -2,7 +2,7 @@ package subsume
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -226,40 +226,80 @@ func TestPreparedConcurrentProbes(t *testing.T) {
 	}
 }
 
-// TestQuickDerivedSourceMatchesPrepare: the sources ReduceR derives from
-// ids after kept removals — the current source without one body literal,
-// removal after removal — equal Prepare of the shorter clause field for
-// field and probe every target exactly as it does: same answers and
-// subsumption_nodes.
+// sameSource reports whether two sources hold the same prepared tables
+// field for field, the clause of names aside (derived sources hold none);
+// empty and nil tables compare equal.
+func sameSource(a, b *Source) bool {
+	return a.space == b.space && a.head == b.head && slices.Equal(a.lits, b.lits) &&
+		slices.Equal(a.argv, b.argv) && slices.Equal(a.preds, b.preds) &&
+		slices.Equal(a.occOff, b.occOff) && slices.Equal(a.occ, b.occ) &&
+		slices.Equal(a.compOff, b.compOff) && slices.Equal(a.comps, b.comps) &&
+		slices.Equal(a.slotNames, b.slotNames)
+}
+
+// TestQuickDerivedSourceMatchesPrepare: the source of a sub-clause derived
+// from the whole clause's ids under a keep mask equals Prepare of the
+// sub-clause field for field and probes every target exactly as it does:
+// same answers and subsumption_nodes, also through ProbeSub, which
+// prepares the sub-clause afresh for a target in a private space. The
+// masks are ReduceR's, one more literal dropped after another, and random
+// subsets; one Sub serves them all, so derivations reuse its arrays.
 func TestQuickDerivedSourceMatchesPrepare(t *testing.T) {
 	prop := func(seed int64) bool {
 		c := drawPreparedCase(seed)
 		rng := rand.New(rand.NewSource(seed))
-		cur := prepClause(rng, 8, 6, len(prepPreds))
+		whole := prepClause(rng, 8, 6, len(prepPreds))
 		if rng.Intn(4) == 0 {
-			cur.Head = logic.NewAtom("t", logic.Var("X"), logic.Var("X"))
+			whole.Head = logic.NewAtom("t", logic.Var("X"), logic.Var("X"))
 		}
 		var targets []*Compiled
-		for _, d := range append(c.targets, cur) {
+		for _, d := range append(c.targets, whole) {
 			targets = append(targets, c.space.Compile(d))
 		}
-		src := c.space.Prepare(cur)
-		for len(cur.Body) > 0 {
-			i := rng.Intn(len(cur.Body))
-			cur = cur.RemoveBodyAt(i)
-			src = src.without(i, cur)
-			fresh := c.space.Prepare(cur)
-			if a, b := *src, *fresh; !reflect.DeepEqual(a, b) {
-				t.Logf("seed %d: derived source of %v is %+v, prepared %+v", seed, cur, a, b)
+		src := c.space.Prepare(whole)
+		var sc Sub
+		keep := make([]bool, len(whole.Body))
+		for k := range keep {
+			keep[k] = true
+		}
+		var masks [][]bool
+		for _, k := range rng.Perm(len(keep)) {
+			keep[k] = false
+			masks = append(masks, slices.Clone(keep))
+		}
+		for range 2 * len(keep) {
+			for k := range keep {
+				keep[k] = rng.Intn(2) == 0
+			}
+			masks = append(masks, slices.Clone(keep))
+		}
+		for _, keep := range masks {
+			sub := &logic.Clause{Head: whole.Head}
+			for k, in := range keep {
+				if in {
+					sub.Body = append(sub.Body, whole.Body[k])
+				}
+			}
+			derived, fresh := src.derive(&sc, keep), c.space.Prepare(sub)
+			if !sameSource(derived, fresh) || !src.subClause(keep).Equal(sub) {
+				t.Logf("seed %d: derived source of %v is %+v, prepared %+v", seed, sub, *derived, *fresh)
 				return false
 			}
 			for _, cd := range targets {
-				got, gotNodes, _ := probeCounts(func(run *obs.Run) bool { return cd.Probe(run, src) })
 				want, wantNodes, _ := probeCounts(func(run *obs.Run) bool { return cd.Probe(run, fresh) })
+				got, gotNodes, _ := probeCounts(func(run *obs.Run) bool { return cd.ProbeSub(run, src, keep, &sc) })
 				if got != want || gotNodes != wantNodes {
-					t.Logf("seed %d: derived source of %v probes %v/%d nodes, prepared %v/%d",
-						seed, cur, got, gotNodes, want, wantNodes)
+					t.Logf("seed %d: sub-clause %v probes %v/%d nodes, prepared %v/%d",
+						seed, sub, got, gotNodes, want, wantNodes)
 					return false
+				}
+				if cd.space == src.space {
+					got, gotNodes, _ = probeCounts(func(run *obs.Run) bool { return cd.Probe(run, derived) })
+					if got != want || gotNodes != wantNodes {
+						t.Logf("seed %d: derived source of %v probes %v/%d nodes, prepared %v/%d",
+							seed, sub, got, gotNodes, want, wantNodes)
+						return false
+					}
 				}
 			}
 		}

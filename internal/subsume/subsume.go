@@ -60,11 +60,11 @@ var matchBudget = 1 << 21
 // variables skolemized, are interned once, and the clause is prepared as a
 // source once. Each shorter target is compiled straight from the ids of
 // the current clause without one body literal, and a kept removal derives
-// the shorter clause's source from the current one's ids the same way.
-// A kept target is the current clause's compilation from then on. Every
-// id comparison the matcher makes has the answer it has in the private
-// space of a one-shot Subsumes, so each attempt decides and counts
-// backtracking nodes exactly as one.
+// the shorter clause's source from the whole clause's ids, under a mask of
+// the literals kept so far. A kept target is the current clause's
+// compilation from then on. Every id comparison the matcher makes has the
+// answer it has in the private space of a one-shot Subsumes, so each
+// attempt decides and counts backtracking nodes exactly as one.
 func ReduceR(run *obs.Run, c *logic.Clause) *logic.Clause {
 	var sp *obs.Span
 	if run.Spanning() {
@@ -73,26 +73,36 @@ func ReduceR(run *obs.Run, c *logic.Clause) *logic.Clause {
 	cur := c.Clone()
 	space := spaceOf(cur)
 	full := space.compile(cur)
-	src := space.Prepare(cur)
+	whole := space.Prepare(c)
+	src := whole
+	// keep marks the literals of c still in cur; k is the one cur's
+	// literal i stands for. sub holds the derived sources.
+	keep := make([]bool, len(c.Body))
+	for k := range keep {
+		keep[k] = true
+	}
+	var sub Sub
 	// Scratch id arrays of the shorter target, reused by every attempt.
-	litPred := make([]int32, 0, len(full.litPred))
-	litOff := make([]int32, 0, len(full.litOff))
-	argv := make([]int32, 0, len(full.argv))
-	for i := 0; i < len(cur.Body); {
+	litPred := make([]int32, 0, full.Len())
+	litOff := make([]int32, 0, full.Len()+1)
+	argv := make([]int32, 0, len(full.argv()))
+	for i, k := 0, 0; i < len(cur.Body); k++ {
 		run.Inc(obs.CReductionSteps)
-		lo, hi := full.litOff[i], full.litOff[i+1]
-		litPred = append(append(litPred[:0], full.litPred[:i]...), full.litPred[i+1:]...)
-		argv = append(append(argv[:0], full.argv[:lo]...), full.argv[hi:]...)
-		litOff = append(litOff[:0], full.litOff[:i+1]...)
-		for _, off := range full.litOff[i+2:] {
+		fullPred, fullOff, fullArgv := full.litPred(), full.litOff(), full.argv()
+		lo, hi := fullOff[i], fullOff[i+1]
+		litPred = append(append(litPred[:0], fullPred[:i]...), fullPred[i+1:]...)
+		argv = append(append(argv[:0], fullArgv[:lo]...), fullArgv[hi:]...)
+		litOff = append(litOff[:0], fullOff[:i+1]...)
+		for _, off := range fullOff[i+2:] {
 			litOff = append(litOff, off-(hi-lo))
 		}
-		shorter := space.CompileGround(full.headPred, full.headArgs, litPred, litOff, argv)
+		shorter := space.CompileGround(full.headPred, full.headArgs(), litPred, litOff, argv)
 		if shorter.Probe(run, src) {
 			run.Inc(obs.CReductionRemoved)
 			cur.Body = append(cur.Body[:i], cur.Body[i+1:]...) // drop; do not advance
 			full = shorter
-			src = src.without(i, cur)
+			keep[k] = false
+			src = whole.derive(&sub, keep)
 		} else {
 			i++
 		}
