@@ -131,18 +131,7 @@ func refPruneNotHeadConnected(c *logic.Clause) *logic.Clause {
 			}
 		}
 	}
-	return subClause(c, connected)
-}
-
-// subClause is the clause keeping c's body literals keep marks, in order.
-func subClause(c *logic.Clause, keep []bool) *logic.Clause {
-	sub := &logic.Clause{Head: c.Head, Body: []logic.Atom{}}
-	for k, a := range c.Body {
-		if keep[k] {
-			sub.Body = append(sub.Body, a)
-		}
-	}
-	return sub
+	return c.Keep(connected)
 }
 
 // TestQuickMaskStepsMatchClauseSteps: on random clauses and keep masks,
@@ -165,10 +154,10 @@ func TestQuickMaskStepsMatchClauseSteps(t *testing.T) {
 	terms := []logic.Term{logic.Var("X"), logic.Var("Y"), logic.Var("Z"), logic.Var("W"), logic.Var("V"),
 		logic.Const("c1"), logic.Const("c2")}
 	check := func(c *logic.Clause, keep []bool) bool {
-		sub := subClause(c, keep)
+		sub := c.Keep(keep)
 		mask := slices.Clone(keep)
 		ilp.EnforceINDsMask(c, plan, mask)
-		if got, want := subClause(c, mask), refEnforceINDs(sub, plan); !got.Equal(want) {
+		if got, want := c.Keep(mask), refEnforceINDs(sub, plan); !got.Equal(want) {
 			t.Logf("%v under %v: IND restoration on the mask keeps %v, on the clause %v", c, keep, got, want)
 			return false
 		}
@@ -179,7 +168,7 @@ func TestQuickMaskStepsMatchClauseSteps(t *testing.T) {
 		cv := logic.NewClauseVars(c)
 		connected, reach := make([]bool, len(keep)), make([]bool, cv.NumVars())
 		cv.HeadConnected(keep, connected, reach)
-		if got, want := subClause(c, connected), refPruneNotHeadConnected(sub); !got.Equal(want) {
+		if got, want := c.Keep(connected), refPruneNotHeadConnected(sub); !got.Equal(want) {
 			t.Logf("%v under %v: pruning on the mask keeps %v, on the clause %v", c, keep, got, want)
 			return false
 		}

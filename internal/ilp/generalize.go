@@ -245,7 +245,7 @@ func (t *Tester) armg(pe *armgPrep, e logic.Atom) *logic.Clause {
 		pe.vars.HeadConnected(keep, connected, reach)
 		copy(keep, connected)
 	}
-	return subClause(c, keep)
+	return c.Keep(keep)
 }
 
 // BlockingAtom returns the least 0-based index i such that the prefix
@@ -311,7 +311,7 @@ func EnforceINDs(c *logic.Clause, plan *relstore.Plan) *logic.Clause {
 	}
 	ip := newINDPartners(c.Body, plan)
 	ip.enforce(keep)
-	return subClause(c, keep)
+	return c.Keep(keep)
 }
 
 // indPartners lists, per body literal of a clause, the partners of each
@@ -388,22 +388,4 @@ func joins(lit, other logic.Atom, hop relstore.PlanPartner) bool {
 		}
 	}
 	return true
-}
-
-// subClause returns the clause that keeps c's body literals keep marks, in
-// order, under a copy of c's head.
-func subClause(c *logic.Clause, keep []bool) *logic.Clause {
-	n := 0
-	for _, in := range keep {
-		if in {
-			n++
-		}
-	}
-	body := make([]logic.Atom, 0, n)
-	for k, a := range c.Body {
-		if keep[k] {
-			body = append(body, a)
-		}
-	}
-	return &logic.Clause{Head: c.Head.Clone(), Body: body}
 }

@@ -118,6 +118,25 @@ func (c *Clause) Equal(d *Clause) bool {
 	return true
 }
 
+// Keep returns the clause that keeps the body literals keep marks, in
+// order, under a copy of the head; keep has one entry per body literal.
+// Like RemoveBodyAt, it shares the kept literals with c.
+func (c *Clause) Keep(keep []bool) *Clause {
+	n := 0
+	for _, in := range keep {
+		if in {
+			n++
+		}
+	}
+	body := make([]Atom, 0, n)
+	for i, a := range c.Body {
+		if keep[i] {
+			body = append(body, a)
+		}
+	}
+	return &Clause{Head: c.Head.Clone(), Body: body}
+}
+
 // RemoveBodyAt returns a copy of the clause with the i-th body literal
 // removed.
 func (c *Clause) RemoveBodyAt(i int) *Clause {

@@ -130,12 +130,5 @@ func (cv *ClauseVars) HeadConnected(keep, connected, reach []bool) {
 // that is not head-connected removed, preserving order. ARMG applies this
 // after dropping blocking atoms.
 func PruneNotHeadConnected(c *Clause) *Clause {
-	keep := HeadConnected(c)
-	body := make([]Atom, 0, len(c.Body))
-	for i, a := range c.Body {
-		if keep[i] {
-			body = append(body, a)
-		}
-	}
-	return &Clause{Head: c.Head.Clone(), Body: body}
+	return c.Keep(HeadConnected(c))
 }

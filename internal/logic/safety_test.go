@@ -73,12 +73,10 @@ func TestQuickHeadConnectedMaskMatchesByName(t *testing.T) {
 	f := func(v longClauseValue, seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		keep := make([]bool, len(v.c.Body))
-		sub := &Clause{Head: v.c.Head}
-		for i, a := range v.c.Body {
-			if keep[i] = r.Intn(3) != 0; keep[i] {
-				sub.Body = append(sub.Body, a)
-			}
+		for i := range keep {
+			keep[i] = r.Intn(3) != 0
 		}
+		sub := v.c.Keep(keep)
 		cv := NewClauseVars(v.c)
 		connected = append(connected[:0], make([]bool, len(keep))...)
 		if cv.NumVars() > len(reach) {

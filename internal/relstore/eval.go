@@ -27,8 +27,7 @@ import (
 // Search state and store statistics live on a Prober, which a coverage
 // worker owns and publishes once per run of tests, so a steady-state test
 // allocates nothing, touches no map and no string beyond the example's
-// own constants, and writes no shared counter; on an instance whose run
-// has no registry it keeps no store statistics at all. The Instance query methods
+// own constants, and writes no shared counter. The Instance query methods
 // (CoversExample, CoverageWitness, EvalClause, …) are thin wrappers that
 // compile and run the same solver on a pooled prober, turning symbol ids
 // back into names only at a solution.
@@ -82,15 +81,11 @@ type Query struct {
 // headArg is one compiled head position: a constant (slot < 0), the first
 // occurrence of a variable (prev < 0), or a repeat of the variable first
 // seen at head position prev. Repeats compare the example's names, so two
-// distinct constants the instance has never seen stay distinct. inBody
-// records whether the body mentions the variable: bound to a constant the
-// instance has never seen, such a variable makes the test fail outright.
-// A masked test asks the atoms it keeps instead (Query.inBody).
+// distinct constants the instance has never seen stay distinct.
 type headArg struct {
-	name   string
-	slot   int32
-	prev   int
-	inBody bool
+	name string
+	slot int32
+	prev int
 }
 
 // queryAtom is one compiled body atom. est and col are its candidate
@@ -125,17 +120,6 @@ func (i *Instance) Compile(c *logic.Clause) *Query {
 		q.head[j] = headArg{slot: q.vars.Slot(t.Name), prev: prev}
 	}
 	q.compileBody(c.Body)
-	inBody := make([]bool, q.vars.Len())
-	for _, a := range q.atoms {
-		for _, arg := range a.args {
-			if arg.IsVar() {
-				inBody[arg.Slot()] = true
-			}
-		}
-	}
-	for j, h := range q.head {
-		q.head[j].inBody = h.slot >= 0 && inBody[h.slot]
-	}
 	return q
 }
 
@@ -266,14 +250,11 @@ func (q *Query) covers(p *Prober, e logic.Atom, ids []int32, keep []bool, yield 
 	return q.run(p, left, yield)
 }
 
-// inBody reports whether a body atom keep marks mentions the head
-// variable h.
+// inBody reports whether a body atom keep marks (any atom when keep is
+// nil) mentions the head variable h.
 func (q *Query) inBody(h headArg, keep []bool) bool {
-	if keep == nil {
-		return h.inBody
-	}
 	for k := range q.atoms {
-		if keep[k] && slices.Contains(q.atoms[k].args, logic.VarITerm(h.slot)) {
+		if (keep == nil || keep[k]) && slices.Contains(q.atoms[k].args, logic.VarITerm(h.slot)) {
 			return true
 		}
 	}
@@ -293,7 +274,6 @@ type Prober struct {
 	used      []bool      // atoms matched on the current search path
 	nodes     int         // remaining search budget of the call
 	found     bool
-	count     bool // the call keeps store statistics: the run has a registry
 	tally     Tally
 	scanned   int64 // tuples_scanned since the last Publish
 	exhausted int64 // calls that ran out of budget since the last Publish
@@ -371,13 +351,10 @@ func (i *Instance) done(p *Prober) {
 
 // run searches the left unmatched atoms from the bindings in p. yield
 // receives each solution and returns whether to go on; a nil yield stops
-// at the first solution, which run then reports. Store statistics exist
-// only to be published, so a call on an instance whose run has no
-// registry, where Publish would drop them, keeps none.
+// at the first solution, which run then reports.
 func (q *Query) run(p *Prober, left int, yield func(*logic.Subst) bool) bool {
 	p.nodes = q.inst.budget()
 	p.found = false
-	p.count = q.inst.obs.Registry() != nil
 	q.search(p, left, yield)
 	if p.nodes < 0 {
 		p.exhausted++
@@ -434,15 +411,22 @@ func (q *Query) search(p *Prober, left int, yield func(*logic.Subst) bool) bool 
 	// bound column are rejected by bind, so walking the posting visits
 	// exactly the filtered rows, in order.
 	a := &q.atoms[best]
+	t := a.t
 	var rows []int32
-	n := a.t.nrows
+	n, scanned := t.nrows, int64(t.nrows)
 	if bestCol >= 0 {
-		rows = a.t.matchingRows(bestCol, a.value(p, bestCol))
+		rows = t.matchingRows(bestCol, a.value(p, bestCol))
 		n = len(rows)
+		if bestBound == 1 {
+			scanned = int64(n)
+		} else {
+			scanned = int64(a.countBound(p, rows))
+		}
+		p.tally.record(t, obs.StoreStat{Lookups: 1, TuplesScanned: int64(n), IndexHits: t.hit()})
+	} else {
+		p.tally.record(t, obs.StoreStat{Lookups: 1, TuplesScanned: int64(n)})
 	}
-	if p.count {
-		p.record(a, rows, bestCol, bestBound)
-	}
+	p.scanned += scanned
 	p.used[best] = true
 	mark := p.subst.Mark()
 	for k := 0; k < n; k++ {
@@ -459,25 +443,6 @@ func (q *Query) search(p *Prober, left int, yield func(*logic.Subst) bool) bool 
 	}
 	p.used[best] = false
 	return true
-}
-
-// record counts one candidate fetch of atom a: one lookup of its table,
-// the whole table when no column is bound (col < 0), else the posting rows
-// of column col. tuples_scanned counts the rows matching all of the bound
-// columns it probes, bound in number.
-func (p *Prober) record(a *queryAtom, rows []int32, col, bound int) {
-	t := a.t
-	if col < 0 {
-		p.tally.record(t, obs.StoreStat{Lookups: 1, TuplesScanned: int64(t.nrows)})
-		p.scanned += int64(t.nrows)
-		return
-	}
-	p.tally.record(t, obs.StoreStat{Lookups: 1, TuplesScanned: int64(len(rows)), IndexHits: t.hit()})
-	if bound == 1 {
-		p.scanned += int64(len(rows))
-	} else {
-		p.scanned += int64(a.countBound(p, rows))
-	}
 }
 
 // value returns the symbol column col of the atom must hold under p.

@@ -452,12 +452,7 @@ func TestQueryCoversZeroAlloc(t *testing.T) {
 			t.Errorf("Covers(%v) allocates %.1f per test, want 0", tc.e, n)
 		}
 		for _, keep := range [][]bool{prefix, alternate} {
-			sub := &logic.Clause{Head: c.Head}
-			for k, a := range c.Body {
-				if keep[k] {
-					sub.Body = append(sub.Body, a)
-				}
-			}
+			sub := c.Keep(keep)
 			want := i.Compile(sub).Covers(tc.e)
 			if n := testing.AllocsPerRun(100, func() {
 				if q.CoversMask(p, tc.e, nil, keep) != want {

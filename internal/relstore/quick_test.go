@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/logic"
-	"repro/internal/obs"
 )
 
 // randInstance fills a fixed two-relation schema with random tuples over a
@@ -484,16 +483,15 @@ func TestQuickEvalAgainstNaive(t *testing.T) {
 
 // TestQuickCoversIDsMatchesCoversWith: testing an example by its resolved
 // symbol ids (CoversMask with ids and no mask) answers as testing it by
-// name and leaves the same store
-// statistics on the prober, on random heads with constants and repeated
-// variables and on examples holding constants the instance never saw.
+// name and leaves the same store statistics on the prober, on random heads
+// with constants and repeated variables and on examples holding constants
+// the instance never saw.
 func TestQuickCoversIDsMatchesCoversWith(t *testing.T) {
 	domain := []string{"v0", "v1", "v2", "v3", "zz", "yy"} // zz and yy are never stored
 	vars := []string{"X", "Y", "Z"}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		inst := randTwoRelInstance(r, true)
-		inst.SetObs(obs.NewRun(nil, obs.NewRegistry())) // probes keep statistics only for a registry
 		term := func(constPct int) logic.Term {
 			if r.Intn(100) < constPct {
 				return logic.Const(domain[r.Intn(len(domain))])
@@ -553,7 +551,6 @@ func TestQuickMaskedCoversMatchesSubClause(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		inst := randTwoRelInstance(r, true)
-		inst.SetObs(obs.NewRun(nil, obs.NewRegistry()))
 		if r.Intn(4) == 0 {
 			inst.SetEvalBudget(1 + r.Intn(6))
 		}
@@ -585,14 +582,11 @@ func TestQuickMaskedCoversMatchesSubClause(t *testing.T) {
 		masked, whole := inst.NewProber(), inst.NewProber()
 		keep := make([]bool, len(c.Body))
 		for k := 0; k < 6; k++ {
-			sub := &logic.Clause{Head: c.Head}
 			cut := r.Intn(len(c.Body) + 1)
 			for i := range keep {
 				keep[i] = i < cut && r.Intn(3) != 0
-				if keep[i] {
-					sub.Body = append(sub.Body, c.Body[i])
-				}
 			}
+			sub := c.Keep(keep)
 			e := logic.NewAtom("h")
 			ids := make([]int32, 0, len(c.Head.Args))
 			for range c.Head.Args {

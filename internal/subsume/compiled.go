@@ -477,18 +477,6 @@ func (src *Source) derive(sc *Sub, keep []bool) *Source {
 	return out
 }
 
-// subClause returns the sub-clause of src's clause that keeps the body
-// literals keep marks, in order.
-func (src *Source) subClause(keep []bool) *logic.Clause {
-	c := &logic.Clause{Head: src.clause.Head}
-	for k, a := range src.clause.Body {
-		if keep[k] {
-			c.Body = append(c.Body, a)
-		}
-	}
-	return c
-}
-
 // tableSize is the power-of-two size of an open-addressed table holding
 // at most n keys at no more than half load.
 func tableSize(n int) int {
@@ -634,7 +622,7 @@ func (cd *Compiled) SubsumesR(run *obs.Run, c *logic.Clause) bool {
 // fell back to a private space gets the sub-clause prepared there.
 func (cd *Compiled) ProbeSub(run *obs.Run, src *Source, keep []bool, sc *Sub) bool {
 	if src.space != cd.space {
-		return cd.Probe(run, cd.space.Prepare(src.subClause(keep)))
+		return cd.Probe(run, cd.space.Prepare(src.clause.Keep(keep)))
 	}
 	return cd.Probe(run, src.derive(sc, keep))
 }

@@ -70,13 +70,12 @@ func ReduceR(run *obs.Run, c *logic.Clause) *logic.Clause {
 	if run.Spanning() {
 		sp = run.StartSpan("minimize", obs.F("literals", len(c.Body)))
 	}
-	cur := c.Clone()
-	space := spaceOf(cur)
-	full := space.compile(cur)
+	space := spaceOf(c)
+	full := space.compile(c)
 	whole := space.Prepare(c)
 	src := whole
-	// keep marks the literals of c still in cur; k is the one cur's
-	// literal i stands for. sub holds the derived sources.
+	// keep marks the literals of c still in the clause, whose target is
+	// full and whose source src; sub holds the derived sources.
 	keep := make([]bool, len(c.Body))
 	for k := range keep {
 		keep[k] = true
@@ -86,7 +85,8 @@ func ReduceR(run *obs.Run, c *logic.Clause) *logic.Clause {
 	litPred := make([]int32, 0, full.Len())
 	litOff := make([]int32, 0, full.Len()+1)
 	argv := make([]int32, 0, len(full.argv()))
-	for i, k := 0, 0; i < len(cur.Body); k++ {
+	i := 0 // literal k's position in full
+	for k := range keep {
 		run.Inc(obs.CReductionSteps)
 		fullPred, fullOff, fullArgv := full.litPred(), full.litOff(), full.argv()
 		lo, hi := fullOff[i], fullOff[i+1]
@@ -99,7 +99,6 @@ func ReduceR(run *obs.Run, c *logic.Clause) *logic.Clause {
 		shorter := space.CompileGround(full.headPred, full.headArgs(), litPred, litOff, argv)
 		if shorter.Probe(run, src) {
 			run.Inc(obs.CReductionRemoved)
-			cur.Body = append(cur.Body[:i], cur.Body[i+1:]...) // drop; do not advance
 			full = shorter
 			keep[k] = false
 			src = whole.derive(&sub, keep)
@@ -108,10 +107,10 @@ func ReduceR(run *obs.Run, c *logic.Clause) *logic.Clause {
 		}
 	}
 	if sp != nil {
-		sp.Annotate(obs.F("kept", len(cur.Body)))
+		sp.Annotate(obs.F("kept", i))
 		sp.End()
 	}
-	return cur
+	return c.Keep(keep)
 }
 
 // EquivalentClauses reports whether the clauses subsume each other, i.e.
