@@ -331,11 +331,12 @@ func TestQuickARMGMatchesClauseReference(t *testing.T) {
 
 // TestARMGAllocsPin: one ARMG job on a UW-CSE ×30 beam entry, prepared
 // once as a beam round prepares it, allocates the generalization (3: the
-// clause, its body and its head's arguments) and a constant few more: 5
-// for the job's masks, its index scratch, its probe holder and the head
-// match's substitution, and in subsumption mode 10 for the derived
-// source's arrays and scratch, sized once. However many coverage tests the
-// job makes (21 to 75 here), its tests allocate nothing.
+// clause, its body and its head's arguments) and a constant few more: 3
+// for the job's masks, its index scratch and its probe holder, and in
+// subsumption mode 10 for the derived source's arrays and scratch, sized
+// once. The head check builds no substitution (it took 2 more when it
+// did). However many coverage tests the job makes (21 to 75 here), its
+// tests allocate nothing.
 func TestARMGAllocsPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -351,7 +352,7 @@ func TestARMGAllocsPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := relstore.CompilePlan(prob.Instance.Schema(), false)
-	for mode, most := range map[ilp.CoverageMode]float64{ilp.CoverageDB: 3 + 5, ilp.CoverageSubsumption: 3 + 5 + 10} {
+	for mode, most := range map[ilp.CoverageMode]float64{ilp.CoverageDB: 3 + 3, ilp.CoverageSubsumption: 3 + 3 + 10} {
 		params := ilp.Defaults()
 		params.Parallelism = 1
 		params.CoverageMode = mode
@@ -374,5 +375,40 @@ func TestARMGAllocsPin(t *testing.T) {
 		if len(tests) < 3 {
 			t.Errorf("mode %v: the jobs made %d distinct numbers of tests, want ARMGs of several lengths", mode, len(tests))
 		}
+	}
+}
+
+// TestQuickHeadMatchesAsMatchAtoms: ARMG's head check, which builds no
+// substitution, answers as logic.MatchAtoms does on random heads over
+// two predicates, arities 1 to 3, repeated variables and constants,
+// against random ground atoms.
+func TestQuickHeadMatchesAsMatchAtoms(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		atom := func(ground bool) logic.Atom {
+			args := make([]logic.Term, 1+r.Intn(3))
+			for i := range args {
+				if !ground && r.Intn(3) > 0 {
+					args[i] = logic.Var([]string{"X", "Y"}[r.Intn(2)])
+				} else {
+					args[i] = logic.Const([]string{"a", "b"}[r.Intn(2)])
+				}
+			}
+			pred := "t"
+			if r.Intn(8) == 0 {
+				pred = "u"
+			}
+			return logic.NewAtom(pred, args...)
+		}
+		h, e := atom(false), atom(true)
+		_, want := logic.MatchAtoms(h, e, logic.NewSubstitution())
+		if got := ilp.HeadMatches(h, e); got != want {
+			t.Logf("head %v, example %v: %v, MatchAtoms %v", h, e, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Error(err)
 	}
 }

@@ -80,11 +80,14 @@ type Builder struct {
 	scratch sync.Pool   // *bottomScratch
 
 	// The space saturations compile into, once compileInto has run:
-	// instance symbol ids below baseLen are its ids too, and targetID is
-	// the target predicate's id (-1 when the space lacks it).
+	// instance symbol ids below baseLen are its ids too, targetID is the
+	// target predicate's id (-1 when the space lacks it), and rows reports
+	// that the space binds this builder's tables' rows under their
+	// relations' ids, for compileIDs to name.
 	space    *subsume.Space
 	baseLen  int32
 	targetID int32
+	rows     bool
 }
 
 // bottomRel is one relation the construction scans and chases into.
@@ -177,16 +180,17 @@ func NewBuilder(prob *Problem, plan *relstore.Plan) *Builder {
 func (b *Builder) Plan() *relstore.Plan { return b.plan }
 
 // compileInto readies the builder to compile saturations into space,
-// resolving the relation names and the target predicate once. Call it
-// before the builder is shared.
-func (b *Builder) compileInto(space *subsume.Space) {
+// resolving the relation names and the target predicate once; rows reports
+// that the space binds the rows of the builder's tables. Call it before
+// the builder is shared.
+func (b *Builder) compileInto(space *subsume.Space, rows bool) {
 	lookup := func(name string) int32 {
 		if id, ok := space.Lookup(name); ok {
 			return id
 		}
 		return -1
 	}
-	b.space, b.baseLen = space, space.BaseLen(b.syms)
+	b.space, b.baseLen, b.rows = space, space.BaseLen(b.syms), rows
 	b.targetID = lookup(b.prob.Target.Name)
 	for i := range b.rels {
 		b.rels[i].id = lookup(b.rels[i].name)
@@ -214,8 +218,9 @@ type bottomScratch struct {
 	// tally collects the construction's store statistics, published once
 	// at its end.
 	tally *relstore.Tally
-	// The finished clause in the space's ids, for compileIDs.
-	headArgs, litPred, litOff, argv []int32
+	// The finished clause for compileIDs: the head's ids in the space, and
+	// per body literal its relation's id and its row.
+	headArgs, preds, rows []int32
 }
 
 func (b *Builder) getScratch() *bottomScratch {
@@ -439,13 +444,18 @@ func (b *Builder) clause(sc *bottomScratch, e logic.Atom) *logic.Clause {
 }
 
 // compileIDs compiles the construction in sc into the builder's space
-// straight from its ids: instance symbols are the space's base ids, the
-// relation names and the target were resolved by compileInto, and only
-// the example's constants the instance lacks are looked up, once per
-// example. The target equals space.Compile(b.clause(sc, e)). It returns
-// nil when that clause would hold a name outside the space (an atom from
-// outside the problem), for the caller to compile the clause of names.
+// straight from its ids: the body literals are the rows the construction
+// found, which the space binds (Space.CompileRows), the relation names and
+// the target were resolved by compileInto, and only the example's
+// constants the instance lacks are looked up, once per example. The
+// target equals space.Compile(b.clause(sc, e)). It returns nil when the
+// space binds no rows of the builder's tables, or that clause would hold a
+// name outside the space (an atom from outside the problem), for the
+// caller to compile the clause of names.
 func (b *Builder) compileIDs(sc *bottomScratch, e logic.Atom) *subsume.Compiled {
+	if !b.rows {
+		return nil
+	}
 	head := b.targetID
 	if e.Pred != b.prob.Target.Name {
 		head = -1
@@ -470,22 +480,12 @@ func (b *Builder) compileIDs(sc *bottomScratch, e logic.Atom) *subsume.Compiled 
 		}
 		sc.headArgs = append(sc.headArgs, id)
 	}
-	sc.litPred, sc.litOff, sc.argv = sc.litPred[:0], append(sc.litOff[:0], 0), sc.argv[:0]
+	sc.preds, sc.rows = sc.preds[:0], sc.rows[:0]
 	for _, it := range sc.body {
-		br := &b.rels[it.rel]
-		if br.id < 0 {
-			return nil
-		}
-		sc.litPred = append(sc.litPred, br.id)
-		for _, v := range br.table.Row(it.row) {
-			if uint32(v) >= uint32(b.baseLen) {
-				return nil
-			}
-			sc.argv = append(sc.argv, v)
-		}
-		sc.litOff = append(sc.litOff, int32(len(sc.argv)))
+		sc.preds = append(sc.preds, b.rels[it.rel].id)
+		sc.rows = append(sc.rows, it.row)
 	}
-	return b.space.CompileGround(head, sc.headArgs, sc.litPred, sc.litOff, sc.argv)
+	return b.space.CompileRows(head, sc.headArgs, sc.preds, sc.rows)
 }
 
 // idSet is a set of 64-bit keys for one construction at a time: an

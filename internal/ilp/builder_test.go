@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relstore"
 	"repro/internal/subsume"
+	"repro/internal/testfix"
 )
 
 // nameSaturation is the string-keyed construction the builder's classic
@@ -217,34 +220,47 @@ func boundTester(prob *ilp.Problem, plan *relstore.Plan, params ilp.Params) (*il
 	return tester, bld
 }
 
+// paperCell is one (dataset, schema) cell of the paper's tables.
+type paperCell struct {
+	ds     *datasets.Dataset
+	schema string
+}
+
+// paperCells returns the ten cells over smallDatasets: UW-CSE ×4, HIV ×3
+// and IMDb ×3.
+func paperCells(t *testing.T) []paperCell {
+	uw, hiv, imdb := smallDatasets(t)
+	var cells []paperCell
+	for _, s := range []string{"Original", "4NF", "Denormalized-1", "Denormalized-2"} {
+		cells = append(cells, paperCell{uw, s})
+	}
+	for _, s := range []string{"Initial", "4NF-1", "4NF-2"} {
+		cells = append(cells, paperCell{hiv, s})
+	}
+	for _, s := range []string{"JMDB", "Stanford", "Denormalized"} {
+		cells = append(cells, paperCell{imdb, s})
+	}
+	return cells
+}
+
 // TestIDCompiledSaturationsMatchNamePath: every example's saturation,
 // compiled straight from store ids, is the target the space compiles from
-// the ground bottom clause of names — same head, same literal order, same
-// argument ids — on UW-CSE ×4, HIV ×3 and IMDb ×3, with and without
-// stored procedures, including examples holding constants the instance
-// lacks, in both policies. Castor's is checked against a fresh builder's
-// clause, the classic one against the Saturation wrapper under Defaults()'
-// depth and recall. Atoms outside the problem fall back to the names.
+// the ground bottom clause of names — same head and, group by group, the
+// same literals in the same order with the same argument ids — on UW-CSE
+// ×4, HIV ×3 and IMDb ×3, with and without stored procedures, including
+// examples holding constants the instance lacks, in both policies.
+// Castor's is checked against a fresh builder's clause, the classic one
+// against the Saturation wrapper under Defaults()' depth and recall. Atoms
+// outside the problem fall back to the names. Compiled.Equal does not see
+// how literals of different predicates interleave, since the layout keeps
+// no such order and no probe can observe it; the literal order of the
+// clauses themselves is pinned by TestGroundBottomClauseGolden and
+// TestSaturationGolden.
 func TestIDCompiledSaturationsMatchNamePath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles every example's saturation twice, 40 times over")
 	}
-	uw, hiv, imdb := smallDatasets(t)
-	type cell struct {
-		ds     *datasets.Dataset
-		schema string
-	}
-	var cells []cell
-	for _, s := range []string{"Original", "4NF", "Denormalized-1", "Denormalized-2"} {
-		cells = append(cells, cell{uw, s})
-	}
-	for _, s := range []string{"Initial", "4NF-1", "4NF-2"} {
-		cells = append(cells, cell{hiv, s})
-	}
-	for _, s := range []string{"JMDB", "Stanford", "Denormalized"} {
-		cells = append(cells, cell{imdb, s})
-	}
-	for _, c := range cells {
+	for _, c := range paperCells(t) {
 		for _, castor := range []bool{true, false} {
 			for _, storedProc := range []bool{true, false} {
 				prob, err := c.ds.Problem(c.schema)
@@ -291,15 +307,143 @@ func TestIDCompiledSaturationsMatchNamePath(t *testing.T) {
 	}
 }
 
+// TestBuilderOfAnotherInstanceCompilesByName: a tester's space binds the
+// rows of the tester's own instance, so a builder over another instance,
+// here the 4NF twin of the tester's Original instance, whose relations
+// share names but not rows, never names rows: every saturation compiles
+// through its clause of names and equals Space.Compile of it.
+func TestBuilderOfAnotherInstanceCompilesByName(t *testing.T) {
+	w := testfix.NewWorld(8)
+	orig, fourNF := w.ProblemOriginal(), w.Problem4NF()
+	params := ilp.Defaults()
+	params.CoverageMode = ilp.CoverageSubsumption
+	tester := ilp.NewTester(orig, params)
+	bld := ilp.NewBuilder(fourNF, nil)
+	tester.UseBuilder(bld)
+	space := ilp.TesterSpace(tester)
+	for _, e := range append(append([]logic.Atom(nil), fourNF.Pos...), fourNF.Neg...) {
+		if ilp.CompileFromIDs(bld, e, params) != nil {
+			t.Fatalf("%v: the builder named rows of an instance the space does not bind", e)
+		}
+		if !ilp.CompileSaturation(bld, e, params).Equal(space.Compile(bld.Build(e, params, nil))) {
+			t.Fatalf("%v: the saturation differs from the clause of names compiled", e)
+		}
+	}
+}
+
+// TestQuickStoreBackedProbesMatchNamePath: a saturation compiled from the
+// store's rows answers every probe as Space.Compile of its clause of names
+// does, with the same subsumption_nodes, on UW-CSE ×4, HIV ×3 and IMDb ×3
+// in both policies. The sources are the variablized bottom clauses of the
+// first positive and the first negative, prepared once against the
+// tester's space and probed whole and, through ProbeSub, under random
+// masks. Four goroutines probe the same targets at once, each with its
+// own Sub, so under -race this is the safety check for sharing targets
+// that point into the store's rows.
+func TestQuickStoreBackedProbesMatchNamePath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("probes 20 saturations of 20 cells from four goroutines")
+	}
+	type pair struct{ rows, names *subsume.Compiled }
+	type source struct {
+		src *subsume.Source
+		n   int
+	}
+	var answers [2]atomic.Int64 // probes answering false, true
+	for _, c := range paperCells(t) {
+		for _, castor := range []bool{true, false} {
+			prob, err := c.ds.Problem(c.schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			params := ilp.Defaults()
+			params.CoverageMode = ilp.CoverageSubsumption
+			var plan *relstore.Plan
+			if castor {
+				plan = relstore.CompilePlan(prob.Instance.Schema(), params.SubsetINDs)
+			}
+			tester, bld := boundTester(prob, plan, params)
+			space := ilp.TesterSpace(tester)
+			label := fmt.Sprintf("%s/%s castor=%v", c.ds.Name, c.schema, castor)
+			var pairs []pair
+			for _, e := range append(append([]logic.Atom(nil), prob.Pos[:min(10, len(prob.Pos))]...), prob.Neg[:min(10, len(prob.Neg))]...) {
+				rows := ilp.CompileFromIDs(bld, e, params)
+				if rows == nil {
+					t.Fatalf("%s: %v did not compile from the store's rows", label, e)
+				}
+				pairs = append(pairs, pair{rows, space.Compile(bld.Build(e, params, nil))})
+			}
+			var sources []source
+			for _, e := range []logic.Atom{prob.Pos[0], prob.Neg[0]} {
+				b := ilp.Variablize(prob, bld.Build(e, params, nil))
+				sources = append(sources, source{space.Prepare(b), len(b.Body)})
+			}
+			counts := func(cd *subsume.Compiled, probe func(*subsume.Compiled, *obs.Run) bool) (bool, int64) {
+				reg := obs.NewRegistry()
+				ok := probe(cd, obs.NewRun(nil, reg))
+				return ok, reg.Get(obs.CSubsumptionNodes)
+			}
+			var wg sync.WaitGroup
+			for w := range 4 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var sub subsume.Sub
+					prop := func(seed int64) bool {
+						r := rand.New(rand.NewSource(seed))
+						p, s := pairs[r.Intn(len(pairs))], sources[r.Intn(len(sources))]
+						keep := make([]bool, s.n)
+						density := []float64{0.1, 0.3, 0.6}[r.Intn(3)]
+						for k := range keep {
+							keep[k] = r.Float64() < density
+						}
+						for _, probe := range []func(*subsume.Compiled, *obs.Run) bool{
+							func(cd *subsume.Compiled, run *obs.Run) bool { return cd.Probe(run, s.src) },
+							func(cd *subsume.Compiled, run *obs.Run) bool { return cd.ProbeSub(run, s.src, keep, &sub) },
+						} {
+							got, gotNodes := counts(p.rows, probe)
+							want, wantNodes := counts(p.names, probe)
+							if got != want || gotNodes != wantNodes {
+								t.Logf("%s, seed %d: the rows' target answers %v in %d nodes, the names' %v in %d", label, seed, got, gotNodes, want, wantNodes)
+								return false
+							}
+							if got {
+								answers[1].Add(1)
+							} else {
+								answers[0].Add(1)
+							}
+						}
+						return true
+					}
+					if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(int64(w)))}); err != nil {
+						t.Errorf("%s: %v", label, err)
+					}
+				}()
+			}
+			wg.Wait()
+		}
+	}
+	no, yes := answers[0].Load(), answers[1].Load()
+	if no == 0 || yes == 0 {
+		t.Errorf("%d probes answered false and %d true: the sources decide nothing", no, yes)
+	}
+	t.Logf("%d probes answered false, %d true", no, yes)
+}
+
 // TestSaturationCompileAllocPin: once a builder's scratch has grown,
-// building and compiling one UW-CSE saturation from ids allocates only the
-// compiled target: its header, which holds the arena and int32 offsets
-// into it and fits the 64 B size class, and one int32 arena holding the
-// literals, the head and the per-predicate literal lists, so two
-// allocations of at most 64 B and the arena's size class in bytes (Castor's
-// saturation of the first positive at seed 3 takes 960 B: 64 + 896). The construction itself, its dedupe sets and its
-// store statistics allocate nothing, in Castor's policy and in the classic
-// one, which copies no fetch even without stored procedures.
+// building and compiling one UW-CSE saturation from the store's rows
+// allocates only the compiled target: its header, which holds the arena
+// and int32 offsets into it and fits the 48 B size class, and one int32
+// arena holding the head's arguments, four ints per (predicate, arity)
+// group and one offset per literal, and no argument: the literals are
+// rows the tester's space binds. So two allocations of at most the
+// header's and the arena's size classes in bytes (Castor's saturation of
+// the first positive at seed 3, 34 literals in 9 groups, takes 48 + 288 B;
+// copying the rows' arguments and the per-literal tables into the arena,
+// it took 64 + 896).
+// The construction itself, its dedupe sets and its store statistics
+// allocate nothing, in Castor's policy and in the classic one, which
+// copies no fetch even without stored procedures.
 func TestSaturationCompileAllocPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -320,7 +464,7 @@ func TestSaturationCompileAllocPin(t *testing.T) {
 	// sizeClass is the allocator's size for an n-byte object: growslice
 	// rounds a new capacity up to it.
 	sizeClass := func(n uintptr) uint64 { return uint64(cap(slices.Grow([]byte(nil), int(n)))) }
-	const headerBytes = 64
+	const headerBytes = 48
 	if h := sizeClass(unsafe.Sizeof(subsume.Compiled{})); h > headerBytes {
 		t.Fatalf("a compiled target's header takes %d B, want at most %d", h, headerBytes)
 	}
@@ -340,17 +484,14 @@ func TestSaturationCompileAllocPin(t *testing.T) {
 			if n := testing.AllocsPerRun(50, func() { ilp.CompileSaturation(bld, e, params) }); n != header+arena {
 				t.Errorf("%s: compiling a saturation allocates %.1f times, want %d", label, n, header+arena)
 			}
-			// The arena holds litPred, litOff, argv and headArgs, then the
-			// distinct predicates, their list offsets and the lists.
 			c := bld.Build(e, params, nil)
-			n, args, p := len(c.Body), 0, 0
+			groups := 0
 			for i, a := range c.Body {
-				args += len(a.Args)
-				if !slices.ContainsFunc(c.Body[:i], func(b logic.Atom) bool { return b.Pred == a.Pred }) {
-					p++
+				if !slices.ContainsFunc(c.Body[:i], func(b logic.Atom) bool { return b.Pred == a.Pred && len(b.Args) == len(a.Args) }) {
+					groups++
 				}
 			}
-			ints := n + (n + 1) + args + len(c.Head.Args) + p + (p + 1) + n
+			ints := len(c.Head.Args) + 4*groups + len(c.Body)
 			limit := headerBytes + sizeClass(4*uintptr(ints))
 			if b := bytesPerRun(50, func() { ilp.CompileSaturation(bld, e, params) }); b > limit {
 				t.Errorf("%s: compiling a saturation allocates %d B, want at most %d", label, b, limit)

@@ -55,3 +55,6 @@ func EnforceINDsMask(c *logic.Clause, plan *relstore.Plan, keep []bool) {
 	ip := newINDPartners(c.Body, plan)
 	ip.enforce(keep)
 }
+
+// HeadMatches is ARMG's check that a head maps onto a ground example.
+var HeadMatches = headMatches

@@ -221,7 +221,7 @@ func ARMG(t *Tester, plan *relstore.Plan, c *logic.Clause, e logic.Atom) *logic.
 func (t *Tester) armg(pe *armgPrep, e logic.Atom) *logic.Clause {
 	t.run.Inc(obs.CARMGCalls)
 	c := pe.clause
-	if _, ok := logic.MatchAtoms(c.Head, e, logic.NewSubstitution()); !ok {
+	if !headMatches(c.Head, e) {
 		return nil
 	}
 	n := len(c.Body)
@@ -246,6 +246,30 @@ func (t *Tester) armg(pe *armgPrep, e logic.Atom) *logic.Clause {
 		copy(keep, connected)
 	}
 	return c.Keep(keep)
+}
+
+// headMatches reports whether the head maps onto the ground example e, as
+// logic.MatchAtoms decides it but with no substitution: the same
+// predicate and arity, e's constant wherever the head holds a constant,
+// and equal constants of e wherever the head repeats a variable.
+func headMatches(head, e logic.Atom) bool {
+	if head.Pred != e.Pred || len(head.Args) != len(e.Args) {
+		return false
+	}
+	for i, t := range head.Args {
+		if !t.IsVar {
+			if t != e.Args[i] {
+				return false
+			}
+			continue
+		}
+		for j, u := range head.Args[:i] {
+			if u == t && e.Args[j] != e.Args[i] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // BlockingAtom returns the least 0-based index i such that the prefix

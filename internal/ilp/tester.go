@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 	"unsafe"
@@ -36,16 +37,26 @@ type Tester struct {
 	// unless UseBuilder replaced it. space is the id space saturations
 	// compile into and candidates are prepared against: the instance's
 	// constants plus the relation names, the target predicate and the
-	// example constants the instance lacks. Every distinct example of the
-	// problem has one saturation entry, resolved in NewTester: sats finds
-	// it by the address of the example's argument array, read lock-free,
-	// so every worker of a beam batch finds and shares one compiled target
-	// without mutex traffic, and a problem example's probe hashes none of
-	// its names. byName, under nameMu, holds every entry by Atom.Key: equal
-	// examples share one, and any other atom finds or adds its own there.
+	// example constants the instance lacks. rows reports that the space
+	// binds the frozen instance's relations to their rows, so a saturation
+	// names the rows it holds instead of copying them. Every distinct
+	// example of the problem has one saturation entry, resolved in
+	// NewTester: sats finds it by the address of the example's argument
+	// array, read lock-free, so every worker of a beam batch finds and
+	// shares one compiled target without mutex traffic, and a problem
+	// example's probe hashes none of its names. ents holds the entries of
+	// the problem's examples, and equal finds the one of an atom by its
+	// names, so equal examples share one: open addressing over a hash of
+	// the names, at most half full, each slot 1 + an index into ents. Both
+	// are read-only once filled. byName, under nameMu and made when the
+	// first one arrives, holds by Atom.Key the entries of other atoms and
+	// of examples with no arguments, which have no address to be found by.
 	bld    *Builder
 	space  *subsume.Space
+	rows   bool
 	sats   exampleTable[*satEntry]
+	ents   []satEntry
+	equal  []int32
 	nameMu sync.Mutex
 	byName map[string]*satEntry
 
@@ -64,7 +75,10 @@ type idRange struct{ off, n int32 }
 // guarantees exactly one compilation per example — concurrent probers for
 // the same example wait for it instead of racing duplicate builds.
 type satEntry struct {
-	once  sync.Once
+	once sync.Once
+	// ex is 1 + the index in Pos then Neg of the problem example the
+	// entry is for, whose names equal finds it by; 0 outside the problem.
+	ex    int32
 	cd    *subsume.Compiled
 	pred  string // the example's predicate and arity, for checking a hit
 	arity int    // by address
@@ -152,9 +166,10 @@ func NewTester(prob *Problem, params Params) *Tester {
 	return t
 }
 
-// initSaturations builds the subsumption-mode id space, binds the classic
-// builder to it, and resolves every example of the problem to its
-// saturation entry, one per distinct example.
+// initSaturations builds the subsumption-mode id space, binds the frozen
+// instance's rows and the classic builder to it, and resolves every
+// example of the problem to its saturation entry, one per distinct
+// example.
 func (t *Tester) initSaturations() {
 	prob := t.prob
 	syms := prob.Instance.Symbols()
@@ -185,22 +200,69 @@ func (t *Tester) initSaturations() {
 		}
 	}
 	t.space = subsume.NewSpace(syms, extra...)
+	// The rows of a frozen instance hold its symbols' ids, which are the
+	// space's base ids as long as the symbol table has not grown since the
+	// space was built; committed rows are never rewritten.
+	if t.space.BaseLen(syms) == int32(syms.Len()) {
+		t.rows = true
+		for _, rel := range prob.Instance.Schema().Relations() {
+			if table := prob.Instance.Table(rel.Name); table != nil {
+				id, _ := t.space.Lookup(rel.Name)
+				t.space.BindRows(id, rel.Arity(), table.Rows())
+			}
+		}
+	}
 	t.UseBuilder(NewBuilder(prob, nil))
 	t.sats = newExampleTable[*satEntry](n)
-	t.byName = make(map[string]*satEntry, n)
-	ents := make([]satEntry, n)
+	t.ents = make([]satEntry, n)
+	t.equal = make([]int32, 1<<bits.Len(uint(2*n)))
+	k, i := int32(0), int32(0)
 	for _, examples := range sets {
 		for _, e := range examples {
-			k := e.Key()
-			ent := t.byName[k]
-			if ent == nil {
-				ent = &ents[len(t.byName)]
-				ent.pred, ent.arity = e.Pred, len(e.Args)
-				t.byName[k] = ent
+			i++
+			if len(e.Args) == 0 {
+				t.nameEntry(e)
+				continue
 			}
-			if len(e.Args) > 0 {
-				t.sats.put(&e.Args[0], ent)
+			sl := t.equalSlot(e)
+			if *sl == 0 {
+				ent := &t.ents[k]
+				ent.ex, ent.pred, ent.arity = i, e.Pred, len(e.Args)
+				k++
+				*sl = k
 			}
+			t.sats.put(&e.Args[0], &t.ents[*sl-1])
+		}
+	}
+}
+
+// equalSlot returns the slot of t.equal holding the entry of the problem
+// example equal to e, or the empty slot where it goes.
+func (t *Tester) equalSlot(e logic.Atom) *int32 {
+	h := uint64(14695981039346656037) // FNV-1a, a NUL after each name
+	mix := func(s string) {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * 1099511628211
+		}
+		h *= 1099511628211
+	}
+	mix(e.Pred)
+	for _, a := range e.Args {
+		mix(a.Name)
+	}
+	mask := uint64(len(t.equal) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		sl := &t.equal[i]
+		if *sl == 0 {
+			return sl
+		}
+		x := t.prob.Pos
+		k := t.ents[*sl-1].ex - 1
+		if n := int32(len(x)); k >= n {
+			x, k = t.prob.Neg, k-n
+		}
+		if x[k].Pred == e.Pred && slices.Equal(x[k].Args, e.Args) {
+			return sl
 		}
 	}
 }
@@ -265,7 +327,7 @@ func (t *Tester) Run() *obs.Run { return t.run }
 // direct mode it does nothing.
 func (t *Tester) UseBuilder(b *Builder) {
 	if t.space != nil {
-		b.compileInto(t.space)
+		b.compileInto(t.space, t.rows && b.prob.Instance == t.prob.Instance)
 		t.bld = b
 	}
 }
@@ -368,13 +430,17 @@ func (t *Tester) saturation(e logic.Atom) *subsume.Compiled {
 }
 
 // satEntry finds the example's saturation entry: a table load by argument
-// array address for the problem's examples, else a locked lookup by name.
-// A hit by address must match the entry's predicate and arity: the array
-// may be reused under another predicate or sliced shorter.
+// array address for the problem's examples, else the entry of an equal
+// problem example, else a locked lookup by name. A hit by address must
+// match the entry's predicate and arity: the array may be reused under
+// another predicate or sliced shorter.
 func (t *Tester) satEntry(e logic.Atom) *satEntry {
 	if len(e.Args) > 0 {
 		if ent, ok := t.sats.get(&e.Args[0]); ok && ent.pred == e.Pred && ent.arity == len(e.Args) {
 			return ent
+		}
+		if k := *t.equalSlot(e); k > 0 {
+			return &t.ents[k-1]
 		}
 	}
 	return t.nameEntry(e)
@@ -385,6 +451,9 @@ func (t *Tester) nameEntry(e logic.Atom) *satEntry {
 	k := e.Key()
 	t.nameMu.Lock()
 	defer t.nameMu.Unlock()
+	if t.byName == nil {
+		t.byName = make(map[string]*satEntry)
+	}
 	ent := t.byName[k]
 	if ent == nil {
 		ent = &satEntry{pred: e.Pred, arity: len(e.Args)}

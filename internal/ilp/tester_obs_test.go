@@ -86,3 +86,32 @@ func TestSaturationCacheCounters(t *testing.T) {
 		t.Error("second pass rebuilt saturations")
 	}
 }
+
+// TestEqualExamplesShareASaturation: equal examples share one saturation
+// entry however their argument arrays lie: a positive repeated with
+// arrays of its own, the same atom among the negatives, and a copy from
+// outside the problem each find the entry of the first, so the saturation
+// is built once; an atom of another predicate over the same array does
+// not.
+func TestEqualExamplesShareASaturation(t *testing.T) {
+	prob := testfix.NewWorld(8).ProblemOriginal()
+	p0 := prob.Pos[0]
+	prob.Pos = append(prob.Pos[:len(prob.Pos):len(prob.Pos)], p0.Clone())
+	prob.Neg = append(prob.Neg[:len(prob.Neg):len(prob.Neg)], p0.Clone())
+	params := ilp.Defaults()
+	params.CoverageMode = ilp.CoverageSubsumption
+	params.Obs = obs.NewRun(nil, obs.NewRegistry())
+	tester := ilp.NewTester(prob, params)
+	c := logic.MustParseClause("advisedBy(X,Y) :- publication(P,X), publication(P,Y).")
+	reg := params.Obs.Registry()
+	for _, e := range []logic.Atom{p0, prob.Pos[len(prob.Pos)-1], prob.Neg[len(prob.Neg)-1], p0.Clone()} {
+		tester.Covers(c, e)
+	}
+	if misses, hits := reg.Get(obs.CSaturationMisses), reg.Get(obs.CSaturationHits); misses != 1 || hits != 3 {
+		t.Errorf("four tests of one example: %d saturation misses and %d hits, want 1 and 3", misses, hits)
+	}
+	tester.Covers(c, logic.Atom{Pred: "coauthor", Args: p0.Args})
+	if misses := reg.Get(obs.CSaturationMisses); misses != 2 {
+		t.Errorf("an atom of another predicate over the same arguments: %d saturation misses in all, want 2", misses)
+	}
+}

@@ -552,6 +552,16 @@ func (t *Table) AppendRowsContaining(dst []int32, v int32, tl *Tally) []int32 {
 // table: a view into the table's storage that callers must not modify.
 func (t *Table) Row(r int32) []int32 { return t.row(int(r)) }
 
+// Rows returns the committed rows, row-major (row r is
+// data[r·arity : (r+1)·arity]): a read-only view of the table's storage,
+// its capacity clipped to its length. Committed rows are never rewritten:
+// a later insert appends past the view or moves the table to a new backing
+// array, which leaves the view's rows as they were.
+func (t *Table) Rows() []int32 {
+	n := t.nrows * t.rel.Arity()
+	return t.data[:n:n]
+}
+
 // materializeRows externalizes the rows, in order, into one string slab;
 // nil when there are none.
 func (t *Table) materializeRows(rows []int32) []Tuple {

@@ -13,31 +13,44 @@ import (
 // The compile-once/match-many engine, the substitute for Resumer2's clause
 // compilation. Names map to int32 ids through a Space, a read-only table
 // that targets and sources share. A target clause is skolemized (its
-// variables become reserved constants) and compiled into a space once:
-// its literals, its head and its per-predicate literal lists sit in one
-// int32 arena, so a target is two allocations, a 64-byte header of offsets
-// and the arena. A source clause is prepared against the same space once:
-// its variables become dense slots, its constants space ids, and its
-// occurrence lists and the components its head-bound variables leave are
-// computed up front; the source of a sub-clause, the body literals of a
-// keep mask, is derived from those ids instead of prepared from names. A
-// probe then matches one prepared source against one compiled target on
-// pooled scratch — a slot-indexed substitution with a trail and one live
-// candidate domain per source literal, drawn from the target's literals
-// of its predicate — and allocates nothing. The one-shot entry points
-// compile into a private space holding exactly the target's names and
-// prepare-then-probe in one call.
+// variables become reserved constants) and compiled into a space once: its
+// head and its body literals, grouped by (predicate, arity), sit in one
+// int32 arena, each literal an offset into its group's row-major data, so
+// a target is two allocations, a header of offsets and the arena. A
+// group's data is either a block of the arena or, for a saturation built
+// from a store's rows, the rows of a relation the space binds: such a
+// target names its rows instead of copying them. A source clause is
+// prepared against the same space once: its variables become dense slots,
+// its constants space ids, and its occurrence lists and the components its
+// head-bound variables leave are computed up front; the source of a
+// sub-clause, the body literals of a keep mask, is derived from those ids
+// instead of prepared from names. A probe then matches one prepared source
+// against one compiled target on pooled scratch — a slot-indexed
+// substitution with a trail and one live candidate domain per source
+// literal, drawn from the target's group of its predicate and arity — and
+// allocates nothing. The one-shot entry points compile into a private
+// space holding exactly the target's names and prepare-then-probe in one
+// call.
 
 // Space is a read-only id space shared by compiled targets and prepared
 // sources: the first base.Len() ids are the base table's (typically an
 // instance's frozen constants), the next ones the extra names the base
-// lacks. Both are fixed at construction, so a Space is safe for concurrent
+// lacks. Both are fixed at construction, and the relations BindRows binds
+// are bound before the space is shared, so a Space is safe for concurrent
 // use as long as nobody interns into base.
 type Space struct {
 	base    *logic.Symbols // nil: no base ids
 	baseLen int32
 	extra   map[string]int32
 	names   []string // extra names, id baseLen+k
+	bound   []boundRel
+}
+
+// boundRel is a relation bound to a space: its predicate id, its arity and
+// its rows, row-major, every value an id of the space.
+type boundRel struct {
+	pred, arity int32
+	rows        []int32
 }
 
 // NewSpace builds a space over base (nil allowed) plus every extra name
@@ -91,127 +104,14 @@ func (s *Space) Lookup(name string) (int32, bool) {
 // len is the number of ids in the space.
 func (s *Space) len() int32 { return s.baseLen + int32(len(s.names)) }
 
-// targetName is the name a target term compiles under: constants keep
-// theirs, variables become skolem constants.
-func targetName(t logic.Term) string {
-	if t.IsVar {
-		return skolemPrefix + t.Name
-	}
-	return t.Name
-}
-
-// Compiled is a target clause compiled into a Space. It is immutable after
-// construction and safe for concurrent probes. Its tables lie back to back
-// in one arena, each from its offset to the next one's (the last to the
-// arena's end), so the header holds one slice and int32 offsets:
-//   - litPred: each body literal's predicate;
-//   - litOff: body literal i's arguments are argv[litOff[i]:litOff[i+1]];
-//   - argv, then headArgs: the body's and the head's argument ids;
-//   - preds, predOff, predLits: the target literals of predicate preds[k]
-//     (distinct predicates, first-seen order) are
-//     predLits[predOff[k]:predOff[k+1]], ascending.
-type Compiled struct {
-	space    *Space
-	arena    []int32
-	headPred int32
-	// Where litOff, argv, headArgs, preds, predOff and predLits start;
-	// litPred starts at 0.
-	litOffAt, argvAt, headAt, predsAt, predOffAt, predLitsAt int32
-}
-
-func (cd *Compiled) litPred() []int32  { return cd.arena[:cd.litOffAt] }
-func (cd *Compiled) litOff() []int32   { return cd.arena[cd.litOffAt:cd.argvAt] }
-func (cd *Compiled) argv() []int32     { return cd.arena[cd.argvAt:cd.headAt] }
-func (cd *Compiled) headArgs() []int32 { return cd.arena[cd.headAt:cd.predsAt] }
-func (cd *Compiled) preds() []int32    { return cd.arena[cd.predsAt:cd.predOffAt] }
-func (cd *Compiled) predOff() []int32  { return cd.arena[cd.predOffAt:cd.predLitsAt] }
-func (cd *Compiled) predLits() []int32 { return cd.arena[cd.predLitsAt:] }
-
-// Compile builds the match-many form of a clause in a private space
-// holding exactly its names.
-func Compile(d *logic.Clause) *Compiled {
-	return spaceOf(d).compile(d)
-}
-
-// Compile compiles a clause into the space. A clause holding a name the
-// space lacks — a skolemized variable, a constant only it holds —
-// compiles into a private space of its own instead, and every probe of it
-// prepares the source afresh against that space: such targets answer
-// exactly, just without the shared space's reuse.
-func (s *Space) Compile(d *logic.Clause) *Compiled {
-	if cd := s.compile(d); cd != nil {
-		return cd
-	}
-	return Compile(d)
-}
-
-// compile interns the target into the space and indexes it, or returns
-// nil when the space lacks one of its names.
-func (s *Space) compile(d *logic.Clause) *Compiled {
-	e := 0
-	for _, a := range d.Body {
-		e += len(a.Args)
-	}
-	missing := false
-	id := func(name string) int32 {
-		id, ok := s.Lookup(name)
-		missing = missing || !ok
-		return id
-	}
-	preds := distinct(len(d.Body), func(i int) string { return d.Body[i].Pred })
-	cd := s.newCompiled(len(d.Head.Args), len(d.Body), e, preds)
-	cd.headPred = id(d.Head.Pred)
-	headArgs, litPred, litOff, argv := cd.headArgs(), cd.litPred(), cd.litOff(), cd.argv()
-	for i, t := range d.Head.Args {
-		headArgs[i] = id(targetName(t))
-	}
-	for i, a := range d.Body {
-		litPred[i] = id(a.Pred)
-		litOff[i+1] = litOff[i] + int32(len(a.Args))
-		for p, t := range a.Args {
-			argv[int(litOff[i])+p] = id(targetName(t))
+// inside reports whether every id is an id of the space.
+func (s *Space) inside(ids ...int32) bool {
+	for _, id := range ids {
+		if uint32(id) >= uint32(s.len()) {
+			return false
 		}
 	}
-	if missing {
-		return nil
-	}
-	cd.indexPreds()
-	return cd
-}
-
-// CompileGround compiles a ground clause given in the space's ids: the
-// head predicate and arguments, and per body literal i its predicate
-// litPred[i] and its arguments argv[litOff[i]:litOff[i+1]], with
-// litOff[0] = 0. It is Compile without the names: the target equals the
-// one Compile builds from the same clause written out in names. The
-// arrays are copied, so the caller may reuse them, and the target's own
-// arrays are all it allocates. It returns nil when an id lies outside the
-// space.
-func (s *Space) CompileGround(headPred int32, headArgs, litPred, litOff, argv []int32) *Compiled {
-	n := uint32(s.len())
-	inside := func(ids []int32) bool {
-		for _, id := range ids {
-			if uint32(id) >= n {
-				return false
-			}
-		}
-		return true
-	}
-	if len(litOff) != len(litPred)+1 || litOff[0] != 0 || litOff[len(litPred)] != int32(len(argv)) {
-		panic("subsume: CompileGround: literal offsets do not delimit the arguments")
-	}
-	if uint32(headPred) >= n || !inside(headArgs) || !inside(litPred) || !inside(argv) {
-		return nil
-	}
-	preds := distinct(len(litPred), func(i int) int32 { return litPred[i] })
-	cd := s.newCompiled(len(headArgs), len(litPred), len(argv), preds)
-	cd.headPred = headPred
-	copy(cd.headArgs(), headArgs)
-	copy(cd.litPred(), litPred)
-	copy(cd.litOff(), litOff)
-	copy(cd.argv(), argv)
-	cd.indexPreds()
-	return cd
+	return true
 }
 
 // BaseLen returns how many ids the space shares with syms: an id of syms
@@ -224,78 +124,333 @@ func (s *Space) BaseLen(syms *logic.Symbols) int32 {
 	return s.baseLen
 }
 
-// newCompiled carves a target of n body literals of p distinct predicates
-// holding e arguments in all, with a head of h arguments, out of one int32
-// arena. The caller fills in the head and the literals, then calls
-// indexPreds.
-func (s *Space) newCompiled(h, n, e, p int) *Compiled {
-	cd := &Compiled{space: s, arena: make([]int32, n+(n+1)+e+h+p+(p+1)+n)}
-	cd.litOffAt = int32(n)
-	cd.argvAt = cd.litOffAt + int32(n+1)
-	cd.headAt = cd.argvAt + int32(e)
-	cd.predsAt = cd.headAt + int32(h)
-	cd.predOffAt = cd.predsAt + int32(p)
-	cd.predLitsAt = cd.predOffAt + int32(p+1)
+// BindRows binds the predicate to a relation's rows, row-major and of the
+// given arity, for CompileRows to name instead of copying. Every value
+// must be an id of the space, and the rows must stay as they are while a
+// target compiled from them lives: a frozen store's committed rows do.
+// Call it before the space is shared, once per predicate. It binds nothing
+// and reports false when the predicate is not an id of the space or bound
+// already, the arity is below 1, or the rows' length is not a multiple of
+// the arity or does not fit an int32 offset.
+func (s *Space) BindRows(pred int32, arity int, rows []int32) bool {
+	if !s.inside(pred) || s.binding(pred) >= 0 || arity < 1 || len(rows)%arity != 0 || len(rows) > math.MaxInt32 {
+		return false
+	}
+	s.bound = append(s.bound, boundRel{pred: pred, arity: int32(arity), rows: rows})
+	return true
+}
+
+// binding returns the index of the predicate's bound rows, or -1.
+func (s *Space) binding(pred int32) int32 {
+	for b := range s.bound {
+		if s.bound[b].pred == pred {
+			return int32(b)
+		}
+	}
+	return -1
+}
+
+// targetName is the name a target term compiles under: constants keep
+// theirs, variables become skolem constants.
+func targetName(t logic.Term) string {
+	if t.IsVar {
+		return skolemPrefix + t.Name
+	}
+	return t.Name
+}
+
+// predKey is the key a body literal is grouped under: its predicate id and
+// its arity.
+type predKey struct{ pred, arity int32 }
+
+// Compiled is a target clause compiled into a Space. It is immutable after
+// construction and safe for concurrent probes. Its body literals are
+// grouped by (predicate, arity), the groups in first-seen order and each
+// group's literals in body order, and a literal is an int32 offset into
+// its group's row-major data: its arguments are data[off : off+arity]. One
+// arena holds, back to back:
+//   - the head's arguments;
+//   - four ints per group (the g* constants): its predicate, its arity, the
+//     end of its literals in the literal table, and where its data lies:
+//     an arena offset, or ^b for the space's bound relation b;
+//   - the literal table, each group's literals' offsets in turn;
+//   - the data the target owns, group after group, if any.
+//
+// A target compiled from store rows (CompileRows) owns no data: its groups
+// point at the bound relations. One compiled from names (Compile,
+// Space.Compile) owns all of it.
+type Compiled struct {
+	space    *Space
+	arena    []int32
+	headPred int32
+	// Where the group table, the literal table and the owned data start;
+	// the head's arguments start at 0.
+	groupsAt, litsAt, dataAt int32
+}
+
+// A group's fields in the group table.
+const (
+	gPred = iota
+	gArity
+	gEnd
+	gData
+	groupInts
+)
+
+func (cd *Compiled) headArgs() []int32 { return cd.arena[:cd.groupsAt] }
+
+// numGroups returns how many (predicate, arity) groups the body holds.
+func (cd *Compiled) numGroups() int { return int(cd.litsAt-cd.groupsAt) / groupInts }
+
+// field returns group g's field f.
+func (cd *Compiled) field(g, f int) int32 { return cd.arena[int(cd.groupsAt)+groupInts*g+f] }
+
+// span returns where group g's literals lie in the literal table.
+func (cd *Compiled) span(g int) (lo, hi int32) {
+	if g > 0 {
+		lo = cd.field(g-1, gEnd)
+	}
+	return lo, cd.field(g, gEnd)
+}
+
+// group returns group g's key, its literals' offsets and its data.
+func (cd *Compiled) group(g int) (k predKey, lits, data []int32) {
+	lo, hi := cd.span(g)
+	k = predKey{cd.field(g, gPred), cd.field(g, gArity)}
+	return k, cd.arena[cd.litsAt+lo : cd.litsAt+hi], cd.data(g)
+}
+
+// data returns group g's row-major data: a block of the arena or the rows
+// of a bound relation.
+func (cd *Compiled) data(g int) []int32 {
+	at := cd.field(g, gData)
+	if at < 0 {
+		return cd.space.bound[^at].rows
+	}
+	return cd.arena[at:]
+}
+
+// Compile builds the match-many form of a clause in a private space
+// holding exactly its names.
+func Compile(d *logic.Clause) *Compiled {
+	return spaceOf(d).compile(d, nil)
+}
+
+// Compile compiles a clause into the space. A clause holding a name the
+// space lacks — a skolemized variable, a constant only it holds —
+// compiles into a private space of its own instead, and every probe of it
+// prepares the source afresh against that space: such targets answer
+// exactly, just without the shared space's reuse.
+func (s *Space) Compile(d *logic.Clause) *Compiled {
+	if cd := s.compile(d, nil); cd != nil {
+		return cd
+	}
+	return Compile(d)
+}
+
+// grouping is the grouping of one compilation's body literals: their
+// distinct keys in first-seen order and each group's literal count, then,
+// once newCompiled has laid the groups out, the next free slot of each in
+// the literal table. A compilation keeps it on its stack: targets have few
+// groups, so a scan beats hashing.
+type grouping struct {
+	keys []predKey
+	n    []int32
+	last int // the group found last, tried first: literals come in runs
+}
+
+// index returns the group of key k, or -1.
+func (gs *grouping) index(k predKey) int {
+	if gs.last < len(gs.keys) && gs.keys[gs.last] == k {
+		return gs.last
+	}
+	g := slices.Index(gs.keys, k)
+	if g >= 0 {
+		gs.last = g
+	}
+	return g
+}
+
+// count returns the grouping with one more literal of key k. It takes and
+// returns the grouping by value, so that the arrays its slices start in
+// stay on the caller's stack.
+func (gs grouping) count(k predKey) grouping {
+	g := gs.index(k)
+	if g < 0 {
+		gs.keys, gs.n = append(gs.keys, k), append(gs.n, 0)
+		g = len(gs.keys) - 1
+		gs.last = g
+	}
+	gs.n[g]++
+	return gs
+}
+
+// compile interns the target into the space and lays it out, or returns
+// nil when the space lacks one of its names. order, when not nil, receives
+// each body literal's index in the literal table.
+func (s *Space) compile(d *logic.Clause, order []int32) *Compiled {
+	missing := false
+	id := func(name string) int32 {
+		id, ok := s.Lookup(name)
+		missing = missing || !ok
+		return id
+	}
+	// Both passes key every literal: the predicate's id is looked up
+	// again only when it differs from the literal before's.
+	pred, predID := "", int32(-1)
+	key := func(a logic.Atom) predKey {
+		if predID < 0 || a.Pred != pred {
+			pred, predID = a.Pred, id(a.Pred)
+		}
+		return predKey{predID, int32(len(a.Args))}
+	}
+	var keys [32]predKey
+	var counts [32]int32
+	gs := grouping{keys: keys[:0], n: counts[:0]}
+	e := 0
+	for _, a := range d.Body {
+		gs = gs.count(key(a))
+		e += len(a.Args)
+	}
+	if missing {
+		return nil
+	}
+	cd := s.newCompiled(len(d.Head.Args), &gs, e, false)
+	cd.headPred = id(d.Head.Pred)
+	for i, t := range d.Head.Args {
+		cd.arena[i] = id(targetName(t))
+	}
+	for i, a := range d.Body {
+		g, pos, j := cd.place(&gs, key(a))
+		off := j * int32(len(a.Args))
+		cd.arena[cd.litsAt+pos] = off
+		args := cd.arena[cd.field(g, gData)+off:]
+		for p, t := range a.Args {
+			args[p] = id(targetName(t))
+		}
+		if order != nil {
+			order[i] = pos
+		}
+	}
+	if missing {
+		return nil
+	}
 	return cd
 }
 
-// distinct counts the distinct values among key(0), …, key(n−1).
-func distinct[K comparable](n int, key func(int) K) int {
-	var buf [64]K // targets have few distinct predicates
-	seen := buf[:0]
-	for i := range n {
-		if k := key(i); !slices.Contains(seen, k) {
-			seen = append(seen, k)
-		}
+// CompileRows compiles a ground clause whose body literals are rows of
+// relations bound to the space: body literal i is row rows[i] of the
+// relation BindRows bound to preds[i]. The target names the rows instead
+// of copying them, so its arena holds the head's arguments, four ints per
+// group and one per literal, and it equals the target Compile builds from
+// the clause written out in names. It returns nil when a predicate is not
+// bound, a row lies outside its relation's bound rows or a head id outside
+// the space.
+func (s *Space) CompileRows(headPred int32, headArgs, preds, rows []int32) *Compiled {
+	if len(preds) != len(rows) {
+		panic("subsume: CompileRows: one row per literal")
 	}
-	return len(seen)
-}
-
-// indexPreds builds the per-predicate literal lists of a filled-in target:
-// the distinct predicates in first-seen order, then for each one a scan of
-// the body for its literals, so each list comes out ascending.
-func (cd *Compiled) indexPreds() {
-	litPred, preds, predOff, predLits := cd.litPred(), cd.preds(), cd.predOff(), cd.predLits()
-	n := 0
-	for _, p := range litPred {
-		if !slices.Contains(preds[:n], p) {
-			preds[n] = p
-			n++
-		}
+	if !s.inside(headPred) || !s.inside(headArgs...) {
+		return nil
 	}
-	j := int32(0)
-	for k, p := range preds {
-		for i, q := range litPred {
-			if q == p {
-				predLits[j] = int32(i)
-				j++
+	b := int32(-1) // the binding of the literal before
+	key := func(pred int32) predKey {
+		if b < 0 || s.bound[b].pred != pred {
+			if b = s.binding(pred); b < 0 {
+				return predKey{pred, -1}
 			}
 		}
-		predOff[k+1] = j
+		return predKey{pred, s.bound[b].arity}
 	}
+	var keys [32]predKey
+	var counts [32]int32
+	gs := grouping{keys: keys[:0], n: counts[:0]}
+	for i, p := range preds {
+		k := key(p)
+		if k.arity < 0 || uint32(rows[i]) >= uint32(len(s.bound[b].rows)/int(k.arity)) {
+			return nil
+		}
+		gs = gs.count(k)
+	}
+	cd := s.newCompiled(len(headArgs), &gs, 0, true)
+	cd.headPred = headPred
+	copy(cd.arena, headArgs)
+	for i, p := range preds {
+		k := key(p)
+		_, pos, _ := cd.place(&gs, k)
+		cd.arena[cd.litsAt+pos] = rows[i] * k.arity
+	}
+	return cd
+}
+
+// newCompiled carves a target with a head of h arguments and the groups gs
+// counted out of one int32 arena, and fills in the group table: the data
+// of a bound group is its relation's rows, and the target owns e data ints
+// otherwise, each group's block after the one before. It turns gs's counts
+// into each group's next free literal slot, for place.
+func (s *Space) newCompiled(h int, gs *grouping, e int, bound bool) *Compiled {
+	n := int32(0)
+	for _, c := range gs.n {
+		n += c
+	}
+	g := len(gs.keys)
+	cd := &Compiled{space: s, arena: make([]int32, h+groupInts*g+int(n)+e)}
+	cd.groupsAt = int32(h)
+	cd.litsAt = cd.groupsAt + int32(groupInts*g)
+	cd.dataAt = cd.litsAt + n
+	end, at := int32(0), cd.dataAt
+	for k, key := range gs.keys {
+		f := cd.arena[int(cd.groupsAt)+groupInts*k:]
+		f[gPred], f[gArity] = key.pred, key.arity
+		gs.n[k], end = end, end+gs.n[k]
+		f[gEnd], f[gData] = end, at
+		if bound {
+			f[gData] = ^s.binding(key.pred)
+		} else {
+			at += (end - gs.n[k]) * key.arity
+		}
+	}
+	return cd
+}
+
+// place files the next body literal of key k in its group: it returns the
+// group, the literal's index in the literal table and its index within
+// the group.
+func (cd *Compiled) place(gs *grouping, k predKey) (g int, pos, j int32) {
+	g = gs.index(k)
+	pos = gs.n[g]
+	gs.n[g]++
+	lo, _ := cd.span(g)
+	return g, pos, pos - lo
 }
 
 // Equal reports whether two targets are the same clause compiled into the
-// same space: the same head, and the same body literals in the same order
-// with the same argument ids.
+// same space: the same head, and group by group the same predicate, arity
+// and literals, in the same order with the same argument ids, wherever
+// each group's data lies. How literals of different groups interleave in
+// the clause is not compared: the layout does not keep it, and no probe
+// can observe it.
 func (cd *Compiled) Equal(o *Compiled) bool {
-	return cd.space == o.space && cd.headPred == o.headPred &&
-		slices.Equal(cd.headArgs(), o.headArgs()) && slices.Equal(cd.litPred(), o.litPred()) &&
-		slices.Equal(cd.litOff(), o.litOff()) && slices.Equal(cd.argv(), o.argv())
+	if cd.space != o.space || cd.headPred != o.headPred || !slices.Equal(cd.headArgs(), o.headArgs()) || cd.numGroups() != o.numGroups() {
+		return false
+	}
+	for g := range cd.numGroups() {
+		k, lits, data := cd.group(g)
+		ok, olits, odata := o.group(g)
+		if k != ok || len(lits) != len(olits) {
+			return false
+		}
+		for j, off := range lits {
+			if !slices.Equal(data[off:off+k.arity], odata[olits[j]:olits[j]+k.arity]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Len returns the number of target body literals.
-func (cd *Compiled) Len() int { return int(cd.litOffAt) }
-
-// predList returns the target literals of predicate pred, ascending.
-// Targets have few distinct predicates, so a scan beats hashing.
-func (cd *Compiled) predList(pred int32) []int32 {
-	if k := int32(slices.Index(cd.preds(), pred)); k >= 0 {
-		off := cd.arena[cd.predOffAt+k:]
-		return cd.arena[cd.predLitsAt+off[0] : cd.predLitsAt+off[1]]
-	}
-	return nil
-}
+func (cd *Compiled) Len() int { return int(cd.dataAt - cd.litsAt) }
 
 // Source is a source clause prepared against a Space: probes of any
 // target compiled into that space reuse it. It is immutable after
@@ -309,7 +464,7 @@ type Source struct {
 	head  srcLit
 	lits  []srcLit
 	argv  []logic.ITerm // head arguments first, then the body's
-	preds []int32       // distinct body predicates, first-seen order
+	preds []predKey     // distinct body (predicate, arity) keys, first-seen order
 	// occ[occOff[s]:occOff[s+1]] are the body occurrences of slot s.
 	occOff []int32
 	occ    []occEntry
@@ -320,8 +475,9 @@ type Source struct {
 	slotNames []string
 }
 
-// srcLit is one prepared source literal: its predicate (an index into
-// Source.preds for body literals, the id itself for the head) and its
+// srcLit is one prepared source literal: its predicate (for a body
+// literal an index into Source.preds, its (predicate, arity) key; for the
+// head the id itself) and its
 // arguments argv[off:off+n]. unknown marks a literal holding a constant
 // the space lacks (logic.UnknownSym), which no target literal can host.
 // The arity is an int16 so that the mark keeps the literal at 12 bytes.
@@ -394,11 +550,11 @@ func (s *Space) Prepare(c *logic.Clause) *Source {
 	headSlots := len(src.slotNames)
 	for i, a := range c.Body {
 		src.lits[i] = intern(a)
-		pred := lookup(a.Pred)
-		k := slices.Index(src.preds, pred)
+		key := predKey{lookup(a.Pred), int32(len(a.Args))}
+		k := slices.Index(src.preds, key)
 		if k < 0 {
 			k = len(src.preds)
-			src.preds = append(src.preds, pred)
+			src.preds = append(src.preds, key)
 		}
 		src.lits[i].pred = int32(k)
 	}
@@ -434,7 +590,7 @@ func (src *Source) derive(sc *Sub, keep []bool) *Source {
 	if cap(out.lits) < len(src.lits) {
 		out.lits = make([]srcLit, 0, len(src.lits))
 		out.argv = make([]logic.ITerm, 0, len(src.argv))
-		out.preds = make([]int32, 0, len(src.preds))
+		out.preds = make([]predKey, 0, len(src.preds))
 		out.slotNames = make([]string, 0, len(src.slotNames))
 	}
 	out.lits, out.argv, out.preds, out.slotNames = out.lits[:0], out.argv[:0], out.preds[:0], out.slotNames[:0]
@@ -463,11 +619,11 @@ func (src *Source) derive(sc *Sub, keep []bool) *Source {
 			continue
 		}
 		nl := copyLit(l)
-		pred := src.preds[l.pred]
-		p := slices.Index(out.preds, pred)
+		key := src.preds[l.pred]
+		p := slices.Index(out.preds, key)
 		if p < 0 {
 			p = len(out.preds)
-			out.preds = append(out.preds, pred)
+			out.preds = append(out.preds, key)
 		}
 		nl.pred = int32(p)
 		out.lits = append(out.lits, nl)
@@ -633,7 +789,16 @@ func (cd *Compiled) ProbeSub(run *obs.Run, src *Source, keep []bool, sc *Sub) bo
 // space the target was compiled into (or the target must have fallen back
 // to a private space). A steady-state probe allocates nothing.
 func (cd *Compiled) Probe(run *obs.Run, src *Source) bool {
-	m := cd.matcher(src, run)
+	return cd.probe(run, src, nil)
+}
+
+// probe is Probe of the target whose body keeps only the literals keep
+// marks, by index in the literal table (nil keeps them all): the
+// target-side twin of ProbeSub's mask. Every domain holds the kept
+// literals it would hold in the shorter target, in the same order, so the
+// probe answers and counts as a probe of the shorter target compiled.
+func (cd *Compiled) probe(run *obs.Run, src *Source, keep []bool) bool {
+	m := cd.matcher(src, keep, run)
 	ok := m.run()
 	m.report(run)
 	m.release()
@@ -647,11 +812,12 @@ func (cd *Compiled) Probe(run *obs.Run, src *Source) bool {
 type matcher struct {
 	cd        *Compiled
 	src       *Source
+	keep      []bool // the target's kept literals, by literal-table index; nil: all
 	subst     logic.Subst
-	predCand  [][]int32 // per source predicate: the target's literals of it
-	domBuf    []int32   // every literal's domain, swap-partitioned in place
-	domStart  []int32   // per literal: start of its domain in domBuf
-	live      []int32   // per literal: length of the live domain prefix
+	groups    []groupView // per source key: its target group
+	domBuf    []int32     // every literal's domain, swap-partitioned in place
+	domStart  []int32     // per literal: start of its domain in domBuf
+	live      []int32     // per literal: length of the live domain prefix
 	domTrail  []domSave
 	matched   []bool
 	open      []int32
@@ -660,9 +826,15 @@ type matcher struct {
 	// obsRun feeds the stall watchdog from inside long probes; nil (an
 	// unobserved run) costs one pointer test per batch.
 	obsRun *obs.Run
-	// The target's litOff and argv tables, sliced from its arena once per
-	// probe for the search's hot loops.
-	litOff, argv []int32
+}
+
+// groupView is the target group of one source (predicate, arity) key,
+// resolved once per probe: its literals' offsets into data, its row-major
+// data, and where its literals start in the literal table. A key the
+// target lacks has an empty view.
+type groupView struct {
+	lits, data []int32
+	at         int32
 }
 
 // domSave is one domain-narrowing trail entry; undoing restores the live
@@ -677,13 +849,12 @@ var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
 // matcher takes a cleared matcher for probing src against the target from
 // the pool. A target that fell back to a private space gets the source
 // prepared afresh against that space.
-func (cd *Compiled) matcher(src *Source, run *obs.Run) *matcher {
+func (cd *Compiled) matcher(src *Source, keep []bool, run *obs.Run) *matcher {
 	if src.space != cd.space {
 		src = cd.space.Prepare(src.clause)
 	}
 	m := matcherPool.Get().(*matcher)
-	m.cd, m.src, m.obsRun = cd, src, run
-	m.litOff, m.argv = cd.litOff(), cd.argv()
+	m.cd, m.src, m.keep, m.obsRun = cd, src, keep, run
 	m.nodes, m.exhausted = matchBudget, false
 	m.domBuf, m.domTrail = m.domBuf[:0], m.domTrail[:0]
 	return m
@@ -691,9 +862,8 @@ func (cd *Compiled) matcher(src *Source, run *obs.Run) *matcher {
 
 // release returns the matcher to the pool without the references it held.
 func (m *matcher) release() {
-	m.cd, m.src, m.obsRun = nil, nil, nil
-	m.litOff, m.argv = nil, nil
-	clear(m.predCand)
+	m.cd, m.src, m.keep, m.obsRun = nil, nil, nil, nil
+	clear(m.groups)
 	matcherPool.Put(m)
 }
 
@@ -709,18 +879,20 @@ func (m *matcher) report(run *obs.Run) {
 	run.Add(obs.CSubsumptionNodes, int64(used))
 }
 
-// run matches the heads, then searches each component with forward
-// pruning over incremental domains. A source predicate with no target
-// literal fails the probe before any search.
+// run resolves each source key to its target group, matches the heads,
+// then searches each component with forward pruning over incremental
+// domains. A source predicate with no kept target literal, of any arity,
+// fails the probe before any search; one the target holds at other
+// arities only gets empty domains.
 func (m *matcher) run() bool {
-	src, cd := m.src, m.cd
-	m.predCand = m.predCand[:0]
-	for _, p := range src.preds {
-		cand := cd.predList(p)
-		if len(cand) == 0 {
+	src := m.src
+	m.groups = m.groups[:0]
+	for _, k := range src.preds {
+		v, hosted := m.resolve(k)
+		if !hosted {
 			return false
 		}
-		m.predCand = append(m.predCand, cand)
+		m.groups = append(m.groups, v)
 	}
 	m.subst.Reset(len(src.slotNames))
 	if !m.matchHead() {
@@ -743,6 +915,25 @@ func (m *matcher) run() bool {
 		}
 	}
 	return true
+}
+
+// resolve finds the target group of source key k, and reports whether the
+// target keeps some literal of k's predicate at any arity. Targets have
+// few groups, so a scan beats hashing.
+func (m *matcher) resolve(k predKey) (v groupView, hosted bool) {
+	cd := m.cd
+	for g := range cd.numGroups() {
+		if cd.field(g, gPred) != k.pred {
+			continue
+		}
+		lo, hi := cd.span(g)
+		hosted = hosted || m.keep == nil || slices.Contains(m.keep[lo:hi], true)
+		if cd.field(g, gArity) == k.arity {
+			_, lits, data := cd.group(g)
+			v = groupView{lits: lits, data: data, at: lo}
+		}
+	}
+	return v, hosted
 }
 
 func resize(s []int32, n int) []int32 {
@@ -795,12 +986,13 @@ func (m *matcher) matchComponent(comp []int32) bool {
 	return m.search(len(comp))
 }
 
-// initDomain builds literal i's initial candidate list: the target
-// literals of its predicate consistent with the literal under the current
+// initDomain builds literal i's initial candidate list: the kept target
+// literals of its group consistent with the literal under the current
 // substitution — constants and bound variables must agree positionally,
-// repeated unbound variables must meet equal target constants. A literal
-// holding an unknown constant (logic.UnknownSym) agrees with no target
-// literal, so Prepare marks it and its domain is empty without a scan.
+// repeated unbound variables must meet equal target constants. A domain
+// holds its candidates' data offsets. A literal holding an unknown
+// constant (logic.UnknownSym) agrees with no target literal, so Prepare
+// marks it and its domain is empty without a scan.
 func (m *matcher) initDomain(i int32) bool {
 	lit := m.src.lits[i]
 	args := m.src.argv[lit.off : lit.off+int32(lit.n)]
@@ -810,8 +1002,12 @@ func (m *matcher) initDomain(i int32) bool {
 		m.live[i] = 0
 		return false
 	}
-	for _, t := range m.predCand[lit.pred] {
-		if m.consistent(args, t) {
+	v := &m.groups[lit.pred]
+	for j, t := range v.lits {
+		if m.keep != nil && !m.keep[v.at+int32(j)] {
+			continue
+		}
+		if m.consistent(args, v.data[t:t+int32(lit.n)]) {
 			m.domBuf = append(m.domBuf, t)
 		}
 	}
@@ -819,13 +1015,10 @@ func (m *matcher) initDomain(i int32) bool {
 	return m.live[i] > 0
 }
 
-// consistent reports whether target literal t can host the source literal
-// with arguments args under the current substitution.
-func (m *matcher) consistent(args []logic.ITerm, t int32) bool {
-	tgt := m.args(t)
-	if len(tgt) != len(args) {
-		return false
-	}
+// consistent reports whether the target literal with arguments tgt can
+// host the source literal with arguments args, of the same arity, under
+// the current substitution.
+func (m *matcher) consistent(args []logic.ITerm, tgt []int32) bool {
 	for p, st := range args {
 		if st.IsVar() {
 			if sym, bound := m.subst.Value(st.Slot()); bound {
@@ -849,9 +1042,6 @@ func (m *matcher) consistent(args []logic.ITerm, t int32) bool {
 	}
 	return true
 }
-
-// args returns target body literal t's argument ids.
-func (m *matcher) args(t int32) []int32 { return m.argv[m.litOff[t]:m.litOff[t+1]] }
 
 // dom returns literal i's domain (its live prefix is the first live[i]).
 func (m *matcher) dom(i int32) []int32 { return m.domBuf[m.domStart[i]:] }
@@ -901,13 +1091,15 @@ func (m *matcher) search(openCount int) bool {
 	return false
 }
 
-// assign binds literal i's unbound variables to target literal t's
-// constants and forward-propagates each binding into the open neighbours'
-// domains. No consistency check is needed — domain maintenance guarantees
-// every live candidate agrees with the current substitution — so the only
-// failure mode is a neighbour's domain emptying.
+// assign binds literal i's unbound variables to the constants of the
+// target literal at offset t of its group's data and forward-propagates
+// each binding into the open neighbours' domains. No consistency check is
+// needed — domain maintenance guarantees every live candidate agrees with
+// the current substitution — so the only failure mode is a neighbour's
+// domain emptying.
 func (m *matcher) assign(i, t int32) bool {
-	tgt := m.args(t)
+	lit := m.src.lits[i]
+	tgt := m.groups[lit.pred].data[t : t+int32(lit.n)]
 	for p, st := range m.src.bodyArgs(i) {
 		if !st.IsVar() {
 			continue
@@ -933,10 +1125,11 @@ func (m *matcher) propagate(slot, sym int32) bool {
 		if m.matched[oc.lit] {
 			continue
 		}
+		data := m.groups[m.src.lits[oc.lit].pred].data
 		dom, n := m.dom(oc.lit), m.live[oc.lit]
 		kept := int32(0)
 		for k := int32(0); k < n; k++ {
-			if m.argv[m.litOff[dom[k]]+oc.pos] == sym {
+			if data[dom[k]+oc.pos] == sym {
 				dom[kept], dom[k] = dom[k], dom[kept]
 				kept++
 			}

@@ -130,17 +130,21 @@ func TestCompiledConcurrentProbes(t *testing.T) {
 	}
 }
 
-// TestCompileGroundMatchesCompile: a ground clause handed over in the
-// space's ids compiles to the target Compile builds from its names, and
-// answers probes alike; an id outside the space compiles to nothing.
-func TestCompileGroundMatchesCompile(t *testing.T) {
+// TestCompileRowsMatchesCompile: a ground clause whose body literals are
+// rows of relations bound to the space compiles to the target Compile
+// builds from its names, answers probes alike at the same node counts, and
+// holds no argument in its arena: the head, four ints per group and one
+// per literal. Equal compares group by group, so moving a literal past
+// one of another group leaves the target equal, while swapping two of one
+// group does not. A predicate with no bound rows, a row past the bound
+// ones and a head id outside the space compile to nothing, which sends a
+// saturation down the name path; BindRows refuses rows it could not name.
+func TestCompileRowsMatchesCompile(t *testing.T) {
 	syms := logic.NewSymbols()
 	for _, c := range []string{"a", "b", "c"} {
 		syms.Intern(c)
 	}
-	space := NewSpace(syms, "t", "p", "q", "z")
-	ground := logic.MustParseClause("t(a,z) :- p(a,b), q(b), p(b,c), q(z).")
-	want := space.Compile(ground)
+	space := NewSpace(syms, "t", "p", "q", "r", "z")
 	id := func(name string) int32 {
 		v, ok := space.Lookup(name)
 		if !ok {
@@ -148,39 +152,73 @@ func TestCompileGroundMatchesCompile(t *testing.T) {
 		}
 		return v
 	}
-	litOff := []int32{0}
-	var litPred, argv []int32
-	for _, a := range ground.Body {
-		litPred = append(litPred, id(a.Pred))
-		for _, term := range a.Args {
-			argv = append(argv, id(term.Name))
-		}
-		litOff = append(litOff, int32(len(argv)))
+	a, b, c := id("a"), id("b"), id("c")
+	pRows := []int32{a, b, b, c, c, a} // p(a,b), p(b,c), p(c,a)
+	qRows := []int32{b, a}             // q(b), q(a)
+	if !space.BindRows(id("p"), 2, pRows) || !space.BindRows(id("q"), 1, qRows) {
+		t.Fatal("BindRows refused a relation")
 	}
-	head := []int32{id("a"), id("z")}
-	got := space.CompileGround(id("t"), head, litPred, litOff, argv)
+	for _, bad := range []struct {
+		what  string
+		pred  int32
+		arity int
+		rows  []int32
+	}{
+		{"a second binding", id("p"), 2, pRows},
+		{"rows of a partial tuple", id("r"), 2, pRows[:3]},
+		{"a nullary relation", id("r"), 0, nil},
+		{"a predicate outside the space", int32(syms.Len() + 100), 1, qRows},
+	} {
+		if space.BindRows(bad.pred, bad.arity, bad.rows) {
+			t.Errorf("BindRows bound %s", bad.what)
+		}
+	}
+	ground := logic.MustParseClause("t(a,z) :- p(a,b), q(b), p(c,a), q(a).")
+	want := space.Compile(ground)
+	head := []int32{a, id("z")}
+	preds := []int32{id("p"), id("q"), id("p"), id("q")}
+	rows := []int32{0, 0, 2, 1}
+	got := space.CompileRows(id("t"), head, preds, rows)
 	if got == nil || !got.Equal(want) {
-		t.Fatal("CompileGround differs from Compile of the same clause")
+		t.Fatal("CompileRows differs from Compile of the same clause")
 	}
-	for _, src := range []string{"t(X,Y) :- p(X,W), q(W), q(Y).", "t(X,Y) :- p(X,W), p(W,X)."} {
+	if n := len(head) + groupInts*2 + len(preds); len(got.arena) != n {
+		t.Errorf("the target's arena holds %d ints, want %d", len(got.arena), n)
+	}
+	for _, src := range []string{"t(X,Y) :- p(X,W), q(W), p(V,X).", "t(X,Y) :- p(X,W), p(W,X).", "t(X,Y) :- q(X), p(Y,X)."} {
 		c := logic.MustParseClause(src)
-		if got.Subsumes(c) != want.Subsumes(c) {
-			t.Errorf("%s: probes of the two targets disagree", src)
+		g, gNodes, _ := probeCounts(func(run *obs.Run) bool { return got.SubsumesR(run, c) })
+		w, wNodes, _ := probeCounts(func(run *obs.Run) bool { return want.SubsumesR(run, c) })
+		if g != w || gNodes != wNodes {
+			t.Errorf("%s: the rows' target answers %v in %d nodes, the names' %v in %d", src, g, gNodes, w, wNodes)
 		}
 	}
-	swapped := &logic.Clause{Head: ground.Head, Body: append([]logic.Atom{ground.Body[1], ground.Body[0]}, ground.Body[2:]...)}
-	if space.Compile(swapped).Equal(want) {
-		t.Error("Equal ignores literal order")
+	if !space.Compile(logic.MustParseClause("t(a,z) :- p(a,b), p(c,a), q(b), q(a).")).Equal(want) {
+		t.Error("Equal sees how the literals of two groups interleave")
 	}
-	argv[0] = int32(syms.Len() + 100)
-	if space.CompileGround(id("t"), head, litPred, litOff, argv) != nil {
-		t.Error("an id outside the space compiled")
+	if space.Compile(logic.MustParseClause("t(a,z) :- p(c,a), q(b), p(a,b), q(a).")).Equal(want) {
+		t.Error("Equal ignores the literal order within a group")
+	}
+	for _, bad := range []struct {
+		what  string
+		head  int32
+		preds []int32
+		rows  []int32
+	}{
+		{"an unbound relation", id("t"), []int32{id("p"), id("r")}, []int32{0, 0}},
+		{"a row past the bound ones", id("t"), []int32{id("q"), id("p")}, []int32{0, 3}},
+		{"a head outside the space", int32(syms.Len() + 100), preds, rows},
+	} {
+		if space.CompileRows(bad.head, head, bad.preds, bad.rows) != nil {
+			t.Errorf("a clause holding %s compiled", bad.what)
+		}
 	}
 }
 
 // TestMixedArityProbes: a name-compiled target may hold one predicate at
-// two arities, so a source literal's domain, drawn from its predicate's
-// literal list, must skip the literals of the other arity. Sources with a
+// two arities, in two groups, so a source literal's domain is drawn from
+// its own arity's group alone, and a source key whose arity the target
+// lacks gets an empty domain, not an early failure. Sources with a
 // constant the space lacks, a repeated variable, a head-bound variable and
 // two components answer as the oracle does on the bodies under the head
 // binding, both prepared against a shared space and one-shot, at the node
@@ -209,6 +247,8 @@ func TestMixedArityProbes(t *testing.T) {
 		{"t(X) :- p(X,Y), p(Z), p(Z,W), q(W).", 4}, // components {p(X,Y)}, {p(Z), p(Z,W), q(W)}
 		{"t(X) :- p(Y), p(Y,Z), p(W,Z), p(W).", 4}, // W is a or c, only a is unary
 		{"t(X) :- p(Y), p(W,Z), p(Z), q(Z).", 2},   // Z must be unary, a, which q lacks
+		{"t(X) :- p(X), q(Y), p(Y,Y,Y).", 1},       // p/3, held at other arities only: an empty domain, no early failure
+		{"t(X) :- p(c).", 0},                       // c heads only binary literals
 	} {
 		c := cl(tc.src)
 		body := make([]logic.Atom, len(c.Body))

@@ -18,14 +18,16 @@ func chainClause(n int) *logic.Clause {
 	return logic.NewClause(logic.NewAtom("t", logic.Var("X0")), body...)
 }
 
-// TestReduceRAllocsPerAttemptPin: a removal attempt allocates only the
-// shorter target, its header and its arena, two allocations whatever the
-// clause's length; the setup (cloning the clause, interning its names,
-// preparing it) adds about three per literal and a few dozen in all. Over
-// clauses of 16 to 256 literals, allocations per attempt stay at most 8
-// and do not grow with the length. (Interning a private space per attempt
-// made them grow with it: 66, 168 and 560 per attempt at 16, 64 and 256
-// literals; a target of four allocations made 9.6 at 16.)
+// TestReduceRAllocsPerAttemptPin: a removal attempt allocates nothing.
+// The clause is compiled as a target once per call and each attempt
+// probes it under a mask of the literals kept, so what a call allocates
+// is its setup (cloning the clause, interning its names, compiling and
+// preparing it): about two allocations per literal and a few dozen in
+// all. Spread over the attempts, that is at most 5 per attempt, and it
+// falls as the clause grows: 4.44, 2.70 and 2.21 at 16, 64 and 256
+// literals. (A shorter target compiled per attempt, a header and an
+// arena, made 6.56, 4.73 and 4.22; interning a private space per attempt
+// made 66, 168 and 560.)
 func TestReduceRAllocsPerAttemptPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")
@@ -38,11 +40,11 @@ func TestReduceRAllocsPerAttemptPin(t *testing.T) {
 		}
 		perAttempt := testing.AllocsPerRun(2, func() { ReduceR(nil, c) }) / float64(n)
 		t.Logf("%d literals: %.2f allocations per removal attempt", n, perAttempt)
-		if perAttempt > 8 {
-			t.Errorf("%d literals: %.2f allocations per removal attempt, want at most 8", n, perAttempt)
+		if perAttempt > 5 {
+			t.Errorf("%d literals: %.2f allocations per removal attempt, want at most 5", n, perAttempt)
 		}
-		if prev > 0 && perAttempt > prev {
-			t.Errorf("%d literals: %.2f allocations per removal attempt, more than %.2f at a quarter of the length", n, perAttempt, prev)
+		if prev > 0 && perAttempt >= prev {
+			t.Errorf("%d literals: %.2f allocations per removal attempt, not fewer than %.2f at a quarter of the length", n, perAttempt, prev)
 		}
 		prev = perAttempt
 	}

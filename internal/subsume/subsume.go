@@ -11,7 +11,7 @@
 //
 // The engine substitutes for the Resumer2 system the paper uses: target
 // clauses are compiled once (Compile — skolemized, interned, their
-// literals listed per predicate) and probed many times by a
+// literals grouped by predicate and arity) and probed many times by a
 // backtracking CSP matcher with decomposition into variable-connected
 // components, dynamic most-constrained-literal selection, and incremental
 // candidate domains narrowed on bind and restored from a trail on
@@ -56,58 +56,51 @@ var matchBudget = 1 << 21
 // It reports removal attempts and removed literals into the run (nil
 // observes nothing); each call is one "minimize" span.
 //
-// The whole reduction works in one space: the clause's names, its
-// variables skolemized, are interned once, and the clause is prepared as a
-// source once. Each shorter target is compiled straight from the ids of
-// the current clause without one body literal, and a kept removal derives
-// the shorter clause's source from the whole clause's ids, under a mask of
-// the literals kept so far. A kept target is the current clause's
-// compilation from then on. Every id comparison the matcher makes has the
-// answer it has in the private space of a one-shot Subsumes, so each
-// attempt decides and counts backtracking nodes exactly as one.
+// The whole reduction works in one space, on one target and one source:
+// the clause's names, its variables skolemized, are interned once, the
+// clause is compiled as a target once and prepared as a source once. Each
+// attempt probes the target under a mask of the literals still kept, less
+// the one under test, and a kept removal derives the shorter clause's
+// source from the whole clause's ids, under the same mask in body order.
+// A masked target's domains are exactly the shorter target's, and every id
+// comparison the matcher makes has the answer it has in the private space
+// of a one-shot Subsumes, so each attempt decides and counts backtracking
+// nodes exactly as one.
 func ReduceR(run *obs.Run, c *logic.Clause) *logic.Clause {
 	var sp *obs.Span
 	if run.Spanning() {
 		sp = run.StartSpan("minimize", obs.F("literals", len(c.Body)))
 	}
+	n := len(c.Body)
 	space := spaceOf(c)
-	full := space.compile(c)
+	// at[k] is body literal k's index in the target's literal table.
+	at := make([]int32, n)
+	target := space.compile(c, at)
 	whole := space.Prepare(c)
 	src := whole
-	// keep marks the literals of c still in the clause, whose target is
-	// full and whose source src; sub holds the derived sources.
-	keep := make([]bool, len(c.Body))
-	for k := range keep {
-		keep[k] = true
+	// keep marks the literals of c still in the clause, by body index for
+	// the source and by literal-table index for the target.
+	masks := make([]bool, 2*n)
+	keep, tkeep := masks[:n], masks[n:]
+	for k := range masks {
+		masks[k] = true
 	}
 	var sub Sub
-	// Scratch id arrays of the shorter target, reused by every attempt.
-	litPred := make([]int32, 0, full.Len())
-	litOff := make([]int32, 0, full.Len()+1)
-	argv := make([]int32, 0, len(full.argv()))
-	i := 0 // literal k's position in full
+	kept := n
 	for k := range keep {
 		run.Inc(obs.CReductionSteps)
-		fullPred, fullOff, fullArgv := full.litPred(), full.litOff(), full.argv()
-		lo, hi := fullOff[i], fullOff[i+1]
-		litPred = append(append(litPred[:0], fullPred[:i]...), fullPred[i+1:]...)
-		argv = append(append(argv[:0], fullArgv[:lo]...), fullArgv[hi:]...)
-		litOff = append(litOff[:0], fullOff[:i+1]...)
-		for _, off := range fullOff[i+2:] {
-			litOff = append(litOff, off-(hi-lo))
-		}
-		shorter := space.CompileGround(full.headPred, full.headArgs(), litPred, litOff, argv)
-		if shorter.Probe(run, src) {
+		tkeep[at[k]] = false
+		if target.probe(run, src, tkeep) {
 			run.Inc(obs.CReductionRemoved)
-			full = shorter
 			keep[k] = false
+			kept--
 			src = whole.derive(&sub, keep)
 		} else {
-			i++
+			tkeep[at[k]] = true
 		}
 	}
 	if sp != nil {
-		sp.Annotate(obs.F("kept", i))
+		sp.Annotate(obs.F("kept", kept))
 		sp.End()
 	}
 	return c.Keep(keep)
