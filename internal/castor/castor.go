@@ -10,11 +10,11 @@
 //     (§7.1, Lemma 7.5);
 //   - ARMG re-establishes the INDs after dropping a blocking atom, removing
 //     literals whose free tuples no longer satisfy any IND (§7.2.1,
-//     Lemma 7.7): the beam search over ARMGs is ilp.Generalize, which
-//     ProGolem shares, run with the schema's plan;
-//   - negative reduction removes non-essential *instances of inclusion
-//     classes* — whole groups of IND-linked literals — instead of single
-//     literals (§7.2.2, Lemma 7.8), keeping clauses safe (§7.3);
+//     Lemma 7.7), and negative reduction removes non-essential *instances
+//     of inclusion classes* — whole groups of IND-linked literals — instead
+//     of single literals (§7.2.2, Lemma 7.8), keeping clauses safe (§7.3):
+//     both run in ilp.Generalize, the beam search ProGolem shares, under
+//     the schema's plan;
 //   - clauses are minimized by θ-subsumption reduction (§7.5.5), coverage
 //     tests run in parallel and reuse parent results (§7.5.3–7.5.4), and
 //     per-schema access plans play the role of stored procedures (§7.5.2).
@@ -28,7 +28,6 @@ package castor
 import (
 	"sort"
 
-	"repro/internal/coverage"
 	"repro/internal/ilp"
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -125,8 +124,8 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 
 // learnClauseFromSeed runs Algorithm 4 for the seed uncovered[try]: the
 // seed's IND-chased bottom clause, minimized, goes through ilp.Generalize
-// under the plan's policy with instance-level negative reduction, and the
-// result is minimized again.
+// under the plan's policy, whose negative reduction removes inclusion
+// instances, and the result is minimized again.
 func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, rng *ilp.Rand, bld *ilp.Builder, uncovered []logic.Atom, try int) *logic.Clause {
 	run := params.Obs
 	plan := bld.Plan()
@@ -162,10 +161,7 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 		Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispKept, INDs: bottomINDs,
 	})
 	bottom, rootID = minimize(params, seed, bottom, rootID)
-	reduced, id := ilp.Generalize(tester, plan, rng, seed, bottom, rootID, uncovered,
-		func(c *logic.Clause, known *coverage.Bitset) *logic.Clause {
-			return NegativeReduce(tester, plan, c, prob.Neg, known)
-		})
+	reduced, id := ilp.Generalize(tester, plan, rng, seed, bottom, rootID, uncovered)
 	reduced, _ = minimize(params, seed, reduced, id)
 	if len(reduced.Body) == 0 {
 		return nil

@@ -165,66 +165,6 @@ func TestEnforceINDs(t *testing.T) {
 	}
 }
 
-func TestInclusionInstances(t *testing.T) {
-	w := testfix.NewWorld(8)
-	prob := w.ProblemOriginal()
-	plan := plans(t, prob)
-	c := logic.MustParseClause(
-		"t(X,Y) :- student(X), inPhase(X, prelim), yearsInProgram(X, 2), professor(Y), hasPosition(Y, faculty), publication(P, X).")
-	inst := InclusionInstances(c, plan)
-	if len(inst) != 3 {
-		t.Fatalf("instances = %v", inst)
-	}
-	// First instance: the three student literals (indexes 0,1,2).
-	if len(inst[0]) != 3 || inst[0][0] != 0 || inst[0][2] != 2 {
-		t.Errorf("student instance = %v", inst[0])
-	}
-	// Second: professor+hasPosition.
-	if len(inst[1]) != 2 {
-		t.Errorf("professor instance = %v", inst[1])
-	}
-	// Third: publication singleton.
-	if len(inst[2]) != 1 {
-		t.Errorf("publication instance = %v", inst[2])
-	}
-}
-
-func TestNegativeReduceAtInstanceGranularity(t *testing.T) {
-	w := testfix.NewWorld(8)
-	prob := w.ProblemOriginal()
-	plan := plans(t, prob)
-	tester := ilp.NewTester(prob, ilp.Defaults())
-	// The student inclusion instance is non-essential; the publication join
-	// and faculty position are essential.
-	c := logic.MustParseClause(
-		"advisedBy(X,Y) :- student(X), inPhase(X, prelim), yearsInProgram(X, 1), publication(P,X), publication(P,Y), professor(Y), hasPosition(Y, faculty).")
-	r := NegativeReduce(tester, plan, c, prob.Neg, nil)
-	if tester.Count(r, prob.Neg, nil) > tester.Count(c, prob.Neg, nil) {
-		t.Error("negative coverage increased")
-	}
-	if tester.Count(r, prob.Pos, nil) < tester.Count(c, prob.Pos, nil) {
-		t.Error("positive coverage decreased")
-	}
-	if !r.IsSafe() {
-		t.Errorf("unsafe reduction: %v", r)
-	}
-	// The whole student instance must go together or stay together.
-	var hasStudent, hasPhase, hasYears bool
-	for _, a := range r.Body {
-		switch a.Pred {
-		case "student":
-			hasStudent = true
-		case "inPhase":
-			hasPhase = true
-		case "yearsInProgram":
-			hasYears = true
-		}
-	}
-	if hasStudent != hasPhase || hasPhase != hasYears {
-		t.Errorf("instance split: %v", r)
-	}
-}
-
 func TestLearnAdvisedByOriginal(t *testing.T) {
 	w := testfix.NewWorld(12)
 	prob := w.ProblemOriginal()

@@ -5,9 +5,12 @@ package experiments
 // (non-)invariance empirically.
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/castor"
+	"repro/internal/datasets"
 	"repro/internal/foil"
 	"repro/internal/ilp"
 	"repro/internal/logic"
@@ -226,4 +229,83 @@ func TestExample65ARMGNotSchemaIndependent(t *testing.T) {
 	if len(aO.Body) != len(aC.Body) {
 		t.Errorf("Castor ARMG asymmetric: %v vs %v", aO, aC)
 	}
+}
+
+// TestLemma78InclusionInstancesCorrespond checks the premise of Lemma 7.8:
+// negative reduction removes inclusion instances, and the instances of a
+// bottom clause stand for the same joined rows over every schema of a
+// dataset. For the first ten positives of UW-CSE (scale 2), HIV (scale
+// 0.5) and IMDb (scale 0.5), at generator seeds 1 and 2, Castor's ground
+// bottom clause over each schema must group into the same multiset of
+// inclusion instances, each identified by the sorted set of constants its
+// literals hold.
+func TestLemma78InclusionInstancesCorrespond(t *testing.T) {
+	params := ilp.Defaults()
+	for _, seed := range []int64{1, 2} {
+		uw, hiv, imdb := datasets.DefaultUWCSE(), datasets.DefaultHIV2K4K(), datasets.DefaultIMDb()
+		uw.Seed, uw.Scale = seed, 2
+		hiv.Seed, hiv.Scale = seed, 0.5
+		imdb.Seed, imdb.Scale = seed, 0.5
+		for _, gen := range []func() (*datasets.Dataset, error){
+			func() (*datasets.Dataset, error) { return datasets.GenerateUWCSE(uw) },
+			func() (*datasets.Dataset, error) { return datasets.GenerateHIV(hiv) },
+			func() (*datasets.Dataset, error) { return datasets.GenerateIMDb(imdb) },
+		} {
+			ds, err := gen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans := make([]*relstore.Plan, len(ds.Variants))
+			builders := make([]*ilp.Builder, len(ds.Variants))
+			for i, v := range ds.Variants {
+				prob, err := ds.Problem(v.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plans[i] = relstore.CompilePlan(prob.Instance.Schema(), false)
+				builders[i] = ilp.NewBuilder(prob, plans[i])
+			}
+			// The check is void unless some bottom clause differs in length
+			// across the schemas, its literals grouped into fewer instances.
+			regrouped := false
+			for _, e := range ds.Pos[:10] {
+				var want []string
+				lits := -1
+				for i, v := range ds.Variants {
+					c := builders[i].Build(e, params, nil)
+					got := instanceRows(c, plans[i])
+					if i == 0 {
+						want, lits = got, len(c.Body)
+						continue
+					}
+					regrouped = regrouped || len(c.Body) != lits
+					if !slices.Equal(got, want) {
+						t.Errorf("%s seed %d, %v: %s has instances\n %v\nwhere %s has\n %v",
+							ds.Name, seed, e, v.Name, got, ds.Variants[0].Name, want)
+					}
+				}
+			}
+			if !regrouped {
+				t.Errorf("%s seed %d: every schema's bottom clauses have the same length", ds.Name, seed)
+			}
+		}
+	}
+}
+
+// instanceRows returns the clause's inclusion instances as the sorted
+// constants each one's literals hold, sorted.
+func instanceRows(c *logic.Clause, plan *relstore.Plan) []string {
+	var out []string
+	for _, inst := range ilp.InclusionInstances(c, plan) {
+		var consts []string
+		for _, li := range inst {
+			for _, a := range c.Body[li].Args {
+				consts = append(consts, a.Name)
+			}
+		}
+		slices.Sort(consts)
+		out = append(out, strings.Join(slices.Compact(consts), ","))
+	}
+	slices.Sort(out)
+	return out
 }

@@ -58,3 +58,9 @@ func EnforceINDsMask(c *logic.Clause, plan *relstore.Plan, keep []bool) {
 
 // HeadMatches is ARMG's check that a head maps onto a ground example.
 var HeadMatches = headMatches
+
+// InstanceWalk returns the inclusion-instance walk Castor's negative
+// reduction keeps for one plan, reused on every clause it is given.
+func InstanceWalk(plan *relstore.Plan) func(*logic.Clause) [][]int {
+	return newInstanceWalk(plan).instances
+}

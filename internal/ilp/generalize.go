@@ -12,9 +12,9 @@ import (
 // The generalization search of the bottom-up learners: ProGolem's beam
 // search over ARMGs of a seed's bottom clause (§6.4, Algorithm 3), which
 // Castor's Algorithm 4 runs with IND-preserving ARMG (§7.2.1) and safe
-// clauses (§7.3). As for Builder, a plan picks Castor's policy and no plan
-// ProGolem's; each learner keeps its own bottom clause and negative
-// reduction.
+// clauses (§7.3), then negative reduction. As for Builder, a plan picks
+// Castor's policy and no plan ProGolem's; each learner keeps its own
+// bottom clause.
 
 // entry is one beam entry with its coverage, which its generalizations
 // inherit as §7.5.4 knowns: pos over the uncovered positives, neg over
@@ -34,9 +34,8 @@ type entry struct {
 // Generalize runs the beam search over ARMGs of bottom, the bottom clause
 // of seed, whose provenance node is bottomID, against the uncovered
 // positives and the problem's negatives. It returns the best clause the
-// search reaches after reduce, the learner's negative reduction, with that
-// clause's provenance node. reduce gets the winner and its negative cover,
-// which stays a valid known-covered set for every generalization it tries.
+// search reaches after NegativeReduce under the same policy, which starts
+// from the winner's negative cover, with that clause's provenance node.
 //
 // Each round generalizes every beam entry toward Sample drawn positives,
 // scores the ARMGs as one batch that must beat the best score so far, and
@@ -49,7 +48,7 @@ type entry struct {
 //     unsafe ARMGs unscored (§7.3.2), recording each as pruned_unsafe; and
 //     ARMG restores the plan's INDs after each drop.
 func Generalize(t *Tester, plan *relstore.Plan, rng *Rand, seed logic.Atom, bottom *logic.Clause, bottomID uint64,
-	uncovered []logic.Atom, reduce func(c *logic.Clause, negCovered *coverage.Bitset) *logic.Clause) (*logic.Clause, uint64) {
+	uncovered []logic.Atom) (*logic.Clause, uint64) {
 	run, prov, neg := t.run, t.run.Prov(), t.prob.Neg
 	root := &entry{clause: bottom, id: bottomID}
 	root.pos = t.CoveredSet(bottom, uncovered, nil)
@@ -132,7 +131,7 @@ func Generalize(t *Tester, plan *relstore.Plan, rng *Rand, seed logic.Atom, bott
 	}
 	best := beam[0]
 	sn := run.StartSpan("negative_reduction", obs.F("literals", len(best.clause.Body)))
-	reduced := reduce(best.clause, best.neg)
+	reduced := NegativeReduce(t, plan, best.clause, best.neg)
 	sn.Annotate(obs.F("kept", len(reduced.Body)))
 	sn.End()
 	if !prov.Enabled() || reduced.Equal(best.clause) {
@@ -340,7 +339,8 @@ func EnforceINDs(c *logic.Clause, plan *relstore.Plan) *logic.Clause {
 
 // indPartners lists, per body literal of a clause, the partners of each
 // IND hop out of its relation: for a hop R1[X] ⋈ R2[X] out of R1(u), the
-// literals R2(v) that agree with u on the join positions. A hop naming a
+// literals R2(v) that agree with u on the join positions. ARMG's IND
+// restoration and InclusionInstances read them. A hop naming a
 // position past the literal's arity is left out: the literal is not one of
 // the schema relation's. Literal i's hops are hops[lits[i]:lits[i+1]], and
 // hop h's partners are partners[hops[h]:hops[h+1]].

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/coverage"
 	"repro/internal/datasets"
 	"repro/internal/ilp"
 	"repro/internal/logic"
@@ -125,7 +124,6 @@ func TestGeneralizeDropsUnsafeARMGsUnderAPlan(t *testing.T) {
 	params := ilp.Defaults()
 	params.Parallelism = 1
 	params.Sample = 2
-	keep := func(c *logic.Clause, _ *coverage.Bitset) *logic.Clause { return c }
 	for _, tc := range []struct {
 		plan   *relstore.Plan
 		want   string
@@ -139,7 +137,7 @@ func TestGeneralizeDropsUnsafeARMGsUnderAPlan(t *testing.T) {
 		p := params
 		p.Obs = obs.NewRun(nil, nil).WithProvenance(prov)
 		tester := ilp.NewTester(prob, p)
-		got, _ := ilp.Generalize(tester, tc.plan, ilp.NewRand(1), prob.Pos[0], bottom, 0, prob.Pos, keep)
+		got, _ := ilp.Generalize(tester, tc.plan, ilp.NewRand(1), prob.Pos[0], bottom, 0, prob.Pos)
 		if want := logic.MustParseClause(tc.want); !got.Equal(want) {
 			t.Errorf("plan %v: Generalize = %v, want %v", tc.plan != nil, got, want)
 		}

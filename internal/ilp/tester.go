@@ -37,9 +37,9 @@ type Tester struct {
 	// unless UseBuilder replaced it. space is the id space saturations
 	// compile into and candidates are prepared against: the instance's
 	// constants plus the relation names, the target predicate and the
-	// example constants the instance lacks. rows reports that the space
-	// binds the frozen instance's relations to their rows, so a saturation
-	// names the rows it holds instead of copying them. Every distinct
+	// example constants the instance lacks. The space binds the frozen
+	// instance's relations to their rows, so a saturation names the rows
+	// it holds instead of copying them. Every distinct
 	// example of the problem has one saturation entry, resolved in
 	// NewTester: sats finds it by the address of the example's argument
 	// array, read lock-free, so every worker of a beam batch finds and
@@ -53,7 +53,6 @@ type Tester struct {
 	// of examples with no arguments, which have no address to be found by.
 	bld    *Builder
 	space  *subsume.Space
-	rows   bool
 	sats   exampleTable[*satEntry]
 	ents   []satEntry
 	equal  []int32
@@ -201,15 +200,12 @@ func (t *Tester) initSaturations() {
 	}
 	t.space = subsume.NewSpace(syms, extra...)
 	// The rows of a frozen instance hold its symbols' ids, which are the
-	// space's base ids as long as the symbol table has not grown since the
-	// space was built; committed rows are never rewritten.
-	if t.space.BaseLen(syms) == int32(syms.Len()) {
-		t.rows = true
-		for _, rel := range prob.Instance.Schema().Relations() {
-			if table := prob.Instance.Table(rel.Name); table != nil {
-				id, _ := t.space.Lookup(rel.Name)
-				t.space.BindRows(id, rel.Arity(), table.Rows())
-			}
+	// space's base ids: the space was built over the symbol table as it is
+	// now, and committed rows are never rewritten.
+	for _, rel := range prob.Instance.Schema().Relations() {
+		if table := prob.Instance.Table(rel.Name); table != nil {
+			id, _ := t.space.Lookup(rel.Name)
+			t.space.BindRows(id, rel.Arity(), table.Rows())
 		}
 	}
 	t.UseBuilder(NewBuilder(prob, nil))
@@ -327,7 +323,7 @@ func (t *Tester) Run() *obs.Run { return t.run }
 // direct mode it does nothing.
 func (t *Tester) UseBuilder(b *Builder) {
 	if t.space != nil {
-		b.compileInto(t.space, t.rows && b.prob.Instance == t.prob.Instance)
+		b.compileInto(t.space, b.prob.Instance == t.prob.Instance)
 		t.bld = b
 	}
 }

@@ -101,6 +101,13 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 			Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispKept,
 		})
 	}
+	// A child needs every picked literal connected to the head through the
+	// picks: HeadConnected of the bottom clause's variables under the picks
+	// as a keep mask marks them all. keep, connected and reach are its
+	// scratch.
+	vars := logic.NewClauseVars(bottom)
+	keep, connected := make([]bool, len(bottom.Body)), make([]bool, len(bottom.Body))
+	reach := make([]bool, vars.NumVars())
 	build := func(picks []int) *logic.Clause {
 		body := make([]logic.Atom, len(picks))
 		for i, k := range picks {
@@ -170,7 +177,12 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 				continue
 			}
 			seen[ck] = true
-			if !headConnectedPicks(bottom, picks) {
+			clear(keep)
+			for _, k := range picks {
+				keep[k] = true
+			}
+			vars.HeadConnected(keep, connected, reach)
+			if !slices.Equal(connected, keep) {
 				continue
 			}
 			if !evaluate(child) {
@@ -205,19 +217,4 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 		return nil
 	}
 	return build(best.picks)
-}
-
-// headConnectedPicks reports whether every picked literal is connected to
-// the head through the picked subset.
-func headConnectedPicks(bottom *logic.Clause, picks []int) bool {
-	c := &logic.Clause{Head: bottom.Head}
-	for _, k := range picks {
-		c.Body = append(c.Body, bottom.Body[k])
-	}
-	for _, ok := range logic.HeadConnected(c) {
-		if !ok {
-			return false
-		}
-	}
-	return true
 }

@@ -3,9 +3,11 @@
 // seed example into an ordered bottom clause and generalizes it with the
 // asymmetric relative minimal generalization (ARMG) operator — dropping
 // *blocking atoms* until a second positive example is covered — inside a
-// beam search, followed by negative reduction. The beam and ARMG are
-// ilp.Generalize and ilp.ARMG under their classic policy (no plan), which
-// Castor shares with its plan.
+// beam search, followed by negative reduction. The beam, ARMG and the
+// negative reduction are ilp.Generalize, ilp.ARMG and ilp.NegativeReduce
+// under their classic policy (no plan), which Castor shares with its plan:
+// this package keeps only the classic bottom clause and the Generalize
+// call.
 //
 // Theorem 6.6: ProGolem is not schema independent, because both the
 // depth-bounded bottom clause (Lemma 6.3) and the literal-at-a-time ARMG
@@ -13,7 +15,6 @@
 package progolem
 
 import (
-	"repro/internal/coverage"
 	"repro/internal/ilp"
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -43,7 +44,8 @@ func (l *Learner) Learn(prob *ilp.Problem, params ilp.Params) (*logic.Definition
 }
 
 // learnClause generalizes the seed's bottom clause by ilp.Generalize under
-// the classic policy (no plan), reducing the winner literal by literal.
+// the classic policy (no plan), which reduces the winner literal by
+// literal.
 func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.Tester, bld *ilp.Builder, rng *ilp.Rand, uncovered []logic.Atom) *logic.Clause {
 	run := params.Obs
 	prov := run.Prov()
@@ -65,42 +67,9 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 			Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispKept,
 		})
 	}
-	reduced, _ := ilp.Generalize(tester, nil, rng, seed, bottom, rootID, uncovered,
-		func(c *logic.Clause, known *coverage.Bitset) *logic.Clause {
-			return NegativeReduce(tester, c, prob.Neg, known)
-		})
+	reduced, _ := ilp.Generalize(tester, nil, rng, seed, bottom, rootID, uncovered)
 	if len(reduced.Body) == 0 {
 		return nil
 	}
 	return reduced
-}
-
-// NegativeReduce removes non-essential literals: a literal is
-// non-essential when dropping it (plus any literals left disconnected)
-// does not increase the clause's negative coverage (§7.2.2 at literal
-// granularity, as in ProGolem). The schedule walks the literals back to
-// front, which keeps early (seed-example) literals preferentially;
-// ilp.Reduce runs it, confirming a chain of removals with one check.
-//
-// known optionally carries c's negative cover; every candidate here only
-// removes literals, so it stays a valid known-covered set throughout, and
-// a candidate's check stops at the first negative outside it that the
-// candidate covers.
-func NegativeReduce(tester *ilp.Tester, c *logic.Clause, neg []logic.Atom, known *coverage.Bitset) *logic.Clause {
-	cur := c.Clone()
-	baseSet := tester.CoveredSet(cur, neg, known)
-	base := baseSet.Count()
-	step := func(cur *logic.Clause, i int) (*logic.Clause, int, int, bool) {
-		for ; i >= 0 && len(cur.Body) > 1; i-- {
-			cand := logic.PruneNotHeadConnected(cur.RemoveBodyAt(i))
-			if len(cand.Body) == 0 {
-				continue
-			}
-			return cand, min(i, len(cand.Body)) - 1, i - 1, true
-		}
-		return nil, 0, 0, false
-	}
-	return ilp.Reduce(cur, len(cur.Body)-1, step, func(cand *logic.Clause) bool {
-		return tester.CoversAtMost(cand, neg, baseSet, base)
-	})
 }

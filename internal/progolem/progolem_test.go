@@ -112,24 +112,6 @@ func TestBlockingAtomIndex(t *testing.T) {
 	}
 }
 
-func TestNegativeReduce(t *testing.T) {
-	w := testfix.NewWorld(8)
-	prob := w.ProblemOriginal()
-	tester := ilp.NewTester(prob, ilp.Defaults())
-	// publication join + faculty position is essential; ta literal is not.
-	c := logic.MustParseClause("advisedBy(X,Y) :- publication(P,X), publication(P,Y), hasPosition(Y,faculty), student(X).")
-	r := NegativeReduce(tester, c, prob.Neg, nil)
-	if tester.Count(r, prob.Neg, nil) > tester.Count(c, prob.Neg, nil) {
-		t.Error("negative reduction increased negative coverage")
-	}
-	if tester.Count(r, prob.Pos, nil) < tester.Count(c, prob.Pos, nil) {
-		t.Error("negative reduction lost positive coverage")
-	}
-	if len(r.Body) >= len(c.Body) {
-		t.Errorf("nothing was reduced: %v", r)
-	}
-}
-
 func TestLearnAdvisedBy(t *testing.T) {
 	w := testfix.NewWorld(12)
 	prob := w.ProblemOriginal()
